@@ -11,7 +11,7 @@ test:
 # Regression guard: the suite must never silently shrink — a dune or
 # module-wiring mistake can drop a whole test file from the runner while
 # everything still "passes".  Bump the floor when tests are added.
-TEST_COUNT_FLOOR := 472
+TEST_COUNT_FLOOR := 475
 
 check-test-count:
 	@out=$$(dune runtest --force 2>&1); status=$$?; \
@@ -71,6 +71,9 @@ check-cache: build
 # its shards, block cache over the disk, composed service over the map
 # spec) must certify, and a warm run over a populated store must print a
 # bit-identical canonical report at least 2x faster than the cold run.
+# A jobs 4 run must print the jobs 1 report byte for byte: the replay
+# memos are per-domain (DESIGN.md S32), and this guards them under
+# concurrent plays.
 KV_CHECK_DIR := _build/ccal-kv-cache-check
 
 check-kv: build
@@ -87,6 +90,11 @@ check-kv: build
 	if [ $$(( warm * 2 )) -gt $$cold ]; then \
 	  echo "check-kv: REGRESSION - warm run not >= 2x faster"; exit 1; fi; \
 	echo "check-kv: OK (3 edges certified, reports identical, >= 2x speedup)"
+	@$(CCAL_BIN) kv --threads 4 --jobs 1 --report _build/kv-jobs1.txt > /dev/null || exit 1; \
+	$(CCAL_BIN) kv --threads 4 --jobs 4 --report _build/kv-jobs4.txt > /dev/null || exit 1; \
+	cmp _build/kv-jobs1.txt _build/kv-jobs4.txt || { \
+	  echo "check-kv: REGRESSION - jobs 4 report differs from jobs 1"; exit 1; }; \
+	echo "check-kv: OK (jobs 4 report identical to jobs 1)"
 
 # The robustness gate (DESIGN.md S27).  Two legs:
 #   1. the adversarial rwlock spin suite livelocks under the trace-prefix

@@ -314,31 +314,45 @@ let print_contention_sweep () =
 (* Ablation 1 — replay functions.  "This seemingly 'inefficient' way of
    treating shared atomic objects is actually great for compositional
    specification" (Sec. 7): every primitive replays the whole log, so a
-   call costs O(|log|).  We measure the cost growth directly. *)
+   plain fold costs O(|log|) per call.  The incremental fold (DESIGN.md
+   S32) keeps the semantics and, inside a game play's scope, steps only
+   the events appended since the fold's previous call.  Both columns are
+   measured: a call outside any scope (the whole log), and a call in a
+   scope on a log one event longer than the previous call's. *)
 let print_replay_ablation () =
   Format.printf "@.== ablation: replay-function cost vs. log length (Sec. 7 design choice) ==@.@.";
-  Format.printf "  %-10s %-16s@." "log events" "ns per replay";
-  let log_of_n n =
-    let rec go l k =
-      if k = 0 then l
-      else
-        go (Log.append (Event.make ~args:[ vi 0 ] (1 + (k mod 4)) "FAI_t") l) (k - 1)
-    in
-    go Log.empty n
+  Format.printf "  %-10s %-18s %-18s@." "log events" "ns full fold" "ns one new event";
+  let fai k = Event.make ~args:[ vi 0 ] (1 + (k mod 4)) "FAI_t" in
+  let iters = 2_000 in
+  let ns_per_call f =
+    let t0 = Unix.gettimeofday () in
+    f ();
+    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
   in
   List.iter
     (fun n ->
-      let log = log_of_n n in
-      let t0 = Unix.gettimeofday () in
-      let iters = 2_000 in
-      for _ = 1 to iters do
-        ignore (Ticket_lock.replay_ticket 0 log)
+      let log = Log.append_all (List.init n fai) Log.empty in
+      let full =
+        ns_per_call (fun () ->
+            for _ = 1 to iters do
+              ignore (Ticket_lock.replay_ticket 0 log)
+            done)
+      in
+      (* the logs a play would hand over: each one event longer *)
+      let chain = Array.make iters log in
+      for k = 1 to iters - 1 do
+        chain.(k) <- Log.append (fai k) chain.(k - 1)
       done;
-      let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters in
-      Format.printf "  %-10d %-16.0f@." n ns)
+      let incremental =
+        ns_per_call (fun () ->
+            Replay.scoped (fun () ->
+                Array.iter (fun l -> ignore (Ticket_lock.replay_ticket 0 l)) chain))
+      in
+      Format.printf "  %-10d %-18.0f %-18.0f@." n full incremental)
     [ 10; 50; 100; 500; 1000 ];
   Format.printf
-    "  shape: linear in the log — the price paid for log-only shared state@."
+    "  shape: a full fold is linear in the log; in a play, a call pays for its \
+     new events only@."
 
 (* Ablation 2 — exploration strategy.  How many distinct interleavings do
    exhaustive prefixes vs. random schedules observe for the same budget? *)
@@ -1093,12 +1107,16 @@ let write_robust_json path (r : robust_bench) =
    the lock layer), under round-robin and random schedules.  Reported
    ops/sec is end-to-end interpreter throughput — what certification
    itself pays per replayed schedule — so the thread axis shows how the
-   per-op cost grows with the log (replay functions are O(|log|)), not
-   hardware parallelism: the game interpreter is sequential by design. *)
+   per-op cost grows with the log, not hardware parallelism: the game
+   interpreter is sequential by design.  With incremental replay
+   (DESIGN.md S32) each primitive call steps only the events appended
+   since the last one, so the curve is flat where per-op work is
+   constant; the 1 -> 8 thread ratio is checked against the 2x gate. *)
 
 type kv_run = {
   kv_threads : int;
   kv_ms : float;
+  kv_ms_range : float * float;  (* fastest and slowest of the repeats *)
   kv_ops_per_sec : float;
   kv_events : int;
 }
@@ -1106,9 +1124,10 @@ type kv_run = {
 type kv_mix = { read_pct : int; kv_runs : kv_run list }
 
 let kv_shards = 4
-let kv_ops_per_thread = 50
-let kv_keyspace = 16
+let kv_ops_per_thread = 500
+let kv_keyspace = 1024
 let kv_thread_counts = [ 1; 2; 4; 8 ]
+let kv_repeats = 5 (* each point is the median of this many timings *)
 
 let run_kv_mix ~read_pct =
   let module K = Ccal_kv.Kv_stack in
@@ -1122,10 +1141,15 @@ let run_kv_mix ~read_pct =
       Game.run (Game.config ~max_steps:5_000_000 layer ts sched)
     in
     ignore (play Sched.round_robin) (* warm-up *);
-    let outcomes, ms =
-      Ccal_verify.Verify_clock.timed (fun () ->
-          [ play Sched.round_robin; play (Sched.random ~seed:7) ])
+    let samples =
+      List.init kv_repeats (fun _ ->
+          Gc.full_major ();
+          Ccal_verify.Verify_clock.timed (fun () ->
+              [ play Sched.round_robin; play (Sched.random ~seed:7) ]))
     in
+    let outcomes = fst (List.hd samples) in
+    let times = List.sort compare (List.map snd samples) in
+    let ms = List.nth times (kv_repeats / 2) in
     List.iter
       (fun (o : Game.outcome) ->
         match o.Game.status with
@@ -1141,6 +1165,7 @@ let run_kv_mix ~read_pct =
     {
       kv_threads = threads;
       kv_ms = ms;
+      kv_ms_range = List.hd times, List.nth times (kv_repeats - 1);
       kv_ops_per_sec = float_of_int total_ops /. (ms /. 1000.);
       kv_events = events;
     }
@@ -1149,12 +1174,27 @@ let run_kv_mix ~read_pct =
 
 let run_kv_bench () = List.map (fun p -> run_kv_mix ~read_pct:p) [ 95; 50 ]
 
+(* Throughput at 1 thread over throughput at 8: 1.0 is a flat curve, and
+   the gate asks for at most 2. *)
+let kv_flat_ratio m =
+  let ops n = (List.find (fun r -> r.kv_threads = n) m.kv_runs).kv_ops_per_sec in
+  ops 1 /. ops 8
+
+let source_commit () =
+  try
+    let ic = Unix.open_process_in "git describe --always --dirty --abbrev=12 2>/dev/null" in
+    let c = try input_line ic with End_of_file -> "unknown" in
+    ignore (Unix.close_process_in ic);
+    c
+  with Unix.Unix_error _ -> "unknown"
+
 let print_kv_bench mixes =
   Format.printf
     "@.== kv: YCSB-style throughput over the certified kv stack (S28) ==@.@.";
   Format.printf
-    "  shards %d, %d ops/thread, keyspace %d; round-robin + random schedules@.@."
-    kv_shards kv_ops_per_thread kv_keyspace;
+    "  shards %d, %d ops/thread, keyspace %d; round-robin + random schedules; \
+     median of %d@.@."
+    kv_shards kv_ops_per_thread kv_keyspace kv_repeats;
   Format.printf "  %-10s %-9s %-10s %-12s %-8s@." "mix" "threads" "ms"
     "ops/sec" "events";
   List.iter
@@ -1166,31 +1206,41 @@ let print_kv_bench mixes =
             r.kv_events)
         m.kv_runs)
     mixes;
-  Format.printf
-    "@.  shape: ops/sec falls as threads grow — the log lengthens and every \
-     replayed@.  primitive rescans it (the Sec. 7 replay-cost story at the \
-     service level)@."
+  List.iter
+    (fun m ->
+      let ratio = kv_flat_ratio m in
+      Format.printf "@.  %d/%d: 1 -> 8 threads falls %.2fx (gate: within 2x of flat: %s)"
+        m.read_pct (100 - m.read_pct) ratio
+        (if ratio <= 2. then "met" else "not met"))
+    mixes;
+  Format.printf "@."
 
 let write_kv_json path mixes =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
   out "  \"bench\": \"kv-ycsb\",\n";
+  out "  \"commit\": \"%s\",\n" (source_commit ());
+  out "  \"nproc\": %d,\n" (Domain.recommended_domain_count ());
   out "  \"shards\": %d,\n" kv_shards;
   out "  \"ops_per_thread\": %d,\n" kv_ops_per_thread;
   out "  \"keyspace\": %d,\n" kv_keyspace;
+  out "  \"repeats\": %d,\n" kv_repeats;
   out "  \"mixes\": [\n";
   List.iteri
     (fun mi m ->
       out "    {\n";
       out "      \"read_pct\": %d,\n" m.read_pct;
+      out "      \"flat_ratio_1_to_8\": %.2f,\n" (kv_flat_ratio m);
+      out "      \"gate_within_2x_met\": %b,\n" (kv_flat_ratio m <= 2.);
       out "      \"runs\": [\n";
       List.iteri
         (fun ri r ->
           out
-            "        {\"threads\": %d, \"ms\": %.3f, \"ops_per_sec\": %.1f, \
-             \"events\": %d}%s\n"
-            r.kv_threads r.kv_ms r.kv_ops_per_sec r.kv_events
+            "        {\"threads\": %d, \"ms\": %.3f, \"ms_min\": %.3f, \"ms_max\": %.3f, \
+             \"ops_per_sec\": %.1f, \"events\": %d}%s\n"
+            r.kv_threads r.kv_ms (fst r.kv_ms_range) (snd r.kv_ms_range)
+            r.kv_ops_per_sec r.kv_events
             (if ri = List.length m.kv_runs - 1 then "" else ","))
         m.kv_runs;
       out "      ]\n";

@@ -329,9 +329,10 @@ let stack_cmd =
     Arg.(value & flag
          & info [ "livelock" ]
              ~doc:"Append the adversarial spinning-rwlock edge, which \
-                   livelocks under the trace-prefix schedulers.  Without a \
-                   $(b,--budget-ms) this effectively hangs; with one, the \
-                   run stops at the deadline and reports the completed \
+                   livelocks under the trace-prefix schedulers: each of its \
+                   2,187 games burns its whole fuel.  Without a \
+                   $(b,--budget-ms) this runs for tens of seconds; with one, \
+                   the run stops at the deadline and reports the completed \
                    edges ($(b,exhausted), exit 0).")
   in
   Cmd.v

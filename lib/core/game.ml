@@ -206,7 +206,7 @@ let run cfg =
           in
           loop log' (steps + 1) (silent + cost) (Some i) violations)
   in
-  observe (loop Log.empty 0 0 None [])
+  observe (Replay.scoped (fun () -> loop Log.empty 0 0 None []))
 
 (* ------------------------------------------------------------------ *)
 (* allocation-light replay (DESIGN.md S24)                             *)
@@ -352,7 +352,7 @@ let replay_into scratch cfg =
       end
     end
   in
-  observe (loop Log.empty 0 0 None [])
+  observe (Replay.scoped (fun () -> loop Log.empty 0 0 None []))
 
 (* A lock-free freelist of scratches: the checkers call {!replay} from
    arbitrary pool domains, and a Treiber stack keeps the live scratch

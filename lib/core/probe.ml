@@ -227,6 +227,7 @@ let reset () =
 
 let schedules_run = counter "schedules_run"
 let replay_steps = counter "replay_steps"
+let events_folded = counter "replay.events_folded"
 let sleep_set_prunes = counter "sleep_set_prunes"
 let logs_distinct = counter "logs_distinct"
 let race_checks = counter "race_checks"

@@ -101,6 +101,11 @@ val replay_steps : counter
 (** Bumped by each {!Game.run} with its shared + silent step total — the
     log-replay work the run performed. *)
 
+val events_folded : counter
+(** [replay.events_folded]: bumped by each [Replay.fold] call with the
+    events it actually stepped — the replay-function work, which the
+    incremental fold keeps linear in a play's length. *)
+
 val sleep_set_prunes : counter
 (** Bumped by [Dpor.explore] with the branches sleep sets skipped. *)
 

@@ -17,7 +17,25 @@ type 'a t = Log.t -> ('a, string) result
 val fold : init:'a -> step:('a -> Event.t -> ('a, string) result) -> 'a t
 (** [fold ~init ~step] replays the log chronologically from [init],
     applying [step] to each event.  This is the shape of every replay
-    function in the paper (Fig. 8 is a right fold on the log). *)
+    function in the paper (Fig. 8 is a right fold on the log).  The first
+    failing event's [Error] is the result.
+
+    [step] must be a pure function of the state and the event, because
+    the fold is incremental (DESIGN.md S32).  Cost model: inside a
+    {!scoped} play, a call on a log of [n] events that extends the log
+    of this fold's previous call there ([m] events, the same spine
+    cells) walks and steps only the [n - m] newer events; a repeated call
+    on the same log steps none.  Any other call — outside a scope, or on
+    a log that does not extend the remembered one (a DPOR sibling) —
+    steps all [n].  Each call adds the events it stepped to the
+    [replay.events_folded] counter.  Build a fold once: one built afresh
+    on every call never finds a memo. *)
+
+val scoped : (unit -> 'a) -> 'a
+(** [scoped f] runs [f] in a fresh memo scope private to the calling
+    domain, dropped (and the enclosing one restored) when [f] returns or
+    raises.  Every game play ({!Game.run}, {!Game.replay_into}) is one
+    scope, so a play's replay cost is linear in its length. *)
 
 val pure : 'a -> 'a t
 val map : ('a -> 'b) -> 'a t -> 'b t

@@ -145,27 +145,21 @@ let step (st : entry) (e : Event.t) : (entry, string) result =
     | _ -> Error "c_wb_done: malformed event"
   else Ok st
 
-(* Chronological, first-error-wins, allocation-light (ref cells over the
-   newest-first spine — the PR 6 replay idiom, cf. [Lock_intf.replay_lock]). *)
+(* Every entry's state, each with its own first error: an ill-formed
+   entry sticks only the primitives that touch it, never the fold. *)
+module Imap = Map.Make (Int)
+
+let replay_entries : (entry, string) result Imap.t Replay.t =
+  Replay.fold ~init:Imap.empty ~step:(fun m (e : Event.t) ->
+      match e.args with
+      | Value.Vint eid :: _ when is_cache_tag e.tag ->
+        let st = Option.value (Imap.find_opt eid m) ~default:(Ok initial_entry) in
+        Ok (Imap.add eid (Result.bind st (fun st -> step st e)) m)
+      | _ -> Ok m)
+
 let replay_entry eid log =
-  let st = ref initial_entry in
-  let error = ref None in
-  let step_ev (e : Event.t) =
-    match e.args with
-    | Value.Vint eid' :: _ when eid' = eid && is_cache_tag e.tag -> (
-      match step !st e with
-      | Ok st' -> st := st'
-      | Error msg -> error := Some msg)
-    | _ -> ()
-  in
-  let rec go = function
-    | [] -> ()
-    | e :: older ->
-      go older;
-      if !error = None then step_ev e
-  in
-  go (Log.newest_first log);
-  match !error with Some m -> Error m | None -> Ok !st
+  Result.bind (replay_entries log) (fun m ->
+      Option.value (Imap.find_opt eid m) ~default:(Ok initial_entry))
 
 let disk_lookup p log =
   let rec go = function

@@ -7,10 +7,8 @@ let resize_tag = "resize"
 
 let absent = -1
 
-(* Single-key specialization of {!replay_map}: the newest [put]/[del]
-   touching the key decides, so a newest-first scan can stop at the first
-   match — no intermediate map, no allocation (the PR 6 replay idiom, cf.
-   [Lock_intf.replay_lock]). *)
+(* A newest-first scan, not a fold: the newest [put]/[del] touching the
+   key decides, so the scan stops at the first match and builds no map. *)
 let lookup k log =
   let rec go = function
     | [] -> absent

@@ -20,9 +20,8 @@ val absent : int
     values must be non-negative. *)
 
 val lookup : int -> Log.t -> int
-(** Current value of a key: allocation-light newest-first scan with early
-    exit — the first [put]/[del] touching the key decides (the PR 6
-    replay idiom; no intermediate map is built). *)
+(** Current value of a key: newest-first scan with early exit — the
+    first [put]/[del] touching the key decides, and no map is built. *)
 
 val shard_count : default:int -> Log.t -> int
 (** Current shard count: the newest [resize] event's argument, or

@@ -6,30 +6,29 @@ let cas_tag = "cas"
 let aload_tag = "aload"
 let astore_tag = "astore"
 let mfence_tag = "mfence"
+let commit_tag = "commit"
 
-(* Specialized single-cell replay: the map-per-call fold this replaces
-   never errors and events
-   on other cells cannot change cell [b], so folding one integer through
-   only the matching events yields the same value as building the whole
-   map — without allocating it.  Every atomic primitive calls this once
-   per move, so the map-free fold is the difference between ~100 KB and a
-   few words of allocation per replayed schedule. *)
-let replay_cell b : int Replay.t =
-  Replay.fold ~init:0 ~step:(fun v (e : Event.t) ->
+module Imap = Map.Make (Int)
+
+let cell_of b m = Option.value ~default:0 (Imap.find_opt b m)
+
+let replay_cells : int Imap.t Replay.t =
+  Replay.fold ~init:Imap.empty ~step:(fun m (e : Event.t) ->
       match e.tag, e.args with
-      | tag, [ Value.Vint b'; Value.Vint d ]
-        when b' = b && String.equal tag faa_tag ->
-        Ok (v + d)
-      | tag, [ Value.Vint b'; Value.Vint x ]
-        when b' = b && String.equal tag xchg_tag ->
-        Ok x
-      | tag, [ Value.Vint b'; Value.Vint expected; Value.Vint x ]
-        when b' = b && String.equal tag cas_tag ->
-        if v = expected then Ok x else Ok v
-      | tag, [ Value.Vint b'; Value.Vint x ]
-        when b' = b && String.equal tag astore_tag ->
-        Ok x
-      | _ -> Ok v)
+      | tag, [ Value.Vint b; Value.Vint d ] when String.equal tag faa_tag ->
+        Ok (Imap.add b (cell_of b m + d) m)
+      | tag, [ Value.Vint b; Value.Vint x ]
+        when String.equal tag xchg_tag || String.equal tag astore_tag ->
+        Ok (Imap.add b x m)
+      | tag, [ Value.Vint b; Value.Vint expected; Value.Vint x ]
+        when String.equal tag cas_tag ->
+        if cell_of b m = expected then Ok (Imap.add b x m) else Ok m
+      | tag, [ Value.Vint b; Value.Vint x; Value.Vint _cpu ]
+        when String.equal tag commit_tag ->
+        Ok (Imap.add b x m)
+      | _ -> Ok m)
+
+let replay_cell b : int Replay.t = fun l -> Result.map (cell_of b) (replay_cells l)
 
 (* An atomic operation computes its return value from the replayed state of
    the log it extends. *)

@@ -22,8 +22,13 @@ val mfence_tag : string
     the same tag its store-buffer-draining semantics, so fenced programs
     run unchanged under both memory modes. *)
 
+val commit_tag : string
+(** [commit(b, v, cpu)]: a store buffered by [cpu] reaches cell [b].
+    Only the {!Tso} machine emits it; the cells count it as a store. *)
+
 val replay_cell : int -> int Ccal_core.Replay.t
-(** Current value of atomic cell [b] (cells start at 0). *)
+(** Current value of atomic cell [b] (cells start at 0), replayed from
+    the RMW operations, atomic stores and commits of the log. *)
 
 val faa : string * Ccal_core.Layer.prim
 (** [faa(b, d)]: atomically add [d] to cell [b]; returns the old value. *)

@@ -1,11 +1,9 @@
 open Ccal_core
 
 let buf_store_tag = "buf_store"
-let commit_tag = "commit"
+let commit_tag = Atomic.commit_tag
 let mfence_tag = Atomic.mfence_tag
 let flush_tag = Memory.flush_tag
-
-module Imap = Map.Make (Int)
 
 let int2 = function
   | [ Value.Vint a; Value.Vint b ] -> Some (a, b)
@@ -23,30 +21,8 @@ let int3 = function
   | [ Value.Vint a; Value.Vint b; Value.Vint c ] -> Some (a, b, c)
   | _ -> None
 
-(* Shared memory: commits plus the (always-drained) RMW operations. *)
-let replay_memory_map : int Imap.t Replay.t =
-  Replay.fold ~init:Imap.empty ~step:(fun m (e : Event.t) ->
-      let get b = Option.value ~default:0 (Imap.find_opt b m) in
-      match e.tag, e.args with
-      | tag, [ Value.Vint b; Value.Vint v; Value.Vint _cpu ]
-        when String.equal tag commit_tag ->
-        Ok (Imap.add b v m)
-      | tag, [ Value.Vint b; Value.Vint d ] when String.equal tag Atomic.faa_tag ->
-        Ok (Imap.add b (get b + d) m)
-      | tag, [ Value.Vint b; Value.Vint v ] when String.equal tag Atomic.xchg_tag ->
-        Ok (Imap.add b v m)
-      | tag, [ Value.Vint b; Value.Vint expected; Value.Vint v ]
-        when String.equal tag Atomic.cas_tag ->
-        if get b = expected then Ok (Imap.add b v m) else Ok m
-      | tag, [ Value.Vint b; Value.Vint v ] when String.equal tag Atomic.astore_tag ->
-        Ok (Imap.add b v m)
-      | _ -> Ok m)
-
-let replay_memory b : int Replay.t =
- fun l ->
-  Result.map
-    (fun m -> Option.value ~default:0 (Imap.find_opt b m))
-    (replay_memory_map l)
+(* Shared memory: the atomic cells, which count commits as stores. *)
+let replay_memory = Atomic.replay_cell
 
 (* A CPU's store buffer: its buffered stores minus the commits drained
    from it (FIFO).  Buffered stores are identified by [src]; commits by

@@ -10,17 +10,15 @@ type lock_state = {
 
 module Imap = Map.Make (Int)
 
+let free = { holder = None; value = Value.int 0 }
+let state_of b m = Option.value (Imap.find_opt b m) ~default:free
+
 let replay_locks : lock_state Imap.t Replay.t =
   Replay.fold ~init:Imap.empty ~step:(fun m (e : Event.t) ->
-      let current b =
-        match Imap.find_opt b m with
-        | Some st -> st
-        | None -> { holder = None; value = Value.int 0 }
-      in
       if String.equal e.tag acq_tag then
         match e.args with
         | [ Value.Vint b ] -> (
-          match current b with
+          match state_of b m with
           | { holder = None; value } ->
             Ok (Imap.add b { holder = Some e.src; value } m)
           | { holder = Some h; _ } ->
@@ -31,7 +29,7 @@ let replay_locks : lock_state Imap.t Replay.t =
       else if String.equal e.tag rel_tag then
         match e.args with
         | [ Value.Vint b; v ] -> (
-          match current b with
+          match state_of b m with
           | { holder = Some h; _ } when h = e.src ->
             Ok (Imap.add b { holder = None; value = v } m)
           | { holder = Some h; _ } ->
@@ -44,84 +42,8 @@ let replay_locks : lock_state Imap.t Replay.t =
         | _ -> Error "rel: bad arguments"
       else Ok m)
 
-(* Single-lock specialization of {!replay_locks}, the hot path of every
-   [acq]/[rel] call (once per attempted move of a lock game).  The target
-   lock's state lives in two mutable cells and other locks are tracked
-   only by holder — enough to reproduce {!replay_locks}' error behaviour
-   (messages included) on arbitrary logs, since a lock's value never
-   decides an error.  A single-lock log therefore replays with no
-   allocation beyond the final state record, where the map fold allocated
-   a map node per acq/rel event per call. *)
-let replay_lock_via_map b : lock_state Replay.t =
- fun l ->
-  match replay_locks l with
-  | Error _ as e -> e
-  | Ok m -> (
-    match Imap.find_opt b m with
-    | Some st -> Ok st
-    | None -> Ok { holder = None; value = Value.int 0 })
-
 let replay_lock b : lock_state Replay.t =
- fun l ->
-  if Log.length l > 16_384 then
-    (* the specialized fold below recurses once per event; fall back to
-       the map fold rather than risk the native stack on fuel-bound logs *)
-    replay_lock_via_map b l
-  else
-  let holder = ref None in
-  let value = ref (Value.int 0) in
-  let others = ref [] in  (* (lock, holder) for locks <> b *)
-  let error = ref None in
-  let holder_of b' =
-    if b' = b then !holder
-    else Option.join (List.assoc_opt b' !others)
-  in
-  let set_other b' h = others := (b', h) :: List.remove_assoc b' !others in
-  let step (e : Event.t) =
-    if String.equal e.tag acq_tag then
-      match e.args with
-      | [ Value.Vint b' ] -> (
-        match holder_of b' with
-        | None -> if b' = b then holder := Some e.src else set_other b' (Some e.src)
-        | Some h ->
-          error :=
-            Some
-              (Printf.sprintf "invalid log: thread %d acquires lock %d held by %d"
-                 e.src b' h))
-      | _ -> error := Some "acq: bad arguments"
-    else if String.equal e.tag rel_tag then
-      match e.args with
-      | [ Value.Vint b'; v ] -> (
-        match holder_of b' with
-        | Some h when h = e.src ->
-          if b' = b then begin
-            holder := None;
-            value := v
-          end
-          else set_other b' None
-        | Some h ->
-          error :=
-            Some
-              (Printf.sprintf "invalid log: thread %d releases lock %d held by %d"
-                 e.src b' h)
-        | None ->
-          error :=
-            Some
-              (Printf.sprintf "invalid log: thread %d releases free lock %d" e.src b'))
-      | _ -> error := Some "rel: bad arguments"
-  in
-  (* oldest-first, first-error-wins, without materializing the reversed
-     list — the same traversal {!Replay.fold} uses *)
-  let rec go = function
-    | [] -> ()
-    | e :: older ->
-      go older;
-      if !error = None then step e
-  in
-  go (Log.newest_first l);
-  match !error with
-  | Some msg -> Error msg
-  | None -> Ok { holder = !holder; value = !value }
+ fun l -> Result.map (state_of b) (replay_locks l)
 
 let acq_prim =
   ( acq_tag,

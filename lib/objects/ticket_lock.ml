@@ -17,16 +17,23 @@ let lock_of_args = function
   | (Value.Vint b : Value.t) :: _ -> Some b
   | _ -> None
 
-let replay_ticket b : ticket_state Replay.t =
-  Replay.fold ~init:{ next = 0; serving = 0 } ~step:(fun st (e : Event.t) ->
+module Imap = Map.Make (Int)
+
+let ticket_of b m = Option.value (Imap.find_opt b m) ~default:{ next = 0; serving = 0 }
+
+let replay_tickets : ticket_state Imap.t Replay.t =
+  Replay.fold ~init:Imap.empty ~step:(fun m (e : Event.t) ->
       match lock_of_args e.args with
-      | Some b' when b' = b ->
-        if String.equal e.tag fai_tag then
-          Ok { st with next = wrap32 (st.next + 1) }
-        else if String.equal e.tag inc_n_tag then
-          Ok { st with serving = wrap32 (st.serving + 1) }
-        else Ok st
-      | Some _ | None -> Ok st)
+      | Some b when String.equal e.tag fai_tag ->
+        let st = ticket_of b m in
+        Ok (Imap.add b { st with next = wrap32 (st.next + 1) } m)
+      | Some b when String.equal e.tag inc_n_tag ->
+        let st = ticket_of b m in
+        Ok (Imap.add b { st with serving = wrap32 (st.serving + 1) } m)
+      | _ -> Ok m)
+
+let replay_ticket b : ticket_state Replay.t =
+ fun l -> Result.map (ticket_of b) (replay_tickets l)
 
 let ticket_prim tag ret_of =
   Layer.event_prim tag (fun _c args log ->

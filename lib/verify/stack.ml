@@ -574,7 +574,9 @@ let verify_all_ctx ~ctx ?(lock = `Ticket) ?(seeds = 4) ?strategy
            lands while a reader holds the underlay lock), so these games
            livelock to the fuel limit — the workload that demonstrates
            budgets turning a hang into an [Exhausted] report.  Stuckness
-           and deadlock still fail the edge; burning all fuel does not. *)
+           and deadlock still fail the edge; burning all fuel does not.
+           A game burns its fuel in milliseconds (S32), so the suite is
+           3^7 games, and only their statuses are kept. *)
         ( adversarial_edge_name,
           fun () ->
             let result, ms, cs =
@@ -595,28 +597,31 @@ let verify_all_ctx ~ctx ?(lock = `Ticket) ?(seeds = 4) ?strategy
                          (Prog.call "rel_w" [ vi 4 ]))
                   in
                   let threads = [ 1, reader; 2, reader; 3, writer ] in
-                  let scheds =
-                    Explore.exhaustive_scheds ~tids:[ 1; 2; 3 ] ~depth:3
+                  let scan =
+                    Parallel.budgeted_scan ?jobs ~token:ctx.Ctx.token ~cost:snd
+                      ~interrupted:(fun (s, _) -> s = Game.Cancelled)
+                      ~cut:(fun _ -> false)
+                      (fun ~stop sched ->
+                        let o =
+                          Game.replay
+                            (Game.config ~max_steps:200_000 ?stop
+                               ~memory:ctx.Ctx.memory layer threads sched)
+                        in
+                        o.Game.status, o.Game.steps)
+                      (Explore.exhaustive_scheds ~tids:[ 1; 2; 3 ] ~depth:7)
                   in
-                  let outcomes =
-                    value_or_raise
-                      (Explore.run_all_ctx ~ctx ~max_steps:200_000 layer
-                         threads scheds)
-                  in
+                  if scan.Parallel.ran_out then raise Ran_out_of_budget;
                   match
                     List.find_opt
-                      (fun o ->
-                        match o.Game.status with
-                        | Game.Stuck _ | Game.Deadlock _ -> true
-                        | Game.All_done | Game.Out_of_fuel | Game.Cancelled ->
-                          false)
-                      outcomes
+                      (function
+                        | (Game.Stuck _ | Game.Deadlock _), _ -> true | _ -> false)
+                      scan.Parallel.prefix
                   with
-                  | Some o ->
+                  | Some (status, _) ->
                     Error
                       (Format.asprintf "adversarial rwlock game failed: %a"
-                         Game.pp_status o.Game.status)
-                  | None -> Ok (List.length outcomes))
+                         Game.pp_status status)
+                  | None -> Ok scan.Parallel.scanned)
             in
             let* n = result in
             Ok

@@ -450,6 +450,39 @@ let test_ycsb_deterministic () =
   check_bool "different seed, different log" false
     (Log.equal (play 42) (play 43))
 
+(* Two domains play different YCSB games at once.  Each play's replay
+   memos live in its own domain's scope (DESIGN.md S32), so concurrent
+   plays must get exactly the outcomes of sequential play: same log,
+   status, results and step counts. *)
+let test_ycsb_two_domains () =
+  let games =
+    [
+      Kv_stack.ycsb_game ~seed:7 ~shards:4 ~threads:3 ~read_pct:95 ~ops:60
+        ~keyspace:64 ();
+      Kv_stack.ycsb_game ~seed:8 ~shards:2 ~threads:4 ~read_pct:50 ~ops:50
+        ~keyspace:32 ();
+    ]
+  in
+  let play (layer, threads) =
+    Game.replay
+      (Game.config ~max_steps:200_000 layer threads (Sched.random ~seed:5))
+  in
+  let sequential = List.map play games in
+  let concurrent =
+    List.map Domain.join (List.map (fun g -> Domain.spawn (fun () -> play g)) games)
+  in
+  List.iter2
+    (fun (s : Game.outcome) (c : Game.outcome) ->
+      check_bool "sequential play completes" true (s.Game.status = Game.All_done);
+      Alcotest.check log_testable "same log" s.Game.log c.Game.log;
+      check_bool "same status" true (s.Game.status = c.Game.status);
+      check_bool "same results" true
+        (List.equal
+           (fun (i, v) (j, w) -> i = j && Value.equal v w)
+           s.Game.results c.Game.results);
+      check_int "same steps" s.Game.steps c.Game.steps)
+    sequential concurrent
+
 let suite =
   [
     tc "map spec: solo op sequence" test_map_spec_solo;
@@ -481,4 +514,5 @@ let suite =
       test_fingerprints_stable_and_sensitive;
     tc "kv games: every corpus game completes" test_games_complete;
     tc "ycsb: op streams are seed-deterministic" test_ycsb_deterministic;
+    tc "ycsb: two domains play as sequential play does" test_ycsb_two_domains;
   ]

@@ -185,6 +185,142 @@ let prop_dedup_collisions =
       List.equal Log.equal naive (Log.dedup ~hash:(fun _ -> 0) logs)
       && List.equal Log.equal naive (Log.dedup logs))
 
+(* ---- incremental replay (DESIGN.md S32) ---- *)
+
+(* The reference the incremental fold must equal: a plain chronological
+   fold over the materialised list, first error wins. *)
+let reference_fold ~init ~step l =
+  List.fold_left
+    (fun acc e -> Result.bind acc (fun st -> step st e))
+    (Ok init) (Log.chronological l)
+
+(* The state counts the events seen, so an error message names the
+   position of the failing event, and mixes their arguments in order, so
+   a fold that skips, repeats or reorders events ends elsewhere. *)
+let counting_step (n, mix) (e : Event.t) =
+  match e.tag, e.args with
+  | "bad", _ -> Error (Printf.sprintf "bad event at position %d" n)
+  | _, [ Value.Vint a ] -> Ok (n + 1, Log.mix mix a)
+  | _ -> Error "malformed"
+
+(* One call sequence over a growing pool of logs.  [Again i] re-folds
+   log [i] unchanged, as a [Block] retry does; [Extend (i, evs)] appends
+   to log [i] and folds the result — extending an older log forks a
+   sibling off a shared prefix; [Big i] appends enough events to cross
+   the 16,384-event recursion bound. *)
+type replay_op = Again of int | Extend of int * Event.t list | Big of int
+
+let replay_op_gen =
+  let open QCheck.Gen in
+  let batch =
+    list_size (int_range 0 6)
+      (let* arg = small_nat and* bad = int_range 0 60 in
+       let tag = if bad = 0 then "bad" else "x" in
+       return (Event.make ~args:[ Value.int arg ] 1 tag))
+  in
+  frequency
+    [
+      3, map (fun i -> Again i) small_nat;
+      8, map2 (fun i evs -> Extend (i, evs)) small_nat batch;
+      1, map (fun i -> Big i) small_nat;
+    ]
+
+let replay_ops =
+  QCheck.make
+    ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
+    QCheck.Gen.(list_size (int_range 1 24) replay_op_gen)
+
+let big_batch = List.init 16_400 (fun k -> Event.make ~args:[ Value.int k ] 2 "x")
+
+(* Every call of the incremental fold, inside a play's scope and outside
+   any, answers exactly what the reference does — the same state, or the
+   same message for the same failing position. *)
+let prop_incremental_fold_is_chronological =
+  qtc ~count:60 "incremental fold = chronological fold" replay_ops (fun ops ->
+      let run () =
+        let fold = Replay.fold ~init:(0, 0) ~step:counting_step in
+        let pool = ref [| Log.empty |] in
+        List.for_all
+          (fun op ->
+            let pick i = !pool.(i mod Array.length !pool) in
+            let l =
+              match op with
+              | Again i -> pick i
+              | Extend (i, evs) -> Log.append_all evs (pick i)
+              | Big i -> Log.append_all big_batch (pick i)
+            in
+            pool := Array.append !pool [| l |];
+            fold l = reference_fold ~init:(0, 0) ~step:counting_step l)
+          ops
+      in
+      Replay.scoped run && run ())
+
+(* The cost model, read off the [replay.events_folded] counter: in a
+   scope, a log extended one event at a time is folded in linear total
+   work and a repeated call steps nothing; outside a scope every call
+   folds the whole log; a fork off the spine refolds from scratch. *)
+let test_incremental_fold_cost () =
+  let folded f =
+    Probe.reset ();
+    Probe.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Probe.disable ();
+        Probe.reset ())
+      (fun () ->
+        f ();
+        Probe.get "replay.events_folded")
+  in
+  let fold = Replay.fold ~init:(0, 0) ~step:counting_step in
+  let grow n =
+    Log.append_all (List.init n (fun k -> ev ~args:[ vi k ] 1 "x")) Log.empty
+  in
+  (* [fresh] also folds each log with a fold built for that call alone,
+     as a per-call [Replay.fold] would *)
+  let step_by_step ?(fresh = false) () =
+    let rec go l k =
+      ignore (fold l);
+      if fresh then ignore (Replay.fold ~init:(0, 0) ~step:counting_step l);
+      ignore (fold l);
+      if k < 100 then go (Log.append (ev ~args:[ vi k ] 1 "x") l) (k + 1)
+    in
+    go Log.empty 0
+  in
+  check_int "scoped: each event stepped once" 100
+    (folded (fun () -> Replay.scoped step_by_step));
+  check_int "unscoped: every call folds the whole log" (2 * 5050)
+    (folded step_by_step);
+  check_int "per-call folds never evict a reused one" (100 + 5050)
+    (folded (fun () -> Replay.scoped (step_by_step ~fresh:true)));
+  let l = grow 50 in
+  let sibling = Log.append (ev ~args:[ vi 0 ] 2 "x") l
+  and child = Log.append (ev ~args:[ vi 0 ] 3 "x") l in
+  check_int "sibling fork refolds" (50 + 1 + 51)
+    (folded (fun () ->
+         Replay.scoped (fun () ->
+             ignore (fold l);
+             ignore (fold sibling);
+             ignore (fold child))));
+  let stuck = Log.append_all [ ev 1 "bad"; ev ~args:[ vi 1 ] 1 "x" ] l in
+  check_int "an error stops the stepping, and is remembered" 51
+    (folded (fun () ->
+         Replay.scoped (fun () ->
+             ignore (fold stuck);
+             ignore (fold (Log.append (ev 1 "x") stuck)))));
+  (match
+     Replay.scoped (fun () ->
+         let first = fold stuck in
+         first, fold (Log.append (ev 1 "x") stuck))
+   with
+  | Error a, Error b ->
+    check_string "first error" "bad event at position 50" a;
+    check_string "extension keeps the first error" a b
+  | _ -> Alcotest.fail "expected the stuck log to stay stuck");
+  check_bool "scope dropped after an exception" true
+    (match Replay.scoped (fun () -> ignore (fold l); failwith "boom") with
+     | () -> false
+     | exception Failure _ -> folded (fun () -> ignore (fold l)) = 50)
+
 let suite =
   [
     tc "value equal" test_value_equal;
@@ -204,4 +340,6 @@ let suite =
     prop_suffix_roundtrip;
     prop_value_equal_refl;
     prop_dedup_collisions;
+    prop_incremental_fold_is_chronological;
+    tc "incremental fold cost" test_incremental_fold_cost;
   ]
