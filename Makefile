@@ -1,4 +1,4 @@
-.PHONY: all build test check check-test-count check-parallel check-cache check-robust check-speedup check-kv check-tso check-crash check-optimal examples explore bench clean
+.PHONY: all build test check check-test-count check-parallel check-cache check-robust check-speedup check-kv check-tso check-crash check-sym examples explore bench clean
 
 all: build
 
@@ -11,7 +11,7 @@ test:
 # Regression guard: the suite must never silently shrink — a dune or
 # module-wiring mistake can drop a whole test file from the runner while
 # everything still "passes".  Bump the floor when tests are added.
-TEST_COUNT_FLOOR := 475
+TEST_COUNT_FLOOR := 476
 
 check-test-count:
 	@out=$$(dune runtest --force 2>&1); status=$$?; \
@@ -29,7 +29,7 @@ check-test-count:
 # Runs the full suite (with the test-count floor), the DPOR-vs-exhaustive
 # agreement check on the headline game, and the certificate-cache and
 # robustness gates.
-check: build check-test-count check-cache check-robust check-speedup check-kv check-tso check-crash check-optimal
+check: build check-test-count check-cache check-robust check-speedup check-kv check-tso check-crash check-sym
 	dune exec bin/ccal_cli.exe -- explore lock --threads 3 --depth 5
 
 # The speedup gate (DESIGN.md S24): the perf-gate alcotest section runs
@@ -159,56 +159,50 @@ check-crash: build
 	  echo "check-crash: REGRESSION - unsynced failure not named"; exit 1; }; \
 	echo "check-crash: OK (unsynced variant rejected: $$(echo "$$out" | grep 'crash-refinement failure' | head -1))"
 
-# The optimal-engine gate (DESIGN.md S31).  Three legs:
+# The symmetry-reduction gate (DESIGN.md S31).  Two legs:
 #   1. depth-8 scaling: on the ticket game (4 threads, depth 8, events
-#      independence) the sleep-set engine must exhaust a 150k-step budget
-#      while optimal:8,dedup,sym completes inside it — and the same
-#      separation on the symmetric kv game at a 1.5k-step budget;
-#   2. engine identity: the whole stack certifies with a byte-identical
-#      canonical report under --strategy dpor:4 and --strategy optimal:4;
-#   3. invariance: the kv-sym verdict lines are byte-identical across
-#      CCAL_JOBS {1,4} and cache cold/warm (only the cache-stats trailer
-#      may differ).
-OPT_CHECK_DIR := _build/ccal-optimal-cache-check
+#      independence) plain dpor:8 must exhaust a 150k-step budget while
+#      dpor:8,sym completes inside it — and the same separation on the
+#      symmetric kv game at a 1.5k-step budget;
+#   2. invariance: the kv-sym verdict lines under dpor:8,sym are
+#      byte-identical across CCAL_JOBS {1,4} (the symmetric walk splits
+#      its frontier at jobs 4) and cache cold/warm (only the cache-stats
+#      trailer may differ).
+SYM_CHECK_DIR := _build/ccal-sym-cache-check
 
-check-optimal: build
+check-sym: build
 	@out=$$($(CCAL_BIN) explore ticket --threads 4 --depth 8 --mode events \
 	  --strategy dpor:8 --budget-steps 150000 --no-oracle); \
 	echo "$$out" | grep -q "budget exhausted" || { \
-	  echo "check-optimal: REGRESSION - dpor:8 finished ticket 4t depth 8 inside 150k steps (gate vacuous)"; exit 1; }; \
+	  echo "check-sym: REGRESSION - dpor:8 finished ticket 4t depth 8 inside 150k steps (gate vacuous)"; exit 1; }; \
 	out=$$($(CCAL_BIN) explore ticket --threads 4 --depth 8 --mode events \
-	  --strategy optimal:8,dedup,sym --budget-steps 150000 --no-oracle) || exit 1; \
+	  --strategy dpor:8,sym --budget-steps 150000 --no-oracle) || exit 1; \
 	echo "$$out" | grep -q "complete" || { \
-	  echo "check-optimal: REGRESSION - optimal:8,dedup,sym exhausted the ticket 150k-step budget"; exit 1; }; \
-	echo "check-optimal: OK (ticket 4t depth 8:$$(echo "$$out" | grep 'schedules:'))"
+	  echo "check-sym: REGRESSION - dpor:8,sym exhausted the ticket 150k-step budget"; exit 1; }; \
+	echo "check-sym: OK (ticket 4t depth 8:$$(echo "$$out" | grep 'schedules:'))"
 	@out=$$($(CCAL_BIN) explore kv-sym --threads 4 --depth 8 --mode events \
 	  --strategy dpor:8 --budget-steps 1500 --no-oracle); \
 	echo "$$out" | grep -q "budget exhausted" || { \
-	  echo "check-optimal: REGRESSION - dpor:8 finished kv-sym 4t depth 8 inside 1.5k steps (gate vacuous)"; exit 1; }; \
+	  echo "check-sym: REGRESSION - dpor:8 finished kv-sym 4t depth 8 inside 1.5k steps (gate vacuous)"; exit 1; }; \
 	out=$$($(CCAL_BIN) explore kv-sym --threads 4 --depth 8 --mode events \
-	  --strategy optimal:8,dedup,sym --budget-steps 1500 --no-oracle) || exit 1; \
+	  --strategy dpor:8,sym --budget-steps 1500 --no-oracle) || exit 1; \
 	echo "$$out" | grep -q "complete" || { \
-	  echo "check-optimal: REGRESSION - optimal:8,dedup,sym exhausted the kv-sym 1.5k-step budget"; exit 1; }; \
-	echo "check-optimal: OK (kv-sym 4t depth 8:$$(echo "$$out" | grep 'schedules:'))"
-	@$(CCAL_BIN) stack --strategy dpor:4 --report _build/opt-dpor.txt > /dev/null || exit 1; \
-	$(CCAL_BIN) stack --strategy optimal:4 --report _build/opt-optimal.txt > /dev/null || exit 1; \
-	cmp _build/opt-dpor.txt _build/opt-optimal.txt || { \
-	  echo "check-optimal: REGRESSION - stack verdicts differ between dpor:4 and optimal:4"; exit 1; }; \
-	echo "check-optimal: OK (stack report byte-identical under dpor:4 and optimal:4)"
-	@rm -rf $(OPT_CHECK_DIR); \
+	  echo "check-sym: REGRESSION - dpor:8,sym exhausted the kv-sym 1.5k-step budget"; exit 1; }; \
+	echo "check-sym: OK (kv-sym 4t depth 8:$$(echo "$$out" | grep 'schedules:'))"
+	@rm -rf $(SYM_CHECK_DIR); \
 	CCAL_JOBS=1 $(CCAL_BIN) explore kv-sym --threads 4 --depth 8 --mode events \
-	  --strategy optimal:8,dedup,sym --budget-steps 1500 --no-oracle \
-	  --cache-dir $(OPT_CHECK_DIR) > _build/opt-j1-cold.txt || exit 1; \
+	  --strategy dpor:8,sym --budget-steps 1500 --no-oracle \
+	  --cache-dir $(SYM_CHECK_DIR) > _build/sym-j1-cold.txt || exit 1; \
 	CCAL_JOBS=4 $(CCAL_BIN) explore kv-sym --threads 4 --depth 8 --mode events \
-	  --strategy optimal:8,dedup,sym --budget-steps 1500 --no-oracle \
-	  --cache-dir $(OPT_CHECK_DIR) > _build/opt-j4-warm.txt || exit 1; \
-	grep -v '^cache:' _build/opt-j1-cold.txt > _build/opt-j1-cold.cmp; \
-	grep -v '^cache:' _build/opt-j4-warm.txt > _build/opt-j4-warm.cmp; \
-	cmp _build/opt-j1-cold.cmp _build/opt-j4-warm.cmp || { \
-	  echo "check-optimal: REGRESSION - kv-sym verdict differs across jobs 1/4 or cache cold/warm"; exit 1; }; \
-	grep -q '1 hits' _build/opt-j4-warm.txt || { \
-	  echo "check-optimal: REGRESSION - warm run missed the engine suite cache"; exit 1; }; \
-	echo "check-optimal: OK (kv-sym verdict identical across jobs 1/4, cache cold/warm; warm run hit the cache)"
+	  --strategy dpor:8,sym --budget-steps 1500 --no-oracle \
+	  --cache-dir $(SYM_CHECK_DIR) > _build/sym-j4-warm.txt || exit 1; \
+	grep -v '^cache:' _build/sym-j1-cold.txt > _build/sym-j1-cold.cmp; \
+	grep -v '^cache:' _build/sym-j4-warm.txt > _build/sym-j4-warm.cmp; \
+	cmp _build/sym-j1-cold.cmp _build/sym-j4-warm.cmp || { \
+	  echo "check-sym: REGRESSION - kv-sym verdict differs across jobs 1/4 or cache cold/warm"; exit 1; }; \
+	grep -q '1 hits' _build/sym-j4-warm.txt || { \
+	  echo "check-sym: REGRESSION - warm run missed the engine suite cache"; exit 1; }; \
+	echo "check-sym: OK (kv-sym verdict identical across jobs 1/4, cache cold/warm; warm run hit the cache)"
 
 # Build and run every example as a smoke test (the CI examples step).
 examples: build

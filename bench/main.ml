@@ -596,16 +596,15 @@ let run_parallel_scaling () =
     (parallel_scaling_games ())
 
 (* ------------------------------------------------------------------ *)
-(* per-engine throughput — the S31 engine registry                      *)
+(* per-engine throughput — the S31 dpor engine with and without sym     *)
 (* ------------------------------------------------------------------ *)
 
-(* One game, every registered depth-bounded engine: the ticket lock at
-   4 threads, depth 8, events independence — the scaling point of the
-   `make check-optimal` gate.  Sleep-set DPOR replays every surviving
-   prefix; the optimal engine's dedup adds fingerprint overhead for no
-   extra pruning on this corpus (every move emits a src-tagged event, so
-   walk states uniquely encode their trace class), and symmetry reduction
-   collapses the frontier to the orbit representatives. *)
+(* One game, both settings of the dpor engine: the ticket lock at 4
+   threads, depth 8, events independence — the scaling point of the
+   `make check-sym` gate.  Plain sleep-set DPOR replays every surviving
+   prefix; symmetry reduction collapses the frontier to the orbit
+   representatives.  ms per leaf is the wall time over the prefixes
+   replayed, walk included. *)
 
 type engine_run = {
   engine : string;
@@ -613,10 +612,18 @@ type engine_run = {
   eng_runs : int;
   eng_distinct : int;
   eng_sleep : int;
-  eng_dedup : int;
   eng_sym : int;
   eng_per_sec : float;
+  eng_ms_per_leaf : float;
 }
+
+let source_commit () =
+  try
+    let ic = Unix.open_process_in "git describe --always --dirty --abbrev=12 2>/dev/null" in
+    let c = try input_line ic with End_of_file -> "unknown" in
+    ignore (Unix.close_process_in ic);
+    c
+  with Unix.Unix_error _ -> "unknown"
 
 let run_engine_bench () =
   let module E = Ccal_verify.Ctx.Engine in
@@ -625,8 +632,8 @@ let run_engine_bench () =
     "@.== engines: per-engine throughput on the ticket game (4 threads, \
      depth %d, events independence) ==@.@."
     depth;
-  Format.printf "  %-22s %-10s %-9s %-10s %-8s %-7s %-7s %-12s@." "engine"
-    "ms" "runs" "distinct" "sleep" "dedup" "sym" "runs/sec";
+  Format.printf "  %-22s %-10s %-9s %-10s %-8s %-7s %-12s %-8s@." "engine"
+    "ms" "runs" "distinct" "sleep" "sym" "runs/sec" "ms/leaf";
   let m = Ticket_lock.c_module () in
   let lock_client i =
     Prog.bind (Prog.call "acq" [ vi 0 ]) (fun _ ->
@@ -646,29 +653,24 @@ let run_engine_bench () =
                  ~depth layer threads))
       in
       let s = r.Ccal_verify.Dpor.stats in
+      let runs = s.Ccal_verify.Dpor.schedules_run in
       let run =
         {
           engine = E.to_string engine;
           eng_ms = ms;
-          eng_runs = s.Ccal_verify.Dpor.schedules_run;
+          eng_runs = runs;
           eng_distinct = s.Ccal_verify.Dpor.distinct_logs;
           eng_sleep = s.Ccal_verify.Dpor.sleep_set_prunes;
-          eng_dedup = s.Ccal_verify.Dpor.dedup_hits;
           eng_sym = s.Ccal_verify.Dpor.sym_prunes;
-          eng_per_sec =
-            float_of_int s.Ccal_verify.Dpor.schedules_run /. (ms /. 1000.);
+          eng_per_sec = float_of_int runs /. (ms /. 1000.);
+          eng_ms_per_leaf = ms /. float_of_int (max 1 runs);
         }
       in
-      Format.printf "  %-22s %-10.1f %-9d %-10d %-8d %-7d %-7d %-12.0f@."
+      Format.printf "  %-22s %-10.1f %-9d %-10d %-8d %-7d %-12.0f %-8.3f@."
         run.engine run.eng_ms run.eng_runs run.eng_distinct run.eng_sleep
-        run.eng_dedup run.eng_sym run.eng_per_sec;
+        run.eng_sym run.eng_per_sec run.eng_ms_per_leaf;
       run)
-    [
-      E.dpor ~depth;
-      E.optimal ~depth ();
-      E.optimal ~dedup:true ~depth ();
-      E.optimal ~dedup:true ~sym:true ~depth ();
-    ]
+    [ E.dpor ~depth; { (E.dpor ~depth) with E.sym = true } ]
 
 (* Hand-rolled JSON: the container has no JSON library and we may not add
    one; the schema is flat enough for printf. *)
@@ -721,6 +723,8 @@ let write_parallel_json path games engines =
     games;
   out "  ],\n";
   out "  \"engines\": {\n";
+  out "    \"commit\": \"%s\",\n" (source_commit ());
+  out "    \"nproc\": %d,\n" (Domain.recommended_domain_count ());
   out "    \"game\": \"ticket-4t\",\n";
   out "    \"depth\": 8,\n";
   out "    \"independence\": \"events\",\n";
@@ -729,10 +733,10 @@ let write_parallel_json path games engines =
     (fun ei e ->
       out
         "      {\"engine\": %S, \"ms\": %.3f, \"schedules_run\": %d, \
-         \"distinct_logs\": %d, \"sleep_prunes\": %d, \"dedup_hits\": %d, \
-         \"sym_prunes\": %d, \"runs_per_sec\": %.1f}%s\n"
-        e.engine e.eng_ms e.eng_runs e.eng_distinct e.eng_sleep e.eng_dedup
-        e.eng_sym e.eng_per_sec
+         \"distinct_logs\": %d, \"sleep_prunes\": %d, \"sym_prunes\": %d, \
+         \"runs_per_sec\": %.1f, \"ms_per_leaf\": %.4f}%s\n"
+        e.engine e.eng_ms e.eng_runs e.eng_distinct e.eng_sleep e.eng_sym
+        e.eng_per_sec e.eng_ms_per_leaf
         (if ei = List.length engines - 1 then "" else ","))
     engines;
   out "    ]\n";
@@ -1179,14 +1183,6 @@ let run_kv_bench () = List.map (fun p -> run_kv_mix ~read_pct:p) [ 95; 50 ]
 let kv_flat_ratio m =
   let ops n = (List.find (fun r -> r.kv_threads = n) m.kv_runs).kv_ops_per_sec in
   ops 1 /. ops 8
-
-let source_commit () =
-  try
-    let ic = Unix.open_process_in "git describe --always --dirty --abbrev=12 2>/dev/null" in
-    let c = try input_line ic with End_of_file -> "unknown" in
-    ignore (Unix.close_process_in ic);
-    c
-  with Unix.Unix_error _ -> "unknown"
 
 let print_kv_bench mixes =
   Format.printf

@@ -58,11 +58,10 @@ let strategy_arg =
   Arg.(value & opt string "default"
        & info [ "strategy" ] ~docv:"STRAT"
            ~doc:"Exploration strategy for the game-driving checks: \
-                 default (seeded suite), dpor[:DEPTH], \
-                 optimal[:DEPTH][,dedup][,sym] (sleep-set DPOR with \
-                 state-fingerprint dedup and thread-symmetry reduction), \
+                 default (seeded suite), dpor[:DEPTH][,sym] (sleep-set \
+                 DPOR, optionally with thread-symmetry reduction), \
                  exhaustive[:DEPTH] or random[:COUNT].  Invalid \
-                 combinations (e.g. dpor,dedup) are rejected by name.")
+                 combinations (e.g. exhaustive,sym) are rejected by name.")
 
 let budget_ms_arg =
   Arg.(value & opt (some float) None
@@ -162,8 +161,8 @@ let pp_cache_summary fmt cache =
 (* [Ok None] = "the command's historical default suite"; anything else
    parses through the one engine grammar ([Engine.of_string]), so every
    game subcommand accepts exactly the same descriptors — including
-   [optimal[:DEPTH][,dedup][,sym]] — and rejects invalid combinations
-   with the engine's named error. *)
+   [dpor[:DEPTH],sym] — and rejects invalid combinations with the
+   engine's named error. *)
 let strategy_of_string = function
   | "default" | "" -> Ok None
   | s -> Result.map Option.some (Ccal_verify.Ctx.Engine.of_string s)
@@ -603,23 +602,22 @@ let explore_cmd =
       | "exact" -> Some Ccal_verify.Dpor.Exact
       | _ -> None
     in
-    (* The explore subcommand measures a DPOR-family engine against the
-       exhaustive oracle, so only those engines make sense here; the
-       oracle itself and the random suite are rejected by name rather
-       than silently swapped for the default. *)
+    (* The explore subcommand measures the dpor engine against the
+       exhaustive oracle, so only it makes sense here; the oracle itself
+       and the random suite are rejected by name rather than silently
+       swapped for the default. *)
     let engine =
       match c.strategy with
       | None -> Ok Engine.default
       | Some e -> (
         match e.Engine.algo with
-        | Engine.Dpor | Engine.Optimal -> Ok e
+        | Engine.Dpor -> Ok e
         | Engine.Exhaustive | Engine.Random ->
           Error
             (Printf.sprintf
                "strategy %S is not an exploration engine for this \
-                subcommand (expected dpor[:DEPTH] or \
-                optimal[:DEPTH][,dedup][,sym]; the exhaustive oracle is \
-                the comparison baseline)"
+                subcommand (expected dpor[:DEPTH][,sym]; the exhaustive \
+                oracle is the comparison baseline)"
                (Engine.to_string e)))
     in
     match explore_game obj nthreads c.memory, independence, engine with
@@ -742,11 +740,11 @@ let explore_cmd =
              ~doc:"Skip the exhaustive-oracle comparison and report the \
                    engine's stats only.  The way to probe depths where \
                    enumerating all |tids|^depth prefixes is infeasible \
-                   (the $(b,make check-optimal) depth-8 gate).")
+                   (the $(b,make check-sym) depth-8 gate).")
   in
   Cmd.v
     (Cmd.info "explore"
-       ~doc:"Compare a DPOR-family engine against exhaustive enumeration")
+       ~doc:"Compare the dpor engine against exhaustive enumeration")
     Term.(const run $ common_term $ obj $ nthreads $ depth $ mode $ no_oracle)
 
 (* ---------------- litmus ---------------- *)

@@ -6,9 +6,11 @@ let compare = Int.compare
 let to_hex fp = Printf.sprintf "%016x" fp
 let pp fmt fp = Format.pp_print_string fmt (to_hex fp)
 
-(* Bump whenever any combinator below changes meaning: stale entries
-   written under the old scheme must become unreachable, not wrong. *)
-let version = 1
+(* Bump whenever any combinator below changes meaning, or a cached
+   value's type changes under an unchanged key: stale entries written
+   under the old scheme must become unreachable, not wrong (the cache
+   unmarshals them at the type the key implies). *)
+let version = 2
 
 let int st n = Log.mix st n
 let bool st b = int st (if b then 1 else 0)
@@ -72,8 +74,8 @@ let prog ?(budget = 2048) st p =
    occurrence of the thread's own id in the structure the program emits
    (primitive arguments, return values) is replaced by a marker.  Two
    sibling workers whose programs differ only in their own tid then
-   fingerprint identically — the symmetry classes of the optimal
-   explorer's [sym] reduction (DESIGN.md S31).  Probe values fed INTO
+   fingerprint identically — the symmetry classes of the dpor engine's
+   [sym] reduction (DESIGN.md S31).  Probe values fed INTO
    continuations are not blinded: they are ours and identical across
    threads. *)
 let prog_blind ~tid ?(budget = 2048) st p =

@@ -37,7 +37,8 @@ val pp : Format.formatter -> t -> unit
 
 val version : int
 (** Fingerprint format version.  Mixed into {!empty}; bump it whenever
-    the meaning of any combinator changes so stale cache entries become
+    the meaning of any combinator changes, or the type of a cached value
+    changes under an unchanged key, so stale cache entries become
     unreachable rather than wrong. *)
 
 (** {1 Builder} *)
@@ -82,7 +83,7 @@ val prog_blind : tid:int -> ?budget:int -> state -> Prog.t -> state
     program {e emits} (call arguments, return values) is replaced by a
     marker before mixing.  Sibling worker programs that differ only in
     their own thread id fingerprint identically — the symmetry-class
-    test of the optimal explorer's [sym] reduction (DESIGN.md S31).
+    test of the dpor engine's [sym] reduction (DESIGN.md S31).
     Probe values fed into continuations are not blinded. *)
 
 val modul : ?budget:int -> state -> Prog.Module.t -> state

@@ -53,59 +53,44 @@ let pp_step_result fmt = function
 (* ------------------------------------------------------------------ *)
 
 module Engine = struct
-  type algo = Exhaustive | Dpor | Optimal | Random
+  type algo = Exhaustive | Dpor | Random
 
   type t = {
     algo : algo;
     depth : int;
-    dedup : bool;
     sym : bool;
   }
 
   let algo_name = function
     | Exhaustive -> "exhaustive"
     | Dpor -> "dpor"
-    | Optimal -> "optimal"
     | Random -> "random"
 
   let grammar =
-    "default | dpor[:DEPTH] | optimal[:DEPTH][,dedup][,sym] | \
-     exhaustive[:DEPTH] | random[:COUNT]"
+    "default | dpor[:DEPTH][,sym] | exhaustive[:DEPTH] | random[:COUNT]"
 
   let validate t =
-    let flag_error flag =
-      Error
-        (Printf.sprintf
-           "invalid strategy combination: engine \"%s\" does not take flag \
-            \"%s\" (only \"optimal\" supports dedup/sym)"
-           (algo_name t.algo) flag)
-    in
     if t.depth <= 0 then
       Error
         (Printf.sprintf "invalid strategy: %s %d must be positive"
            (match t.algo with Random -> "count" | _ -> "depth")
            t.depth)
-    else
-      match t.algo with
-      | Optimal -> Ok ()
-      | Exhaustive | Dpor | Random ->
-        if t.dedup then flag_error "dedup"
-        else if t.sym then flag_error "sym"
-        else Ok ()
+    else if t.sym && t.algo <> Dpor then
+      Error
+        (Printf.sprintf
+           "invalid strategy combination: engine \"%s\" does not take flag \
+            \"sym\" (only \"dpor\" supports sym)"
+           (algo_name t.algo))
+    else Ok ()
 
   let checked t =
     match validate t with Ok () -> t | Error msg -> invalid_arg msg
 
-  let dpor ~depth = checked { algo = Dpor; depth; dedup = false; sym = false }
+  let dpor ~depth = checked { algo = Dpor; depth; sym = false }
 
-  let optimal ?(dedup = false) ?(sym = false) ~depth () =
-    checked { algo = Optimal; depth; dedup; sym }
+  let exhaustive ~depth = checked { algo = Exhaustive; depth; sym = false }
 
-  let exhaustive ~depth =
-    checked { algo = Exhaustive; depth; dedup = false; sym = false }
-
-  let random ~count =
-    checked { algo = Random; depth = count; dedup = false; sym = false }
+  let random ~count = checked { algo = Random; depth = count; sym = false }
 
   let default = dpor ~depth:4
 
@@ -113,11 +98,18 @@ module Engine = struct
      enters the suite cache key and every verdict key built from an
      implicit strategy, so its rendering must stay stable. *)
   let to_string t =
-    Printf.sprintf "%s:%d%s%s" (algo_name t.algo) t.depth
-      (if t.dedup then ",dedup" else "")
+    Printf.sprintf "%s:%d%s" (algo_name t.algo) t.depth
       (if t.sym then ",sym" else "")
 
   let pp fmt t = Format.pp_print_string fmt (to_string t)
+
+  (* The spellings of the engine S31 folded into [dpor] are rejected by
+     name, so an old command line fails loudly instead of changing
+     meaning. *)
+  let removed s what =
+    Error
+      (Printf.sprintf
+         "invalid strategy %S: %s was removed; use dpor[:DEPTH],sym" s what)
 
   let of_string s =
     let ( let* ) = Result.bind in
@@ -151,35 +143,31 @@ module Engine = struct
             (Printf.sprintf
                "invalid strategy %S: \"default\" takes no depth" s)
         | "dpor", n -> Ok (Dpor, Option.value n ~default:4)
-        | "optimal", n -> Ok (Optimal, Option.value n ~default:4)
+        | "optimal", _ -> removed s "the \"optimal\" engine"
         | "exhaustive", n -> Ok (Exhaustive, Option.value n ~default:4)
         | "random", n -> Ok (Random, Option.value n ~default:16)
         | other, _ ->
           Error
             (Printf.sprintf "unknown strategy %S (expected %s)" other grammar)
       in
-      let* dedup, sym =
+      let* sym =
         List.fold_left
           (fun acc flag ->
-            let* dedup, sym = acc in
+            let* sym = acc in
             match String.trim flag with
-            | "dedup" ->
-              if dedup then
-                Error (Printf.sprintf "invalid strategy %S: duplicate flag \"dedup\"" s)
-              else Ok (true, sym)
             | "sym" ->
               if sym then
                 Error (Printf.sprintf "invalid strategy %S: duplicate flag \"sym\"" s)
-              else Ok (dedup, true)
+              else Ok true
+            | "dedup" -> removed s "state dedup (flag \"dedup\")"
             | other ->
               Error
                 (Printf.sprintf
-                   "unknown strategy flag %S in %S (expected \"dedup\" or \
-                    \"sym\")"
-                   other s))
-          (Ok (false, false)) flags
+                   "unknown strategy flag %S in %S (expected \"sym\")" other
+                   s))
+          (Ok false) flags
       in
-      let t = { algo; depth; dedup; sym } in
+      let t = { algo; depth; sym } in
       let* () = validate t in
       Ok t
 
@@ -187,41 +175,6 @@ module Engine = struct
      alongside the surviving prefixes. *)
   type walk_stats = {
     sleep_prunes : int;
-    dedup_hits : int;
     sym_prunes : int;
   }
-
-  let no_walk_stats = { sleep_prunes = 0; dedup_hits = 0; sym_prunes = 0 }
-
-  (* What an engine implementation hands back: either a tree of
-     scheduling prefixes (cacheable, replayed through [Sched.of_trace]
-     under [tag]) or an opaque scheduler list (never cached). *)
-  type suite =
-    | Prefixes of {
-        tag : string;
-        prefixes : Event.tid list list;
-        stats : walk_stats;
-      }
-    | Schedulers of Sched.t list
-
-  (* The contract an engine implementation satisfies.  Implementations
-     register with [Explore.register_engine]; the checkers select them
-     through the descriptor in [Ctx.t] and never name a module, so a new
-     engine is one module plus one registration — no checker changes. *)
-  module type IMPL = sig
-    val algo : algo
-
-    val cacheable : bool
-    (** Whether a [Prefixes] suite may be memoized by the certificate
-        cache, keyed on the descriptor and the game identity. *)
-
-    val suite :
-      engine:t ->
-      jobs:int ->
-      memory:Memory.t ->
-      ?private_fuel:int ->
-      Layer.t ->
-      (Event.tid * Prog.t) list ->
-      suite
-  end
 end

@@ -46,43 +46,38 @@ val pp_step_result : Format.formatter -> step_result -> unit
 
     How a checker enumerates scheduling prefixes (DESIGN.md S31).  The
     descriptor is a first-class record — algorithm × depth bound ×
-    optional state-dedup and symmetry-reduction flags — threaded through
-    [Verify.Ctx] so every checker selects engines uniformly; the
-    implementations satisfy {!Engine.IMPL} and register with
-    [Explore.register_engine], so a new engine never touches the
-    checkers. *)
+    symmetry-reduction flag — threaded through [Verify.Ctx] so every
+    checker selects engines uniformly; [Explore.scheds_of_strategy_ctx]
+    turns it into a scheduler suite with one [match] on {!Engine.algo}. *)
 
 module Engine : sig
   type algo =
     | Exhaustive  (** all [|tids|^depth] prefixes — the oracle *)
     | Dpor  (** sleep-set DPOR; frontier-parallel walk — the default *)
-    | Optimal
-        (** sleep-set DPOR with source-style state handling: optional
-            state-fingerprint dedup ([dedup]) and symmetry reduction
-            across identical fresh threads ([sym]); sequential walk *)
     | Random  (** [depth] seeded random schedulers *)
 
   type t = {
     algo : algo;
     depth : int;  (** depth bound; for [Random], the suite size *)
-    dedup : bool;  (** state-fingerprint dedup — [Optimal] only *)
-    sym : bool;  (** symmetry reduction — [Optimal] only *)
+    sym : bool;
+        (** symmetry reduction across identical fresh threads — [Dpor]
+            only *)
   }
 
   val default : t
   (** [dpor ~depth:4] — what the checkers use when nothing is selected. *)
 
-  (** {2 Constructors} — validate the flag combination, raising
-      [Invalid_argument] with the named error on misuse. *)
+  (** {2 Constructors} — validate the descriptor, raising
+      [Invalid_argument] with the named error on misuse.  A symmetric
+      walk is [{ (dpor ~depth) with sym = true }]. *)
 
   val dpor : depth:int -> t
-  val optimal : ?dedup:bool -> ?sym:bool -> depth:int -> unit -> t
   val exhaustive : depth:int -> t
   val random : count:int -> t
 
   val validate : t -> (unit, string) result
-  (** [Error] carries the named rejection (bad flag combination,
-      non-positive depth) the CLI reports verbatim. *)
+  (** [Error] carries the named rejection ([sym] off [Dpor], non-positive
+      depth) the CLI reports verbatim. *)
 
   val checked : t -> t
   (** Identity on valid descriptors; raises [Invalid_argument] with the
@@ -94,51 +89,22 @@ module Engine : sig
   (** The accepted [--strategy] grammar, for error messages. *)
 
   val to_string : t -> string
-  (** Canonical descriptor, e.g. ["optimal:8,dedup"].  Cache-identity
+  (** Canonical descriptor, e.g. ["dpor:8,sym"].  Cache-identity
       bearing: it enters the suite cache key and every verdict key built
       from an implicit strategy. *)
 
   val of_string : string -> (t, string) result
   (** Parse a [--strategy] argument; rejects unknown engines, malformed
       depths, and invalid flag combinations with a named error — never a
-      silent fallback. *)
+      silent fallback.  The removed [optimal] engine and [dedup] flag are
+      rejected with an error that points to [dpor[:DEPTH],sym]. *)
 
   val pp : Format.formatter -> t -> unit
 
-  (** {2 Implementation contract} *)
-
   type walk_stats = {
     sleep_prunes : int;  (** branches skipped because asleep *)
-    dedup_hits : int;  (** subtrees pruned at a revisited state *)
     sym_prunes : int;  (** branches pruned by thread symmetry *)
   }
-
-  val no_walk_stats : walk_stats
-
-  type suite =
-    | Prefixes of {
-        tag : string;
-            (** scheduler-name prefix, e.g. ["dpor"] — the names are
-                cache-identity-bearing *)
-        prefixes : Event.tid list list;
-        stats : walk_stats;
-      }
-    | Schedulers of Sched.t list  (** opaque suite; never cached *)
-
-  module type IMPL = sig
-    val algo : algo
-
-    val cacheable : bool
-    (** Whether a [Prefixes] suite may be memoized, keyed on the
-        descriptor and the game identity. *)
-
-    val suite :
-      engine:t ->
-      jobs:int ->
-      memory:Memory.t ->
-      ?private_fuel:int ->
-      Layer.t ->
-      (Event.tid * Prog.t) list ->
-      suite
-  end
+  (** Prune counters of one DPOR walk — what the suite cache stores
+      alongside the surviving prefixes. *)
 end

@@ -65,8 +65,8 @@ let cache_client i =
 (* Uniform workers for the symmetry-reduction gate: every thread runs
    put-then-get on the one key, and the only tid-dependent integer in its
    program is its own tid (the stored value) — so [Fingerprint.prog_blind]
-   places all N workers in a single symmetry class and the optimal
-   engine's [sym] flag can collapse the fresh-worker permutations. *)
+   places all N workers in a single symmetry class and the dpor engine's
+   [sym] flag can collapse the fresh-worker permutations. *)
 let sym_client i =
   let k = Value.int 0 in
   Prog.seq

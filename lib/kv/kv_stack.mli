@@ -71,7 +71,7 @@ val sym_game :
 (** The symmetric N-worker game: every thread puts then gets the one key
     and the only tid-dependent integer in each program is its own tid, so
     all workers share one {!Ccal_core.Fingerprint.prog_blind} symmetry
-    class — the game the optimal engine's [sym] flag is measured on. *)
+    class — the game the dpor engine's [sym] flag is measured on. *)
 
 val cache_game :
   entries:int -> threads:int -> unit -> Layer.t * (Event.tid * Prog.t) list

@@ -14,8 +14,8 @@
 
 module Engine = Ccal_core.Strategy.Engine
 (** The exploration-engine descriptor (DESIGN.md S31), re-exported so
-    checker callers write [Ctx.Engine.optimal ~dedup:true ~depth:8 ()]
-    without reaching into [Ccal_core]. *)
+    checker callers write [Ctx.Engine.dpor ~depth:8] without reaching
+    into [Ccal_core]. *)
 
 type t = {
   jobs : int;  (** domains for the pool; 1 = the sequential oracle *)

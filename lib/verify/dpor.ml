@@ -8,7 +8,6 @@ type stats = {
   schedules_run : int;
   schedules_pruned : int;
   sleep_set_prunes : int;
-  dedup_hits : int;
   sym_prunes : int;
   distinct_logs : int;
 }
@@ -90,25 +89,41 @@ let independent_moves independence reads m1 m2 =
         (fun e1 -> List.for_all (independent_events ~reads e1) es2)
         es1)
 
-(* Saturating [b^n].  The deeper bounds the optimal engine reaches make
-   [|threads|^depth] overflow native ints (e.g. 8 threads at depth 21);
-   a wrapped count would silently report nonsense prune ratios, so the
-   count pins at [max_int] and [pp_stats] renders that distinctly. *)
+(* Saturating [b^n].  Deep bounds make [|threads|^depth] overflow
+   native ints (e.g. 8 threads at depth 21); a wrapped count would
+   silently report nonsense prune ratios, so the count pins at [max_int]
+   and [pp_stats] renders that distinctly. *)
 let sat_mul a b = if a > 0 && b > max_int / a then max_int else a * b
 let pow b n =
   let rec go acc n = if n <= 0 then acc else go (sat_mul acc b) (n - 1) in
   go 1 n
 
+module Iset = Set.Make (Int)
+
+(* Every integer an event carries: its source tid, its arguments and its
+   return value.  A tid in this set has leaked into the log as data. *)
+let add_event_ints acc (e : Event.t) =
+  let rec value acc (v : Value.t) =
+    match v with
+    | Value.Vint n -> Iset.add n acc
+    | Value.Vpair (a, b) -> value (value acc a) b
+    | Value.Vlist vs -> List.fold_left value acc vs
+    | Value.Vunit | Value.Vbool _ -> acc
+  in
+  value (List.fold_left value (Iset.add e.src acc) e.args) e.ret
+
 (* A DFS node.  Thread states are immutable, so this is a complete,
    self-contained description of a subtree root: a child's sleep set
    depends only on its parent's sleep set and its earlier siblings' moves,
-   both known before descending, which is what makes subtrees independent
-   and the frontier-parallel walk below possible. *)
+   and its symmetry decisions only on its own prefix and log integers, all
+   known before descending, which is what makes subtrees independent and
+   the frontier-parallel walk below possible. *)
 type node = {
   slots : (Event.tid * Machine.thread_state) list;
   log : Log.t;
   step : int;
   rev_prefix : Event.tid list;
+  log_ints : Iset.t;  (** the log's integers; stays empty unless [sym] *)
   sleep : (Event.tid * move) list;
 }
 
@@ -116,22 +131,19 @@ type node = {
    pinned interleave with unexpanded subtree roots. *)
 type fringe_item = Leaf of Event.tid list | Subtree of node
 
-(* Sleep-set DFS over the enabled moves of the whole-machine game, bounded
-   to [depth] scheduling choices.  Each surviving branch records its
-   choice prefix, later replayed through [Game.run] so leaf outcomes are
-   bit-identical to the exhaustive oracle's.
+let no_prunes = { Engine.sleep_prunes = 0; sym_prunes = 0 }
 
-   With [jobs > 1] the root is expanded level-synchronously until the
-   frontier holds enough subtrees to feed the pool; subtrees then run
-   sequential DFS on separate domains and their results are concatenated
-   in fringe order.  Pre-order is preserved at every stage, so the prefix
-   list (and the prune count, a sum) is identical for every jobs count. *)
+let add_prunes (a : Engine.walk_stats) (b : Engine.walk_stats) =
+  {
+    Engine.sleep_prunes = a.sleep_prunes + b.sleep_prunes;
+    sym_prunes = a.sym_prunes + b.sym_prunes;
+  }
+
 (* Cache key of an engine walk: the engine descriptor plus the game
    identity and every knob that shapes the walk.  The walk has no
    failure mode (a stuck leaf is just a short prefix), so unlike
    verdicts its result is stored unconditionally; the replay phase
-   always runs live.  [Explore] uses the same key for every cacheable
-   registered engine, so one scheme covers the whole suite cache. *)
+   always runs live. *)
 let suite_key ?private_fuel ~engine ~independence ~reads ~memory ~depth layer
     threads =
   let st = Fingerprint.string Fingerprint.empty "engine-suite" in
@@ -152,177 +164,34 @@ let suite_key ?private_fuel ~engine ~independence ~reads ~memory ~depth layer
   let st = Fingerprint.list Fingerprint.string st reads in
   Fingerprint.finish (Fingerprint.option Fingerprint.int st private_fuel)
 
+(* Sleep-set DFS over the enabled moves of the whole-machine game, bounded
+   to [depth] scheduling choices.  Each surviving branch records its
+   choice prefix, later replayed through [Game.run] so leaf outcomes are
+   bit-identical to the exhaustive oracle's.
+
+   [sym] adds symmetry reduction across identical fresh threads.  Two
+   real threads whose initial programs differ only in their own tid
+   (equal {!Fingerprint.prog_blind} fingerprints) are interchangeable
+   until either is scheduled or either tid leaks into the log as data; at
+   any node where several such threads are enabled, fresh, and absent
+   from the log's integers, only the first is explored.  The pruned
+   branches are covered up to the tid transposition, so leaf logs are
+   preserved only up to renaming.  With [sym] off the walk computes no
+   classes and collects no log integers.
+
+   With [jobs > 1] the root is expanded level-synchronously until the
+   frontier holds enough subtrees to feed the pool; subtrees then run
+   sequential DFS on separate domains and their results are concatenated
+   in fringe order.  Pre-order is preserved at every stage, so the prefix
+   list (and the prune counts, sums) is identical for every jobs count. *)
 let prefixes_with_prunes_live ?private_fuel ?(independence = Exact)
-    ?(reads = default_reads) ?jobs ?(memory = Memory.default) ~depth layer
-    threads =
+    ?(reads = default_reads) ?jobs ?(memory = Memory.default) ~sym ~depth
+    layer threads =
   (* Pseudo-threads (TSO flushers, the crash thread of a crash-enabled
      layer) are part of the schedule space: the DFS explores their moves
      like any other thread's.  [Game.config] re-adds the same
      pseudo-threads internally, so the original [threads] go to replay
      untouched. *)
-  let threads = threads @ Game.pseudo_threads ~memory layer threads in
-  let classify slots log =
-    List.filter_map
-      (fun (i, st) ->
-        match Machine.step_move ?private_fuel layer i st log with
-        | Machine.Blocked_at _ -> None
-        | Machine.Finished _ -> Some (i, Fin)
-        | Machine.Moved (evs, st') -> Some (i, Step (evs, st'))
-        | Machine.Stuck _ -> Some (i, Halt))
-      slots
-  in
-  let apply slots log i = function
-    | Step (evs, st') ->
-      ( List.map (fun (j, st) -> if j = i then j, st' else j, st) slots,
-        Log.append_all evs log )
-    | Fin -> List.filter (fun (j, _) -> j <> i) slots, log
-    | Halt -> slots, log
-  in
-  (* One level of expansion: the node's children (and immediate leaves) in
-     sibling order, plus the sleep-set prunes taken at this node. *)
-  let expand n =
-    if n.step >= depth || n.slots = [] then [ Leaf (List.rev n.rev_prefix) ], 0
-    else
-      match classify n.slots n.log with
-      | [] -> [ Leaf (List.rev n.rev_prefix) ], 0 (* deadlock: all blocked *)
-      | enabled ->
-        let prunes = ref 0 in
-        let explored = ref [] in
-        let items = ref [] in
-        List.iter
-          (fun (i, m) ->
-            if List.exists (fun (j, _) -> j = i) n.sleep then incr prunes
-            else (
-              (match m with
-              | Halt -> items := Leaf (List.rev (i :: n.rev_prefix)) :: !items
-              | Fin | Step _ ->
-                let sleep' =
-                  List.filter
-                    (fun (_, m') -> independent_moves independence reads m' m)
-                    (n.sleep @ List.rev !explored)
-                in
-                let slots', log' = apply n.slots n.log i m in
-                items :=
-                  Subtree
-                    {
-                      slots = slots';
-                      log = log';
-                      step = n.step + 1;
-                      rev_prefix = i :: n.rev_prefix;
-                      sleep = sleep';
-                    }
-                  :: !items);
-              explored := (i, m) :: !explored))
-          enabled;
-        List.rev !items, !prunes
-  in
-  (* Sequential DFS of a whole subtree, expressed through [expand] so both
-     engines walk literally the same transition code. *)
-  let dfs_from root =
-    let recorded = ref [] in
-    let prunes = ref 0 in
-    let rec go n =
-      let items, p = expand n in
-      prunes := !prunes + p;
-      List.iter
-        (function
-          | Leaf prefix -> recorded := prefix :: !recorded
-          | Subtree n' -> go n')
-        items
-    in
-    go root;
-    List.rev !recorded, !prunes
-  in
-  let root =
-    {
-      slots = List.map (fun (i, p) -> i, Machine.initial layer i p) threads;
-      log = Log.empty;
-      step = 0;
-      rev_prefix = [];
-      sleep = [];
-    }
-  in
-  let jobs = match jobs with Some j -> max 1 j | None -> 1 in
-  if jobs <= 1 then dfs_from root
-  else begin
-    (* Grow the frontier breadth-first until it can feed the pool.  Each
-       round replaces every subtree root by its expansion, in place, so
-       fringe order stays pre-order.
-
-       The split depth is calibrated, not fixed: each round descends one
-       level, and growth stops at the shallowest depth whose frontier
-       holds [jobs * 8] subtrees — enough outstanding subtrees that an
-       uneven one (sleep sets prune subtrees very unevenly) can be
-       absorbed by work stealing, while keeping each subtree a full
-       domain-local DFS: sleep sets never cross a domain boundary, and
-       no two domains ever touch the same prefix. *)
-    let target = jobs * 8 in
-    let count_subtrees fringe =
-      List.length
-        (List.filter (function Subtree _ -> true | Leaf _ -> false) fringe)
-    in
-    let rec grow fringe prunes rounds =
-      let subtrees = count_subtrees fringe in
-      if subtrees = 0 || subtrees >= target || rounds <= 0 then fringe, prunes
-      else
-        let prunes = ref prunes in
-        let fringe' =
-          List.concat_map
-            (function
-              | Leaf _ as l -> [ l ]
-              | Subtree n ->
-                let items, p = expand n in
-                prunes := !prunes + p;
-                items)
-            fringe
-        in
-        grow fringe' !prunes (rounds - 1)
-    in
-    let fringe, grow_prunes = grow [ Subtree root ] 0 (depth + 1) in
-    let parts =
-      Parallel.map ~jobs
-        (function Leaf p -> [ p ], 0 | Subtree n -> dfs_from n)
-        fringe
-    in
-    ( List.concat_map fst parts,
-      List.fold_left (fun acc (_, p) -> acc + p) grow_prunes parts )
-  end
-
-(* ------------------------------------------------------------------ *)
-(* The optimal engine (DESIGN.md S31)                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Sleep-set DFS extended with the two state-level reductions the
-   sleep-set engine cannot perform:
-
-   - [dedup]: state-fingerprint deduplication.  Two prefixes that
-     converge on the same machine state — same per-thread continuations
-     and abstract states, same step count, same log (same canonical log
-     under [Commuting_events]) — root isomorphic subtrees whose leaf
-     outcomes are pairwise equivalent, because the post-prefix
-     round-robin tail is a pure function of that state.  The second
-     visit is pruned.  Soundness needs Godefroid's sleep-set caching
-     rule: a visit is covered only by an earlier visit that explored at
-     least as much, i.e. whose not-explored (slept ∪ symmetry-pruned)
-     tid set is a subset of the current one; the current sleep set's
-     moves are covered along the current path as usual.  The step count
-     lives in the key because the depth bound is part of the state: a
-     shallower twin has a longer round-robin tail.
-
-   - [sym]: symmetry reduction across identical fresh threads.  Two
-     real threads whose initial programs differ only in their own tid
-     (equal {!Fingerprint.prog_blind} fingerprints) are interchangeable
-     until either is scheduled or either tid leaks into the log as data;
-     at any node where several such threads are enabled, fresh, and
-     absent from the log's integers, only the first is explored.  The
-     pruned branches are covered up to the tid transposition, so leaf
-     logs are preserved only up to renaming — [sym] is opt-in and
-     excluded from the literal log-identity matrix.
-
-   The walk is sequential (the dedup table is global); [ctx.jobs] still
-   parallelises the replay phase, so verdicts stay jobs-independent. *)
-let optimal_walk_live ?private_fuel ~independence ~reads ~dedup ~sym ~memory
-    ~depth layer threads =
   let threads = threads @ Game.pseudo_threads ~memory layer threads in
   let classify slots log =
     List.filter_map
@@ -360,216 +229,160 @@ let optimal_walk_live ?private_fuel ~independence ~reads ~dedup ~sym ~memory
       in
       fun i -> List.assoc_opt i classes
   in
-  let module Iset = Set.Make (Int) in
-  let add_value_ints acc v =
-    let rec go acc (v : Value.t) =
-      match v with
-      | Value.Vint n -> Iset.add n acc
-      | Value.Vpair (a, b) -> go (go acc a) b
-      | Value.Vlist vs -> List.fold_left go acc vs
-      | Value.Vunit | Value.Vbool _ -> acc
-    in
-    go acc v
-  in
-  let add_event_ints acc (e : Event.t) =
-    add_value_ints
-      (List.fold_left add_value_ints (Iset.add e.src acc) e.args)
-      e.ret
-  in
-  let state_key step slots log =
-    let st = Fingerprint.int Fingerprint.empty step in
-    let st =
-      Fingerprint.list
-        (fun st (i, (ts : Machine.thread_state)) ->
-          let st = Fingerprint.int st i in
-          let st = Fingerprint.prog ~budget:512 st ts.Machine.prog in
-          let st =
-            Fingerprint.list
-              (fun st (k, v) -> Fingerprint.value (Fingerprint.string st k) v)
-              st (Abs.fields ts.Machine.abs)
-          in
-          Fingerprint.bool st ts.Machine.crit)
-        st slots
-    in
-    let log_hash =
-      match independence with
-      | Exact -> Log.hash log
-      | Commuting_events -> Log.hash (canonical_log ~reads log)
-    in
-    Fingerprint.finish (Fingerprint.int st log_hash)
-  in
-  let seen : (Fingerprint.t, Iset.t list ref) Hashtbl.t =
-    Hashtbl.create 1024
-  in
-  let covered key not_explored =
-    match Hashtbl.find_opt seen key with
+  (* Whether [sym] prunes thread [i] at node [n]: it is fresh, its tid is
+     not in the log, and an earlier sibling of its class was kept
+     ([reps] holds the classes kept so far at this node). *)
+  let symmetric n reps i m =
+    m <> Halt && i >= 0
+    && (not (List.mem i n.rev_prefix))
+    && (not (Iset.mem i n.log_ints))
+    &&
+    match sym_class i with
     | None -> false
-    | Some stored -> List.exists (fun s -> Iset.subset s not_explored) !stored
+    | Some c ->
+      List.exists (Fingerprint.equal c) !reps
+      ||
+      (reps := c :: !reps;
+       false)
   in
-  let record key not_explored =
-    match Hashtbl.find_opt seen key with
-    | Some stored -> stored := not_explored :: !stored
-    | None -> Hashtbl.add seen key (ref [ not_explored ])
-  in
-  let recorded = ref [] in
-  let sleep_prunes = ref 0 in
-  let dedup_hits = ref 0 in
-  let sym_prunes = ref 0 in
-  let rec go n log_ints =
-    let emit_leaf () = recorded := List.rev n.rev_prefix :: !recorded in
-    (* A leaf does not branch, so any earlier visit of the same state at
-       the same step covers it wholesale: stored with the empty set. *)
-    let leaf_covered () =
-      dedup
-      &&
-      let key = state_key n.step n.slots n.log in
-      if covered key Iset.empty then begin
-        incr dedup_hits;
-        true
-      end
-      else begin
-        record key Iset.empty;
-        false
-      end
-    in
-    if n.step >= depth || n.slots = [] then begin
-      if not (leaf_covered ()) then emit_leaf ()
-    end
+  (* One level of expansion: the node's children (and immediate leaves) in
+     sibling order, plus the sleep-set and symmetry prunes taken at this
+     node. *)
+  let expand n =
+    if n.step >= depth || n.slots = [] then
+      [ Leaf (List.rev n.rev_prefix) ], 0, 0
     else
       match classify n.slots n.log with
-      | [] -> if not (leaf_covered ()) then emit_leaf () (* deadlock *)
+      | [] -> [ Leaf (List.rev n.rev_prefix) ], 0, 0 (* deadlock: all blocked *)
       | enabled ->
-        (* Decide each enabled move before touching any child: slept,
-           symmetry-pruned, or explored. *)
-        let decisions =
-          let sym_reps = ref [] in
-          List.map
-            (fun (i, m) ->
-              if List.exists (fun (j, _) -> j = i) n.sleep then (i, m, `Sleep)
-              else
-                let symmetric =
-                  m <> Halt && i >= 0
-                  && (not (List.mem i n.rev_prefix))
-                  && (not (Iset.mem i log_ints))
-                  &&
-                  match sym_class i with
-                  | None -> false
-                  | Some c ->
-                    if
-                      List.exists
-                        (fun (c', i') ->
-                          Fingerprint.equal c c'
-                          && not (Iset.mem i' log_ints))
-                        !sym_reps
-                    then true
-                    else begin
-                      sym_reps := (c, i) :: !sym_reps;
-                      false
-                    end
+        let prunes = ref 0 in
+        let sym_prunes = ref 0 in
+        let reps = ref [] in
+        let explored = ref [] in
+        let items = ref [] in
+        List.iter
+          (fun (i, m) ->
+            if List.exists (fun (j, _) -> j = i) n.sleep then incr prunes
+            else if sym && symmetric n reps i m then incr sym_prunes
+            else (
+              (match m with
+              | Halt -> items := Leaf (List.rev (i :: n.rev_prefix)) :: !items
+              | Fin | Step _ ->
+                let sleep' =
+                  List.filter
+                    (fun (_, m') -> independent_moves independence reads m' m)
+                    (n.sleep @ List.rev !explored)
                 in
-                if symmetric then (i, m, `Sym) else (i, m, `Explore))
-            enabled
-        in
-        let not_explored =
-          List.fold_left
-            (fun acc (i, _, d) ->
-              match d with `Sleep | `Sym -> Iset.add i acc | `Explore -> acc)
-            Iset.empty decisions
-        in
-        let deduped =
-          dedup
-          &&
-          let key = state_key n.step n.slots n.log in
-          if covered key not_explored then begin
-            incr dedup_hits;
-            true
-          end
-          else begin
-            record key not_explored;
-            false
-          end
-        in
-        if not deduped then begin
-          let explored = ref [] in
-          List.iter
-            (fun (i, m, d) ->
-              match d with
-              | `Sleep -> incr sleep_prunes
-              | `Sym -> incr sym_prunes
-              | `Explore ->
-                (match m with
-                | Halt ->
-                  recorded := List.rev (i :: n.rev_prefix) :: !recorded
-                | Fin | Step _ ->
-                  let sleep' =
-                    List.filter
-                      (fun (_, m') -> independent_moves independence reads m' m)
-                      (n.sleep @ List.rev !explored)
-                  in
-                  let slots', log' = apply n.slots n.log i m in
-                  let log_ints' =
-                    if not sym then log_ints
-                    else
-                      match m with
-                      | Step (evs, _) ->
-                        List.fold_left add_event_ints log_ints evs
-                      | Fin | Halt -> log_ints
-                  in
-                  go
+                let slots', log' = apply n.slots n.log i m in
+                let log_ints =
+                  match m with
+                  | Step (evs, _) when sym ->
+                    List.fold_left add_event_ints n.log_ints evs
+                  | Fin | Step _ | Halt -> n.log_ints
+                in
+                items :=
+                  Subtree
                     {
                       slots = slots';
                       log = log';
                       step = n.step + 1;
                       rev_prefix = i :: n.rev_prefix;
+                      log_ints;
                       sleep = sleep';
                     }
-                    log_ints');
-                explored := (i, m) :: !explored)
-            decisions
-        end
+                  :: !items);
+              explored := (i, m) :: !explored))
+          enabled;
+        List.rev !items, !prunes, !sym_prunes
   in
-  go
+  (* Sequential DFS of a whole subtree, expressed through [expand] so the
+     sequential and the split walk run literally the same transition
+     code. *)
+  let dfs_from root =
+    let recorded = ref [] in
+    let prunes = ref 0 in
+    let sym_prunes = ref 0 in
+    let rec go n =
+      let items, p, s = expand n in
+      prunes := !prunes + p;
+      sym_prunes := !sym_prunes + s;
+      List.iter
+        (function
+          | Leaf prefix -> recorded := prefix :: !recorded
+          | Subtree n' -> go n')
+        items
+    in
+    go root;
+    ( List.rev !recorded,
+      { Engine.sleep_prunes = !prunes; sym_prunes = !sym_prunes } )
+  in
+  let root =
     {
       slots = List.map (fun (i, p) -> i, Machine.initial layer i p) threads;
       log = Log.empty;
       step = 0;
       rev_prefix = [];
+      log_ints = Iset.empty;
       sleep = [];
     }
-    Iset.empty;
-  ( List.rev !recorded,
-    {
-      Engine.sleep_prunes = !sleep_prunes;
-      dedup_hits = !dedup_hits;
-      sym_prunes = !sym_prunes;
-    } )
+  in
+  let jobs = match jobs with Some j -> max 1 j | None -> 1 in
+  if jobs <= 1 then dfs_from root
+  else begin
+    (* Grow the frontier breadth-first until it can feed the pool.  Each
+       round replaces every subtree root by its expansion, in place, so
+       fringe order stays pre-order.
 
-(* ------------------------------------------------------------------ *)
-(* Engine dispatch, suite cache, schedulers                            *)
-(* ------------------------------------------------------------------ *)
-
-let walk_live ?private_fuel ?(independence = Exact) ?(reads = default_reads)
-    ?jobs ?(memory = Memory.default) ~engine ~depth layer threads =
-  match (engine : Engine.t).algo with
-  | Engine.Dpor ->
-    let prefixes, prunes =
-      prefixes_with_prunes_live ?private_fuel ~independence ~reads ?jobs
-        ~memory ~depth layer threads
+       The split depth is calibrated, not fixed: each round descends one
+       level, and growth stops at the shallowest depth whose frontier
+       holds [jobs * 8] subtrees — enough outstanding subtrees that an
+       uneven one (sleep sets prune subtrees very unevenly) can be
+       absorbed by work stealing, while keeping each subtree a full
+       domain-local DFS: sleep sets never cross a domain boundary, and
+       no two domains ever touch the same prefix. *)
+    let target = jobs * 8 in
+    let count_subtrees fringe =
+      List.length
+        (List.filter (function Subtree _ -> true | Leaf _ -> false) fringe)
     in
-    prefixes, { Engine.no_walk_stats with Engine.sleep_prunes = prunes }
-  | Engine.Optimal ->
-    optimal_walk_live ?private_fuel ~independence ~reads
-      ~dedup:engine.Engine.dedup ~sym:engine.Engine.sym ~memory ~depth layer
-      threads
-  | Engine.Exhaustive | Engine.Random ->
-    invalid_arg
-      ("Dpor.walk: not a DPOR-family engine: " ^ Engine.to_string engine)
+    let rec grow fringe prunes rounds =
+      let subtrees = count_subtrees fringe in
+      if subtrees = 0 || subtrees >= target || rounds <= 0 then fringe, prunes
+      else
+        let prunes = ref prunes in
+        let fringe' =
+          List.concat_map
+            (function
+              | Leaf _ as l -> [ l ]
+              | Subtree n ->
+                let items, p, s = expand n in
+                prunes :=
+                  add_prunes !prunes
+                    { Engine.sleep_prunes = p; sym_prunes = s };
+                items)
+            fringe
+        in
+        grow fringe' !prunes (rounds - 1)
+    in
+    let fringe, grow_prunes = grow [ Subtree root ] no_prunes (depth + 1) in
+    let parts =
+      Parallel.map ~jobs
+        (function Leaf p -> [ p ], no_prunes | Subtree n -> dfs_from n)
+        fringe
+    in
+    ( List.concat_map fst parts,
+      List.fold_left (fun acc (_, p) -> add_prunes acc p) grow_prunes parts )
+  end
 
+(* The walk behind every [dpor] suite, memoized in [cache] (kind
+   ["engine"]) under {!suite_key}. *)
 let walk ?private_fuel ?(independence = Exact) ?(reads = default_reads) ?jobs
     ?cache ?(memory = Memory.default) ~engine ~depth layer threads =
+  if (engine : Engine.t).algo <> Engine.Dpor then
+    invalid_arg ("Dpor.walk: not a DPOR engine: " ^ Engine.to_string engine);
   let body () =
-    walk_live ?private_fuel ~independence ~reads ?jobs ~memory ~engine ~depth
-      layer threads
+    prefixes_with_prunes_live ?private_fuel ~independence ~reads ?jobs
+      ~memory ~sym:engine.Engine.sym ~depth layer threads
   in
   match cache with
   | None -> body ()
@@ -578,17 +391,12 @@ let walk ?private_fuel ?(independence = Exact) ?(reads = default_reads) ?jobs
       suite_key ?private_fuel ~engine ~independence ~reads ~memory ~depth
         layer threads
     in
-    (* The stored shape is shared with [Explore]'s suite cache (one
-       ["engine"] kind for every cacheable engine), so the scheduler-name
-       tag rides along even though the dpor family's is constant. *)
     match Cache.find c ~kind:"engine" key with
-    | Some ((_tag, prefixes, stats) : string * Event.tid list list * Engine.walk_stats)
-      ->
-      prefixes, stats
+    | Some (walked : Event.tid list list * Engine.walk_stats) -> walked
     | None ->
-      let prefixes, stats = body () in
-      Cache.store c ~kind:"engine" key ("dpor", prefixes, stats);
-      (prefixes, stats))
+      let walked = body () in
+      Cache.store c ~kind:"engine" key walked;
+      walked)
 
 let sched_of_prefix prefix =
   Sched.of_trace
@@ -607,8 +415,6 @@ let pp_stats fmt s =
     s.schedules_run pp_count s.schedules_considered pp_count
     s.schedules_pruned s.sleep_set_prunes
     (fun fmt ->
-      if s.dedup_hits > 0 then
-        Format.fprintf fmt ", %d state-dedup hits" s.dedup_hits;
       if s.sym_prunes > 0 then
         Format.fprintf fmt ", %d symmetry prunes" s.sym_prunes)
     s.distinct_logs
@@ -624,35 +430,24 @@ let pp_stats fmt s =
    step budget. *)
 
 (* The engine a context implies for the walk: the context's strategy
-   when it is DPOR-family, otherwise the default sleep-set engine (a
-   checker driving an [`Exhaustive]/[`Random] context never reaches the
-   walk — [Explore] dispatches those to their own implementations). *)
+   when it is [dpor], otherwise the default (a checker driving an
+   [exhaustive]/[random] context never reaches the walk —
+   [Explore.scheds_of_strategy_ctx] builds those suites itself). *)
 let engine_of_ctx ctx =
   match (ctx.Ctx.strategy : Engine.t).algo with
-  | Engine.Dpor | Engine.Optimal -> ctx.Ctx.strategy
+  | Engine.Dpor -> ctx.Ctx.strategy
   | Engine.Exhaustive | Engine.Random -> Engine.default
 
-let walk_ctx ~ctx ?private_fuel ?independence ?reads ?engine ~depth layer
+let prefixes_ctx ~ctx ?private_fuel ?independence ?reads ?engine ~depth layer
     threads =
   let engine =
     match engine with Some e -> e | None -> engine_of_ctx ctx
   in
   Ctx.arm ctx (fun () ->
-      walk ?private_fuel ?independence ?reads ?jobs:(Ctx.jobs_opt ctx)
-        ?cache:ctx.Ctx.cache ~memory:ctx.Ctx.memory ~engine ~depth layer
-        threads)
-
-let prefixes_ctx ~ctx ?private_fuel ?independence ?reads ?engine ~depth layer
-    threads =
-  fst
-    (walk_ctx ~ctx ?private_fuel ?independence ?reads ?engine ~depth layer
-       threads)
-
-let schedules_ctx ~ctx ?private_fuel ?independence ?reads ?engine ~depth layer
-    threads =
-  List.map sched_of_prefix
-    (prefixes_ctx ~ctx ?private_fuel ?independence ?reads ?engine ~depth layer
-       threads)
+      fst
+        (walk ?private_fuel ?independence ?reads ?jobs:(Ctx.jobs_opt ctx)
+           ?cache:ctx.Ctx.cache ~memory:ctx.Ctx.memory ~engine ~depth layer
+           threads))
 
 let explore_ctx ~ctx ?max_steps ?private_fuel ?(independence = Exact) ?reads
     ?engine ~depth layer threads =
@@ -702,7 +497,6 @@ let explore_ctx ~ctx ?max_steps ?private_fuel ?(independence = Exact) ?reads
           schedules_pruned =
             max 0 (schedules_considered - List.length prefixes);
           sleep_set_prunes = walk_stats.Engine.sleep_prunes;
-          dedup_hits = walk_stats.Engine.dedup_hits;
           sym_prunes = walk_stats.Engine.sym_prunes;
           distinct_logs;
         };
@@ -711,36 +505,3 @@ let explore_ctx ~ctx ?max_steps ?private_fuel ?(independence = Exact) ?reads
   if replay.Parallel.ran_out then
     Budget.Exhausted { spent = Budget.spent ctx.Ctx.token; partial = result }
   else Budget.Complete result
-
-(* ------------------------------------------------------------------ *)
-(* Registered engine implementations                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* The two DPOR-family implementations behind the [Explore] registry.
-   They run the live walks; [Explore.scheds_of_strategy_ctx] layers the
-   suite cache on top with {!suite_key} so every cacheable engine shares
-   one keying scheme. *)
-
-module Sleep_impl : Engine.IMPL = struct
-  let algo = Engine.Dpor
-  let cacheable = true
-
-  let suite ~engine ~jobs ~memory ?private_fuel layer threads =
-    let prefixes, stats =
-      walk_live ?private_fuel ~jobs ~memory ~engine ~depth:engine.Engine.depth
-        layer threads
-    in
-    Engine.Prefixes { tag = "dpor"; prefixes; stats }
-end
-
-module Optimal_impl : Engine.IMPL = struct
-  let algo = Engine.Optimal
-  let cacheable = true
-
-  let suite ~engine ~jobs ~memory ?private_fuel layer threads =
-    let prefixes, stats =
-      walk_live ?private_fuel ~jobs ~memory ~engine ~depth:engine.Engine.depth
-        layer threads
-    in
-    Engine.Prefixes { tag = "dpor"; prefixes; stats }
-end

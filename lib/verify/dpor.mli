@@ -4,25 +4,19 @@
     {!Explore.exhaustive_scheds} does so blindly, running all
     [|tids|^depth] scheduling prefixes even though most are permutations
     of independent moves producing logs already seen.  This module walks
-    the whole-machine game as a DFS over the {e enabled} moves only.
-    Two DPOR-family engines share that transition core
-    ({!Ccal_core.Strategy.Engine}):
-
-    - [dpor] — sleep-set DPOR: once a move's subtree is explored, its
-      commuting reorderings are pruned from sibling subtrees.  The walk
-      splits its DFS frontier over the domain pool.
-    - [optimal] — the sleep-set walk extended with state-fingerprint
-      deduplication ([,dedup]: subtrees rooted at a previously-visited
-      machine state are pruned under Godefroid's sleep-subset rule) and
-      symmetry reduction across identical fresh threads ([,sym]).
-      Sequential walk; the replay phase still parallelises.
+    the whole-machine game as a DFS over the {e enabled} moves only, as
+    sleep-set DPOR: once a move's subtree is explored, its commuting
+    reorderings are pruned from sibling subtrees.  The engine's [sym]
+    flag ({!Ccal_core.Strategy.Engine}) adds symmetry reduction across
+    identical fresh threads.  With or without it, the walk splits its
+    DFS frontier over the domain pool.
 
     Each surviving branch is a scheduling prefix; running it back through
     {!Ccal_core.Game.run} (via {!Ccal_core.Sched.of_trace}) reproduces the
     exact outcome the exhaustive oracle would have computed, so DPOR is a
     drop-in schedule generator: same logs, fewer runs.  The
     [test/test_dpor.ml] harness checks distinct-log-set equality against
-    the oracle for every engine. *)
+    the oracle, and that [sym] leaf logs are a subset of the plain walk's. *)
 
 open Ccal_core
 module Engine = Strategy.Engine
@@ -51,8 +45,6 @@ type stats = {
   schedules_run : int;  (** branches actually replayed *)
   schedules_pruned : int;  (** [considered - run] *)
   sleep_set_prunes : int;  (** branches skipped because asleep *)
-  dedup_hits : int;
-      (** subtrees pruned at a revisited state fingerprint ([,dedup]) *)
   sym_prunes : int;  (** branches pruned by thread symmetry ([,sym]) *)
   distinct_logs : int;
       (** distinct leaf logs — under [Commuting_events], distinct
@@ -77,21 +69,24 @@ val canonical_log : ?reads:string list -> Log.t -> Log.t
     trace: two logs are equal up to commuting independent events iff
     their canonical forms are equal. *)
 
-val suite_key :
+val walk :
   ?private_fuel:int ->
+  ?independence:independence ->
+  ?reads:string list ->
+  ?jobs:int ->
+  ?cache:Cache.t ->
+  ?memory:Memory.t ->
   engine:Engine.t ->
-  independence:independence ->
-  reads:string list ->
-  memory:Memory.t ->
   depth:int ->
   Layer.t ->
   (Event.tid * Prog.t) list ->
-  Fingerprint.t
-(** Cache key of an engine walk: the canonical engine descriptor (with
-    [depth] substituted) plus the complete game identity and every walk
-    knob.  [Explore.scheds_of_strategy_ctx] reuses the same scheme for
-    every cacheable registered engine, so one key shape covers the whole
-    suite cache (kind ["engine"]). *)
+  Event.tid list list * Engine.walk_stats
+(** The walk only (no replay): the surviving prefixes in DFS pre-order
+    plus the prune counters, identical for every [jobs] count.
+    [engine] must be a [dpor] descriptor ([Invalid_argument]
+    otherwise); [engine.depth] is ignored in favour of [depth].
+    [cache] memoizes the result (kind ["engine"]) under a key built from
+    the descriptor, the game identity, and every walk knob. *)
 
 val explore_ctx :
   ctx:Ctx.t ->
@@ -105,16 +100,14 @@ val explore_ctx :
   (Event.tid * Prog.t) list ->
   result Budget.outcome
 (** Explore the game to [depth] scheduling choices with [engine]
-    (default: the context's strategy when it is DPOR-family, else
+    (default: the context's strategy when it is [dpor], else
     {!Engine.default}; [engine.depth] is ignored in favour of [depth]),
     then replay every surviving prefix.  [independence] defaults to
-    {!Exact}.  [ctx.jobs] parallelises the replay phase always, and the
-    [dpor] engine's DFS (the frontier splits into independent subtrees);
-    the [optimal] engine's walk is sequential (its dedup table is
-    global) — prefixes, outcomes, and stats are identical for every jobs
-    count under every engine.  [ctx.cache] memoizes the walk (prefixes +
-    prune counters) under {!suite_key}; the replay phase always runs
-    live, so failures reproduce from the real game.
+    {!Exact}.  [ctx.jobs] parallelises the DFS (the frontier splits into
+    independent subtrees, with or without [sym]) and the replay phase —
+    prefixes, outcomes, and stats are identical for every jobs count.
+    [ctx.cache] memoizes the walk as {!walk} does; the replay phase
+    always runs live, so failures reproduce from the real game.
 
     The walk itself is never budgeted (depth-bounded and cheap); the
     replay phase charges [ctx.token] per game.  An [Exhausted] result
@@ -128,19 +121,6 @@ val explore_ctx :
     (different buffers, and the commit's first argument is the cell).
     The mode is folded into the walk's cache key. *)
 
-val walk_ctx :
-  ctx:Ctx.t ->
-  ?private_fuel:int ->
-  ?independence:independence ->
-  ?reads:string list ->
-  ?engine:Engine.t ->
-  depth:int ->
-  Layer.t ->
-  (Event.tid * Prog.t) list ->
-  Event.tid list list * Engine.walk_stats
-(** The walk only (no replay): surviving prefixes plus the prune
-    counters — exactly what the suite cache stores. *)
-
 val prefixes_ctx :
   ctx:Ctx.t ->
   ?private_fuel:int ->
@@ -152,29 +132,6 @@ val prefixes_ctx :
   (Event.tid * Prog.t) list ->
   Event.tid list list
 (** The surviving scheduling prefixes only (no replay). *)
-
-val schedules_ctx :
-  ctx:Ctx.t ->
-  ?private_fuel:int ->
-  ?independence:independence ->
-  ?reads:string list ->
-  ?engine:Engine.t ->
-  depth:int ->
-  Layer.t ->
-  (Event.tid * Prog.t) list ->
-  Sched.t list
-(** The surviving prefixes as fresh trace schedulers — the drop-in
-    replacement for {!Explore.exhaustive_scheds} used by the checkers.
-    Schedulers are stateful; each is good for one run. *)
-
-(** {1 Registered implementations}
-
-    The DPOR-family entries of the [Explore] engine registry.  New
-    engines implement {!Engine.IMPL} and register the same way — no
-    checker changes (DESIGN.md S31). *)
-
-module Sleep_impl : Engine.IMPL
-module Optimal_impl : Engine.IMPL
 
 val pp_stats : Format.formatter -> stats -> unit
 (** Saturated counts ([max_int]) render as [">max-int"], never as a

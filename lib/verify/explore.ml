@@ -12,10 +12,9 @@ let exhaustive_prefixes ~tids ~depth =
 
 (* Content-bearing names, not the default "trace": the certificate cache
    identifies a scheduler suite by its names, so two suites of different
-   prefixes must not alias.  The dpor family shares the "dpor" tag —
-   identical prefixes from [dpor] and flagless [optimal] then share
-   verdict cache entries, which is sound because the replayed games are
-   identical. *)
+   prefixes must not alias.  [dpor] and [dpor,sym] share the "dpor" tag —
+   identical prefixes then share verdict cache entries, which is sound
+   because the replayed games are identical. *)
 let sched_of_prefix ~tag tr =
   Sched.of_trace
     ~name:
@@ -31,98 +30,30 @@ let random_scheds ~count = List.init count (fun k -> Sched.random ~seed:(k + 1))
 let full_suite ~tids ?(depth = 4) ?(random = 16) () =
   (Sched.round_robin :: exhaustive_scheds ~tids ~depth) @ random_scheds ~count:random
 
-(* ------------------------------------------------------------------ *)
-(* The engine registry (DESIGN.md S31)                                 *)
-(* ------------------------------------------------------------------ *)
-
-let registry : (string, (module Engine.IMPL)) Hashtbl.t = Hashtbl.create 8
-
-let register_engine (module I : Engine.IMPL) =
-  Hashtbl.replace registry (Engine.algo_name I.algo) (module I : Engine.IMPL)
-
-let find_engine algo = Hashtbl.find_opt registry (Engine.algo_name algo)
-
-module Exhaustive_impl : Engine.IMPL = struct
-  let algo = Engine.Exhaustive
-
-  (* Never cached: materializing all [|tids|^depth] prefixes is the cost,
-     and a cache entry would be as large as recomputing it. *)
-  let cacheable = false
-
-  let suite ~engine ~jobs:_ ~memory ?private_fuel:_ layer threads =
-    (* Pseudo-threads (TSO flushers, the crash thread) are schedulable
-       too, so the exhaustive prefix alphabet must include their tids. *)
-    let effective = threads @ Game.pseudo_threads ~memory layer threads in
-    Engine.Prefixes
-      {
-        tag = "exh";
-        prefixes =
-          exhaustive_prefixes ~tids:(List.map fst effective)
-            ~depth:engine.Engine.depth;
-        stats = Engine.no_walk_stats;
-      }
-end
-
-module Random_impl : Engine.IMPL = struct
-  let algo = Engine.Random
-  let cacheable = false
-
-  let suite ~engine ~jobs:_ ~memory:_ ?private_fuel:_ _layer _threads =
-    (* [depth] doubles as the suite size for the random engine. *)
-    Engine.Schedulers (random_scheds ~count:engine.Engine.depth)
-end
-
-let () =
-  register_engine (module Exhaustive_impl);
-  register_engine (module Random_impl);
-  register_engine (module Dpor.Sleep_impl);
-  register_engine (module Dpor.Optimal_impl)
-
-let suite_of_strategy_ctx ~ctx ?private_fuel layer threads =
-  let engine = ctx.Ctx.strategy in
-  (match Engine.validate engine with
-  | Ok () -> ()
-  | Error msg -> invalid_arg msg);
-  let (module I : Engine.IMPL) =
-    match find_engine engine.Engine.algo with
-    | Some impl -> impl
-    | None ->
-      invalid_arg
-        ("no registered exploration engine: " ^ Engine.algo_name engine.Engine.algo)
-  in
-  let live () =
-    I.suite ~engine ~jobs:ctx.Ctx.jobs ~memory:ctx.Ctx.memory ?private_fuel
-      layer threads
-  in
-  match ctx.Ctx.cache with
-  | Some c when I.cacheable -> (
-    (* One keying scheme for every cacheable engine: [Dpor.suite_key]
-       under kind "engine", storing (tag, prefixes, stats) — the same
-       shape [Dpor.walk] reads and writes, so the walk cache and the
-       suite cache are one cache. *)
-    let key =
-      Dpor.suite_key ?private_fuel ~engine ~independence:Dpor.Exact
-        ~reads:Dpor.default_reads ~memory:ctx.Ctx.memory
-        ~depth:engine.Engine.depth layer threads
-    in
-    match Cache.find c ~kind:"engine" key with
-    | Some
-        ((tag, prefixes, stats) :
-          string * Event.tid list list * Engine.walk_stats) ->
-      Engine.Prefixes { tag; prefixes; stats }
-    | None -> (
-      match live () with
-      | Engine.Prefixes { tag; prefixes; stats } as s ->
-        Cache.store c ~kind:"engine" key (tag, prefixes, stats);
-        s
-      | Engine.Schedulers _ as s -> s))
-  | _ -> live ()
-
+(* One [match] on the closed [algo] variant (DESIGN.md S31): [dpor] is
+   the only walking engine, and [Dpor.walk] owns its suite cache. *)
 let scheds_of_strategy_ctx ~ctx ?private_fuel layer threads =
-  match suite_of_strategy_ctx ~ctx ?private_fuel layer threads with
-  | Engine.Schedulers ss -> ss
-  | Engine.Prefixes { tag; prefixes; _ } ->
-    List.map (sched_of_prefix ~tag) prefixes
+  let engine = Engine.checked ctx.Ctx.strategy in
+  let depth = engine.Engine.depth in
+  match engine.Engine.algo with
+  | Engine.Dpor ->
+    let prefixes, _ =
+      Dpor.walk ?private_fuel ?jobs:(Ctx.jobs_opt ctx) ?cache:ctx.Ctx.cache
+        ~memory:ctx.Ctx.memory ~engine ~depth layer threads
+    in
+    List.map (sched_of_prefix ~tag:"dpor") prefixes
+  | Engine.Exhaustive ->
+    (* Pseudo-threads (TSO flushers, the crash thread) are schedulable
+       too, so the exhaustive prefix alphabet must include their tids.
+       Never cached: materializing all [|tids|^depth] prefixes is the
+       cost, and a cache entry would be as large as recomputing it. *)
+    let effective =
+      threads @ Game.pseudo_threads ~memory:ctx.Ctx.memory layer threads
+    in
+    exhaustive_scheds ~tids:(List.map fst effective) ~depth
+  | Engine.Random ->
+    (* [depth] doubles as the suite size for the random engine. *)
+    random_scheds ~count:depth
 
 (* Cache key of a [run_all] call: the complete game identity — layer,
    linked client programs, scheduler suite (by name), fuel.  [jobs] is

@@ -9,17 +9,15 @@
     {!exhaustive_scheds} is the reference oracle: all [|tids|^depth]
     prefixes, no pruning.  Which engine actually generates a checker's
     suite is selected by the {!Engine} descriptor in [Ctx.t]
-    (DESIGN.md S31): implementations satisfy {!Engine.IMPL} and live in
-    a registry keyed by algorithm name, so the checkers dispatch through
+    (DESIGN.md S31); the checkers dispatch through
     {!scheds_of_strategy_ctx} and never name an engine module.  The
     oracle remains available both as the [exhaustive] engine and as the
-    ground truth the equivalence tests compare the DPOR family against. *)
+    ground truth the equivalence tests compare [dpor] against. *)
 
 open Ccal_core
 
 module Engine = Strategy.Engine
-(** Re-export: the descriptor, its constructors/parser, and the
-    {!Engine.IMPL} contract engine implementations satisfy. *)
+(** Re-export: the descriptor and its constructors/parser. *)
 
 val exhaustive_scheds : tids:Event.tid list -> depth:int -> Sched.t list
 (** All [|tids|^depth] scheduling prefixes (round-robin afterwards).
@@ -32,29 +30,7 @@ val full_suite : tids:Event.tid list -> ?depth:int -> ?random:int -> unit -> Sch
 (** Exhaustive prefixes (default depth 4) plus random schedules (default
     16) plus round-robin. *)
 
-(** {1 The engine registry} *)
-
-val register_engine : (module Engine.IMPL) -> unit
-(** Register an engine implementation under its algorithm name
-    (replacing any previous registration).  The built-ins — exhaustive,
-    random, and the {!Dpor} family (sleep-set and optimal) — are
-    registered at load time; a new engine is one module plus one call
-    here, and every checker picks it up through [ctx.strategy] with no
-    further changes. *)
-
-val suite_of_strategy_ctx :
-  ctx:Ctx.t ->
-  ?private_fuel:int ->
-  Layer.t ->
-  (Event.tid * Prog.t) list ->
-  Engine.suite
-(** Materialize [ctx.strategy] through the registry: validate the
-    descriptor (raising [Invalid_argument] with the named error on an
-    invalid combination or an unregistered algorithm), run the
-    implementation, and memoize cacheable [Prefixes] suites in
-    [ctx.cache] under {!Dpor.suite_key} (kind ["engine"] — the same
-    entries {!Dpor.walk_ctx} reads and writes, so the walk cache and the
-    suite cache are one cache). *)
+(** {1 Suites from the strategy} *)
 
 val scheds_of_strategy_ctx :
   ctx:Ctx.t ->
@@ -62,23 +38,16 @@ val scheds_of_strategy_ctx :
   Layer.t ->
   (Event.tid * Prog.t) list ->
   Sched.t list
-(** {!suite_of_strategy_ctx} as a scheduler list — the form the checkers
-    consume.  Prefix suites become trace schedulers with content-bearing
-    names ([tag:[t0,t1,…]]); the DPOR-walking engines need the layer and
-    threads to be the ones the returned schedulers will drive.
-    [ctx.jobs] parallelises the sleep-set walk; every suite is identical
-    for every jobs count.  The walk is never budgeted (see
-    {!Dpor.explore_ctx}). *)
-
-(** {2 Built-in implementations} *)
-
-module Exhaustive_impl : Engine.IMPL
-(** All [|tids|^depth] prefixes over the real and pseudo threads — the
-    oracle.  Never cached (the entry would be as large as the work). *)
-
-module Random_impl : Engine.IMPL
-(** [depth]-many seeded random schedulers (an opaque [Schedulers]
-    suite — deterministic, but not prefix-shaped, so never cached). *)
+(** The suite [ctx.strategy] selects, in the form the checkers consume:
+    [dpor] prefixes from {!Dpor.walk} (memoized in [ctx.cache] under kind
+    ["engine"], jobs-parallel walk), every [exhaustive] prefix over the
+    real and pseudo threads (never cached), or [random] seeded
+    schedulers.  Prefix suites become trace schedulers with
+    content-bearing names ([tag:[t0,t1,…]]); the [dpor] walk needs the
+    layer and threads to be the ones the returned schedulers will
+    drive.  Raises [Invalid_argument] with the named error on an invalid
+    descriptor.  Every suite is identical for every jobs count; the walk
+    is never budgeted (see {!Dpor.explore_ctx}). *)
 
 (** {1 Running suites} *)
 

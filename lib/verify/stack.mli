@@ -70,7 +70,7 @@ val verify_all_ctx :
 (** Certify and link the whole stack.  When [strategy] is given, every
     game-driving edge (the linking theorems, the Pcomp compatibility
     corpus and the soundness games) derives its scheduler suite from that
-    engine over the edge's own game — the DPOR family walks each game and
+    engine over the edge's own game — the dpor engine walks each game and
     replays only non-redundant prefixes; otherwise the seeded default
     suite ([seeds], default 4) is used.  ([ctx.strategy] is {e not} used:
     the stack's historical default is the seeded suite, so the strategy

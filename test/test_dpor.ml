@@ -206,23 +206,26 @@ let test_ipc_producer_consumer () =
    replayed outcome — must be bit-identical to the sequential walk for
    every jobs count, including the oversubscribed ones. *)
 
-let explore_fingerprint ~jobs ~depth layer threads =
+let explore_fingerprint ?engine ~jobs ~depth layer threads =
   let r =
     V.Budget.value
-      (V.Dpor.explore_ctx ~ctx:(V.Ctx.make ~jobs ()) ~depth layer threads)
+      (V.Dpor.explore_ctx ~ctx:(V.Ctx.make ~jobs ()) ?engine ~depth layer
+         threads)
   in
   ( r.V.Dpor.prefixes,
     r.V.Dpor.stats,
     List.map (fun (o : Game.outcome) -> o.Game.log, o.Game.status) r.V.Dpor.outcomes )
 
-let check_split_equiv name layer threads depth =
-  let ((_, stats, _) as seq) = explore_fingerprint ~jobs:1 ~depth layer threads in
+let check_split_equiv ?engine name layer threads depth =
+  let ((_, stats, _) as seq) =
+    explore_fingerprint ?engine ~jobs:1 ~depth layer threads
+  in
   List.iter
     (fun jobs ->
       check_bool
         (Printf.sprintf "%s: split jobs=%d = sequential" name jobs)
         true
-        (explore_fingerprint ~jobs ~depth layer threads = seq))
+        (explore_fingerprint ?engine ~jobs ~depth layer threads = seq))
     [ 2; 4; 7 ];
   check_bool (name ^ ": pruned + run = considered") true
     (stats.V.Dpor.schedules_pruned + stats.V.Dpor.schedules_run
@@ -282,19 +285,21 @@ let test_split_llock_6t_depth7 () =
 
 (* ---- the engine matrix ----
 
-   The Strategy API redesign promises every registered engine the same
-   verdicts: for each corpus game, the distinct-log set reached by the
-   sleep-set engine ([dpor]), the optimal engine flagless, and the optimal
-   engine with state-dedup must all equal the exhaustive oracle's — and
-   the flagless optimal walk must be bit-identical (prefixes, stats,
-   outcomes) to the sleep-set walk it extends. *)
+   For each corpus game, the distinct-log set reached by the [dpor]
+   engine must equal the exhaustive oracle's, and the [dpor,sym] leaf
+   logs must be a subset of it: symmetry reduction keeps one
+   representative per orbit, so it may drop logs that are tid renamings
+   of kept ones but never invent a log. *)
 
 module E = V.Ctx.Engine
 
-let explore_with ~engine layer threads depth =
+let sym_engine ~depth = { (E.dpor ~depth) with E.sym = true }
+
+let explore_with ?independence ~engine layer threads depth =
   let r =
     V.Budget.value
-      (V.Dpor.explore_ctx ~ctx:V.Ctx.default ~engine ~depth layer threads)
+      (V.Dpor.explore_ctx ~ctx:V.Ctx.default ?independence ~engine ~depth
+         layer threads)
   in
   let logs =
     Log.dedup
@@ -311,41 +316,21 @@ let check_engine_matrix name layer threads depth =
             (V.Explore.run_all_ctx ~ctx:V.Ctx.default layer threads
                (V.Explore.exhaustive_scheds ~tids ~depth))))
   in
-  let engines =
-    [ "dpor", E.dpor ~depth;
-      "optimal", E.optimal ~depth ();
-      "optimal,dedup", E.optimal ~dedup:true ~depth () ]
+  let logs, _ = explore_with ~engine:(E.dpor ~depth) layer threads depth in
+  check_int
+    (Printf.sprintf "%s/dpor: distinct log count vs oracle" name)
+    (List.length exh_logs) (List.length logs);
+  check_bool
+    (Printf.sprintf "%s/dpor: log set equals oracle" name)
+    true
+    (log_sets_equal logs exh_logs);
+  let sym_logs, _ =
+    explore_with ~engine:(sym_engine ~depth) layer threads depth
   in
-  let results =
-    List.map
-      (fun (ename, engine) ->
-        let logs, r = explore_with ~engine layer threads depth in
-        check_int
-          (Printf.sprintf "%s/%s: distinct log count vs oracle" name ename)
-          (List.length exh_logs) (List.length logs);
-        check_bool
-          (Printf.sprintf "%s/%s: log set equals oracle" name ename)
-          true
-          (log_sets_equal logs exh_logs);
-        ename, r)
-      engines
-  in
-  (* flagless optimal is the sleep-set walk run sequentially: the entire
-     result must coincide, not just the log set *)
-  let walk r =
-    ( r.V.Dpor.prefixes,
-      r.V.Dpor.stats,
-      List.map
-        (fun (o : Game.outcome) -> o.Game.log, o.Game.status)
-        r.V.Dpor.outcomes )
-  in
-  let dpor_r = List.assoc "dpor" results in
-  let opt_r = List.assoc "optimal" results in
-  check_bool (name ^ ": flagless optimal = dpor walk") true
-    (walk opt_r = walk dpor_r);
-  let dd_r = List.assoc "optimal,dedup" results in
-  check_bool (name ^ ": dedup stats sane") true
-    (dd_r.V.Dpor.stats.V.Dpor.dedup_hits >= 0)
+  check_bool
+    (Printf.sprintf "%s/dpor,sym: logs are a subset of dpor's" name)
+    true
+    (List.for_all (fun l -> List.exists (Log.equal l) logs) sym_logs)
 
 let test_matrix_ticket () =
   check_engine_matrix "ticket" (Ticket_lock.l0 ()) (ticket_threads 2) 4
@@ -373,19 +358,21 @@ let test_matrix_kv () =
 
 (* ---- symmetry reduction ----
 
-   [optimal,sym] prunes enabled moves of fresh threads whose programs are
+   [dpor,sym] prunes enabled moves of fresh threads whose programs are
    identical up to their own tid ([Fingerprint.prog_blind]); it keeps one
    representative per symmetry class, so its logs are a subset of the
-   flagless frontier and the distinct count collapses to the orbit
+   plain frontier and the distinct count collapses to the orbit
    count.  The lock game (every client is acq/rel/ret over its own tid)
    is fully symmetric: 3 threads at depth 5 collapse 18 runs to 3. *)
 
+let lock_threads n = List.init n (fun k -> k + 1, lock_client (k + 1))
+
 let test_sym_prunes_lock () =
-  let threads = List.init 3 (fun k -> k + 1, lock_client (k + 1)) in
+  let threads = lock_threads 3 in
   let layer = Lock_intf.layer "Llock" in
-  let flag_logs, flag_r = explore_with ~engine:(E.optimal ~depth:5 ()) layer threads 5 in
+  let flag_logs, flag_r = explore_with ~engine:(E.dpor ~depth:5) layer threads 5 in
   let sym_logs, sym_r =
-    explore_with ~engine:(E.optimal ~sym:true ~depth:5 ()) layer threads 5
+    explore_with ~engine:(sym_engine ~depth:5) layer threads 5
   in
   check_bool "sym pruned at least one branch" true
     (sym_r.V.Dpor.stats.V.Dpor.sym_prunes > 0);
@@ -397,37 +384,33 @@ let test_sym_prunes_lock () =
   check_bool "sym kept at least one representative" true
     (List.length sym_logs >= 1)
 
-(* ---- state-dedup soundness property ----
-
-   Random two-thread programs over the TSO cell layer (stores, loads and
-   fences over two locations — silent buffer commits and all): the
-   distinct leaf-log set under [optimal,dedup] must equal the flagless
-   optimal engine's.  Dedup may only prune subtrees whose every leaf log
-   is reachable elsewhere; dropping a distinct log is unsound. *)
-
-let prop_dedup_never_drops_logs =
-  let op_of_code c =
-    match c mod 5 with
-    | 0 -> Prog.call "astore" [ vi 1; vi 1 ]
-    | 1 -> Prog.call "astore" [ vi 2; vi 2 ]
-    | 2 -> Prog.call "aload" [ vi 1 ]
-    | 3 -> Prog.call "aload" [ vi 2 ]
-    | _ -> Prog.call "mfence" []
+(* The sym decision is node-local (the node's own prefix and log
+   integers), so a [sym] walk splits its frontier across domains like a
+   plain one: prefixes, stats and outcomes bit-identical for every jobs
+   count, with symmetry actually pruning in each game. *)
+let test_split_sym () =
+  let check name layer threads depth =
+    let stats =
+      check_split_equiv ~engine:(sym_engine ~depth) name layer threads depth
+    in
+    check_bool (name ^ ": sym pruned") true (stats.V.Dpor.sym_prunes > 0)
   in
-  let prog_of_codes codes = Prog.seq_all (List.map op_of_code codes) in
-  qtc ~count:40 "state-dedup never drops a distinct leaf log"
-    QCheck.(
-      pair
-        (list_of_size Gen.(1 -- 3) (int_range 0 9))
-        (list_of_size Gen.(1 -- 3) (int_range 0 9)))
-    (fun (a, b) ->
-      let layer = Ccal_machine.Tso.layer () in
-      let threads = [ 1, prog_of_codes a; 2, prog_of_codes b ] in
-      let flag_logs, _ = explore_with ~engine:(E.optimal ~depth:4 ()) layer threads 4 in
-      let dd_logs, _ =
-        explore_with ~engine:(E.optimal ~dedup:true ~depth:4 ()) layer threads 4
-      in
-      log_sets_equal flag_logs dd_logs)
+  check "lock,sym" (Lock_intf.layer "Llock") (lock_threads 3) 5;
+  check "ticket,sym" (Ticket_lock.l0 ()) (ticket_threads 3) 4
+
+(* The depth-8 scaling point of [make check-sym]: ticket 4 threads under
+   events independence, pinned count by count so a change to the sym
+   decision or to the sleep sets it interacts with shows up here. *)
+let test_sym_ticket_4t_depth8 () =
+  let _, r =
+    explore_with ~independence:V.Dpor.Commuting_events
+      ~engine:(sym_engine ~depth:8) (Ticket_lock.l0 ()) (ticket_threads 4) 8
+  in
+  let s = r.V.Dpor.stats in
+  check_int "runs" 1_550 s.V.Dpor.schedules_run;
+  check_int "sleep-set skips" 389 s.V.Dpor.sleep_set_prunes;
+  check_int "symmetry prunes" 108 s.V.Dpor.sym_prunes;
+  check_int "distinct logs" 1_535 s.V.Dpor.distinct_logs
 
 (* ---- saturation ---- *)
 
@@ -458,9 +441,8 @@ let test_engine_of_string_accepts () =
   ok "dpor" "dpor:4";
   ok "dpor:7" "dpor:7";
   ok "default" "dpor:4";
-  ok "optimal" "optimal:4";
-  ok "optimal:8,dedup,sym" "optimal:8,dedup,sym";
-  ok "optimal,sym" "optimal:4,sym";
+  ok "dpor,sym" "dpor:4,sym";
+  ok "dpor:8,sym" "dpor:8,sym";
   ok "exhaustive:3" "exhaustive:3";
   ok "random:5" "random:5"
 
@@ -479,10 +461,15 @@ let test_engine_of_string_rejects () =
          in
          scan 0)
   in
-  rejects "dpor,dedup" "dedup";
+  rejects "dpor,dedup" "use dpor[:DEPTH],sym";
+  rejects "dpor:8,sym,dedup" "use dpor[:DEPTH],sym";
+  rejects "optimal" "use dpor[:DEPTH],sym";
+  rejects "optimal:8,sym" "use dpor[:DEPTH],sym";
+  rejects "optimal:8,dedup,sym" "use dpor[:DEPTH],sym";
+  rejects "dpor,sym,sym" "duplicate";
   rejects "exhaustive:2,sym" "sym";
-  rejects "optimal:0" "positive";
-  rejects "optimal:x" "integer";
+  rejects "dpor:0" "positive";
+  rejects "dpor:x" "integer";
   rejects "default:3" "no depth";
   rejects "frobnicate" "unknown strategy"
 
@@ -621,14 +608,16 @@ let suite =
     tc "split: condvar across jobs grid" test_split_condvar;
     tc "split: Llock 6 threads depth 7 (279,936 considered)"
       test_split_llock_6t_depth7;
-    tc "engine matrix: ticket (dpor/optimal/dedup vs oracle)"
+    tc "engine matrix: ticket (dpor vs oracle, dpor,sym subset)"
       test_matrix_ticket;
     tc "engine matrix: MCS" test_matrix_mcs;
     tc "engine matrix: shared queue" test_matrix_queue;
     tc "engine matrix: rwlock" test_matrix_rwlock;
     tc "engine matrix: kv hash table" test_matrix_kv;
     tc "symmetry reduction prunes the lock game" test_sym_prunes_lock;
-    prop_dedup_never_drops_logs;
+    tc "split: dpor,sym across jobs grid" test_split_sym;
+    tc "dpor:8,sym pins ticket 4t depth 8 (1,550 runs)"
+      test_sym_ticket_4t_depth8;
     tc "schedules_considered saturates at max_int" test_considered_saturates;
     tc "Engine.of_string accepts the grammar" test_engine_of_string_accepts;
     tc "Engine.of_string rejects by name" test_engine_of_string_rejects;
