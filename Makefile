@@ -38,11 +38,11 @@ check: build check-test-count check-cache check-robust check-speedup check-kv ch
 # assertion self-skips (OCaml 5's minor GC is a stop-the-world rendezvous
 # across domains — extra domains cannot win on one core) and the section
 # pins the sequential-throughput floor and cross-jobs verdict identity
-# instead.  `--parallel-only` regenerates BENCH_parallel.json with the
-# full measured curve.
+# instead.  `--only parallel` measures the full curve; it runs in _build/
+# so the BENCH_parallel.json it writes leaves the committed one alone.
 check-speedup: build
 	dune exec test/test_main.exe -- test perf-gate
-	_build/default/bench/main.exe --parallel-only
+	cd _build && default/bench/main.exe --only parallel
 
 # The certificate-cache gate (DESIGN.md S26): a warm stack run over a
 # populated store must print a bit-identical canonical report and finish
@@ -124,12 +124,13 @@ check-robust: build
 #      (exit 1 on any extra or missing outcome);
 #   2. the whole stack re-certifies under --memory tso (store buffers,
 #      flusher moves, drain environments) for both lock implementations;
-#   3. the dual-mode bench regenerates BENCH_tso.json.
+#   3. the dual-mode bench, run in _build/ so its BENCH_tso.json lands
+#      there and not over the committed one.
 check-tso: build
 	$(CCAL_BIN) litmus all --table _build/litmus-table.txt
 	$(CCAL_BIN) stack --memory tso
 	$(CCAL_BIN) stack --memory tso --lock mcs
-	_build/default/bench/main.exe --tso-only
+	cd _build && default/bench/main.exe --only tso
 
 # The crash-safety gate (DESIGN.md S30).  Three legs:
 #   1. the WAL and durable-kv edges certify crash refinement: every

@@ -232,10 +232,6 @@ let ctx_of c =
   in
   let ctx = V.Ctx.with_memory c.memory ctx in
   let ctx = V.Ctx.with_faults c.faults ctx in
-  let ctx = V.Ctx.with_stats c.stats ctx in
-  let ctx =
-    match c.trace with Some t -> V.Ctx.with_trace t ctx | None -> ctx
-  in
   V.Ctx.with_budget c.budget ctx
 
 let pp_fault_summary fmt (c : common) =

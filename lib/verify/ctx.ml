@@ -23,8 +23,6 @@ type t = {
           → Explore) share it by passing the same context down, so one
           budget covers the whole verification *)
   faults : Fault.plan;
-  stats : bool;  (** CLI toggle: print the telemetry table afterwards *)
-  trace : string option;  (** CLI toggle: write a Chrome trace here *)
 }
 
 let default =
@@ -36,8 +34,6 @@ let default =
     budget = Budget.unlimited;
     token = Budget.no_token;
     faults = Fault.none;
-    stats = false;
-    trace = None;
   }
 
 (* Builders.  [with_budget] (re)starts the token, so the deadline epoch
@@ -45,17 +41,13 @@ let default =
    running the checker. *)
 let with_jobs jobs t = { t with jobs = max 1 jobs }
 let with_cache cache t = { t with cache = Some cache }
-let without_cache t = { t with cache = None }
 let with_strategy strategy t = { t with strategy = Engine.checked strategy }
 let with_memory memory t = { t with memory }
 let with_budget budget t = { t with budget; token = Budget.start budget }
 let with_faults faults t = { t with faults }
-let with_stats stats t = { t with stats }
-let with_trace trace t = { t with trace = Some trace }
 
 let make ?(jobs = 1) ?cache ?(strategy = Engine.default)
-    ?(memory = Ccal_core.Memory.default) ?budget ?(faults = Fault.none)
-    ?(stats = false) ?trace () =
+    ?(memory = Ccal_core.Memory.default) ?budget ?(faults = Fault.none) () =
   let budget = Option.value budget ~default:Budget.unlimited in
   {
     jobs = max 1 jobs;
@@ -65,8 +57,6 @@ let make ?(jobs = 1) ?cache ?(strategy = Engine.default)
     budget;
     token = (if Budget.is_unlimited budget then Budget.no_token else Budget.start budget);
     faults;
-    stats;
-    trace;
   }
 
 let jobs_opt t = if t.jobs <= 1 then None else Some t.jobs

@@ -27,8 +27,6 @@ type t = {
   budget : Budget.t;
   token : Budget.token;  (** running token for [budget] *)
   faults : Fault.plan;
-  stats : bool;  (** CLI toggle: print the telemetry table afterwards *)
-  trace : string option;  (** CLI toggle: write a Chrome trace here *)
 }
 
 val default : t
@@ -42,8 +40,6 @@ val make :
   ?memory:Ccal_core.Memory.t ->
   ?budget:Budget.t ->
   ?faults:Fault.plan ->
-  ?stats:bool ->
-  ?trace:string ->
   unit ->
   t
 (** Build a context in one go; a non-unlimited [budget] starts its token
@@ -56,7 +52,6 @@ val make :
 
 val with_jobs : int -> t -> t
 val with_cache : Cache.t -> t -> t
-val without_cache : t -> t
 
 val with_strategy : Engine.t -> t -> t
 (** Select the exploration engine.  Validates the descriptor
@@ -74,8 +69,6 @@ val with_budget : Budget.t -> t -> t
     attached, so attach it last, right before running the checker. *)
 
 val with_faults : Fault.plan -> t -> t
-val with_stats : bool -> t -> t
-val with_trace : string -> t -> t
 
 (** {1 Plumbing} *)
 

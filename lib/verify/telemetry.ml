@@ -7,7 +7,7 @@
    human-readable stats table ([pp_stats]) and the Chrome-trace exporter
    ([write_chrome_trace]), which turn a verification run's recorded
    counters, spans and pool statistics into artifacts for the CLI's
-   [--stats] / [--trace] flags and the bench's BENCH_telemetry.json.
+   [--stats] / [--trace] flags and the bench's [--only telemetry] rows.
 
    No JSON library ships in the container, so the trace writer emits the
    Trace Event Format by hand — the format is flat enough (one object per

@@ -17,3 +17,12 @@ let timed f =
   let t0 = now_ns () in
   let r = f () in
   r, elapsed_ms ~since:t0
+
+type timing = { median_ms : float; min_ms : float; max_ms : float; n : int }
+
+let measure ~repeats f =
+  let runs = List.init (max 1 repeats) (fun _ -> Gc.full_major (); timed f) in
+  let ms = Array.of_list (List.sort Float.compare (List.map snd runs)) in
+  let n = Array.length ms in
+  ( fst (List.hd runs),
+    { median_ms = ms.(n / 2); min_ms = ms.(0); max_ms = ms.(n - 1); n } )

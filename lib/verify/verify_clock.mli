@@ -21,3 +21,10 @@ val elapsed_ms : since:int64 -> float
 val timed : (unit -> 'a) -> 'a * float
 (** [timed f] runs [f] and returns its result with the elapsed
     milliseconds. *)
+
+type timing = { median_ms : float; min_ms : float; max_ms : float; n : int }
+
+val measure : repeats:int -> (unit -> 'a) -> 'a * timing
+(** [measure ~repeats f] runs [f] [max 1 repeats] times, each after a full
+    major collection, and returns the first run's result with the median,
+    fastest and slowest of the [n] timings, in milliseconds. *)

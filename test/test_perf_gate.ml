@@ -81,7 +81,7 @@ let test_parallel_speedup_gate () =
       cores
   else begin
     (* a bigger minor heap spaces out the cross-domain rendezvous; the
-       bench applies the same hygiene (see --parallel-only) *)
+       bench applies the same hygiene (see --only parallel) *)
     let saved = Gc.get () in
     Fun.protect
       ~finally:(fun () -> Gc.set saved)
