@@ -48,6 +48,9 @@ check-speedup: build
 # populated store must print a bit-identical canonical report and finish
 # at least 2x faster than the cold run that filled it.  Uses the built
 # binary directly so the wall-clock ratio isn't swamped by dune overhead.
+# A third, untimed run over the warm store with --stats must print
+# "0 misses" and no schedules_run counter: the same claim without the
+# clock, so it holds however slowly the disk flushes.
 CCAL_BIN := _build/default/bin/ccal_cli.exe
 CACHE_CHECK_DIR := _build/ccal-cache-check
 
@@ -65,12 +68,20 @@ check-cache: build
 	if [ $$(( warm * 2 )) -gt $$cold ]; then \
 	  echo "check-cache: REGRESSION - warm run not >= 2x faster"; exit 1; fi; \
 	echo "check-cache: OK (reports identical, >= 2x speedup)"
+	@out=$$($(CCAL_BIN) stack --cache-dir $(CACHE_CHECK_DIR) --jobs 2 --stats) || exit 1; \
+	echo "$$out" | grep -q '^cache: [0-9]* hits, 0 misses,' || { \
+	  echo "check-cache: REGRESSION - warm run missed the store ($$(echo "$$out" | grep '^cache:'))"; exit 1; }; \
+	if echo "$$out" | grep -q 'schedules_run'; then \
+	  echo "check-cache: REGRESSION - warm run replayed schedules"; exit 1; fi; \
+	echo "check-cache: OK (warm --stats run: 0 misses, no schedule replayed)"
 	@$(CCAL_BIN) cache stats --cache-dir $(CACHE_CHECK_DIR)
 
 # The kv-stack gate (DESIGN.md S28): all three kv edges (hash table over
 # its shards, block cache over the disk, composed service over the map
 # spec) must certify, and a warm run over a populated store must print a
 # bit-identical canonical report at least 2x faster than the cold run.
+# As in check-cache, a third run over the warm store with --stats must
+# print "0 misses" and no schedules_run counter.
 # A jobs 4 run must print the jobs 1 report byte for byte: the replay
 # memos are per-domain (DESIGN.md S32), and this guards them under
 # concurrent plays.
@@ -90,6 +101,12 @@ check-kv: build
 	if [ $$(( warm * 2 )) -gt $$cold ]; then \
 	  echo "check-kv: REGRESSION - warm run not >= 2x faster"; exit 1; fi; \
 	echo "check-kv: OK (3 edges certified, reports identical, >= 2x speedup)"
+	@out=$$($(CCAL_BIN) kv --threads 4 --cache-dir $(KV_CHECK_DIR) --stats) || exit 1; \
+	echo "$$out" | grep -q '^cache: [0-9]* hits, 0 misses,' || { \
+	  echo "check-kv: REGRESSION - warm run missed the store ($$(echo "$$out" | grep '^cache:'))"; exit 1; }; \
+	if echo "$$out" | grep -q 'schedules_run'; then \
+	  echo "check-kv: REGRESSION - warm run replayed schedules"; exit 1; fi; \
+	echo "check-kv: OK (warm --stats run: 0 misses, no schedule replayed)"
 	@$(CCAL_BIN) kv --threads 4 --jobs 1 --report _build/kv-jobs1.txt > /dev/null || exit 1; \
 	$(CCAL_BIN) kv --threads 4 --jobs 4 --report _build/kv-jobs4.txt > /dev/null || exit 1; \
 	cmp _build/kv-jobs1.txt _build/kv-jobs4.txt || { \

@@ -30,14 +30,15 @@ let vi = Value.int
 let jobs_arg =
   Arg.(value & opt (some int) None
        & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Domains used for schedule checking.  Defaults to \
-                 $(b,CCAL_JOBS) when set, else the recommended domain \
-                 count; 1 forces the sequential path.  The verdict is \
+           ~doc:"Domains used for schedule checking, a positive integer.  \
+                 Defaults to $(b,CCAL_JOBS) when set, else the recommended \
+                 domain count; 1 forces the sequential path.  The verdict is \
                  identical for every value — parallelism changes \
                  wall-clock only.")
 
 let resolve_jobs = function
-  | Some n -> max 1 n
+  | Some n when n >= 1 -> Ok n
+  | Some n -> Error (Printf.sprintf "--jobs %d: expected a positive integer" n)
   | None -> Ccal_verify.Parallel.default_jobs ()
 
 let stats_arg =
@@ -184,34 +185,30 @@ type common = {
 
 let common_of jobs strategy memory use_cache cache_dir budget_ms budget_steps
     inject stats trace =
-  match strategy_of_string strategy with
-  | Error msg -> Error msg
-  | Ok strategy -> (
-    match memory_of_string memory with
-    | Error msg -> Error msg
-    | Ok memory -> (
-      match make_cache use_cache cache_dir with
-      | Error msg -> Error (Printf.sprintf "cannot open cache: %s" msg)
-      | Ok cache -> (
-        match
-          match inject with
-          | None -> Ok Ccal_verify.Fault.none
-          | Some spec -> Ccal_verify.Fault.parse spec
-        with
-        | Error msg -> Error msg
-        | Ok faults ->
-          Ok
-            {
-              jobs = resolve_jobs jobs;
-              cache;
-              strategy;
-              memory;
-              budget =
-                Ccal_verify.Budget.make ?ms:budget_ms ?steps:budget_steps ();
-              faults;
-              stats;
-              trace;
-            })))
+  let ( let* ) = Result.bind in
+  let* jobs = resolve_jobs jobs in
+  let* strategy = strategy_of_string strategy in
+  let* memory = memory_of_string memory in
+  let* cache =
+    Result.map_error (Printf.sprintf "cannot open cache: %s")
+      (make_cache use_cache cache_dir)
+  in
+  let* faults =
+    match inject with
+    | None -> Ok Ccal_verify.Fault.none
+    | Some spec -> Ccal_verify.Fault.parse spec
+  in
+  Ok
+    {
+      jobs;
+      cache;
+      strategy;
+      memory;
+      budget = Ccal_verify.Budget.make ?ms:budget_ms ?steps:budget_steps ();
+      faults;
+      stats;
+      trace;
+    }
 
 let common_term =
   Term.(const common_of $ jobs_arg $ strategy_arg $ memory_arg

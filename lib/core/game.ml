@@ -115,137 +115,35 @@ let deadlock_status ids =
   | [] -> All_done
   | real -> Deadlock real
 
+(* The play loop (Sec. 2): each round the scheduler picks a runnable
+   thread, which makes one move, and the move's events are appended to
+   the log.  The thread table is two arrays in [threads] order,
+   allocated once per play: the ids and their slots. *)
 let run cfg =
+  let threads = effective_threads cfg in
+  let ids = Array.of_list (List.map fst threads) in
   let slots =
-    List.map
-      (fun (i, p) -> i, ref (Running (Machine.initial cfg.layer i p)))
-      (effective_threads cfg)
+    Array.of_list
+      (List.map (fun (i, p) -> Running (Machine.initial cfg.layer i p)) threads)
+  in
+  let n = Array.length ids in
+  let index_of i =
+    let rec go k = if ids.(k) = i then k else go (k + 1) in
+    go 0
+  in
+  let pending () =
+    let rec go k acc =
+      if k < 0 then acc
+      else
+        match slots.(k) with
+        | Running _ -> go (k - 1) (ids.(k) :: acc)
+        | Finished _ -> go (k - 1) acc
+    in
+    go (n - 1) []
   in
   (* Pseudo-threads (tids < 0) are machinery, not members of the domain:
      flushers never finish, but a fired crash thread does, and its unit
      result must not leak into the observable thread results. *)
-  let results () =
-    List.filter_map
-      (fun (i, r) ->
-        match !r with
-        | Finished v when i >= 0 -> Some (i, v)
-        | Finished _ | Running _ -> None)
-      slots
-  in
-  let rec loop log steps silent last_mover violations =
-    if steps >= cfg.max_steps then
-      { log; results = results (); status = Out_of_fuel; steps; silent_steps = silent; guar_violations = List.rev violations }
-    else
-      let pending =
-        List.filter_map
-          (fun (i, r) -> match !r with Running st -> Some (i, r, st) | Finished _ -> None)
-          slots
-      in
-      match pending with
-      | [] ->
-        { log; results = results (); status = All_done; steps; silent_steps = silent; guar_violations = List.rev violations }
-      | _ when (match cfg.stop with Some s -> s () | None -> false) ->
-        (* Cooperative cancellation (DESIGN.md S27): the stop closure is
-           polled once per move, before the scheduler is consulted but
-           only when a move remains — a game that already finished all
-           its moves reports [All_done] even on an exactly-spent budget —
-           so a cancelled game carries a meaningful play prefix in
-           [log]. *)
-        { log; results = results (); status = Cancelled; steps; silent_steps = silent; guar_violations = List.rev violations }
-      | _ ->
-        (* Pick a mover; threads found blocked at this log are excluded and
-           the scheduler is asked again. *)
-        let rec attempt excluded =
-          let candidates =
-            List.filter (fun (i, _, _) -> not (List.mem i excluded)) pending
-          in
-          match candidates with
-          | [] ->
-            `Deadlock (List.map (fun (i, _, _) -> i) pending)
-          | _ ->
-            let runnable = List.map (fun (i, _, _) -> i) candidates in
-            let chosen =
-              match cfg.sched.Sched.pick ~step:steps log ~runnable with
-              | Some i when List.mem i runnable -> i
-              | Some _ | None -> List.hd runnable
-            in
-            let _, slot, st =
-              List.find (fun (i, _, _) -> i = chosen) candidates
-            in
-            let move_log =
-              if cfg.log_switches && last_mover <> Some chosen then
-                Log.append (Event.switch chosen) log
-              else log
-            in
-            let result, cost = Machine.step_move_counted cfg.layer chosen st move_log in
-            (match result with
-            | Machine.Moved (evs, st') ->
-              slot := Running st';
-              `Moved (chosen, move_log, evs, cost)
-            | Machine.Finished (v, _) ->
-              slot := Finished v;
-              `Moved (chosen, move_log, [], cost)
-            | Machine.Blocked_at (st', _) ->
-              slot := Running st';
-              attempt (chosen :: excluded)
-            | Machine.Stuck (kind, msg) -> `Stuck (chosen, kind, msg))
-        in
-        (match attempt [] with
-        | `Deadlock ids ->
-          { log; results = results (); status = deadlock_status ids; steps; silent_steps = silent; guar_violations = List.rev violations }
-        | `Stuck (i, kind, msg) ->
-          { log; results = results (); status = Stuck (i, kind, msg); steps; silent_steps = silent; guar_violations = List.rev violations }
-        | `Moved (i, move_log, evs, cost) ->
-          let log' = Log.append_all evs move_log in
-          let violations =
-            if
-              cfg.check_guar && evs <> []
-              && not (cfg.layer.Layer.guar.Rely_guarantee.holds i log')
-            then (i, log') :: violations
-            else violations
-          in
-          loop log' (steps + 1) (silent + cost) (Some i) violations)
-  in
-  observe (Replay.scoped (fun () -> loop Log.empty 0 0 None []))
-
-(* ------------------------------------------------------------------ *)
-(* allocation-light replay (DESIGN.md S24)                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Reusable per-domain working state for {!replay_into}.  [run] rebuilds
-   a [(tid, ref slot) list] association per schedule and re-filters it
-   into [pending]/[candidates] lists on every move; over ~10⁵ replayed
-   schedules that churn is what made the minor GC the bottleneck of the
-   parallel checkers.  The scratch keeps the thread table in three
-   parallel arrays, resized only when the thread count changes, so a
-   domain replaying a suite reuses the same words for every schedule. *)
-type scratch = {
-  mutable ids : Event.tid array;  (* thread ids, in [threads] order *)
-  mutable slots : slot array;  (* parallel to [ids] *)
-  mutable blocked : bool array;  (* threads found blocked this move *)
-}
-
-let make_scratch () = { ids = [||]; slots = [||]; blocked = [||] }
-
-(* Bit-identical to {!run} — pinned by the QCheck equivalence properties
-   in test/test_parallel.ml.  The loop below mirrors [run] clause for
-   clause; only the bookkeeping containers differ. *)
-let replay_into scratch cfg =
-  let threads = effective_threads cfg in
-  let n = List.length threads in
-  if Array.length scratch.ids <> n then begin
-    scratch.ids <- Array.make n 0;
-    scratch.slots <- Array.make n (Finished Value.unit);
-    scratch.blocked <- Array.make n false
-  end;
-  let ids = scratch.ids
-  and slots = scratch.slots
-  and blocked = scratch.blocked in
-  List.iteri
-    (fun k (i, p) ->
-      ids.(k) <- i;
-      slots.(k) <- Running (Machine.initial cfg.layer i p))
-    threads;
   let results () =
     let rec go k acc =
       if k < 0 then acc
@@ -256,90 +154,65 @@ let replay_into scratch cfg =
     in
     go (n - 1) []
   in
-  let pending_ids () =
-    let rec go k acc =
-      if k < 0 then acc
-      else
-        match slots.(k) with
-        | Running _ -> go (k - 1) (ids.(k) :: acc)
-        | Finished _ -> go (k - 1) acc
-    in
-    go (n - 1) []
-  in
-  let index_of i =
-    let rec go k = if ids.(k) = i then k else go (k + 1) in
-    go 0
+  let finish log steps silent violations status =
+    {
+      log;
+      results = results ();
+      status;
+      steps;
+      silent_steps = silent;
+      guar_violations = List.rev violations;
+    }
   in
   let rec loop log steps silent last_mover violations =
-    if steps >= cfg.max_steps then
-      { log; results = results (); status = Out_of_fuel; steps; silent_steps = silent; guar_violations = List.rev violations }
-    else begin
-      let npending = ref 0 in
-      for k = 0 to n - 1 do
-        match slots.(k) with
-        | Running _ -> incr npending
-        | Finished _ -> ()
-      done;
-      if !npending = 0 then
-        { log; results = results (); status = All_done; steps; silent_steps = silent; guar_violations = List.rev violations }
-      else if match cfg.stop with Some s -> s () | None -> false then
-        { log; results = results (); status = Cancelled; steps; silent_steps = silent; guar_violations = List.rev violations }
-      else begin
-        for k = 0 to n - 1 do
-          blocked.(k) <- false
-        done;
-        let rec attempt () =
-          (* runnable = still-running threads not yet found blocked this
-             move, in [threads] order — exactly [run]'s candidate list *)
-          let rec build k acc =
-            if k < 0 then acc
-            else
-              build (k - 1)
-                (match slots.(k) with
-                | Running _ when not blocked.(k) -> ids.(k) :: acc
-                | Running _ | Finished _ -> acc)
-          in
-          match build (n - 1) [] with
-          | [] -> `Deadlock (pending_ids ())
-          | runnable ->
+    if steps >= cfg.max_steps then finish log steps silent violations Out_of_fuel
+    else
+      match pending () with
+      | [] -> finish log steps silent violations All_done
+      | _ when (match cfg.stop with Some s -> s () | None -> false) ->
+        (* Cooperative cancellation (DESIGN.md S27): the stop closure is
+           polled once per move, before the scheduler is consulted but
+           only when a move remains — a game that already finished all
+           its moves reports [All_done] even on an exactly-spent budget —
+           so a cancelled game carries a meaningful play prefix in
+           [log]. *)
+        finish log steps silent violations Cancelled
+      | pending ->
+        (* Offer the pending threads.  A pick found blocked at this log
+           leaves the offer and the scheduler is asked again; it is
+           offered again at the next move. *)
+        let rec attempt runnable =
+          match runnable with
+          | [] -> finish log steps silent violations (deadlock_status pending)
+          | first :: _ -> (
             let chosen =
               match cfg.sched.Sched.pick ~step:steps log ~runnable with
               | Some i when List.mem i runnable -> i
-              | Some _ | None -> List.hd runnable
+              | Some _ | None -> first
             in
             let k = index_of chosen in
             let st =
-              match slots.(k) with
-              | Running st -> st
-              | Finished _ -> assert false
+              match slots.(k) with Running st -> st | Finished _ -> assert false
             in
             let move_log =
               if cfg.log_switches && last_mover <> Some chosen then
                 Log.append (Event.switch chosen) log
               else log
             in
-            let result, cost =
-              Machine.step_move_counted cfg.layer chosen st move_log
-            in
-            (match result with
+            let result, cost = Machine.step_move_counted cfg.layer chosen st move_log in
+            match result with
             | Machine.Moved (evs, st') ->
               slots.(k) <- Running st';
-              `Moved (chosen, move_log, evs, cost)
+              moved chosen move_log evs cost
             | Machine.Finished (v, _) ->
               slots.(k) <- Finished v;
-              `Moved (chosen, move_log, [], cost)
+              moved chosen move_log [] cost
             | Machine.Blocked_at (st', _) ->
               slots.(k) <- Running st';
-              blocked.(k) <- true;
-              attempt ()
-            | Machine.Stuck (kind, msg) -> `Stuck (chosen, kind, msg))
-        in
-        match attempt () with
-        | `Deadlock ids ->
-          { log; results = results (); status = deadlock_status ids; steps; silent_steps = silent; guar_violations = List.rev violations }
-        | `Stuck (i, kind, msg) ->
-          { log; results = results (); status = Stuck (i, kind, msg); steps; silent_steps = silent; guar_violations = List.rev violations }
-        | `Moved (i, move_log, evs, cost) ->
+              attempt (List.filter (fun i -> i <> chosen) runnable)
+            | Machine.Stuck (kind, msg) ->
+              finish log steps silent violations (Stuck (chosen, kind, msg)))
+        and moved i move_log evs cost =
           let log' = Log.append_all evs move_log in
           let violations =
             if
@@ -349,30 +222,14 @@ let replay_into scratch cfg =
             else violations
           in
           loop log' (steps + 1) (silent + cost) (Some i) violations
-      end
-    end
+        in
+        attempt pending
   in
   observe (Replay.scoped (fun () -> loop Log.empty 0 0 None []))
 
-(* A lock-free freelist of scratches: the checkers call {!replay} from
-   arbitrary pool domains, and a Treiber stack keeps the live scratch
-   count bounded by the number of concurrent games without a domain-local
-   key per call site. *)
-let scratch_pool : scratch list Atomic.t = Atomic.make []
-
-let rec pool_get () =
-  match Atomic.get scratch_pool with
-  | [] -> make_scratch ()
-  | (s :: rest) as cur ->
-    if Atomic.compare_and_set scratch_pool cur rest then s else pool_get ()
-
-let rec pool_put s =
-  let cur = Atomic.get scratch_pool in
-  if not (Atomic.compare_and_set scratch_pool cur (s :: cur)) then pool_put s
-
-let replay cfg =
-  let s = pool_get () in
-  Fun.protect ~finally:(fun () -> pool_put s) (fun () -> replay_into s cfg)
+(* Kept as a name for {!run}: the benchmark harness in perfbench/ calls
+   it. *)
+let replay = run
 
 let behaviors ?max_steps ?log_switches ?check_guar ?memory layer threads scheds =
   List.map

@@ -71,9 +71,9 @@ val pseudo_threads :
   (Event.tid * Prog.t) list
 (** All pseudo-threads the game appends to the real domain:
     {!flusher_threads} followed by {!crash_threads}.  This is the single
-    synthesis point, shared by {!run}/{!replay} and by the DPOR and
-    exhaustive explorers, so the negative-tid namespace (crash thread at
-    [-1], flusher for cpu [c] at [-c-1]) cannot silently collide.
+    synthesis point, shared by {!run} and by the DPOR and exhaustive
+    explorers, so the negative-tid namespace (crash thread at [-1],
+    flusher for cpu [c] at [-c-1]) cannot silently collide.
     Raises [Invalid_argument] on a real thread with a negative id or a
     duplicated pseudo tid.  Pseudo tids never appear in {!Deadlock}
     lists or [results]. *)
@@ -98,30 +98,16 @@ type outcome = {
 }
 
 val run : config -> outcome
-
-(** {1 Allocation-light replay}
-
-    The parallel checkers replay on the order of 10⁵ schedules per
-    verdict; {!run}'s per-move list rebuilds and per-schedule slot
-    reconstruction made the minor GC — a stop-the-world rendezvous across
-    every domain on OCaml 5 — the bottleneck of the whole pool
-    (DESIGN.md S24).  {!replay_into} plays the identical game over a
-    reusable scratch, and is pinned bit-identical to {!run} by the
-    equivalence properties in test/test_parallel.ml. *)
-
-type scratch
-(** Reusable per-domain working state: the thread table as parallel
-    arrays, resized only when the thread count changes.  A scratch must
-    not be shared between concurrently running games. *)
-
-val make_scratch : unit -> scratch
-
-val replay_into : scratch -> config -> outcome
-(** [replay_into s cfg] = [run cfg], reusing [s]'s storage. *)
+(** Play one game.  At each move the scheduler is offered the pending
+    threads in [threads] order.  A pick whose next shared call blocks at
+    the current log leaves the offer and the scheduler is asked again;
+    the blocked thread is offered again at the next move.  When no
+    thread is left to offer, the game ends with {!Deadlock} listing
+    every pending real thread in [threads] order. *)
 
 val replay : config -> outcome
-(** Like {!run}, borrowing a scratch from a lock-free freelist — the
-    entry point the checkers use for their per-schedule bodies. *)
+(** [replay] is {!run}, kept under this name for the benchmark harness
+    in perfbench/. *)
 
 val behaviors :
   ?max_steps:int ->

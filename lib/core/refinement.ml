@@ -144,7 +144,7 @@ let check_one_gen ?stop ?memory ~max_steps ~expect_all_done ~underlay ~overlay
      is replayed as ever — the relation is responsible for translating
      the buffering events away ({!Ccal_machine.Tso.under_memory}). *)
   let outcome =
-    Game.replay
+    Game.run
       (Game.config ~max_steps ?stop ?memory underlay threads_under sched)
   in
   match outcome.Game.status with

@@ -34,8 +34,8 @@ val fold : init:'a -> step:('a -> Event.t -> ('a, string) result) -> 'a t
 val scoped : (unit -> 'a) -> 'a
 (** [scoped f] runs [f] in a fresh memo scope private to the calling
     domain, dropped (and the enclosing one restored) when [f] returns or
-    raises.  Every game play ({!Game.run}, {!Game.replay_into}) is one
-    scope, so a play's replay cost is linear in its length. *)
+    raises.  Every game play ({!Game.run}) is one scope, so a play's
+    replay cost is linear in its length. *)
 
 val pure : 'a -> 'a t
 val map : ('a -> 'b) -> 'a t -> 'b t

@@ -183,7 +183,7 @@ let check_sched ~bound ?stop edge sched =
   let cfg =
     Game.config ~max_steps:edge.max_steps ?stop edge.layer edge.threads sched
   in
-  let o = Game.replay cfg in
+  let o = Game.run cfg in
   match o.Game.status with
   | Game.Cancelled -> `Interrupted
   | Game.All_done ->

@@ -468,7 +468,7 @@ let explore_ctx ~ctx ?max_steps ?private_fuel ?(independence = Exact) ?reads
           ~interrupted:(fun o -> o.Game.status = Game.Cancelled)
           ~cut:(fun _ -> false)
           (fun ~stop p ->
-            Game.replay
+            Game.run
               (Game.config ?max_steps ?stop ~memory:ctx.Ctx.memory layer
                  threads (sched_of_prefix p)))
           prefixes)

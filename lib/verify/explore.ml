@@ -81,7 +81,7 @@ let run_all_ctx ~ctx ?max_steps layer threads scheds =
           ~interrupted:(fun o -> o.Game.status = Game.Cancelled)
           ~cut:(fun _ -> false)
           (fun ~stop sched ->
-            Game.replay
+            Game.run
               (Game.config ?max_steps ?stop ~memory:ctx.Ctx.memory layer
                  threads sched))
           scheds)

@@ -35,11 +35,12 @@
 
 let default_jobs () =
   match Sys.getenv_opt "CCAL_JOBS" with
+  | None | Some "" -> Ok (Domain.recommended_domain_count ())
   | Some s -> (
     match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None ->
+      Error (Printf.sprintf "CCAL_JOBS=%s: expected a positive integer" s))
 
 (* ------------------------------------------------------------------ *)
 (* cumulative pool statistics (all pools, all batches)                 *)

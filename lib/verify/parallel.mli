@@ -15,10 +15,11 @@
     spawned domains.  [~jobs:1] (the oracle) bypasses the pool entirely
     and takes the plain sequential code path. *)
 
-val default_jobs : unit -> int
-(** The [CCAL_JOBS] environment variable when set to a positive integer,
-    otherwise [Domain.recommended_domain_count ()].  What the CLI and the
-    benchmarks use when no [--jobs] is given. *)
+val default_jobs : unit -> (int, string) result
+(** The [CCAL_JOBS] environment variable when set, otherwise
+    [Domain.recommended_domain_count ()]; an empty value counts as unset.
+    A value that is not a positive integer is an [Error] naming it.  What
+    the CLI uses when no [--jobs] is given. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [List.map f xs], evaluated across [min jobs

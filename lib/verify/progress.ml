@@ -12,7 +12,7 @@ type bound_report = {
    so the budgeted scan can charge actual game cost. *)
 let check_sched ~bound layer threads ~stop sched =
   let outcome =
-    Game.replay (Game.config ~max_steps:bound ?stop layer threads sched)
+    Game.run (Game.config ~max_steps:bound ?stop layer threads sched)
   in
   let r =
     match outcome.Game.status with

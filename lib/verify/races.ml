@@ -47,7 +47,7 @@ let classify sched outcome =
 let eval ?max_steps ?memory layer threads ~stop sched =
   Probe.incr Probe.race_checks;
   let outcome =
-    Game.replay (Game.config ?max_steps ?stop ?memory layer threads sched)
+    Game.run (Game.config ?max_steps ?stop ?memory layer threads sched)
   in
   (outcome.Game.steps, classify sched outcome)
 

@@ -603,7 +603,7 @@ let verify_all_ctx ~ctx ?(lock = `Ticket) ?(seeds = 4) ?strategy
                       ~cut:(fun _ -> false)
                       (fun ~stop sched ->
                         let o =
-                          Game.replay
+                          Game.run
                             (Game.config ~max_steps:200_000 ?stop
                                ~memory:ctx.Ctx.memory layer threads sched)
                         in

@@ -464,7 +464,7 @@ let test_ycsb_two_domains () =
     ]
   in
   let play (layer, threads) =
-    Game.replay
+    Game.run
       (Game.config ~max_steps:200_000 layer threads (Sched.random ~seed:5))
   in
   let sequential = List.map play games in

@@ -181,6 +181,31 @@ let test_progress_jobs_invariant_failing () =
   | Ok _ -> Alcotest.fail "starvation not detected");
   result
 
+let test_default_jobs () =
+  (* an empty value counts as unset, so putting back "" undoes the test
+     when the variable was not set *)
+  let saved = Option.value (Sys.getenv_opt "CCAL_JOBS") ~default:"" in
+  let with_env v =
+    Unix.putenv "CCAL_JOBS" v;
+    Parallel.default_jobs ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "CCAL_JOBS" saved)
+    (fun () ->
+      check_bool "CCAL_JOBS=3" true (with_env "3" = Ok 3);
+      check_bool "CCAL_JOBS=' 4 '" true (with_env " 4 " = Ok 4);
+      check_bool "empty CCAL_JOBS = unset" true
+        (with_env "" = Ok (Domain.recommended_domain_count ()));
+      List.iter
+        (fun bad ->
+          match with_env bad with
+          | Ok n -> Alcotest.failf "CCAL_JOBS=%s accepted as %d" bad n
+          | Error msg ->
+            check_string "error names the value"
+              (Printf.sprintf "CCAL_JOBS=%s: expected a positive integer" bad)
+              msg)
+        [ "abc"; "0"; "-2"; "1.5" ])
+
 (* ---- linearizability / refinement ---- *)
 
 let lock_client i =
@@ -285,16 +310,11 @@ let test_stack_report_jobs_invariant () =
       | Ok r -> Ok (strip r)
       | Error _ as e -> e)
 
-(* ---- Game.replay_into: the allocation-free replay hot path (S24) ----
+(* ---- the game loop ([Game.run]) ----
 
-   The scratch-reusing replay is the engine under every parallel checker;
-   these properties pin it bit-identical to [Game.run] over random games,
-   schedules, fuel bounds and stop-closure truncation points.  One scratch
-   is shared across every property iteration on purpose: staleness from a
-   previous game (different thread count included — the resize path) must
-   never leak into the next outcome. *)
-
-let shared_scratch = Game.make_scratch ()
+   The one play loop under every checker, tested directly: a golden
+   digest of a fixed corpus of outcomes, truncation by the stop closure,
+   and the protocol for threads found blocked. *)
 
 let replay_game kind n =
   match kind with
@@ -315,9 +335,10 @@ let replay_game kind n =
     ( Layer.make "Lpp" Ccal_machine.Pushpull.prims,
       List.init n (fun k -> k + 1, grab (k + 1)) )
 
-(* Build a fresh config per run: trace schedulers and stop closures are
-   single-use state. *)
-let replay_config ?stop_after ~max_steps ~check_guar kind n trace =
+(* Build a fresh config per play: trace schedulers and stop closures are
+   single-use state.  The stop closure trips on its [k+1]-th poll. *)
+let replay_config ?stop_after ?log_switches ~max_steps ~check_guar kind n
+    trace =
   let layer, threads = replay_game kind n in
   let stop =
     Option.map
@@ -328,7 +349,8 @@ let replay_config ?stop_after ~max_steps ~check_guar kind n trace =
           !polls > k)
       stop_after
   in
-  Game.config ~max_steps ~check_guar ?stop layer threads (Sched.of_trace trace)
+  Game.config ~max_steps ?log_switches ~check_guar ?stop layer threads
+    (Sched.of_trace trace)
 
 let gen_replay_case =
   QCheck.(
@@ -336,43 +358,176 @@ let gen_replay_case =
       (list_of_size Gen.(0 -- 12) (int_range 0 5))
       (int_range 1 40))
 
-let prop_replay_into_equals_run =
-  qtc "Game.replay_into (reused scratch) = Game.run" gen_replay_case
-    (fun (kind, n, trace, max_steps) ->
-      let mk () = replay_config ~max_steps ~check_guar:true kind n trace in
-      Game.run (mk ()) = Game.replay_into shared_scratch (mk ()))
+(* Everything an outcome carries, as text. *)
+let render_outcome (o : Game.outcome) =
+  let results =
+    List.map
+      (fun (i, v) -> Printf.sprintf "%d=%s" i (Value.to_string v))
+      o.Game.results
+  in
+  let violations =
+    List.map
+      (fun (i, l) -> Printf.sprintf "%d@%s" i (Log.to_string l))
+      o.Game.guar_violations
+  in
+  Format.asprintf "%a | %a | %s | %d | %d | %s" Game.pp_status o.Game.status
+    Log.pp o.Game.log (String.concat "," results) o.Game.steps
+    o.Game.silent_steps (String.concat ";" violations)
 
-let prop_replay_into_truncation_equals_run =
-  (* the stop closure trips after a random number of polls: Cancelled
-     prefixes — the budgeted scan's per-schedule truncation — must be
-     identical too, at every truncation point *)
-  qtc "Game.replay_into = Game.run at every stop-closure truncation"
+(* A fixed corpus of 300 plays over the three families.  A linear
+   congruential stream (not [Random], whose sequence may change between
+   compiler releases) draws each play's family, trace, fuel, guarantee
+   checking, switch logging and stop point; the thread count changes
+   between consecutive plays. *)
+let golden_corpus () =
+  let state = ref 2018 in
+  let draw bound =
+    state := ((!state * 1103515245) + 12345) land 0x3FFF_FFFF;
+    (!state lsr 12) mod bound
+  in
+  let n = ref 1 in
+  List.init 300 (fun _ ->
+      n := 1 + ((!n + draw 3) mod 4);
+      let n = !n in
+      let kind = draw 3 in
+      let trace = List.init (draw 13) (fun _ -> draw 6) in
+      let max_steps = 1 + draw 40 in
+      let check_guar = draw 2 = 0 in
+      let log_switches = draw 4 = 0 in
+      let stop_after = if draw 4 = 0 then Some (draw 21) else None in
+      fun () ->
+        replay_config ?stop_after ~log_switches ~max_steps ~check_guar kind n
+          trace)
+
+(* Recorded when this corpus was played by both the list-based loop and
+   the array-based loop of the earlier game module, which agreed on
+   every outcome.  A change here is a change of game semantics. *)
+let golden_digest = "b9806b13b09267ff575702179e0d98d1"
+
+let test_golden_outcomes () =
+  let rendered =
+    List.map (fun mk -> render_outcome (Game.run (mk ()))) (golden_corpus ())
+  in
+  check_string "digest of 300 outcomes" golden_digest
+    (Digest.to_hex (Digest.string (String.concat "\n" rendered)))
+
+let rec is_prefix xs ys =
+  match xs, ys with
+  | [], _ -> true
+  | x :: xs, y :: ys -> Event.equal x y && is_prefix xs ys
+  | _ :: _, [] -> false
+
+let prop_truncation_is_prefix =
+  (* the stop closure trips on poll k+1, i.e. before move k, if the full
+     play polls that often: only a play that ends by finishing or by
+     fuel makes its last move without a poll after it *)
+  qtc "Game.run: a stop after k polls is the full play cut at move k"
     QCheck.(pair gen_replay_case (int_range 0 20))
-    (fun ((kind, n, trace, max_steps), stop_after) ->
-      let mk () =
-        replay_config ~stop_after ~max_steps ~check_guar:false kind n trace
+    (fun ((kind, n, trace, max_steps), k) ->
+      let full = Game.run (replay_config ~max_steps ~check_guar:true kind n trace) in
+      let cut =
+        Game.run
+          (replay_config ~stop_after:k ~max_steps ~check_guar:true kind n trace)
       in
-      Game.run (mk ()) = Game.replay_into shared_scratch (mk ()))
+      let polls_after_k =
+        k < full.Game.steps
+        || k = full.Game.steps
+           && match full.Game.status with
+              | Game.Deadlock _ | Game.Stuck _ -> true
+              | Game.All_done | Game.Out_of_fuel | Game.Cancelled -> false
+      in
+      if polls_after_k then
+        cut.Game.status = Game.Cancelled
+        && cut.Game.steps = k
+        && is_prefix (Log.chronological cut.Game.log)
+             (Log.chronological full.Game.log)
+      else cut = full)
 
-let prop_replay_freelist_equals_run =
-  (* the checkers' entry point: a scratch borrowed from the freelist *)
-  qtc "Game.replay (freelist) = Game.run" gen_replay_case
-    (fun (kind, n, trace, max_steps) ->
-      let mk () = replay_config ~max_steps ~check_guar:true kind n trace in
-      Game.run (mk ()) = Game.replay (mk ()))
+(* A scheduler that records every offer as [(step, runnable, chosen)],
+   choosing like [inner]. *)
+let recording (inner : Sched.t) =
+  let offers = ref [] in
+  let pick ~step log ~runnable =
+    let chosen =
+      match inner.Sched.pick ~step log ~runnable with
+      | Some i when List.mem i runnable -> i
+      | Some _ | None -> List.hd runnable
+    in
+    offers := (step, runnable, chosen) :: !offers;
+    Some chosen
+  in
+  { Sched.name = "recording"; pick }, fun () -> List.rev !offers
 
-let test_replay_into_scratch_resize () =
-  (* deterministic staleness probe: grow, shrink, regrow the thread table
-     through one scratch, interleaving game families *)
+(* The offers of one play, grouped by move: [(runnable, chosen) list]
+   per step, in order. *)
+let offers_by_step offers =
+  let rec go = function
+    | [] -> []
+    | (s, _, _) :: _ as all ->
+      let here, rest = List.partition (fun (s', _, _) -> s' = s) all in
+      List.map (fun (_, r, c) -> r, c) here :: go rest
+  in
+  go offers
+
+let test_blocked_protocol () =
+  (* Within a move, a pick that blocked leaves the next offer and nothing
+     else does; at the next move every thread blocked in this one is
+     offered again — only the mover itself may have finished. *)
+  let blocked_picks = ref 0 in
   List.iter
-    (fun (kind, n) ->
-      let trace = List.init 10 (fun s -> (s mod n) + 1) in
-      let mk () = replay_config ~max_steps:60 ~check_guar:true kind n trace in
-      check_bool
-        (Printf.sprintf "kind=%d n=%d after resize" kind n)
-        true
-        (Game.run (mk ()) = Game.replay_into shared_scratch (mk ())))
-    [ 1, 4; 0, 1; 2, 3; 1, 1; 0, 4; 2, 1; 1, 3 ]
+    (fun (n, seed) ->
+      let sched, offers = recording (Sched.random ~seed) in
+      let threads = List.init n (fun k -> k + 1, lock_client (k + 1)) in
+      let o = Game.run (Game.config (Lock_intf.layer "Llock") threads sched) in
+      check_bool "play finishes" true (o.Game.status = Game.All_done);
+      let moves = offers_by_step (offers ()) in
+      check_int "one group of offers per move" o.Game.steps (List.length moves);
+      let rec check = function
+        | [] -> ()
+        | move :: later ->
+          let rec within = function
+            | (r, c) :: ((r', _) :: _ as rest) ->
+              incr blocked_picks;
+              check_bool "a blocked pick leaves the offer" true
+                (r' = List.filter (( <> ) c) r);
+              within rest
+            | [ _ ] | [] -> ()
+          in
+          within move;
+          (match later with
+          | ((next, _) :: _) :: _ ->
+            let first, _ = List.hd move in
+            let _, mover = List.hd (List.rev move) in
+            check_bool "blocked threads are offered again" true
+              (next = first || next = List.filter (( <> ) mover) first)
+          | _ -> ());
+          check later
+      in
+      check moves)
+    (List.concat_map (fun n -> List.init 10 (fun seed -> n, seed)) [ 2; 3; 4 ]);
+  check_bool "some picks blocked" true (!blocked_picks > 0)
+
+let test_deadlock_lists_pending_in_thread_order () =
+  (* each thread takes the lock and finishes holding it: thread 1 moves
+     first, and the rest, listed out of id order, all block; after 1 the
+     scheduler takes the first thread offered *)
+  let hold i = Prog.bind (Prog.call "acq" [ vi 0 ]) (fun _ -> Prog.ret (vi i)) in
+  let threads = List.map (fun i -> i, hold i) [ 4; 1; 3; 2 ] in
+  let first_1 =
+    { Sched.name = "1 first";
+      pick = (fun ~step:_ _ ~runnable -> if List.mem 1 runnable then Some 1 else None) }
+  in
+  let sched, offers = recording first_1 in
+  let o = Game.run (Game.config (Lock_intf.layer "Llock") threads sched) in
+  check_bool "deadlock of the pending threads in thread order" true
+    (o.Game.status = Game.Deadlock [ 4; 3; 2 ]);
+  check_bool "the finished holder's result is kept" true
+    (o.Game.results = [ 1, vi 1 ]);
+  match List.rev (offers_by_step (offers ())) with
+  | last :: _ ->
+    check_bool "the last move offers each pending thread once" true
+      (last = [ [ 4; 3; 2 ], 4; [ 3; 2 ], 3; [ 2 ], 2 ])
+  | [] -> Alcotest.fail "no offers recorded"
 
 let test_budgeted_races_exhausted_jobs_invariant () =
   (* a step budget that trips mid-scan: the Exhausted partial (resume
@@ -399,6 +554,7 @@ let suite =
     tc "exceptions surface at the lowest index" test_exception_lowest_index;
     tc "oversubscribed pools" test_oversubscribed_pool;
     tc "stats are monotone" test_stats_monotone;
+    tc "default_jobs: CCAL_JOBS must be a positive integer" test_default_jobs;
     tc "races: race found past a non-race failure" test_race_found_after_other_failure;
     tc "races: non-race failures collected" test_other_failures_collected;
     tc "races: mixed verdict jobs-invariant" test_races_verdict_jobs_invariant;
@@ -411,11 +567,12 @@ let suite =
     tc "dpor: explore jobs-invariant" test_dpor_explore_jobs_invariant;
     tc "explore: run_all jobs-invariant" test_explore_run_all_jobs_invariant;
     tc "stack: report jobs-invariant" test_stack_report_jobs_invariant;
-    prop_replay_into_equals_run;
-    prop_replay_into_truncation_equals_run;
-    prop_replay_freelist_equals_run;
-    tc "replay_into: scratch resize never leaks state"
-      test_replay_into_scratch_resize;
+    tc "game: golden outcomes of a fixed corpus" test_golden_outcomes;
+    prop_truncation_is_prefix;
+    tc "game: blocked threads leave the move, not the game"
+      test_blocked_protocol;
+    tc "game: deadlock lists pending threads in thread order"
+      test_deadlock_lists_pending_in_thread_order;
     tc "races: Exhausted partial jobs-invariant"
       test_budgeted_races_exhausted_jobs_invariant;
   ]

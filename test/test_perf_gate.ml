@@ -13,7 +13,7 @@
    - on smaller hosts the speedup assertion is skipped (with a printed
      reason) and the gate pins what those hosts can honestly promise:
      a sequential-throughput floor on the same game, so the
-     allocation-free replay path cannot silently regress.
+     game loop cannot silently regress.
 
    Verdict bit-identity across the jobs grid is asserted unconditionally:
    parallelism may only ever change wall-clock. *)
@@ -53,14 +53,14 @@ let schedules () =
   let _, _, tids, depth = gate_game () in
   List.length (Explore.exhaustive_scheds ~tids ~depth)
 
-(* Conservative floor: this host clears it by more than an order of
-   magnitude (about 120k schedules/sec after the scratch-replay work);
+(* Conservative floor: a 2-core host clears it by two orders of
+   magnitude (about 500k schedules/sec);
    the floor only exists to catch a collapse of the hot path, not to
    race the hardware. *)
 let sequential_floor_scheds_per_sec = 5_000.
 
 let test_sequential_throughput_floor () =
-  ignore (check_races ~jobs:1 ()) (* warm-up: code paths and freelist *) ;
+  ignore (check_races ~jobs:1 ()) (* warm-up: code paths *) ;
   let ms = best_ms 3 (fun () -> ignore (check_races ~jobs:1 ())) in
   let per_sec = float_of_int (schedules ()) /. (ms /. 1000.) in
   Printf.printf "perf-gate: sequential %.0f schedules/sec (floor %.0f)\n%!"
