@@ -11,7 +11,7 @@ test:
 # Regression guard: the suite must never silently shrink — a dune or
 # module-wiring mistake can drop a whole test file from the runner while
 # everything still "passes".  Bump the floor when tests are added.
-TEST_COUNT_FLOOR := 476
+TEST_COUNT_FLOOR := 478
 
 check-test-count:
 	@out=$$(dune runtest --force 2>&1); status=$$?; \
@@ -177,7 +177,7 @@ check-crash: build
 	  echo "check-crash: REGRESSION - unsynced failure not named"; exit 1; }; \
 	echo "check-crash: OK (unsynced variant rejected: $$(echo "$$out" | grep 'crash-refinement failure' | head -1))"
 
-# The symmetry-reduction gate (DESIGN.md S31).  Two legs:
+# The symmetry-reduction gate (DESIGN.md S31).  Three legs:
 #   1. depth-8 scaling: on the ticket game (4 threads, depth 8, events
 #      independence) plain dpor:8 must exhaust a 150k-step budget while
 #      dpor:8,sym completes inside it — and the same separation on the
@@ -186,6 +186,9 @@ check-crash: build
 #      byte-identical across CCAL_JOBS {1,4} (the symmetric walk splits
 #      its frontier at jobs 4) and cache cold/warm (only the cache-stats
 #      trailer may differ).
+#   3. soundness: on the lock game (3 threads, depth 5) dpor:5,sym must
+#      agree with the exhaustive oracle — by inclusion, since the walk
+#      keeps one log per symmetry orbit.
 SYM_CHECK_DIR := _build/ccal-sym-cache-check
 
 check-sym: build
@@ -221,6 +224,11 @@ check-sym: build
 	grep -q '1 hits' _build/sym-j4-warm.txt || { \
 	  echo "check-sym: REGRESSION - warm run missed the engine suite cache"; exit 1; }; \
 	echo "check-sym: OK (kv-sym verdict identical across jobs 1/4, cache cold/warm; warm run hit the cache)"
+	@out=$$($(CCAL_BIN) explore lock --threads 3 --depth 5 --strategy dpor:5,sym) || { \
+	  echo "$$out"; echo "check-sym: REGRESSION - dpor:5,sym lock disagrees with the oracle"; exit 1; }; \
+	echo "$$out" | grep -q "agree under sym" || { \
+	  echo "check-sym: REGRESSION - dpor:5,sym lock comparison is not inclusion"; exit 1; }; \
+	echo "check-sym: OK (lock 3t depth 5: dpor:5,sym logs are a subset of the oracle's)"
 
 # Build and run every example as a smoke test (the CI examples step).
 examples: build

@@ -422,16 +422,16 @@ let print_dpor_ablation () =
   List.iter
     (fun (name, layer, threads, depth) ->
       let r = dpor_explore ~depth layer threads in
-      let tids = List.map fst threads in
-      let ex =
-        run_all_scheds layer threads (V.Explore.exhaustive_scheds ~tids ~depth)
+      let o =
+        V.Budget.value
+          (V.Explore.oracle_ctx ~ctx:(vctx ()) ~independence:V.Dpor.Exact
+             ~sym:false ~depth layer threads r)
       in
-      let exh_distinct = V.Explore.count_distinct_logs ex in
       let s = r.V.Dpor.stats in
       Format.printf "  %-20s %-7d %-12d %-12d %d=%-7d %b@." name depth
-        s.V.Dpor.schedules_run (List.length ex) s.V.Dpor.distinct_logs
-        exh_distinct
-        (s.V.Dpor.distinct_logs = exh_distinct))
+        s.V.Dpor.schedules_run o.V.Explore.runs s.V.Dpor.distinct_logs
+        (List.length o.V.Explore.logs)
+        o.V.Explore.agree)
     games;
   Format.printf
     "  shape: branching only at enabled choices plus sleep sets prunes the \

@@ -628,75 +628,53 @@ let explore_cmd =
       Format.eprintf "%s@." msg;
       2
     | Some (layer, threads), Some independence, Ok engine ->
-      let label = Engine.to_string { engine with Engine.depth } in
-      let header () =
-        Format.printf "game %s: %d threads, depth %d, %s independence, %s@."
-          obj nthreads depth
-          (match independence with
-          | V.Dpor.Exact -> "exact"
-          | V.Dpor.Commuting_events -> "commuting-events")
-          (Memory.to_string c.memory)
+      let explored =
+        V.Dpor.explore_ctx ~ctx ~independence ~engine ~depth layer threads
       in
-      (match
-         V.Dpor.explore_ctx ~ctx ~independence ~engine ~depth layer threads
-       with
-      | V.Budget.Exhausted { spent; partial } ->
-        header ();
-        Format.printf "  %s: %a@." label V.Dpor.pp_stats partial.V.Dpor.stats;
+      let dpor = V.Budget.value explored in
+      Format.printf "game %s: %d threads, depth %d, %s independence, %s@." obj
+        nthreads depth
+        (match independence with
+        | V.Dpor.Exact -> "exact"
+        | V.Dpor.Commuting_events -> "commuting-events")
+        (Memory.to_string c.memory);
+      Format.printf "  %s: %a@."
+        (Engine.to_string { engine with Engine.depth })
+        V.Dpor.pp_stats dpor.V.Dpor.stats;
+      let sym = engine.Engine.sym in
+      (match explored with
+      | V.Budget.Exhausted { spent; _ } ->
         Format.printf
           "  budget exhausted (%a) after %d of %d replays; comparison \
            skipped@."
-          V.Budget.pp_spent spent partial.V.Dpor.stats.V.Dpor.schedules_run
-          (List.length partial.V.Dpor.prefixes);
+          V.Budget.pp_spent spent dpor.V.Dpor.stats.V.Dpor.schedules_run
+          (List.length dpor.V.Dpor.prefixes);
         0
-      | V.Budget.Complete dpor when no_oracle ->
-        header ();
-        Format.printf "  %s: %a@." label V.Dpor.pp_stats dpor.V.Dpor.stats;
+      | V.Budget.Complete _ when no_oracle ->
         Format.printf "  complete (oracle comparison skipped)@.";
         0
-      | V.Budget.Complete dpor -> (
-        (* Pseudo-threads (TSO flushers, the crash thread) are
-           scheduler-movable too: the exhaustive side must enumerate
-           their tids, or the comparison would miss every delayed-commit
-           or crash interleaving. *)
-        let effective =
-          threads @ Game.pseudo_threads ~memory:c.memory layer threads
-        in
-        let tids = List.map fst effective in
+      | V.Budget.Complete _ -> (
         match
-          V.Explore.run_all_ctx ~ctx layer threads
-            (V.Explore.exhaustive_scheds ~tids ~depth)
+          V.Explore.oracle_ctx ~ctx ~independence ~sym ~depth layer threads
+            dpor
         with
         | V.Budget.Exhausted { spent; partial } ->
-          header ();
-          Format.printf "  %s: %a@." label V.Dpor.pp_stats dpor.V.Dpor.stats;
           Format.printf
             "  budget exhausted (%a) after %d exhaustive runs; comparison \
              skipped@."
-            V.Budget.pp_spent spent (List.length partial);
+            V.Budget.pp_spent spent partial.V.Explore.runs;
           0
-        | V.Budget.Complete exhaustive ->
-          let canon l =
-            match independence with
-            | V.Dpor.Exact -> l
-            | V.Dpor.Commuting_events -> V.Dpor.canonical_log l
-          in
-          let dpor_logs =
-            Log.dedup
-              (List.map (fun (o : Game.outcome) -> canon o.Game.log)
-                 dpor.V.Dpor.outcomes)
-          in
-          let exh_logs =
-            Log.dedup (List.map canon (V.Explore.all_logs exhaustive))
-          in
-          let subset a b = List.for_all (fun l -> List.exists (Log.equal l) b) a in
-          let agree = subset dpor_logs exh_logs && subset exh_logs dpor_logs in
-          header ();
-          Format.printf "  %s: %a@." label V.Dpor.pp_stats dpor.V.Dpor.stats;
+        | V.Budget.Complete { V.Explore.runs; logs; agree } ->
           Format.printf "  exhaustive: %d schedules run; %d distinct logs@."
-            (List.length exhaustive) (List.length exh_logs);
-          Format.printf "  log sets %s@."
-            (if agree then "agree" else "DISAGREE (DPOR is unsound here)");
+            runs (List.length logs);
+          (* Under [sym] the walk keeps one log per symmetry orbit, so the
+             comparison is inclusion, and the line says so. *)
+          Format.printf "  log sets %s%s%s@."
+            (if agree then "agree" else "DISAGREE")
+            (if sym then " under sym" else "")
+            (if not agree then " (DPOR is unsound here)"
+             else if sym then " (DPOR logs are a subset of the exhaustive logs)"
+             else "");
           if agree then 0 else 1))
   in
   let obj =

@@ -78,6 +78,14 @@ let dedup ?(hash = hash) logs =
         true))
     logs
 
+(* The same buckets over [b], as multi-bindings, probed once per log of [a]. *)
+let subset ?(hash = hash) a b =
+  let buckets = Hashtbl.create 64 in
+  List.iter (fun l -> Hashtbl.add buckets (hash l) l) b;
+  List.for_all
+    (fun l -> List.exists (equal l) (Hashtbl.find_all buckets (hash l)))
+    a
+
 let pp fmt l =
   Format.fprintf fmt "@[<hov 1>[%a]@]"
     (Format.pp_print_list ~pp_sep:(fun fmt () -> Format.fprintf fmt ";@ ") Event.pp)

@@ -73,5 +73,9 @@ val dedup : ?hash:(t -> int) -> t list -> t list
     never correctness ({!equal} decides within a bucket); [?hash]
     (default {!hash}) exists so tests can force the collision path. *)
 
+val subset : ?hash:(t -> int) -> t list -> t list -> bool
+(** [subset a b]: every log of [a] is {!equal} to some log of [b].
+    Hashed like {!dedup}: linear in the total number of events. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

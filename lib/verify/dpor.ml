@@ -15,10 +15,11 @@ type stats = {
 type result = {
   prefixes : Event.tid list list;
   outcomes : Game.outcome list;
+  distinct : Log.t list;
   stats : stats;
 }
 
-let default_reads = [ "get_n"; "aload"; "read" ]
+let reads = [ "get_n"; "aload"; "read" ]
 
 (* The object an event touches: by convention every shared primitive of the
    concrete objects takes the object identifier (lock, cell, location,
@@ -27,7 +28,7 @@ let default_reads = [ "get_n"; "aload"; "read" ]
 let obj (e : Event.t) =
   match e.args with Value.Vint b :: _ -> Some b | _ -> None
 
-let independent_events ?(reads = default_reads) (e1 : Event.t) (e2 : Event.t) =
+let independent_events (e1 : Event.t) (e2 : Event.t) =
   e1.src <> e2.src
   &&
   match obj e1, obj e2 with
@@ -66,9 +67,9 @@ let canonical_events indep events =
   in
   build [] events
 
-let canonical_log ?reads log =
+let canonical_log log =
   Log.append_all
-    (canonical_events (independent_events ?reads) (Log.chronological log))
+    (canonical_events independent_events (Log.chronological log))
     Log.empty
 
 (* One enabled move of one thread, as classified by the DFS. *)
@@ -77,7 +78,7 @@ type move =
   | Step of Event.t list * Machine.thread_state
   | Halt  (** picking this thread ends the run stuck — a leaf *)
 
-let independent_moves independence reads m1 m2 =
+let independent_moves independence m1 m2 =
   match m1, m2 with
   | Fin, _ | _, Fin -> true
   | Halt, _ | _, Halt -> false
@@ -86,7 +87,7 @@ let independent_moves independence reads m1 m2 =
     | Exact -> false
     | Commuting_events ->
       List.for_all
-        (fun e1 -> List.for_all (independent_events ~reads e1) es2)
+        (fun e1 -> List.for_all (independent_events e1) es2)
         es1)
 
 (* Saturating [b^n].  Deep bounds make [|threads|^depth] overflow
@@ -143,9 +144,9 @@ let add_prunes (a : Engine.walk_stats) (b : Engine.walk_stats) =
    identity and every knob that shapes the walk.  The walk has no
    failure mode (a stuck leaf is just a short prefix), so unlike
    verdicts its result is stored unconditionally; the replay phase
-   always runs live. *)
-let suite_key ?private_fuel ~engine ~independence ~reads ~memory ~depth layer
-    threads =
+   always runs live.  The read tags and the absent private-fuel bound are
+   constants, folded in so the keys stay those of existing stores. *)
+let suite_key ~engine ~independence ~memory ~depth layer threads =
   let st = Fingerprint.string Fingerprint.empty "engine-suite" in
   let st =
     Fingerprint.string st (Engine.to_string { engine with Engine.depth })
@@ -162,7 +163,7 @@ let suite_key ?private_fuel ~engine ~independence ~reads ~memory ~depth layer
     Fingerprint.int st (match independence with Exact -> 1 | Commuting_events -> 2)
   in
   let st = Fingerprint.list Fingerprint.string st reads in
-  Fingerprint.finish (Fingerprint.option Fingerprint.int st private_fuel)
+  Fingerprint.finish (Fingerprint.option Fingerprint.int st None)
 
 (* Sleep-set DFS over the enabled moves of the whole-machine game, bounded
    to [depth] scheduling choices.  Each surviving branch records its
@@ -184,9 +185,8 @@ let suite_key ?private_fuel ~engine ~independence ~reads ~memory ~depth layer
    sequential DFS on separate domains and their results are concatenated
    in fringe order.  Pre-order is preserved at every stage, so the prefix
    list (and the prune counts, sums) is identical for every jobs count. *)
-let prefixes_with_prunes_live ?private_fuel ?(independence = Exact)
-    ?(reads = default_reads) ?jobs ?(memory = Memory.default) ~sym ~depth
-    layer threads =
+let prefixes_with_prunes_live ?(independence = Exact) ?jobs
+    ?(memory = Memory.default) ~sym ~depth layer threads =
   (* Pseudo-threads (TSO flushers, the crash thread of a crash-enabled
      layer) are part of the schedule space: the DFS explores their moves
      like any other thread's.  [Game.config] re-adds the same
@@ -196,7 +196,7 @@ let prefixes_with_prunes_live ?private_fuel ?(independence = Exact)
   let classify slots log =
     List.filter_map
       (fun (i, st) ->
-        match Machine.step_move ?private_fuel layer i st log with
+        match Machine.step_move layer i st log with
         | Machine.Blocked_at _ -> None
         | Machine.Finished _ -> Some (i, Fin)
         | Machine.Moved (evs, st') -> Some (i, Step (evs, st'))
@@ -270,7 +270,7 @@ let prefixes_with_prunes_live ?private_fuel ?(independence = Exact)
               | Fin | Step _ ->
                 let sleep' =
                   List.filter
-                    (fun (_, m') -> independent_moves independence reads m' m)
+                    (fun (_, m') -> independent_moves independence m' m)
                     (n.sleep @ List.rev !explored)
                 in
                 let slots', log' = apply n.slots n.log i m in
@@ -376,20 +376,19 @@ let prefixes_with_prunes_live ?private_fuel ?(independence = Exact)
 
 (* The walk behind every [dpor] suite, memoized in [cache] (kind
    ["engine"]) under {!suite_key}. *)
-let walk ?private_fuel ?(independence = Exact) ?(reads = default_reads) ?jobs
-    ?cache ?(memory = Memory.default) ~engine ~depth layer threads =
+let walk ?(independence = Exact) ?jobs ?cache
+    ?(memory = Memory.default) ~engine ~depth layer threads =
   if (engine : Engine.t).algo <> Engine.Dpor then
     invalid_arg ("Dpor.walk: not a DPOR engine: " ^ Engine.to_string engine);
   let body () =
-    prefixes_with_prunes_live ?private_fuel ~independence ~reads ?jobs
-      ~memory ~sym:engine.Engine.sym ~depth layer threads
+    prefixes_with_prunes_live ~independence ?jobs ~memory
+      ~sym:engine.Engine.sym ~depth layer threads
   in
   match cache with
   | None -> body ()
   | Some c -> (
     let key =
-      suite_key ?private_fuel ~engine ~independence ~reads ~memory ~depth
-        layer threads
+      suite_key ~engine ~independence ~memory ~depth layer threads
     in
     match Cache.find c ~kind:"engine" key with
     | Some (walked : Event.tid list list * Engine.walk_stats) -> walked
@@ -398,10 +397,12 @@ let walk ?private_fuel ?(independence = Exact) ?(reads = default_reads) ?jobs
       Cache.store c ~kind:"engine" key walked;
       walked)
 
-let sched_of_prefix prefix =
+(* [dpor] and [dpor,sym] share the "dpor" tag: identical prefixes share
+   verdict cache entries, which is sound because the games are identical. *)
+let sched_of_prefix ~tag prefix =
   Sched.of_trace
     ~name:
-      (Printf.sprintf "dpor:[%s]"
+      (Printf.sprintf "%s:[%s]" tag
          (String.concat "," (List.map string_of_int prefix)))
     prefix
 
@@ -438,26 +439,15 @@ let engine_of_ctx ctx =
   | Engine.Dpor -> ctx.Ctx.strategy
   | Engine.Exhaustive | Engine.Random -> Engine.default
 
-let prefixes_ctx ~ctx ?private_fuel ?independence ?reads ?engine ~depth layer
-    threads =
-  let engine =
-    match engine with Some e -> e | None -> engine_of_ctx ctx
-  in
-  Ctx.arm ctx (fun () ->
-      fst
-        (walk ?private_fuel ?independence ?reads ?jobs:(Ctx.jobs_opt ctx)
-           ?cache:ctx.Ctx.cache ~memory:ctx.Ctx.memory ~engine ~depth layer
-           threads))
-
-let explore_ctx ~ctx ?max_steps ?private_fuel ?(independence = Exact) ?reads
-    ?engine ~depth layer threads =
+let explore_ctx ~ctx ?(independence = Exact) ?engine
+    ~depth layer threads =
   Ctx.arm ctx @@ fun () ->
   let engine =
     match engine with Some e -> e | None -> engine_of_ctx ctx
   in
   let prefixes, walk_stats =
     Probe.span "dpor.prefixes" (fun () ->
-        walk ?private_fuel ~independence ?reads ?jobs:(Ctx.jobs_opt ctx)
+        walk ~independence ?jobs:(Ctx.jobs_opt ctx)
           ?cache:ctx.Ctx.cache ~memory:ctx.Ctx.memory ~engine ~depth layer
           threads)
   in
@@ -469,8 +459,8 @@ let explore_ctx ~ctx ?max_steps ?private_fuel ?(independence = Exact) ?reads
           ~cut:(fun _ -> false)
           (fun ~stop p ->
             Game.run
-              (Game.config ?max_steps ?stop ~memory:ctx.Ctx.memory layer
-                 threads (sched_of_prefix p)))
+              (Game.config ?stop ~memory:ctx.Ctx.memory layer
+                 threads (sched_of_prefix ~tag:"dpor" p)))
           prefixes)
   in
   let outcomes = replay.Parallel.prefix in
@@ -478,18 +468,18 @@ let explore_ctx ~ctx ?max_steps ?private_fuel ?(independence = Exact) ?reads
   let representative =
     match independence with
     | Exact -> logs
-    | Commuting_events -> List.map (canonical_log ?reads) logs
+    | Commuting_events -> List.map canonical_log logs
   in
   let schedules_considered = pow (List.length threads) depth in
-  let distinct_logs =
-    Probe.span "dpor.dedup" (fun () -> List.length (Log.dedup representative))
-  in
+  let distinct = Probe.span "dpor.dedup" (fun () -> Log.dedup representative) in
+  let distinct_logs = List.length distinct in
   Probe.add Probe.sleep_set_prunes walk_stats.Engine.sleep_prunes;
   Probe.add Probe.logs_distinct distinct_logs;
   let result =
     {
       prefixes;
       outcomes;
+      distinct;
       stats =
         {
           schedules_considered;

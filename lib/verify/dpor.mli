@@ -14,9 +14,9 @@
     Each surviving branch is a scheduling prefix; running it back through
     {!Ccal_core.Game.run} (via {!Ccal_core.Sched.of_trace}) reproduces the
     exact outcome the exhaustive oracle would have computed, so DPOR is a
-    drop-in schedule generator: same logs, fewer runs.  The
-    [test/test_dpor.ml] harness checks distinct-log-set equality against
-    the oracle, and that [sym] leaf logs are a subset of the plain walk's. *)
+    drop-in schedule generator: same logs, fewer runs.
+    {!Explore.oracle_ctx} is the one comparison against the exhaustive
+    oracle: distinct-log-set equality, or inclusion under [sym]. *)
 
 open Ccal_core
 module Engine = Strategy.Engine
@@ -54,25 +54,26 @@ type stats = {
 type result = {
   prefixes : Event.tid list list;  (** surviving scheduling prefixes *)
   outcomes : Game.outcome list;  (** one {!Game.run} outcome per prefix *)
+  distinct : Log.t list;
+      (** the distinct leaf logs in first-occurrence order — under
+          [Commuting_events], distinct canonical forms ({!canonical_log}) *)
   stats : stats;
 }
 
-val default_reads : string list
-(** Tags treated as non-conflicting reads by the object-based relation:
-    [get_n] (ticket lock), [aload] (atomic cells), [read] (counters). *)
-
-val independent_events : ?reads:string list -> Event.t -> Event.t -> bool
-(** The object-based independence relation on log events. *)
-
-val canonical_log : ?reads:string list -> Log.t -> Log.t
+val canonical_log : Log.t -> Log.t
 (** Lexicographically-least representative of the log's Mazurkiewicz
-    trace: two logs are equal up to commuting independent events iff
-    their canonical forms are equal. *)
+    trace under the object-based relation (events of different threads
+    commute on different objects, or when both are [get_n], [aload] or
+    [read]): logs are equal up to commuting independent events iff their
+    canonical forms are equal. *)
+
+val sched_of_prefix : tag:string -> Event.tid list -> Sched.t
+(** A trace scheduler following the prefix, named [tag:[t0,t1,…]].  The
+    name is content-bearing: it identifies the suite in cache keys, so
+    the [dpor] and [exh] tags must never change. *)
 
 val walk :
-  ?private_fuel:int ->
   ?independence:independence ->
-  ?reads:string list ->
   ?jobs:int ->
   ?cache:Cache.t ->
   ?memory:Memory.t ->
@@ -90,10 +91,7 @@ val walk :
 
 val explore_ctx :
   ctx:Ctx.t ->
-  ?max_steps:int ->
-  ?private_fuel:int ->
   ?independence:independence ->
-  ?reads:string list ->
   ?engine:Engine.t ->
   depth:int ->
   Layer.t ->
@@ -120,18 +118,6 @@ val explore_ctx :
     move; flushes of different CPUs commute under [Commuting_events]
     (different buffers, and the commit's first argument is the cell).
     The mode is folded into the walk's cache key. *)
-
-val prefixes_ctx :
-  ctx:Ctx.t ->
-  ?private_fuel:int ->
-  ?independence:independence ->
-  ?reads:string list ->
-  ?engine:Engine.t ->
-  depth:int ->
-  Layer.t ->
-  (Event.tid * Prog.t) list ->
-  Event.tid list list
-(** The surviving scheduling prefixes only (no replay). *)
 
 val pp_stats : Format.formatter -> stats -> unit
 (** Saturated counts ([max_int]) render as [">max-int"], never as a

@@ -1,29 +1,14 @@
 open Ccal_core
 module Engine = Strategy.Engine
 
-let exhaustive_prefixes ~tids ~depth =
+let exhaustive_scheds ~tids ~depth =
   let rec traces d =
     if d <= 0 then [ [] ]
     else
       let shorter = traces (d - 1) in
       List.concat_map (fun t -> List.map (fun tr -> t :: tr) shorter) tids
   in
-  traces depth
-
-(* Content-bearing names, not the default "trace": the certificate cache
-   identifies a scheduler suite by its names, so two suites of different
-   prefixes must not alias.  [dpor] and [dpor,sym] share the "dpor" tag —
-   identical prefixes then share verdict cache entries, which is sound
-   because the replayed games are identical. *)
-let sched_of_prefix ~tag tr =
-  Sched.of_trace
-    ~name:
-      (Printf.sprintf "%s:[%s]" tag
-         (String.concat "," (List.map string_of_int tr)))
-    tr
-
-let exhaustive_scheds ~tids ~depth =
-  List.map (sched_of_prefix ~tag:"exh") (exhaustive_prefixes ~tids ~depth)
+  List.map (Dpor.sched_of_prefix ~tag:"exh") (traces depth)
 
 let random_scheds ~count = List.init count (fun k -> Sched.random ~seed:(k + 1))
 
@@ -31,17 +16,18 @@ let full_suite ~tids ?(depth = 4) ?(random = 16) () =
   (Sched.round_robin :: exhaustive_scheds ~tids ~depth) @ random_scheds ~count:random
 
 (* One [match] on the closed [algo] variant (DESIGN.md S31): [dpor] is
-   the only walking engine, and [Dpor.walk] owns its suite cache. *)
-let scheds_of_strategy_ctx ~ctx ?private_fuel layer threads =
-  let engine = Engine.checked ctx.Ctx.strategy in
+   the only walking engine, and [Dpor.walk] owns its suite cache.  The
+   descriptor is not validated here: the oracle runs at any depth the
+   walk accepted, zero included. *)
+let suite ~ctx (engine : Engine.t) layer threads =
   let depth = engine.Engine.depth in
   match engine.Engine.algo with
   | Engine.Dpor ->
     let prefixes, _ =
-      Dpor.walk ?private_fuel ?jobs:(Ctx.jobs_opt ctx) ?cache:ctx.Ctx.cache
+      Dpor.walk ?jobs:(Ctx.jobs_opt ctx) ?cache:ctx.Ctx.cache
         ~memory:ctx.Ctx.memory ~engine ~depth layer threads
     in
-    List.map (sched_of_prefix ~tag:"dpor") prefixes
+    List.map (Dpor.sched_of_prefix ~tag:"dpor") prefixes
   | Engine.Exhaustive ->
     (* Pseudo-threads (TSO flushers, the crash thread) are schedulable
        too, so the exhaustive prefix alphabet must include their tids.
@@ -55,10 +41,14 @@ let scheds_of_strategy_ctx ~ctx ?private_fuel layer threads =
     (* [depth] doubles as the suite size for the random engine. *)
     random_scheds ~count:depth
 
+let scheds_of_strategy_ctx ~ctx layer threads =
+  suite ~ctx (Engine.checked ctx.Ctx.strategy) layer threads
+
 (* Cache key of a [run_all] call: the complete game identity — layer,
-   linked client programs, scheduler suite (by name), fuel.  [jobs] is
+   linked client programs, scheduler suite (by name); the absent fuel
+   bound is folded in as a constant, so existing keys hold.  [jobs] is
    deliberately absent: outcomes are bit-identical across jobs counts. *)
-let runall_key ?max_steps ~memory layer threads scheds =
+let runall_key ~memory layer threads scheds =
   let st = Fingerprint.string Fingerprint.empty "runall" in
   let st = Fingerprint.layer st layer in
   let st = Fingerprint.memory st memory in
@@ -68,9 +58,9 @@ let runall_key ?max_steps ~memory layer threads scheds =
       st threads
   in
   let st = Fingerprint.scheds st scheds in
-  Fingerprint.finish (Fingerprint.option Fingerprint.int st max_steps)
+  Fingerprint.finish (Fingerprint.option Fingerprint.int st None)
 
-let run_all_ctx ~ctx ?max_steps layer threads scheds =
+let run_all_ctx ~ctx layer threads scheds =
   Ctx.arm ctx @@ fun () ->
   let body () =
     Probe.span "explore.run_all" (fun () ->
@@ -82,8 +72,7 @@ let run_all_ctx ~ctx ?max_steps layer threads scheds =
           ~cut:(fun _ -> false)
           (fun ~stop sched ->
             Game.run
-              (Game.config ?max_steps ?stop ~memory:ctx.Ctx.memory layer
-                 threads sched))
+              (Game.config ?stop ~memory:ctx.Ctx.memory layer threads sched))
           scheds)
   in
   let finish (b : Game.outcome Parallel.budgeted) =
@@ -95,7 +84,7 @@ let run_all_ctx ~ctx ?max_steps layer threads scheds =
   match ctx.Ctx.cache with
   | None -> finish (body ())
   | Some c -> (
-    let key = runall_key ?max_steps ~memory:ctx.Ctx.memory layer threads scheds in
+    let key = runall_key ~memory:ctx.Ctx.memory layer threads scheds in
     match Cache.find c ~kind:"runall" key with
     | Some (outcomes : Game.outcome list) -> Budget.Complete outcomes
     | None -> (
@@ -112,3 +101,29 @@ let run_all_ctx ~ctx ?max_steps layer threads scheds =
 let all_logs outcomes = List.map (fun o -> o.Game.log) outcomes
 
 let count_distinct_logs outcomes = List.length (Log.dedup (all_logs outcomes))
+
+type oracle = { runs : int; logs : Log.t list; agree : bool }
+
+(* The oracle's alphabet holds the pseudo-threads the walk explored.
+   Under [sym] the walk keeps one log per orbit, so inclusion is the
+   rule; otherwise both lists are distinct, so inclusion plus equal
+   sizes is set equality. *)
+let oracle_ctx ~ctx ~independence ~sym ~depth layer threads
+    (dpor : Dpor.result) =
+  let canon =
+    match (independence : Dpor.independence) with
+    | Exact -> Fun.id
+    | Commuting_events -> Dpor.canonical_log
+  in
+  let exhaustive = { Engine.algo = Engine.Exhaustive; depth; sym = false } in
+  Probe.span "explore.oracle" (fun () ->
+      run_all_ctx ~ctx layer threads (suite ~ctx exhaustive layer threads)
+      |> Budget.map (fun outs ->
+             List.length outs, Log.dedup (List.map canon (all_logs outs))))
+  |> Budget.map (fun (runs, logs) ->
+         let agree =
+           Probe.span "explore.agree" (fun () ->
+               Log.subset dpor.Dpor.distinct logs
+               && (sym || List.length dpor.Dpor.distinct = List.length logs))
+         in
+         { runs; logs; agree })

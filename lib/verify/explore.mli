@@ -8,16 +8,13 @@
 
     {!exhaustive_scheds} is the reference oracle: all [|tids|^depth]
     prefixes, no pruning.  Which engine actually generates a checker's
-    suite is selected by the {!Engine} descriptor in [Ctx.t]
+    suite is selected by the [Strategy.Engine] descriptor in [Ctx.t]
     (DESIGN.md S31); the checkers dispatch through
     {!scheds_of_strategy_ctx} and never name an engine module.  The
     oracle remains available both as the [exhaustive] engine and as the
-    ground truth the equivalence tests compare [dpor] against. *)
+    ground truth {!oracle_ctx} compares [dpor] against. *)
 
 open Ccal_core
-
-module Engine = Strategy.Engine
-(** Re-export: the descriptor and its constructors/parser. *)
 
 val exhaustive_scheds : tids:Event.tid list -> depth:int -> Sched.t list
 (** All [|tids|^depth] scheduling prefixes (round-robin afterwards).
@@ -34,7 +31,6 @@ val full_suite : tids:Event.tid list -> ?depth:int -> ?random:int -> unit -> Sch
 
 val scheds_of_strategy_ctx :
   ctx:Ctx.t ->
-  ?private_fuel:int ->
   Layer.t ->
   (Event.tid * Prog.t) list ->
   Sched.t list
@@ -53,7 +49,6 @@ val scheds_of_strategy_ctx :
 
 val run_all_ctx :
   ctx:Ctx.t ->
-  ?max_steps:int ->
   Layer.t ->
   (Event.tid * Prog.t) list ->
   Sched.t list ->
@@ -61,7 +56,7 @@ val run_all_ctx :
 (** Run the machine under every scheduler.  [ctx.jobs] spreads the runs
     over a {!Parallel} domain pool; the outcome list keeps schedule
     order.  [ctx.cache] memoizes the whole outcome list, keyed on the
-    game identity (layer, programs, scheduler names, fuel) — but only
+    game identity (layer, programs, scheduler names) — but only
     when every outcome is [All_done] {e and} the scan completed: corpora
     containing failures or cut short by the budget re-run live.
     [ctx.token] is charged per game step; an [Exhausted] result carries
@@ -73,3 +68,24 @@ val all_logs : Game.outcome list -> Log.t list
 val count_distinct_logs : Game.outcome list -> int
 (** Number of distinct interleavings actually observed (hashed dedup —
     linear in total events, not quadratic in runs). *)
+
+(** {1 The oracle comparison} *)
+
+type oracle = { runs : int; logs : Log.t list; agree : bool }
+
+val oracle_ctx :
+  ctx:Ctx.t ->
+  independence:Dpor.independence ->
+  sym:bool ->
+  depth:int ->
+  Layer.t ->
+  (Event.tid * Prog.t) list ->
+  Dpor.result ->
+  oracle Budget.outcome
+(** The one DPOR soundness check, given the walk's own arguments: run
+    [runs] schedules of the [exhaustive] engine's suite at [depth] (real
+    and pseudo-thread tids), canonicalise their distinct [logs] by
+    [independence], and compare them with the result's [distinct] logs
+    ({!Log.subset}).  [agree] is set equality, or inclusion of the DPOR
+    logs under [sym].  Spans: [explore.oracle], [explore.agree].  An
+    [Exhausted] oracle compares only the schedules that ran: no verdict. *)

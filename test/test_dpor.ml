@@ -5,7 +5,8 @@
    enumeration at the same depth — DPOR only skips schedules whose logs are
    already covered.  Under [Exact] independence the raw log sets must match;
    under [Commuting_events] they match up to canonical reordering of
-   commuting events (Mazurkiewicz traces).
+   commuting events (Mazurkiewicz traces).  Every comparison goes through
+   [Explore.oracle_ctx], the one the CLI runs.
 
    Plus: scheduler coverage properties ([Sched.of_trace], [Sched.biased],
    [Sched.splitmix]) and the regression for race classification — a stuck
@@ -18,36 +19,29 @@ module V = Ccal_verify
 
 (* ---- the equivalence harness ---- *)
 
-let log_sets_equal a b =
-  let subset a b = List.for_all (fun l -> List.exists (Log.equal l) b) a in
-  subset a b && subset b a
+module E = V.Ctx.Engine
+
+let sym_engine ~depth = { (E.dpor ~depth) with E.sym = true }
+
+let explore_with ?independence ~engine layer threads depth =
+  V.Budget.value
+    (V.Dpor.explore_ctx ~ctx:V.Ctx.default ?independence ~engine ~depth layer
+       threads)
+
+let oracle ?(independence = V.Dpor.Exact) ~sym layer threads depth r =
+  V.Budget.value
+    (V.Explore.oracle_ctx ~ctx:V.Ctx.default ~independence ~sym ~depth layer
+       threads r)
 
 (* Run DPOR and the exhaustive oracle at equal depth; fail unless the
-   (canonicalized) distinct-log sets coincide.  Returns the DPOR stats so
-   callers can also assert pruning. *)
-let check_equiv ?(independence = V.Dpor.Exact) layer threads depth =
+   (canonicalized) distinct-log sets coincide, sizes included.  Returns
+   the DPOR stats so callers can also assert pruning. *)
+let check_equiv ?independence layer threads depth =
   let r =
-    V.Budget.value
-      (V.Dpor.explore_ctx ~ctx:V.Ctx.default ~independence ~depth layer threads)
+    explore_with ?independence ~engine:(E.dpor ~depth) layer threads depth
   in
-  let tids = List.map fst threads in
-  let outs =
-    V.Budget.value
-      (V.Explore.run_all_ctx ~ctx:V.Ctx.default layer threads
-         (V.Explore.exhaustive_scheds ~tids ~depth))
-  in
-  let canon l =
-    match independence with
-    | V.Dpor.Exact -> l
-    | V.Dpor.Commuting_events -> V.Dpor.canonical_log l
-  in
-  let dpor_logs =
-    Log.dedup
-      (List.map (fun (o : Game.outcome) -> canon o.Game.log) r.V.Dpor.outcomes)
-  in
-  let exh_logs = Log.dedup (List.map canon (V.Explore.all_logs outs)) in
-  check_int "distinct log count" (List.length exh_logs) (List.length dpor_logs);
-  check_bool "log sets equal" true (log_sets_equal dpor_logs exh_logs);
+  check_bool "log sets equal" true
+    (oracle ?independence ~sym:false layer threads depth r).V.Explore.agree;
   r.V.Dpor.stats
 
 let lock_client i =
@@ -291,46 +285,13 @@ let test_split_llock_6t_depth7 () =
    representative per orbit, so it may drop logs that are tid renamings
    of kept ones but never invent a log. *)
 
-module E = V.Ctx.Engine
-
-let sym_engine ~depth = { (E.dpor ~depth) with E.sym = true }
-
-let explore_with ?independence ~engine layer threads depth =
-  let r =
-    V.Budget.value
-      (V.Dpor.explore_ctx ~ctx:V.Ctx.default ?independence ~engine ~depth
-         layer threads)
-  in
-  let logs =
-    Log.dedup
-      (List.map (fun (o : Game.outcome) -> o.Game.log) r.V.Dpor.outcomes)
-  in
-  logs, r
-
 let check_engine_matrix name layer threads depth =
-  let tids = List.map fst threads in
-  let exh_logs =
-    Log.dedup
-      (V.Explore.all_logs
-         (V.Budget.value
-            (V.Explore.run_all_ctx ~ctx:V.Ctx.default layer threads
-               (V.Explore.exhaustive_scheds ~tids ~depth))))
-  in
-  let logs, _ = explore_with ~engine:(E.dpor ~depth) layer threads depth in
-  check_int
-    (Printf.sprintf "%s/dpor: distinct log count vs oracle" name)
-    (List.length exh_logs) (List.length logs);
+  ignore (check_equiv layer threads depth);
+  let sym_r = explore_with ~engine:(sym_engine ~depth) layer threads depth in
   check_bool
-    (Printf.sprintf "%s/dpor: log set equals oracle" name)
+    (Printf.sprintf "%s/dpor,sym: logs are a subset of the oracle's" name)
     true
-    (log_sets_equal logs exh_logs);
-  let sym_logs, _ =
-    explore_with ~engine:(sym_engine ~depth) layer threads depth
-  in
-  check_bool
-    (Printf.sprintf "%s/dpor,sym: logs are a subset of dpor's" name)
-    true
-    (List.for_all (fun l -> List.exists (Log.equal l) logs) sym_logs)
+    (oracle ~sym:true layer threads depth sym_r).V.Explore.agree
 
 let test_matrix_ticket () =
   check_engine_matrix "ticket" (Ticket_lock.l0 ()) (ticket_threads 2) 4
@@ -370,19 +331,49 @@ let lock_threads n = List.init n (fun k -> k + 1, lock_client (k + 1))
 let test_sym_prunes_lock () =
   let threads = lock_threads 3 in
   let layer = Lock_intf.layer "Llock" in
-  let flag_logs, flag_r = explore_with ~engine:(E.dpor ~depth:5) layer threads 5 in
-  let sym_logs, sym_r =
-    explore_with ~engine:(sym_engine ~depth:5) layer threads 5
-  in
+  let flag_r = explore_with ~engine:(E.dpor ~depth:5) layer threads 5 in
+  let sym_r = explore_with ~engine:(sym_engine ~depth:5) layer threads 5 in
   check_bool "sym pruned at least one branch" true
     (sym_r.V.Dpor.stats.V.Dpor.sym_prunes > 0);
   check_bool "sym ran strictly fewer schedules" true
     (sym_r.V.Dpor.stats.V.Dpor.schedules_run
     < flag_r.V.Dpor.stats.V.Dpor.schedules_run);
   check_bool "sym logs are a subset of the flagless logs" true
-    (List.for_all (fun l -> List.exists (Log.equal l) flag_logs) sym_logs);
+    (Log.subset sym_r.V.Dpor.distinct flag_r.V.Dpor.distinct);
   check_bool "sym kept at least one representative" true
-    (List.length sym_logs >= 1)
+    (List.length sym_r.V.Dpor.distinct >= 1)
+
+(* ---- the oracle comparison ---- *)
+
+(* [explore lock --threads 3 --depth 5 --strategy dpor:5,sym]: the walk
+   keeps one of the six oracle logs, agreement by inclusion.  Mutants the
+   comparison must still catch: a plain walk that lost a log, and a sym
+   walk that reports a log the oracle never reaches. *)
+let test_oracle_sym_and_mutants () =
+  let threads = lock_threads 3 and layer = Lock_intf.layer "Llock" in
+  let agree ~sym r = (oracle ~sym layer threads 5 r).V.Explore.agree in
+  let r = explore_with ~engine:(E.dpor ~depth:5) layer threads 5 in
+  let sym_r = explore_with ~engine:(sym_engine ~depth:5) layer threads 5 in
+  check_int "sym keeps one of six logs" 1 (List.length sym_r.V.Dpor.distinct);
+  check_bool "sym agrees by inclusion" true (agree ~sym:true sym_r);
+  check_bool "dropped log disagrees" false
+    (agree ~sym:false { r with V.Dpor.distinct = List.tl r.V.Dpor.distinct });
+  check_bool "foreign log disagrees under sym" false
+    (agree ~sym:true
+       { sym_r with V.Dpor.distinct = Log.empty :: sym_r.V.Dpor.distinct })
+
+(* The crash pseudo-thread (tid -1) is in the oracle's alphabet: 3^6
+   schedules, and DPOR reaches every crash interleaving. *)
+let test_oracle_wal_crash () =
+  let module W = Ccal_disk.Wal in
+  let m = W.module_ () and layer = W.underlay ~crashes:true () in
+  let client i = Prog.Module.link m (W.client i) in
+  let threads = [ 1, client 1; 2, client 2 ] in
+  let r = explore_with ~engine:(E.dpor ~depth:6) layer threads 6 in
+  let o = oracle ~sym:false layer threads 6 r in
+  check_int "oracle runs 3^6" 729 o.V.Explore.runs;
+  check_int "distinct logs" 24 (List.length o.V.Explore.logs);
+  check_bool "agree" true o.V.Explore.agree
 
 (* The sym decision is node-local (the node's own prefix and log
    integers), so a [sym] walk splits its frontier across domains like a
@@ -402,7 +393,7 @@ let test_split_sym () =
    events independence, pinned count by count so a change to the sym
    decision or to the sleep sets it interacts with shows up here. *)
 let test_sym_ticket_4t_depth8 () =
-  let _, r =
+  let r =
     explore_with ~independence:V.Dpor.Commuting_events
       ~engine:(sym_engine ~depth:8) (Ticket_lock.l0 ()) (ticket_threads 4) 8
   in
@@ -418,7 +409,7 @@ let test_considered_saturates () =
   (* 3^40 overflows 63-bit ints; the counter must pin at [max_int] and
      render as ">max-int", never wrap to a small or negative number *)
   let threads = List.init 3 (fun k -> k + 1, lock_client (k + 1)) in
-  let _, r = explore_with ~engine:(E.dpor ~depth:40) (Lock_intf.layer "Llock") threads 40 in
+  let r = explore_with ~engine:(E.dpor ~depth:40) (Lock_intf.layer "Llock") threads 40 in
   check_int "considered saturates at max_int" max_int
     r.V.Dpor.stats.V.Dpor.schedules_considered;
   let rendered = Format.asprintf "%a" V.Dpor.pp_stats r.V.Dpor.stats in
@@ -615,6 +606,9 @@ let suite =
     tc "engine matrix: rwlock" test_matrix_rwlock;
     tc "engine matrix: kv hash table" test_matrix_kv;
     tc "symmetry reduction prunes the lock game" test_sym_prunes_lock;
+    tc "oracle: dpor,sym agrees by inclusion; mutants disagree"
+      test_oracle_sym_and_mutants;
+    tc "oracle: wal crash pseudo-thread in the alphabet" test_oracle_wal_crash;
     tc "split: dpor,sym across jobs grid" test_split_sym;
     tc "dpor:8,sym pins ticket 4t depth 8 (1,550 runs)"
       test_sym_ticket_4t_depth8;

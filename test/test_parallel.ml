@@ -268,11 +268,6 @@ let ticket_game () =
   Ticket_lock.l0 (),
   List.map (fun i -> i, Prog.Module.link m (lock_client i)) [ 1; 2 ]
 
-let test_dpor_prefixes_jobs_invariant () =
-  let layer, threads = ticket_game () in
-  check_jobs_invariant "dpor prefixes" (fun jobs ->
-      Dpor.prefixes_ctx ~ctx:(Ctx.make ~jobs ()) ~depth:4 layer threads)
-
 let test_dpor_explore_jobs_invariant () =
   let layer, threads = ticket_game () in
   check_jobs_invariant "dpor explore (outcomes and stats)" (fun jobs ->
@@ -563,7 +558,6 @@ let suite =
     tc "progress: starvation jobs-invariant" test_progress_jobs_invariant_failing;
     tc "linearizability: report jobs-invariant" test_linearizability_jobs_invariant_ok;
     tc "refinement: failure jobs-invariant" test_refinement_failure_jobs_invariant;
-    tc "dpor: prefixes jobs-invariant" test_dpor_prefixes_jobs_invariant;
     tc "dpor: explore jobs-invariant" test_dpor_explore_jobs_invariant;
     tc "explore: run_all jobs-invariant" test_explore_run_all_jobs_invariant;
     tc "stack: report jobs-invariant" test_stack_report_jobs_invariant;

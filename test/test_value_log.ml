@@ -164,15 +164,17 @@ let prop_value_equal_refl =
       let v = Value.list (List.map Value.int xs) in
       Value.equal v v && Value.compare v v = 0)
 
-(* [Log.dedup] buckets by hash but must decide membership by [Log.equal]
-   alone — under a hash that maps everything to one bucket (the worst
-   collision case), and under the default hash, it must agree with the
-   naive quadratic dedup.  Keeps first occurrences, in order, like the
-   naive version. *)
+(* [Log.dedup] and [Log.subset] bucket by hash but must decide membership
+   by [Log.equal] alone — under a hash that maps everything to one bucket
+   (the worst collision case), and under the default hash, they must agree
+   with the naive quadratic definitions.  Dedup keeps first occurrences,
+   in order, like the naive version. *)
+let naive_mem l logs = List.exists (Log.equal l) logs
+
 let naive_dedup logs =
   List.rev
     (List.fold_left
-       (fun acc l -> if List.exists (Log.equal l) acc then acc else l :: acc)
+       (fun acc l -> if naive_mem l acc then acc else l :: acc)
        [] logs)
 
 let logs_gen =
@@ -182,8 +184,18 @@ let logs_gen =
 let prop_dedup_collisions =
   qtc "dedup under forced hash collisions" logs_gen (fun logs ->
       let naive = naive_dedup logs in
+      (* every other log: a subset of [logs], and usually not a superset *)
+      let half = List.filteri (fun i _ -> i mod 2 = 0) logs in
+      let subset_agrees hash =
+        List.for_all
+          (fun (a, b) ->
+            Log.subset ~hash a b = List.for_all (fun l -> naive_mem l b) a)
+          [ half, logs; logs, half; logs, [] ]
+      in
       List.equal Log.equal naive (Log.dedup ~hash:(fun _ -> 0) logs)
-      && List.equal Log.equal naive (Log.dedup logs))
+      && List.equal Log.equal naive (Log.dedup logs)
+      && subset_agrees (fun _ -> 0)
+      && subset_agrees Log.hash)
 
 (* ---- incremental replay (DESIGN.md S32) ---- *)
 
