@@ -11,7 +11,7 @@ test:
 # Regression guard: the suite must never silently shrink — a dune or
 # module-wiring mistake can drop a whole test file from the runner while
 # everything still "passes".  Bump the floor when tests are added.
-TEST_COUNT_FLOOR := 478
+TEST_COUNT_FLOOR := 479
 
 check-test-count:
 	@out=$$(dune runtest --force 2>&1); status=$$?; \
@@ -113,14 +113,17 @@ check-kv: build
 	  echo "check-kv: REGRESSION - jobs 4 report differs from jobs 1"; exit 1; }; \
 	echo "check-kv: OK (jobs 4 report identical to jobs 1)"
 
-# The robustness gate (DESIGN.md S27).  Two legs:
+# The robustness gate (DESIGN.md S27).  Three legs:
 #   1. the adversarial rwlock spin suite livelocks under the trace-prefix
 #      schedulers; a 2s wall-clock budget must turn that into a clean
 #      exit 0 with an Exhausted report naming the unfinished edge;
 #   2. injected faults (worker crashes, clock skew, corrupted cache
 #      entries) must be absorbed by the requeue/skip machinery: the
 #      canonical report of a faulted pool run is byte-identical to the
-#      fault-free one.
+#      fault-free one;
+#   3. a 100-step budget is deterministic: the 64 Thm 3.1 games of
+#      exhaustive:6 are charged their steps, so at jobs 1 and 4 the run
+#      exits 0 naming the first edge as the frontier.
 check-robust: build
 	@out=$$($(CCAL_BIN) stack --livelock --budget-ms 2000); status=$$?; \
 	if [ $$status -ne 0 ]; then \
@@ -134,6 +137,14 @@ check-robust: build
 	cmp _build/robust-clean.txt _build/robust-faulted.txt || { \
 	  echo "check-robust: REGRESSION - faulted report differs from fault-free"; exit 1; }; \
 	echo "check-robust: OK (faulted report byte-identical to fault-free)"
+	@for j in 1 4; do \
+	  out=$$($(CCAL_BIN) stack --strategy exhaustive:6 --budget-steps 100 --jobs $$j); status=$$?; \
+	  if [ $$status -ne 0 ]; then \
+	    echo "check-robust: REGRESSION - step-budget run exited $$status at jobs $$j"; exit 1; fi; \
+	  echo "$$out" | grep -qF 'before edge "Mx86 refines Lx86[D] (Thm 3.1)"' || { \
+	    echo "check-robust: REGRESSION - jobs $$j step-budget frontier is not the Thm 3.1 edge"; exit 1; }; \
+	done; \
+	echo "check-robust: OK (100-step budget stops in the Thm 3.1 edge at jobs 1 and 4)"
 
 # The memory-model gate (DESIGN.md S29).  Three legs:
 #   1. the litmus conformance suite: every reachable-outcome set must

@@ -691,7 +691,8 @@ let run_parallel () =
    - overhead: enabling counters + spans must stay under a few percent of
      the uninstrumented run (budget: 5%), medians of 7 runs each;
    - determinism: the counter totals must be bit-identical for jobs=1 and
-     jobs=4 — the capture/commit protocol in [Parallel.scan] at work. *)
+     jobs=4 — the capture/commit protocol in [Parallel.budgeted_scan] at
+     work. *)
 let run_telemetry () =
   let depth = 6 in
   let explore jobs =

@@ -14,13 +14,13 @@
      see below); spans go to per-domain buffers registered once under a
      mutex — worker domains never contend on a shared span list.
    - Deterministic across jobs counts.  A counter bumped inside a
-     [Parallel.scan] job body would overcount under [jobs > 1]: workers
-     may evaluate indices beyond the early-exit cut before the cut is
-     published, indices the sequential oracle never runs.  [captured]
-     diverts a job's counts into a local delta; the executor commits the
-     deltas of exactly the merged prefix, in index order, so totals are
-     bit-identical for every jobs count.  Spans are exempt: they carry
-     wall-clock timestamps and are inherently run-specific.  *)
+     [Parallel.budgeted_scan] job body would overcount under [jobs > 1]:
+     workers may evaluate indices beyond the early-exit cut before the
+     cut is published, indices the sequential oracle never runs.
+     [captured] diverts a job's counts into a local delta; the executor
+     commits the deltas of exactly the merged prefix, in index order, so
+     totals are bit-identical for every jobs count.  Spans are exempt:
+     they carry wall-clock timestamps and are inherently run-specific.  *)
 
 let now_ns () = Monotonic_clock.now ()
 

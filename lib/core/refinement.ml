@@ -134,11 +134,15 @@ let replay_multi ?(max_steps = 200_000) ?(allow_blocked_at_end = false) overlay
   consume Log.empty events 0
 
 (* The per-schedule body of {!check}: one underlay run, translated and
-   replayed against the overlay.  Exposed (through {!check_sched}) so the
-   parallel checkers can hand it, schedule by schedule, to a domain pool;
-   it is pure up to its own game state. *)
-let check_one_gen ?stop ?memory ~max_steps ~expect_all_done ~underlay ~overlay
-    ~rel ~threads_under ~threads_over sched =
+   replayed against the overlay.  Exposed so the parallel checkers can hand
+   it, schedule by schedule, to a domain pool; it is pure up to its own
+   game state. *)
+let check_sched_stop ?(max_steps = 200_000) ?(expect_all_done = true) ?stop
+    ?memory ~underlay ~impl ~overlay ~rel ~client ~tids sched =
+  let threads_under =
+    List.map (fun i -> i, Prog.Module.link impl (client i)) tids
+  in
+  let threads_over = List.map (fun i -> i, client i) tids in
   (* [?memory] applies to the underlay game only: the implementation runs
      on the (possibly buffered) hardware machine, while the overlay spec
      is replayed as ever — the relation is responsible for translating
@@ -201,48 +205,19 @@ let check_one_gen ?stop ?memory ~max_steps ~expect_all_done ~underlay ~overlay
              }
          | [] -> Ok (l, lt)))
 
-let check_one ~max_steps ~expect_all_done ~underlay ~overlay ~rel ~threads_under
-    ~threads_over sched =
-  match
-    check_one_gen ~max_steps ~expect_all_done ~underlay ~overlay ~rel
-      ~threads_under ~threads_over sched
-  with
-  | `Checked r -> r
-  | `Interrupted -> assert false (* no stop closure installed *)
-
-let check_sched_stop ?(max_steps = 200_000) ?(expect_all_done = true) ?stop
-    ?memory ~underlay ~impl ~overlay ~rel ~client ~tids sched =
-  let threads_under =
-    List.map (fun i -> i, Prog.Module.link impl (client i)) tids
-  in
-  let threads_over = List.map (fun i -> i, client i) tids in
-  check_one_gen ?stop ?memory ~max_steps ~expect_all_done ~underlay ~overlay
-    ~rel ~threads_under ~threads_over sched
-
-let check_sched ?(max_steps = 200_000) ?(expect_all_done = true) ~underlay
-    ~impl ~overlay ~rel ~client ~tids sched =
-  let threads_under =
-    List.map (fun i -> i, Prog.Module.link impl (client i)) tids
-  in
-  let threads_over = List.map (fun i -> i, client i) tids in
-  check_one ~max_steps ~expect_all_done ~underlay ~overlay ~rel ~threads_under
-    ~threads_over sched
-
-let check ?(max_steps = 200_000) ?(expect_all_done = true) ~underlay ~impl
-    ~overlay ~rel ~client ~tids ~scheds () =
-  let threads_under =
-    List.map (fun i -> i, Prog.Module.link impl (client i)) tids
-  in
-  let threads_over = List.map (fun i -> i, client i) tids in
+let check ?max_steps ?expect_all_done ~underlay ~impl ~overlay ~rel ~client
+    ~tids ~scheds () =
   let rec go scheds_checked logs translated = function
     | [] -> Ok { scheds_checked; logs = List.rev logs; translated = List.rev translated }
     | sched :: rest -> (
       match
-        check_one ~max_steps ~expect_all_done ~underlay ~overlay ~rel
-          ~threads_under ~threads_over sched
+        check_sched_stop ?max_steps ?expect_all_done ~underlay ~impl ~overlay
+          ~rel ~client ~tids sched
       with
-      | Error f -> Error f
-      | Ok (l, lt) -> go (scheds_checked + 1) (l :: logs) (lt :: translated) rest)
+      | `Checked (Error f) -> Error f
+      | `Checked (Ok (l, lt)) ->
+        go (scheds_checked + 1) (l :: logs) (lt :: translated) rest
+      | `Interrupted -> assert false (* no stop closure installed *))
   in
   go 0 [] [] scheds
 

@@ -58,31 +58,18 @@ val check_sched_stop :
   tids:Event.tid list ->
   Sched.t ->
   [ `Checked of (Log.t * Log.t, failure) result | `Interrupted ]
-(** {!check_sched} with a cooperative-cancellation closure threaded into
-    the underlay game: when [stop] trips mid-run the schedule reports
+(** The per-schedule body of {!check}: run the underlay game under one
+    scheduler, translate, replay against the overlay, compare per-thread
+    results; [`Checked] carries the (underlay, translated) log pair or the
+    failure.  Pure up to its own game state, so the parallel checkers
+    ({!Ccal_verify.Linearizability}) can evaluate schedules on any
+    domain.  [stop] is a cooperative-cancellation closure threaded into
+    the underlay game: when it trips mid-run the schedule reports
     [`Interrupted] instead of a verdict, and the budgeted checkers count
     it toward an [Exhausted] result (DESIGN.md S27).  [?memory] selects
     the memory mode of the {e underlay} game only (the overlay spec is
     replayed as ever); under [Tso] the relation must translate the
     buffering events away. *)
-
-val check_sched :
-  ?max_steps:int ->
-  ?expect_all_done:bool ->
-  underlay:Layer.t ->
-  impl:Prog.Module.t ->
-  overlay:Layer.t ->
-  rel:Sim_rel.t ->
-  client:(Event.tid -> Prog.t) ->
-  tids:Event.tid list ->
-  Sched.t ->
-  (Log.t * Log.t, failure) result
-(** The per-schedule body of {!check}: run the underlay game under one
-    scheduler, translate, replay against the overlay, compare per-thread
-    results.  Returns the (underlay, translated) log pair.  Pure up to its
-    own game state, so the parallel checkers
-    ({!Ccal_verify.Linearizability}) can evaluate schedules on any
-    domain. *)
 
 val check :
   ?max_steps:int ->

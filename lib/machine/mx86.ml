@@ -36,7 +36,7 @@ let check_multicore_linking_sched ?max_steps ?layer:l ?(memory = Memory.default)
   | Game.All_done -> (
     let erased = Sim_rel.apply erase_switches outcome.Game.log in
     match Refinement.replay_multi ?max_steps l threads erased with
-    | Ok _ -> Ok ()
+    | Ok _ -> Ok outcome.Game.steps
     | Error (reason, _) ->
       Error
         (Printf.sprintf "multicore linking failed under %s: %s"
@@ -47,7 +47,7 @@ let check_multicore_linking ?max_steps ~threads ~scheds () =
     | [] -> Ok n
     | sched :: rest -> (
       match check_multicore_linking_sched ?max_steps ~threads sched with
-      | Ok () -> go (n + 1) rest
+      | Ok _ -> go (n + 1) rest
       | Error _ as e -> e)
   in
   go 0 scheds

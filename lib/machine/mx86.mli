@@ -39,8 +39,9 @@ val check_multicore_linking_sched :
   ?memory:Ccal_core.Memory.t ->
   threads:(Ccal_core.Event.tid * Ccal_core.Prog.t) list ->
   Ccal_core.Sched.t ->
-  (unit, string) result
-(** The per-schedule body of {!check_multicore_linking}.  Pure up to its
+  (int, string) result
+(** The per-schedule body of {!check_multicore_linking}; [Ok] carries the
+    game's step count, the cost a budgeted scan charges.  Pure up to its
     own game state, so the parallel checkers ({!Ccal_verify.Stack}) can
     evaluate schedules on any domain.  [?layer] (default {!layer}) and
     [?memory] (default [Sc]) generalize the check to other hardware

@@ -138,7 +138,7 @@ val check_multicore_linking_sched :
   ?max_steps:int ->
   threads:(Event.tid * Prog.t) list ->
   Sched.t ->
-  (unit, string) result
+  (int, string) result
 (** Theorem 3.1 over the TSO machine: {!Mx86.check_multicore_linking_sched}
     with [~layer:(layer ())] and [~memory:Tso].  The workload must be
     commit-free (no plain stores) since the erased log is replayed

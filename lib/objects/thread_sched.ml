@@ -280,7 +280,7 @@ let check_multithreaded_linking_sched ?max_steps ~placement ~layer ~threads
       Error (Printf.sprintf "log not turn-consistent under %s" sched.Sched.name)
     else
       match Refinement.replay_multi ?max_steps layer threads outcome.Game.log with
-      | Ok _ -> Ok ()
+      | Ok _ -> Ok outcome.Game.steps
       | Error (reason, _) ->
         Error (Printf.sprintf "log does not replay deterministically: %s" reason))
 
@@ -292,7 +292,7 @@ let check_multithreaded_linking ?max_steps ~placement ~layer ~threads ~scheds ()
         check_multithreaded_linking_sched ?max_steps ~placement ~layer ~threads
           sched
       with
-      | Ok () -> go (n + 1) rest
+      | Ok _ -> go (n + 1) rest
       | Error _ as e -> e)
   in
   go 0 scheds

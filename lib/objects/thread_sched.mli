@@ -79,8 +79,9 @@ val check_multithreaded_linking_sched :
   layer:Layer.t ->
   threads:(Event.tid * Prog.t) list ->
   Sched.t ->
-  (unit, string) result
-(** The per-schedule body of {!check_multithreaded_linking}.  Pure up to
+  (int, string) result
+(** The per-schedule body of {!check_multithreaded_linking}; [Ok] carries
+    the game's step count, the cost a budgeted scan charges.  Pure up to
     its own game state, so the parallel checkers ({!Ccal_verify.Stack})
     can evaluate schedules on any domain. *)
 

@@ -483,7 +483,7 @@ let explore_ctx ~ctx ?(independence = Exact) ?engine
       stats =
         {
           schedules_considered;
-          schedules_run = replay.Parallel.scanned;
+          schedules_run = List.length outcomes;
           schedules_pruned =
             max 0 (schedules_considered - List.length prefixes);
           sleep_set_prunes = walk_stats.Engine.sleep_prunes;

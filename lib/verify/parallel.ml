@@ -4,11 +4,12 @@
    schedules — embarrassingly parallel work that used to run on a single
    OCaml domain.  This module evaluates such a job list in chunks across a
    pool of domains (stdlib [Domain]/[Mutex]/[Condition], no new
-   dependencies) and merges the results *deterministically*: {!scan}
-   returns exactly what a sequential early-exit fold would, bit for bit,
-   regardless of completion order — the reported failure is always the one
-   from the lowest-indexed job, and chunks wholly above a pinned cut are
-   cancelled instead of evaluated.
+   dependencies) and merges the results *deterministically*: the one scan,
+   {!budgeted_scan}, returns exactly what a sequential early-exit fold
+   would, bit for bit, regardless of completion order — the reported
+   failure is always the one from the lowest-indexed job, and chunks
+   wholly above a pinned cut are cancelled instead of evaluated.  {!map}
+   is that scan with no cut and an unlimited token.
 
    Design notes:
 
@@ -22,9 +23,9 @@
      the middle of the list cannot serialize the scan.
    - Early cancellation is an atomic low-water mark of the least index
      whose result satisfied [cut] (or raised).  Workers skip indices above
-     the mark; every index at or below the final mark is guaranteed to
-     have been evaluated, which is what makes the merge equal to the
-     sequential scan.
+     the mark; the merge walks the cells in index order and evaluates
+     inline any index a worker skipped, which is what makes it equal to
+     the sequential scan.
    - [~jobs:1] (and empty/singleton job lists) bypass the pool entirely:
      no domains, no atomics — the sequential code path is the oracle the
      parallel one is tested against.
@@ -77,9 +78,9 @@ type batch = {
   retry : (int * int) list Atomic.t;
       (** requeued (index, attempt) pairs from crashed workers; drained
           before fresh chunks are claimed *)
-  give_up : unit -> bool;
-      (** budget heuristic: when true, workers stop claiming (the
-          budgeted merge recomputes the deterministic truncation) *)
+  token : Budget.token;
+      (** polled before every claim: once it trips, workers stop claiming
+          and the merge recomputes the deterministic truncation *)
 }
 
 type pool = {
@@ -168,7 +169,7 @@ let eval_chunk (b : batch) start stop =
 
 let run_chunks (b : batch) =
   let rec claim () =
-    if b.give_up () then ()
+    if Budget.poll b.token then ()
     else
       match pop_retry b with
       | Some (i, attempt) ->
@@ -335,8 +336,23 @@ let release busy =
   busy := false;
   Mutex.unlock registry_mutex
 
+(* The recommended jobs count, derived from a measured scaling curve
+   rather than [Domain.recommended_domain_count] (which reflects the host,
+   not the workload): the jobs value with the highest measured speedup,
+   ties broken toward fewer domains — a tie means the extra domains buy
+   nothing, so don't spawn them. *)
+let recommend_domains curve =
+  match curve with
+  | [] -> 1
+  | (j0, s0) :: rest ->
+    fst
+      (List.fold_left
+         (fun (bj, bs) (j, s) ->
+           if s > bs || (s = bs && j < bj) then (j, s) else (bj, bs))
+         (j0, s0) rest)
+
 (* ------------------------------------------------------------------ *)
-(* deterministic scan / map                                            *)
+(* the deterministic scan                                              *)
 (* ------------------------------------------------------------------ *)
 
 type 'b cell =
@@ -356,108 +372,8 @@ let eval_faulted i f x =
     go 0
   end
 
-let sequential_scan ~cut f xs =
-  let rec go i acc = function
-    | [] -> List.rev acc
-    | x :: rest ->
-      let y = eval_faulted i f x in
-      if cut y then List.rev (y :: acc) else go (i + 1) (y :: acc) rest
-  in
-  go 0 [] xs
-
-let scan ?jobs ~cut f xs =
-  let jobs = match jobs with Some j -> max 1 j | None -> 1 in
-  let n = List.length xs in
-  if jobs <= 1 || n <= 1 then sequential_scan ~cut f xs
-  else
-    match acquire (min jobs n) with
-    | None -> sequential_scan ~cut f xs
-    | Some (pool, busy) ->
-      let arr = Array.of_list xs in
-      let cells = Array.make n Empty in
-      (* Telemetry counters bumped inside a job body go to a per-job
-         capture delta, not the globals: under [jobs > 1] workers may
-         evaluate indices past the final cut — indices a sequential scan
-         never runs — so direct bumps would overcount.  The merge below
-         commits the deltas of exactly the surviving prefix, in index
-         order, keeping every counter total bit-identical to [~jobs:1]. *)
-      let deltas = Array.make n None in
-      let cut_mark = Atomic.make max_int in
-      let run i ~attempt =
-        if Fault.crash ~index:i ~attempt then `Crashed
-        else begin
-          deltas.(i) <-
-            Ccal_core.Probe.captured (fun () ->
-                match f arr.(i) with
-                | v ->
-                  cells.(i) <- Value v;
-                  if cut v then atomic_min cut_mark i
-                | exception e ->
-                  cells.(i) <- Raised (e, Printexc.get_raw_backtrace ());
-                  atomic_min cut_mark i);
-          `Done
-        end
-      in
-      let b =
-        {
-          run;
-          next = Atomic.make 0;
-          chunk = max 1 (min 32 (n / (pool.size * 4)));
-          limit = n;
-          cut = cut_mark;
-          retry = Atomic.make [];
-          give_up = (fun () -> false);
-        }
-      in
-      Fun.protect
-        ~finally:(fun () -> release busy)
-        (fun () ->
-          Ccal_core.Probe.span "pool.batch" (fun () -> run_calibrated pool b));
-      (* Merge: walk the prefix up to and including the least cut index.
-         Every slot in that prefix was evaluated (workers only skip
-         indices strictly above the low-water mark, and crashed attempts
-         are requeued until one lands), so the result is the sequential
-         scan's, independent of completion order. *)
-      let last = min (n - 1) (Atomic.get cut_mark) in
-      for i = 0 to last do
-        Ccal_core.Probe.commit deltas.(i)
-      done;
-      let rec collect i acc =
-        if i > last then List.rev acc
-        else
-          match cells.(i) with
-          | Value v -> collect (i + 1) (v :: acc)
-          | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
-          | Empty -> assert false (* all indices <= cut are evaluated *)
-      in
-      collect 0 []
-
-let map ?jobs f xs = scan ?jobs ~cut:(fun _ -> false) f xs
-
-(* The recommended jobs count, derived from a measured scaling curve
-   rather than [Domain.recommended_domain_count] (which reflects the host,
-   not the workload): the jobs value with the highest measured speedup,
-   ties broken toward fewer domains — a tie means the extra domains buy
-   nothing, so don't spawn them. *)
-let recommend_domains curve =
-  match curve with
-  | [] -> 1
-  | (j0, s0) :: rest ->
-    fst
-      (List.fold_left
-         (fun (bj, bs) (j, s) ->
-           if s > bs || (s = bs && j < bj) then (j, s) else (bj, bs))
-         (j0, s0) rest)
-
-(* ------------------------------------------------------------------ *)
-(* budgeted scan                                                       *)
-(* ------------------------------------------------------------------ *)
-
 type 'b budgeted = {
   prefix : 'b list;  (** surviving outcomes, in index order *)
-  scanned : int;  (** [List.length prefix] *)
-  total : int;  (** number of jobs submitted *)
-  steps_counted : int;  (** deterministic cumulative cost over the prefix *)
   ran_out : bool;  (** the scan stopped because the budget ran out *)
 }
 
@@ -477,8 +393,8 @@ type 'b budgeted = {
    - otherwise include the outcome, add its cost, continue.
 
    The shared token is charged live by workers purely as an early-stop
-   heuristic ([give_up]); [Budget.settle] overwrites it with the
-   deterministic total afterwards. *)
+   heuristic (polled before every claim); [Budget.settle] overwrites it
+   with the deterministic total afterwards. *)
 let budgeted_scan ?jobs ~token ~cost ~interrupted ~cut f xs =
   let n = List.length xs in
   let base = Budget.steps_used token in
@@ -487,33 +403,37 @@ let budgeted_scan ?jobs ~token ~cost ~interrupted ~cut f xs =
   let arr = Array.of_list xs in
   let eval_raw i = f ~stop:(Budget.game_stop token ~allowance) arr.(i) in
   let eval i = eval_faulted i (fun _ -> eval_raw i) arr.(i) in
-  let finish ~ran_out prefix scanned cum =
+  let finish ~ran_out prefix cum =
     Budget.settle token (base + cum);
     if ran_out then Budget.note_ran_out token;
-    { prefix = List.rev prefix; scanned; total = n; steps_counted = cum; ran_out }
+    { prefix = List.rev prefix; ran_out }
   in
   let sequential () =
     let rec go i cum acc =
-      if i >= n then finish ~ran_out:false acc i cum
-      else if cum >= allowance then finish ~ran_out:true acc i cum
-      else if Budget.poll_wall token then finish ~ran_out:true acc i cum
+      if i >= n then finish ~ran_out:false acc cum
+      else if cum >= allowance then finish ~ran_out:true acc cum
+      else if Budget.poll_wall token then finish ~ran_out:true acc cum
       else begin
         let v = eval i in
         Budget.charge token (cost v);
-        if interrupted v then finish ~ran_out:true acc i cum
-        else if cut v then finish ~ran_out:false (v :: acc) (i + 1) (cum + cost v)
+        if interrupted v then finish ~ran_out:true acc cum
+        else if cut v then finish ~ran_out:false (v :: acc) (cum + cost v)
         else go (i + 1) (cum + cost v) (v :: acc)
       end
     in
     go 0 0 []
   in
-  if n = 0 then finish ~ran_out:false [] 0 0
-  else if jobs <= 1 || n <= 1 then sequential ()
+  if jobs <= 1 || n <= 1 then sequential ()
   else
     match acquire (min jobs n) with
     | None -> sequential ()
     | Some (pool, busy) ->
       let cells = Array.make n Empty in
+      (* Telemetry counters bumped inside a job body go to a per-job
+         capture delta, not the globals: workers may evaluate indices past
+         the final cut, which a sequential scan never runs.  The merge
+         commits the deltas of exactly the surviving prefix, in index
+         order, keeping every counter total bit-identical to [~jobs:1]. *)
       let deltas = Array.make n None in
       let cut_mark = Atomic.make max_int in
       (* [body] evaluates uninjected: in the pool path the crash decision
@@ -544,7 +464,7 @@ let budgeted_scan ?jobs ~token ~cost ~interrupted ~cut f xs =
           limit = n;
           cut = cut_mark;
           retry = Atomic.make [];
-          give_up = (fun () -> Budget.poll token);
+          token;
         }
       in
       Fun.protect
@@ -557,8 +477,8 @@ let budgeted_scan ?jobs ~token ~cost ~interrupted ~cut f xs =
          the committed counter stream is identical to the oracle's. *)
       let fill i = deltas.(i) <- Ccal_core.Probe.captured (body ~faulted:true i) in
       let rec walk i cum acc =
-        if i >= n then finish ~ran_out:false acc i cum
-        else if cum >= allowance then finish ~ran_out:true acc i cum
+        if i >= n then finish ~ran_out:false acc cum
+        else if cum >= allowance then finish ~ran_out:true acc cum
         else begin
           (match cells.(i) with
           | Empty ->
@@ -567,16 +487,27 @@ let budgeted_scan ?jobs ~token ~cost ~interrupted ~cut f xs =
             if not (Budget.poll_wall token) then fill i
           | Value _ | Raised _ -> ());
           match cells.(i) with
-          | Empty -> finish ~ran_out:true acc i cum
+          | Empty -> finish ~ran_out:true acc cum
           | Raised (e, bt) ->
             Ccal_core.Probe.commit deltas.(i);
             Printexc.raise_with_backtrace e bt
           | Value v ->
             Ccal_core.Probe.commit deltas.(i);
-            if interrupted v then finish ~ran_out:true acc i cum
+            if interrupted v then finish ~ran_out:true acc cum
             else if cut v then
-              finish ~ran_out:false (v :: acc) (i + 1) (cum + cost v)
+              finish ~ran_out:false (v :: acc) (cum + cost v)
             else walk (i + 1) (cum + cost v) (v :: acc)
         end
       in
       walk 0 0 []
+
+(* The DPOR frontier walk is unbudgeted by design: the one scan, with no
+   cut and a token that never trips. *)
+let map ?jobs f xs =
+  (budgeted_scan ?jobs ~token:Budget.no_token
+     ~cost:(fun _ -> 0)
+     ~interrupted:(fun _ -> false)
+     ~cut:(fun _ -> false)
+     (fun ~stop:_ x -> f x)
+     xs)
+    .prefix

@@ -9,11 +9,15 @@
     the sequential scan: parallelism changes wall-clock only, never a
     certificate judgment.
 
-    Pools are cached by size and reused across calls; worker domains sleep
-    between batches and are joined by an [at_exit] hook.  The submitting
-    domain always participates, so [~jobs:n] means [n] runners on [n - 1]
-    spawned domains.  [~jobs:1] (the oracle) bypasses the pool entirely
-    and takes the plain sequential code path. *)
+    There is one scan, {!budgeted_scan}: every checker's schedule suite,
+    the stack's linking edges included, runs through it under the run's
+    {!Budget.token}, and {!map} is the same scan with no cut and
+    {!Budget.no_token}.  Pools are cached by size and reused across
+    calls; worker domains sleep between batches and are joined by an
+    [at_exit] hook.  The submitting domain always participates, so
+    [~jobs:n] means [n] runners on [n - 1] spawned domains.  [~jobs:1]
+    (the oracle) bypasses the pool entirely and takes the plain
+    sequential code path. *)
 
 val default_jobs : unit -> (int, string) result
 (** The [CCAL_JOBS] environment variable when set, otherwise
@@ -23,22 +27,9 @@ val default_jobs : unit -> (int, string) result
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [List.map f xs], evaluated across [min jobs
-    (length xs)] domains.  Exceptions are re-raised deterministically: the
+    (length xs)] domains: {!budgeted_scan} with no cut under
+    {!Budget.no_token}.  Exceptions are re-raised deterministically: the
     one from the lowest-indexed job, as the sequential map would. *)
-
-val scan : ?jobs:int -> cut:('b -> bool) -> ('a -> 'b) -> 'a list -> 'b list
-(** [scan ~jobs ~cut f xs] is the parallel early-exit scan: it returns
-    exactly what
-
-    {[ let rec go = function
-         | [] -> []
-         | x :: r -> let y = f x in if cut y then [ y ] else y :: go r ]}
-
-    would — all results up to and including the {e lowest-indexed} job
-    satisfying [cut] — regardless of the order in which domains finish.
-    Once a cut is pinned, chunks wholly above it are cancelled rather than
-    evaluated.  This is how every checker reports the failure of the
-    lowest-indexed schedule, identical to the sequential fold. *)
 
 val recommend_domains : (int * float) list -> int
 (** [recommend_domains curve] derives the jobs count to recommend from a
@@ -48,13 +39,10 @@ val recommend_domains : (int * float) list -> int
     [recommended_domains] — a measurement, not
     [Domain.recommended_domain_count]. *)
 
-(** {1 Budgeted scan} *)
+(** {1 The scan} *)
 
 type 'b budgeted = {
   prefix : 'b list;  (** surviving outcomes, in index order *)
-  scanned : int;  (** [List.length prefix] *)
-  total : int;  (** number of jobs submitted *)
-  steps_counted : int;  (** deterministic cumulative cost over the prefix *)
   ran_out : bool;  (** the scan stopped because the budget ran out *)
 }
 
@@ -67,10 +55,26 @@ val budgeted_scan :
   (stop:(unit -> bool) option -> 'a -> 'b) ->
   'a list ->
   'b budgeted
-(** {!scan} under a {!Budget.token} (DESIGN.md S27).  The body receives a
-    per-job stop closure to thread into [Game.config]; [cost] extracts a
-    job's step cost from its outcome and [interrupted] recognises an
-    outcome cut short by the stop closure (e.g. [Game.Cancelled]).
+(** [budgeted_scan ~jobs ~token ~cost ~interrupted ~cut f xs] is the
+    parallel early-exit scan under a {!Budget.token} (DESIGN.md S24,
+    S27).  With an unlimited token its [prefix] is exactly what
+
+    {[ let rec go = function
+         | [] -> []
+         | x :: r -> let y = f ~stop:None x in
+           if cut y then [ y ] else y :: go r ]}
+
+    would return — all results up to and including the {e lowest-indexed}
+    job satisfying [cut] — regardless of the order in which domains
+    finish; an exception is re-raised from the lowest-indexed job that
+    raised, as the sequential fold would.  Once a cut is pinned, chunks
+    wholly above it are cancelled rather than evaluated.  This is how
+    every checker reports the failure of the lowest-indexed schedule.
+
+    The body receives a per-job stop closure to thread into
+    [Game.config]; [cost] extracts a job's step cost from its outcome and
+    [interrupted] recognises an outcome cut short by the stop closure
+    (e.g. [Game.Cancelled]).
 
     Determinism: with a {e step} budget, the returned prefix is a pure
     function of the inputs — every job gets the same private step
@@ -81,8 +85,7 @@ val budgeted_scan :
     wall-clock events and may move the truncation point, never a
     completed outcome.  On return the token is {!Budget.settle}d with the
     deterministic total, so stacked scans compose.  Injected worker
-    crashes (see {!Fault}) are absorbed by the pool's requeue path in
-    this scan and in {!scan}/{!map}. *)
+    crashes (see {!Fault}) are absorbed by the pool's requeue path. *)
 
 type stats = {
   batches : int;  (** batches submitted to any pool *)

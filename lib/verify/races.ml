@@ -136,7 +136,7 @@ let check_ctx ~ctx ?max_steps ?scheds ?resume layer threads =
       in
       let partial =
         {
-          scanned = skip + replay.Parallel.scanned;
+          scanned = skip + List.length outcomes;
           clean =
             clean0
             + List.length

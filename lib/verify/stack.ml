@@ -71,12 +71,12 @@ let timed f =
   let r, ms = Verify_clock.timed f in
   (r, ms, Probe.diff_counters before (Probe.counters ()))
 
-(* Fold a [Parallel.scan]-produced prefix of per-schedule linking results
-   back into the sequential count-or-first-error shape. *)
+(* Fold a [Parallel.budgeted_scan]-produced prefix of per-schedule linking
+   results back into the sequential count-or-first-error shape. *)
 let fold_linking results =
   let rec go n = function
     | [] -> Ok n
-    | Ok () :: rest -> go (n + 1) rest
+    | Ok _ :: rest -> go (n + 1) rest
     | (Error _ as e) :: _ -> e
   in
   go 0 results
@@ -291,6 +291,19 @@ let verify_all_ctx ~ctx ?(lock = `Ticket) ?(seeds = 4) ?strategy
     ?(adversarial = false) () =
   Ctx.arm ctx @@ fun () ->
   let jobs = Ctx.jobs_opt ctx in
+  (* A linking edge's suite under the run's token: a game costs its
+     steps, and a scan the budget cut short leaves the edge unfinished. *)
+  let linking_scan check scheds =
+    let scan =
+      Parallel.budgeted_scan ?jobs ~token:ctx.Ctx.token
+        ~cost:(function Ok steps -> steps | Error _ -> 0)
+        ~interrupted:(fun _ -> false) ~cut:Result.is_error
+        (fun ~stop:_ sched -> check sched)
+        scheds
+    in
+    if scan.Parallel.ran_out then raise Ran_out_of_budget;
+    fold_linking scan.Parallel.prefix
+  in
   let cache = ctx.Ctx.cache in
   let memory = ctx.Ctx.memory in
   let keys = edge_keys ~lock ~seeds ~strategy ~memory in
@@ -391,11 +404,8 @@ let verify_all_ctx ~ctx ?(lock = `Ticket) ?(seeds = 4) ?strategy
                     Ccal_machine.Tso.check_multicore_linking_sched ~threads
                       sched
                 in
-                fold_linking
-                  (Parallel.scan ?jobs ~cut:Result.is_error check
-                     (scheds_for
-                        (Ccal_machine.Tso.machine_layer memory)
-                        threads)))
+                linking_scan check
+                  (scheds_for (Ccal_machine.Tso.machine_layer memory) threads))
           in
           let* n = link_result in
           Ok
@@ -498,11 +508,10 @@ let verify_all_ctx ~ctx ?(lock = `Ticket) ?(seeds = 4) ?strategy
                   Thread_sched.mt_layer mt_placement (Lock_intf.layer "Llock")
                 in
                 let threads = [ 1, mt_prog 1; 2, mt_prog 2; 3, mt_prog 3 ] in
-                fold_linking
-                  (Parallel.scan ?jobs ~cut:Result.is_error
-                     (Thread_sched.check_multithreaded_linking_sched
-                        ~placement:mt_placement ~layer ~threads)
-                     (scheds_for layer threads)))
+                linking_scan
+                  (Thread_sched.check_multithreaded_linking_sched
+                     ~placement:mt_placement ~layer ~threads)
+                  (scheds_for layer threads))
           in
           let* n = mtl in
           Ok
@@ -621,7 +630,7 @@ let verify_all_ctx ~ctx ?(lock = `Ticket) ?(seeds = 4) ?strategy
                     Error
                       (Format.asprintf "adversarial rwlock game failed: %a"
                          Game.pp_status status)
-                  | None -> Ok scan.Parallel.scanned)
+                  | None -> Ok (List.length scan.Parallel.prefix))
             in
             let* n = result in
             Ok

@@ -40,13 +40,24 @@ let seq_scan ~cut f xs =
   in
   go xs
 
-let prop_scan_is_sequential_scan =
-  qtc "Parallel.scan = sequential early-exit scan"
+(* the one scan, unbudgeted: its prefix is the sequential early-exit
+   scan's *)
+let unbudgeted_scan ~jobs ~cut f xs =
+  (Parallel.budgeted_scan ~jobs ~token:Budget.no_token
+     ~cost:(fun _ -> 0)
+     ~interrupted:(fun _ -> false)
+     ~cut
+     (fun ~stop:_ x -> f x)
+     xs)
+    .Parallel.prefix
+
+let prop_unbudgeted_scan_is_seq_scan =
+  qtc "Parallel.budgeted_scan ~token:no_token = sequential early-exit scan"
     QCheck.(pair (oneofl [ 1; 2; 4; 7 ]) (small_list small_int))
     (fun (jobs, xs) ->
       let cut y = y mod 5 = 0 in
       let f x = x * 3 in
-      Parallel.scan ~jobs ~cut f xs = seq_scan ~cut f xs)
+      unbudgeted_scan ~jobs ~cut f xs = seq_scan ~cut f xs)
 
 exception Boom of int
 
@@ -545,7 +556,7 @@ let test_budgeted_races_exhausted_jobs_invariant () =
 let suite =
   [
     prop_map_is_list_map;
-    prop_scan_is_sequential_scan;
+    prop_unbudgeted_scan_is_seq_scan;
     tc "exceptions surface at the lowest index" test_exception_lowest_index;
     tc "oversubscribed pools" test_oversubscribed_pool;
     tc "stats are monotone" test_stats_monotone;

@@ -242,6 +242,28 @@ let test_stack_zero_budget_reports_first_edge () =
     Alcotest.failf "partial progress is Ok-shaped: %s" msg
   | Budget.Complete _ -> Alcotest.fail "zero budget did not trip"
 
+(* The linking edges run on the one budgeted scan: each Thm 3.1 game is
+   charged its steps, so 100 steps cannot cover the 64 games of
+   exhaustive:6 and the frontier is the first edge, at the same
+   deterministic step total on every jobs count. *)
+let test_stack_step_budget_stops_in_linking_edge () =
+  let run jobs =
+    let ctx = Ctx.make ~jobs ~budget:(Budget.make ~steps:100 ()) () in
+    match
+      Stack.verify_all_ctx ~ctx ~strategy:(Ctx.Engine.exhaustive ~depth:6) ()
+    with
+    | Budget.Exhausted { spent; partial = Ok p } ->
+      check_bool
+        (Printf.sprintf "jobs=%d: the frontier is the Thm 3.1 edge" jobs)
+        true
+        (p.Stack.next_edge = Some "Mx86 refines Lx86[D] (Thm 3.1)");
+      spent.Budget.steps_used
+    | Budget.Exhausted { partial = Error msg; _ } ->
+      Alcotest.failf "partial progress is Ok-shaped: %s" msg
+    | Budget.Complete _ -> Alcotest.fail "100 steps did not trip"
+  in
+  check_int "steps used at jobs=4 = jobs=1" (run 1) (run 4)
+
 (* The ISSUE acceptance criterion: the deliberately livelocking rwlock
    edge — the spinning C loops phase-lock with the trace-prefix
    schedulers and burn the whole fuel allowance — must come back as an
@@ -290,4 +312,6 @@ let suite =
       test_stack_zero_budget_reports_first_edge;
     tc "stack: rwlock livelock bounded by --budget-ms"
       test_stack_livelock_bounded_by_budget;
+    tc "stack: step budget stops inside the Thm 3.1 edge"
+      test_stack_step_budget_stops_in_linking_edge;
   ]

@@ -1,8 +1,8 @@
 (* Tests for the telemetry subsystem (S25): counters must be
    bit-identical across jobs counts (clean and failing runs alike — the
-   capture/commit protocol of [Parallel.scan] at work), spans must nest,
-   the Chrome-trace export must be valid JSON, and everything must be
-   inert when disabled.
+   capture/commit protocol of [Parallel.budgeted_scan] at work), spans
+   must nest, the Chrome-trace export must be valid JSON, and everything
+   must be inert when disabled.
 
    Every test runs with [with_telemetry], which guarantees the global
    switch is off again afterwards whatever happens — the rest of the
@@ -151,9 +151,11 @@ let test_captured_counts_follow_the_cut () =
         (fun jobs ->
           Telemetry.reset ();
           ignore
-            (Parallel.scan ~jobs
+            (Parallel.budgeted_scan ~jobs ~token:Budget.no_token
+               ~cost:(fun _ -> 0)
+               ~interrupted:(fun _ -> false)
                ~cut:(fun y -> y = 5)
-               (fun x ->
+               (fun ~stop:_ x ->
                  Telemetry.incr c;
                  x)
                (List.init 40 Fun.id));
