@@ -11,7 +11,7 @@ test:
 # Regression guard: the suite must never silently shrink — a dune or
 # module-wiring mistake can drop a whole test file from the runner while
 # everything still "passes".  Bump the floor when tests are added.
-TEST_COUNT_FLOOR := 479
+TEST_COUNT_FLOOR := 483
 
 check-test-count:
 	@out=$$(dune runtest --force 2>&1); status=$$?; \
@@ -187,6 +187,15 @@ check-crash: build
 	echo "$$out" | grep -q "crash-refinement failure" || { \
 	  echo "check-crash: REGRESSION - unsynced failure not named"; exit 1; }; \
 	echo "check-crash: OK (unsynced variant rejected: $$(echo "$$out" | grep 'crash-refinement failure' | head -1))"
+	@out=$$($(CCAL_BIN) crash --budget-steps 200 --report _build/crash-exhausted.txt) || { \
+	  echo "check-crash: REGRESSION - exhausted run did not exit 0"; exit 1; }; \
+	echo "$$out" | grep -q "budget exhausted" || { \
+	  echo "check-crash: REGRESSION - 200-step run finished (gate vacuous)"; exit 1; }; \
+	grep -q "^  wal " _build/crash-exhausted.txt || { \
+	  echo "check-crash: REGRESSION - completed wal edge missing from the partial report"; exit 1; }; \
+	if grep -q "durable-kv" _build/crash-exhausted.txt; then \
+	  echo "check-crash: REGRESSION - partial report lists the unfinished durable-kv edge"; exit 1; fi; \
+	echo "check-crash: OK (200-step run exhausted; partial report lists only the completed wal edge)"
 
 # The symmetry-reduction gate (DESIGN.md S31).  Three legs:
 #   1. depth-8 scaling: on the ticket game (4 threads, depth 8, events

@@ -154,65 +154,35 @@ let fingerprints ?(threads = 3) ?(shards = 2) ?(entries = 2)
 
 let verify_ctx ~ctx ?(threads = 3) ?(shards = 2) ?(entries = 2) () =
   Ctx.arm ctx @@ fun () ->
-  let specs = edge_specs ~threads ~shards ~entries in
-  let run_edge s =
-    let outcome, ms =
-      Verify_clock.timed (fun () ->
-          Linearizability.check_ctx ~ctx ~underlay:s.underlay ~impl:s.impl
-            ~overlay:s.overlay ~rel:s.rel ~client:s.client ~tids:s.tids ())
-    in
-    match outcome with
-    | Budget.Complete (Ok (r : Linearizability.report)) ->
-      `Done
-        {
-          edge_name = s.name;
-          checks = r.Linearizability.runs;
-          distinct_logs = r.Linearizability.distinct_logs;
-          millis = ms;
-        }
-    | Budget.Complete (Error f) ->
-      `Failed
-        (Format.asprintf "%s: %a" s.name Refinement.pp_failure f)
-    | Budget.Exhausted { spent; _ } -> `Exhausted spent
-  in
-  (* Per-edge memoization under the ["kvedge"] kind: a hit skips the
-     edge's DPOR walk and refinement scan entirely (its [millis] is the
-     lookup time); only successful edges are stored, so failures always
-     reproduce live. *)
-  let cached_edge s =
-    match ctx.Ctx.cache with
-    | None -> run_edge s
-    | Some c -> (
-      let key = spec_fingerprint ~strategy:ctx.Ctx.strategy s in
-      let found, lookup_ms =
-        Verify_clock.timed (fun () -> Cache.find c ~kind:"kvedge" key)
+  let edge s =
+    let run () =
+      let outcome, millis =
+        Verify_clock.timed (fun () ->
+            Linearizability.check_ctx ~ctx ~underlay:s.underlay ~impl:s.impl
+              ~overlay:s.overlay ~rel:s.rel ~client:s.client ~tids:s.tids ())
       in
-      match found with
-      | Some (e : edge) -> `Done { e with millis = lookup_ms }
-      | None -> (
-        match run_edge s with
-        | `Done e ->
-          Cache.store c ~kind:"kvedge" key e;
-          `Done e
-        | other -> other))
-  in
-  let rec loop acc = function
-    | [] -> Budget.Complete (Ok (report_of (List.rev acc)))
-    | s :: rest ->
-      if Budget.poll ctx.Ctx.token then
-        Budget.Exhausted
+      match Edges.value outcome with
+      | Ok (r : Linearizability.report) ->
+        Ok
           {
-            spent = Budget.spent ctx.Ctx.token;
-            partial = Ok (report_of (List.rev acc));
+            edge_name = s.name;
+            checks = r.Linearizability.runs;
+            distinct_logs = r.Linearizability.distinct_logs;
+            millis;
           }
-      else (
-        match cached_edge s with
-        | `Done e -> loop (e :: acc) rest
-        | `Failed msg -> Budget.Complete (Error msg)
-        | `Exhausted spent ->
-          Budget.Exhausted { spent; partial = Ok (report_of (List.rev acc)) })
+      | Error f -> Error (Format.asprintf "%s: %a" s.name Refinement.pp_failure f)
+    in
+    {
+      Edges.name = s.name;
+      key = Some (fun () -> spec_fingerprint ~strategy:ctx.Ctx.strategy s);
+      run;
+    }
   in
-  loop [] specs
+  Budget.map
+    (Result.map (fun p -> report_of p.Edges.completed))
+    (Edges.run ~ctx ~kind:"kvedge"
+       ~with_millis:(fun e millis -> { e with millis })
+       (List.map edge (edge_specs ~threads ~shards ~entries)))
 
 (* ---- whole-machine games ---- *)
 

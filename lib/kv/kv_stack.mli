@@ -52,11 +52,13 @@ val verify_ctx :
   (report, string) result Budget.outcome
 (** Verify all three edges.  [threads] (default 3) is the client thread
     count, [shards] (default 2) the hash-table bucket count, [entries]
-    (default 2) the cache capacity.  Scheduler suites derive from
+    (default 2) the cache capacity.  The edges run through
+    {!Ccal_verify.Edges.run}.  Scheduler suites derive from
     [ctx.strategy] per edge game; [ctx.cache] memoizes whole edges under
-    the ["kvedge"] kind (failures always re-run live) as well as the
-    inner DPOR walks and refinement reports; [ctx.budget] is polled
-    between edges. *)
+    the ["kvedge"] kind (a hit's [millis] is the lookup time; failures
+    and exhausted edges always re-run live) as well as the inner DPOR
+    walks and refinement reports; [ctx.budget] is polled between edges,
+    and an [Exhausted] report lists the completed edges. *)
 
 (** {1 Whole-machine games} (the explore corpus and the bench) *)
 

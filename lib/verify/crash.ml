@@ -274,6 +274,8 @@ let check_edge_live ~ctx ~bound edge scheds =
       (fun ~stop sched -> check_sched ~bound ?stop edge sched)
       scheds
   in
+  if replay.Parallel.ran_out then
+    raise (Edges.Out_of_budget (Budget.spent ctx.Ctx.token));
   let rec go schedules points recoveries logs = function
     | [] ->
       let distinct_logs = List.length (Log.dedup (List.rev logs)) in
@@ -295,10 +297,7 @@ let check_edge_live ~ctx ~bound edge scheds =
       (* excluded from the budgeted prefix by construction *)
       assert false
   in
-  let result = go 0 0 0 [] replay.Parallel.prefix in
-  if replay.Parallel.ran_out then
-    Budget.Exhausted { spent = Budget.spent ctx.Ctx.token; partial = result }
-  else Budget.Complete result
+  go 0 0 0 [] replay.Parallel.prefix
 
 (* Cache key of a crash edge: the underlay, the client programs, the
    schedule suite, the mask bound, the fuel, the memory mode, and the
@@ -321,56 +320,28 @@ let edge_key ~ctx ~bound edge scheds =
   let st = Fingerprint.memory st ctx.Ctx.memory in
   Fingerprint.finish st
 
-let cache_kind = "crash"
-
-let check_edge_ctx ~ctx ?(crashes = 4) edge =
+let check_ctx ~ctx ?(crashes = 4) edges =
   Ctx.arm ctx @@ fun () ->
-  let scheds = Explore.scheds_of_strategy_ctx ~ctx edge.layer edge.threads in
-  let live () =
-    let outcome, ms =
-      Verify_clock.timed (fun () -> check_edge_live ~ctx ~bound:crashes edge scheds)
+  let edge e =
+    (* The suite is a DPOR walk: derived at most once, by the key or the
+       scan, whichever needs it first, and only for an edge the loop
+       reaches.  It is built outside the edge's timed window. *)
+    let scheds = lazy (Explore.scheds_of_strategy_ctx ~ctx e.layer e.threads) in
+    let run () =
+      let scheds = Lazy.force scheds in
+      let r, millis =
+        Verify_clock.timed (fun () -> check_edge_live ~ctx ~bound:crashes e scheds)
+      in
+      Result.map (fun er -> { er with millis }) r
     in
-    Budget.map (Result.map (fun e -> { e with millis = ms })) outcome
+    {
+      Edges.name = e.name;
+      key = Some (fun () -> edge_key ~ctx ~bound:crashes e (Lazy.force scheds));
+      run;
+    }
   in
-  match ctx.Ctx.cache with
-  | None -> live ()
-  | Some c -> (
-    let key = edge_key ~ctx ~bound:crashes edge scheds in
-    let found, lookup_ms =
-      Verify_clock.timed (fun () -> Cache.find c ~kind:cache_kind key)
-    in
-    match found with
-    | Some (e : edge_report) -> Budget.Complete (Ok { e with millis = lookup_ms })
-    | None -> (
-      match live () with
-      | Budget.Complete (Ok e) as ok ->
-        Cache.store c ~kind:cache_kind key e;
-        ok
-      (* Failures always reproduce live, and an exhausted prefix is not
-         the verdict — neither is stored. *)
-      | (Budget.Complete (Error _) | Budget.Exhausted _) as r -> r))
-
-let check_ctx ~ctx ?crashes edges =
-  Ctx.arm ctx @@ fun () ->
-  let rec loop acc = function
-    | [] -> Budget.Complete (Ok (report_of (List.rev acc)))
-    | e :: rest ->
-      if Budget.poll ctx.Ctx.token then
-        Budget.Exhausted
-          {
-            spent = Budget.spent ctx.Ctx.token;
-            partial = Ok (report_of (List.rev acc));
-          }
-      else (
-        match check_edge_ctx ~ctx ?crashes e with
-        | Budget.Complete (Ok er) -> loop (er :: acc) rest
-        | Budget.Complete (Error f) -> Budget.Complete (Error f)
-        | Budget.Exhausted { spent; partial } ->
-          let partial =
-            match partial with
-            | Ok er -> Ok (report_of (List.rev (er :: acc)))
-            | Error f -> Error f
-          in
-          Budget.Exhausted { spent; partial })
-  in
-  loop [] edges
+  Budget.map
+    (Result.map (fun p -> report_of p.Edges.completed))
+    (Edges.run ~ctx ~kind:"crash"
+       ~with_millis:(fun e millis -> { e with millis })
+       (List.map edge edges))

@@ -70,7 +70,6 @@ type report = {
   total_millis : float;
 }
 
-val report_of : edge_report list -> report
 val pp_report : Format.formatter -> report -> unit
 
 val pp_report_canonical : Format.formatter -> report -> unit
@@ -88,22 +87,17 @@ val check_point :
   edge -> Log.t -> keep:int -> tear:int -> (unit, string) result
 (** One recovery check at one crash point of one play prefix. *)
 
-val cache_kind : string
-(** The cache kind of stored edge reports: ["crash"]. *)
-
-val check_edge_ctx :
-  ctx:Ctx.t ->
-  ?crashes:int ->
-  edge ->
-  (edge_report, failure) result Budget.outcome
-(** Certify one edge over the suite derived from [ctx.strategy].
-    [crashes] bounds full mask enumeration (default 4).  Runs through
-    {!Ctx}: jobs, budget, faults and cache apply; successful reports
-    memoize under {!cache_kind}; failures always reproduce live. *)
-
 val check_ctx :
   ctx:Ctx.t ->
   ?crashes:int ->
   edge list ->
   (report, failure) result Budget.outcome
-(** Certify the edges in order, polling the budget between edges. *)
+(** Certify the edges in order through {!Edges.run}, each over the suite
+    derived from [ctx.strategy]; [crashes] bounds full mask enumeration
+    (default 4).  Runs through {!Ctx}: jobs, budget, faults and cache
+    apply.  The budget is polled between edges; an [Exhausted] report
+    lists the edges that completed, never one only partly checked.  An
+    edge's suite is derived lazily, once, for its key and its scan, so
+    no walk runs for an edge the loop never reaches.  Successful edge
+    reports memoize under the ["crash"] cache kind (a hit's [millis] is
+    the lookup time); failures always reproduce live. *)

@@ -48,13 +48,14 @@ val edge_fingerprints :
   ?memory:Ccal_core.Memory.t ->
   unit ->
   (string * Fingerprint.t) list
-(** The cache key of every edge {!verify_all} would check, in order,
-    keyed by [edge_name] — exposed so tests can assert the invalidation
-    contract: changing an input (the lock implementation, the seeds, the
-    strategy, the memory mode) must change exactly the keys of the edges
-    that depend on it.  The memory mode enters {e every} key — an SC
-    verdict is never served for a TSO query.  [jobs] takes no part in
-    any key. *)
+(** The cache key of every edge {!verify_all_ctx} would check, in order,
+    keyed by [edge_name] — read off the same edge list the check runs,
+    so a key and its edge body cannot drift apart.  Exposed so tests can
+    assert the invalidation contract: changing an input (the lock
+    implementation, the seeds, the strategy, the memory mode) must
+    change exactly the keys of the edges that depend on it.  The memory
+    mode enters {e every} key — an SC verdict is never served for a TSO
+    query.  [jobs] takes no part in any key. *)
 
 val adversarial_edge_name : string
 (** Name of the opt-in spinning-rwlock edge, for CLI/report plumbing. *)
@@ -95,18 +96,22 @@ val verify_all_ctx :
     edge is effectively a hang without a budget and the canonical
     demonstration that one turns it into an [Exhausted] report.
 
-    [ctx.budget] is polled between edges and inside every budgeted inner
-    checker; an [Exhausted] outcome carries the {!progress} frontier —
-    the report over completed edges plus the name of the first edge that
-    did not complete.  Completed edges are never re-verified on resume
-    when [ctx.cache] is set (their verdicts were stored).
+    The edges run through {!Edges.run}.  [ctx.budget] is polled before
+    each edge and inside every budgeted inner checker; an [Exhausted]
+    outcome carries the {!progress} frontier — the report over completed
+    edges plus the name of the first edge that did not complete — and
+    the [spent] of the checker that ran out.  Completed edges are never
+    re-verified on resume when [ctx.cache] is set (their verdicts were
+    stored).
 
     [ctx.cache] memoizes each edge's verdict on disk under its
-    {!edge_fingerprints} key: a hit pushes the stored edge (verdict,
+    {!edge_fingerprints} key (kind ["edge"]); keys are computed only when
+    a cache is attached.  A hit returns the stored edge (verdict,
     [checks], [counters]) with the lookup time as [millis] and skips the
     edge's game entirely; a miss runs the edge and stores it on success.
-    Failing edges are never stored, so failures always reproduce live.
-    The cache handle is also threaded into the edges' inner checkers
-    ({!Explore.run_all_ctx}, {!Dpor}, {!Linearizability.refine_cert_ctx}),
-    which keep their own finer-grained entries.  The adversarial edge is
-    never cached. *)
+    Failing and exhausted edges are never stored, so failures always
+    reproduce live.  The cache handle is also threaded into the edges'
+    inner checkers ({!Explore.run_all_ctx}, {!Dpor},
+    {!Linearizability.refine_cert_ctx}), which keep their own
+    finer-grained entries.  The adversarial edge has no key and is never
+    cached. *)

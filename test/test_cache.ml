@@ -146,10 +146,11 @@ let test_crash_kind_corrupt_rechecks () =
       let module D = Ccal_disk in
       let report cache =
         match
-          V.Crash.check_edge_ctx ~ctx:(V.Ctx.make ~cache ())
-            (D.Wal.crash_edge ())
+          V.Crash.check_ctx ~ctx:(V.Ctx.make ~cache ()) [ D.Wal.crash_edge () ]
         with
-        | V.Budget.Complete (Ok e) -> { e with V.Crash.millis = 0. }
+        | V.Budget.Complete (Ok { V.Crash.edges = [ e ]; _ }) ->
+          { e with V.Crash.millis = 0. }
+        | V.Budget.Complete (Ok _) -> Alcotest.fail "expected one edge report"
         | V.Budget.Complete (Error f) -> Alcotest.failf "%a" V.Crash.pp_failure f
         | V.Budget.Exhausted _ -> Alcotest.fail "unexpected budget exhaustion"
       in
@@ -403,6 +404,58 @@ let test_lock_swap_invalidates_exactly_lock_edges () =
     [ "Llock[1] x Llock[2] => Llock[{1,2}] (Pcomp)" ]
     (changed_edges base mcs)
 
+(* ---- golden keys: a refactor that moves a key orphans every cache ---- *)
+
+(* The hex of every stack and kv edge key, pinned.  These must only
+   change on purpose (a [Fingerprint.version] bump or a real change to an
+   edge's inputs); a refactor that reorders a key fold silently turns
+   every user's store into misses, and only this test notices. *)
+let check_golden name expected actual =
+  Alcotest.(check (list (pair string string)))
+    name expected
+    (List.map (fun (n, fp) -> n, Fingerprint.to_hex fp) actual)
+
+let test_stack_keys_golden_ticket_sc () =
+  check_golden "ticket/SC edge keys"
+    [
+      "Mx86 refines Lx86[D] (Thm 3.1)", "3d7471a66f8d036f";
+      "L0 |- M_ticket : Llock (Fun)", "2cfa61d4464a6bd2";
+      "Llock[1] x Llock[2] => Llock[{1,2}] (Pcomp)", "3a06e9df2adf52bd";
+      "L0 |- M_lock + M_q : Lq_high (Vcomp, Fig. 5)", "2f5bddbad2faf624";
+      "[[P + M]]_L0 refines [[P]]_Lq_high (Thm 2.2)", "2e764a6c4b420afb";
+      "Lbtd[c] = Lhtd[c][Tc] (Thm 5.1)", "09c666481c597d8c";
+      "Lmt(Llock) |- M_qlock : Lqlock (Fun, Fig. 11)", "3bb9d8403a5441ce";
+      "Lmt(spin+cv) |- M_ipc : Lipc (Fun)", "1f2d61eab412e079";
+      "[[producer|consumer]] refines Lipc (blocking paths)", "214cd368f2abf675";
+      "Llock |- M_rwlock : Lrwlock (Fun, extension)", "03cdb86fa79920d2";
+    ]
+    (V.Stack.edge_fingerprints ())
+
+let test_stack_keys_golden_mcs_tso () =
+  check_golden "mcs/TSO edge keys"
+    [
+      "Mx86 refines Lx86[D] (Thm 3.1)", "050d421aeb06caa0";
+      "L0 |- M_mcs : Llock (Fun)", "3377fcfcdc1e2b48";
+      "Llock[1] x Llock[2] => Llock[{1,2}] (Pcomp)", "08a1c67a73487a57";
+      "L0 |- M_lock + M_q : Lq_high (Vcomp, Fig. 5)", "1b900b27bf737d64";
+      "[[P + M]]_L0 refines [[P]]_Lq_high (Thm 2.2)", "02a80dabc3536ce3";
+      "Lbtd[c] = Lhtd[c][Tc] (Thm 5.1)", "0856873e599fc127";
+      "Lmt(Llock) |- M_qlock : Lqlock (Fun, Fig. 11)", "238b85afbd3f5fe0";
+      "Lmt(spin+cv) |- M_ipc : Lipc (Fun)", "272cd482bc979687";
+      "[[producer|consumer]] refines Lipc (blocking paths)", "0cdf0cb065db33b9";
+      "Llock |- M_rwlock : Lrwlock (Fun, extension)", "2038219344786998";
+    ]
+    (V.Stack.edge_fingerprints ~lock:`Mcs ~memory:Memory.Tso ())
+
+let test_kv_keys_golden () =
+  check_golden "kv edge keys"
+    [
+      "Llock |- M_kv(shards=2) : Lmap", "248e233da0e867d8";
+      "Lcache_disk |- M_cache(entries=2) : Lmap[get,put]", "2d2c44a702af94b7";
+      "Llock+cache |- M_cache(entries=2) . M_kv(shards=2) : Lmap[get,put]", "356396782bfdd809";
+    ]
+    (Ccal_kv.Kv_stack.fingerprints ())
+
 (* ---- warm stack run: bit-identical report, every jobs count ---- *)
 
 let canonical = function
@@ -463,5 +516,8 @@ let suite =
     tc "seeds invalidate exactly the game edges" test_seeds_invalidate_exactly_game_edges;
     tc "strategy invalidates exactly the game edges" test_strategy_invalidates_exactly_game_edges;
     tc "lock swap invalidates exactly the lock edges" test_lock_swap_invalidates_exactly_lock_edges;
+    tc "stack edge keys pinned (ticket, SC)" test_stack_keys_golden_ticket_sc;
+    tc "stack edge keys pinned (mcs, TSO)" test_stack_keys_golden_mcs_tso;
+    tc "kv edge keys pinned" test_kv_keys_golden;
     tc "warm stack run equals cold (jobs 1, 2)" test_stack_warm_equals_cold;
   ]

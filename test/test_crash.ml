@@ -311,8 +311,7 @@ let test_certifier_passes () =
 let test_unsynced_fails_with_stable_point () =
   let failing jobs =
     match
-      Crash.check_edge_ctx ~ctx:(Ctx.make ~jobs ())
-        (Wal.crash_edge ~unsynced:true ())
+      Crash.check_ctx ~ctx:(Ctx.make ~jobs ()) [ Wal.crash_edge ~unsynced:true () ]
     with
     | Budget.Complete (Error f) -> f
     | Budget.Complete (Ok _) ->
@@ -330,8 +329,7 @@ let test_unsynced_fails_with_stable_point () =
   check_bool "identical failure on re-run" true (failing 1 = f);
   (* the durable-kv edge over the unsynced WAL fails too *)
   match
-    Crash.check_edge_ctx ~ctx:Ctx.default
-      (Durable_kv.crash_edge ~unsynced:true ())
+    Crash.check_ctx ~ctx:Ctx.default [ Durable_kv.crash_edge ~unsynced:true () ]
   with
   | Budget.Complete (Error f) ->
     check_string "durable-kv variant named" "durable-kv-unsynced" f.Crash.f_edge
@@ -367,8 +365,7 @@ let test_certifier_cache_round_trip () =
      warm cache, the broken variant reproduces live — twice *)
   let unsynced_fails () =
     match
-      Crash.check_edge_ctx ~ctx:(Ctx.make ~cache:c2 ())
-        (Wal.crash_edge ~unsynced:true ())
+      Crash.check_ctx ~ctx:(Ctx.make ~cache:c2 ()) [ Wal.crash_edge ~unsynced:true () ]
     with
     | Budget.Complete (Error _) -> ()
     | _ -> Alcotest.fail "unsynced must fail even against a warm cache"
@@ -383,14 +380,24 @@ let test_certifier_cache_round_trip () =
   check_bool "warm run hits both edges" true (s2.Cache.hits >= 2)
 
 let test_certifier_budget_exhaustion () =
-  let ctx = Ctx.make ~budget:(Budget.make ~steps:1 ()) () in
-  match Crash.check_ctx ~ctx (edges ()) with
-  | Budget.Exhausted { partial = Ok r; _ } ->
-    check_bool "partial report has at most one edge" true
-      (List.length r.Crash.edges < 2)
-  | Budget.Exhausted { partial = Error f; _ } ->
-    Alcotest.failf "partial failed: %a" Crash.pp_failure f
-  | Budget.Complete _ -> Alcotest.fail "expected exhaustion"
+  (* A partial report lists completed edges only: at 50 steps the budget
+     runs out inside wal's suite, so no edge is reported; at 200 steps
+     wal completes (all 4 schedules) and durable-kv, cut short, is
+     absent rather than reported as certified. *)
+  let partial steps =
+    let ctx = Ctx.make ~budget:(Budget.make ~steps ()) () in
+    match Crash.check_ctx ~ctx (edges ()) with
+    | Budget.Exhausted { partial = Ok r; _ } ->
+      List.map (fun (e : Crash.edge_report) -> e.Crash.edge_name, e.Crash.schedules)
+        r.Crash.edges
+    | Budget.Exhausted { partial = Error f; _ } ->
+      Alcotest.failf "partial failed: %a" Crash.pp_failure f
+    | Budget.Complete _ -> Alcotest.failf "expected exhaustion at %d steps" steps
+  in
+  Alcotest.(check (list (pair string int))) "no edge at 1 step" [] (partial 1);
+  Alcotest.(check (list (pair string int))) "no edge at 50 steps" [] (partial 50);
+  Alcotest.(check (list (pair string int)))
+    "exactly wal at 200 steps" [ "wal", 4 ] (partial 200)
 
 (* ------------------------------------------------------------------ *)
 (* the QCheck property: recovery after a crash at every enumerated     *)

@@ -140,6 +140,34 @@ let test_stack_edge_counters_jobs_invariant () =
         (List.exists (fun (_, cs) -> cs <> []) oracle);
       check_bool "edge counters jobs=4 = sequential" true (edges 4 = oracle))
 
+let test_one_exhausted_run_counts_once () =
+  (* The edge loop reuses the [spent] of the edge that ran out instead of
+     snapshotting the token again: one exhausted stack, kv or crash run
+     raises [budget.exhaustions] by exactly one. *)
+  let exhaustions run =
+    Telemetry.reset ();
+    (match run (Ctx.make ~budget:(Budget.make ~steps:2000 ()) ()) with
+    | Budget.Exhausted _ -> ()
+    | Budget.Complete _ -> Alcotest.fail "expected exhaustion");
+    Option.value ~default:0
+      (List.assoc_opt "budget.exhaustions" (Telemetry.counters ()))
+  in
+  let drop o = Budget.map ignore o in
+  with_telemetry (fun () ->
+      (* dpor:8 runs out inside the Pcomp edge's compat corpus *)
+      check_int "stack" 1
+        (exhaustions (fun ctx ->
+             drop
+               (Stack.verify_all_ctx ~ctx ~strategy:(Ctx.Engine.dpor ~depth:8) ())));
+      check_int "kv" 1
+        (exhaustions (fun ctx ->
+             drop (Ccal_kv.Kv_stack.verify_ctx ~ctx ~threads:4 ())));
+      check_int "crash" 1
+        (exhaustions (fun ctx ->
+             drop
+               (Crash.check_ctx ~ctx:(Ctx.with_budget (Budget.make ~steps:50 ()) ctx)
+                  [ Ccal_disk.Wal.crash_edge (); Ccal_disk.Durable_kv.crash_edge () ]))))
+
 (* ---- the capture/commit protocol itself ---- *)
 
 let test_captured_counts_follow_the_cut () =
@@ -454,6 +482,8 @@ let suite =
       test_chunk_calibration_counters_jobs_invariant;
     tc "stack per-edge counters identical across jobs"
       test_stack_edge_counters_jobs_invariant;
+    tc "one exhausted run counts one exhaustion"
+      test_one_exhausted_run_counts_once;
     tc "scan commits exactly the merged prefix"
       test_captured_counts_follow_the_cut;
     tc "captured is passthrough when disabled"
