@@ -21,74 +21,95 @@ type result = {
 
 let reads = [ "get_n"; "aload"; "read" ]
 
-(* The object an event touches: by convention every shared primitive of the
-   concrete objects takes the object identifier (lock, cell, location,
-   channel…) as its first integer argument.  Events without one (e.g.
-   [switch]) are conservatively dependent on everything. *)
-let obj (e : Event.t) =
-  match e.args with Value.Vint b :: _ -> Some b | _ -> None
+(* What the dependence relation reads of an event, computed once per
+   event; the sleep sets and the canonical form both decide dependence
+   through [dependent] on these keys.  The object is, by convention, the
+   first integer argument: every shared primitive of the concrete objects
+   takes the object identifier (lock, cell, location, channel…) there.
+   Events without one (e.g. [switch]) are conservatively dependent on
+   everything. *)
+type key = { src : Event.tid; obj : int option; read : bool }
 
-let independent_events (e1 : Event.t) (e2 : Event.t) =
-  e1.src <> e2.src
-  &&
-  match obj e1, obj e2 with
-  | Some a, Some b when a <> b -> true
-  | Some _, Some _ -> List.mem e1.tag reads && List.mem e2.tag reads
-  | _ -> false
+let key (e : Event.t) =
+  {
+    src = e.src;
+    obj = (match e.args with Value.Vint b :: _ -> Some b | _ -> None);
+    read = List.exists (String.equal e.tag) reads;
+  }
+
+(* Events of one thread are dependent; so are events of different threads
+   on the same object, unless both read it, and any event on no known
+   object. *)
+let dependent a b =
+  a.src = b.src
+  ||
+  match a.obj, b.obj with
+  | Some x, Some y -> x = y && not (a.read && b.read)
+  | _ -> true
+
+module Ready = Set.Make (struct
+  type t = Event.t * int
+
+  let compare (e1, i1) (e2, i2) =
+    let c = Event.compare e1 e2 in
+    if c <> 0 then c else Int.compare i1 i2
+end)
 
 (* Canonical representative of a Mazurkiewicz trace: repeatedly emit the
-   [Event.compare]-least event among those with no earlier dependent event.
-   Two logs are equivalent up to commuting independent events iff their
-   canonical forms are equal. *)
-let canonical_events indep events =
-  let rec minimal_candidates rev_prefix = function
-    | [] -> []
-    | e :: rest ->
-      let minimal = List.for_all (fun p -> indep p e) rev_prefix in
-      let here =
-        if minimal then [ e, List.rev_append rev_prefix rest ] else []
-      in
-      here @ minimal_candidates (e :: rev_prefix) rest
-  in
-  let rec build acc evs =
-    match evs with
-    | [] -> List.rev acc
-    | first :: _ -> (
-      match minimal_candidates [] evs with
-      | [] -> List.rev_append acc [ first ] (* unreachable: the head is minimal *)
-      | c :: cs ->
-        let e, rest =
-          List.fold_left
-            (fun (be, br) (e, r) ->
-              if Event.compare e be < 0 then e, r else be, br)
-            c cs
-        in
-        build (e :: acc) rest)
-  in
-  build [] events
-
+   [Event.compare]-least ready event, one whose earlier dependent events
+   have all been emitted.  The dependence DAG (an edge [i -> j] for each
+   dependent pair [i < j]) is built once, and the ready events wait in a
+   set ordered by event, then position.  Two logs are equivalent up to
+   commuting independent events iff their canonical forms are equal. *)
 let canonical_log log =
-  Log.append_all
-    (canonical_events independent_events (Log.chronological log))
-    Log.empty
+  let events = Array.of_list (Log.chronological log) in
+  let n = Array.length events in
+  let keys = Array.map key events in
+  let succs = Array.make n [] in
+  let waiting = Array.make n 0 in
+  for j = 0 to n - 1 do
+    for i = 0 to j - 1 do
+      if dependent keys.(i) keys.(j) then begin
+        succs.(i) <- j :: succs.(i);
+        waiting.(j) <- waiting.(j) + 1
+      end
+    done
+  done;
+  let release ready j =
+    waiting.(j) <- waiting.(j) - 1;
+    if waiting.(j) = 0 then Ready.add (events.(j), j) ready else ready
+  in
+  let rec emit acc ready =
+    match Ready.min_elt_opt ready with
+    | None -> acc
+    | Some ((e, i) as least) ->
+      emit (Log.append e acc)
+        (List.fold_left release (Ready.remove least ready) succs.(i))
+  in
+  let ready = ref Ready.empty in
+  Array.iteri
+    (fun j w -> if w = 0 then ready := Ready.add (events.(j), j) !ready)
+    waiting;
+  emit Log.empty !ready
 
 (* One enabled move of one thread, as classified by the DFS. *)
 type move =
   | Fin  (** the thread runs to completion without emitting events *)
-  | Step of Event.t list * Machine.thread_state
+  | Step of Event.t list * key list * Machine.thread_state
+      (** the events emitted, their keys, and the thread's next state *)
   | Halt  (** picking this thread ends the run stuck — a leaf *)
 
 let independent_moves independence m1 m2 =
   match m1, m2 with
   | Fin, _ | _, Fin -> true
   | Halt, _ | _, Halt -> false
-  | Step (es1, _), Step (es2, _) -> (
+  | Step (_, ks1, _), Step (_, ks2, _) -> (
     match independence with
     | Exact -> false
     | Commuting_events ->
       List.for_all
-        (fun e1 -> List.for_all (independent_events e1) es2)
-        es1)
+        (fun k1 -> not (List.exists (dependent k1) ks2))
+        ks1)
 
 (* Saturating [b^n].  Deep bounds make [|threads|^depth] overflow
    native ints (e.g. 8 threads at depth 21); a wrapped count would
@@ -199,12 +220,13 @@ let prefixes_with_prunes_live ?(independence = Exact) ?jobs
         match Machine.step_move layer i st log with
         | Machine.Blocked_at _ -> None
         | Machine.Finished _ -> Some (i, Fin)
-        | Machine.Moved (evs, st') -> Some (i, Step (evs, st'))
+        | Machine.Moved (evs, st') ->
+          Some (i, Step (evs, List.map key evs, st'))
         | Machine.Stuck _ -> Some (i, Halt))
       slots
   in
   let apply slots log i = function
-    | Step (evs, st') ->
+    | Step (evs, _, st') ->
       ( List.map (fun (j, st) -> if j = i then j, st' else j, st) slots,
         Log.append_all evs log )
     | Fin -> List.filter (fun (j, _) -> j <> i) slots, log
@@ -276,7 +298,7 @@ let prefixes_with_prunes_live ?(independence = Exact) ?jobs
                 let slots', log' = apply n.slots n.log i m in
                 let log_ints =
                   match m with
-                  | Step (evs, _) when sym ->
+                  | Step (evs, _, _) when sym ->
                     List.fold_left add_event_ints n.log_ints evs
                   | Fin | Step _ | Halt -> n.log_ints
                 in
@@ -451,27 +473,42 @@ let explore_ctx ~ctx ?(independence = Exact) ?engine
           ?cache:ctx.Ctx.cache ~memory:ctx.Ctx.memory ~engine ~depth layer
           threads)
   in
+  (* Each leaf is canonicalised where it is replayed, so under [jobs > 1]
+     the canonical forms are computed on the pool too. *)
+  let representative =
+    match independence with
+    | Exact -> Fun.id
+    | Commuting_events ->
+      fun log -> Probe.span "dpor.canonicalise" (fun () -> canonical_log log)
+  in
   let replay =
     Probe.span "dpor.replay" (fun () ->
         Parallel.budgeted_scan ?jobs:(Ctx.jobs_opt ctx) ~token:ctx.Ctx.token
-          ~cost:(fun o -> o.Game.steps)
-          ~interrupted:(fun o -> o.Game.status = Game.Cancelled)
+          ~cost:(fun (o, _) -> o.Game.steps)
+          ~interrupted:(fun (o, _) -> o.Game.status = Game.Cancelled)
           ~cut:(fun _ -> false)
           (fun ~stop p ->
-            Game.run
-              (Game.config ?stop ~memory:ctx.Ctx.memory layer
-                 threads (sched_of_prefix ~tag:"dpor" p)))
+            let o =
+              Game.run
+                (Game.config ?stop ~memory:ctx.Ctx.memory layer
+                   threads (sched_of_prefix ~tag:"dpor" p))
+            in
+            o, representative o.Game.log)
           prefixes)
   in
-  let outcomes = replay.Parallel.prefix in
-  let logs = List.map (fun o -> o.Game.log) outcomes in
-  let representative =
-    match independence with
-    | Exact -> logs
-    | Commuting_events -> List.map canonical_log logs
+  let outcomes = List.map fst replay.Parallel.prefix in
+  let representatives = List.map snd replay.Parallel.prefix in
+  (* The walk schedules the pseudo-threads too, so the exhaustive count
+     ranges over the same alphabet as the oracle's prefixes. *)
+  let schedules_considered =
+    pow
+      (List.length
+         (threads @ Game.pseudo_threads ~memory:ctx.Ctx.memory layer threads))
+      depth
   in
-  let schedules_considered = pow (List.length threads) depth in
-  let distinct = Probe.span "dpor.dedup" (fun () -> Log.dedup representative) in
+  let distinct =
+    Probe.span "dpor.dedup" (fun () -> Log.dedup representatives)
+  in
   let distinct_logs = List.length distinct in
   Probe.add Probe.sleep_set_prunes walk_stats.Engine.sleep_prunes;
   Probe.add Probe.logs_distinct distinct_logs;

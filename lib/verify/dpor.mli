@@ -39,9 +39,11 @@ type independence =
 
 type stats = {
   schedules_considered : int;
-      (** what exhaustive enumeration would run: [|threads|^depth],
-          saturating at [max_int] (rendered as [">max-int"] by
-          {!pp_stats}) *)
+      (** what exhaustive enumeration would run: [|tids|^depth], where
+          [tids] are the real threads plus the pseudo-threads the walk
+          schedules ({!Ccal_core.Game.pseudo_threads}: TSO flushers, the
+          crash thread), as in the oracle's alphabet; saturating at
+          [max_int] (rendered as [">max-int"] by {!pp_stats}) *)
   schedules_run : int;  (** branches actually replayed *)
   schedules_pruned : int;  (** [considered - run] *)
   sleep_set_prunes : int;  (** branches skipped because asleep *)
@@ -65,7 +67,9 @@ val canonical_log : Log.t -> Log.t
     trace under the object-based relation (events of different threads
     commute on different objects, or when both are [get_n], [aload] or
     [read]): logs are equal up to commuting independent events iff their
-    canonical forms are equal. *)
+    canonical forms are equal.  One pass: the log's dependence DAG is
+    built once, then the [Event.compare]-least ready event (every earlier
+    dependent event already emitted) is emitted until none is left. *)
 
 val sched_of_prefix : tag:string -> Event.tid list -> Sched.t
 (** A trace scheduler following the prefix, named [tag:[t0,t1,…]].  The
@@ -105,7 +109,10 @@ val explore_ctx :
     independent subtrees, with or without [sym]) and the replay phase —
     prefixes, outcomes, and stats are identical for every jobs count.
     [ctx.cache] memoizes the walk as {!walk} does; the replay phase
-    always runs live, so failures reproduce from the real game.
+    always runs live, so failures reproduce from the real game.  Under
+    [Commuting_events] each leaf log is canonicalised where it is
+    replayed, inside the scan's worker, under the span
+    [dpor.canonicalise].
 
     The walk itself is never budgeted (depth-bounded and cheap); the
     replay phase charges [ctx.token] per game.  An [Exhausted] result

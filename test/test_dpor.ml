@@ -403,6 +403,164 @@ let test_sym_ticket_4t_depth8 () =
   check_int "symmetry prunes" 108 s.V.Dpor.sym_prunes;
   check_int "distinct logs" 1_535 s.V.Dpor.distinct_logs
 
+(* ---- the canonical form against its definition ----
+
+   [canonical_events] is the canonical form as defined, the oracle for
+   the one-pass DAG form of [Dpor.canonical_log]: at every output
+   position it rescans the remaining events for those with no earlier
+   dependent one and emits the [Event.compare]-least, the first of
+   equals.  Its independence relation is written out here too, so the
+   library's [dependent] is checked rather than shared. *)
+
+let reads = [ "get_n"; "aload"; "read" ]
+
+let obj (e : Event.t) =
+  match e.args with Value.Vint b :: _ -> Some b | _ -> None
+
+let independent_events (e1 : Event.t) (e2 : Event.t) =
+  e1.src <> e2.src
+  &&
+  match obj e1, obj e2 with
+  | Some a, Some b when a <> b -> true
+  | Some _, Some _ -> List.mem e1.tag reads && List.mem e2.tag reads
+  | _ -> false
+
+let canonical_events indep events =
+  let rec minimal_candidates rev_prefix = function
+    | [] -> []
+    | e :: rest ->
+      let minimal = List.for_all (fun p -> indep p e) rev_prefix in
+      let here =
+        if minimal then [ e, List.rev_append rev_prefix rest ] else []
+      in
+      here @ minimal_candidates (e :: rev_prefix) rest
+  in
+  let rec build acc evs =
+    match evs with
+    | [] -> List.rev acc
+    | first :: _ -> (
+      match minimal_candidates [] evs with
+      | [] -> List.rev_append acc [ first ] (* unreachable: the head is minimal *)
+      | c :: cs ->
+        let e, rest =
+          List.fold_left
+            (fun (be, br) (e, r) ->
+              if Event.compare e be < 0 then e, r else be, br)
+            c cs
+        in
+        build (e :: acc) rest)
+  in
+  build [] events
+
+(* Small alphabets, so logs carry duplicate events, shared and distinct
+   sources, shared objects, the read tags, and events with no object
+   (no argument, or a non-integer first one); lengths start at 0. *)
+let event_gen =
+  QCheck.Gen.(
+    map4
+      (fun src tag args ret -> ev ~args ~ret:(vi ret) src tag)
+      (int_range (-1) 2)
+      (oneofl [ "get_n"; "aload"; "read"; "FAI_t"; "astore"; "switch" ])
+      (oneof
+         [
+           return [];
+           map (fun o -> [ vi o ]) (int_range 0 2);
+           map (fun o -> [ vi o; vi 1 ]) (int_range 0 2);
+           return [ Value.Vbool true ];
+         ])
+      (int_range 0 1))
+
+let events_arb =
+  QCheck.make
+    ~print:(fun es -> String.concat " " (List.map Event.to_string es))
+    QCheck.Gen.(list_size (int_range 0 10) event_gen)
+
+let prop_canonical_matches_definition =
+  qtc ~count:10_000 "canonical_log = the rescanning definition" events_arb
+    (fun es ->
+      Log.chronological (V.Dpor.canonical_log (log_of es))
+      = canonical_events independent_events es)
+
+(* Swap the first adjacent independent pair at or after position [k]
+   (cyclically); [None] when the log has no such pair. *)
+let swap_independent k es =
+  let a = Array.of_list es in
+  let n = Array.length a in
+  let rec find tries i =
+    if tries >= n - 1 then None
+    else if independent_events a.(i) a.(i + 1) then begin
+      let e = a.(i) in
+      a.(i) <- a.(i + 1);
+      a.(i + 1) <- e;
+      Some (Array.to_list a)
+    end
+    else find (tries + 1) ((i + 1) mod (n - 1))
+  in
+  if n < 2 then None else find 0 (k mod (n - 1))
+
+let prop_canonical_commutes =
+  qtc ~count:2_000 "canonical_log ignores an independent adjacent swap"
+    QCheck.(pair events_arb small_nat)
+    (fun (es, k) ->
+      match swap_independent k es with
+      | None -> true
+      | Some swapped ->
+        Log.equal
+          (V.Dpor.canonical_log (log_of es))
+          (V.Dpor.canonical_log (log_of swapped)))
+
+let prop_canonical_idempotent =
+  qtc ~count:2_000 "canonical_log is idempotent" events_arb (fun es ->
+      let c = V.Dpor.canonical_log (log_of es) in
+      Log.equal c (V.Dpor.canonical_log c))
+
+(* The benchmark game (perfbench's dpor-ticket4): ticket over L0, 4
+   threads, depth 6, events independence, pinned count by count against
+   the oracle, with the canonical forms computed on the pool identical to
+   the sequential ones. *)
+let test_ticket_4t_commuting () =
+  let independence = V.Dpor.Commuting_events and depth = 6 in
+  let layer = Ticket_lock.l0 () and threads = ticket_threads 4 in
+  let r = explore_with ~independence ~engine:(E.dpor ~depth) layer threads depth in
+  let s = r.V.Dpor.stats in
+  check_int "runs" 3_148 s.V.Dpor.schedules_run;
+  check_int "distinct logs" 3_145 s.V.Dpor.distinct_logs;
+  let o = oracle ~independence ~sym:false layer threads depth r in
+  check_int "oracle logs" 3_145 (List.length o.V.Explore.logs);
+  check_bool "log sets agree" true o.V.Explore.agree;
+  let pooled =
+    V.Budget.value
+      (V.Dpor.explore_ctx ~ctx:(V.Ctx.make ~jobs:2 ()) ~independence
+         ~engine:(E.dpor ~depth) ~depth layer threads)
+  in
+  check_bool "jobs 2 canonical forms = jobs 1" true
+    (List.equal Log.equal pooled.V.Dpor.distinct r.V.Dpor.distinct)
+
+(* The walk schedules the TSO flushers, so [considered] ranges over the
+   same alphabet as the oracle: SB's 2 CPUs plus 2 flushers at depth 6. *)
+let test_considered_counts_pseudo_threads () =
+  let t i j =
+    Prog.seq (Prog.call "astore" [ vi i; vi 1 ]) (Prog.call "aload" [ vi j ])
+  in
+  let ctx = V.Ctx.make ~memory:Memory.Tso () in
+  let layer = Ccal_machine.Tso.layer () and threads = [ 1, t 1 2; 2, t 2 1 ] in
+  let depth = 6 in
+  let r =
+    V.Budget.value
+      (V.Dpor.explore_ctx ~ctx ~engine:(E.dpor ~depth) ~depth layer threads)
+  in
+  let o =
+    V.Budget.value
+      (V.Explore.oracle_ctx ~ctx ~independence:V.Dpor.Exact ~sym:false ~depth
+         layer threads r)
+  in
+  let s = r.V.Dpor.stats in
+  check_int "considered = oracle runs" o.V.Explore.runs
+    s.V.Dpor.schedules_considered;
+  check_int "considered = 4^6" 4_096 s.V.Dpor.schedules_considered;
+  check_int "pruned + run = considered" s.V.Dpor.schedules_considered
+    (s.V.Dpor.schedules_pruned + s.V.Dpor.schedules_run)
+
 (* ---- saturation ---- *)
 
 let test_considered_saturates () =
@@ -613,6 +771,13 @@ let suite =
     tc "dpor:8,sym pins ticket 4t depth 8 (1,550 runs)"
       test_sym_ticket_4t_depth8;
     tc "schedules_considered saturates at max_int" test_considered_saturates;
+    tc "schedules_considered counts the TSO flushers"
+      test_considered_counts_pseudo_threads;
+    prop_canonical_matches_definition;
+    prop_canonical_commutes;
+    prop_canonical_idempotent;
+    tc "equiv: ticket L0, 4 threads, depth 6, commuting events"
+      test_ticket_4t_commuting;
     tc "Engine.of_string accepts the grammar" test_engine_of_string_accepts;
     tc "Engine.of_string rejects by name" test_engine_of_string_rejects;
     tc "splitmix corner cases" test_splitmix_corner_cases;
