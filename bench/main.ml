@@ -15,8 +15,8 @@
    - fig1_stack / fig5_pipeline: end-to-end stack verification and the
      Fig. 5 pipeline as macro-benchmarks.
 
-   Then the seven measured sections (parallel, telemetry, cache, robust,
-   kv, tso, crash), each of which returns rows of one schema, printed as
+   Then the eight measured sections (parallel, telemetry, cache, robust,
+   kv, tso, crash, moves), each of which returns rows of one schema, printed as
    a table and written to BENCH_<section>.json in the working directory.
 
    Run with:  dune exec bench/main.exe [-- --only SECTION[,SECTION...]]
@@ -1013,6 +1013,22 @@ let run_crash () =
     :: recover_rows
 
 (* ------------------------------------------------------------------ *)
+(* moves — minor words per play move (S35)                              *)
+(* ------------------------------------------------------------------ *)
+
+(* One row per game of [Moves.games]: exact allocation counts, so a
+   single run each, beside the recorded figure the perf-gate test bounds
+   and the figure before S35. *)
+let run_moves () =
+  List.map
+    (fun (g : Moves.game) ->
+      let moves, words = g.run () in
+      row "moves" ~params:[ "game", S g.name ]
+        [ "moves", I moves; "minor_words_per_move", F words;
+          "recorded", F g.recorded; "before", F g.before ])
+    Moves.games
+
+(* ------------------------------------------------------------------ *)
 (* Bechamel micro/macro benchmarks                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1098,6 +1114,7 @@ let sections =
     "kv", "YCSB-style throughput over the certified kv stack (S28)", run_kv;
     "tso", "dual-mode certification and litmus conformance (S29)", run_tso;
     "crash", "crash-refinement certification and recovery cost (S30)", run_crash;
+    "moves", "minor words per play move (S35)", run_moves;
   ]
 
 (* [None] runs everything; [--only a,b] runs just those measured

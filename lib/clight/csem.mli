@@ -21,7 +21,11 @@ val prog_of_fn :
   ?fuel:int -> Csyntax.fn -> Ccal_core.Value.t list -> Ccal_core.Prog.t
 (** [prog_of_fn fn args] denotes calling [fn] on [args].  Arguments bind to
     parameters positionally (missing arguments fault); [fuel] (default
-    1_000_000) bounds executed statements. *)
+    1_000_000) bounds executed statements.  [prog_of_fn fn] compiles the
+    body once, resolving every variable to a slot; each application runs
+    the compiled code.  The result is pure: its continuations may be
+    re-entered any number of times (DESIGN.md S35).  A parameter/local
+    clash raises {!Semantics_error} when the function is applied. *)
 
 val module_of_fns : ?fuel:int -> Csyntax.fn list -> Ccal_core.Prog.Module.t
 (** The module [M] collecting the given C functions — e.g. the paper's

@@ -43,9 +43,16 @@ let make ?(rely = Rely_guarantee.always) ?(guar = Rely_guarantee.always)
     prims;
   { name; prims; rely; guar; init_abs }
 
-let find_prim name l = List.assoc_opt name l.prims
+(* Every move looks its primitive up by name, so the walk compares with
+   [String.equal] rather than [List.assoc_opt]'s polymorphic compare.
+   First match wins. *)
+let rec find name = function
+  | [] -> None
+  | (n, p) :: rest -> if String.equal n name then Some p else find name rest
+
+let find_prim name l = find name l.prims
 let prim_names l = List.map fst l.prims
-let has_prim name l = List.mem_assoc name l.prims
+let has_prim name l = List.exists (fun (n, _) -> String.equal n name) l.prims
 
 let union a b =
   if not (Rely_guarantee.same a.rely b.rely) then
@@ -54,7 +61,7 @@ let union a b =
     invalid_arg "Layer.union: guarantee conditions differ"
   else
     let overlap =
-      List.filter (fun (n, _) -> List.mem_assoc n b.prims) a.prims
+      List.filter (fun (n, _) -> has_prim n b) a.prims
     in
     (match overlap with
     | [] -> ()

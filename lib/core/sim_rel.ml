@@ -10,9 +10,15 @@ let of_events name translate =
 
 let of_log_fn name apply = { name; apply }
 
+(* One lookup per event of every related log: a [String.equal] walk, not
+   [List.assoc_opt]'s polymorphic compare. *)
+let rec rule tag = function
+  | [] -> None
+  | (t, r) :: rest -> if String.equal t tag then Some r else rule tag rest
+
 let of_table name ?(default = `Keep) rules =
   let translate (e : Event.t) =
-    match List.assoc_opt e.tag rules with
+    match rule e.tag rules with
     | Some (`To tag') -> [ { e with tag = tag' } ]
     | Some `Drop -> []
     | None -> ( match default with `Keep -> [ e ] | `Drop -> [])

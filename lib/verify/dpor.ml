@@ -47,50 +47,78 @@ let dependent a b =
   | Some x, Some y -> x = y && not (a.read && b.read)
   | _ -> true
 
-module Ready = Set.Make (struct
-  type t = Event.t * int
-
-  let compare (e1, i1) (e2, i2) =
-    let c = Event.compare e1 e2 in
-    if c <> 0 then c else Int.compare i1 i2
-end)
-
 (* Canonical representative of a Mazurkiewicz trace: repeatedly emit the
    [Event.compare]-least ready event, one whose earlier dependent events
-   have all been emitted.  The dependence DAG (an edge [i -> j] for each
-   dependent pair [i < j]) is built once, and the ready events wait in a
-   set ordered by event, then position.  Two logs are equivalent up to
-   commuting independent events iff their canonical forms are equal. *)
+   have all been emitted.  Events of one thread are always dependent, so
+   a thread has at most one ready event, its oldest unemitted one, and
+   [Event.compare] orders by [src] first: the least ready event is the
+   ready head of the thread with the smallest tid.  So each thread keeps
+   a cursor into its own events, and an event waits only on the latest
+   dependent event of each other thread (earlier ones precede that one
+   in its thread).  Two logs are equivalent up to commuting independent
+   events iff their canonical forms are equal. *)
 let canonical_log log =
   let events = Array.of_list (Log.chronological log) in
   let n = Array.length events in
   let keys = Array.map key events in
+  (* the threads' tids, ascending; a handful, so a sorted list *)
+  let rec insert t = function
+    | [] -> [ t ]
+    | u :: rest as l -> if t = u then l else if t < u then t :: l else u :: insert t rest
+  in
+  let tids =
+    Array.of_list
+      (Array.fold_left (fun acc (e : Event.t) -> insert e.src acc) [] events)
+  in
+  let nt = Array.length tids in
+  let rank =
+    Array.map
+      (fun (e : Event.t) ->
+        let rec find r = if tids.(r) = e.src then r else find (r + 1) in
+        find 0)
+      events
+  in
+  (* Each thread's events are chained both ways: [prev.(i)] and
+     [next.(i)] are the events before and after [i] in its thread,
+     [head.(r)] thread [r]'s oldest unemitted event and [last.(r)] its
+     latest event linked so far (-1 for none).  Each event is linked to
+     the latest dependent event of every other thread, found by walking
+     that thread's chain back from its latest event. *)
+  let prev = Array.make n (-1) and next = Array.make n (-1) in
+  let head = Array.make nt (-1) and last = Array.make nt (-1) in
   let succs = Array.make n [] in
   let waiting = Array.make n 0 in
   for j = 0 to n - 1 do
-    for i = 0 to j - 1 do
-      if dependent keys.(i) keys.(j) then begin
-        succs.(i) <- j :: succs.(i);
-        waiting.(j) <- waiting.(j) + 1
+    let own = rank.(j) in
+    for r = 0 to nt - 1 do
+      if r <> own then begin
+        let i = ref last.(r) in
+        while !i >= 0 && not (dependent keys.(!i) keys.(j)) do
+          i := prev.(!i)
+        done;
+        if !i >= 0 then begin
+          succs.(!i) <- j :: succs.(!i);
+          waiting.(j) <- waiting.(j) + 1
+        end
       end
-    done
+    done;
+    if last.(own) < 0 then head.(own) <- j else next.(last.(own)) <- j;
+    prev.(j) <- last.(own);
+    last.(own) <- j
   done;
-  let release ready j =
-    waiting.(j) <- waiting.(j) - 1;
-    if waiting.(j) = 0 then Ready.add (events.(j), j) ready else ready
+  let rec ready r =
+    let h = head.(r) in
+    if h >= 0 && waiting.(h) = 0 then h else ready (r + 1)
   in
-  let rec emit acc ready =
-    match Ready.min_elt_opt ready with
-    | None -> acc
-    | Some ((e, i) as least) ->
-      emit (Log.append e acc)
-        (List.fold_left release (Ready.remove least ready) succs.(i))
+  let rec emit acc k =
+    if k = n then acc
+    else
+      let i = ready 0 in
+      head.(rank.(i)) <- next.(i);
+      List.iter (fun j -> waiting.(j) <- waiting.(j) - 1) succs.(i);
+      emit (Log.append events.(i) acc) (k + 1)
   in
-  let ready = ref Ready.empty in
-  Array.iteri
-    (fun j w -> if w = 0 then ready := Ready.add (events.(j), j) !ready)
-    waiting;
-  emit Log.empty !ready
+  emit Log.empty 0
 
 (* One enabled move of one thread, as classified by the DFS. *)
 type move =

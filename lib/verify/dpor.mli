@@ -68,8 +68,11 @@ val canonical_log : Log.t -> Log.t
     commute on different objects, or when both are [get_n], [aload] or
     [read]): logs are equal up to commuting independent events iff their
     canonical forms are equal.  One pass: the log's dependence DAG is
-    built once, then the [Event.compare]-least ready event (every earlier
-    dependent event already emitted) is emitted until none is left. *)
+    built once, keeping for each event only the latest dependent event of
+    every other thread, then the [Event.compare]-least ready event (every
+    earlier dependent event already emitted) is emitted until none is
+    left.  That event is the ready oldest-unemitted event of the thread
+    with the smallest tid, found by one cursor per thread. *)
 
 val sched_of_prefix : tag:string -> Event.tid list -> Sched.t
 (** A trace scheduler following the prefix, named [tag:[t0,t1,…]].  The

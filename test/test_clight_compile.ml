@@ -89,6 +89,140 @@ let test_c_unops () =
   let g = fn "g" [ "x" ] [] (C.return (C.Unop (C.Not, C.v "x"))) in
   check_int "not 0" 1 (Value.to_int (expect_done (hw ()) (Csem.prog_of_fn g [ vi 0 ])))
 
+(* ---- compiled ClightX against the AST interpreter ----
+
+   [Csem.prog_of_fn] compiles a function to closures over resolved
+   variable slots; [Clight_oracle.prog_of_fn] is the interpreter it
+   replaced.  Small random functions with undeclared assignments, unbound
+   reads, division and mod by zero, [Not]/[Neg], nested loops, non-integer
+   arguments and wrong arities run at a small fuel, and the two programs
+   must have the same [Fingerprint.prog]: the same calls, faults and
+   results down every probed branch, non-integer probe values included. *)
+
+let gen_expr =
+  QCheck.Gen.(
+    sized_size (int_bound 4)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 map (fun k -> C.Const k) (int_range (-1) 2);
+                 map (fun x -> C.Var x) (oneofl [ "a"; "b"; "x"; "y"; "u"; "w" ]);
+               ]
+           in
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 2, leaf;
+                 ( 3,
+                   map3
+                     (fun op a b -> C.Binop (op, a, b))
+                     (oneofl
+                        C.[ Add; Sub; Mul; Div; Mod; Eq; Ne; Lt; Le; Gt; Ge; And; Or ])
+                     (self (n / 2))
+                     (self (n / 2)) );
+                 1, map2 (fun op e -> C.Unop (op, e)) (oneofl C.[ Neg; Not ]) (self (n - 1));
+               ]))
+
+let gen_stmt =
+  QCheck.Gen.(
+    sized_size (int_bound 6)
+    @@ fix (fun self n ->
+           let target = oneofl [ "a"; "x"; "y"; "u"; "w" ] in
+           let leaf =
+             frequency
+               [
+                 1, return C.Sskip;
+                 4, map2 (fun x e -> C.Sassign (x, e)) target gen_expr;
+                 ( 3,
+                   map3
+                     (fun dest prim args -> C.Scall (dest, prim, args))
+                     (opt target) (oneofl [ "p"; "q" ])
+                     (list_size (int_bound 2) gen_expr) );
+                 1, map (fun e -> C.Sreturn e) (opt gen_expr);
+               ]
+           in
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 2, leaf;
+                 3, map2 (fun a b -> C.Sseq (a, b)) (self (n / 2)) (self (n / 2));
+                 ( 2,
+                   map3
+                     (fun c a b -> C.Sif (c, a, b))
+                     gen_expr (self (n / 2)) (self (n / 2)) );
+                 2, map2 (fun c s -> C.Swhile (c, s)) gen_expr (self (n - 1));
+               ]))
+
+(* Parameters from a, b, x and locals from x, y: a rare clash on x must
+   raise when the function is applied, in both semantics.  Arguments are
+   mostly integers, sometimes a list or a boolean, and sometimes one too
+   many or too few. *)
+let gen_case =
+  QCheck.Gen.(
+    let* params = oneofl [ []; [ "a" ]; [ "a"; "b" ]; [ "b"; "a" ]; [ "x" ] ] in
+    let* locals = oneofl [ []; [ "y" ]; [ "x"; "y" ]; [ "y"; "y" ] ] in
+    let* body = gen_stmt in
+    let* arity = frequency [ 8, return (List.length params); 1, int_bound 3 ] in
+    let* args =
+      list_repeat arity
+        (frequency
+           [
+             6, map vi (int_range (-1) 2);
+             1, return (Value.list [ vi 1 ]);
+             1, return (Value.bool true);
+           ])
+    in
+    let* fuel = int_range 1 40 in
+    return ({ C.name = "f"; params; locals; body }, args, fuel))
+
+let print_case ((f : C.fn), args, fuel) =
+  Format.asprintf "%a@ locals [%s] args [%s] fuel %d" C.pp_fn f
+    (String.concat "; " f.C.locals)
+    (String.concat "; " (List.map Value.to_string args))
+    fuel
+
+(* Fingerprinted twice: probing re-enters every continuation, so a
+   program that mutated a captured environment would differ the second
+   time. *)
+let fingerprint_of prog_of_fn (f, args, fuel) =
+  match prog_of_fn ~fuel f args with
+  | p ->
+    let fp () = Fingerprint.finish (Fingerprint.prog Fingerprint.empty p) in
+    let first = fp () in
+    Ok (first, fp ())
+  | exception Csem.Semantics_error msg -> Error msg
+
+(* Purity, pinned on one function: the probe [0] takes the else branch
+   and writes [y]; the probe [1], re-entering the same continuation
+   afterwards, must still read [y = 0]. *)
+let test_compiled_continuations_pure () =
+  let f =
+    fn "f" [] [ "x"; "y" ]
+      (C.seq
+         [
+           C.calla "x" "p" [];
+           C.if_ (C.v "x") C.Sskip (C.set "y" (C.i 1));
+           C.return (C.v "y");
+         ])
+  in
+  match Csem.prog_of_fn f [] with
+  | Prog.Call { k; _ } -> (
+    ignore (k (vi 0));
+    match k (vi 1) with
+    | Prog.Ret v -> check_bool "y still 0 on the other branch" true (Value.equal v (vi 0))
+    | Prog.Call _ -> Alcotest.fail "expected a return")
+  | Prog.Ret _ -> Alcotest.fail "expected a call"
+
+let prop_compiled_matches_interpreter =
+  qtc ~count:2_000 "compiled ClightX = the AST interpreter (Fingerprint.prog)"
+    (QCheck.make ~print:print_case gen_case)
+    (fun case ->
+      fingerprint_of (fun ~fuel -> Csem.prog_of_fn ~fuel) case
+      = fingerprint_of (fun ~fuel -> Clight_oracle.prog_of_fn ~fuel) case)
+
 (* ---- compiler ---- *)
 
 let sample_fns =
@@ -386,6 +520,8 @@ let suite =
     tc "c param/local clash rejected" test_c_param_local_clash_rejected;
     tc "c void returns unit" test_c_void_returns_unit;
     tc "c unops" test_c_unops;
+    prop_compiled_matches_interpreter;
+    tc "compiled c continuations are pure" test_compiled_continuations_pure;
     tc "compile matches source" test_compile_matches_source;
     tc "validate module" test_validate_module;
     tc "validate with env events" test_validate_with_env_events;

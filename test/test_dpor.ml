@@ -454,12 +454,15 @@ let canonical_events indep events =
 
 (* Small alphabets, so logs carry duplicate events, shared and distinct
    sources, shared objects, the read tags, and events with no object
-   (no argument, or a non-integer first one); lengths start at 0. *)
+   (no argument, or a non-integer first one); lengths start at 0.  Up to
+   seven sources, the crash pseudo-thread's -1 included, and up to 40
+   events, so the per-thread cursors of [canonical_log] see many threads
+   with long runs of their own events. *)
 let event_gen =
   QCheck.Gen.(
     map4
       (fun src tag args ret -> ev ~args ~ret:(vi ret) src tag)
-      (int_range (-1) 2)
+      (int_range (-1) 5)
       (oneofl [ "get_n"; "aload"; "read"; "FAI_t"; "astore"; "switch" ])
       (oneof
          [
@@ -473,7 +476,7 @@ let event_gen =
 let events_arb =
   QCheck.make
     ~print:(fun es -> String.concat " " (List.map Event.to_string es))
-    QCheck.Gen.(list_size (int_range 0 10) event_gen)
+    QCheck.Gen.(list_size (int_range 0 40) event_gen)
 
 let prop_canonical_matches_definition =
   qtc ~count:10_000 "canonical_log = the rescanning definition" events_arb

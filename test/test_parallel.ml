@@ -417,6 +417,89 @@ let test_golden_outcomes () =
   check_string "digest of 300 outcomes" golden_digest
     (Digest.to_hex (Digest.string (String.concat "\n" rendered)))
 
+(* A second corpus, through ClightX: 200 plays of the ticket, MCS and
+   queue C modules linked over their L0 layers (L0_ticket lists twelve
+   primitives, so every move looks one up), at 1-4 threads with short
+   traces and fuel.  Drawn from the same kind of LCG stream. *)
+let clight_corpus () =
+  let state = ref 2019 in
+  let draw bound =
+    state := ((!state * 1103515245) + 12345) land 0x3FFF_FFFF;
+    (!state lsr 12) mod bound
+  in
+  let queue_client i =
+    Prog.bind (Prog.call "enQ_s" [ vi 0; vi (10 * i) ]) (fun _ ->
+        Prog.call "deQ_s" [ vi 0 ])
+  in
+  List.init 200 (fun _ ->
+      let kind = draw 3 in
+      let n = 1 + draw 4 in
+      let trace = List.init (draw 13) (fun _ -> draw 5) in
+      let max_steps = 1 + draw 60 in
+      fun () ->
+        let layer, m, client =
+          match kind with
+          | 0 -> Ticket_lock.l0 (), Ticket_lock.c_module (), lock_client
+          | 1 -> Mcs_lock.l0 (), Mcs_lock.c_module (), lock_client
+          | _ -> Queue_shared.underlay (), Queue_shared.c_module (), queue_client
+        in
+        let threads =
+          List.init n (fun k -> k + 1, Prog.Module.link m (client (k + 1)))
+        in
+        Game.config ~max_steps layer threads (Sched.of_trace trace))
+
+(* Recorded on the AST-walking ClightX interpreter, before the C bodies
+   were compiled to closures.  A change here is a change of ClightX
+   semantics. *)
+let clight_digest = "d45616648f5fa4f32c4f5af0aca75fd0"
+
+let test_clight_golden_outcomes () =
+  let rendered =
+    List.map (fun mk -> render_outcome (Game.run (mk ()))) (clight_corpus ())
+  in
+  check_string "digest of 200 ClightX outcomes" clight_digest
+    (Digest.to_hex (Digest.string (String.concat "\n" rendered)))
+
+(* Cache keys of edges certified from C code fold [Fingerprint.prog] of
+   the module bodies: pin it over every object's C module, on arguments
+   of each arity up to three. *)
+let c_modules () =
+  [
+    Ticket_lock.c_module ();
+    Mcs_lock.c_module ();
+    Queue_shared.c_module ();
+    Queue_local.c_module ();
+    Qlock.c_module ();
+    Rwlock.c_module ();
+    Condvar.c_module ();
+    Barrier.c_module ();
+  ]
+
+let fingerprint_args = [ []; [ vi 0 ]; [ vi 1; vi 2 ]; [ vi 0; vi 1; vi 2 ] ]
+
+let c_module_fingerprints () =
+  List.concat_map
+    (fun m ->
+      List.concat_map
+        (fun name ->
+          let body = Option.get (Prog.Module.find name m) in
+          List.map
+            (fun args ->
+              match body args with
+              | p ->
+                Fingerprint.to_hex
+                  (Fingerprint.finish (Fingerprint.prog Fingerprint.empty p))
+              | exception e -> Printexc.to_string e)
+            fingerprint_args)
+        (Prog.Module.names m))
+    (c_modules ())
+
+let fingerprint_digest = "9cae1a6d83e07a48459886e726883760"
+
+let test_c_module_fingerprints () =
+  check_string "digest of C module fingerprints" fingerprint_digest
+    (Digest.to_hex (Digest.string (String.concat "\n" (c_module_fingerprints ()))))
+
 let rec is_prefix xs ys =
   match xs, ys with
   | [], _ -> true
@@ -573,6 +656,8 @@ let suite =
     tc "explore: run_all jobs-invariant" test_explore_run_all_jobs_invariant;
     tc "stack: report jobs-invariant" test_stack_report_jobs_invariant;
     tc "game: golden outcomes of a fixed corpus" test_golden_outcomes;
+    tc "game: golden outcomes of a ClightX corpus" test_clight_golden_outcomes;
+    tc "fingerprint: C module bodies pinned" test_c_module_fingerprints;
     prop_truncation_is_prefix;
     tc "game: blocked threads leave the move, not the game"
       test_blocked_protocol;

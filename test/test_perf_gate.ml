@@ -114,6 +114,24 @@ let test_verdicts_identical_across_jobs () =
         (check_races ~jobs () = oracle))
     [ 2; 4; 7 ]
 
+(* ---- minor words per play move (DESIGN.md S35) ----
+
+   Allocation is deterministic for a given build, so unlike the clock
+   this gate holds on every host: each game of [Moves.games] must stay
+   within 5% of its recorded figure. *)
+let test_words_per_move () =
+  List.iter
+    (fun (g : Moves.game) ->
+      let bound = g.recorded *. 1.05 in
+      let _, words = g.run () in
+      Printf.printf
+        "perf-gate: %s %.1f minor words per move (bound %.1f, before %.1f)\n%!"
+        g.name words bound g.before;
+      check_bool
+        (Printf.sprintf "%s: %.1f words per move <= %.1f" g.name words bound)
+        true (words <= bound))
+    Moves.games
+
 (* ---- recommended_domains is a measurement, not a core count ---- *)
 
 let test_recommend_domains () =
@@ -136,4 +154,6 @@ let suite =
       test_verdicts_identical_across_jobs;
     tc "recommend_domains derives from the measured curve"
       test_recommend_domains;
+    tc "minor words per move within 5% of the recorded figures"
+      test_words_per_move;
   ]
