@@ -137,7 +137,7 @@ let layer st (l : Layer.t) =
       int (string st name) (match prim with Layer.Shared _ -> 1 | Layer.Private _ -> 2))
     st l.prims
 
-let scheds st ss = list (fun st (s : Sched.t) -> string st s.name) st ss
+let scheds st ss = list (fun st s -> string st (Sched.name s)) st ss
 
 (* The memory mode enters every game-shaped key (DESIGN.md S29): an SC
    verdict must never be served for a TSO query, even for layers whose

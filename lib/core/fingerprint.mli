@@ -104,7 +104,7 @@ val scheds : state -> Sched.t list -> state
 (** Scheduler suite identity: the ordered list of scheduler names.
     Anonymous schedulers (the default ["trace"] name of
     {!Sched.of_trace}) make suites indistinguishable — give them
-    content-bearing names before fingerprinting. *)
+    content-bearing names (a [tag]) before fingerprinting. *)
 
 val rel : state -> Sim_rel.t -> state
 (** Simulation-relation identity: the relation name (relations are

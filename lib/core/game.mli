@@ -74,8 +74,8 @@ val pseudo_threads :
     synthesis point, shared by {!run} and by the DPOR and exhaustive
     explorers, so the negative-tid namespace (crash thread at [-1],
     flusher for cpu [c] at [-c-1]) cannot silently collide.
-    Raises [Invalid_argument] on a real thread with a negative id or a
-    duplicated pseudo tid.  Pseudo tids never appear in {!Deadlock}
+    Raises [Invalid_argument], naming the tid, on a real thread with a
+    negative id and on a duplicated real or pseudo tid.  Pseudo tids never appear in {!Deadlock}
     lists or [results]. *)
 
 type status =

@@ -161,7 +161,7 @@ let check_sched_stop ?(max_steps = 200_000) ?(expect_all_done = true) ?stop
     `Checked
       (Error
          {
-           sched_name = sched.Sched.name;
+           sched_name = Sched.name sched;
            reason =
              Format.asprintf "underlay run did not complete: %a"
                Game.pp_status outcome.Game.status;
@@ -177,7 +177,7 @@ let check_sched_stop ?(max_steps = 200_000) ?(expect_all_done = true) ?stop
            overlay threads_over lt
        with
        | Error (reason, over_log) ->
-         Error { sched_name = sched.Sched.name; reason; under_log = l; over_log }
+         Error { sched_name = Sched.name sched; reason; under_log = l; over_log }
        | Ok over_results ->
          (* Termination-sensitivity: results must agree thread-by-thread. *)
          let mismatches =
@@ -192,7 +192,7 @@ let check_sched_stop ?(max_steps = 200_000) ?(expect_all_done = true) ?stop
          | (i, v) :: _ ->
            Error
              {
-               sched_name = sched.Sched.name;
+               sched_name = Sched.name sched;
                reason =
                  Printf.sprintf
                    "thread %d returned %s at the underlay but %s at the overlay"

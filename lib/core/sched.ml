@@ -1,7 +1,11 @@
-type t = {
-  name : string;
-  pick : step:int -> Log.t -> runnable:Event.tid list -> Event.tid option;
-}
+type pick = step:int -> Log.t -> runnable:Event.tid list -> Event.tid option
+
+type t =
+  | Round_robin
+  | Random of int
+  | Trace of { name : string; tagged : bool; choices : Event.tid list }
+  | Biased of { favored : Event.tid; ratio : int; seed : int }
+  | Custom of { name : string; pick : pick }
 
 (* SplitMix-style avalanche with constants in OCaml's 63-bit int range. *)
 let splitmix x =
@@ -12,60 +16,23 @@ let splitmix x =
      is non-negative for every input, including [min_int]. *)
   abs (x lxor (x lsr 16)) land max_int
 
-let round_robin =
-  {
-    name = "round-robin";
-    pick =
-      (fun ~step _ ~runnable ->
-        match runnable with
-        | [] -> None
-        | _ ->
-          let sorted = List.sort_uniq Stdlib.compare runnable in
-          Some (List.nth sorted (step mod List.length sorted)));
-  }
+let round_robin = Round_robin
+let random ~seed = Random seed
 
-let random ~seed =
-  {
-    name = Printf.sprintf "random(seed=%d)" seed;
-    pick =
-      (fun ~step _ ~runnable ->
-        match runnable with
-        | [] -> None
-        | _ ->
-          let n = List.length runnable in
-          Some (List.nth runnable (splitmix ((seed * 1_000_003) + step) mod n)));
-  }
+let of_trace ?(name = "trace") ?tag choices =
+  Trace { name = Option.value tag ~default:name; tagged = Option.is_some tag; choices }
 
-let of_trace ?(name = "trace") trace =
-  let remaining = ref trace in
-  {
-    name;
-    pick =
-      (fun ~step log ~runnable ->
-        let rec next () =
-          match !remaining with
-          | [] -> round_robin.pick ~step log ~runnable
-          | i :: rest ->
-            remaining := rest;
-            if List.mem i runnable then Some i else next ()
-        in
-        next ());
-  }
-
-let biased ~favored ~ratio ~seed =
-  {
-    name = Printf.sprintf "biased(%d x%d)" favored ratio;
-    pick =
-      (fun ~step _ ~runnable ->
-        match runnable with
-        | [] -> None
-        | _ ->
-          let h = splitmix ((seed * 7_919) + step) in
-          if List.mem favored runnable && h mod (ratio + 1) <> 0 then Some favored
-          else
-            let n = List.length runnable in
-            Some (List.nth runnable (h / 7 mod n)));
-  }
+let biased ~favored ~ratio ~seed = Biased { favored; ratio; seed }
 
 let default_suite ~seeds =
   round_robin :: List.init seeds (fun k -> random ~seed:(k + 1))
+
+let name = function
+  | Round_robin -> "round-robin"
+  | Random seed -> Printf.sprintf "random(seed=%d)" seed
+  | Trace { name; tagged = false; _ } -> name
+  | Trace { name; tagged = true; choices } ->
+    Printf.sprintf "%s:[%s]" name (String.concat "," (List.map string_of_int choices))
+  | Biased { favored; ratio; seed } ->
+    Printf.sprintf "biased(%d x%d seed=%d)" favored ratio seed
+  | Custom { name; _ } -> name

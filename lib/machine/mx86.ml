@@ -32,7 +32,7 @@ let check_multicore_linking_sched ?max_steps ?layer:l ?(memory = Memory.default)
     Error (Printf.sprintf "Mx86 run stuck at CPU %d: %s" i msg)
   | Game.Deadlock _ | Game.Out_of_fuel | Game.Cancelled ->
     Error
-      (Printf.sprintf "Mx86 run did not complete under %s" sched.Sched.name)
+      (Printf.sprintf "Mx86 run did not complete under %s" (Sched.name sched))
   | Game.All_done -> (
     let erased = Sim_rel.apply erase_switches outcome.Game.log in
     match Refinement.replay_multi ?max_steps l threads erased with
@@ -40,7 +40,7 @@ let check_multicore_linking_sched ?max_steps ?layer:l ?(memory = Memory.default)
     | Error (reason, _) ->
       Error
         (Printf.sprintf "multicore linking failed under %s: %s"
-           sched.Sched.name reason))
+           (Sched.name sched) reason))
 
 let check_multicore_linking ?max_steps ~threads ~scheds () =
   let rec go n = function

@@ -316,12 +316,9 @@ let check_multicore_linking_sched ?max_steps ~threads sched =
 
 (* Race-free programs on TSO behave as if sequentially consistent
    (Sewell et al., the result the paper leans on).  Executable form: run
-   the same threads under the same (stateless!) scheduler on both
-   machines — the TSO game with its flusher moves — and require
-   identical thread results and identical final memory on every cell
-   either run mentions.  [Sched.of_trace] values are stateful and must
-   not be reused across two games; round-robin/random schedulers are
-   safe. *)
+   the same threads under the same scheduler on both machines — the TSO
+   game with its flusher moves — and require identical thread results
+   and identical final memory on every cell either run mentions. *)
 let sc_equivalent_on ?(max_steps = 100_000) ~threads ~scheds () =
   let rec go n = function
     | [] -> Ok n
@@ -346,11 +343,11 @@ let sc_equivalent_on ?(max_steps = 100_000) ~threads ~scheds () =
         in
         if not results_equal then
           Error
-            (Printf.sprintf "results differ under %s" sched.Sched.name)
+            (Printf.sprintf "results differ under %s" (Sched.name sched))
         else if not (buffers_drained ~threads tso.Game.log) then
           Error
             (Printf.sprintf "TSO game ended with a non-empty store buffer under %s"
-               sched.Sched.name)
+               (Sched.name sched))
         else
           let cells =
             List.sort_uniq Stdlib.compare
@@ -365,10 +362,10 @@ let sc_equivalent_on ?(max_steps = 100_000) ~threads ~scheds () =
               cells
           in
           if mem_equal then go (n + 1) rest
-          else Error (Printf.sprintf "final memory differs under %s" sched.Sched.name)
+          else Error (Printf.sprintf "final memory differs under %s" (Sched.name sched))
       | s1, s2 ->
         Error
           (Format.asprintf "statuses differ under %s: TSO %a, SC %a"
-             sched.Sched.name Game.pp_status s1 Game.pp_status s2))
+             (Sched.name sched) Game.pp_status s1 Game.pp_status s2))
   in
   go 0 scheds

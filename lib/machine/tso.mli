@@ -156,5 +156,5 @@ val sc_equivalent_on :
     scheduler and require identical thread results, drained buffers and
     identical final memory on every mentioned cell — the executable form
     of "race-free programs on TSO behave as if executing on a
-    sequentially consistent machine".  Schedulers must be stateless
-    (round-robin/random); {!Sched.of_trace} values are single-use. *)
+    sequentially consistent machine".  Each scheduler drives both
+    games, trace schedulers included. *)

@@ -271,13 +271,13 @@ let check_multithreaded_linking_sched ?max_steps ~placement ~layer ~threads
     Error
       (Printf.sprintf "deadlock among threads %s under %s"
          (String.concat "," (List.map string_of_int ids))
-         sched.Sched.name)
+         (Sched.name sched))
   | Game.Out_of_fuel -> Error "out of fuel"
   | Game.Cancelled ->
-    Error (Printf.sprintf "run under %s was cancelled" sched.Sched.name)
+    Error (Printf.sprintf "run under %s was cancelled" (Sched.name sched))
   | Game.All_done -> (
     if not (turn_consistent placement outcome.Game.log) then
-      Error (Printf.sprintf "log not turn-consistent under %s" sched.Sched.name)
+      Error (Printf.sprintf "log not turn-consistent under %s" (Sched.name sched))
     else
       match Refinement.replay_multi ?max_steps layer threads outcome.Game.log with
       | Ok _ -> Ok outcome.Game.steps

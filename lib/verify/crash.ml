@@ -191,7 +191,7 @@ let check_sched ~bound ?stop edge sched =
     let fail i (keep, tear) reason =
       {
         f_edge = edge.name;
-        f_sched = sched.Sched.name;
+        f_sched = Sched.name sched;
         f_index = i;
         f_keep = keep;
         f_tear = tear;
@@ -248,7 +248,7 @@ let check_sched ~bound ?stop edge sched =
           Some
             {
               f_edge = edge.name;
-              f_sched = sched.Sched.name;
+              f_sched = Sched.name sched;
               f_index = o.Game.steps;
               f_keep = 0;
               f_tear = 0;

@@ -447,15 +447,6 @@ let walk ?(independence = Exact) ?jobs ?cache
       Cache.store c ~kind:"engine" key walked;
       walked)
 
-(* [dpor] and [dpor,sym] share the "dpor" tag: identical prefixes share
-   verdict cache entries, which is sound because the games are identical. *)
-let sched_of_prefix ~tag prefix =
-  Sched.of_trace
-    ~name:
-      (Printf.sprintf "%s:[%s]" tag
-         (String.concat "," (List.map string_of_int prefix)))
-    prefix
-
 let pp_count fmt n =
   if n = max_int then Format.pp_print_string fmt ">max-int"
   else Format.pp_print_int fmt n
@@ -519,7 +510,7 @@ let explore_ctx ~ctx ?(independence = Exact) ?engine
             let o =
               Game.run
                 (Game.config ?stop ~memory:ctx.Ctx.memory layer
-                   threads (sched_of_prefix ~tag:"dpor" p))
+                   threads (Sched.of_trace ~tag:"dpor" p))
             in
             o, representative o.Game.log)
           prefixes)

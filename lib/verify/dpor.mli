@@ -74,11 +74,6 @@ val canonical_log : Log.t -> Log.t
     left.  That event is the ready oldest-unemitted event of the thread
     with the smallest tid, found by one cursor per thread. *)
 
-val sched_of_prefix : tag:string -> Event.tid list -> Sched.t
-(** A trace scheduler following the prefix, named [tag:[t0,t1,…]].  The
-    name is content-bearing: it identifies the suite in cache keys, so
-    the [dpor] and [exh] tags must never change. *)
-
 val walk :
   ?independence:independence ->
   ?jobs:int ->

@@ -8,7 +8,7 @@ let exhaustive_scheds ~tids ~depth =
       let shorter = traces (d - 1) in
       List.concat_map (fun t -> List.map (fun tr -> t :: tr) shorter) tids
   in
-  List.map (Dpor.sched_of_prefix ~tag:"exh") (traces depth)
+  List.map (Sched.of_trace ~tag:"exh") (traces depth)
 
 let random_scheds ~count = List.init count (fun k -> Sched.random ~seed:(k + 1))
 
@@ -27,7 +27,9 @@ let suite ~ctx (engine : Engine.t) layer threads =
       Dpor.walk ?jobs:(Ctx.jobs_opt ctx) ?cache:ctx.Ctx.cache
         ~memory:ctx.Ctx.memory ~engine ~depth layer threads
     in
-    List.map (Dpor.sched_of_prefix ~tag:"dpor") prefixes
+    (* [dpor] and [dpor,sym] share the "dpor" tag: identical prefixes
+       share verdict cache entries, sound because the games are identical. *)
+    List.map (Sched.of_trace ~tag:"dpor") prefixes
   | Engine.Exhaustive ->
     (* Pseudo-threads (TSO flushers, the crash thread) are schedulable
        too, so the exhaustive prefix alphabet must include their tids.

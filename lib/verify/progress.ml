@@ -22,14 +22,14 @@ let check_sched ~bound layer threads ~stop sched =
       `Failed
         (Printf.sprintf "deadlock among threads %s under %s"
            (String.concat "," (List.map string_of_int ids))
-           sched.Sched.name)
+           (Sched.name sched))
     | Game.Stuck (i, _, msg) ->
       `Failed
-        (Printf.sprintf "thread %d stuck under %s: %s" i sched.Sched.name msg)
+        (Printf.sprintf "thread %d stuck under %s: %s" i (Sched.name sched) msg)
     | Game.Out_of_fuel ->
       `Failed
         (Printf.sprintf "run under %s exceeded the progress bound of %d moves"
-           sched.Sched.name bound)
+           (Sched.name sched) bound)
   in
   (outcome.Game.steps, r)
 

@@ -25,7 +25,7 @@ type sched_outcome =
 let classify sched outcome =
   match outcome.Game.status with
   | Game.Stuck (_, Layer.Data_race, msg) ->
-    Racy { sched_name = sched.Sched.name; detail = msg; log = outcome.Game.log }
+    Racy { sched_name = Sched.name sched; detail = msg; log = outcome.Game.log }
   | Game.Stuck (i, Layer.Invalid_transition, msg) ->
     Other (Printf.sprintf "thread %d stuck (not a race): %s" i msg)
   | Game.Deadlock ids ->
@@ -39,7 +39,7 @@ let classify sched outcome =
     else
       Racy
         {
-          sched_name = sched.Sched.name;
+          sched_name = Sched.name sched;
           detail = "completed log fails push/pull replay";
           log = outcome.Game.log;
         }

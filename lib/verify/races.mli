@@ -54,7 +54,7 @@ val check_ctx :
 
     [ctx.token] is charged one step per game move.  When the budget runs
     out mid-scan the verdict is [Exhausted] carrying a {!partial}; pass
-    it back as [?resume] (schedulers are regenerated — they are stateful)
+    it back as [?resume] (the suite itself is regenerated, not stored)
     to continue where the scan stopped, with a final verdict byte-equal
     to a from-scratch run.  With [ctx.cache] the partial is also stashed
     under its own ["races.partial"] kind and picked up automatically on

@@ -644,18 +644,18 @@ let prop_of_trace_follows_then_round_robin =
     QCheck.(list_of_size Gen.(0 -- 8) (int_range 0 5))
     (fun trace ->
       let runnable = [ 1; 2; 3 ] in
-      let sched = Sched.of_trace trace in
+      let pick = Sched_oracle.pick (Sched.of_trace trace) in
       let expected_prefix = List.filter (fun i -> List.mem i runnable) trace in
       let total = List.length expected_prefix + 4 in
       let picks =
         List.init total (fun step ->
-            sched.Sched.pick ~step Log.empty ~runnable)
+            pick ~step Log.empty ~runnable)
       in
       let expected =
         List.map Option.some expected_prefix
         @ List.init 4 (fun k ->
               let step = List.length expected_prefix + k in
-              Sched.round_robin.Sched.pick ~step Log.empty ~runnable)
+              Sched_oracle.round_robin ~step Log.empty ~runnable)
       in
       picks = expected)
 
@@ -665,10 +665,10 @@ let prop_biased_picks_runnable =
     (fun (favored, ratio, seed) ->
       List.for_all
         (fun runnable ->
-          let sched = Sched.biased ~favored ~ratio ~seed in
+          let pick = Sched_oracle.pick (Sched.biased ~favored ~ratio ~seed) in
           List.for_all
             (fun step ->
-              match sched.Sched.pick ~step Log.empty ~runnable with
+              match pick ~step Log.empty ~runnable with
               | Some i -> List.mem i runnable
               | None -> false)
             [ 0; 1; 2; 3; 7; 11 ])

@@ -54,7 +54,7 @@ let test_starvation_bound_violated_by_unfair () =
     Prog.bind (Prog.call "acq" [ vi 0 ]) (fun v -> Prog.call "rel" [ vi 0; v ])
   in
   let unfair =
-    { Sched.name = "hog";
+    Sched.Custom { name = "hog";
       pick = (fun ~step:_ _ ~runnable ->
           if List.mem 1 runnable then Some 1 else List.nth_opt runnable 0) }
   in

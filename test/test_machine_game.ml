@@ -247,21 +247,22 @@ let test_game_fuel () =
 let test_round_robin_fair () =
   let picks =
     List.init 9 (fun step ->
-        Option.get (Sched.round_robin.Sched.pick ~step Log.empty ~runnable:[ 1; 2; 3 ]))
+        Option.get (Sched_oracle.round_robin ~step Log.empty ~runnable:[ 1; 2; 3 ]))
   in
   check_int "each picked 3 times" 3
     (List.length (List.filter (fun t -> t = 1) picks))
 
 let test_random_deterministic () =
   let s1 = Sched.random ~seed:5 and s2 = Sched.random ~seed:5 in
-  let run (s : Sched.t) =
-    List.init 20 (fun step -> s.Sched.pick ~step Log.empty ~runnable:[ 1; 2; 3 ])
+  let run s =
+    let pick = Sched_oracle.pick s in
+    List.init 20 (fun step -> pick ~step Log.empty ~runnable:[ 1; 2; 3 ])
   in
   check_bool "same seed same picks" true (run s1 = run s2)
 
 let test_trace_sched_skips_unrunnable () =
   let s = Sched.of_trace [ 7; 2 ] in
-  match s.Sched.pick ~step:0 Log.empty ~runnable:[ 1; 2 ] with
+  match Sched_oracle.pick s ~step:0 Log.empty ~runnable:[ 1; 2 ] with
   | Some 2 -> ()
   | _ -> Alcotest.fail "expected the trace to skip to thread 2"
 

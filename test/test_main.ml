@@ -4,6 +4,7 @@ let () =
     [
       "events-logs-replay (S1)", Test_value_log.suite;
       "machine-game (S2,S4,S5)", Test_machine_game.suite;
+      "schedules-as-data (S36)", Test_sched.suite;
       "simulation-calculus-refinement (S6-S8)", Test_simulation_calculus.suite;
       "multicore-machine (S9-S11)", Test_machine_lib.suite;
       "clightx-compcertx (S12-S14)", Test_clight_compile.suite;

@@ -534,18 +534,19 @@ let prop_truncation_is_prefix =
 
 (* A scheduler that records every offer as [(step, runnable, chosen)],
    choosing like [inner]. *)
-let recording (inner : Sched.t) =
+let recording inner =
   let offers = ref [] in
+  let inner = Sched_oracle.pick inner in
   let pick ~step log ~runnable =
     let chosen =
-      match inner.Sched.pick ~step log ~runnable with
+      match inner ~step log ~runnable with
       | Some i when List.mem i runnable -> i
       | Some _ | None -> List.hd runnable
     in
     offers := (step, runnable, chosen) :: !offers;
     Some chosen
   in
-  { Sched.name = "recording"; pick }, fun () -> List.rev !offers
+  Sched.Custom { name = "recording"; pick }, fun () -> List.rev !offers
 
 (* The offers of one play, grouped by move: [(runnable, chosen) list]
    per step, in order. *)
@@ -603,7 +604,7 @@ let test_deadlock_lists_pending_in_thread_order () =
   let hold i = Prog.bind (Prog.call "acq" [ vi 0 ]) (fun _ -> Prog.ret (vi i)) in
   let threads = List.map (fun i -> i, hold i) [ 4; 1; 3; 2 ] in
   let first_1 =
-    { Sched.name = "1 first";
+    Sched.Custom { name = "1 first";
       pick = (fun ~step:_ _ ~runnable -> if List.mem 1 runnable then Some 1 else None) }
   in
   let sched, offers = recording first_1 in

@@ -125,10 +125,10 @@ let test_strategy_emit_once () =
 (* ---- Sched.biased ---- *)
 
 let test_biased_prefers_favored () =
-  let s = Sched.biased ~favored:2 ~ratio:10 ~seed:1 in
+  let pick = Sched_oracle.pick (Sched.biased ~favored:2 ~ratio:10 ~seed:1) in
   let picks =
     List.init 50 (fun step ->
-        Option.get (s.Sched.pick ~step Log.empty ~runnable:[ 1; 2; 3 ]))
+        Option.get (pick ~step Log.empty ~runnable:[ 1; 2; 3 ]))
   in
   let favored = List.length (List.filter (fun t -> t = 2) picks) in
   check_bool "favored dominates" true (favored > 30)

@@ -305,7 +305,7 @@ let test_inject_unfair_scheduler_starves () =
     Prog.bind (Prog.call "acq" [ vi 0 ]) (fun _ -> Prog.call "rel" [ vi 0; vi i ])
   in
   let unfair =
-    { Sched.name = "always-1";
+    Sched.Custom { name = "always-1";
       pick = (fun ~step:_ _ ~runnable ->
           if List.mem 1 runnable then Some 1 else List.nth_opt runnable 0) }
   in
