@@ -1,4 +1,4 @@
-.PHONY: all build test check check-test-count check-parallel check-cache check-robust check-speedup check-kv check-tso check-crash check-sym examples explore bench clean
+.PHONY: all build test check check-test-count check-lib-size check-parallel check-cache check-robust check-speedup check-kv check-tso check-crash check-sym examples explore bench clean
 
 all: build
 
@@ -11,7 +11,7 @@ test:
 # Regression guard: the suite must never silently shrink — a dune or
 # module-wiring mistake can drop a whole test file from the runner while
 # everything still "passes".  Bump the floor when tests are added.
-TEST_COUNT_FLOOR := 499
+TEST_COUNT_FLOOR := 502
 
 check-test-count:
 	@out=$$(dune runtest --force 2>&1); status=$$?; \
@@ -25,11 +25,24 @@ check-test-count:
 	  echo "check-test-count: OK ($$count tests run >= floor $(TEST_COUNT_FLOOR))"; \
 	fi
 
+# Size guard: the library must not grow back.  The ceiling is the line
+# count of lib/ when every checker's suite moved onto Parallel.games
+# (DESIGN.md S37); lower it when a change shrinks lib/.
+LIB_SIZE_CEILING := 16158
+
+check-lib-size:
+	@lines=$$(cat lib/*/*.ml lib/*/*.mli | wc -l); \
+	if [ "$$lines" -gt "$(LIB_SIZE_CEILING)" ]; then \
+	  echo "check-lib-size: REGRESSION - lib/ has $$lines lines, ceiling is $(LIB_SIZE_CEILING)"; exit 1; \
+	else \
+	  echo "check-lib-size: OK ($$lines lines <= ceiling $(LIB_SIZE_CEILING))"; \
+	fi
+
 # The tier-1 gate: everything CI runs, runnable locally in one shot.
 # Runs the full suite (with the test-count floor), the DPOR-vs-exhaustive
 # agreement check on the headline game, and the certificate-cache and
 # robustness gates.
-check: build check-test-count check-cache check-robust check-speedup check-kv check-tso check-crash check-sym
+check: build check-test-count check-lib-size check-cache check-robust check-speedup check-kv check-tso check-crash check-sym
 	dune exec bin/ccal_cli.exe -- explore lock --threads 3 --depth 5
 
 # The speedup gate (DESIGN.md S24): the perf-gate alcotest section runs

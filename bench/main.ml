@@ -191,13 +191,20 @@ let tab2_rows () =
             [ Prog.call "acq" [ vi 0 ]; Prog.call "rel" [ vi 0; vi i ];
               Prog.call "yield" []; Prog.call "texit" [] ]
         in
-        match
-          Thread_sched.check_multithreaded_linking ~placement ~layer
-            ~threads:(threads 3 prog)
-            ~scheds:(Sched.default_suite ~seeds:4) ()
-        with
-        | Ok n -> Ok (Calculus.empty_rule layer (List.init n (fun i -> i)))
-        | Error msg -> Error msg);
+        let threads = threads 3 prog in
+        let verdicts =
+          V.Budget.value
+            (V.Parallel.games ~ctx:V.Ctx.default ~cut:Result.is_error
+               layer threads
+               (Thread_sched.judge_linking ~placement layer threads)
+               (Sched.default_suite ~seeds:4))
+        in
+        match List.find_map (function Error m -> Some m | Ok () -> None) verdicts with
+        | Some msg -> Error msg
+        | None ->
+          Ok
+            (Calculus.empty_rule layer
+               (List.init (List.length verdicts) (fun i -> i))));
     tab2_row "Queuing lock" 112 [ Qlock.acq_q_fn; Qlock.rel_q_fn ] 4
       (fun () ->
         Result.map_error (Format.asprintf "%a" Calculus.pp_error) (Qlock.certify ()));
@@ -1067,8 +1074,8 @@ let make_tests (ghost_layer, ghost_m, clean_layer, clean_m) =
              | Error _ -> ()
              | Ok cert ->
                ignore
-                 (Refinement.check_cert cert ~client:lock_client
-                    ~scheds:(Sched.default_suite ~seeds:2))));
+                 (V.Linearizability.refine_cert_ctx ~ctx:V.Ctx.default cert
+                    ~client:lock_client ~scheds:(Sched.default_suite ~seeds:2))));
     ]
 
 let run_benchmarks tests =

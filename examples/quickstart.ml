@@ -186,7 +186,10 @@ let () =
 
   (* soundness: every interleaving refines an atomic run *)
   match
-    Refinement.check_cert cert ~client ~scheds:(Sched.default_suite ~seeds:16)
+    Ccal_verify.(
+      Budget.value
+        (Linearizability.refine_cert_ctx ~ctx:Ctx.default cert ~client
+           ~scheds:(Sched.default_suite ~seeds:16)))
   with
   | Ok r ->
     Format.printf

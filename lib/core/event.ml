@@ -9,6 +9,8 @@ type t = {
 
 let make ?(args = []) ?(ret = Value.unit) src tag = { src; tag; args; ret }
 
+let obj_of_args = function Value.Vint b :: _ -> Some b | _ -> None
+
 let switch_tag = "switch"
 let switch i = make i switch_tag
 let is_switch e = String.equal e.tag switch_tag

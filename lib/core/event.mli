@@ -24,6 +24,13 @@ val make : ?args:Value.t list -> ?ret:Value.t -> tid -> string -> t
 (** [make i tag] builds the event [i.tag]; [args] and [ret] default to
     empty / unit. *)
 
+val obj_of_args : Value.t list -> int option
+(** The object an event acts on: its first argument when that is an
+    integer (the lock, queue or channel id, or the memory cell).  The
+    one convention shared by the objects' replay functions, the
+    rely/guarantee checks, the progress checks and DPOR's dependence
+    relation. *)
+
 val switch_tag : string
 (** Tag of hardware/software scheduling events ([c.switch]). *)
 

@@ -265,12 +265,6 @@ let run cfg =
    it. *)
 let replay = run
 
-let behaviors ?max_steps ?log_switches ?check_guar ?memory layer threads scheds =
-  List.map
-    (fun sched ->
-      run (config ?max_steps ?log_switches ?check_guar ?memory layer threads sched))
-    scheds
-
 let successful o =
   match o.status with All_done -> o.guar_violations = [] | _ -> false
 

@@ -9,7 +9,8 @@
     move, the machine is deadlocked.
 
     The behaviour [⟦P⟧_{L[D]}] is the set of logs generated under all
-    schedulers; {!behaviors} approximates it over a scheduler suite. *)
+    schedulers; [Ccal_verify.Parallel.games] approximates it over a
+    scheduler suite, judging each play. *)
 
 type config = {
   layer : Layer.t;
@@ -108,17 +109,6 @@ val run : config -> outcome
 val replay : config -> outcome
 (** [replay] is {!run}, kept under this name for the benchmark harness
     in perfbench/. *)
-
-val behaviors :
-  ?max_steps:int ->
-  ?log_switches:bool ->
-  ?check_guar:bool ->
-  ?memory:Memory.t ->
-  Layer.t ->
-  (Event.tid * Prog.t) list ->
-  Sched.t list ->
-  outcome list
-(** Run the same machine under each scheduler of the suite. *)
 
 val successful : outcome -> bool
 (** [All_done] with no guarantee violation. *)

@@ -14,7 +14,7 @@
      see below); spans go to per-domain buffers registered once under a
      mutex — worker domains never contend on a shared span list.
    - Deterministic across jobs counts.  A counter bumped inside a
-     [Parallel.budgeted_scan] job body would overcount under [jobs > 1]:
+     [Parallel.games] judge would overcount under [jobs > 1]:
      workers may evaluate indices beyond the early-exit cut before the
      cut is published, indices the sequential oracle never runs.
      [captured] diverts a job's counts into a local delta; the executor

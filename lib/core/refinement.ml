@@ -133,97 +133,57 @@ let replay_multi ?(max_steps = 200_000) ?(allow_blocked_at_end = false) overlay
   in
   consume Log.empty events 0
 
-(* The per-schedule body of {!check}: one underlay run, translated and
-   replayed against the overlay.  Exposed so the parallel checkers can hand
-   it, schedule by schedule, to a domain pool; it is pure up to its own
-   game state. *)
-let check_sched_stop ?(max_steps = 200_000) ?(expect_all_done = true) ?stop
-    ?memory ~underlay ~impl ~overlay ~rel ~client ~tids sched =
-  let threads_under =
-    List.map (fun i -> i, Prog.Module.link impl (client i)) tids
-  in
+(* The per-schedule judge of a refinement scan: the underlay play,
+   translated and replayed against the overlay.  It touches only its own
+   replay state, so the parallel checkers can judge schedules on any
+   domain. *)
+let judge ~max_steps ?(expect_all_done = true) ~overlay ~rel ~client ~tids
+    sched (outcome : Game.outcome) =
   let threads_over = List.map (fun i -> i, client i) tids in
-  (* [?memory] applies to the underlay game only: the implementation runs
-     on the (possibly buffered) hardware machine, while the overlay spec
-     is replayed as ever — the relation is responsible for translating
-     the buffering events away ({!Ccal_machine.Tso.under_memory}). *)
-  let outcome =
-    Game.run
-      (Game.config ~max_steps ?stop ?memory underlay threads_under sched)
-  in
   match outcome.Game.status with
-  | Game.Cancelled ->
-    (* Only reachable when a [stop] closure was installed: the budget ran
-       out mid-game.  Not a refinement verdict either way — the budgeted
-       scan counts it as an interrupted schedule. *)
-    `Interrupted
-  | (Game.Deadlock _ | Game.Stuck _ | Game.Out_of_fuel) when expect_all_done ->
-    `Checked
-      (Error
-         {
-           sched_name = Sched.name sched;
-           reason =
-             Format.asprintf "underlay run did not complete: %a"
-               Game.pp_status outcome.Game.status;
-           under_log = outcome.Game.log;
-           over_log = Log.empty;
-         })
-  | _ ->
-    `Checked
-      (let l = outcome.Game.log in
-       let lt = Sim_rel.apply rel l in
-       match
-         replay_multi ~max_steps ~allow_blocked_at_end:(not expect_all_done)
-           overlay threads_over lt
-       with
-       | Error (reason, over_log) ->
-         Error { sched_name = Sched.name sched; reason; under_log = l; over_log }
-       | Ok over_results ->
-         (* Termination-sensitivity: results must agree thread-by-thread. *)
-         let mismatches =
-           List.filter
-             (fun (i, v) ->
-               match List.assoc_opt i over_results with
-               | Some v' -> not (Value.equal v v')
-               | None -> true)
-             outcome.Game.results
-         in
-         (match mismatches with
-         | (i, v) :: _ ->
-           Error
-             {
-               sched_name = Sched.name sched;
-               reason =
-                 Printf.sprintf
-                   "thread %d returned %s at the underlay but %s at the overlay"
-                   i (Value.to_string v)
-                   (match List.assoc_opt i over_results with
-                   | Some v' -> Value.to_string v'
-                   | None -> "nothing");
-               under_log = l;
-               over_log = lt;
-             }
-         | [] -> Ok (l, lt)))
-
-let check ?max_steps ?expect_all_done ~underlay ~impl ~overlay ~rel ~client
-    ~tids ~scheds () =
-  let rec go scheds_checked logs translated = function
-    | [] -> Ok { scheds_checked; logs = List.rev logs; translated = List.rev translated }
-    | sched :: rest -> (
-      match
-        check_sched_stop ?max_steps ?expect_all_done ~underlay ~impl ~overlay
-          ~rel ~client ~tids sched
-      with
-      | `Checked (Error f) -> Error f
-      | `Checked (Ok (l, lt)) ->
-        go (scheds_checked + 1) (l :: logs) (lt :: translated) rest
-      | `Interrupted -> assert false (* no stop closure installed *))
-  in
-  go 0 [] [] scheds
-
-let check_cert ?max_steps ?expect_all_done (cert : Calculus.cert) ~client ~scheds =
-  check ?max_steps ?expect_all_done ~underlay:cert.Calculus.judgment.Calculus.underlay
-    ~impl:cert.Calculus.judgment.Calculus.impl
-    ~overlay:cert.Calculus.judgment.Calculus.overlay
-    ~rel:cert.Calculus.judgment.Calculus.rel ~client
-    ~tids:cert.Calculus.judgment.Calculus.focus ~scheds ()
+  | (Game.Deadlock _ | Game.Stuck _ | Game.Out_of_fuel | Game.Cancelled)
+    when expect_all_done ->
+    Error
+      {
+        sched_name = Sched.name sched;
+        reason =
+          Format.asprintf "underlay run did not complete: %a" Game.pp_status
+            outcome.Game.status;
+        under_log = outcome.Game.log;
+        over_log = Log.empty;
+      }
+  | _ -> (
+    let l = outcome.Game.log in
+    let lt = Sim_rel.apply rel l in
+    match
+      replay_multi ~max_steps ~allow_blocked_at_end:(not expect_all_done)
+        overlay threads_over lt
+    with
+    | Error (reason, over_log) ->
+      Error { sched_name = Sched.name sched; reason; under_log = l; over_log }
+    | Ok over_results -> (
+      (* Termination-sensitivity: results must agree thread-by-thread. *)
+      let mismatches =
+        List.filter
+          (fun (i, v) ->
+            match List.assoc_opt i over_results with
+            | Some v' -> not (Value.equal v v')
+            | None -> true)
+          outcome.Game.results
+      in
+      match mismatches with
+      | (i, v) :: _ ->
+        Error
+          {
+            sched_name = Sched.name sched;
+            reason =
+              Printf.sprintf
+                "thread %d returned %s at the underlay but %s at the overlay" i
+                (Value.to_string v)
+                (match List.assoc_opt i over_results with
+                | Some v' -> Value.to_string v'
+                | None -> "nothing");
+            under_log = l;
+            over_log = lt;
+          }
+      | [] -> Ok (l, lt)))

@@ -12,7 +12,10 @@
        the schedule is {e induced} by the translated log (the paper's
        "picking a suitable scheduler for every interleaving", Thm 3.1),
        and each overlay thread must produce exactly its translated events
-       and the same return value.}} *)
+       and the same return value.}}
+
+    {!judge} does steps 2 and 3 for one play; the suite is played by
+    [Ccal_verify.Parallel.games] through {!Ccal_verify.Linearizability}. *)
 
 type failure = {
   sched_name : string;
@@ -45,55 +48,24 @@ val replay_multi :
     Exposed for the multicore/multithread linking checks (Thm 3.1,
     Thm 5.1). *)
 
-val check_sched_stop :
-  ?max_steps:int ->
+val judge :
+  max_steps:int ->
   ?expect_all_done:bool ->
-  ?stop:(unit -> bool) ->
-  ?memory:Memory.t ->
-  underlay:Layer.t ->
-  impl:Prog.Module.t ->
   overlay:Layer.t ->
   rel:Sim_rel.t ->
   client:(Event.tid -> Prog.t) ->
   tids:Event.tid list ->
   Sched.t ->
-  [ `Checked of (Log.t * Log.t, failure) result | `Interrupted ]
-(** The per-schedule body of {!check}: run the underlay game under one
-    scheduler, translate, replay against the overlay, compare per-thread
-    results; [`Checked] carries the (underlay, translated) log pair or the
-    failure.  Pure up to its own game state, so the parallel checkers
-    ({!Ccal_verify.Linearizability}) can evaluate schedules on any
-    domain.  [stop] is a cooperative-cancellation closure threaded into
-    the underlay game: when it trips mid-run the schedule reports
-    [`Interrupted] instead of a verdict, and the budgeted checkers count
-    it toward an [Exhausted] result (DESIGN.md S27).  [?memory] selects
-    the memory mode of the {e underlay} game only (the overlay spec is
-    replayed as ever); under [Tso] the relation must translate the
-    buffering events away. *)
-
-val check :
-  ?max_steps:int ->
-  ?expect_all_done:bool ->
-  underlay:Layer.t ->
-  impl:Prog.Module.t ->
-  overlay:Layer.t ->
-  rel:Sim_rel.t ->
-  client:(Event.tid -> Prog.t) ->
-  tids:Event.tid list ->
-  scheds:Sched.t list ->
-  unit ->
-  (report, failure) result
-(** Check [∀P-run. ⟦P ⊕ M⟧_{L'[D]} ⊑_R ⟦P⟧_{L[D]}] for the given client
-    over the scheduler suite.  When [expect_all_done] (default true), an
-    underlay run that deadlocks or gets stuck is itself a failure — this is
-    the progress half of the termination-sensitive refinement. *)
-
-val check_cert :
-  ?max_steps:int ->
-  ?expect_all_done:bool ->
-  Calculus.cert ->
-  client:(Event.tid -> Prog.t) ->
-  scheds:Sched.t list ->
-  (report, failure) result
-(** {!check} with the components of a certificate; the domain is the
-    certificate's focused thread set. *)
+  Game.outcome ->
+  (Log.t * Log.t, failure) result
+(** [judge ~overlay ~rel ~client ~tids sched outcome] judges one play of
+    the underlay game of [P ⊕ M]: translate its log by [rel], replay it
+    against the overlay machine running [client] on [tids] (at most
+    [max_steps] replay steps), and compare per-thread results.  [Ok]
+    carries the (underlay, translated) log pair.  When [expect_all_done]
+    (default true), an underlay play that deadlocked, got stuck or ran
+    out of fuel is itself a failure — the progress half of the
+    termination-sensitive refinement.  The scan that plays the underlay
+    game ({!Ccal_verify.Linearizability}) picks its memory mode; the
+    overlay spec is replayed as ever, so under [Tso] the relation must
+    translate the buffering events away. *)

@@ -310,62 +310,48 @@ let buffers_drained ~threads log =
     (fun (t, _) -> match replay_buffer t log with Ok [] -> true | _ -> false)
     threads
 
-let check_multicore_linking_sched ?max_steps ~threads sched =
-  Mx86.check_multicore_linking_sched ?max_steps ~layer:(layer ())
-    ~memory:Memory.Tso ~threads sched
-
 (* Race-free programs on TSO behave as if sequentially consistent
-   (Sewell et al., the result the paper leans on).  Executable form: run
-   the same threads under the same scheduler on both machines — the TSO
-   game with its flusher moves — and require identical thread results
-   and identical final memory on every cell either run mentions. *)
-let sc_equivalent_on ?(max_steps = 100_000) ~threads ~scheds () =
-  let rec go n = function
-    | [] -> Ok n
-    | sched :: rest -> (
-      let tso =
-        Game.run
-          (Game.config ~max_steps ~memory:Memory.Tso (layer ()) threads sched)
+   (Sewell et al., the result the paper leans on).  Executable form: judge
+   a play of the TSO game — flusher moves included — against the SC game
+   under the same scheduler, requiring identical thread results and
+   identical final memory on every cell either run mentions. *)
+let judge_sc_equivalence ?(max_steps = 100_000) threads sched
+    (tso : Game.outcome) =
+  let sc = Game.run (Game.config ~max_steps (Mx86.layer ()) threads sched) in
+  match tso.Game.status, sc.Game.status with
+  | Game.All_done, Game.All_done ->
+    let results_equal =
+      List.length tso.Game.results = List.length sc.Game.results
+      && List.for_all
+           (fun (t, v) ->
+             match List.assoc_opt t sc.Game.results with
+             | Some v' -> Value.equal v v'
+             | None -> false)
+           tso.Game.results
+    in
+    if not results_equal then
+      Error
+        (Printf.sprintf "results differ under %s" (Sched.name sched))
+    else if not (buffers_drained ~threads tso.Game.log) then
+      Error
+        (Printf.sprintf "TSO game ended with a non-empty store buffer under %s"
+           (Sched.name sched))
+    else
+      let cells =
+        List.sort_uniq Stdlib.compare
+          (cells_mentioned tso.Game.log @ cells_mentioned sc.Game.log)
       in
-      let sc =
-        Game.run (Game.config ~max_steps (Mx86.layer ()) threads sched)
+      let mem_equal =
+        List.for_all
+          (fun b ->
+            match replay_memory b tso.Game.log, Atomic.replay_cell b sc.Game.log with
+            | Ok v, Ok v' -> v = v'
+            | _ -> false)
+          cells
       in
-      match tso.Game.status, sc.Game.status with
-      | Game.All_done, Game.All_done ->
-        let results_equal =
-          List.length tso.Game.results = List.length sc.Game.results
-          && List.for_all
-               (fun (t, v) ->
-                 match List.assoc_opt t sc.Game.results with
-                 | Some v' -> Value.equal v v'
-                 | None -> false)
-               tso.Game.results
-        in
-        if not results_equal then
-          Error
-            (Printf.sprintf "results differ under %s" (Sched.name sched))
-        else if not (buffers_drained ~threads tso.Game.log) then
-          Error
-            (Printf.sprintf "TSO game ended with a non-empty store buffer under %s"
-               (Sched.name sched))
-        else
-          let cells =
-            List.sort_uniq Stdlib.compare
-              (cells_mentioned tso.Game.log @ cells_mentioned sc.Game.log)
-          in
-          let mem_equal =
-            List.for_all
-              (fun b ->
-                match replay_memory b tso.Game.log, Atomic.replay_cell b sc.Game.log with
-                | Ok v, Ok v' -> v = v'
-                | _ -> false)
-              cells
-          in
-          if mem_equal then go (n + 1) rest
-          else Error (Printf.sprintf "final memory differs under %s" (Sched.name sched))
-      | s1, s2 ->
-        Error
-          (Format.asprintf "statuses differ under %s: TSO %a, SC %a"
-             (Sched.name sched) Game.pp_status s1 Game.pp_status s2))
-  in
-  go 0 scheds
+      if mem_equal then Ok ()
+      else Error (Printf.sprintf "final memory differs under %s" (Sched.name sched))
+  | s1, s2 ->
+    Error
+      (Format.asprintf "statuses differ under %s: TSO %a, SC %a"
+         (Sched.name sched) Game.pp_status s1 Game.pp_status s2)

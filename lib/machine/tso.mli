@@ -34,7 +34,7 @@
     {- with an [mfence] between the store and the load, TSO re-converges
        with SC;}
     {- push/pull-disciplined (race-free) programs have the same behaviour
-       sets on both machines ({!sc_equivalent_on}), the Sewell et al.
+       sets on both machines ({!judge_sc_equivalence}), the Sewell et al.
        result the paper leans on.}} *)
 
 open Ccal_core
@@ -134,27 +134,19 @@ val final_memory_tso : (Event.tid * 'a) list -> Log.t -> Log.t
     the memory an SC run would have produced, for final-state
     comparisons. *)
 
-val check_multicore_linking_sched :
+val judge_sc_equivalence :
   ?max_steps:int ->
-  threads:(Event.tid * Prog.t) list ->
+  (Event.tid * Prog.t) list ->
   Sched.t ->
-  (int, string) result
-(** Theorem 3.1 over the TSO machine: {!Mx86.check_multicore_linking_sched}
-    with [~layer:(layer ())] and [~memory:Tso].  The workload must be
-    commit-free (no plain stores) since the erased log is replayed
-    move-for-move; storeful workloads are covered by the store-buffer
-    discipline checks ({!replay_buffer}, {!buffers_drained}) instead. *)
-
-val sc_equivalent_on :
-  ?max_steps:int ->
-  threads:(Event.tid * Prog.t) list ->
-  scheds:Sched.t list ->
-  unit ->
-  (int, string) result
-(** Run the same threads on the TSO machine (with [~memory:Tso], so
-    flusher moves are in play) and on the SC machine under each
-    scheduler and require identical thread results, drained buffers and
-    identical final memory on every mentioned cell — the executable form
-    of "race-free programs on TSO behave as if executing on a
-    sequentially consistent machine".  Each scheduler drives both
-    games, trace schedulers included. *)
+  Game.outcome ->
+  (unit, string) result
+(** [judge_sc_equivalence threads sched tso] judges a play [tso] of
+    [threads] on the TSO machine ({!layer}, played with [~memory:Tso] so
+    flusher moves are in play) against the SC machine ({!Mx86.layer}),
+    which it plays itself under the same scheduler with [max_steps]
+    (default 100,000) fuel: both must complete with identical thread
+    results, drained buffers and identical final memory on every
+    mentioned cell — the executable form of "race-free programs on TSO
+    behave as if executing on a sequentially consistent machine".
+    Multicore linking over the TSO machine (Theorem 3.1) is
+    {!Mx86.judge_linking} over {!layer}. *)

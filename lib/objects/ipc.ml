@@ -19,13 +19,9 @@ let underlay ~placement () =
 (* Atomic overlay                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let chan_of_args = function
-  | (Value.Vint ch : Value.t) :: _ -> Some ch
-  | _ -> None
-
 let replay_chan ch : Value.t list Replay.t =
   Replay.fold ~init:[] ~step:(fun buf (e : Event.t) ->
-      match chan_of_args e.args with
+      match Event.obj_of_args e.args with
       | Some ch' when ch' = ch ->
         if String.equal e.tag send_tag then
           match e.args with
@@ -64,7 +60,7 @@ let recv_prim =
   ( recv_tag,
     Layer.Shared
       (fun t args log ->
-        match chan_of_args args with
+        match Event.obj_of_args args with
         | None -> Layer.Stuck "recv: expected a channel"
         | Some ch -> (
           match replay_chan ch log with
@@ -259,15 +255,13 @@ let rival_prog ch =
     (Prog.bind (Prog.call recv_tag [ Value.int ch ]) (fun _ ->
          Prog.call T.exit_tag []))
 
-let env_suite ~placement ?(chans = [ 5 ]) ?(rivals = [ 9 ]) ?(rounds = [ 1; 2 ])
-    () : Calculus.env_suite =
+let env_suite ~placement () : Calculus.env_suite =
  fun i ->
-  let ch = match chans with c :: _ -> c | [] -> 5 in
   let layer = underlay ~placement () in
   let impl = c_module () in
-  let rivals = List.filter (fun j -> j <> i) rivals in
+  let rivals = List.filter (fun j -> j <> i) [ 9 ] in
   let rival j =
-    j, Machine.strategy_of_prog layer j (Prog.Module.link impl (rival_prog ch))
+    j, Machine.strategy_of_prog layer j (Prog.Module.link impl (rival_prog 5))
   in
   Env_context.empty
   :: List.concat_map
@@ -278,7 +272,7 @@ let env_suite ~placement ?(chans = [ 5 ]) ?(rivals = [ 9 ]) ?(rounds = [ 1; 2 ])
                (Printf.sprintf "rival%d(r%d)" j per_query)
                [ rival j ] ~rounds:per_query)
            rivals)
-       rounds
+       [ 1; 2 ]
 
 let default_placement focus rivals =
   List.map (fun t -> t, t) (List.sort_uniq Stdlib.compare (focus @ rivals))

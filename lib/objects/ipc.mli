@@ -42,13 +42,9 @@ val r_ipc : Sim_rel.t
 
 val prim_tests : ?chans:int list -> unit -> Calculus.prim_tests
 
-val env_suite :
-  placement:Thread_sched.placement ->
-  ?chans:int list ->
-  ?rivals:Event.tid list ->
-  ?rounds:int list ->
-  unit ->
-  Calculus.env_suite
+val env_suite : placement:Thread_sched.placement -> unit -> Calculus.env_suite
+(** The silent context, then rival thread 9 (unless focused) sending and
+    receiving on channel 5, answering 1 or 2 rounds per query. *)
 
 val certify :
   ?max_moves:int ->

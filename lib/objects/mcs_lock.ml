@@ -172,15 +172,13 @@ let rival_prog b rounds =
   in
   go rounds
 
-let env_suite ?(memory = Memory.default) ?(locks = [ 0 ]) ?(rivals = [ 9; 8 ])
-    ?(rounds = [ 1; 2 ]) () : Calculus.env_suite =
+let env_suite ?(memory = Memory.default) () : Calculus.env_suite =
  fun i ->
-  let b = match locks with b :: _ -> b | [] -> 0 in
   let layer = l0 ~memory () in
   let impl = c_module () in
-  let rivals = List.filter (fun j -> j <> i) rivals in
+  let rivals = List.filter (fun j -> j <> i) [ 9; 8 ] in
   let rival j =
-    j, Machine.strategy_of_prog layer j (Prog.Module.link impl (rival_prog b 1))
+    j, Machine.strategy_of_prog layer j (Prog.Module.link impl (rival_prog 0 1))
   in
   (* Under TSO the drain wrapper is load-bearing, not an option: the
      focused CPU's own buffered [locked(me) := 1] would otherwise be
@@ -214,7 +212,7 @@ let env_suite ?(memory = Memory.default) ?(locks = [ 0 ]) ?(rivals = [ 9; 8 ])
                  (Printf.sprintf "two-rivals(r%d)" per_query)
                  [ rival j; rival k ] ~rounds:per_query;
              ])
-         rounds)
+         [ 1; 2 ])
 
 let certify ?max_moves ?(memory = Memory.default) ?(focus = [ 1; 2 ])
     ?(use_asm = false) () =

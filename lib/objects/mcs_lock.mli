@@ -36,10 +36,10 @@ val r_mcs : Sim_rel.t
 
 val prim_tests : ?locks:int list -> ?values:int list -> unit -> Calculus.prim_tests
 
-val env_suite :
-  ?memory:Memory.t ->
-  ?locks:int list -> ?rivals:Event.tid list -> ?rounds:int list -> unit -> Calculus.env_suite
-(** Under [Tso] every context is wrapped with
+val env_suite : ?memory:Memory.t -> unit -> Calculus.env_suite
+(** The silent context, then one and two rivals (threads 9 and 8, minus
+    the focused one) on lock 0, each answering 1 or 2 rounds per query.
+    Under [Tso] every context is wrapped with
     {!Ccal_machine.Tso.with_drain}: the environment commits pending
     stores at each query point.  For MCS this is load-bearing — the
     focused CPU's own buffered [locked := 1] store would otherwise be

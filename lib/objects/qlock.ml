@@ -12,13 +12,9 @@ let underlay ~placement () =
 (* Atomic overlay: the thread-local world of Sec. 5.3                  *)
 (* ------------------------------------------------------------------ *)
 
-let lock_of_args = function
-  | (Value.Vint l : Value.t) :: _ -> Some l
-  | _ -> None
-
 let replay_qlock l : Event.tid option Replay.t =
   Replay.fold ~init:None ~step:(fun holder (e : Event.t) ->
-      match lock_of_args e.args with
+      match Event.obj_of_args e.args with
       | Some l' when l' = l ->
         if String.equal e.tag acq_q_tag then
           match holder with
@@ -40,7 +36,7 @@ let acq_q_prim =
   ( acq_q_tag,
     Layer.Shared
       (fun t args log ->
-        match lock_of_args args with
+        match Event.obj_of_args args with
         | None -> Layer.Stuck "acq_q: expected a lock"
         | Some l -> (
           match replay_qlock l log with
@@ -58,7 +54,7 @@ let rel_q_prim =
   ( rel_q_tag,
     Layer.Shared
       (fun t args log ->
-        match lock_of_args args with
+        match Event.obj_of_args args with
         | None -> Layer.Stuck "rel_q: expected a lock"
         | Some l -> (
           match replay_qlock l log with
@@ -172,7 +168,7 @@ let r_qlock =
       let step (sections, out) (e : Event.t) =
         let in_section = List.assoc_opt e.src sections in
         if String.equal e.tag Lock_intf.acq_tag then
-          match lock_of_args e.args with
+          match Event.obj_of_args e.args with
           | Some l -> (e.src, { lock = l; woken = None }) :: sections, out
           | None -> sections, e :: out
         else if String.equal e.tag T.wakeup_tag then
@@ -242,15 +238,13 @@ let yield_forever_prog =
   let rec loop () = Prog.bind (Prog.call T.yield_tag []) (fun _ -> loop ()) in
   loop ()
 
-let env_suite ~placement ?(locks = [ 3 ]) ?(rivals = [ 9; 8 ]) ?(rounds = [ 1; 2 ])
-    () : Calculus.env_suite =
+let env_suite ~placement () : Calculus.env_suite =
  fun i ->
-  let l = match locks with l :: _ -> l | [] -> 3 in
   let layer = underlay ~placement () in
   let impl = c_module () in
-  let rivals = List.filter (fun j -> j <> i) rivals in
+  let rivals = List.filter (fun j -> j <> i) [ 9; 8 ] in
   let rival j =
-    j, Machine.strategy_of_prog layer j (Prog.Module.link impl (rival_prog l))
+    j, Machine.strategy_of_prog layer j (Prog.Module.link impl (rival_prog 3))
   in
   (* Threads sharing the focused thread's CPU must keep yielding, or the
      focused thread would never be rescheduled after sleeping. *)
@@ -288,7 +282,7 @@ let env_suite ~placement ?(locks = [ 3 ]) ?(rivals = [ 9; 8 ]) ?(rounds = [ 1; 2
                (rival j :: rival k :: siblings)
                ~rounds:per_query;
            ])
-       rounds
+       [ 1; 2 ]
 
 let default_placement focus rivals =
   List.map (fun t -> t, t) (List.sort_uniq Stdlib.compare (focus @ rivals))

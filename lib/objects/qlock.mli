@@ -46,13 +46,10 @@ val r_qlock : Sim_rel.t
 
 val prim_tests : ?locks:int list -> unit -> Calculus.prim_tests
 
-val env_suite :
-  placement:Thread_sched.placement ->
-  ?locks:int list ->
-  ?rivals:Event.tid list ->
-  ?rounds:int list ->
-  unit ->
-  Calculus.env_suite
+val env_suite : placement:Thread_sched.placement -> unit -> Calculus.env_suite
+(** Contexts over lock 3: the focused CPU's yielding siblings alone, then
+    with one and two rivals (threads 9 and 8, minus the focused one),
+    each answering 1 or 2 rounds per query. *)
 
 val certify :
   ?max_moves:int ->

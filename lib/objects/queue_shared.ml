@@ -44,13 +44,9 @@ let underlay ?bound () =
 (* Atomic overlay                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let queue_of_args = function
-  | (Value.Vint q : Value.t) :: _ -> Some q
-  | _ -> None
-
 let replay_queue q : Value.t list Replay.t =
   Replay.fold ~init:[] ~step:(fun vs (e : Event.t) ->
-      match queue_of_args e.args with
+      match Event.obj_of_args e.args with
       | Some q' when q' = q ->
         if String.equal e.tag enq_tag then
           match e.args with
@@ -63,7 +59,7 @@ let replay_queue q : Value.t list Replay.t =
 
 let deq_prim =
   Layer.event_prim deq_tag (fun _c args log ->
-      match queue_of_args args with
+      match Event.obj_of_args args with
       | Some q ->
         Result.map
           (function [] -> Value.int (-1) | v :: _ -> v)
@@ -72,7 +68,7 @@ let deq_prim =
 
 let enq_prim =
   Layer.event_prim enq_tag (fun _c args log ->
-      match queue_of_args args with
+      match Event.obj_of_args args with
       | Some q -> Result.map (fun _ -> Value.unit) (replay_queue q log)
       | None -> Error "enQ_s: expected queue and value")
 
@@ -181,15 +177,13 @@ let rival_prog q =
     (Prog.call enq_tag [ Value.int q; Value.int 42 ])
     (Prog.bind (Prog.call deq_tag [ Value.int q ]) (fun _ -> Prog.ret_unit))
 
-let env_suite ?(queues = [ 0 ]) ?(rivals = [ 9; 8 ]) ?(rounds = [ 1; 2 ]) () :
-    Calculus.env_suite =
+let env_suite () : Calculus.env_suite =
  fun i ->
-  let q = match queues with q :: _ -> q | [] -> 0 in
   let layer = underlay () in
   let impl = c_module () in
-  let rivals = List.filter (fun j -> j <> i) rivals in
+  let rivals = List.filter (fun j -> j <> i) [ 9; 8 ] in
   let rival j =
-    j, Machine.strategy_of_prog layer j (Prog.Module.link impl (rival_prog q))
+    j, Machine.strategy_of_prog layer j (Prog.Module.link impl (rival_prog 0))
   in
   Env_context.empty
   :: List.concat_map
@@ -208,7 +202,7 @@ let env_suite ?(queues = [ 0 ]) ?(rivals = [ 9; 8 ]) ?(rounds = [ 1; 2 ]) () :
                (Printf.sprintf "two-rivals(r%d)" per_query)
                [ rival j; rival k ] ~rounds:per_query;
            ])
-       rounds
+       [ 1; 2 ]
 
 let certify ?max_moves ?(focus = [ 1; 2 ]) ?(use_asm = false) () =
   let impl = if use_asm then asm_module () else c_module () in

@@ -48,8 +48,10 @@ val r_lock : Sim_rel.t
 
 val prim_tests : ?queues:int list -> unit -> Calculus.prim_tests
 
-val env_suite :
-  ?queues:int list -> ?rivals:Event.tid list -> ?rounds:int list -> unit -> Calculus.env_suite
+val env_suite : unit -> Calculus.env_suite
+(** The silent context, then rivals (threads 9 and 8, minus the focused
+    one) enqueuing and dequeuing on queue 0, each answering 1 or 2 rounds
+    per query. *)
 
 val certify :
   ?max_moves:int -> ?focus:Event.tid list -> ?use_asm:bool -> unit ->

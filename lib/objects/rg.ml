@@ -1,10 +1,5 @@
 open Ccal_core
 
-let lock_arg (e : Event.t) =
-  match e.args with
-  | Value.Vint b :: _ -> Some b
-  | _ -> None
-
 (* Scan thread [i]'s lock events, returning [None] on a protocol violation
    or [Some held] with the locks currently held. *)
 let scan ~acq_tag ~rel_tag i l =
@@ -14,11 +9,11 @@ let scan ~acq_tag ~rel_tag i l =
     | Some held ->
       if e.src <> i then acc
       else if String.equal e.tag acq_tag then
-        match lock_arg e with
+        match Event.obj_of_args e.Event.args with
         | Some b -> if List.mem b held then None else Some (b :: held)
         | None -> None
       else if String.equal e.tag rel_tag then
-        match lock_arg e with
+        match Event.obj_of_args e.Event.args with
         | Some b ->
           if List.mem b held then Some (List.filter (fun x -> x <> b) held)
           else None
@@ -45,11 +40,11 @@ let releases_within ~bound ~acq_tag ~rel_tag =
           let held =
             if e.src <> i then held
             else if String.equal e.tag acq_tag then
-              match lock_arg e with
+              match Event.obj_of_args e.Event.args with
               | Some b -> (b, 0) :: held
               | None -> held
             else if String.equal e.tag rel_tag then
-              match lock_arg e with
+              match Event.obj_of_args e.Event.args with
               | Some b -> List.filter (fun (b', _) -> b' <> b) held
               | None -> held
             else held

@@ -17,16 +17,12 @@ let underlay ?bound () = Lock_intf.layer ?bound "Llock"
 (* Overlay                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let lock_of_args = function
-  | (Value.Vint l : Value.t) :: _ -> Some l
-  | _ -> None
-
 (* Internal replay tracks reader identities so that a stray [rel_r] is an
    invalid log, not a silent no-op. *)
 let replay_readers l : (Event.tid list option * Event.tid option) Replay.t =
   (* (Some readers, None) or (None, Some writer); (Some [], None) = free *)
   Replay.fold ~init:(Some [], None) ~step:(fun st (e : Event.t) ->
-      match lock_of_args e.args with
+      match Event.obj_of_args e.args with
       | Some l' when l' = l -> (
         match e.tag, st with
         | tag, (Some readers, None) when String.equal tag acq_r_tag ->
@@ -69,7 +65,7 @@ let acq_r_prim =
   ( acq_r_tag,
     Layer.Shared
       (fun t args log ->
-        match lock_of_args args with
+        match Event.obj_of_args args with
         | None -> Layer.Stuck "acq_r: expected a lock"
         | Some l -> (
           match replay_rw l log with
@@ -83,7 +79,7 @@ let rel_r_prim =
   ( rel_r_tag,
     Layer.Shared
       (fun t args log ->
-        match lock_of_args args with
+        match Event.obj_of_args args with
         | None -> Layer.Stuck "rel_r: expected a lock"
         | Some l -> (
           match replay_readers l log with
@@ -98,7 +94,7 @@ let acq_w_prim =
   ( acq_w_tag,
     Layer.Shared
       (fun t args log ->
-        match lock_of_args args with
+        match Event.obj_of_args args with
         | None -> Layer.Stuck "acq_w: expected a lock"
         | Some l -> (
           match replay_rw l log with
@@ -112,7 +108,7 @@ let rel_w_prim =
   ( rel_w_tag,
     Layer.Shared
       (fun t args log ->
-        match lock_of_args args with
+        match Event.obj_of_args args with
         | None -> Layer.Stuck "rel_w: expected a lock"
         | Some l -> (
           match replay_rw l log with
@@ -266,15 +262,13 @@ let rival_prog l =
       Prog.call rel_w_tag [ Value.int l ];
     ]
 
-let env_suite ?(locks = [ 4 ]) ?(rivals = [ 9 ]) ?(rounds = [ 1; 2 ]) () :
-    Calculus.env_suite =
+let env_suite () : Calculus.env_suite =
  fun i ->
-  let l = match locks with l :: _ -> l | [] -> 4 in
   let layer = underlay () in
   let impl = c_module () in
-  let rivals = List.filter (fun j -> j <> i) rivals in
+  let rivals = List.filter (fun j -> j <> i) [ 9 ] in
   let rival j =
-    j, Machine.strategy_of_prog layer j (Prog.Module.link impl (rival_prog l))
+    j, Machine.strategy_of_prog layer j (Prog.Module.link impl (rival_prog 4))
   in
   Env_context.empty
   :: List.concat_map
@@ -285,7 +279,7 @@ let env_suite ?(locks = [ 4 ]) ?(rivals = [ 9 ]) ?(rounds = [ 1; 2 ]) () :
                (Printf.sprintf "rival%d(r%d)" j per_query)
                [ rival j ] ~rounds:per_query)
            rivals)
-       rounds
+       [ 1; 2 ]
 
 let certify ?max_moves ?(focus = [ 1; 2 ]) ?(use_asm = false) () =
   let impl = if use_asm then asm_module () else c_module () in
@@ -300,7 +294,7 @@ let no_reader_writer_overlap log =
       (List.filter_map
          (fun (e : Event.t) ->
            if List.mem e.tag [ acq_r_tag; rel_r_tag; acq_w_tag; rel_w_tag ] then
-             lock_of_args e.args
+             Event.obj_of_args e.args
            else None)
          events)
   in

@@ -47,8 +47,9 @@ val r_rw : Sim_rel.t
 
 val prim_tests : ?locks:int list -> unit -> Calculus.prim_tests
 
-val env_suite :
-  ?locks:int list -> ?rivals:Event.tid list -> ?rounds:int list -> unit -> Calculus.env_suite
+val env_suite : unit -> Calculus.env_suite
+(** The silent context, then rival thread 9 (unless focused) cycling
+    read and write rounds on lock 4, answering 1 or 2 rounds per query. *)
 
 val certify :
   ?max_moves:int -> ?focus:Event.tid list -> ?use_asm:bool -> unit ->

@@ -54,10 +54,6 @@ let deschedule cs ~requeue =
   | [] -> { running = None; rdq = []; pendq = [] }
   | next :: rest -> { running = Some next; rdq = rest; pendq = [] }
 
-let chan_of_args = function
-  | (Value.Vint chan : Value.t) :: _ -> Some chan
-  | _ -> None
-
 let replay_sched placement : state Replay.t =
   Replay.fold ~init:(init_state placement) ~step:(fun st (e : Event.t) ->
       let scheduling =
@@ -78,14 +74,14 @@ let replay_sched placement : state Replay.t =
           else if String.equal e.tag exit_tag then
             Ok (set_cpu st c (deschedule cs ~requeue:[]))
           else if String.equal e.tag sleep_tag then
-            match chan_of_args e.args with
+            match Event.obj_of_args e.args with
             | None -> Error "sleep: bad arguments"
             | Some chan ->
               let st = set_slpq st chan (get_slpq st chan @ [ e.src ]) in
               Ok (set_cpu st c (deschedule cs ~requeue:[]))
           else
             (* wakeup *)
-            match chan_of_args e.args with
+            match Event.obj_of_args e.args with
             | None -> Error "wakeup: bad arguments"
             | Some chan -> (
               match get_slpq st chan with
@@ -175,7 +171,7 @@ let wakeup_prim placement =
   ( wakeup_tag,
     Layer.Shared
       (turn_checked placement (fun t args log ->
-           match chan_of_args args with
+           match Event.obj_of_args args with
            | None -> Layer.Stuck "wakeup: expected a channel"
            | Some chan ->
              let woken =
@@ -197,7 +193,7 @@ let wait_prim placement =
   ( wait_tag,
     Layer.Shared
       (fun t args log ->
-        match chan_of_args args with
+        match Event.obj_of_args args with
         | None -> Layer.Stuck "wait: expected a channel"
         | Some chan -> (
           match replay_sched placement log with
@@ -261,10 +257,9 @@ let turn_consistent placement log =
   in
   go Log.empty events
 
-let check_multithreaded_linking_sched ?max_steps ~placement ~layer ~threads
-    sched =
+let judge_linking ?max_steps ~placement layer threads sched
+    (outcome : Game.outcome) =
   Probe.span "thread_sched.linking" @@ fun () ->
-  let outcome = Game.run (Game.config ?max_steps layer threads sched) in
   match outcome.Game.status with
   | Game.Stuck (i, _, msg) -> Error (Printf.sprintf "thread %d stuck: %s" i msg)
   | Game.Deadlock ids ->
@@ -272,27 +267,12 @@ let check_multithreaded_linking_sched ?max_steps ~placement ~layer ~threads
       (Printf.sprintf "deadlock among threads %s under %s"
          (String.concat "," (List.map string_of_int ids))
          (Sched.name sched))
-  | Game.Out_of_fuel -> Error "out of fuel"
-  | Game.Cancelled ->
-    Error (Printf.sprintf "run under %s was cancelled" (Sched.name sched))
+  | Game.Out_of_fuel | Game.Cancelled -> Error "out of fuel"
   | Game.All_done -> (
     if not (turn_consistent placement outcome.Game.log) then
       Error (Printf.sprintf "log not turn-consistent under %s" (Sched.name sched))
     else
       match Refinement.replay_multi ?max_steps layer threads outcome.Game.log with
-      | Ok _ -> Ok outcome.Game.steps
+      | Ok _ -> Ok ()
       | Error (reason, _) ->
         Error (Printf.sprintf "log does not replay deterministically: %s" reason))
-
-let check_multithreaded_linking ?max_steps ~placement ~layer ~threads ~scheds () =
-  let rec go n = function
-    | [] -> Ok n
-    | sched :: rest -> (
-      match
-        check_multithreaded_linking_sched ?max_steps ~placement ~layer ~threads
-          sched
-      with
-      | Ok _ -> go (n + 1) rest
-      | Error _ as e -> e)
-  in
-  go 0 scheds

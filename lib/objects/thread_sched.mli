@@ -73,27 +73,17 @@ val turn_consistent : placement -> Log.t -> bool
     linking theorem (Thm 5.1): the machine that replays scheduling from
     the log captures every concrete scheduling behaviour. *)
 
-val check_multithreaded_linking_sched :
+val judge_linking :
   ?max_steps:int ->
   placement:placement ->
-  layer:Layer.t ->
-  threads:(Event.tid * Prog.t) list ->
+  Layer.t ->
+  (Event.tid * Prog.t) list ->
   Sched.t ->
-  (int, string) result
-(** The per-schedule body of {!check_multithreaded_linking}; [Ok] carries
-    the game's step count, the cost a budgeted scan charges.  Pure up to
-    its own game state, so the parallel checkers ({!Ccal_verify.Stack})
-    can evaluate schedules on any domain. *)
-
-val check_multithreaded_linking :
-  ?max_steps:int ->
-  placement:placement ->
-  layer:Layer.t ->
-  threads:(Event.tid * Prog.t) list ->
-  scheds:Sched.t list ->
-  unit ->
-  (int, string) result
-(** The tested analogue of Thm 5.1: for each scheduler, run the
-    multithreaded game; the resulting log must be turn-consistent and must
-    replay deterministically against the same multithreaded machine under
-    the induced schedule. *)
+  Game.outcome ->
+  (unit, string) result
+(** The tested analogue of Thm 5.1, judging one play of the
+    multithreaded game of [layer] running [threads]: the play must
+    complete, and its log must be turn-consistent and replay
+    deterministically against the same multithreaded machine under the
+    induced schedule (at most [max_steps] replay steps).  The suite is
+    played by [Ccal_verify.Parallel.games]. *)

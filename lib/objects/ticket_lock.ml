@@ -13,17 +13,13 @@ type ticket_state = {
 
 let wrap32 n = n land 0xFFFFFFFF
 
-let lock_of_args = function
-  | (Value.Vint b : Value.t) :: _ -> Some b
-  | _ -> None
-
 module Imap = Map.Make (Int)
 
 let ticket_of b m = Option.value (Imap.find_opt b m) ~default:{ next = 0; serving = 0 }
 
 let replay_tickets : ticket_state Imap.t Replay.t =
   Replay.fold ~init:Imap.empty ~step:(fun m (e : Event.t) ->
-      match lock_of_args e.args with
+      match Event.obj_of_args e.args with
       | Some b when String.equal e.tag fai_tag ->
         let st = ticket_of b m in
         Ok (Imap.add b { st with next = wrap32 (st.next + 1) } m)
@@ -37,7 +33,7 @@ let replay_ticket b : ticket_state Replay.t =
 
 let ticket_prim tag ret_of =
   Layer.event_prim tag (fun _c args log ->
-      match lock_of_args args with
+      match Event.obj_of_args args with
       | Some b -> Result.map ret_of (replay_ticket b log)
       | None -> Error (tag ^ ": expected a lock argument"))
 
@@ -205,15 +201,13 @@ let rival_prog b rounds =
   in
   go rounds
 
-let env_suite ?(memory = Memory.default) ?(locks = [ 0 ]) ?(rivals = [ 9; 8 ])
-    ?(rounds = [ 1; 2 ]) () : Calculus.env_suite =
+let env_suite ?(memory = Memory.default) () : Calculus.env_suite =
  fun i ->
-  let b = match locks with b :: _ -> b | [] -> 0 in
   let layer = l0 ~memory () in
   let impl = c_module () in
-  let rivals = List.filter (fun j -> j <> i) rivals in
+  let rivals = List.filter (fun j -> j <> i) [ 9; 8 ] in
   let rival j =
-    j, Machine.strategy_of_prog layer j (Prog.Module.link impl (rival_prog b 1))
+    j, Machine.strategy_of_prog layer j (Prog.Module.link impl (rival_prog 0 1))
   in
   (* Under TSO every context gains the drain behaviour: the environment
      commits pending stores at each query point (x86-TSO's progress
@@ -244,7 +238,7 @@ let env_suite ?(memory = Memory.default) ?(locks = [ 0 ]) ?(rivals = [ 9; 8 ])
                  (Printf.sprintf "two-rivals(r%d)" per_query)
                  [ rival j; rival k ] ~rounds:per_query;
              ])
-         rounds)
+         [ 1; 2 ])
 
 let certify ?max_moves ?(memory = Memory.default) ?(focus = [ 1; 2 ])
     ?(use_asm = false) () =

@@ -68,12 +68,12 @@ val phi_rel_low : Event.tid -> int -> Value.t -> Strategy.t
 val prim_tests : ?locks:int list -> ?values:int list -> unit -> Calculus.prim_tests
 (** Default argument vectors for the [Fun]-rule obligations. *)
 
-val env_suite :
-  ?memory:Memory.t ->
-  ?locks:int list -> ?rivals:Event.tid list -> ?rounds:int list -> unit -> Calculus.env_suite
+val env_suite : ?memory:Memory.t -> unit -> Calculus.env_suite
 (** Environment suites whose participants run real acquire/release rounds
     of this very implementation over [L0] (so all environment events carry
-    replay-consistent return values).  Under [Tso] every context is
+    replay-consistent return values): the silent context, then one and
+    two rivals (threads 9 and 8, minus the focused one) on lock 0, each
+    answering 1 or 2 rounds per query.  Under [Tso] every context is
     wrapped with {!Ccal_machine.Tso.with_drain}. *)
 
 val certify :

@@ -1,10 +1,10 @@
 (* Resource budgets and cooperative cancellation for the checkers.
 
-   A {!t} is a static spec (wall-clock ms, game steps, live heap words —
-   each optional); {!start} turns it into a runtime {!token} whose
-   deadline epoch is the moment of the call.  Checkers poll the token at
-   schedule granularity — between games in [Parallel.budgeted_scan],
-   between moves in [Game.run] via a stop closure — and return
+   A {!t} is a static spec (wall-clock ms, game steps — each optional);
+   {!start} turns it into a runtime {!token} whose deadline epoch is the
+   moment of the call.  The one game scan, [Parallel.games], polls the
+   token between games and between moves in [Game.run] via a stop
+   closure, and the checkers return
    [Exhausted {spent; partial}] instead of hanging or raising.
 
    Determinism protocol (DESIGN.md S27): only *step* budgets are
@@ -26,16 +26,16 @@ open Ccal_core
 type t = {
   ms : float option;  (** wall-clock deadline, milliseconds from start *)
   steps : int option;  (** total game-move budget across the run *)
-  words : int option;  (** live-heap high-water mark, words *)
 }
 
-let unlimited = { ms = None; steps = None; words = None }
-let is_unlimited b = b.ms = None && b.steps = None && b.words = None
+let unlimited = { ms = None; steps = None }
+let is_unlimited b = b.ms = None && b.steps = None
 
-let make ?ms ?steps ?words () =
-  let pos_f = Option.map (fun v -> if v < 0. then 0. else v) in
-  let pos_i = Option.map (fun v -> if v < 0 then 0 else v) in
-  { ms = pos_f ms; steps = pos_i steps; words = pos_i words }
+let make ?ms ?steps () =
+  {
+    ms = Option.map (fun v -> if v < 0. then 0. else v) ms;
+    steps = Option.map (fun v -> if v < 0 then 0 else v) steps;
+  }
 
 let pp fmt b =
   if is_unlimited b then Format.pp_print_string fmt "unlimited"
@@ -45,7 +45,6 @@ let pp fmt b =
         [
           Option.map (Printf.sprintf "ms:%g") b.ms;
           Option.map (Printf.sprintf "steps:%d") b.steps;
-          Option.map (Printf.sprintf "words:%d") b.words;
         ]
     in
     Format.pp_print_string fmt (String.concat "," fields)
@@ -55,21 +54,20 @@ let pp fmt b =
 type spent = {
   elapsed_ms : float;
   steps_used : int;
-  reason : [ `Deadline | `Steps | `Memory | `Cancelled ];
+  reason : [ `Deadline | `Steps | `Cancelled ];
 }
 
 let pp_reason fmt = function
   | `Deadline -> Format.pp_print_string fmt "deadline"
   | `Steps -> Format.pp_print_string fmt "steps"
-  | `Memory -> Format.pp_print_string fmt "memory"
   | `Cancelled -> Format.pp_print_string fmt "cancelled"
 
 let pp_spent fmt s =
   Format.fprintf fmt "%a after %.0fms / %d steps" pp_reason s.reason
     s.elapsed_ms s.steps_used
 
-(* The generic budgeted-result shape shared by Explore / Dpor /
-   Linearizability / Progress; Races and Stack define richer partials. *)
+(* The budgeted-result shape [Parallel.games] returns and the checkers
+   share; Races defines a richer partial. *)
 type 'a outcome = Complete of 'a | Exhausted of { spent : spent; partial : 'a }
 
 let value = function Complete v -> v | Exhausted { partial; _ } -> partial
@@ -92,7 +90,7 @@ type token = {
           early-stop heuristic, then overwritten by [settle] with the
           deterministic total of the merged prefix *)
   cancelled : bool Atomic.t;
-  tripped : [ `Deadline | `Steps | `Memory | `Cancelled ] option Atomic.t;
+  tripped : [ `Deadline | `Steps | `Cancelled ] option Atomic.t;
 }
 
 let budget_exhaustions = Probe.counter "budget.exhaustions"
@@ -124,8 +122,6 @@ let cancel tk =
     Probe.incr budget_cancellations
   end
 
-let cancelled tk = Atomic.get tk.cancelled
-
 let charge tk n = if tk.budget.steps <> None then ignore (Atomic.fetch_and_add tk.used n)
 
 let steps_used tk = Atomic.get tk.used
@@ -140,7 +136,7 @@ let trip tk reason =
   ignore (Atomic.compare_and_set tk.tripped None (Some reason))
 
 (* [poll_wall tk] checks only the wall-clock-flavoured dimensions —
-   explicit cancellation, deadline, memory — never the shared step
+   explicit cancellation and deadline — never the shared step
    counter.  This is what game stop closures use: step exhaustion inside
    a game would depend on which other games happened to finish first,
    which differs across jobs counts; deadline and cancellation are
@@ -150,17 +146,10 @@ let poll_wall tk =
     trip tk `Cancelled;
     true
   end
-  else if
+  else
     match tk.deadline_ns with
     | Some d when Verify_clock.now_ns () >= d ->
       trip tk `Deadline;
-      true
-    | _ -> false
-  then true
-  else
-    match tk.budget.words with
-    | Some w when Gc.(quick_stat ()).heap_words > w ->
-      trip tk `Memory;
       true
     | _ -> false
 
@@ -169,17 +158,12 @@ let poll_wall tk =
    only an early-stop heuristic — the budgeted scan's merge recomputes
    the deterministic truncation point. *)
 let poll tk =
-  (if
-     match tk.budget.steps with
-     | Some s when Atomic.get tk.used >= s ->
-       trip tk `Steps;
-       true
-     | _ -> false
-   then true
-   else false)
+  (match tk.budget.steps with
+  | Some s when Atomic.get tk.used >= s ->
+    trip tk `Steps;
+    true
+  | _ -> false)
   || poll_wall tk
-
-let exhausted = poll
 
 (* [settle tk n] overwrites the racy shared counter with the
    deterministic step total computed by the budgeted scan's merge pass,

@@ -1,10 +1,11 @@
 (** Resource budgets and cooperative cancellation.
 
-    A {!t} bounds a verification run along up to three dimensions —
-    wall-clock milliseconds, game steps, live heap words.  {!start}
-    turns the spec into a runtime {!token} (deadline epoch = the call);
-    checkers poll the token at schedule granularity and return
-    {!Exhausted} with a resumable partial result instead of hanging.
+    A {!t} bounds a verification run along up to two dimensions —
+    wall-clock milliseconds and game steps.  {!start} turns the spec into
+    a runtime {!token} (deadline epoch = the call); [Parallel.games]
+    polls the token between games and inside them, and the checkers
+    return {!Exhausted} with a resumable partial result instead of
+    hanging.
 
     Only step budgets are deterministic: a budgeted scan gives each
     schedule a private allowance captured at scan entry and re-truncates
@@ -16,13 +17,12 @@
 type t = {
   ms : float option;  (** wall-clock deadline, ms from {!start} *)
   steps : int option;  (** total game-move budget *)
-  words : int option;  (** live-heap high-water mark, words *)
 }
 
 val unlimited : t
 val is_unlimited : t -> bool
 
-val make : ?ms:float -> ?steps:int -> ?words:int -> unit -> t
+val make : ?ms:float -> ?steps:int -> unit -> t
 (** Negative values are clamped to zero (instantly exhausted). *)
 
 val pp : Format.formatter -> t -> unit
@@ -32,12 +32,12 @@ val pp : Format.formatter -> t -> unit
 type spent = {
   elapsed_ms : float;
   steps_used : int;
-  reason : [ `Deadline | `Steps | `Memory | `Cancelled ];
+  reason : [ `Deadline | `Steps | `Cancelled ];
 }
 
 val pp_spent : Format.formatter -> spent -> unit
 val pp_reason :
-  Format.formatter -> [ `Deadline | `Steps | `Memory | `Cancelled ] -> unit
+  Format.formatter -> [ `Deadline | `Steps | `Cancelled ] -> unit
 
 (** The budgeted-result shape shared by the checkers: either the full
     verdict, or what was established before the budget ran out. *)
@@ -58,25 +58,18 @@ val no_token : token
 (** A shared unlimited token — the default on [Ctx.default]; polling it
     is two atomic reads and it never trips. *)
 
-val is_unlimited_token : token -> bool
-
 val cancel : token -> unit
 (** Explicit cooperative cancellation; every poller sees it at its next
     check.  Idempotent. *)
-
-val cancelled : token -> bool
 
 val poll : token -> bool
 (** True once any budget dimension is exhausted (or {!cancel} was
     called).  Cheap enough for schedule granularity. *)
 
 val poll_wall : token -> bool
-(** Like {!poll} but ignoring the shared step counter: cancellation,
-    deadline and memory only.  Used inside games, where shared-step
-    exhaustion would be jobs-dependent. *)
-
-val exhausted : token -> bool
-(** Alias of {!poll}. *)
+(** Like {!poll} but ignoring the shared step counter: cancellation and
+    deadline only.  Used inside games, where shared-step exhaustion
+    would be jobs-dependent. *)
 
 val charge : token -> int -> unit
 (** Add [n] game steps to the shared counter (heuristic early-stop;

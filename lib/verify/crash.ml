@@ -22,7 +22,7 @@ open Ccal_core
    The checker itself is generic — the edge closures carry all knowledge
    of the WAL encoding — so the disk library can define edges without
    this module depending on it.  Everything runs through {!Ctx}: the
-   schedule scan is a {!Parallel.budgeted_scan} (verdicts identical for
+   schedule scan is {!Parallel.games} (verdicts identical for
    every jobs count, lowest-index failure wins), budgets and faults
    apply unchanged, and successful edge reports memoize under the
    ["crash"] cache kind. *)
@@ -169,23 +169,17 @@ let check_point edge prefix ~keep ~tear =
              acked n (if n = 1 then "" else "s"))
       else Ok ())
 
-(* ---- the per-schedule body ---- *)
+(* ---- the per-schedule judge ---- *)
 
 type sched_outcome = {
   so_points : int;
   so_recoveries : int;
-  so_cost : int;  (** deterministic budget cost of this schedule *)
   so_log : Log.t;
   so_failure : failure option;
 }
 
-let check_sched ~bound ?stop edge sched =
-  let cfg =
-    Game.config ~max_steps:edge.max_steps ?stop edge.layer edge.threads sched
-  in
-  let o = Game.run cfg in
+let judge ~bound edge sched (o : Game.outcome) =
   match o.Game.status with
-  | Game.Cancelled -> `Interrupted
   | Game.All_done ->
     let events = Log.chronological o.Game.log in
     let fail i (keep, tear) reason =
@@ -226,56 +220,45 @@ let check_sched ~bound ?stop edge sched =
           (i, prefix))
         (0, Log.empty) events
     in
-    `Checked
-      {
-        so_points = !points;
-        so_recoveries = !recoveries;
-        so_cost = o.Game.steps + !recoveries;
-        so_log = o.Game.log;
-        so_failure = !failure;
-      }
+    {
+      so_points = !points;
+      so_recoveries = !recoveries;
+      so_log = o.Game.log;
+      so_failure = !failure;
+    }
   | status ->
     (* The crash-free underlay game must finish: a deadlock or stuck run
        here is an edge-construction bug, reported as a failure rather
        than silently skipped. *)
-    `Checked
-      {
-        so_points = 0;
-        so_recoveries = 0;
-        so_cost = o.Game.steps;
-        so_log = o.Game.log;
-        so_failure =
-          Some
-            {
-              f_edge = edge.name;
-              f_sched = Sched.name sched;
-              f_index = o.Game.steps;
-              f_keep = 0;
-              f_tear = 0;
-              f_reason =
-                Format.asprintf "underlay game did not complete: %a"
-                  Game.pp_status status;
-            };
-      }
+    {
+      so_points = 0;
+      so_recoveries = 0;
+      so_log = o.Game.log;
+      so_failure =
+        Some
+          {
+            f_edge = edge.name;
+            f_sched = Sched.name sched;
+            f_index = o.Game.steps;
+            f_keep = 0;
+            f_tear = 0;
+            f_reason =
+              Format.asprintf "underlay game did not complete: %a"
+                Game.pp_status status;
+          };
+    }
 
 (* ---- the per-edge scan ---- *)
 
+(* A schedule costs its game steps plus its recoveries. *)
 let check_edge_live ~ctx ~bound edge scheds =
-  let replay =
-    Parallel.budgeted_scan
-      ?jobs:(Ctx.jobs_opt ctx)
-      ~token:ctx.Ctx.token
-      ~cost:(function `Checked so -> so.so_cost | `Interrupted -> 0)
-      ~interrupted:(fun r -> r = `Interrupted)
-      ~cut:(fun r ->
-        match r with
-        | `Checked { so_failure = Some _; _ } -> true
-        | `Checked _ | `Interrupted -> false)
-      (fun ~stop sched -> check_sched ~bound ?stop edge sched)
-      scheds
+  let judged =
+    Edges.value
+      (Parallel.games ~ctx ~max_steps:edge.max_steps
+         ~cut:(fun so -> Option.is_some so.so_failure)
+         ~cost:(fun o so -> o.Game.steps + so.so_recoveries)
+         edge.layer edge.threads (judge ~bound edge) scheds)
   in
-  if replay.Parallel.ran_out then
-    raise (Edges.Out_of_budget (Budget.spent ctx.Ctx.token));
   let rec go schedules points recoveries logs = function
     | [] ->
       let distinct_logs = List.length (Log.dedup (List.rev logs)) in
@@ -289,15 +272,12 @@ let check_edge_live ~ctx ~bound edge scheds =
           distinct_logs;
           millis = 0.;
         }
-    | `Checked { so_failure = Some f; _ } :: _ -> Error f
-    | `Checked so :: rest ->
+    | { so_failure = Some f; _ } :: _ -> Error f
+    | so :: rest ->
       go (schedules + 1) (points + so.so_points) (recoveries + so.so_recoveries)
         (so.so_log :: logs) rest
-    | `Interrupted :: _ ->
-      (* excluded from the budgeted prefix by construction *)
-      assert false
   in
-  go 0 0 0 [] replay.Parallel.prefix
+  go 0 0 0 [] judged
 
 (* Cache key of a crash edge: the underlay, the client programs, the
    schedule suite, the mask bound, the fuel, the memory mode, and the

@@ -33,7 +33,7 @@ type key = { src : Event.tid; obj : int option; read : bool }
 let key (e : Event.t) =
   {
     src = e.src;
-    obj = (match e.args with Value.Vint b :: _ -> Some b | _ -> None);
+    obj = Event.obj_of_args e.args;
     read = List.exists (String.equal e.tag) reads;
   }
 
@@ -502,21 +502,11 @@ let explore_ctx ~ctx ?(independence = Exact) ?engine
   in
   let replay =
     Probe.span "dpor.replay" (fun () ->
-        Parallel.budgeted_scan ?jobs:(Ctx.jobs_opt ctx) ~token:ctx.Ctx.token
-          ~cost:(fun (o, _) -> o.Game.steps)
-          ~interrupted:(fun (o, _) -> o.Game.status = Game.Cancelled)
-          ~cut:(fun _ -> false)
-          (fun ~stop p ->
-            let o =
-              Game.run
-                (Game.config ?stop ~memory:ctx.Ctx.memory layer
-                   threads (Sched.of_trace ~tag:"dpor" p))
-            in
-            o, representative o.Game.log)
-          prefixes)
+        Parallel.games ~ctx layer threads
+          (fun _ o -> o, representative o.Game.log)
+          (List.map (Sched.of_trace ~tag:"dpor") prefixes))
   in
-  let outcomes = List.map fst replay.Parallel.prefix in
-  let representatives = List.map snd replay.Parallel.prefix in
+  let outcomes, representatives = List.split (Budget.value replay) in
   (* The walk schedules the pseudo-threads too, so the exhaustive count
      ranges over the same alphabet as the oracle's prefixes. *)
   let schedules_considered =
@@ -548,6 +538,4 @@ let explore_ctx ~ctx ?(independence = Exact) ?engine
         };
     }
   in
-  if replay.Parallel.ran_out then
-    Budget.Exhausted { spent = Budget.spent ctx.Ctx.token; partial = result }
-  else Budget.Complete result
+  Budget.map (fun _ -> result) replay

@@ -66,31 +66,16 @@ let run_all_ctx ~ctx layer threads scheds =
   Ctx.arm ctx @@ fun () ->
   let body () =
     Probe.span "explore.run_all" (fun () ->
-        Parallel.budgeted_scan
-          ?jobs:(Ctx.jobs_opt ctx)
-          ~token:ctx.Ctx.token
-          ~cost:(fun o -> o.Game.steps)
-          ~interrupted:(fun o -> o.Game.status = Game.Cancelled)
-          ~cut:(fun _ -> false)
-          (fun ~stop sched ->
-            Game.run
-              (Game.config ?stop ~memory:ctx.Ctx.memory layer threads sched))
-          scheds)
-  in
-  let finish (b : Game.outcome Parallel.budgeted) =
-    if b.Parallel.ran_out then
-      Budget.Exhausted
-        { spent = Budget.spent ctx.Ctx.token; partial = b.Parallel.prefix }
-    else Budget.Complete b.Parallel.prefix
+        Parallel.games ~ctx layer threads (fun _ o -> o) scheds)
   in
   match ctx.Ctx.cache with
-  | None -> finish (body ())
+  | None -> body ()
   | Some c -> (
     let key = runall_key ~memory:ctx.Ctx.memory layer threads scheds in
     match Cache.find c ~kind:"runall" key with
     | Some (outcomes : Game.outcome list) -> Budget.Complete outcomes
     | None -> (
-      match finish (body ()) with
+      match body () with
       | Budget.Complete outcomes as r ->
         (* Only fully clean, fully explored corpora are stored: any
            non-[All_done] status is a (potential) failure and must always

@@ -6,32 +6,14 @@ type report = {
   events : int;
 }
 
-(* Parallel counterpart of {!Refinement.check}: evaluate the per-schedule
-   body over the {!Parallel} pool, then fold the ordered results exactly as
-   the sequential loop does — the reported failure (if any) is the
-   lowest-indexed failing schedule, so the result is identical for every
-   jobs count.  The budget is charged the underlay event count of each
-   schedule (a deterministic proxy for its work); an interrupted underlay
-   game truncates the scan into an [Exhausted] outcome. *)
-let refine_live ~ctx ?max_steps ?expect_all_done ~underlay ~impl ~overlay
-    ~rel ~client ~tids ~scheds () =
-  let cost = function
-    | `Checked (Ok (l, _)) -> Log.length l
-    | `Checked (Error (f : Refinement.failure)) ->
-      Log.length f.Refinement.under_log
-    | `Interrupted -> 0
-  in
-  let replay =
-    Parallel.budgeted_scan
-      ?jobs:(Ctx.jobs_opt ctx)
-      ~token:ctx.Ctx.token ~cost
-      ~interrupted:(fun r -> match r with `Interrupted -> true | _ -> false)
-      ~cut:(fun r -> match r with `Checked (Error _) -> true | _ -> false)
-      (fun ~stop sched ->
-        Refinement.check_sched_stop ?max_steps ?expect_all_done ?stop
-          ~memory:ctx.Ctx.memory ~underlay ~impl ~overlay ~rel ~client ~tids
-          sched)
-      scheds
+(* The refinement scan: the underlay game of the linked client and
+   implementation threads under each schedule, judged by
+   {!Refinement.judge}.  The budget is charged the underlay event count
+   of each schedule (a deterministic proxy for its work). *)
+let refine_live ~ctx ?(max_steps = 200_000) ?expect_all_done ~underlay ~impl
+    ~overlay ~rel ~client ~tids ~scheds () =
+  let threads_under =
+    List.map (fun i -> i, Prog.Module.link impl (client i)) tids
   in
   let rec go scheds_checked logs translated = function
     | [] ->
@@ -41,17 +23,17 @@ let refine_live ~ctx ?max_steps ?expect_all_done ~underlay ~impl ~overlay
           logs = List.rev logs;
           translated = List.rev translated;
         }
-    | `Checked (Ok (l, lt)) :: rest ->
+    | Ok (l, lt) :: rest ->
       go (scheds_checked + 1) (l :: logs) (lt :: translated) rest
-    | `Checked (Error (f : Refinement.failure)) :: _ -> Error f
-    | `Interrupted :: _ ->
-      (* excluded from the budgeted prefix by construction *)
-      assert false
+    | Error (f : Refinement.failure) :: _ -> Error f
   in
-  let report = go 0 [] [] replay.Parallel.prefix in
-  if replay.Parallel.ran_out then
-    Budget.Exhausted { spent = Budget.spent ctx.Ctx.token; partial = report }
-  else Budget.Complete report
+  Budget.map (go 0 [] [])
+    (Parallel.games ~ctx ~max_steps ~cut:Result.is_error
+       ~cost:(fun o _ -> Log.length o.Game.log)
+       underlay threads_under
+       (Refinement.judge ~max_steps ?expect_all_done ~overlay ~rel ~client
+          ~tids)
+       scheds)
 
 (* Cache key of a refinement scan: both machine interfaces, the
    implementation bodies, the relation (by name), the client workload on
@@ -144,7 +126,7 @@ let check_ctx ~ctx ?max_steps ?scheds ~underlay ~impl ~overlay ~rel ~client
     | Some s -> s
     | None ->
       (* The schedulers drive the underlay game, so derive the suite from
-         the same linked threads [Refinement.check] will run. *)
+         the same linked threads the scan will run. *)
       let threads_under =
         List.map (fun i -> i, Prog.Module.link impl (client i)) tids
       in

@@ -30,12 +30,13 @@ val refine_ctx :
   scheds:Sched.t list ->
   unit ->
   (Refinement.report, Refinement.failure) result Budget.outcome
-(** Drop-in parallel {!Refinement.check}: the per-schedule body
-    ({!Refinement.check_sched_stop}) is evaluated over a {!Parallel}
-    domain pool and the ordered results folded as the sequential loop
-    would — the report (or lowest-indexed failure) is structurally
-    identical for every [ctx.jobs] count, and [jobs = 1] (the default)
-    stays on the sequential path.  [ctx.cache] memoizes successful
+(** The refinement check of Thm 2.2: {!Parallel.games} plays the
+    underlay game of [client] linked with [impl] on [tids] under each
+    scheduler of [scheds], and {!Refinement.judge} judges each play; the
+    report (or lowest-indexed failure) is structurally identical for
+    every [ctx.jobs] count, and [jobs = 1] (the default) stays on the
+    sequential path.  [max_steps] (default 200,000) is the underlay
+    game's fuel and the overlay replay's bound.  [ctx.cache] memoizes successful
     reports, keyed on both interfaces, the implementation, the relation
     name, the client workload, and the suite identity; the stored entry
     records the hash of its logs and is invalidated (and re-run) if it
@@ -52,8 +53,8 @@ val refine_cert_ctx :
   client:(Event.tid -> Prog.t) ->
   scheds:Sched.t list ->
   (Refinement.report, Refinement.failure) result Budget.outcome
-(** {!refine_ctx} with the components of a certificate — the parallel
-    counterpart of {!Refinement.check_cert}, used by the {!Stack}
+(** {!refine_ctx} with the components of a certificate; the domain is
+    the certificate's focused thread set.  Used by the {!Stack}
     soundness edges. *)
 
 val check_ctx :

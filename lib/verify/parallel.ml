@@ -8,8 +8,9 @@
    {!budgeted_scan}, returns exactly what a sequential early-exit fold
    would, bit for bit, regardless of completion order — the reported
    failure is always the one from the lowest-indexed job, and chunks
-   wholly above a pinned cut are cancelled instead of evaluated.  {!map}
-   is that scan with no cut and an unlimited token.
+   wholly above a pinned cut are cancelled instead of evaluated.
+   {!games} plays every checker's suite on it, and {!map} is that scan
+   with no cut and an unlimited token.
 
    Design notes:
 
@@ -33,6 +34,8 @@
    Determinism caveat (DESIGN.md S24): parallelism changes wall-clock
    only, never a certificate judgment.  Anything nondeterministic would be
    a bug, and test/test_parallel.ml pins the equality. *)
+
+open Ccal_core
 
 let default_jobs () =
   match Sys.getenv_opt "CCAL_JOBS" with
@@ -142,7 +145,7 @@ let eval_chunk (b : batch) start stop =
   (* A span, not a counter: which chunks each worker claims is
      timing-dependent, so it may only show up in the (inherently
      run-specific) trace, never in the jobs-deterministic totals. *)
-  Ccal_core.Probe.span "pool.chunk" (fun () ->
+  Probe.span "pool.chunk" (fun () ->
       let live = ref true in
       while !live && !i < stop do
         (* indices above the cut can no longer influence the
@@ -357,7 +360,8 @@ let recommend_domains curve =
 
 type 'b cell =
   | Empty
-  | Value of 'b
+  | Value of int * 'b  (** the job's cost and result *)
+  | Stopped  (** the job was cut short by its stop closure *)
   | Raised of exn * Printexc.raw_backtrace
 
 (* Evaluate one job under the armed fault plan: the inline attempt chain
@@ -385,7 +389,7 @@ type 'b budgeted = {
      [allowance] is the token's remaining step budget captured at scan
      entry — a pure function of the inputs, since every earlier scan
      [settle]d the token;
-   - stop (exhausted) at [i] when its outcome is [interrupted] — with a
+   - stop (exhausted) at [i] when its job was stopped ([None]) — with a
      step budget this means the game alone overran the allowance, which
      is deterministic; a deadline or cancellation can also interrupt,
      and those are wall-clock events allowed to move the prefix;
@@ -395,7 +399,7 @@ type 'b budgeted = {
    The shared token is charged live by workers purely as an early-stop
    heuristic (polled before every claim); [Budget.settle] overwrites it
    with the deterministic total afterwards. *)
-let budgeted_scan ?jobs ~token ~cost ~interrupted ~cut f xs =
+let budgeted_scan ?jobs ~token ~cut f xs =
   let n = List.length xs in
   let base = Budget.steps_used token in
   let allowance = Budget.steps_remaining token in
@@ -414,11 +418,12 @@ let budgeted_scan ?jobs ~token ~cost ~interrupted ~cut f xs =
       else if cum >= allowance then finish ~ran_out:true acc cum
       else if Budget.poll_wall token then finish ~ran_out:true acc cum
       else begin
-        let v = eval i in
-        Budget.charge token (cost v);
-        if interrupted v then finish ~ran_out:true acc cum
-        else if cut v then finish ~ran_out:false (v :: acc) (cum + cost v)
-        else go (i + 1) (cum + cost v) (v :: acc)
+        match eval i with
+        | None -> finish ~ran_out:true acc cum
+        | Some (c, v) ->
+          Budget.charge token c;
+          if cut v then finish ~ran_out:false (v :: acc) (cum + c)
+          else go (i + 1) (cum + c) (v :: acc)
       end
     in
     go 0 0 []
@@ -441,10 +446,13 @@ let budgeted_scan ?jobs ~token ~cost ~interrupted ~cut f xs =
          the merge's hole-filling replays the inline attempt chain. *)
       let body ~faulted i () =
         match (if faulted then eval i else eval_raw i) with
-        | v ->
-          cells.(i) <- Value v;
-          Budget.charge token (cost v);
-          if cut v || interrupted v then atomic_min cut_mark i
+        | Some (c, v) ->
+          cells.(i) <- Value (c, v);
+          Budget.charge token c;
+          if cut v then atomic_min cut_mark i
+        | None ->
+          cells.(i) <- Stopped;
+          atomic_min cut_mark i
         | exception e ->
           cells.(i) <- Raised (e, Printexc.get_raw_backtrace ());
           atomic_min cut_mark i
@@ -452,7 +460,7 @@ let budgeted_scan ?jobs ~token ~cost ~interrupted ~cut f xs =
       let run i ~attempt =
         if Fault.crash ~index:i ~attempt then `Crashed
         else begin
-          deltas.(i) <- Ccal_core.Probe.captured (body ~faulted:false i);
+          deltas.(i) <- Probe.captured (body ~faulted:false i);
           `Done
         end
       in
@@ -470,12 +478,12 @@ let budgeted_scan ?jobs ~token ~cost ~interrupted ~cut f xs =
       Fun.protect
         ~finally:(fun () -> release busy)
         (fun () ->
-          Ccal_core.Probe.span "pool.batch" (fun () -> run_calibrated pool b));
+          Probe.span "pool.batch" (fun () -> run_calibrated pool b));
       (* Deterministic merge: same walk as [sequential], over the cells.
          Holes — indices skipped because a worker gave up on the racy
          heuristic — are filled by evaluating inline, capture and all, so
          the committed counter stream is identical to the oracle's. *)
-      let fill i = deltas.(i) <- Ccal_core.Probe.captured (body ~faulted:true i) in
+      let fill i = deltas.(i) <- Probe.captured (body ~faulted:true i) in
       let rec walk i cum acc =
         if i >= n then finish ~ran_out:false acc cum
         else if cum >= allowance then finish ~ran_out:true acc cum
@@ -485,29 +493,54 @@ let budgeted_scan ?jobs ~token ~cost ~interrupted ~cut f xs =
             (* don't start new work past a tripped deadline; an
                already-evaluated cell still gets included below *)
             if not (Budget.poll_wall token) then fill i
-          | Value _ | Raised _ -> ());
+          | Value _ | Stopped | Raised _ -> ());
           match cells.(i) with
           | Empty -> finish ~ran_out:true acc cum
           | Raised (e, bt) ->
-            Ccal_core.Probe.commit deltas.(i);
+            Probe.commit deltas.(i);
             Printexc.raise_with_backtrace e bt
-          | Value v ->
-            Ccal_core.Probe.commit deltas.(i);
-            if interrupted v then finish ~ran_out:true acc cum
-            else if cut v then
-              finish ~ran_out:false (v :: acc) (cum + cost v)
-            else walk (i + 1) (cum + cost v) (v :: acc)
+          | Stopped ->
+            Probe.commit deltas.(i);
+            finish ~ran_out:true acc cum
+          | Value (c, v) ->
+            Probe.commit deltas.(i);
+            if cut v then finish ~ran_out:false (v :: acc) (cum + c)
+            else walk (i + 1) (cum + c) (v :: acc)
         end
       in
       walk 0 0 []
+
+(* Every checker's suite, played and judged (DESIGN.md S37).  The game
+   runs under the context's memory mode with the budget's stop closure;
+   a [Cancelled] game is a stopped job that no judge sees, and a judged
+   job carries its cost (game steps unless the checker says otherwise),
+   so the scan keeps no game outcome the judge did not keep. *)
+let games ~ctx ?max_steps ?log_switches ?(cut = fun _ -> false)
+    ?(cost = fun o _ -> o.Game.steps) layer threads judge scheds =
+  let play ~stop sched =
+    let o =
+      Game.run
+        (Game.config ?max_steps ?log_switches ~memory:ctx.Ctx.memory ?stop
+           layer threads sched)
+    in
+    match o.Game.status with
+    | Game.Cancelled -> None
+    | _ ->
+      let v = judge sched o in
+      Some (cost o v, v)
+  in
+  let scan =
+    budgeted_scan ?jobs:(Ctx.jobs_opt ctx) ~token:ctx.Ctx.token ~cut play scheds
+  in
+  if scan.ran_out then
+    Budget.Exhausted { spent = Budget.spent ctx.Ctx.token; partial = scan.prefix }
+  else Budget.Complete scan.prefix
 
 (* The DPOR frontier walk is unbudgeted by design: the one scan, with no
    cut and a token that never trips. *)
 let map ?jobs f xs =
   (budgeted_scan ?jobs ~token:Budget.no_token
-     ~cost:(fun _ -> 0)
-     ~interrupted:(fun _ -> false)
      ~cut:(fun _ -> false)
-     (fun ~stop:_ x -> f x)
+     (fun ~stop:_ x -> Some (0, f x))
      xs)
     .prefix

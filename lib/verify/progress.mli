@@ -23,8 +23,9 @@ val completes_within_ctx :
   (bound_report, string) result Budget.outcome
 (** Every run under (fair) schedulers finishes — no deadlock, no stuck
     thread — within [bound] moves.  The scheduler suite is [scheds] when
-    given, otherwise derived from [ctx.strategy] (default DPOR).
-    [ctx.jobs] spreads the scan over a {!Parallel} domain pool; the
+    given, otherwise derived from [ctx.strategy] (default DPOR); the
+    games run under [ctx.memory], as the walk that derives the suite
+    does.  [ctx.jobs] spreads the scan over a {!Parallel} domain pool; the
     reported failure is always the lowest-indexed failing schedule,
     identical to the sequential scan.  [ctx.token] is charged one step
     per game move; an [Exhausted] outcome carries the report over the

@@ -14,15 +14,15 @@ type verdict =
   | Other_failure of string
   | Exhausted of { spent : Budget.spent; partial : partial }
 
-(* The per-schedule body: pure in the sense that it touches only its own
-   game state, so the pool can evaluate schedules on any domain. *)
+(* The per-schedule judge: pure in the sense that it touches only its
+   own game, so the pool can judge schedules on any domain. *)
 type sched_outcome =
   | Clean
   | Racy of { sched_name : string; detail : string; log : Log.t }
   | Other of string
-  | Interrupted  (** the game hit the budget's stop closure mid-run *)
 
-let classify sched outcome =
+let judge sched outcome =
+  Probe.incr Probe.race_checks;
   match outcome.Game.status with
   | Game.Stuck (_, Layer.Data_race, msg) ->
     Racy { sched_name = Sched.name sched; detail = msg; log = outcome.Game.log }
@@ -32,8 +32,7 @@ let classify sched outcome =
     Other
       (Printf.sprintf "deadlock among threads %s"
          (String.concat "," (List.map string_of_int ids)))
-  | Game.Out_of_fuel -> Other "out of fuel"
-  | Game.Cancelled -> Interrupted
+  | Game.Out_of_fuel | Game.Cancelled -> Other "out of fuel"
   | Game.All_done ->
     if Ccal_machine.Pushpull.race_free outcome.Game.log then Clean
     else
@@ -44,15 +43,8 @@ let classify sched outcome =
           log = outcome.Game.log;
         }
 
-let eval ?max_steps ?memory layer threads ~stop sched =
-  Probe.incr Probe.race_checks;
-  let outcome =
-    Game.run (Game.config ?max_steps ?stop ?memory layer threads sched)
-  in
-  (outcome.Game.steps, classify sched outcome)
-
 (* Deterministic merge.  A race anywhere wins (the lowest-indexed one —
-   [Parallel.budgeted_scan] guarantees the outcome list is the sequential
+   [Parallel.games] guarantees the outcome list is the sequential
    prefix up to and including the first [Racy]); non-race failures such as
    one adversarial schedule running out of fuel no longer abort the scan,
    they are collected and reported only when no schedule exposes a race. *)
@@ -61,10 +53,6 @@ let merge outcomes =
     | Racy { sched_name; detail; log } :: _ -> Race { sched_name; detail; log }
     | Other msg :: rest -> go runs (msg :: others) rest
     | Clean :: rest -> go (runs + 1) others rest
-    | Interrupted :: _ ->
-      (* never merged: an interrupted outcome is excluded from the
-         budgeted prefix and reported as [Exhausted] instead *)
-      assert false
     | [] -> (
       match List.rev others with
       | [] -> Race_free { runs }
@@ -118,19 +106,13 @@ let check_ctx ~ctx ?max_steps ?scheds ?resume layer threads =
       | Some p -> (p.scanned, synthetic p)
     in
     let todo = List.filteri (fun i _ -> i >= skip) all_scheds in
-    let replay =
-      Parallel.budgeted_scan
-        ?jobs:(Ctx.jobs_opt ctx)
-        ~token:ctx.Ctx.token ~cost:fst
-        ~interrupted:(fun (_, o) ->
-          match o with Interrupted -> true | _ -> false)
-        ~cut:(fun (_, o) -> match o with Racy _ -> true | _ -> false)
-        (fun ~stop sched ->
-          eval ?max_steps ~memory:ctx.Ctx.memory layer threads ~stop sched)
-        todo
-    in
-    let outcomes = List.map snd replay.Parallel.prefix in
-    if replay.Parallel.ran_out then begin
+    match
+      Parallel.games ~ctx ?max_steps
+        ~cut:(function Racy _ -> true | Clean | Other _ -> false)
+        layer threads judge todo
+    with
+    | Budget.Complete outcomes -> merge (syn @ outcomes)
+    | Budget.Exhausted { spent; partial = outcomes } ->
       let clean0, others0 =
         match resume with None -> (0, []) | Some p -> (p.clean, p.others)
       in
@@ -148,9 +130,7 @@ let check_ctx ~ctx ?max_steps ?scheds ?resume layer threads =
                 outcomes;
         }
       in
-      Exhausted { spent = Budget.spent ctx.Ctx.token; partial }
-    end
-    else merge (syn @ outcomes)
+      Exhausted { spent; partial }
   in
   match ctx.Ctx.cache with
   | None -> run resume

@@ -71,16 +71,6 @@ let timed f =
   let r, ms = Verify_clock.timed f in
   (r, ms, Probe.diff_counters before (Probe.counters ()))
 
-(* Fold a [Parallel.budgeted_scan]-produced prefix of per-schedule linking
-   results back into the sequential count-or-first-error shape. *)
-let fold_linking results =
-  let rec go n = function
-    | [] -> Ok n
-    | Ok _ :: rest -> go (n + 1) rest
-    | (Error _ as e) :: _ -> e
-  in
-  go 0 results
-
 let vi = Value.int
 
 (* The client workloads of the game-driving edges, shared between the
@@ -241,26 +231,19 @@ let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
     | Some s ->
       Explore.scheds_of_strategy_ctx ~ctx:(Ctx.with_strategy s ctx) layer threads
   in
-  (* A suite under the run's token: a scan the budget cut short leaves
-     the edge unfinished. *)
-  let budgeted ~cost ~interrupted ~cut f scheds =
-    let scan =
-      Parallel.budgeted_scan ?jobs:(Ctx.jobs_opt ctx) ~token:ctx.Ctx.token ~cost
-        ~interrupted ~cut f scheds
+  (* A linking edge: the suite's plays judged one by one; the first
+     failure ends the scan, and a scan the budget cut short leaves the
+     edge unfinished. *)
+  let linking ?log_switches layer threads judge =
+    let rec count n = function
+      | [] -> Ok (`Linking, n)
+      | Ok () :: rest -> count (n + 1) rest
+      | Error e :: _ -> Error e
     in
-    if scan.Parallel.ran_out then
-      raise (Edges.Out_of_budget (Budget.spent ctx.Ctx.token));
-    scan.Parallel.prefix
-  in
-  let linking check scheds =
-    Result.map
-      (fun n -> `Linking, n)
-      (fold_linking
-         (budgeted
-            ~cost:(function Ok steps -> steps | Error _ -> 0)
-            ~interrupted:(fun _ -> false) ~cut:Result.is_error
-            (fun ~stop:_ sched -> check sched)
-            scheds))
+    count 0
+      (Edges.value
+         (Parallel.games ~ctx ?log_switches ~cut:Result.is_error layer threads
+            judge (scheds_for layer threads)))
   in
   let soundness (cert : Calculus.cert) client =
     let j = cert.Calculus.judgment in
@@ -299,14 +282,9 @@ let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
     edge "Mx86 refines Lx86[D] (Thm 3.1)"
       ~key:(fun st -> suite (fp_threads (Fingerprint.layer st (machine ())) faa_threads))
       (measured (fun () ->
-           let check sched =
-             match memory with
-             | Memory.Sc ->
-               Ccal_machine.Mx86.check_multicore_linking_sched ~threads:faa_threads sched
-             | Memory.Tso ->
-               Ccal_machine.Tso.check_multicore_linking_sched ~threads:faa_threads sched
-           in
-           linking check (scheds_for (machine ()) faa_threads)));
+           let layer = machine () in
+           linking ~log_switches:true layer faa_threads
+             (Ccal_machine.Mx86.judge_linking layer faa_threads)));
     (* 2. spinlock certificate *)
     edge
       (Printf.sprintf "L0 |- M_%s : Llock (Fun)" lk.lock_name)
@@ -345,10 +323,9 @@ let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
         suite (fp_threads (Fingerprint.layer (fp_placement st mt_placement) (mt_layer ())) mt_threads))
       (measured (fun () ->
            let layer = mt_layer () in
-           linking
-             (Thread_sched.check_multithreaded_linking_sched ~placement:mt_placement
-                ~layer ~threads:mt_threads)
-             (scheds_for layer mt_threads)));
+           linking layer mt_threads
+             (Thread_sched.judge_linking ~placement:mt_placement layer
+                mt_threads)));
     (* 7. queuing lock *)
     edge "Lmt(Llock) |- M_qlock : Lqlock (Fun, Fig. 11)"
       ~key:(fun st ->
@@ -401,23 +378,17 @@ let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
              let reader = spin "acq_r" "rel_r" in
              let threads = [ 1, reader; 2, reader; 3, spin "acq_w" "rel_w" ] in
              let statuses =
-               budgeted ~cost:snd
-                 ~interrupted:(fun (s, _) -> s = Game.Cancelled)
-                 ~cut:(fun _ -> false)
-                 (fun ~stop sched ->
-                   let o =
-                     Game.run
-                       (Game.config ~max_steps:200_000 ?stop ~memory layer threads sched)
-                   in
-                   o.Game.status, o.Game.steps)
-                 (Explore.exhaustive_scheds ~tids:[ 1; 2; 3 ] ~depth:7)
+               Edges.value
+                 (Parallel.games ~ctx ~max_steps:200_000 layer threads
+                    (fun _ o -> o.Game.status)
+                    (Explore.exhaustive_scheds ~tids:[ 1; 2; 3 ] ~depth:7))
              in
              match
                List.find_opt
-                 (function (Game.Stuck _ | Game.Deadlock _), _ -> true | _ -> false)
+                 (function Game.Stuck _ | Game.Deadlock _ -> true | _ -> false)
                  statuses
              with
-             | Some (status, _) ->
+             | Some status ->
                Error
                  (Format.asprintf "adversarial rwlock game failed: %a" Game.pp_status
                     status)

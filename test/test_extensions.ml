@@ -22,7 +22,7 @@ let sb_thread ~fenced store load =
 let sb_outcomes ?memory layer ~fenced =
   let scheds = Ccal_verify.Explore.exhaustive_scheds ~tids:[ 1; 2 ] ~depth:6 in
   let outcomes =
-    Game.behaviors ?memory layer
+    behaviors ?memory layer
       [ 1, sb_thread ~fenced x_cell y_cell; 2, sb_thread ~fenced y_cell x_cell ]
       scheds
   in
@@ -126,10 +126,11 @@ let test_sc_equivalence_locked_program () =
                 comparison exact *)
              (Prog.seq (Prog.call "xchg" [ vi lock; vi 0 ]) (Prog.ret (vi i)))))
   in
+  let threads = [ 1, tas_round 1; 2, tas_round 2 ] in
   match
-    Tso.sc_equivalent_on
-      ~threads:[ 1, tas_round 1; 2, tas_round 2 ]
-      ~scheds:(Sched.default_suite ~seeds:8) ()
+    judge_all ~memory:Memory.Tso (Tso.layer ()) threads
+      (Tso.judge_sc_equivalence threads)
+      (Sched.default_suite ~seeds:8)
   with
   | Ok n -> check_int "all schedules equivalent" 9 n
   | Error msg -> Alcotest.fail msg
@@ -230,7 +231,7 @@ let test_rw_refinement () =
       else Prog.seq_all [ aw 4; rw 4; Prog.ret (vi 2) ]
     in
     match
-      Refinement.check_cert cert ~client ~scheds:(Sched.default_suite ~seeds:6)
+      refine_cert cert ~client ~scheds:(Sched.default_suite ~seeds:6)
     with
     | Ok _ -> ()
     | Error f -> Alcotest.failf "%a" Refinement.pp_failure f)

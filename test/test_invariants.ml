@@ -109,7 +109,7 @@ let test_refinement_partial_runs () =
     else Prog.call "acq" [ vi 0 ]
   in
   match
-    Refinement.check ~expect_all_done:false ~underlay:layer
+    refine ~expect_all_done:false ~underlay:layer
       ~impl:Prog.Module.empty ~overlay:layer ~rel:Sim_rel.id ~client
       ~tids:[ 1; 2 ] ~scheds:[ Sched.round_robin ] ()
   with
@@ -120,7 +120,7 @@ let test_refinement_strict_rejects_deadlock () =
   let layer = Lock_intf.layer "L" in
   let client _ = Prog.seq (Prog.call "acq" [ vi 0 ]) (Prog.call "acq" [ vi 0 ]) in
   match
-    Refinement.check ~underlay:layer ~impl:Prog.Module.empty ~overlay:layer
+    refine ~underlay:layer ~impl:Prog.Module.empty ~overlay:layer
       ~rel:Sim_rel.id ~client ~tids:[ 1 ] ~scheds:[ Sched.round_robin ] ()
   with
   | Error f ->

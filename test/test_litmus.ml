@@ -242,7 +242,10 @@ let qcheck_drf =
       let scheds =
         [ Sched.round_robin; Sched.random ~seed:7; Sched.random ~seed:23 ]
       in
-      match T.sc_equivalent_on ~threads ~scheds () with
+      match
+        judge_all ~memory:Memory.Tso (T.layer ()) threads
+          (T.judge_sc_equivalence threads) scheds
+      with
       | Ok n -> n > 0
       | Error e -> QCheck.Test.fail_reportf "not SC-equivalent: %s" e)
 

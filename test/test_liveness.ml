@@ -22,7 +22,7 @@ let ticket_logs ~ncpus ~rounds scheds =
   List.filter_map
     (fun (o : Game.outcome) ->
       match o.Game.status with Game.All_done -> Some o.Game.log | _ -> None)
-    (Game.behaviors ~max_steps:500_000 layer threads scheds)
+    (behaviors ~max_steps:500_000 layer threads scheds)
 
 let test_starvation_bound_formula () =
   check_int "n*m*#CPU" 24
@@ -164,7 +164,7 @@ let lock_logs ~layer ~m ~ncpus ~rounds suite_of =
   List.filter_map
     (fun (o : Game.outcome) ->
       match o.Game.status with Game.All_done -> Some o.Game.log | _ -> None)
-    (Game.behaviors ~max_steps:500_000 layer threads scheds)
+    (behaviors ~max_steps:500_000 layer threads scheds)
 
 let seeded_suite _layer _threads = Sched.default_suite ~seeds:10
 

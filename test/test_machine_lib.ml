@@ -123,18 +123,20 @@ let faa_round i =
 
 let test_mx86_logs_switches () =
   let outcomes =
-    Mx86.behaviors ~threads:[ 1, faa_round 1; 2, faa_round 2 ]
-      ~scheds:[ Sched.of_trace [ 1; 2; 1; 2 ] ] ()
+    behaviors ~log_switches:true (Mx86.layer ())
+      [ 1, faa_round 1; 2, faa_round 2 ]
+      [ Sched.of_trace [ 1; 2; 1; 2 ] ]
   in
   match outcomes with
   | [ o ] -> check_bool "switch events" true (Log.count Event.is_switch o.Game.log >= 2)
   | _ -> Alcotest.fail "one outcome expected"
 
 let test_multicore_linking () =
+  let layer = Mx86.layer () and threads = [ 1, faa_round 1; 2, faa_round 2 ] in
   match
-    Mx86.check_multicore_linking
-      ~threads:[ 1, faa_round 1; 2, faa_round 2 ]
-      ~scheds:(Sched.default_suite ~seeds:6) ()
+    judge_all ~log_switches:true layer threads
+      (Mx86.judge_linking layer threads)
+      (Sched.default_suite ~seeds:6)
   with
   | Ok n -> check_int "all schedules linked" 7 n
   | Error msg -> Alcotest.fail msg

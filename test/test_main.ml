@@ -17,6 +17,7 @@ let () =
       "liveness-and-deadlock", Test_liveness.suite;
       "dpor-exploration (S23)", Test_dpor.suite;
       "parallel-checking (S24)", Test_parallel.suite;
+      "one-game-scan (S37)", Test_games.suite;
       "perf-gate (S24)", Test_perf_gate.suite;
       "cross-cutting-invariants", Test_invariants.suite;
       "telemetry (S25)", Test_telemetry.suite;

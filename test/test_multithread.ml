@@ -107,10 +107,11 @@ let test_multithreaded_linking () =
     Prog.seq_all
       [ Prog.call "acq" [ vi 0 ]; Prog.call "rel" [ vi 0; vi i ]; yield_; texit ]
   in
+  let threads = [ 1, prog 1; 2, prog 2; 3, prog 3 ] in
   match
-    T.check_multithreaded_linking ~placement ~layer
-      ~threads:[ 1, prog 1; 2, prog 2; 3, prog 3 ]
-      ~scheds:(Sched.default_suite ~seeds:5) ()
+    judge_all layer threads
+      (T.judge_linking ~placement layer threads)
+      (Sched.default_suite ~seeds:5)
   with
   | Ok n -> check_int "schedules" 6 n
   | Error msg -> Alcotest.fail msg
@@ -216,7 +217,7 @@ let test_qlock_refinement_shared_cpu () =
           yield_; texit; Prog.ret (vi i) ]
     in
     match
-      Refinement.check_cert cert ~client ~scheds:(Sched.default_suite ~seeds:5)
+      refine_cert cert ~client ~scheds:(Sched.default_suite ~seeds:5)
     with
     | Ok _ -> ()
     | Error f -> Alcotest.failf "%a" Refinement.pp_failure f)

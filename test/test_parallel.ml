@@ -43,11 +43,8 @@ let seq_scan ~cut f xs =
 (* the one scan, unbudgeted: its prefix is the sequential early-exit
    scan's *)
 let unbudgeted_scan ~jobs ~cut f xs =
-  (Parallel.budgeted_scan ~jobs ~token:Budget.no_token
-     ~cost:(fun _ -> 0)
-     ~interrupted:(fun _ -> false)
-     ~cut
-     (fun ~stop:_ x -> f x)
+  (Parallel.budgeted_scan ~jobs ~token:Budget.no_token ~cut
+     (fun ~stop:_ x -> Some (0, f x))
      xs)
     .Parallel.prefix
 

@@ -181,7 +181,7 @@ let test_full_stack_soundness () =
       Prog.seq_all [ enqs 0 (10 + i); enqs 0 (20 + i); deqs 0; deqs 0 ]
     in
     match
-      Refinement.check_cert cert ~client ~scheds:(Sched.default_suite ~seeds:4)
+      refine_cert cert ~client ~scheds:(Sched.default_suite ~seeds:4)
     with
     | Ok _ -> ()
     | Error f -> Alcotest.failf "%a" Refinement.pp_failure f)

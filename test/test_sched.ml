@@ -132,8 +132,8 @@ let test_exhaustive_suite_replays () =
   let layer = Lazy.force llock in
   let threads = List.map (fun i -> i, client (Rounds 1) i) [ 1; 2; 3 ] in
   let scheds = Explore.exhaustive_scheds ~tids:[ 1; 2; 3 ] ~depth:4 in
-  let first = Game.behaviors layer threads scheds in
-  let second = Game.behaviors layer threads scheds in
+  let first = behaviors layer threads scheds in
+  let second = behaviors layer threads scheds in
   check_int "81 games" 81 (List.length second);
   check_bool "identical outcomes" true (List.for_all2 same first second);
   check_int "distinct logs" 6

@@ -250,7 +250,7 @@ let test_refinement_ok () =
       Prog.seq (Prog.call bump2_tag [ vi 0 ]) (Prog.call bump2_tag [ vi 0 ])
     in
     match
-      Refinement.check_cert cert ~client ~scheds:(Sched.default_suite ~seeds:4)
+      refine_cert cert ~client ~scheds:(Sched.default_suite ~seeds:4)
     with
     | Ok r -> check_int "scheds" 5 r.Refinement.scheds_checked
     | Error f -> Alcotest.failf "refinement failed: %a" Refinement.pp_failure f)
@@ -258,7 +258,7 @@ let test_refinement_ok () =
 let test_refinement_catches_bad_module () =
   let bad = Prog.Module.of_bodies [ bump2_tag, (fun args -> Prog.call "tick" args) ] in
   match
-    Refinement.check ~underlay:(under_layer ()) ~impl:bad
+    refine ~underlay:(under_layer ()) ~impl:bad
       ~overlay:(over_layer ()) ~rel:r_bump
       ~client:(fun _ -> Prog.call bump2_tag [ vi 0 ])
       ~tids:[ 1; 2 ] ~scheds:[ Sched.round_robin ] ()

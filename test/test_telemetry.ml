@@ -180,12 +180,10 @@ let test_captured_counts_follow_the_cut () =
           Telemetry.reset ();
           ignore
             (Parallel.budgeted_scan ~jobs ~token:Budget.no_token
-               ~cost:(fun _ -> 0)
-               ~interrupted:(fun _ -> false)
                ~cut:(fun y -> y = 5)
                (fun ~stop:_ x ->
                  Telemetry.incr c;
-                 x)
+                 Some (0, x))
                (List.init 40 Fun.id));
           check_int
             (Printf.sprintf "jobs=%d commits exactly the merged prefix" jobs)

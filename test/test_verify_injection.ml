@@ -184,7 +184,7 @@ let test_inject_missing_inc_caught () =
           Prog.seq (Prog.call "rel" [ vi 0; vi i ]) (Prog.call "acq" [ vi 0 ]))
     in
     match
-      Refinement.check_cert ~max_steps:5_000 cert ~client
+      refine_cert ~max_steps:5_000 cert ~client
         ~scheds:[ Sched.round_robin ]
     with
     | Error _ -> ()

@@ -19,6 +19,47 @@ let tc name f = Alcotest.test_case name `Quick f
 let qtc ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
+(* Suites played through the one game scan, [Parallel.games], under the
+   default context in the given memory mode. *)
+let games ?(memory = Memory.default) ?max_steps ?log_switches ?cut layer
+    threads judge scheds =
+  Ccal_verify.(
+    Budget.value
+      (Parallel.games
+         ~ctx:(Ctx.with_memory memory Ctx.default)
+         ?max_steps ?log_switches ?cut layer threads judge scheds))
+
+(* Every play of the suite, in suite order. *)
+let behaviors ?memory ?max_steps ?log_switches layer threads scheds =
+  games ?memory ?max_steps ?log_switches layer threads (fun _ o -> o) scheds
+
+(* A pass/fail judge over the suite: the number of schedules judged, or
+   the first failure (which ends the scan). *)
+let judge_all ?memory ?max_steps ?log_switches layer threads judge scheds =
+  let rec count n = function
+    | [] -> Ok n
+    | Ok () :: rest -> count (n + 1) rest
+    | Error e :: _ -> Error e
+  in
+  count 0
+    (games ?memory ?max_steps ?log_switches ~cut:Result.is_error layer threads
+       judge scheds)
+
+(* Thm 2.2 on the one game scan: [Linearizability.refine_ctx] and its
+   certificate form under the default context. *)
+let refine ?max_steps ?expect_all_done ~underlay ~impl ~overlay ~rel ~client
+    ~tids ~scheds () =
+  Ccal_verify.(
+    Budget.value
+      (Linearizability.refine_ctx ~ctx:Ctx.default ?max_steps ?expect_all_done
+         ~underlay ~impl ~overlay ~rel ~client ~tids ~scheds ()))
+
+let refine_cert ?max_steps cert ~client ~scheds =
+  Ccal_verify.(
+    Budget.value
+      (Linearizability.refine_cert_ctx ~ctx:Ctx.default ?max_steps cert ~client
+         ~scheds))
+
 (* Run a single-threaded program over a layer with a silent environment. *)
 let run_solo ?(tid = 1) layer prog =
   Machine.run_local layer tid ~env:Env_context.empty prog
