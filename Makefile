@@ -11,7 +11,7 @@ test:
 # Regression guard: the suite must never silently shrink — a dune or
 # module-wiring mistake can drop a whole test file from the runner while
 # everything still "passes".  Bump the floor when tests are added.
-TEST_COUNT_FLOOR := 502
+TEST_COUNT_FLOOR := 507
 
 check-test-count:
 	@out=$$(dune runtest --force 2>&1); status=$$?; \
@@ -26,9 +26,9 @@ check-test-count:
 	fi
 
 # Size guard: the library must not grow back.  The ceiling is the line
-# count of lib/ when every checker's suite moved onto Parallel.games
-# (DESIGN.md S37); lower it when a change shrinks lib/.
-LIB_SIZE_CEILING := 16158
+# count of lib/ after the crash judge moved its accounting out of the
+# mask loop (DESIGN.md S30); lower it when a change shrinks lib/.
+LIB_SIZE_CEILING := 16150
 
 check-lib-size:
 	@lines=$$(cat lib/*/*.ml lib/*/*.mli | wc -l); \
@@ -173,17 +173,22 @@ check-tso: build
 	$(CCAL_BIN) stack --memory tso --lock mcs
 	cd _build && default/bench/main.exe --only tso
 
-# The crash-safety gate (DESIGN.md S30).  Three legs:
+# The crash-safety gate (DESIGN.md S30).  Five legs:
 #   1. the WAL and durable-kv edges certify crash refinement: every
 #      schedule x crash point x (keep,tear) mask recovers to a
 #      prefix-consistent state (exit 1 on any lost acked-synced op or
 #      invented op);
-#   2. the deliberately unsynced WAL variant must FAIL, with the failure
+#   2. warm cache and jobs {1,4} runs print bit-identical canonical
+#      reports, at the default suite and at the certify-corpus
+#      configuration (3 threads, dpor:10);
+#   3. the deliberately unsynced WAL variant must FAIL, with the failure
 #      naming a stable crash point (the negative control: if the
 #      certifier ever waves it through, the gate is vacuous);
-#   3. warm cache and jobs {1,4} runs print bit-identical canonical
-#      reports.
+#   4. a 200-step budget exhausts inside durable-kv, and the partial
+#      report lists only the completed wal edge;
+#   5. a zero shard count exits 2 naming the flag.
 CRASH_CHECK_DIR := _build/ccal-crash-cache-check
+CRASH_CORPUS_DIR := _build/ccal-crash-corpus-check
 
 check-crash: build
 	@rm -rf $(CRASH_CHECK_DIR); \
@@ -194,6 +199,14 @@ check-crash: build
 	cmp _build/crash-cold.txt _build/crash-warm.txt || { \
 	  echo "check-crash: REGRESSION - warm jobs=4 report differs from cold jobs=1"; exit 1; }; \
 	echo "check-crash: OK (2 edges certified, cold/warm and jobs 1/4 reports identical)"
+	@rm -rf $(CRASH_CORPUS_DIR); \
+	$(CCAL_BIN) crash --threads 3 --strategy dpor:10 --cache-dir $(CRASH_CORPUS_DIR) \
+	  --jobs 1 --report _build/crash-corpus-cold.txt > /dev/null || exit 1; \
+	$(CCAL_BIN) crash --threads 3 --strategy dpor:10 --cache-dir $(CRASH_CORPUS_DIR) \
+	  --jobs 4 --report _build/crash-corpus-warm.txt > /dev/null || exit 1; \
+	cmp _build/crash-corpus-cold.txt _build/crash-corpus-warm.txt || { \
+	  echo "check-crash: REGRESSION - threads 3 dpor:10 warm jobs=4 report differs from cold jobs=1"; exit 1; }; \
+	echo "check-crash: OK (threads 3 dpor:10: cold jobs 1 and warm jobs 4 reports identical)"
 	@out=$$($(CCAL_BIN) crash unsynced 2>&1); status=$$?; \
 	if [ $$status -eq 0 ]; then \
 	  echo "check-crash: REGRESSION - unsynced WAL variant certified"; exit 1; fi; \
@@ -209,6 +222,12 @@ check-crash: build
 	if grep -q "durable-kv" _build/crash-exhausted.txt; then \
 	  echo "check-crash: REGRESSION - partial report lists the unfinished durable-kv edge"; exit 1; fi; \
 	echo "check-crash: OK (200-step run exhausted; partial report lists only the completed wal edge)"
+	@$(CCAL_BIN) crash --shards 0 > /dev/null 2> _build/crash-shards0.txt; status=$$?; \
+	if [ $$status -ne 2 ]; then \
+	  echo "check-crash: REGRESSION - crash --shards 0 exited $$status, expected 2"; exit 1; fi; \
+	grep -q -- "--shards 0: expected a positive integer" _build/crash-shards0.txt || { \
+	  echo "check-crash: REGRESSION - crash --shards 0 does not name the flag"; exit 1; }; \
+	echo "check-crash: OK (crash --shards 0 rejected: $$(cat _build/crash-shards0.txt))"
 
 # The symmetry-reduction gate (DESIGN.md S31).  Three legs:
 #   1. depth-8 scaling: on the ticket game (4 threads, depth 8, events

@@ -971,6 +971,10 @@ let run_tso () =
    - edge rows: the crash-refinement certificate per edge (schedules x
      crash points x masks = recoveries), with the jobs {1,4} determinism
      gate applied to the canonical report;
+   - corpus rows: each edge at the certify-corpus configuration (3
+     client threads, dpor:10), certified alone at jobs 1 and timed 7
+     times — the suite's DPOR walk included — with the replay events
+     its check folds ([replay.events_folded], deterministic);
    - recover rows: the recovery-scan micro-cost as the surviving log
      grows — recovery is O(records), the crash-safety analogue of the
      Sec. 7 replay-cost story.  Each point is 1,000 recoveries, timed
@@ -1004,6 +1008,32 @@ let run_crash () =
      domains join every minor collection, which makes scans that allocate
      across one read noisy (EXPERIMENTS.md) *)
   let recover_rows = List.map recover_row [ 10; 50; 100; 500; 1000 ] in
+  let corpus_row (edge : V.Crash.edge) =
+    let ctx = V.Ctx.make ~jobs:1 ~strategy:(V.Ctx.Engine.dpor ~depth:10) () in
+    let check () =
+      match V.Budget.value (V.Crash.check_ctx ~ctx [ edge ]) with
+      | Ok { V.Crash.edges = [ e ]; _ } -> e
+      | Ok _ -> failwith "crash corpus: expected one edge report"
+      | Error f -> failwith (Format.asprintf "%a" V.Crash.pp_failure f)
+    in
+    V.Telemetry.reset ();
+    V.Telemetry.enable ();
+    ignore (check ());
+    let folded = V.Telemetry.get "replay.events_folded" in
+    V.Telemetry.disable ();
+    V.Telemetry.reset ();
+    let e, t = V.Verify_clock.measure ~repeats:7 check in
+    row "crash-corpus"
+      ~params:[ "edge", S e.V.Crash.edge_name; "threads", I 3; "strategy", S "dpor:10" ]
+      [ "schedules", I e.V.Crash.schedules;
+        "crash_points", I e.V.Crash.crash_points;
+        "recoveries", I e.V.Crash.recoveries; "events_folded", I folded;
+        "ms", T t ]
+  in
+  let corpus_rows =
+    List.map corpus_row
+      [ D.Wal.crash_edge ~threads:3 (); D.Durable_kv.crash_edge ~threads:3 () ]
+  in
   ignore (report 1) (* warm-up *);
   let r1 = report 1 in
   let r4 = report 4 in
@@ -1017,7 +1047,8 @@ let run_crash () =
     r1.V.Crash.edges
   @ row "crash-edge" ~params:[ "jobs", S "1,4" ]
       [ "reports_identical_jobs_1_4", B (canonical r1 = canonical r4) ]
-    :: recover_rows
+    :: corpus_rows
+  @ recover_rows
 
 (* ------------------------------------------------------------------ *)
 (* moves — minor words per play move (S35)                              *)

@@ -36,9 +36,20 @@ let jobs_arg =
                  identical for every value — parallelism changes \
                  wall-clock only.")
 
+(* A count flag ([--jobs], [--threads], [--shards], [--entries],
+   [--crashes], [--seeds]) below [min] is rejected by name, exit 2,
+   before any checker runs: a zero shard count divides by zero, a
+   negative count breaks [List.init], and zero client threads certify
+   vacuously. *)
+let resolve_count ?(min = 1) flag n =
+  if n >= min then Ok n
+  else
+    Error
+      (Printf.sprintf "%s %d: expected a %s integer" flag n
+         (if min > 0 then "positive" else "non-negative"))
+
 let resolve_jobs = function
-  | Some n when n >= 1 -> Ok n
-  | Some n -> Error (Printf.sprintf "--jobs %d: expected a positive integer" n)
+  | Some n -> resolve_count "--jobs" n
   | None -> Ccal_verify.Parallel.default_jobs ()
 
 let stats_arg =
@@ -256,8 +267,12 @@ let run_with_common (c : common) f =
    telemetry/fault/cache plumbing.  Subcommand-specific validation
    happens inside the body (same exit 2), so the wiring is written once
    rather than re-pasted per subcommand. *)
-let with_common common f =
-  match common with
+let with_common ?(counts = []) common f =
+  match
+    List.fold_left
+      (fun c n -> Result.bind c (fun c -> Result.map (fun _ -> c) n))
+      common counts
+  with
   | Error msg ->
     Format.eprintf "%s@." msg;
     2
@@ -285,7 +300,8 @@ let write_report report_file pp report =
 
 let stack_cmd =
   let run common lock seeds livelock report_file =
-    with_common common @@ fun c ctx ->
+    with_common common ~counts:[ resolve_count ~min:0 "--seeds" seeds ]
+    @@ fun c ctx ->
     let lock = match lock with "mcs" -> `Mcs | _ -> `Ticket in
     let module V = Ccal_verify in
     let report r = write_report report_file V.Stack.pp_report_canonical r in
@@ -335,7 +351,11 @@ let stack_cmd =
 
 let kv_cmd =
   let run common threads shards entries report_file =
-    with_common common @@ fun _c ctx ->
+    with_common common
+      ~counts:
+        [ resolve_count "--threads" threads; resolve_count "--shards" shards;
+          resolve_count "--entries" entries ]
+    @@ fun _c ctx ->
     let module V = Ccal_verify in
     let module K = Ccal_kv.Kv_stack in
     let report r = write_report report_file K.pp_report_canonical r in
@@ -467,7 +487,8 @@ let cache_cmd =
 
 let pipeline_cmd =
   let run common seeds =
-    with_common common @@ fun c ctx ->
+    with_common common ~counts:[ resolve_count ~min:0 "--seeds" seeds ]
+    @@ fun c ctx ->
     let module V = Ccal_verify in
     (match Ticket_lock.certify ~memory:c.memory ~focus:[ 1; 2 ] () with
       | Error e ->
@@ -586,7 +607,9 @@ let explore_game name nthreads memory =
 
 let explore_cmd =
   let run common obj nthreads depth mode no_oracle =
-    with_common common @@ fun c ctx ->
+    (* No threads is a game: the one empty play, on both sides. *)
+    with_common common ~counts:[ resolve_count ~min:0 "--threads" nthreads ]
+    @@ fun c ctx ->
     let module V = Ccal_verify in
     let module Engine = V.Ctx.Engine in
     let independence =
@@ -787,7 +810,11 @@ let litmus_cmd =
 
 let crash_cmd =
   let run common edge_name nthreads shards crashes report_file =
-    with_common common @@ fun _c ctx ->
+    with_common common
+      ~counts:
+        [ resolve_count "--threads" nthreads; resolve_count "--shards" shards;
+          resolve_count ~min:0 "--crashes" crashes ]
+    @@ fun _c ctx ->
     let module V = Ccal_verify in
     let module D = Ccal_disk in
     let edges =

@@ -116,24 +116,23 @@ let pp_report_canonical ppf r = pp_report_gen ~millis:false ppf r
    verdicts stay jobs- and cache-stable. *)
 
 let masks ~bound m =
-  let pairs =
-    if m = 0 then [ (0, 0) ]
-    else if m <= bound then
-      List.concat_map
-        (fun keep ->
-          (keep, 0)
-          :: List.filter_map
-               (fun i ->
-                 if Durability.keeps ~mask:keep i then Some (keep, 1 lsl i)
-                 else None)
-               (List.init m Fun.id))
-        (List.init (1 lsl m) Fun.id)
-    else
-      let all = Durability.all_keep m in
+  if m = 0 then [ (0, 0) ]
+  else if m <= bound then
+    (* generated in order: keeps ascending, each with its tears ascending *)
+    List.concat_map
+      (fun keep ->
+        (keep, 0)
+        :: List.filter_map
+             (fun i ->
+               if Durability.keeps ~mask:keep i then Some (keep, 1 lsl i)
+               else None)
+             (List.init m Fun.id))
+      (List.init (1 lsl m) Fun.id)
+  else
+    let all = Durability.all_keep m in
+    List.sort_uniq compare
       ((0, 0) :: (all, 0) :: (all, 1) :: (all, 1 lsl (m - 1))
       :: List.map (fun i -> (Durability.all_keep (i + 1), 0)) (List.init m Fun.id))
-  in
-  List.sort_uniq compare pairs
 
 (* ---- the per-crash-point check ---- *)
 
@@ -145,29 +144,28 @@ let rec is_prefix recovered appended =
       (Format.asprintf "recovered op not in the appended sequence (invented op): %a"
          pp_op r)
   | r :: rt, a :: at ->
-    if r = a then is_prefix rt at
+    if Int.equal r.lsn a.lsn && Int.equal r.key a.key && Int.equal r.value a.value
+    then is_prefix rt at
     else
       Error
         (Format.asprintf "recovered op diverges from the appended sequence: %a, expected %a"
            pp_op r pp_op a)
 
-let check_point edge prefix ~keep ~tear =
+(* One mask at one crash point, against the point's accounting
+   ([appended], [acked]), which depends on the prefix alone. *)
+let check_mask edge prefix ~appended ~acked ~keep ~tear =
   match edge.recover prefix ~keep ~tear with
   | Error msg -> Error (Printf.sprintf "recovery failed: %s" msg)
-  | Ok recovered -> (
-    let appended = edge.appended prefix in
-    let acked = edge.acked prefix in
-    match is_prefix recovered appended with
-    | Error _ as e -> e
-    | Ok () ->
-      let n = List.length recovered in
-      if n < acked then
-        Error
-          (Printf.sprintf
-             "acknowledged-synced op lost: sync acknowledged lsn %d but recovery \
-              reads back only %d op%s"
-             acked n (if n = 1 then "" else "s"))
-      else Ok ())
+  | Ok recovered ->
+    let n = List.length recovered in
+    Result.bind (is_prefix recovered appended) (fun () ->
+        if n >= acked then Ok ()
+        else
+          Error
+            (Printf.sprintf
+               "acknowledged-synced op lost: sync acknowledged lsn %d but recovery \
+                reads back only %d op%s"
+               acked n (if n = 1 then "" else "s")))
 
 (* ---- the per-schedule judge ---- *)
 
@@ -179,74 +177,55 @@ type sched_outcome = {
 }
 
 let judge ~bound edge sched (o : Game.outcome) =
-  match o.Game.status with
+  let fail i (keep, tear) reason =
+    Some
+      { f_edge = edge.name; f_sched = Sched.name sched; f_index = i;
+        f_keep = keep; f_tear = tear; f_reason = reason }
+  in
+  let points = ref 0 and recoveries = ref 0 and failure = ref None in
+  (match o.Game.status with
   | Game.All_done ->
-    let events = Log.chronological o.Game.log in
-    let fail i (keep, tear) reason =
-      {
-        f_edge = edge.name;
-        f_sched = Sched.name sched;
-        f_index = i;
-        f_keep = keep;
-        f_tear = tear;
-        f_reason = reason;
-      }
-    in
     (* Crash points in play order: the empty start plus the position
        after every disk-state-changing event.  The first failing
        (point, keep, tear) in this deterministic order is the one
-       reported, for every jobs count and cache temperature. *)
-    let points = ref 0 and recoveries = ref 0 and failure = ref None in
+       reported, for every jobs count and cache temperature.  The
+       accounting is per point; only recovery runs per mask. *)
     let at_point i prefix =
       incr points;
       let m = edge.inflight prefix in
-      List.iter
-        (fun (keep, tear) ->
-          if !failure = None then begin
-            incr recoveries;
-            match check_point edge prefix ~keep ~tear with
-            | Ok () -> ()
-            | Error reason -> failure := Some (fail i (keep, tear) reason)
-          end)
-        (masks ~bound m)
+      let appended = edge.appended prefix and acked = edge.acked prefix in
+      let rec go = function
+        | [] -> ()
+        | (keep, tear) :: rest -> (
+          incr recoveries;
+          match check_mask edge prefix ~appended ~acked ~keep ~tear with
+          | Ok () -> go rest
+          | Error reason -> failure := fail i (keep, tear) reason)
+      in
+      go (masks ~bound m)
     in
-    at_point 0 Log.empty;
-    let _ =
-      List.fold_left
-        (fun (i, prefix) e ->
-          let prefix = Log.append e prefix in
-          let i = i + 1 in
-          if !failure = None && edge.is_crash_point e then at_point i prefix;
-          (i, prefix))
-        (0, Log.empty) events
-    in
-    {
-      so_points = !points;
-      so_recoveries = !recoveries;
-      so_log = o.Game.log;
-      so_failure = !failure;
-    }
+    (* Each prefix extends the previous one physically, so in one replay
+       scope the folds behind [inflight] and [recover] resume from the
+       last point instead of refolding the prefix (DESIGN.md S32). *)
+    Replay.scoped (fun () ->
+        at_point 0 Log.empty;
+        let rec walk i prefix = function
+          | e :: rest when Option.is_none !failure ->
+            let prefix = Log.append e prefix and i = i + 1 in
+            if edge.is_crash_point e then at_point i prefix;
+            walk i prefix rest
+          | _ -> ()
+        in
+        walk 0 Log.empty (Log.chronological o.Game.log))
   | status ->
     (* The crash-free underlay game must finish: a deadlock or stuck run
        here is an edge-construction bug, reported as a failure rather
        than silently skipped. *)
-    {
-      so_points = 0;
-      so_recoveries = 0;
-      so_log = o.Game.log;
-      so_failure =
-        Some
-          {
-            f_edge = edge.name;
-            f_sched = Sched.name sched;
-            f_index = o.Game.steps;
-            f_keep = 0;
-            f_tear = 0;
-            f_reason =
-              Format.asprintf "underlay game did not complete: %a"
-                Game.pp_status status;
-          };
-    }
+    failure :=
+      fail o.Game.steps (0, 0)
+        (Format.asprintf "underlay game did not complete: %a" Game.pp_status status));
+  { so_points = !points; so_recoveries = !recoveries; so_log = o.Game.log;
+    so_failure = !failure }
 
 (* ---- the per-edge scan ---- *)
 

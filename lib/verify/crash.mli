@@ -83,9 +83,17 @@ val masks : bound:int -> int -> (int * int) list
     a deterministic boundary sample (drop all, contiguous prefixes, keep
     all, torn head/tail). *)
 
-val check_point :
-  edge -> Log.t -> keep:int -> tear:int -> (unit, string) result
-(** One recovery check at one crash point of one play prefix. *)
+type sched_outcome = {
+  so_points : int;
+  so_recoveries : int;
+  so_log : Log.t;
+  so_failure : failure option;
+}
+
+val judge : bound:int -> edge -> Sched.t -> Game.outcome -> sched_outcome
+(** Check one play's crash points in order, up to the first failing
+    (point, keep, tear): the accounting runs once per point, [recover]
+    once per mask, all in one replay scope.  An unfinished play fails. *)
 
 val check_ctx :
   ctx:Ctx.t ->

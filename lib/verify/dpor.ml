@@ -508,11 +508,13 @@ let explore_ctx ~ctx ?(independence = Exact) ?engine
   in
   let outcomes, representatives = List.split (Budget.value replay) in
   (* The walk schedules the pseudo-threads too, so the exhaustive count
-     ranges over the same alphabet as the oracle's prefixes. *)
+     ranges over the same alphabet as the oracle's prefixes; an empty
+     alphabet still has its one empty trace. *)
   let schedules_considered =
     pow
-      (List.length
-         (threads @ Game.pseudo_threads ~memory:ctx.Ctx.memory layer threads))
+      (max 1
+         (List.length
+            (threads @ Game.pseudo_threads ~memory:ctx.Ctx.memory layer threads)))
       depth
   in
   let distinct =

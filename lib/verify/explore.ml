@@ -1,9 +1,11 @@
 open Ccal_core
 module Engine = Strategy.Engine
 
+(* An empty alphabet has one trace, the empty one, at every depth: the
+   walk plays the one threadless game too. *)
 let exhaustive_scheds ~tids ~depth =
   let rec traces d =
-    if d <= 0 then [ [] ]
+    if d <= 0 || tids = [] then [ [] ]
     else
       let shorter = traces (d - 1) in
       List.concat_map (fun t -> List.map (fun tr -> t :: tr) shorter) tids

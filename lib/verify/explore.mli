@@ -17,8 +17,9 @@
 open Ccal_core
 
 val exhaustive_scheds : tids:Event.tid list -> depth:int -> Sched.t list
-(** All [|tids|^depth] scheduling prefixes (round-robin afterwards).
-    Use small depths: the count is exponential. *)
+(** All [|tids|^depth] scheduling prefixes (round-robin afterwards); an
+    empty [tids] has the one empty prefix.  Use small depths: the count
+    is exponential. *)
 
 val random_scheds : count:int -> Sched.t list
 (** [count] seeded random schedulers (deterministic suite). *)

@@ -280,8 +280,17 @@ let test_masks_lattice_and_sample () =
   List.iter
     (fun p -> check_bool "sample member" true (List.mem p sample))
     [ (0, 0); (1, 0); (3, 0); (7, 0); (7, 1); (7, 4) ];
-  (* sorted and duplicate-free, for jobs/cache-stable iteration order *)
-  check_bool "sample sorted" true (List.sort_uniq compare sample = sample)
+  (* sorted and duplicate-free, for jobs/cache-stable iteration order:
+     the lattice as generated, the boundary sample once sorted *)
+  for m = 0 to 8 do
+    for bound = 0 to 6 do
+      let ms = Crash.masks ~bound m in
+      check_bool
+        (Printf.sprintf "masks ~bound:%d %d sorted and unique" bound m)
+        true
+        (List.sort_uniq compare ms = ms)
+    done
+  done
 
 (* ------------------------------------------------------------------ *)
 (* the crash-refinement certifier                                      *)
@@ -400,6 +409,146 @@ let test_certifier_budget_exhaustion () =
     "exactly wal at 200 steps" [ "wal", 4 ] (partial 200)
 
 (* ------------------------------------------------------------------ *)
+(* the judge: accounting per crash point, recovery per mask            *)
+(* ------------------------------------------------------------------ *)
+
+let judged_edges () =
+  [ Wal.crash_edge (); Durable_kv.crash_edge ();
+    Wal.crash_edge ~unsynced:true (); Durable_kv.crash_edge ~unsynced:true () ]
+
+(* The certifier's default suite for the edge, plus seeded random plays. *)
+let plays (e : Crash.edge) =
+  List.map
+    (fun sched ->
+      let o = run_game ~max_steps:e.Crash.max_steps ~sched e.Crash.layer e.Crash.threads in
+      expect_all_done o;
+      (sched, o))
+    (Explore.scheds_of_strategy_ctx ~ctx:Ctx.default e.Crash.layer e.Crash.threads
+    @ Explore.random_scheds ~count:6)
+
+let test_judge_matches_per_mask_reference () =
+  let failures = ref 0 in
+  List.iter
+    (fun (e : Crash.edge) ->
+      let plays = plays e in
+      List.iter
+        (fun bound ->
+          List.iter
+            (fun (sched, o) ->
+              let what =
+                Printf.sprintf "%s %s bound %d" e.Crash.name (Sched.name sched) bound
+              in
+              let so = Crash.judge ~bound e sched o in
+              let points, recoveries, failure =
+                Crash_reference.judge ~bound e sched o
+              in
+              check_int (what ^ ": points") points so.Crash.so_points;
+              check_int (what ^ ": recoveries") recoveries so.Crash.so_recoveries;
+              check_bool (what ^ ": failure") true (failure = so.Crash.so_failure);
+              if Option.is_some failure then incr failures)
+            plays)
+        [ 4; 1 ])
+    (judged_edges ());
+  (* the unsynced edges fail somewhere: the comparison covers failures *)
+  check_bool "failures compared" true (!failures > 0)
+
+(* Each closure wrapped with a counter: the accounting runs once per
+   crash point, recovery once per mask. *)
+let counted (e : Crash.edge) =
+  let inflight = Atomic.make 0 and appended = Atomic.make 0
+  and acked = Atomic.make 0 and recover = Atomic.make 0 in
+  let tick c f x = Atomic.incr c; f x in
+  ( {
+      e with
+      Crash.inflight = tick inflight e.Crash.inflight;
+      appended = tick appended e.Crash.appended;
+      acked = tick acked e.Crash.acked;
+      recover =
+        (fun l ~keep ~tear ->
+          Atomic.incr recover;
+          e.Crash.recover l ~keep ~tear);
+    },
+    fun () -> List.map Atomic.get [ inflight; appended; acked; recover ] )
+
+let test_accounting_once_per_point () =
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun e ->
+          let e, calls = counted e in
+          match Crash.check_ctx ~ctx:(Ctx.make ~jobs ()) [ e ] with
+          | Budget.Complete (Ok { Crash.edges = [ r ]; _ }) ->
+            let what = Printf.sprintf "%s jobs %d" r.Crash.edge_name jobs in
+            Alcotest.(check (list int))
+              (what ^ ": inflight, appended, acked per point; recover per mask")
+              [ r.Crash.crash_points; r.Crash.crash_points; r.Crash.crash_points;
+                r.Crash.recoveries ]
+              (calls ())
+          | other -> Alcotest.failf "expected one certified edge, got %s" (canonical other))
+        [ Wal.crash_edge (); Durable_kv.crash_edge () ])
+    [ 1; 4 ]
+
+(* A WAL edge whose recovery fails at exactly one chosen (point, keep,
+   tear): the certifier must report that failure, in the first schedule
+   of the suite whose play reaches it, at every jobs count. *)
+let test_synthetic_failure_reported_exactly () =
+  let base = Wal.crash_edge () in
+  let ctx jobs = Ctx.make ~jobs ~strategy:(Ctx.Engine.dpor ~depth:6) () in
+  let point, keep, tear = (5, 0b11, 0b10) in
+  let edge =
+    {
+      base with
+      Crash.recover =
+        (fun l ~keep:k ~tear:t ->
+          if Log.length l = point && k = keep && t = tear then Error "injected"
+          else base.Crash.recover l ~keep:k ~tear:t);
+    }
+  in
+  (* the expected report, found by walking the suite's plays in order *)
+  let reaches (o : Game.outcome) =
+    let events = Log.chronological o.Game.log in
+    List.length events >= point
+    && base.Crash.is_crash_point (List.nth events (point - 1))
+    && List.mem (keep, tear)
+         (Crash.masks ~bound:4
+            (base.Crash.inflight
+               (Log.append_all (List.filteri (fun j _ -> j < point) events) Log.empty)))
+  in
+  let scheds = Explore.scheds_of_strategy_ctx ~ctx:(ctx 1) base.Crash.layer base.Crash.threads in
+  let first =
+    List.find_index
+      (fun sched ->
+        reaches (run_game ~max_steps:base.Crash.max_steps ~sched base.Crash.layer base.Crash.threads))
+      scheds
+  in
+  let first =
+    match first with
+    | Some k -> k
+    | None -> Alcotest.fail "no play of the suite reaches the chosen crash point"
+  in
+  check_bool "the chosen point is not in the suite's first play" true (first > 0);
+  let expected =
+    {
+      Crash.f_edge = "wal";
+      f_sched = Sched.name (List.nth scheds first);
+      f_index = point;
+      f_keep = keep;
+      f_tear = tear;
+      f_reason = "recovery failed: injected";
+    }
+  in
+  List.iter
+    (fun jobs ->
+      match Crash.check_ctx ~ctx:(ctx jobs) [ edge ] with
+      | Budget.Complete (Error f) ->
+        check_string
+          (Printf.sprintf "failure at jobs %d" jobs)
+          (Format.asprintf "%a" Crash.pp_failure expected)
+          (Format.asprintf "%a" Crash.pp_failure f)
+      | other -> Alcotest.failf "expected the injected failure, got %s" (canonical other))
+    [ 1; 4 ]
+
+(* ------------------------------------------------------------------ *)
 (* the QCheck property: recovery after a crash at every enumerated     *)
 (* point is idempotent and loses nothing past the last acked sync      *)
 (* ------------------------------------------------------------------ *)
@@ -514,5 +663,11 @@ let suite =
       test_certifier_cache_round_trip;
     tc "certifier: budget exhaustion yields a partial report"
       test_certifier_budget_exhaustion;
+    tc "judge: equal to the per-mask reference on every edge"
+      test_judge_matches_per_mask_reference;
+    tc "judge: accounting once per crash point, recovery once per mask"
+      test_accounting_once_per_point;
+    tc "judge: a chosen recovery failure is the one reported, jobs 1 and 4"
+      test_synthetic_failure_reported_exactly;
     prop_recovery_idempotent_and_lossless;
   ]

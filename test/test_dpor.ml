@@ -564,6 +564,21 @@ let test_considered_counts_pseudo_threads () =
   check_int "pruned + run = considered" s.V.Dpor.schedules_considered
     (s.V.Dpor.schedules_pruned + s.V.Dpor.schedules_run)
 
+(* A game with no threads: the walk plays the one empty game, and the
+   oracle's empty alphabet has exactly that one (empty) trace. *)
+let test_threadless_game_agrees () =
+  let layer = Lock_intf.layer "Llock" in
+  check_int "one exhaustive prefix over no tids" 1
+    (List.length (V.Explore.exhaustive_scheds ~tids:[] ~depth:5));
+  let r = explore_with ~engine:(E.dpor ~depth:5) layer [] 5 in
+  let o = oracle ~sym:false layer [] 5 r in
+  let s = r.V.Dpor.stats in
+  check_int "one run" 1 s.V.Dpor.schedules_run;
+  check_int "considered = oracle runs" o.V.Explore.runs
+    s.V.Dpor.schedules_considered;
+  check_int "one exhaustive run" 1 o.V.Explore.runs;
+  check_bool "log sets agree" true o.V.Explore.agree
+
 (* ---- saturation ---- *)
 
 let test_considered_saturates () =
@@ -774,6 +789,7 @@ let suite =
     tc "dpor:8,sym pins ticket 4t depth 8 (1,550 runs)"
       test_sym_ticket_4t_depth8;
     tc "schedules_considered saturates at max_int" test_considered_saturates;
+    tc "oracle: a threadless game agrees" test_threadless_game_agrees;
     tc "schedules_considered counts the TSO flushers"
       test_considered_counts_pseudo_threads;
     prop_canonical_matches_definition;

@@ -132,6 +132,44 @@ let test_words_per_move () =
         true (words <= bound))
     Moves.games
 
+(* ---- replay work of the crash certifier (DESIGN.md S30, S32) ----
+
+   Like allocation, the events the replay folds step are a deterministic
+   count: the certify-corpus crash run (threads 3, dpor:10) steps at most
+   the figure recorded when its prefix walk became one replay scope, and
+   the same number at jobs 1 and 4. *)
+let crash_events_folded_bound = 138_549
+
+let test_crash_events_folded () =
+  let folded jobs =
+    Probe.reset ();
+    Probe.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Probe.disable ();
+        Probe.reset ())
+      (fun () ->
+        let ctx =
+          Ctx.make ~jobs ~strategy:(Ctx.Engine.dpor ~depth:10) ()
+        in
+        (match
+           Crash.check_ctx ~ctx
+             [ Ccal_disk.Wal.crash_edge ~threads:3 ();
+               Ccal_disk.Durable_kv.crash_edge ~threads:3 () ]
+         with
+        | Budget.Complete (Ok _) -> ()
+        | _ -> Alcotest.fail "the crash edges must certify");
+        Probe.get "replay.events_folded")
+  in
+  let j1 = folded 1 and j4 = folded 4 in
+  Printf.printf "perf-gate: crash threads 3 dpor:10 folds %d events (bound %d)\n%!"
+    j1 crash_events_folded_bound;
+  check_int "events folded at jobs 4 = jobs 1" j1 j4;
+  check_bool
+    (Printf.sprintf "%d events folded <= %d" j1 crash_events_folded_bound)
+    true
+    (j1 <= crash_events_folded_bound)
+
 (* ---- recommended_domains is a measurement, not a core count ---- *)
 
 let test_recommend_domains () =
@@ -156,4 +194,6 @@ let suite =
       test_recommend_domains;
     tc "minor words per move within 5% of the recorded figures"
       test_words_per_move;
+    tc "crash certifier replay folds within the recorded bound"
+      test_crash_events_folded;
   ]
