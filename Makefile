@@ -11,7 +11,7 @@ test:
 # Regression guard: the suite must never silently shrink — a dune or
 # module-wiring mistake can drop a whole test file from the runner while
 # everything still "passes".  Bump the floor when tests are added.
-TEST_COUNT_FLOOR := 507
+TEST_COUNT_FLOOR := 508
 
 check-test-count:
 	@out=$$(dune runtest --force 2>&1); status=$$?; \
@@ -26,9 +26,10 @@ check-test-count:
 	fi
 
 # Size guard: the library must not grow back.  The ceiling is the line
-# count of lib/ after the crash judge moved its accounting out of the
-# mask loop (DESIGN.md S30); lower it when a change shrinks lib/.
-LIB_SIZE_CEILING := 16150
+# count of lib/ after the DPOR walk became one sequential DFS and the
+# ticket and MCS locks came to share one Llock certification recipe;
+# lower it when a change shrinks lib/.
+LIB_SIZE_CEILING := 15965
 
 check-lib-size:
 	@lines=$$(cat lib/*/*.ml lib/*/*.mli | wc -l); \
@@ -126,7 +127,7 @@ check-kv: build
 	  echo "check-kv: REGRESSION - jobs 4 report differs from jobs 1"; exit 1; }; \
 	echo "check-kv: OK (jobs 4 report identical to jobs 1)"
 
-# The robustness gate (DESIGN.md S27).  Three legs:
+# The robustness gate (DESIGN.md S27).  Four legs:
 #   1. the adversarial rwlock spin suite livelocks under the trace-prefix
 #      schedulers; a 2s wall-clock budget must turn that into a clean
 #      exit 0 with an Exhausted report naming the unfinished edge;
@@ -136,7 +137,10 @@ check-kv: build
 #      fault-free one;
 #   3. a 100-step budget is deterministic: the 64 Thm 3.1 games of
 #      exhaustive:6 are charged their steps, so at jobs 1 and 4 the run
-#      exits 0 naming the first edge as the frontier.
+#      exits 0 naming the first edge as the frontier;
+#   4. out-of-range budget and depth values (NaN, infinite or negative
+#      milliseconds, negative steps or depth) exit 2 with a message naming
+#      the flag, instead of being clamped to an instantly exhausted run.
 check-robust: build
 	@out=$$($(CCAL_BIN) stack --livelock --budget-ms 2000); status=$$?; \
 	if [ $$status -ne 0 ]; then \
@@ -158,6 +162,16 @@ check-robust: build
 	    echo "check-robust: REGRESSION - jobs $$j step-budget frontier is not the Thm 3.1 edge"; exit 1; }; \
 	done; \
 	echo "check-robust: OK (100-step budget stops in the Thm 3.1 edge at jobs 1 and 4)"
+	@for a in "stack --budget-ms nan" "stack --budget-ms inf" "stack --budget-ms=-5" \
+	  "stack --budget-steps=-1" "explore lock --depth=-1"; do \
+	  $(CCAL_BIN) $$a > /dev/null 2> _build/robust-range.txt; status=$$?; \
+	  flag=$$(echo "$$a" | grep -Eo -- '--[a-z-]+'); \
+	  if [ $$status -ne 2 ]; then \
+	    echo "check-robust: REGRESSION - $$a exited $$status, expected 2"; exit 1; fi; \
+	  grep -q -- "^$$flag .*: expected a" _build/robust-range.txt || { \
+	    echo "check-robust: REGRESSION - $$a does not name $$flag"; exit 1; }; \
+	done; \
+	echo "check-robust: OK (out-of-range --budget-ms, --budget-steps and --depth exit 2 naming the flag)"
 
 # The memory-model gate (DESIGN.md S29).  Three legs:
 #   1. the litmus conformance suite: every reachable-outcome set must
@@ -235,9 +249,9 @@ check-crash: build
 #      dpor:8,sym completes inside it — and the same separation on the
 #      symmetric kv game at a 1.5k-step budget;
 #   2. invariance: the kv-sym verdict lines under dpor:8,sym are
-#      byte-identical across CCAL_JOBS {1,4} (the symmetric walk splits
-#      its frontier at jobs 4) and cache cold/warm (only the cache-stats
-#      trailer may differ).
+#      byte-identical across CCAL_JOBS {1,4} (the replay of the symmetric
+#      walk's prefixes runs on the pool at jobs 4) and cache cold/warm
+#      (only the cache-stats trailer may differ).
 #   3. soundness: on the lock game (3 threads, depth 5) dpor:5,sym must
 #      agree with the exhaustive oracle — by inclusion, since the walk
 #      keeps one log per symmetry orbit.

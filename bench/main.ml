@@ -172,9 +172,9 @@ let tab2_row obj paper_src fns spec certify =
 let tab2_rows () =
   [
     tab2_row "Ticket lock" 74 [ Ticket_lock.acq_fn; Ticket_lock.rel_fn ] 5
-      (fun () -> Ticket_lock.certify ~focus:[ 1; 2 ] ());
+      (fun () -> Lock_intf.certify Ticket_lock.impl ~focus:[ 1; 2 ] ());
     tab2_row "MCS lock" 287 [ Mcs_lock.acq_fn; Mcs_lock.rel_fn ] 5
-      (fun () -> Mcs_lock.certify ~focus:[ 1; 2 ] ());
+      (fun () -> Lock_intf.certify Mcs_lock.impl ~focus:[ 1; 2 ] ());
     tab2_row "Local queue" 377
       [ Queue_local.enq_fn; Queue_local.deq_fn; Queue_local.qlen_fn ] 3
       (fun () -> Queue_local.certify ());
@@ -957,8 +957,10 @@ let run_tso () =
         "conforms", B (V.Litmus.ok sc && V.Litmus.ok tso); "ms", T time ]
   in
   [
-    cert "Ticket lock" (fun memory -> Ticket_lock.certify ~memory ~focus:[ 1; 2 ] ());
-    cert "MCS lock" (fun memory -> Mcs_lock.certify ~memory ~focus:[ 1; 2 ] ());
+    cert "Ticket lock" (fun memory ->
+        Lock_intf.certify Ticket_lock.impl ~memory ~focus:[ 1; 2 ] ());
+    cert "MCS lock" (fun memory ->
+        Lock_intf.certify Mcs_lock.impl ~memory ~focus:[ 1; 2 ] ());
     cert "Queue stack" (fun memory -> Queue_shared.full_stack_certify ~memory ());
   ]
   @ List.map litmus Ccal_machine.Litmus.tests
@@ -1081,9 +1083,10 @@ let make_tests (ghost_layer, ghost_m, clean_layer, clean_m) =
       (* tab2: certification cost per object *)
       Test.make ~name:"tab2/ticket-certify"
         (Staged.stage (fun () ->
-             ignore (Ticket_lock.certify ~focus:[ 1 ] ())));
+             ignore (Lock_intf.certify Ticket_lock.impl ~focus:[ 1 ] ())));
       Test.make ~name:"tab2/mcs-certify"
-        (Staged.stage (fun () -> ignore (Mcs_lock.certify ~focus:[ 1 ] ())));
+        (Staged.stage (fun () ->
+             ignore (Lock_intf.certify Mcs_lock.impl ~focus:[ 1 ] ())));
       Test.make ~name:"tab2/local-queue-certify"
         (Staged.stage (fun () -> ignore (Queue_local.certify ())));
       Test.make ~name:"tab2/shared-queue-certify"
@@ -1101,7 +1104,7 @@ let make_tests (ghost_layer, ghost_m, clean_layer, clean_m) =
       (* fig5: the ticket-lock pipeline incl. soundness *)
       Test.make ~name:"fig5_pipeline/certify+soundness"
         (Staged.stage (fun () ->
-             match Ticket_lock.certify ~focus:[ 1; 2 ] () with
+             match Lock_intf.certify Ticket_lock.impl ~focus:[ 1; 2 ] () with
              | Error _ -> ()
              | Ok cert ->
                ignore

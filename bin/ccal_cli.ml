@@ -37,16 +37,27 @@ let jobs_arg =
                  wall-clock only.")
 
 (* A count flag ([--jobs], [--threads], [--shards], [--entries],
-   [--crashes], [--seeds]) below [min] is rejected by name, exit 2,
-   before any checker runs: a zero shard count divides by zero, a
-   negative count breaks [List.init], and zero client threads certify
-   vacuously. *)
+   [--crashes], [--seeds], [--depth], [--budget-steps]) below [min] is
+   rejected by name, exit 2, before any checker runs: a zero shard count
+   divides by zero, a negative count breaks [List.init], zero client
+   threads certify vacuously, and a negative depth or budget would
+   otherwise be clamped to an instantly finished run. *)
 let resolve_count ?(min = 1) flag n =
   if n >= min then Ok n
   else
     Error
       (Printf.sprintf "%s %d: expected a %s integer" flag n
          (if min > 0 then "positive" else "non-negative"))
+
+(* [--budget-ms] must be a finite non-negative number: NaN, infinity and
+   negatives are rejected by name rather than clamped to a budget that
+   is exhausted at 0 ms. *)
+let resolve_ms ms =
+  if Float.is_finite ms && ms >= 0. then Ok ms
+  else
+    Error
+      (Printf.sprintf "--budget-ms %g: expected a finite non-negative number"
+         ms)
 
 let resolve_jobs = function
   | Some n -> resolve_count "--jobs" n
@@ -198,6 +209,14 @@ let common_of jobs strategy memory use_cache cache_dir budget_ms budget_steps
     inject stats trace =
   let ( let* ) = Result.bind in
   let* jobs = resolve_jobs jobs in
+  let resolve_opt f = function
+    | None -> Ok None
+    | Some v -> Result.map Option.some (f v)
+  in
+  let* budget_ms = resolve_opt resolve_ms budget_ms in
+  let* budget_steps =
+    resolve_opt (resolve_count ~min:0 "--budget-steps") budget_steps
+  in
   let* strategy = strategy_of_string strategy in
   let* memory = memory_of_string memory in
   let* cache =
@@ -409,8 +428,8 @@ let verify_one name =
       false
   in
   match name with
-  | "ticket" -> show (Ticket_lock.certify ~focus:[ 1; 2 ] ())
-  | "mcs" -> show (Mcs_lock.certify ~focus:[ 1; 2 ] ())
+  | "ticket" -> show (Lock_intf.certify Ticket_lock.impl ~focus:[ 1; 2 ] ())
+  | "mcs" -> show (Lock_intf.certify Mcs_lock.impl ~focus:[ 1; 2 ] ())
   | "local-queue" -> show (Queue_local.certify ())
   | "shared-queue" -> show (Queue_shared.certify ())
   | "queue-stack" -> show (Queue_shared.full_stack_certify ())
@@ -490,7 +509,9 @@ let pipeline_cmd =
     with_common common ~counts:[ resolve_count ~min:0 "--seeds" seeds ]
     @@ fun c ctx ->
     let module V = Ccal_verify in
-    (match Ticket_lock.certify ~memory:c.memory ~focus:[ 1; 2 ] () with
+    (match
+       Lock_intf.certify Ticket_lock.impl ~memory:c.memory ~focus:[ 1; 2 ] ()
+     with
       | Error e ->
         Format.eprintf "%a@." Calculus.pp_error e;
         1
@@ -608,7 +629,12 @@ let explore_game name nthreads memory =
 let explore_cmd =
   let run common obj nthreads depth mode no_oracle =
     (* No threads is a game: the one empty play, on both sides. *)
-    with_common common ~counts:[ resolve_count ~min:0 "--threads" nthreads ]
+    with_common common
+      ~counts:
+        [
+          resolve_count ~min:0 "--threads" nthreads;
+          resolve_count ~min:0 "--depth" depth;
+        ]
     @@ fun c ctx ->
     let module V = Ccal_verify in
     let module Engine = V.Ctx.Engine in

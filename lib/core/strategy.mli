@@ -53,7 +53,7 @@ val pp_step_result : Format.formatter -> step_result -> unit
 module Engine : sig
   type algo =
     | Exhaustive  (** all [|tids|^depth] prefixes — the oracle *)
-    | Dpor  (** sleep-set DPOR; frontier-parallel walk — the default *)
+    | Dpor  (** sleep-set DPOR; one sequential DFS walk — the default *)
     | Random  (** [depth] seeded random schedulers *)
 
   type t = {

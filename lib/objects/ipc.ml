@@ -74,20 +74,13 @@ let recv_prim =
                 crit = Layer.Keep;
               })) )
 
-let noop_event_prim tag =
-  ( tag,
-    Layer.Shared
-      (fun t _args _log ->
-        Layer.Step
-          { events = [ Event.make t tag ]; ret = Value.unit; crit = Layer.Keep }) )
-
 let overlay ?bound:_ () =
   Layer.make "Lipc"
     [
       send_prim;
       recv_prim;
-      noop_event_prim T.yield_tag;
-      noop_event_prim T.exit_tag;
+      T.noop_event_prim T.yield_tag;
+      T.noop_event_prim T.exit_tag;
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -274,15 +267,12 @@ let env_suite ~placement () : Calculus.env_suite =
            rivals)
        [ 1; 2 ]
 
-let default_placement focus rivals =
-  List.map (fun t -> t, t) (List.sort_uniq Stdlib.compare (focus @ rivals))
-
 let certify ?max_moves ?placement ?(focus = [ 1; 2 ]) () =
   let rivals = [ 9 ] in
   let placement =
     match placement with
     | Some p -> p
-    | None -> default_placement focus rivals
+    | None -> T.default_placement focus rivals
   in
   Calculus.fun_rule ?max_moves ~underlay:(underlay ~placement ())
     ~overlay:(overlay ()) ~impl:(c_module ()) ~rel:r_ipc ~focus

@@ -131,95 +131,4 @@ let r_mcs =
       P.push_tag, `To Lock_intf.rel_tag;
     ]
 
-let prim_tests ?(locks = [ 0 ]) ?(values = [ 7 ]) () : Calculus.prim_tests =
-  let acq_cases =
-    List.concat_map
-      (fun b ->
-        Calculus.case [ Value.int b ]
-        :: List.map
-             (fun v ->
-               Calculus.case
-                 ~pre:
-                   [
-                     Lock_intf.acq_tag, [ Value.int b ];
-                     Lock_intf.rel_tag, [ Value.int b; Value.int v ];
-                   ]
-                 [ Value.int b ])
-             values)
-      locks
-  in
-  let rel_cases =
-    List.concat_map
-      (fun b ->
-        List.map
-          (fun v ->
-            Calculus.case
-              ~pre:[ Lock_intf.acq_tag, [ Value.int b ] ]
-              [ Value.int b; Value.int v ])
-          values)
-      locks
-  in
-  [ Lock_intf.acq_tag, acq_cases; Lock_intf.rel_tag, rel_cases ]
-
-let rival_prog b rounds =
-  let rec go k =
-    if k = 0 then Prog.ret_unit
-    else
-      Prog.bind (Prog.call Lock_intf.acq_tag [ Value.int b ]) (fun v ->
-          Prog.seq
-            (Prog.call Lock_intf.rel_tag [ Value.int b; v ])
-            (go (k - 1)))
-  in
-  go rounds
-
-let env_suite ?(memory = Memory.default) () : Calculus.env_suite =
- fun i ->
-  let layer = l0 ~memory () in
-  let impl = c_module () in
-  let rivals = List.filter (fun j -> j <> i) [ 9; 8 ] in
-  let rival j =
-    j, Machine.strategy_of_prog layer j (Prog.Module.link impl (rival_prog 0 1))
-  in
-  (* Under TSO the drain wrapper is load-bearing, not an option: the
-     focused CPU's own buffered [locked(me) := 1] would otherwise be
-     forwarded to its spin loop forever.  Draining at each environment
-     query point is exactly x86-TSO's guarantee that buffers flush
-     eventually, and lets the predecessor's [locked(me) := 0] handoff
-     reach memory. *)
-  let adapt env =
-    match memory with
-    | Memory.Sc -> env
-    | Memory.Tso -> Ccal_machine.Tso.with_drain env
-  in
-  List.map adapt
-    (Env_context.empty
-    :: List.concat_map
-         (fun per_query ->
-           match rivals with
-           | [] -> []
-           | [ j ] ->
-             [
-               Env_context.of_strategies
-                 (Printf.sprintf "one-rival(r%d)" per_query)
-                 [ rival j ] ~rounds:per_query;
-             ]
-           | j :: k :: _ ->
-             [
-               Env_context.of_strategies
-                 (Printf.sprintf "one-rival(r%d)" per_query)
-                 [ rival j ] ~rounds:per_query;
-               Env_context.of_strategies
-                 (Printf.sprintf "two-rivals(r%d)" per_query)
-                 [ rival j; rival k ] ~rounds:per_query;
-             ])
-         [ 1; 2 ])
-
-let certify ?max_moves ?(memory = Memory.default) ?(focus = [ 1; 2 ])
-    ?(use_asm = false) () =
-  let impl = if use_asm then asm_module () else c_module () in
-  Calculus.fun_rule ?max_moves ~underlay:(l0 ~memory ())
-    ~overlay:(overlay ())
-    ~impl
-    ~rel:(Ccal_machine.Tso.under_memory memory r_mcs)
-    ~focus ~prim_tests:(prim_tests ())
-    ~envs:(env_suite ~memory ()) ()
+let impl = { Lock_intf.l0; c_module; asm_module; rel = r_mcs }

@@ -34,24 +34,6 @@ val asm_module : unit -> Prog.Module.t
 val r_mcs : Sim_rel.t
 (** Erase the cell traffic, rename [pull ↦ acq] / [push ↦ rel]. *)
 
-val prim_tests : ?locks:int list -> ?values:int list -> unit -> Calculus.prim_tests
-
-val env_suite : ?memory:Memory.t -> unit -> Calculus.env_suite
-(** The silent context, then one and two rivals (threads 9 and 8, minus
-    the focused one) on lock 0, each answering 1 or 2 rounds per query.
-    Under [Tso] every context is wrapped with
-    {!Ccal_machine.Tso.with_drain}: the environment commits pending
-    stores at each query point.  For MCS this is load-bearing — the
-    focused CPU's own buffered [locked := 1] store would otherwise be
-    forwarded to its spin loop forever. *)
-
-val certify :
-  ?max_moves:int ->
-  ?memory:Memory.t ->
-  ?focus:Event.tid list ->
-  ?use_asm:bool ->
-  unit ->
-  (Calculus.cert, Calculus.error) result
-(** [L0[A] ⊢_{R_mcs} M_mcs : Llock[A]].  [?memory] certifies over the
-    corresponding hardware machine; under [Tso] the relation composes
-    {!Ccal_machine.Tso.drop_buffering} in front of [R_mcs]. *)
+val impl : Lock_intf.impl
+(** [L0], [M_mcs], its assembly and [R_mcs]:
+    [Lock_intf.certify impl] builds [L0[A] ⊢_{R_mcs} M_mcs : Llock[A]]. *)

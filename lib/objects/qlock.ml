@@ -70,13 +70,6 @@ let rel_q_prim =
             Layer.Stuck
               (Printf.sprintf "thread %d releases qlock %d it does not hold" t l))) )
 
-let noop_event_prim tag =
-  ( tag,
-    Layer.Shared
-      (fun t _args _log ->
-        Layer.Step
-          { events = [ Event.make t tag ]; ret = Value.unit; crit = Layer.Keep }) )
-
 let overlay ?bound () =
   let cond =
     Rg.lock_condition ?bound ~acq_tag:acq_q_tag ~rel_tag:rel_q_tag ()
@@ -85,8 +78,8 @@ let overlay ?bound () =
     [
       acq_q_prim;
       rel_q_prim;
-      noop_event_prim T.yield_tag;
-      noop_event_prim T.exit_tag;
+      T.noop_event_prim T.yield_tag;
+      T.noop_event_prim T.exit_tag;
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -284,15 +277,12 @@ let env_suite ~placement () : Calculus.env_suite =
            ])
        [ 1; 2 ]
 
-let default_placement focus rivals =
-  List.map (fun t -> t, t) (List.sort_uniq Stdlib.compare (focus @ rivals))
-
 let certify ?max_moves ?placement ?(focus = [ 1; 2 ]) ?(use_asm = false) () =
   let rivals = [ 9; 8 ] in
   let placement =
     match placement with
     | Some p -> p
-    | None -> default_placement focus rivals
+    | None -> T.default_placement focus rivals
   in
   let impl = if use_asm then asm_module () else c_module () in
   Calculus.fun_rule ?max_moves ~underlay:(underlay ~placement ())

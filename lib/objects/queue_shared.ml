@@ -225,8 +225,8 @@ let full_stack_certify ?max_moves ?(memory = Memory.default) ?(focus = [ 1; 2 ])
       ~impl:(Ticket_lock.c_module ())
       ~rel:(Ccal_machine.Tso.under_memory memory Ticket_lock.r_ticket)
       ~focus
-      ~prim_tests:(Ticket_lock.prim_tests ())
-      ~envs:(Ticket_lock.env_suite ~memory ()) ()
+      ~prim_tests:(Lock_intf.prim_tests ())
+      ~envs:(Lock_intf.env_suite Ticket_lock.impl ~memory ()) ()
   in
   match lock_cert with
   | Error _ as e -> e

@@ -238,6 +238,19 @@ let mt_layer placement base =
         get_tid_prim;
       ])
 
+(* The atomic overlays above the scheduler log [yield] and [texit] as
+   plain events, and place each thread on its own CPU unless told
+   otherwise. *)
+let noop_event_prim tag =
+  ( tag,
+    Layer.Shared
+      (fun t _args _log ->
+        Layer.Step
+          { events = [ Event.make t tag ]; ret = Value.unit; crit = Layer.Keep }) )
+
+let default_placement focus rivals =
+  List.map (fun t -> t, t) (List.sort_uniq Stdlib.compare (focus @ rivals))
+
 (* ------------------------------------------------------------------ *)
 (* Multithreaded linking (Thm 5.1)                                     *)
 (* ------------------------------------------------------------------ *)

@@ -67,6 +67,15 @@ val sleepers : placement -> int -> Log.t -> Event.tid list
 val mt_layer : placement -> Layer.t -> Layer.t
 (** The multithreaded interface [L[c][T]] over a base interface. *)
 
+val noop_event_prim : string -> string * Layer.prim
+(** A shared primitive that logs one event of the given tag and returns
+    unit: how the atomic overlays above the scheduler ([Lqlock], [Lipc])
+    expose [yield] and [texit]. *)
+
+val default_placement : Event.tid list -> Event.tid list -> placement
+(** [default_placement focus rivals] puts every thread of [focus] and
+    [rivals] on the CPU numbered after it. *)
+
 val turn_consistent : placement -> Log.t -> bool
 (** Every event of the log was produced by a thread that was running on
     its CPU at that point — the key invariant behind the multithreaded

@@ -13,8 +13,8 @@
     The module exports the full verification pipeline of Fig. 5:
     the C code, its compiled assembly, the simulation relation [R_ticket]
     erasing ticket traffic and renaming [pull]/[push] to [acq]/[rel], the
-    certified-layer builder, and the low-level specification strategies
-    [φ'_acq]/[φ'_rel] of Sec. 2. *)
+    {!impl} the certified-layer builder {!Lock_intf.certify} takes, and
+    the low-level specification strategies [φ'_acq]/[φ'_rel] of Sec. 2. *)
 
 open Ccal_core
 
@@ -65,25 +65,6 @@ val phi_acq_low : Event.tid -> int -> Strategy.t
 val phi_rel_low : Event.tid -> int -> Value.t -> Strategy.t
 (** [φ'_rel[i]]: push the value, then [inc_n]. *)
 
-val prim_tests : ?locks:int list -> ?values:int list -> unit -> Calculus.prim_tests
-(** Default argument vectors for the [Fun]-rule obligations. *)
-
-val env_suite : ?memory:Memory.t -> unit -> Calculus.env_suite
-(** Environment suites whose participants run real acquire/release rounds
-    of this very implementation over [L0] (so all environment events carry
-    replay-consistent return values): the silent context, then one and
-    two rivals (threads 9 and 8, minus the focused one) on lock 0, each
-    answering 1 or 2 rounds per query.  Under [Tso] every context is
-    wrapped with {!Ccal_machine.Tso.with_drain}. *)
-
-val certify :
-  ?max_moves:int ->
-  ?memory:Memory.t ->
-  ?focus:Event.tid list ->
-  ?use_asm:bool ->
-  unit ->
-  (Calculus.cert, Calculus.error) result
-(** Build the certificate [L0[A] ⊢_{R_ticket} M1 : Llock[A]] via the [Fun]
-    rule (C semantics by default, compiled assembly when [use_asm]).
-    [?memory] certifies over the corresponding hardware machine; the
-    relation composes {!Ccal_machine.Tso.drop_buffering} under [Tso]. *)
+val impl : Lock_intf.impl
+(** [L0], [M1], [CompCertX(M1)] and [R_ticket]:
+    [Lock_intf.certify impl] builds [L0[A] ⊢_{R_ticket} M1 : Llock[A]]. *)

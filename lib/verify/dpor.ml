@@ -165,9 +165,7 @@ let add_event_ints acc (e : Event.t) =
 (* A DFS node.  Thread states are immutable, so this is a complete,
    self-contained description of a subtree root: a child's sleep set
    depends only on its parent's sleep set and its earlier siblings' moves,
-   and its symmetry decisions only on its own prefix and log integers, all
-   known before descending, which is what makes subtrees independent and
-   the frontier-parallel walk below possible. *)
+   and its symmetry decisions only on its own prefix and log integers. *)
 type node = {
   slots : (Event.tid * Machine.thread_state) list;
   log : Log.t;
@@ -176,18 +174,6 @@ type node = {
   log_ints : Iset.t;  (** the log's integers; stays empty unless [sym] *)
   sleep : (Event.tid * move) list;
 }
-
-(* The frontier of a partially-expanded DFS, in pre-order: leaves already
-   pinned interleave with unexpanded subtree roots. *)
-type fringe_item = Leaf of Event.tid list | Subtree of node
-
-let no_prunes = { Engine.sleep_prunes = 0; sym_prunes = 0 }
-
-let add_prunes (a : Engine.walk_stats) (b : Engine.walk_stats) =
-  {
-    Engine.sleep_prunes = a.sleep_prunes + b.sleep_prunes;
-    sym_prunes = a.sym_prunes + b.sym_prunes;
-  }
 
 (* Cache key of an engine walk: the engine descriptor plus the game
    identity and every knob that shapes the walk.  The walk has no
@@ -229,12 +215,9 @@ let suite_key ~engine ~independence ~memory ~depth layer threads =
    preserved only up to renaming.  With [sym] off the walk computes no
    classes and collects no log integers.
 
-   With [jobs > 1] the root is expanded level-synchronously until the
-   frontier holds enough subtrees to feed the pool; subtrees then run
-   sequential DFS on separate domains and their results are concatenated
-   in fringe order.  Pre-order is preserved at every stage, so the prefix
-   list (and the prune counts, sums) is identical for every jobs count. *)
-let prefixes_with_prunes_live ?(independence = Exact) ?jobs
+   Each leaf is recorded as the DFS reaches it, so the prefixes come out
+   in DFS pre-order. *)
+let prefixes_with_prunes_live ?(independence = Exact)
     ?(memory = Memory.default) ~sym ~depth layer threads =
   (* Pseudo-threads (TSO flushers, the crash thread of a crash-enabled
      layer) are part of the schedule space: the DFS explores their moves
@@ -295,78 +278,49 @@ let prefixes_with_prunes_live ?(independence = Exact) ?jobs
       (reps := c :: !reps;
        false)
   in
-  (* One level of expansion: the node's children (and immediate leaves) in
-     sibling order, plus the sleep-set and symmetry prunes taken at this
-     node. *)
-  let expand n =
-    if n.step >= depth || n.slots = [] then
-      [ Leaf (List.rev n.rev_prefix) ], 0, 0
-    else
-      match classify n.slots n.log with
-      | [] -> [ Leaf (List.rev n.rev_prefix) ], 0, 0 (* deadlock: all blocked *)
-      | enabled ->
-        let prunes = ref 0 in
-        let sym_prunes = ref 0 in
-        let reps = ref [] in
-        let explored = ref [] in
-        let items = ref [] in
-        List.iter
-          (fun (i, m) ->
-            if List.exists (fun (j, _) -> j = i) n.sleep then incr prunes
-            else if sym && symmetric n reps i m then incr sym_prunes
-            else (
-              (match m with
-              | Halt -> items := Leaf (List.rev (i :: n.rev_prefix)) :: !items
-              | Fin | Step _ ->
-                let sleep' =
-                  List.filter
-                    (fun (_, m') -> independent_moves independence m' m)
-                    (n.sleep @ List.rev !explored)
-                in
-                let slots', log' = apply n.slots n.log i m in
-                let log_ints =
-                  match m with
+  let recorded = ref [] in
+  let prunes = ref 0 in
+  let sym_prunes = ref 0 in
+  let leaf rev_prefix = recorded := List.rev rev_prefix :: !recorded in
+  let rec go n =
+    match if n.step >= depth then [] else classify n.slots n.log with
+    | [] -> leaf n.rev_prefix (* the depth bound, the end, or deadlock *)
+    | enabled ->
+      let reps = ref [] in
+      let visit explored (i, m) =
+        if List.exists (fun (j, _) -> j = i) n.sleep then (
+          incr prunes;
+          explored)
+        else if sym && symmetric n reps i m then (
+          incr sym_prunes;
+          explored)
+        else begin
+          (match m with
+          | Halt -> leaf (i :: n.rev_prefix)
+          | Fin | Step _ ->
+            let slots, log = apply n.slots n.log i m in
+            go
+              {
+                slots;
+                log;
+                step = n.step + 1;
+                rev_prefix = i :: n.rev_prefix;
+                log_ints =
+                  (match m with
                   | Step (evs, _, _) when sym ->
                     List.fold_left add_event_ints n.log_ints evs
-                  | Fin | Step _ | Halt -> n.log_ints
-                in
-                items :=
-                  Subtree
-                    {
-                      slots = slots';
-                      log = log';
-                      step = n.step + 1;
-                      rev_prefix = i :: n.rev_prefix;
-                      log_ints;
-                      sleep = sleep';
-                    }
-                  :: !items);
-              explored := (i, m) :: !explored))
-          enabled;
-        List.rev !items, !prunes, !sym_prunes
+                  | Fin | Step _ | Halt -> n.log_ints);
+                sleep =
+                  List.filter
+                    (fun (_, m') -> independent_moves independence m' m)
+                    (n.sleep @ List.rev explored);
+              });
+          (i, m) :: explored
+        end
+      in
+      ignore (List.fold_left visit [] enabled)
   in
-  (* Sequential DFS of a whole subtree, expressed through [expand] so the
-     sequential and the split walk run literally the same transition
-     code. *)
-  let dfs_from root =
-    let recorded = ref [] in
-    let prunes = ref 0 in
-    let sym_prunes = ref 0 in
-    let rec go n =
-      let items, p, s = expand n in
-      prunes := !prunes + p;
-      sym_prunes := !sym_prunes + s;
-      List.iter
-        (function
-          | Leaf prefix -> recorded := prefix :: !recorded
-          | Subtree n' -> go n')
-        items
-    in
-    go root;
-    ( List.rev !recorded,
-      { Engine.sleep_prunes = !prunes; sym_prunes = !sym_prunes } )
-  in
-  let root =
+  go
     {
       slots = List.map (fun (i, p) -> i, Machine.initial layer i p) threads;
       log = Log.empty;
@@ -374,64 +328,18 @@ let prefixes_with_prunes_live ?(independence = Exact) ?jobs
       rev_prefix = [];
       log_ints = Iset.empty;
       sleep = [];
-    }
-  in
-  let jobs = match jobs with Some j -> max 1 j | None -> 1 in
-  if jobs <= 1 then dfs_from root
-  else begin
-    (* Grow the frontier breadth-first until it can feed the pool.  Each
-       round replaces every subtree root by its expansion, in place, so
-       fringe order stays pre-order.
-
-       The split depth is calibrated, not fixed: each round descends one
-       level, and growth stops at the shallowest depth whose frontier
-       holds [jobs * 8] subtrees — enough outstanding subtrees that an
-       uneven one (sleep sets prune subtrees very unevenly) can be
-       absorbed by work stealing, while keeping each subtree a full
-       domain-local DFS: sleep sets never cross a domain boundary, and
-       no two domains ever touch the same prefix. *)
-    let target = jobs * 8 in
-    let count_subtrees fringe =
-      List.length
-        (List.filter (function Subtree _ -> true | Leaf _ -> false) fringe)
-    in
-    let rec grow fringe prunes rounds =
-      let subtrees = count_subtrees fringe in
-      if subtrees = 0 || subtrees >= target || rounds <= 0 then fringe, prunes
-      else
-        let prunes = ref prunes in
-        let fringe' =
-          List.concat_map
-            (function
-              | Leaf _ as l -> [ l ]
-              | Subtree n ->
-                let items, p, s = expand n in
-                prunes :=
-                  add_prunes !prunes
-                    { Engine.sleep_prunes = p; sym_prunes = s };
-                items)
-            fringe
-        in
-        grow fringe' !prunes (rounds - 1)
-    in
-    let fringe, grow_prunes = grow [ Subtree root ] no_prunes (depth + 1) in
-    let parts =
-      Parallel.map ~jobs
-        (function Leaf p -> [ p ], no_prunes | Subtree n -> dfs_from n)
-        fringe
-    in
-    ( List.concat_map fst parts,
-      List.fold_left (fun acc (_, p) -> add_prunes acc p) grow_prunes parts )
-  end
+    };
+  ( List.rev !recorded,
+    { Engine.sleep_prunes = !prunes; sym_prunes = !sym_prunes } )
 
 (* The walk behind every [dpor] suite, memoized in [cache] (kind
    ["engine"]) under {!suite_key}. *)
-let walk ?(independence = Exact) ?jobs ?cache
+let walk ?(independence = Exact) ?cache
     ?(memory = Memory.default) ~engine ~depth layer threads =
   if (engine : Engine.t).algo <> Engine.Dpor then
     invalid_arg ("Dpor.walk: not a DPOR engine: " ^ Engine.to_string engine);
   let body () =
-    prefixes_with_prunes_live ~independence ?jobs ~memory
+    prefixes_with_prunes_live ~independence ~memory
       ~sym:engine.Engine.sym ~depth layer threads
   in
   match cache with
@@ -488,9 +396,8 @@ let explore_ctx ~ctx ?(independence = Exact) ?engine
   in
   let prefixes, walk_stats =
     Probe.span "dpor.prefixes" (fun () ->
-        walk ~independence ?jobs:(Ctx.jobs_opt ctx)
-          ?cache:ctx.Ctx.cache ~memory:ctx.Ctx.memory ~engine ~depth layer
-          threads)
+        walk ~independence ?cache:ctx.Ctx.cache ~memory:ctx.Ctx.memory
+          ~engine ~depth layer threads)
   in
   (* Each leaf is canonicalised where it is replayed, so under [jobs > 1]
      the canonical forms are computed on the pool too. *)

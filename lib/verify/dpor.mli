@@ -8,8 +8,8 @@
     sleep-set DPOR: once a move's subtree is explored, its commuting
     reorderings are pruned from sibling subtrees.  The engine's [sym]
     flag ({!Ccal_core.Strategy.Engine}) adds symmetry reduction across
-    identical fresh threads.  With or without it, the walk splits its
-    DFS frontier over the domain pool.
+    identical fresh threads.  The walk is one sequential DFS; the replay
+    of its prefixes runs on the domain pool ({!Parallel.games}).
 
     Each surviving branch is a scheduling prefix; running it back through
     {!Ccal_core.Game.run} (via {!Ccal_core.Sched.of_trace}) reproduces the
@@ -76,7 +76,6 @@ val canonical_log : Log.t -> Log.t
 
 val walk :
   ?independence:independence ->
-  ?jobs:int ->
   ?cache:Cache.t ->
   ?memory:Memory.t ->
   engine:Engine.t ->
@@ -85,7 +84,7 @@ val walk :
   (Event.tid * Prog.t) list ->
   Event.tid list list * Engine.walk_stats
 (** The walk only (no replay): the surviving prefixes in DFS pre-order
-    plus the prune counters, identical for every [jobs] count.
+    plus the prune counters.
     [engine] must be a [dpor] descriptor ([Invalid_argument]
     otherwise); [engine.depth] is ignored in favour of [depth].
     [cache] memoizes the result (kind ["engine"]) under a key built from
@@ -103,9 +102,8 @@ val explore_ctx :
     (default: the context's strategy when it is [dpor], else
     {!Engine.default}; [engine.depth] is ignored in favour of [depth]),
     then replay every surviving prefix.  [independence] defaults to
-    {!Exact}.  [ctx.jobs] parallelises the DFS (the frontier splits into
-    independent subtrees, with or without [sym]) and the replay phase —
-    prefixes, outcomes, and stats are identical for every jobs count.
+    {!Exact}.  [ctx.jobs] parallelises the replay phase; prefixes,
+    outcomes, and stats are identical for every jobs count.
     [ctx.cache] memoizes the walk as {!walk} does; the replay phase
     always runs live, so failures reproduce from the real game.  Under
     [Commuting_events] each leaf log is canonicalised where it is

@@ -26,8 +26,8 @@ let suite ~ctx (engine : Engine.t) layer threads =
   match engine.Engine.algo with
   | Engine.Dpor ->
     let prefixes, _ =
-      Dpor.walk ?jobs:(Ctx.jobs_opt ctx) ?cache:ctx.Ctx.cache
-        ~memory:ctx.Ctx.memory ~engine ~depth layer threads
+      Dpor.walk ?cache:ctx.Ctx.cache ~memory:ctx.Ctx.memory ~engine ~depth
+        layer threads
     in
     (* [dpor] and [dpor,sym] share the "dpor" tag: identical prefixes
        share verdict cache entries, sound because the games are identical. *)

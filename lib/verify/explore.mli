@@ -37,7 +37,7 @@ val scheds_of_strategy_ctx :
   Sched.t list
 (** The suite [ctx.strategy] selects, in the form the checkers consume:
     [dpor] prefixes from {!Dpor.walk} (memoized in [ctx.cache] under kind
-    ["engine"], jobs-parallel walk), every [exhaustive] prefix over the
+    ["engine"], one sequential walk), every [exhaustive] prefix over the
     real and pseudo threads (never cached), or [random] seeded
     schedulers.  Prefix suites become trace schedulers with
     content-bearing names ([tag:[t0,t1,…]]); the [dpor] walk needs the

@@ -9,8 +9,8 @@
    would, bit for bit, regardless of completion order — the reported
    failure is always the one from the lowest-indexed job, and chunks
    wholly above a pinned cut are cancelled instead of evaluated.
-   {!games} plays every checker's suite on it, and {!map} is that scan
-   with no cut and an unlimited token.
+   {!games} plays every checker's suite on it; the DPOR walk itself is
+   one sequential DFS and never reaches the pool.
 
    Design notes:
 
@@ -535,12 +535,3 @@ let games ~ctx ?max_steps ?log_switches ?(cut = fun _ -> false)
   if scan.ran_out then
     Budget.Exhausted { spent = Budget.spent ctx.Ctx.token; partial = scan.prefix }
   else Budget.Complete scan.prefix
-
-(* The DPOR frontier walk is unbudgeted by design: the one scan, with no
-   cut and a token that never trips. *)
-let map ?jobs f xs =
-  (budgeted_scan ?jobs ~token:Budget.no_token
-     ~cut:(fun _ -> false)
-     (fun ~stop:_ x -> Some (0, f x))
-     xs)
-    .prefix

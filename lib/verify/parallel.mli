@@ -9,9 +9,10 @@
     the sequential scan: parallelism changes wall-clock only, never a
     certificate judgment.
 
-    There is one scan, {!budgeted_scan}: {!games} plays every checker's
-    schedule suite on it under the run's {!Budget.token}, and {!map} is
-    the same scan with no cut and {!Budget.no_token}.  Pools are cached
+    There is one scan, {!budgeted_scan}, and it serves one caller:
+    {!games} plays every checker's schedule suite on it under the run's
+    {!Budget.token}.  The DPOR walk that produces the [dpor] suites is
+    one sequential DFS and never reaches the pool.  Pools are cached
     by size and reused across calls; worker domains sleep between
     batches and are joined by an [at_exit] hook.  The submitting domain
     always participates, so [~jobs:n] means [n] runners on [n - 1]
@@ -23,12 +24,6 @@ val default_jobs : unit -> (int, string) result
     [Domain.recommended_domain_count ()]; an empty value counts as unset.
     A value that is not a positive integer is an [Error] naming it.  What
     the CLI uses when no [--jobs] is given. *)
-
-val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f xs] is [List.map f xs], evaluated across [min jobs
-    (length xs)] domains: {!budgeted_scan} with no cut under
-    {!Budget.no_token}.  Exceptions are re-raised deterministically: the
-    one from the lowest-indexed job, as the sequential map would. *)
 
 val recommend_domains : (int * float) list -> int
 (** [recommend_domains curve] derives the jobs count to recommend from a
@@ -100,7 +95,7 @@ val budgeted_scan :
     every checker reports the failure of the lowest-indexed schedule.
 
     The job receives a per-job stop closure to thread into
-    [Game.config]; {!games} is the one caller that plays games.
+    [Game.config]; {!games} is its one caller.
 
     Determinism: with a {e step} budget, the returned prefix is a pure
     function of the inputs — every job gets the same private step

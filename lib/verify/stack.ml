@@ -117,31 +117,21 @@ let ipc_client i =
 type lock_impl = {
   lock_name : string;
   lock_fns : Ccal_clight.Csyntax.fn list;
-  lock_l0 : unit -> Layer.t;
-  lock_overlay : unit -> Layer.t;
-  lock_module : unit -> Prog.Module.t;
-  lock_certify : Event.tid list -> (Calculus.cert, Calculus.error) result;
+  lock : Lock_intf.impl;
 }
 
-let lock_impl ~memory lock =
-  match lock with
+let lock_impl = function
   | `Ticket ->
     {
       lock_name = "ticket";
       lock_fns = [ Ticket_lock.acq_fn; Ticket_lock.rel_fn ];
-      lock_l0 = Ticket_lock.l0 ~memory;
-      lock_overlay = (fun () -> Ticket_lock.overlay ());
-      lock_module = Ticket_lock.c_module;
-      lock_certify = (fun focus -> Ticket_lock.certify ~memory ~focus ());
+      lock = Ticket_lock.impl;
     }
   | `Mcs ->
     {
       lock_name = "mcs";
       lock_fns = [ Mcs_lock.acq_fn; Mcs_lock.rel_fn ];
-      lock_l0 = Mcs_lock.l0 ~memory;
-      lock_overlay = (fun () -> Mcs_lock.overlay ());
-      lock_module = Mcs_lock.c_module;
-      lock_certify = (fun focus -> Mcs_lock.certify ~memory ~focus ());
+      lock = Mcs_lock.impl;
     }
 
 (* ------------------------------------------------------------------ *)
@@ -199,7 +189,9 @@ let adversarial_edge_name =
    written once.  Nothing runs until [Edges.run] reaches the edge. *)
 let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
   let memory = ctx.Ctx.memory in
-  let lk = lock_impl ~memory lock in
+  let lk = lock_impl lock in
+  let lock_l0 () = lk.lock.Lock_intf.l0 ~memory () in
+  let lock_certify focus = Lock_intf.certify lk.lock ~memory ~focus () in
   (* The memory mode is part of EVERY edge key — even the edges whose
      underlay is already an atomic interface — so a verdict computed
      under SC is never served for a TSO query (or vice versa). *)
@@ -260,12 +252,12 @@ let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
   let machine () = Ccal_machine.Tso.machine_layer memory in
   let faa_threads = [ 1, faa_round 1; 2, faa_round 2 ] in
   let lock_threads () =
-    let m = lk.lock_module () in
+    let m = lk.lock.Lock_intf.c_module () in
     [ 1, lock_client m 1; 2, lock_client m 2 ]
   in
   let lock_key st =
     let st = fp_fns (Fingerprint.string st lk.lock_name) lk.lock_fns in
-    Fingerprint.layer (Fingerprint.layer st (lk.lock_l0 ())) (lk.lock_overlay ())
+    Fingerprint.layer (Fingerprint.layer st (lock_l0 ())) (Lock_intf.layer "Llock")
   in
   let queue_key st =
     let st = Fingerprint.layer (fp_fns st queue_fns) (Ticket_lock.l0 ~memory ()) in
@@ -289,15 +281,15 @@ let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
     edge
       (Printf.sprintf "L0 |- M_%s : Llock (Fun)" lk.lock_name)
       ~key:lock_key
-      (measured (fun () -> certified (lk.lock_certify [ 1; 2 ])));
+      (measured (fun () -> certified (lock_certify [ 1; 2 ])));
     (* 3. parallel composition of per-thread lock certificates, over the
        compat corpus of logs from contention games *)
     edge "Llock[1] x Llock[2] => Llock[{1,2}] (Pcomp)"
       ~key:(fun st -> suite (fp_threads (lock_key st) (lock_threads ())))
       (measured (fun () ->
-           let* c1 = cert_error (lk.lock_certify [ 1 ]) in
-           let* c2 = cert_error (lk.lock_certify [ 2 ]) in
-           let layer = lk.lock_l0 () and threads = lock_threads () in
+           let* c1 = cert_error (lock_certify [ 1 ]) in
+           let* c2 = cert_error (lock_certify [ 2 ]) in
+           let layer = lock_l0 () and threads = lock_threads () in
            let outcomes =
              Edges.value
                (Explore.run_all_ctx ~ctx layer threads (scheds_for layer threads))

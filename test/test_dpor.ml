@@ -192,13 +192,14 @@ let test_ipc_producer_consumer () =
   in
   ignore (check_equiv layer [ 1, producer; 2, consumer ] 3)
 
-(* ---- frontier subtree splitting across the jobs grid ----
+(* ---- the replay merge across the jobs grid ----
 
-   [Dpor.explore ~jobs] splits the DFS frontier into independent subtrees
-   (sleep sets stay domain-local); the whole result — the exact prefix
-   list in order, every prune counter, the distinct-log count, and each
-   replayed outcome — must be bit-identical to the sequential walk for
-   every jobs count, including the oversubscribed ones. *)
+   The walk is one sequential DFS; [ctx.jobs] splits only the replay of
+   its prefixes over the pool, and the merge puts the outcomes back in
+   prefix order.  The whole result — the exact prefix list in order,
+   every prune counter, the distinct-log count, and each replayed
+   outcome — must be bit-identical to the jobs-1 run for every jobs
+   count, including the oversubscribed ones. *)
 
 let explore_fingerprint ?engine ~jobs ~depth layer threads =
   let r =
@@ -268,7 +269,7 @@ let test_split_condvar () =
 let test_split_llock_6t_depth7 () =
   (* the headline scale point: 6^7 = 279,936 schedules considered — well
      past 10^5 — with the lock interface collapsing the real frontier to
-     a sliver the split walk must still cover exactly *)
+     a sliver the walk must still cover exactly *)
   let threads = List.init 6 (fun k -> k + 1, lock_client (k + 1)) in
   let stats = check_split_equiv "llock-6t" (Lock_intf.layer "Llock") threads 7 in
   check_int "considered = 6^7" 279_936 stats.V.Dpor.schedules_considered;
@@ -375,10 +376,9 @@ let test_oracle_wal_crash () =
   check_int "distinct logs" 24 (List.length o.V.Explore.logs);
   check_bool "agree" true o.V.Explore.agree
 
-(* The sym decision is node-local (the node's own prefix and log
-   integers), so a [sym] walk splits its frontier across domains like a
-   plain one: prefixes, stats and outcomes bit-identical for every jobs
-   count, with symmetry actually pruning in each game. *)
+(* A [sym] walk replays on the pool like a plain one: prefixes, stats
+   and outcomes bit-identical for every jobs count, with symmetry
+   actually pruning in each game. *)
 let test_split_sym () =
   let check name layer threads depth =
     let stats =
@@ -402,6 +402,58 @@ let test_sym_ticket_4t_depth8 () =
   check_int "sleep-set skips" 389 s.V.Dpor.sleep_set_prunes;
   check_int "symmetry prunes" 108 s.V.Dpor.sym_prunes;
   check_int "distinct logs" 1_535 s.V.Dpor.distinct_logs
+
+(* ---- golden walks ----
+
+   [Dpor.walk]'s whole output — every prefix in DFS pre-order, then both
+   prune counts — over games that reach each feature of the walk: events
+   and exact independence, the crash pseudo-thread, the TSO flushers and
+   symmetry.  The digests were recorded on the frontier-split walk this
+   one recursive DFS replaced; any change to the order or the pruning
+   shows here. *)
+let walk_digest ?(independence = V.Dpor.Exact) ?(memory = Memory.default)
+    ?(sym = false) ~depth layer threads =
+  let prefixes, (st : E.walk_stats) =
+    V.Dpor.walk ~independence ~memory ~engine:{ (E.dpor ~depth) with E.sym }
+      ~depth layer threads
+  in
+  let trace p = String.concat "," (List.map string_of_int p) in
+  Digest.to_hex
+    (Digest.string
+       (Printf.sprintf "%s|sleep=%d sym=%d"
+          (String.concat ";" (List.map trace prefixes))
+          st.E.sleep_prunes st.E.sym_prunes))
+
+let test_golden_walks () =
+  let sb = Option.get (Ccal_machine.Litmus.find "SB") in
+  let wal =
+    let module W = Ccal_disk.Wal in
+    let m = W.module_ () in
+    List.map (fun i -> i, Prog.Module.link m (W.client i)) [ 1; 2 ]
+  in
+  List.iter
+    (fun (name, expected, digest) -> check_string name expected (digest ()))
+    [
+      ( "ticket 4t depth 6 events", "0564df05724d16c4547979e4188fe445",
+        fun () ->
+          walk_digest ~independence:V.Dpor.Commuting_events ~depth:6
+            (Ticket_lock.l0 ()) (ticket_threads 4) );
+      ( "lock 5t depth 6 exact", "4571615a8a0ca3bd4e8d19b10c4a32e4",
+        fun () ->
+          walk_digest ~depth:6 (Lock_intf.layer "Llock") (lock_threads 5) );
+      ( "wal 2t depth 6 (crash thread)", "67dffa7d6f287ab4b66f122c94c7d63d",
+        fun () ->
+          walk_digest ~depth:6 (Ccal_disk.Wal.underlay ~crashes:true ()) wal );
+      ( "litmus SB tso depth 6 (flushers)", "c29577fad543843bf2c7539af46aaf7b",
+        fun () ->
+          walk_digest ~memory:Memory.Tso ~depth:6
+            (Ccal_machine.Tso.machine_layer Memory.Tso)
+            sb.Ccal_machine.Litmus.threads );
+      ( "ticket 3t depth 4 sym", "532976d8f9730b05e9c61a79df7405f6",
+        fun () ->
+          walk_digest ~sym:true ~depth:4 (Ticket_lock.l0 ())
+            (ticket_threads 3) );
+    ]
 
 (* ---- the canonical form against its definition ----
 
@@ -788,6 +840,7 @@ let suite =
     tc "split: dpor,sym across jobs grid" test_split_sym;
     tc "dpor:8,sym pins ticket 4t depth 8 (1,550 runs)"
       test_sym_ticket_4t_depth8;
+    tc "walk: golden digests of five walks" test_golden_walks;
     tc "schedules_considered saturates at max_int" test_considered_saturates;
     tc "oracle: a threadless game agrees" test_threadless_game_agrees;
     tc "schedules_considered counts the TSO flushers"

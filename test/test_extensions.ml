@@ -278,8 +278,8 @@ let test_layer_sim_and_wk () =
         ~overlay:tight
         ~impl:(Ticket_lock.c_module ()) ~rel:Ticket_lock.r_ticket
         ~focus:[ 1; 2 ]
-        ~prim_tests:(Ticket_lock.prim_tests ())
-        ~envs:(Ticket_lock.env_suite ()) ()
+        ~prim_tests:(Lock_intf.prim_tests ())
+        ~envs:(Lock_intf.env_suite Ticket_lock.impl ()) ()
       |> Result.get_ok
     in
     let low_sim = Calculus.layer_sim_id (Ticket_lock.l0 ()) [ 1; 2 ] in

@@ -24,13 +24,6 @@ let check_jobs_invariant name run =
 
 (* ---- the executor ---- *)
 
-let prop_map_is_list_map =
-  qtc "Parallel.map = List.map (any jobs)"
-    QCheck.(pair (oneofl [ 1; 2; 4; 7 ]) (small_list small_int))
-    (fun (jobs, xs) ->
-      Parallel.map ~jobs (fun x -> (x * 2) + 1) xs
-      = List.map (fun x -> (x * 2) + 1) xs)
-
 let seq_scan ~cut f xs =
   let rec go = function
     | [] -> []
@@ -56,6 +49,16 @@ let prop_unbudgeted_scan_is_seq_scan =
       let f x = x * 3 in
       unbudgeted_scan ~jobs ~cut f xs = seq_scan ~cut f xs)
 
+(* the scan with no cut evaluates every job *)
+let scan_all ~jobs f xs = unbudgeted_scan ~jobs ~cut:(fun _ -> false) f xs
+
+let prop_uncut_scan_is_list_map =
+  qtc "Parallel.budgeted_scan with no cut = List.map (any jobs)"
+    QCheck.(pair (oneofl [ 1; 2; 4; 7 ]) (small_list small_int))
+    (fun (jobs, xs) ->
+      scan_all ~jobs (fun x -> (x * 2) + 1) xs
+      = List.map (fun x -> (x * 2) + 1) xs)
+
 exception Boom of int
 
 let test_exception_lowest_index () =
@@ -65,7 +68,7 @@ let test_exception_lowest_index () =
   let f x = if x mod 7 = 3 then raise (Boom x) else x in
   List.iter
     (fun jobs ->
-      match Parallel.map ~jobs f xs with
+      match scan_all ~jobs f xs with
       | _ -> Alcotest.fail "expected Boom"
       | exception Boom i ->
         check_int (Printf.sprintf "jobs=%d raises at 3" jobs) 3 i)
@@ -74,13 +77,13 @@ let test_exception_lowest_index () =
 let test_oversubscribed_pool () =
   (* more domains than jobs, and more jobs than domains, both fine *)
   check_bool "jobs > length" true
-    (Parallel.map ~jobs:16 succ [ 1; 2; 3 ] = [ 2; 3; 4 ]);
+    (scan_all ~jobs:16 succ [ 1; 2; 3 ] = [ 2; 3; 4 ]);
   let xs = List.init 500 Fun.id in
-  check_bool "length >> jobs" true (Parallel.map ~jobs:2 succ xs = List.map succ xs)
+  check_bool "length >> jobs" true (scan_all ~jobs:2 succ xs = List.map succ xs)
 
 let test_stats_monotone () =
   let before = (Parallel.stats ()).Parallel.jobs_run in
-  ignore (Parallel.map ~jobs:2 succ (List.init 64 Fun.id));
+  ignore (scan_all ~jobs:2 succ (List.init 64 Fun.id));
   let after = (Parallel.stats ()).Parallel.jobs_run in
   check_bool "jobs_run grew" true (after >= before + 64)
 
@@ -221,7 +224,7 @@ let lock_client i =
       Prog.seq (Prog.call "rel" [ vi 0; vi i ]) (Prog.ret (vi i)))
 
 let test_linearizability_jobs_invariant_ok () =
-  match Ticket_lock.certify ~focus:[ 1; 2 ] () with
+  match Lock_intf.certify Ticket_lock.impl ~focus:[ 1; 2 ] () with
   | Error e -> Alcotest.failf "%a" Calculus.pp_error e
   | Ok cert ->
     check_jobs_invariant "linearizability ok" (fun jobs ->
@@ -248,8 +251,8 @@ let test_refinement_failure_jobs_invariant () =
   let r =
     Calculus.fun_rule ~underlay:(Ticket_lock.l0 ())
       ~overlay:(Ticket_lock.overlay ()) ~impl ~rel:Ticket_lock.r_ticket
-      ~focus:[ 1 ] ~prim_tests:(Ticket_lock.prim_tests ())
-      ~envs:(Ticket_lock.env_suite ()) ()
+      ~focus:[ 1 ] ~prim_tests:(Lock_intf.prim_tests ())
+      ~envs:(Lock_intf.env_suite Ticket_lock.impl ()) ()
   in
   match r with
   | Error _ -> () (* caught even earlier; nothing to parallelise *)
@@ -636,7 +639,7 @@ let test_budgeted_races_exhausted_jobs_invariant () =
 
 let suite =
   [
-    prop_map_is_list_map;
+    prop_uncut_scan_is_list_map;
     prop_unbudgeted_scan_is_seq_scan;
     tc "exceptions surface at the lowest index" test_exception_lowest_index;
     tc "oversubscribed pools" test_oversubscribed_pool;

@@ -394,8 +394,10 @@ let test_chrome_trace_round_trips () =
   with_telemetry (fun () ->
       (* record spans on several domains through a parallel scan *)
       ignore
-        (Parallel.map ~jobs:4
-           (fun x -> Telemetry.span "work\"quoted\"" (fun () -> x * 2))
+        (Parallel.budgeted_scan ~jobs:4 ~token:Budget.no_token
+           ~cut:(fun _ -> false)
+           (fun ~stop:_ x ->
+             Some (0, Telemetry.span "work\"quoted\"" (fun () -> x * 2)))
            (List.init 16 Fun.id));
       Telemetry.span "top" (fun () -> ());
       let trace = Telemetry.chrome_trace_string () in

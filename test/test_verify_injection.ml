@@ -30,7 +30,7 @@ let test_distinct_logs () =
 (* ---- linearizability ---- *)
 
 let test_linearizability_ticket () =
-  match Ticket_lock.certify ~focus:[ 1; 2 ] () with
+  match Lock_intf.certify Ticket_lock.impl ~focus:[ 1; 2 ] () with
   | Error e -> Alcotest.failf "%a" Calculus.pp_error e
   | Ok cert -> (
     let client i =
@@ -149,8 +149,8 @@ let certify_with_acq acq_fn =
   let impl = Ccal_clight.Csem.module_of_fns [ acq_fn; Ticket_lock.rel_fn ] in
   Calculus.fun_rule ~underlay:(Ticket_lock.l0 ()) ~overlay:(Ticket_lock.overlay ())
     ~impl ~rel:Ticket_lock.r_ticket ~focus:[ 1 ]
-    ~prim_tests:(Ticket_lock.prim_tests ())
-    ~envs:(Ticket_lock.env_suite ()) ()
+    ~prim_tests:(Lock_intf.prim_tests ())
+    ~envs:(Lock_intf.env_suite Ticket_lock.impl ()) ()
 
 let test_inject_no_spin_caught () =
   match certify_with_acq broken_acq_no_spin with
@@ -171,8 +171,8 @@ let test_inject_missing_inc_caught () =
   let r =
     Calculus.fun_rule ~underlay:(Ticket_lock.l0 ()) ~overlay:(Ticket_lock.overlay ())
       ~impl ~rel:Ticket_lock.r_ticket ~focus:[ 1 ]
-      ~prim_tests:(Ticket_lock.prim_tests ())
-      ~envs:(Ticket_lock.env_suite ()) ()
+      ~prim_tests:(Lock_intf.prim_tests ())
+      ~envs:(Lock_intf.env_suite Ticket_lock.impl ()) ()
   in
   match r with
   | Error _ -> ()
@@ -233,8 +233,8 @@ let test_inject_wrong_publish_caught () =
   let r =
     Calculus.fun_rule ~underlay:(Ticket_lock.l0 ()) ~overlay:(Ticket_lock.overlay ())
       ~impl ~rel:Ticket_lock.r_ticket ~focus:[ 1 ]
-      ~prim_tests:(Ticket_lock.prim_tests ())
-      ~envs:(Ticket_lock.env_suite ()) ()
+      ~prim_tests:(Lock_intf.prim_tests ())
+      ~envs:(Lock_intf.env_suite Ticket_lock.impl ()) ()
   in
   match r with
   | Error _ -> ()
