@@ -31,7 +31,7 @@ let nop () =
 
 (* The leaves of the dpor-ticket4 workload: the ticket lock's C module
    over L0, four lock clients, the depth-6 DPOR prefixes under
-   object-based independence.  Each leaf is replayed and canonicalised
+   object-based independence.  Each leaf is replayed and keyed
    as [Dpor.explore_ctx] does; the walk itself is not measured. *)
 let ticket4 () =
   let module T = Ccal_objects.Ticket_lock in
@@ -54,7 +54,7 @@ let ticket4 () =
             Game.run
               (Game.config layer threads (Sched.of_trace ~tag:"dpor" p))
           in
-          ignore (V.Dpor.canonical_log o.Game.log);
+          ignore (V.Dpor.trace_key o.Game.log);
           moves + o.Game.steps)
         0 prefixes)
 
@@ -77,8 +77,9 @@ let exh_llock5 () =
 
 (* Each game with its figure recorded when schedules became data (the
    play loop picks by index from a [Sched.t] variant: DESIGN.md S36) and
-   the figure before that change.  The perf gate allows the recorded
-   figure plus 5%. *)
+   the figure before that change; dpor-ticket4's figure was lowered again
+   when leaves came to be keyed instead of canonicalised (S34).  The perf
+   gate allows the recorded figure plus 5%. *)
 type game = {
   name : string;
   run : unit -> int * float;  (** moves, minor words per move *)
@@ -89,6 +90,6 @@ type game = {
 let games =
   [
     { name = "nop"; run = nop; recorded = 47.2; before = 146.0 };
-    { name = "dpor-ticket4"; run = ticket4; recorded = 154.8; before = 237.6 };
+    { name = "dpor-ticket4"; run = ticket4; recorded = 125.8; before = 237.6 };
     { name = "exh-llock5"; run = exh_llock5; recorded = 99.4; before = 194.7 };
   ]

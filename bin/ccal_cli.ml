@@ -931,7 +931,7 @@ let inventory_cmd =
     Format.printf "layer interfaces (bottom to top):@.";
     layer_line (Ccal_machine.Mx86.layer ());
     layer_line (Ticket_lock.l0 ());
-    layer_line (Ticket_lock.overlay ());
+    layer_line (Lock_intf.layer "Llock");
     layer_line (Queue_shared.underlay ());
     layer_line (Queue_shared.overlay ());
     layer_line (Qlock.overlay ());

@@ -186,10 +186,11 @@ let env_suite impl ?(memory = Memory.default) () : Calculus.env_suite =
              ])
          [ 1; 2 ])
 
-let certify impl ?max_moves ?(memory = Memory.default) ?(focus = [ 1; 2 ])
-    ?(use_asm = false) () =
-  Calculus.fun_rule ?max_moves ~underlay:(impl.l0 ~memory ())
-    ~overlay:(layer "Llock")
+let certify impl ?max_moves ?(memory = Memory.default) ?underlay ?overlay
+    ?(focus = [ 1; 2 ]) ?(use_asm = false) () =
+  Calculus.fun_rule ?max_moves
+    ~underlay:(Option.value underlay ~default:(impl.l0 ~memory ()))
+    ~overlay:(Option.value overlay ~default:(layer "Llock"))
     ~impl:(if use_asm then impl.asm_module () else impl.c_module ())
     ~rel:(Ccal_machine.Tso.under_memory memory impl.rel)
     ~focus ~prim_tests:(prim_tests ())

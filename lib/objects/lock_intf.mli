@@ -89,6 +89,8 @@ val certify :
   impl ->
   ?max_moves:int ->
   ?memory:Ccal_core.Memory.t ->
+  ?underlay:Ccal_core.Layer.t ->
+  ?overlay:Ccal_core.Layer.t ->
   ?focus:Ccal_core.Event.tid list ->
   ?use_asm:bool ->
   unit ->
@@ -97,4 +99,5 @@ val certify :
     default and the compiled assembly when [use_asm].  [?memory]
     certifies over the corresponding hardware machine; under [Tso] the
     relation composes {!Ccal_machine.Tso.drop_buffering} in front of
-    [impl.rel]. *)
+    [impl.rel].  [?underlay] and [?overlay] replace [impl.l0 ~memory ()]
+    and [Llock] (renamed or extended layers); the environments do not. *)

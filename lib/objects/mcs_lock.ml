@@ -18,8 +18,6 @@ let l0 ?(memory = Memory.default) () =
   in
   Layer.make ~rely:cond ~guar:cond "L0_mcs" base.Layer.prims
 
-let overlay ?bound () = Lock_intf.layer ?bound "Llock"
-
 (* Cell addressing: tail(b) = b*1000, locked(b,j) = b*1000+100+j,
    next(b,j) = b*1000+200+j.  Expressed in C below. *)
 let tail b = C.Binop (C.Mul, b, C.Const 1000)

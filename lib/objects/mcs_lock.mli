@@ -22,9 +22,6 @@ val l0 : ?memory:Memory.t -> unit -> Layer.t
     bound doubles (96 → 192): buffering events inflate the event count
     the bound is measured in. *)
 
-val overlay : ?bound:int -> unit -> Layer.t
-(** The same [Llock] atomic interface as {!Ticket_lock.overlay}. *)
-
 val acq_fn : Ccal_clight.Csyntax.fn
 val rel_fn : Ccal_clight.Csyntax.fn
 

@@ -212,7 +212,7 @@ let certify ?max_moves ?(focus = [ 1; 2 ]) ?(use_asm = false) () =
 
 (* The Fig. 5 pipeline extended to the queue: ticket lock under the shared
    queue.  The intermediate interface must carry the silent helpers
-   through, so we rebuild the lock certificate against [Lq]-named layers. *)
+   through, so the lock certificate is taken against [Lq]-named layers. *)
 let full_stack_certify ?max_moves ?(memory = Memory.default) ?(focus = [ 1; 2 ])
     () =
   let l0q =
@@ -220,15 +220,10 @@ let full_stack_certify ?max_moves ?(memory = Memory.default) ?(focus = [ 1; 2 ])
     Layer.make ~rely:base.Layer.rely ~guar:base.Layer.guar "L0_q"
       (base.Layer.prims @ helpers)
   in
-  let lock_cert =
-    Calculus.fun_rule ?max_moves ~underlay:l0q ~overlay:(underlay ())
-      ~impl:(Ticket_lock.c_module ())
-      ~rel:(Ccal_machine.Tso.under_memory memory Ticket_lock.r_ticket)
-      ~focus
-      ~prim_tests:(Lock_intf.prim_tests ())
-      ~envs:(Lock_intf.env_suite Ticket_lock.impl ~memory ()) ()
-  in
-  match lock_cert with
+  match
+    Lock_intf.certify Ticket_lock.impl ?max_moves ~memory ~underlay:l0q
+      ~overlay:(underlay ()) ~focus ()
+  with
   | Error _ as e -> e
   | Ok c1 -> (
     match certify ?max_moves ~focus () with

@@ -55,9 +55,6 @@ let l0 ?(memory = Memory.default) () =
   Layer.make ~rely:l0_condition ~guar:l0_condition "L0_ticket"
     (base.Layer.prims @ [ fai_prim; get_n_prim; inc_n_prim ])
 
-let overlay ?bound () =
-  Lock_intf.layer ?bound "Llock"
-
 (* Fig. 10:
      int acq(int b) {
        int myt = FAI_t(b);

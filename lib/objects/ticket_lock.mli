@@ -38,10 +38,6 @@ val l0 : ?memory:Memory.t -> unit -> Layer.t
     The implementation issues no plain stores, so under TSO its buffers
     stay empty and the certificate carries over unchanged. *)
 
-val overlay : ?bound:int -> unit -> Layer.t
-(** [Llock]: the atomic lock interface this implementation certifies
-    against (shared with the MCS lock). *)
-
 val acq_fn : Ccal_clight.Csyntax.fn
 (** Fig. 10's [acq]: fetch a ticket, spin on [get_n], pull the protected
     location; returns the protected value. *)

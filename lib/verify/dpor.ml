@@ -47,78 +47,68 @@ let dependent a b =
   | Some x, Some y -> x = y && not (a.read && b.read)
   | _ -> true
 
-(* Canonical representative of a Mazurkiewicz trace: repeatedly emit the
-   [Event.compare]-least ready event, one whose earlier dependent events
-   have all been emitted.  Events of one thread are always dependent, so
-   a thread has at most one ready event, its oldest unemitted one, and
-   [Event.compare] orders by [src] first: the least ready event is the
-   ready head of the thread with the smallest tid.  So each thread keeps
-   a cursor into its own events, and an event waits only on the latest
-   dependent event of each other thread (earlier ones precede that one
-   in its thread).  Two logs are equivalent up to commuting independent
-   events iff their canonical forms are equal. *)
-let canonical_log log =
-  let events = Array.of_list (Log.chronological log) in
-  let n = Array.length events in
-  let keys = Array.map key events in
-  (* the threads' tids, ascending; a handful, so a sorted list *)
-  let rec insert t = function
-    | [] -> [ t ]
-    | u :: rest as l -> if t = u then l else if t < u then t :: l else u :: insert t rest
-  in
-  let tids =
-    Array.of_list
-      (Array.fold_left (fun acc (e : Event.t) -> insert e.src acc) [] events)
-  in
-  let nt = Array.length tids in
-  let rank =
-    Array.map
-      (fun (e : Event.t) ->
-        let rec find r = if tids.(r) = e.src then r else find (r + 1) in
-        find 0)
-      events
-  in
-  (* Each thread's events are chained both ways: [prev.(i)] and
-     [next.(i)] are the events before and after [i] in its thread,
-     [head.(r)] thread [r]'s oldest unemitted event and [last.(r)] its
-     latest event linked so far (-1 for none).  Each event is linked to
-     the latest dependent event of every other thread, found by walking
-     that thread's chain back from its latest event. *)
-  let prev = Array.make n (-1) and next = Array.make n (-1) in
-  let head = Array.make nt (-1) and last = Array.make nt (-1) in
-  let succs = Array.make n [] in
-  let waiting = Array.make n 0 in
-  for j = 0 to n - 1 do
-    let own = rank.(j) in
-    for r = 0 to nt - 1 do
-      if r <> own then begin
-        let i = ref last.(r) in
-        while !i >= 0 && not (dependent keys.(!i) keys.(j)) do
-          i := prev.(!i)
-        done;
-        if !i >= 0 then begin
-          succs.(!i) <- j :: succs.(!i);
-          waiting.(j) <- waiting.(j) + 1
-        end
-      end
-    done;
-    if last.(own) < 0 then head.(own) <- j else next.(last.(own)) <- j;
-    prev.(j) <- last.(own);
-    last.(own) <- j
-  done;
-  let rec ready r =
-    let h = head.(r) in
-    if h >= 0 && waiting.(h) = 0 then h else ready (r + 1)
-  in
-  let rec emit acc k =
-    if k = n then acc
-    else
-      let i = ready 0 in
-      head.(rank.(i)) <- next.(i);
-      List.iter (fun j -> waiting.(j) <- waiting.(j) - 1) succs.(i);
-      emit (Log.append events.(i) acc) (k + 1)
-  in
-  emit Log.empty 0
+(* Trace identity by projection (DESIGN.md S34).  [dependent] is a union
+   of cliques, so two logs are equivalent iff their projections onto
+   every clique are equal.  [fold_placed] visits the events newest first
+   with the counts that fix those projections: the later events of the
+   same thread, the later writes on the same object, and the later
+   object-less events.  The counters are association lists: a log has a
+   handful of threads and objects. *)
+let rec counter tbl k = function
+  | (k', c) :: rest -> if k = (k' : int) then c else counter tbl k rest
+  | [] -> let c = ref 0 in tbl := (k, c) :: !tbl; c
+
+let fold_placed f init log =
+  let threads = ref [] and writes = ref [] and barriers = ref 0 in
+  List.fold_left
+    (fun acc (e : Event.t) ->
+      let k = key e in
+      let t = counter threads k.src !threads in
+      let w =
+        match k.obj with None -> barriers | Some x -> counter writes x !writes
+      in
+      let acc = f acc e !t !w !barriers in
+      incr t;
+      if Option.is_none k.obj || not k.read then incr w;
+      acc)
+    init (Log.newest_first log)
+
+(* A sum over the placed events: their order in the log does not enter. *)
+let trace_key log =
+  fold_placed
+    (fun acc e t w b -> acc + Log.mix (Log.mix (Log.mix (Event.hash e) t) w) b)
+    0 log
+
+(* Each thread's placed events, threads in ascending tid order. *)
+let placed log =
+  List.stable_sort
+    (fun ((a : Event.t), _, _) ((b : Event.t), _, _) -> Int.compare a.src b.src)
+    (fold_placed (fun acc e _ w b -> (e, w, b) :: acc) [] log)
+
+let equivalent a b =
+  Log.equal a b
+  || Log.length a = Log.length b
+     && List.equal
+          (fun (e, w, b) (e', w', b') -> w = w' && b = b' && Event.equal e e')
+          (placed a) (placed b)
+
+(* Bucketed on the keys, classes decided by [equivalent]: a collision
+   costs time, never a class. *)
+let dedup_traces keyed =
+  let buckets = Hashtbl.create 64 in
+  List.filter
+    (fun (k, l) ->
+      (not (List.exists (equivalent l) (Hashtbl.find_all buckets k)))
+      && (Hashtbl.add buckets k l;
+          true))
+    keyed
+
+let subset_traces a b =
+  let buckets = Hashtbl.create 64 in
+  List.iter (fun (k, l) -> Hashtbl.add buckets k l) b;
+  List.for_all
+    (fun (k, l) -> List.exists (equivalent l) (Hashtbl.find_all buckets k))
+    a
 
 (* One enabled move of one thread, as classified by the DFS. *)
 type move =
@@ -399,21 +389,20 @@ let explore_ctx ~ctx ?(independence = Exact) ?engine
         walk ~independence ?cache:ctx.Ctx.cache ~memory:ctx.Ctx.memory
           ~engine ~depth layer threads)
   in
-  (* Each leaf is canonicalised where it is replayed, so under [jobs > 1]
-     the canonical forms are computed on the pool too. *)
-  let representative =
+  (* Each leaf is keyed where it is replayed, so under [jobs > 1] the
+     keys are computed on the pool too. *)
+  let key_of log =
     match independence with
-    | Exact -> Fun.id
-    | Commuting_events ->
-      fun log -> Probe.span "dpor.canonicalise" (fun () -> canonical_log log)
+    | Exact -> 0
+    | Commuting_events -> Probe.span "dpor.key" (fun () -> trace_key log)
   in
   let replay =
     Probe.span "dpor.replay" (fun () ->
         Parallel.games ~ctx layer threads
-          (fun _ o -> o, representative o.Game.log)
+          (fun _ o -> o, key_of o.Game.log)
           (List.map (Sched.of_trace ~tag:"dpor") prefixes))
   in
-  let outcomes, representatives = List.split (Budget.value replay) in
+  let outcomes, keys = List.split (Budget.value replay) in
   (* The walk schedules the pseudo-threads too, so the exhaustive count
      ranges over the same alphabet as the oracle's prefixes; an empty
      alphabet still has its one empty trace. *)
@@ -425,7 +414,11 @@ let explore_ctx ~ctx ?(independence = Exact) ?engine
       depth
   in
   let distinct =
-    Probe.span "dpor.dedup" (fun () -> Log.dedup representatives)
+    Probe.span "dpor.dedup" (fun () ->
+        let keyed = List.map2 (fun o k -> k, o.Game.log) outcomes keys in
+        match independence with
+        | Exact -> Log.dedup (List.map snd keyed)
+        | Commuting_events -> List.map snd (dedup_traces keyed))
   in
   let distinct_logs = List.length distinct in
   Probe.add Probe.sleep_set_prunes walk_stats.Engine.sleep_prunes;

@@ -33,9 +33,10 @@ type independence =
       (** classical object-based independence: two moves commute iff their
           events touch different objects (first integer argument) or are
           all non-conflicting reads.  Logs are then deduplicated {e up to}
-          commutation via {!canonical_log}; sound for layers whose replay
-          functions are per-object (the shipped objects), and the mode to
-          reach deeper bounds when only state coverage matters. *)
+          commutation ({!equivalent}, bucketed on {!trace_key}); sound for
+          layers whose replay functions are per-object (the shipped
+          objects), and the mode to reach deeper bounds when only state
+          coverage matters. *)
 
 type stats = {
   schedules_considered : int;
@@ -50,7 +51,7 @@ type stats = {
   sym_prunes : int;  (** branches pruned by thread symmetry ([,sym]) *)
   distinct_logs : int;
       (** distinct leaf logs — under [Commuting_events], distinct
-          canonical forms *)
+          classes up to commuting independent events *)
 }
 
 type result = {
@@ -58,21 +59,31 @@ type result = {
   outcomes : Game.outcome list;  (** one {!Game.run} outcome per prefix *)
   distinct : Log.t list;
       (** the distinct leaf logs in first-occurrence order — under
-          [Commuting_events], distinct canonical forms ({!canonical_log}) *)
+          [Commuting_events], the first leaf log of each class up to
+          commuting independent events ({!equivalent}), as replayed *)
   stats : stats;
 }
 
-val canonical_log : Log.t -> Log.t
-(** Lexicographically-least representative of the log's Mazurkiewicz
-    trace under the object-based relation (events of different threads
-    commute on different objects, or when both are [get_n], [aload] or
-    [read]): logs are equal up to commuting independent events iff their
-    canonical forms are equal.  One pass: the log's dependence DAG is
-    built once, keeping for each event only the latest dependent event of
-    every other thread, then the [Event.compare]-least ready event (every
-    earlier dependent event already emitted) is emitted until none is
-    left.  That event is the ready oldest-unemitted event of the thread
-    with the smallest tid, found by one cursor per thread. *)
+val trace_key : Log.t -> int
+(** A hash of the log's Mazurkiewicz trace under the object-based
+    relation (events of different threads commute on different objects,
+    or when both are [get_n], [aload] or [read]): one pass summing a hash
+    per event and its place — the later events of its thread, writes on
+    its object and object-less events (DESIGN.md S34). *)
+
+val equivalent : Log.t -> Log.t -> bool
+(** Equal up to commuting adjacent independent events: the places
+    {!trace_key} hashes, compared exactly.  Equivalent logs have equal
+    keys. *)
+
+val dedup_traces : (int * Log.t) list -> (int * Log.t) list
+(** The first of each {!equivalent} class of keyed logs, in order,
+    bucketed on the keys; a collision costs time, never a class.  Keys
+    must agree on equivalent logs, as {!trace_key}'s do. *)
+
+val subset_traces : (int * Log.t) list -> (int * Log.t) list -> bool
+(** [subset_traces a b]: every log of [a] is {!equivalent} to some log
+    of [b]; keyed like {!dedup_traces}. *)
 
 val walk :
   ?independence:independence ->
@@ -106,9 +117,9 @@ val explore_ctx :
     outcomes, and stats are identical for every jobs count.
     [ctx.cache] memoizes the walk as {!walk} does; the replay phase
     always runs live, so failures reproduce from the real game.  Under
-    [Commuting_events] each leaf log is canonicalised where it is
-    replayed, inside the scan's worker, under the span
-    [dpor.canonicalise].
+    [Commuting_events] each leaf log is keyed ({!trace_key}) where it is
+    replayed, inside the scan's worker, under the span [dpor.key]; the
+    keyed leaves are then deduplicated like {!dedup_traces}.
 
     The walk itself is never budgeted (depth-bounded and cheap); the
     replay phase charges [ctx.token] per game.  An [Exhausted] result

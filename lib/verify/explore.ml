@@ -96,23 +96,30 @@ type oracle = { runs : int; logs : Log.t list; agree : bool }
 (* The oracle's alphabet holds the pseudo-threads the walk explored.
    Under [sym] the walk keeps one log per orbit, so inclusion is the
    rule; otherwise both lists are distinct, so inclusion plus equal
-   sizes is set equality. *)
+   sizes is set equality.  Under [Commuting_events] both are decided up
+   to commuting independent events, by trace key. *)
 let oracle_ctx ~ctx ~independence ~sym ~depth layer threads
     (dpor : Dpor.result) =
-  let canon =
+  (* The distinct logs, and whether they cover a list of logs; events
+     logs are keyed once, and the keys reused by the cover test. *)
+  let classes logs =
     match (independence : Dpor.independence) with
-    | Exact -> Fun.id
-    | Commuting_events -> Dpor.canonical_log
+    | Exact ->
+      let logs = Log.dedup logs in
+      logs, fun a -> Log.subset a logs
+    | Commuting_events ->
+      let keyed = List.map (fun l -> Dpor.trace_key l, l) in
+      let classes = Dpor.dedup_traces (keyed logs) in
+      List.map snd classes, fun a -> Dpor.subset_traces (keyed a) classes
   in
   let exhaustive = { Engine.algo = Engine.Exhaustive; depth; sym = false } in
   Probe.span "explore.oracle" (fun () ->
       run_all_ctx ~ctx layer threads (suite ~ctx exhaustive layer threads)
-      |> Budget.map (fun outs ->
-             List.length outs, Log.dedup (List.map canon (all_logs outs))))
-  |> Budget.map (fun (runs, logs) ->
+      |> Budget.map (fun outs -> List.length outs, classes (all_logs outs)))
+  |> Budget.map (fun (runs, (logs, covers)) ->
          let agree =
            Probe.span "explore.agree" (fun () ->
-               Log.subset dpor.Dpor.distinct logs
+               covers dpor.Dpor.distinct
                && (sym || List.length dpor.Dpor.distinct = List.length logs))
          in
          { runs; logs; agree })

@@ -85,8 +85,10 @@ val oracle_ctx :
   oracle Budget.outcome
 (** The one DPOR soundness check, given the walk's own arguments: run
     [runs] schedules of the [exhaustive] engine's suite at [depth] (real
-    and pseudo-thread tids), canonicalise their distinct [logs] by
-    [independence], and compare them with the result's [distinct] logs
-    ({!Log.subset}).  [agree] is set equality, or inclusion of the DPOR
-    logs under [sym].  Spans: [explore.oracle], [explore.agree].  An
-    [Exhausted] oracle compares only the schedules that ran: no verdict. *)
+    and pseudo-thread tids) and compare their distinct [logs] with the
+    result's [distinct] logs ({!Log.subset}); under [Commuting_events]
+    [logs] holds the first exhaustive log of each class, compared by
+    {!Dpor.subset_traces} on their {!Dpor.trace_key}s.  [agree] is
+    inclusion plus equal sizes, or inclusion alone under [sym].  Spans:
+    [explore.oracle], [explore.agree].  An [Exhausted] oracle compares
+    only the schedules that ran: no verdict. *)

@@ -329,7 +329,7 @@ let test_refine_cached () =
       let run () =
         V.Budget.value
           (V.Linearizability.refine_ctx ~ctx:(V.Ctx.make ~cache:c ())
-             ~underlay:layer ~impl:m ~overlay:(Ticket_lock.overlay ())
+             ~underlay:layer ~impl:m ~overlay:(Lock_intf.layer "Llock")
              ~rel:Ticket_lock.r_ticket ~client ~tids:[ 1; 2 ]
              ~scheds:(Sched.default_suite ~seeds:4) ())
       in

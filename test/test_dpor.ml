@@ -34,7 +34,8 @@ let oracle ?(independence = V.Dpor.Exact) ~sym layer threads depth r =
        threads r)
 
 (* Run DPOR and the exhaustive oracle at equal depth; fail unless the
-   (canonicalized) distinct-log sets coincide, sizes included.  Returns
+   distinct-log sets (trace classes under events independence)
+   coincide, sizes included.  Returns
    the DPOR stats so callers can also assert pruning. *)
 let check_equiv ?independence layer threads depth =
   let r =
@@ -455,14 +456,16 @@ let test_golden_walks () =
             (ticket_threads 3) );
     ]
 
-(* ---- the canonical form against its definition ----
+(* ---- trace identity against its definition ----
 
-   [canonical_events] is the canonical form as defined, the oracle for
-   the one-pass DAG form of [Dpor.canonical_log]: at every output
+   [canonical_events] is the canonical form as defined: at every output
    position it rescans the remaining events for those with no earlier
    dependent one and emits the [Event.compare]-least, the first of
-   equals.  Its independence relation is written out here too, so the
-   library's [dependent] is checked rather than shared. *)
+   equals.  Two logs are equal up to commuting independent events iff
+   their canonical forms are equal, so it is the oracle for
+   [Dpor.equivalent] and [Dpor.trace_key].  Its independence relation is
+   written out here too, so the library's [dependent] is checked rather
+   than shared. *)
 
 let reads = [ "get_n"; "aload"; "read" ]
 
@@ -504,12 +507,15 @@ let canonical_events indep events =
   in
   build [] events
 
+let same_trace a b =
+  canonical_events independent_events a = canonical_events independent_events b
+
 (* Small alphabets, so logs carry duplicate events, shared and distinct
    sources, shared objects, the read tags, and events with no object
    (no argument, or a non-integer first one); lengths start at 0.  Up to
    seven sources, the crash pseudo-thread's -1 included, and up to 40
-   events, so the per-thread cursors of [canonical_log] see many threads
-   with long runs of their own events. *)
+   events, so the key's per-thread and per-object counters see many
+   threads with long runs of their own events. *)
 let event_gen =
   QCheck.Gen.(
     map4
@@ -530,20 +536,14 @@ let events_arb =
     ~print:(fun es -> String.concat " " (List.map Event.to_string es))
     QCheck.Gen.(list_size (int_range 0 40) event_gen)
 
-let prop_canonical_matches_definition =
-  qtc ~count:10_000 "canonical_log = the rescanning definition" events_arb
-    (fun es ->
-      Log.chronological (V.Dpor.canonical_log (log_of es))
-      = canonical_events independent_events es)
-
-(* Swap the first adjacent independent pair at or after position [k]
-   (cyclically); [None] when the log has no such pair. *)
-let swap_independent k es =
+(* Swap the adjacent pair at or after position [k] (cyclically) that
+   [ok] accepts; [None] when the log has no such pair. *)
+let swap_adjacent ok k es =
   let a = Array.of_list es in
   let n = Array.length a in
   let rec find tries i =
     if tries >= n - 1 then None
-    else if independent_events a.(i) a.(i + 1) then begin
+    else if ok a.(i) a.(i + 1) then begin
       let e = a.(i) in
       a.(i) <- a.(i + 1);
       a.(i + 1) <- e;
@@ -553,26 +553,95 @@ let swap_independent k es =
   in
   if n < 2 then None else find 0 (k mod (n - 1))
 
-let prop_canonical_commutes =
-  qtc ~count:2_000 "canonical_log ignores an independent adjacent swap"
+let swap_independent = swap_adjacent independent_events
+
+(* A log and a second one near it: a few swaps of adjacent independent
+   events (an equivalent log), then up to three swaps of any adjacent
+   pair (usually not equivalent: a read moved across a write on its
+   object, an event across an object-less one, one thread's events
+   reordered).  About three pairs in eight come out equivalent. *)
+let near_pair_arb =
+  let swaps gen k es =
+    List.fold_left
+      (fun es k -> Option.value (gen k es) ~default:es)
+      es k
+  in
+  QCheck.map
+    ~rev:(fun (a, _) -> a, [], [])
+    (fun (es, indep, any) ->
+      es, swaps (swap_adjacent (fun _ _ -> true)) any (swaps swap_independent indep es))
+    QCheck.(
+      triple events_arb
+        (list_of_size Gen.(int_range 0 6) small_nat)
+        (list_of_size Gen.(int_range 0 3) small_nat))
+
+let key es = V.Dpor.trace_key (log_of es)
+
+let prop_equivalent_matches_definition =
+  qtc ~count:10_000 "equivalent = equal canonical forms, and keys agree"
+    near_pair_arb (fun (a, b) ->
+      let eq = V.Dpor.equivalent (log_of a) (log_of b) in
+      eq = same_trace a b && ((not eq) || key a = key b))
+
+let prop_key_commutes =
+  qtc ~count:2_000 "trace_key ignores an independent adjacent swap"
     QCheck.(pair events_arb small_nat)
     (fun (es, k) ->
       match swap_independent k es with
       | None -> true
       | Some swapped ->
-        Log.equal
-          (V.Dpor.canonical_log (log_of es))
-          (V.Dpor.canonical_log (log_of swapped)))
+        key es = key swapped
+        && V.Dpor.equivalent (log_of es) (log_of swapped))
 
-let prop_canonical_idempotent =
-  qtc ~count:2_000 "canonical_log is idempotent" events_arb (fun es ->
-      let c = V.Dpor.canonical_log (log_of es) in
-      Log.equal c (V.Dpor.canonical_log c))
+(* The canonical form is a member of its class: keying it gives the
+   log's own key. *)
+let prop_key_of_canonical_form =
+  qtc ~count:2_000 "trace_key of the canonical form is the log's" events_arb
+    (fun es ->
+      let c = canonical_events independent_events es in
+      key c = key es && V.Dpor.equivalent (log_of c) (log_of es))
+
+(* [dedup_traces] and [subset_traces] bucket by key but must decide
+   classes by [equivalent] alone: under a constant key (every log in one
+   bucket) and under [trace_key] they agree with the naive definitions
+   over canonical forms.  Dedup keeps the first log of each class, in
+   order. *)
+let prop_keyed_dedup_subset =
+  qtc "keyed dedup and subset = the naive definitions"
+    QCheck.(list_of_size Gen.(int_range 0 6) near_pair_arb)
+    (fun pairs ->
+      (* each log with its canonical form, computed once *)
+      let logs =
+        List.concat_map
+          (fun (a, b) ->
+            List.map (fun es -> es, canonical_events independent_events es) [ a; b ])
+          pairs
+      in
+      let mem (_, c) in_ = List.exists (fun (_, c') -> c = c') in_ in
+      let naive =
+        List.rev
+          (List.fold_left
+             (fun acc l -> if mem l acc then acc else l :: acc)
+             [] logs)
+      in
+      let half = List.filteri (fun i _ -> i mod 2 = 0) logs in
+      let agrees hash =
+        let keyed = List.map (fun (es, _) -> hash es, log_of es) in
+        List.equal Log.equal
+          (List.map (fun (es, _) -> log_of es) naive)
+          (List.map snd (V.Dpor.dedup_traces (keyed logs)))
+        && List.for_all
+             (fun (a, b) ->
+               V.Dpor.subset_traces (keyed a) (keyed b)
+               = List.for_all (fun l -> mem l b) a)
+             [ half, logs; logs, half; logs, [] ]
+      in
+      agrees (fun _ -> 0) && agrees key)
 
 (* The benchmark game (perfbench's dpor-ticket4): ticket over L0, 4
    threads, depth 6, events independence, pinned count by count against
-   the oracle, with the canonical forms computed on the pool identical to
-   the sequential ones. *)
+   the oracle, with the leaves keyed on the pool deduplicated to the
+   sequential ones. *)
 let test_ticket_4t_commuting () =
   let independence = V.Dpor.Commuting_events and depth = 6 in
   let layer = Ticket_lock.l0 () and threads = ticket_threads 4 in
@@ -588,8 +657,55 @@ let test_ticket_4t_commuting () =
       (V.Dpor.explore_ctx ~ctx:(V.Ctx.make ~jobs:2 ()) ~independence
          ~engine:(E.dpor ~depth) ~depth layer threads)
   in
-  check_bool "jobs 2 canonical forms = jobs 1" true
+  check_bool "jobs 2 distinct leaves = jobs 1" true
     (List.equal Log.equal pooled.V.Dpor.distinct r.V.Dpor.distinct)
+
+(* The small events-mode games of CI's agreement step, pinned at jobs 1
+   and 4 with the counts the canonical-form dedup gave: DPOR runs, DPOR
+   distinct logs, oracle distinct logs, agreement.  They reach the crash
+   pseudo-thread (wal, durable-kv), the TSO flushers (SB) and the block
+   cache's write-backs. *)
+let test_small_events_games () =
+  let module D = Ccal_disk in
+  let disk m client =
+    D.Wal.underlay ~crashes:true (),
+    List.map (fun i -> i, Prog.Module.link m (client i)) [ 1; 2 ]
+  in
+  let sb = Option.get (Ccal_machine.Litmus.find "SB") in
+  List.iter
+    (fun (name, memory, (layer, threads), (runs, distinct, oracle_logs)) ->
+      List.iter
+        (fun jobs ->
+          let ctx = V.Ctx.make ~jobs ~memory () in
+          let independence = V.Dpor.Commuting_events and depth = 6 in
+          let r =
+            V.Budget.value
+              (V.Dpor.explore_ctx ~ctx ~independence ~engine:(E.dpor ~depth)
+                 ~depth layer threads)
+          in
+          let o =
+            V.Budget.value
+              (V.Explore.oracle_ctx ~ctx ~independence ~sym:false ~depth layer
+                 threads r)
+          in
+          let label what = Printf.sprintf "%s jobs %d: %s" name jobs what in
+          check_int (label "runs") runs r.V.Dpor.stats.V.Dpor.schedules_run;
+          check_int (label "distinct logs") distinct
+            r.V.Dpor.stats.V.Dpor.distinct_logs;
+          check_int (label "oracle logs") oracle_logs
+            (List.length o.V.Explore.logs);
+          check_bool (label "agree") true o.V.Explore.agree)
+        [ 1; 4 ])
+    [
+      "wal 2t", Memory.Sc, disk (D.Wal.module_ ()) D.Wal.client, (14, 10, 10);
+      ( "durable-kv 2t", Memory.Sc,
+        disk (D.Durable_kv.module_ ()) D.Durable_kv.client, (26, 13, 13) );
+      ( "litmus SB tso", Memory.Tso,
+        (Ccal_machine.Tso.machine_layer Memory.Tso, sb.Ccal_machine.Litmus.threads),
+        (37, 8, 8) );
+      ( "kv-cache 3t", Memory.Sc,
+        Ccal_kv.Kv_stack.cache_game ~entries:2 ~threads:3 (), (19, 7, 7) );
+    ]
 
 (* The walk schedules the TSO flushers, so [considered] ranges over the
    same alphabet as the oracle: SB's 2 CPUs plus 2 flushers at depth 6. *)
@@ -845,11 +961,14 @@ let suite =
     tc "oracle: a threadless game agrees" test_threadless_game_agrees;
     tc "schedules_considered counts the TSO flushers"
       test_considered_counts_pseudo_threads;
-    prop_canonical_matches_definition;
-    prop_canonical_commutes;
-    prop_canonical_idempotent;
+    prop_equivalent_matches_definition;
+    prop_key_commutes;
+    prop_key_of_canonical_form;
+    prop_keyed_dedup_subset;
     tc "equiv: ticket L0, 4 threads, depth 6, commuting events"
       test_ticket_4t_commuting;
+    tc "equiv: the small events-mode games, jobs 1 and 4"
+      test_small_events_games;
     tc "Engine.of_string accepts the grammar" test_engine_of_string_accepts;
     tc "Engine.of_string rejects by name" test_engine_of_string_rejects;
     tc "splitmix corner cases" test_splitmix_corner_cases;

@@ -256,7 +256,7 @@ let test_locks_interchangeable () =
   let client i = Prog.bind (acq 0) (fun _ -> Prog.seq (rel 0 i) (Prog.ret (vi i))) in
   let check_impl name underlay m r =
     match
-      refine ~underlay ~impl:m ~overlay:(Ticket_lock.overlay ())
+      refine ~underlay ~impl:m ~overlay:(Lock_intf.layer "Llock")
         ~rel:r ~client ~tids:[ 1; 2 ] ~scheds:(Sched.default_suite ~seeds:3) ()
     with
     | Ok _ -> ()

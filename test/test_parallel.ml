@@ -250,7 +250,7 @@ let test_refinement_failure_jobs_invariant () =
   in
   let r =
     Calculus.fun_rule ~underlay:(Ticket_lock.l0 ())
-      ~overlay:(Ticket_lock.overlay ()) ~impl ~rel:Ticket_lock.r_ticket
+      ~overlay:(Lock_intf.layer "Llock") ~impl ~rel:Ticket_lock.r_ticket
       ~focus:[ 1 ] ~prim_tests:(Lock_intf.prim_tests ())
       ~envs:(Lock_intf.env_suite Ticket_lock.impl ()) ()
   in

@@ -147,7 +147,7 @@ let broken_acq_no_spin =
 
 let certify_with_acq acq_fn =
   let impl = Ccal_clight.Csem.module_of_fns [ acq_fn; Ticket_lock.rel_fn ] in
-  Calculus.fun_rule ~underlay:(Ticket_lock.l0 ()) ~overlay:(Ticket_lock.overlay ())
+  Calculus.fun_rule ~underlay:(Ticket_lock.l0 ()) ~overlay:(Lock_intf.layer "Llock")
     ~impl ~rel:Ticket_lock.r_ticket ~focus:[ 1 ]
     ~prim_tests:(Lock_intf.prim_tests ())
     ~envs:(Lock_intf.env_suite Ticket_lock.impl ()) ()
@@ -169,7 +169,7 @@ let broken_rel_no_inc =
 let test_inject_missing_inc_caught () =
   let impl = Ccal_clight.Csem.module_of_fns [ Ticket_lock.acq_fn; broken_rel_no_inc ] in
   let r =
-    Calculus.fun_rule ~underlay:(Ticket_lock.l0 ()) ~overlay:(Ticket_lock.overlay ())
+    Calculus.fun_rule ~underlay:(Ticket_lock.l0 ()) ~overlay:(Lock_intf.layer "Llock")
       ~impl ~rel:Ticket_lock.r_ticket ~focus:[ 1 ]
       ~prim_tests:(Lock_intf.prim_tests ())
       ~envs:(Lock_intf.env_suite Ticket_lock.impl ()) ()
@@ -231,7 +231,7 @@ let broken_rel_wrong_value =
 let test_inject_wrong_publish_caught () =
   let impl = Ccal_clight.Csem.module_of_fns [ Ticket_lock.acq_fn; broken_rel_wrong_value ] in
   let r =
-    Calculus.fun_rule ~underlay:(Ticket_lock.l0 ()) ~overlay:(Ticket_lock.overlay ())
+    Calculus.fun_rule ~underlay:(Ticket_lock.l0 ()) ~overlay:(Lock_intf.layer "Llock")
       ~impl ~rel:Ticket_lock.r_ticket ~focus:[ 1 ]
       ~prim_tests:(Lock_intf.prim_tests ())
       ~envs:(Lock_intf.env_suite Ticket_lock.impl ()) ()
