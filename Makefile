@@ -11,7 +11,7 @@ test:
 # Regression guard: the suite must never silently shrink — a dune or
 # module-wiring mistake can drop a whole test file from the runner while
 # everything still "passes".  Bump the floor when tests are added.
-TEST_COUNT_FLOOR := 510
+TEST_COUNT_FLOOR := 513
 
 check-test-count:
 	@out=$$(dune runtest --force 2>&1); status=$$?; \
@@ -26,10 +26,11 @@ check-test-count:
 	fi
 
 # Size guard: the library must not grow back.  The ceiling is the line
-# count of lib/ after the DPOR walk became one sequential DFS and the
-# ticket and MCS locks came to share one Llock certification recipe;
-# lower it when a change shrinks lib/.
-LIB_SIZE_CEILING := 15965
+# count of lib/ after the DPOR walk became one sequential DFS, the
+# ticket and MCS locks came to share one Llock certification recipe and
+# Prog.Module.stack came to link through Prog.Module.link; lower it when
+# a change shrinks lib/.
+LIB_SIZE_CEILING := 15964
 
 check-lib-size:
 	@lines=$$(cat lib/*/*.ml lib/*/*.mli | wc -l); \

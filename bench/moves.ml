@@ -17,17 +17,27 @@ let words_per_move f =
   moves, words /. float_of_int moves
 
 (* A one-primitive layer whose only primitive appends one event and reads
-   nothing: four threads calling it 250 times each, round robin. *)
+   nothing. *)
+let nop_layer () =
+  Layer.make "Lnop" [ Layer.event_prim "nop" (fun _ _ _ -> Ok Value.unit) ]
+
+let play_round_robin layer threads =
+  words_per_move (fun () ->
+      (Game.run (Game.config layer threads Sched.round_robin)).Game.steps)
+
+(* Four threads calling nop 250 times each, round robin. *)
 let nop () =
-  let layer =
-    Layer.make "Lnop" [ Layer.event_prim "nop" (fun _ _ _ -> Ok Value.unit) ]
-  in
   let rec calls k =
     if k = 0 then Prog.ret_unit else Prog.seq (Prog.call "nop" []) (calls (k - 1))
   in
-  let threads = List.init 4 (fun k -> k + 1, calls 250) in
-  words_per_move (fun () ->
-      (Game.run (Game.config layer threads Sched.round_robin)).Game.steps)
+  play_round_robin (nop_layer ()) (List.init 4 (fun k -> k + 1, calls 250))
+
+(* The same layer, each of the four threads a [Prog.seq_all] of [calls]
+   nop calls: what a move costs must not grow with the program's length
+   (DESIGN.md S35, program shape). *)
+let seq_nop calls =
+  let prog = Prog.seq_all (List.init calls (fun _ -> Prog.call "nop" [])) in
+  play_round_robin (nop_layer ()) (List.init 4 (fun k -> k + 1, prog))
 
 (* The leaves of the dpor-ticket4 workload: the ticket lock's C module
    over L0, four lock clients, the depth-6 DPOR prefixes under
@@ -78,8 +88,10 @@ let exh_llock5 () =
 (* Each game with its figure recorded when schedules became data (the
    play loop picks by index from a [Sched.t] variant: DESIGN.md S36) and
    the figure before that change; dpor-ticket4's figure was lowered again
-   when leaves came to be keyed instead of canonicalised (S34).  The perf
-   gate allows the recorded figure plus 5%. *)
+   when leaves came to be keyed instead of canonicalised (S34), and when
+   [Event.hash] stopped allocating a tuple.  seq-nop's figures are those
+   of [Prog.seq_all] nested to the right and, before, to the left (S35).
+   The perf gate allows the recorded figure plus 5%. *)
 type game = {
   name : string;
   run : unit -> int * float;  (** moves, minor words per move *)
@@ -90,6 +102,7 @@ type game = {
 let games =
   [
     { name = "nop"; run = nop; recorded = 47.2; before = 146.0 };
-    { name = "dpor-ticket4"; run = ticket4; recorded = 125.8; before = 237.6 };
+    { name = "dpor-ticket4"; run = ticket4; recorded = 121.3; before = 237.6 };
     { name = "exh-llock5"; run = exh_llock5; recorded = 99.4; before = 194.7 };
+    { name = "seq-nop"; run = (fun () -> seq_nop 2_000); recorded = 64.0; before = 12_023.0 };
   ]

@@ -21,7 +21,7 @@ let equal a b =
   && (try List.for_all2 Value.equal a.args b.args with Invalid_argument _ -> false)
   && Value.equal a.ret b.ret
 
-let hash e = Hashtbl.hash (e.src, e.tag, e.args, e.ret)
+let hash (e : t) = Hashtbl.hash e (* = the hash of the tuple (src, tag, args, ret) *)
 
 let compare a b =
   let c = Stdlib.compare a.src b.src in

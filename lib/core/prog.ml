@@ -23,7 +23,10 @@ let ( let* ) = bind
 
 let seq a b = bind a (fun _ -> b)
 
-let seq_all ps = List.fold_left seq ret_unit ps
+let rec seq_all = function
+  | [] -> ret_unit
+  | [ p ] -> p
+  | p :: rest -> bind p (fun _ -> seq_all rest)
 
 module Module = struct
   module Smap = Map.Make (String)
@@ -51,17 +54,6 @@ module Module = struct
         invalid_arg ("Prog.Module.union: primitive implemented twice: " ^ name))
       a b
 
-  let rec link' m p =
-    match p with
-    | Ret _ -> p
-    | Call c -> (
-      match Smap.find_opt c.prim m with
-      | Some body -> bind (body c.args) (fun v -> link' m (c.k v))
-      | None -> Call { c with k = (fun v -> link' m (c.k v)) })
-
-  let stack ~lower ~upper =
-    union lower (Smap.map (fun body args -> link' lower (body args)) upper)
-
   let rec link m p =
     match p with
     | Ret _ -> p
@@ -69,6 +61,9 @@ module Module = struct
       match Smap.find_opt c.prim m with
       | Some body -> bind (body c.args) (fun v -> link m (c.k v))
       | None -> Call { c with k = (fun v -> link m (c.k v)) })
+
+  let stack ~lower ~upper =
+    union lower (Smap.map (fun body args -> link lower (body args)) upper)
 end
 
 let steps_bound_exceeded = "step bound exceeded"

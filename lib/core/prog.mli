@@ -29,14 +29,18 @@ val call : string -> Value.t list -> t
 (** [call p args] calls [p] and returns its result. *)
 
 val bind : t -> (Value.t -> t) -> t
-(** Monadic sequencing: run the first program, feed its result on. *)
+(** Monadic sequencing: run the first program, feed its result on.  Cost:
+    a move pays one wrap for each [bind] enclosing it on the left, so a
+    left-nested sequence makes a move pay for every program still to come. *)
 
 val ( let* ) : t -> (Value.t -> t) -> t
 val seq : t -> t -> t
 (** [seq a b] runs [a], discards its result, then runs [b]. *)
 
 val seq_all : t list -> t
-(** Run programs in order, returning the last result ([ret_unit] if empty). *)
+(** Run programs in order, returning the last result ([ret_unit] if empty).
+    Right-nested, each tail built when its head returns: a move costs the
+    same whatever the length of the list. *)
 
 (** {1 Modules and linking} *)
 

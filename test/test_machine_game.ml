@@ -19,6 +19,117 @@ let test_prog_seq_all () =
   | Prog.Ret v -> check_int "last result" 3 (Value.to_int v)
   | Prog.Call _ -> Alcotest.fail "expected Ret"
 
+(* ---- seq_all nested to the right vs the left fold ----
+
+   [Prog.seq_all] used to be this left fold, which makes each move pay a
+   wrap per program still to come.  Sequencing is associative, so the
+   right-nested form must be the same program: equal fingerprints (plain
+   and tid-blinded) and equal plays, exceptions included. *)
+let seq_all_left ps = List.fold_left Prog.seq Prog.ret_unit ps
+
+(* Small programs over Llock plus [nop] and [echo n] (returns [n]). *)
+type sprog =
+  | SRet of int
+  | SCall of string * int  (** [nop], [echo n], [acq 0] or [rel 0 n] *)
+  | SRight of sprog list  (** [p1 >>= fun _ -> (p2 >>= fun _ -> ...)] *)
+  | SLeft of sprog list  (** [((p1 >>= fun _ -> p2) >>= fun _ -> p3) ...] *)
+  | SRaise of string * int * int * sprog
+      (** [SCall (p, a) >>= fun v -> if v = n then raise Exit else q]:
+          the head is a call, so the raise can only happen in a play *)
+
+let rec sprog_to_string = function
+  | SRet n -> Printf.sprintf "ret %d" n
+  | SCall (p, n) -> Printf.sprintf "%s %d" p n
+  | SRight ps -> "R[" ^ String.concat "; " (List.map sprog_to_string ps) ^ "]"
+  | SLeft ps -> "L[" ^ String.concat "; " (List.map sprog_to_string ps) ^ "]"
+  | SRaise (p, a, n, q) ->
+    Printf.sprintf "(%s %d >>= raise on %d else %s)" p a n (sprog_to_string q)
+
+let rec build = function
+  | SRet n -> Prog.ret (vi n)
+  | SCall ("rel", n) -> Prog.call "rel" [ vi 0; vi n ]
+  | SCall ("acq", _) -> Prog.call "acq" [ vi 0 ]
+  | SCall ("nop", _) -> Prog.call "nop" []
+  | SCall (p, n) -> Prog.call p [ vi n ]
+  | SRight ps ->
+    List.fold_right
+      (fun p rest -> Prog.bind (build p) (fun _ -> rest))
+      ps Prog.ret_unit
+  | SLeft ps -> List.fold_left (fun acc p -> Prog.seq acc (build p)) Prog.ret_unit ps
+  | SRaise (p, a, n, q) ->
+    let q = build q in
+    Prog.bind (build (SCall (p, a))) (fun v -> if Value.equal v (vi n) then raise Exit else q)
+
+let gen_sprog =
+  let open QCheck.Gen in
+  sized_size (int_range 0 3)
+  @@ fix (fun self d ->
+         let call =
+           pair (frequencyl [ 3, "nop"; 3, "echo"; 1, "acq"; 1, "rel" ]) (int_range 0 2)
+         in
+         let leaf =
+           frequency
+             [ 1, map (fun n -> SRet n) (int_range 0 2);
+               4, map (fun (p, n) -> SCall (p, n)) call ]
+         in
+         if d = 0 then leaf
+         else
+           frequency
+             [ 3, leaf;
+               1, map (fun ps -> SRight ps) (list_size (int_range 0 4) (self (d - 1)));
+               1, map (fun ps -> SLeft ps) (list_size (int_range 0 4) (self (d - 1)));
+               1,
+               map3
+                 (fun (p, a) n q -> SRaise (p, a, n, q))
+                 call (int_range 0 2) (self (d - 1)) ])
+
+let seq_layer =
+  lazy
+    (Ccal_objects.Lock_intf.layer "Llock"
+       ~extra:
+         [ Layer.event_prim "nop" (fun _ _ _ -> Ok Value.unit);
+           Layer.event_prim "echo" (fun _ args _ -> Ok (List.hd args)) ])
+
+let prop_seq_all_right_is_left_fold =
+  let gen =
+    QCheck.Gen.(
+      triple (list_size (int_range 1 3) (list_size (int_range 0 8) gen_sprog)) int (int_range 4 40))
+  in
+  let print (threads, seed, max_steps) =
+    Printf.sprintf "seed %d, max_steps %d: %s" seed max_steps
+      (String.concat " || "
+         (List.map
+            (fun ps -> "[" ^ String.concat "; " (List.map sprog_to_string ps) ^ "]")
+            threads))
+  in
+  qtc ~count:500 "seq_all = the left fold: fingerprints and plays"
+    (QCheck.make ~print gen) (fun (sthreads, seed, max_steps) ->
+      let threads seq =
+        List.mapi (fun k ps -> k + 1, seq (List.map build ps)) sthreads
+      in
+      let right = threads Prog.seq_all and left = threads seq_all_left in
+      let fp p = Fingerprint.finish (Fingerprint.prog Fingerprint.empty p) in
+      let fp_blind tid p =
+        Fingerprint.finish (Fingerprint.prog_blind ~tid Fingerprint.empty p)
+      in
+      let play threads s =
+        match Game.run (Game.config ~max_steps (Lazy.force seq_layer) threads s) with
+        | o -> Ok (o.Game.log, o.Game.results, o.Game.status, o.Game.steps)
+        | exception Exit -> Error ()
+      in
+      let same_play s =
+        match play right s, play left s with
+        | Ok (l1, r1, s1, n1), Ok (l2, r2, s2, n2) ->
+          Log.equal l1 l2 && r1 = r2 && s1 = s2 && n1 = n2
+        | Error (), Error () -> true
+        | _ -> false
+      in
+      List.for_all2
+        (fun (tid, r) (_, l) -> fp r = fp l && fp_blind tid r = fp_blind tid l)
+        right left
+      && List.for_all same_play
+           [ Sched.round_robin; Sched.random ~seed; Sched.random ~seed:(seed + 1) ])
+
 let test_module_union_disjoint () =
   let m1 = Prog.Module.of_bodies [ "f", (fun _ -> Prog.ret_unit) ] in
   let m2 = Prog.Module.of_bodies [ "g", (fun _ -> Prog.ret_unit) ] in
@@ -289,6 +400,7 @@ let suite =
   [
     tc "prog bind" test_prog_bind;
     tc "prog seq_all" test_prog_seq_all;
+    prop_seq_all_right_is_left_fold;
     tc "module union disjoint" test_module_union_disjoint;
     tc "module link" test_module_link;
     tc "module stack" test_module_stack;

@@ -132,6 +132,18 @@ let test_words_per_move () =
         true (words <= bound))
     Moves.games
 
+(* A move of a [Prog.seq_all] sequence costs the same whatever the
+   sequence's length: a left-nested sequence reads 1,523 words per move
+   at 250 calls and 12,023 at 2,000. *)
+let test_words_per_move_flat_in_length () =
+  let _, short = Moves.seq_nop 250 and _, long = Moves.seq_nop 2_000 in
+  Printf.printf "perf-gate: seq-nop %.1f words per move at 250 calls, %.1f at 2,000\n%!"
+    short long;
+  check_bool
+    (Printf.sprintf "%.1f and %.1f words per move agree within 5%%" short long)
+    true
+    (Float.abs (long -. short) <= 0.05 *. Float.min short long)
+
 (* ---- replay work of the crash certifier (DESIGN.md S30, S32) ----
 
    Like allocation, the events the replay folds step are a deterministic
@@ -194,6 +206,8 @@ let suite =
       test_recommend_domains;
     tc "minor words per move within 5% of the recorded figures"
       test_words_per_move;
+    tc "minor words per move independent of the sequence's length"
+      test_words_per_move_flat_in_length;
     tc "crash certifier replay folds within the recorded bound"
       test_crash_events_folded;
   ]

@@ -159,6 +159,36 @@ let prop_suffix_roundtrip =
       let l2 = Log.append_all post l1 in
       List.length (Log.suffix_since l1 l2) = List.length post)
 
+let value_gen =
+  QCheck.Gen.(
+    sized_size (int_range 0 3)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [ return Value.unit; map Value.int int; map Value.bool bool;
+                 map Value.int (int_range (-2) 9) ]
+           in
+           if n = 0 then leaf
+           else
+             frequency
+               [ 3, leaf;
+                 1, map2 Value.pair (self (n - 1)) (self (n - 1));
+                 1, map Value.list (list_size (int_range 0 4) (self (n - 1))) ]))
+
+(* [Event.hash] hashes the record itself; it must give the value the
+   4-tuple hash gave, or [Log.hash], [Fingerprint.log] and every stored
+   cache key built on them would move. *)
+let prop_event_hash_is_tuple_hash =
+  qtc ~count:1_000 "Event.hash = hash of the (src, tag, args, ret) tuple"
+    (QCheck.make
+       QCheck.Gen.(
+         let* src = int_range (-2) 9 in
+         let* tag = oneof [ oneofl [ "acq"; "rel"; "switch"; "" ]; string_size (int_range 0 12) ] in
+         let* args = list_size (int_range 0 5) value_gen in
+         let* ret = value_gen in
+         return (Event.make ~args ~ret src tag)))
+    (fun (e : Event.t) -> Event.hash e = Hashtbl.hash (e.src, e.tag, e.args, e.ret))
+
 let prop_value_equal_refl =
   qtc "value equality reflexive" QCheck.(list small_int) (fun xs ->
       let v = Value.list (List.map Value.int xs) in
@@ -351,6 +381,7 @@ let suite =
     prop_map_events_id;
     prop_suffix_roundtrip;
     prop_value_equal_refl;
+    prop_event_hash_is_tuple_hash;
     prop_dedup_collisions;
     prop_incremental_fold_is_chronological;
     tc "incremental fold cost" test_incremental_fold_cost;
