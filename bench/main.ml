@@ -172,14 +172,14 @@ let tab2_row obj paper_src fns spec certify =
 let tab2_rows () =
   [
     tab2_row "Ticket lock" 74 [ Ticket_lock.acq_fn; Ticket_lock.rel_fn ] 5
-      (fun () -> Lock_intf.certify Ticket_lock.impl ~focus:[ 1; 2 ] ());
+      (fun () -> Object_intf.certify Ticket_lock.recipe ());
     tab2_row "MCS lock" 287 [ Mcs_lock.acq_fn; Mcs_lock.rel_fn ] 5
-      (fun () -> Lock_intf.certify Mcs_lock.impl ~focus:[ 1; 2 ] ());
+      (fun () -> Object_intf.certify Mcs_lock.recipe ());
     tab2_row "Local queue" 377
       [ Queue_local.enq_fn; Queue_local.deq_fn; Queue_local.qlen_fn ] 3
-      (fun () -> Queue_local.certify ());
+      (fun () -> Object_intf.certify Queue_local.recipe ());
     tab2_row "Shared queue" 20 [ Queue_shared.deq_fn; Queue_shared.enq_fn ] 4
-      (fun () -> Queue_shared.certify ());
+      (fun () -> Object_intf.certify Queue_shared.recipe ());
     tab2_row "Scheduler" 62 [] 6
       (fun () ->
         (* the scheduler is a layer transformer; its verification is the
@@ -207,10 +207,11 @@ let tab2_rows () =
                (List.init (List.length verdicts) (fun i -> i))));
     tab2_row "Queuing lock" 112 [ Qlock.acq_q_fn; Qlock.rel_q_fn ] 4
       (fun () ->
-        Result.map_error (Format.asprintf "%a" Calculus.pp_error) (Qlock.certify ()));
+        Result.map_error (Format.asprintf "%a" Calculus.pp_error)
+          (Object_intf.certify Qlock.recipe ()));
     tab2_row "RW lock (ext)" 0
       [ Rwlock.acq_r_fn; Rwlock.rel_r_fn; Rwlock.acq_w_fn; Rwlock.rel_w_fn ] 4
-      (fun () -> Rwlock.certify ());
+      (fun () -> Object_intf.certify Rwlock.recipe ());
   ]
 
 let print_tab2 rows =
@@ -958,9 +959,9 @@ let run_tso () =
   in
   [
     cert "Ticket lock" (fun memory ->
-        Lock_intf.certify Ticket_lock.impl ~memory ~focus:[ 1; 2 ] ());
+        Object_intf.certify Ticket_lock.recipe ~memory ());
     cert "MCS lock" (fun memory ->
-        Lock_intf.certify Mcs_lock.impl ~memory ~focus:[ 1; 2 ] ());
+        Object_intf.certify Mcs_lock.recipe ~memory ());
     cert "Queue stack" (fun memory -> Queue_shared.full_stack_certify ~memory ());
   ]
   @ List.map litmus Ccal_machine.Litmus.tests
@@ -1083,18 +1084,22 @@ let make_tests (ghost_layer, ghost_m, clean_layer, clean_m) =
       (* tab2: certification cost per object *)
       Test.make ~name:"tab2/ticket-certify"
         (Staged.stage (fun () ->
-             ignore (Lock_intf.certify Ticket_lock.impl ~focus:[ 1 ] ())));
+             ignore (Object_intf.certify Ticket_lock.recipe ~focus:[ 1 ] ())));
       Test.make ~name:"tab2/mcs-certify"
         (Staged.stage (fun () ->
-             ignore (Lock_intf.certify Mcs_lock.impl ~focus:[ 1 ] ())));
+             ignore (Object_intf.certify Mcs_lock.recipe ~focus:[ 1 ] ())));
       Test.make ~name:"tab2/local-queue-certify"
-        (Staged.stage (fun () -> ignore (Queue_local.certify ())));
+        (Staged.stage (fun () ->
+             ignore (Object_intf.certify Queue_local.recipe ())));
       Test.make ~name:"tab2/shared-queue-certify"
-        (Staged.stage (fun () -> ignore (Queue_shared.certify ~focus:[ 1 ] ())));
+        (Staged.stage (fun () ->
+             ignore (Object_intf.certify Queue_shared.recipe ~focus:[ 1 ] ())));
       Test.make ~name:"tab2/qlock-certify"
-        (Staged.stage (fun () -> ignore (Qlock.certify ~focus:[ 1 ] ())));
+        (Staged.stage (fun () ->
+             ignore (Object_intf.certify Qlock.recipe ~focus:[ 1 ] ())));
       Test.make ~name:"tab2/ipc-certify"
-        (Staged.stage (fun () -> ignore (Ipc.certify ~focus:[ 1 ] ())));
+        (Staged.stage (fun () ->
+             ignore (Object_intf.certify Ipc.recipe ~focus:[ 1 ] ())));
       (* tab1: the toolkit self-check *)
       Test.make ~name:"tab1/toolkit-selfcheck"
         (Staged.stage (fun () -> ignore (stack_verify ~seeds:1 ())));
@@ -1104,7 +1109,7 @@ let make_tests (ghost_layer, ghost_m, clean_layer, clean_m) =
       (* fig5: the ticket-lock pipeline incl. soundness *)
       Test.make ~name:"fig5_pipeline/certify+soundness"
         (Staged.stage (fun () ->
-             match Lock_intf.certify Ticket_lock.impl ~focus:[ 1; 2 ] () with
+             match Object_intf.certify Ticket_lock.recipe () with
              | Error _ -> ()
              | Ok cert ->
                ignore

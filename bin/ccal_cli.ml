@@ -4,7 +4,7 @@
      ccal stack     verify the whole Fig. 1 layer stack
      ccal kv        certify the kv serving stack (DESIGN.md S28)
      ccal verify    certify one object (ticket, mcs, local-queue,
-                    shared-queue, qlock, ipc, all)
+                    shared-queue, queue-stack, qlock, ipc, rwlock, all)
      ccal pipeline  run the Fig. 5 ticket-lock pipeline with soundness
      ccal explore   compare the DPOR explorer against exhaustive
                     enumeration on a benchmark game
@@ -427,15 +427,16 @@ let verify_one name =
       Format.printf "%a@." Calculus.pp_error e;
       false
   in
+  let certify recipe = show (Object_intf.certify recipe ()) in
   match name with
-  | "ticket" -> show (Lock_intf.certify Ticket_lock.impl ~focus:[ 1; 2 ] ())
-  | "mcs" -> show (Lock_intf.certify Mcs_lock.impl ~focus:[ 1; 2 ] ())
-  | "local-queue" -> show (Queue_local.certify ())
-  | "shared-queue" -> show (Queue_shared.certify ())
+  | "ticket" -> certify Ticket_lock.recipe
+  | "mcs" -> certify Mcs_lock.recipe
+  | "local-queue" -> certify Queue_local.recipe
+  | "shared-queue" -> certify Queue_shared.recipe
   | "queue-stack" -> show (Queue_shared.full_stack_certify ())
-  | "qlock" -> show (Qlock.certify ())
-  | "ipc" -> show (Ipc.certify ())
-  | "rwlock" -> show (Rwlock.certify ())
+  | "qlock" -> certify Qlock.recipe
+  | "ipc" -> certify Ipc.recipe
+  | "rwlock" -> certify Rwlock.recipe
   | other ->
     Format.eprintf "unknown object %S@." other;
     false
@@ -457,7 +458,7 @@ let verify_cmd =
     Arg.(value & pos 0 string "all"
          & info [] ~docv:"OBJECT"
              ~doc:"Object to certify: ticket, mcs, local-queue, shared-queue, \
-                   queue-stack, qlock, ipc, or all.")
+                   queue-stack, qlock, ipc, rwlock, or all.")
   in
   Cmd.v
     (Cmd.info "verify" ~doc:"Build the certificate for one object")
@@ -510,7 +511,7 @@ let pipeline_cmd =
     @@ fun c ctx ->
     let module V = Ccal_verify in
     (match
-       Lock_intf.certify Ticket_lock.impl ~memory:c.memory ~focus:[ 1; 2 ] ()
+       Object_intf.certify Ticket_lock.recipe ~memory:c.memory ()
      with
       | Error e ->
         Format.eprintf "%a@." Calculus.pp_error e;

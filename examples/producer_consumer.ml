@@ -36,7 +36,7 @@ let () =
   Format.printf "== producer/consumer over the certified IPC channel ==@.@.";
 
   (* certify the channel first *)
-  (match Ipc.certify ~placement ~focus:[ 1; 2 ] () with
+  (match Object_intf.certify Ipc.recipe ~placement ~focus:[ 1; 2 ] () with
   | Ok c ->
     Format.printf "channel certified against Lipc: %d checks@.@."
       (Calculus.count_checks c)

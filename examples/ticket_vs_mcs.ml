@@ -53,10 +53,10 @@ let () =
   Format.printf "== ticket vs MCS: same interface, interchangeable ==@.@.";
 
   (* certify both against the same overlay *)
-  (match Lock_intf.certify Ticket_lock.impl ~focus:[ 1; 2 ] () with
+  (match Object_intf.certify Ticket_lock.recipe () with
   | Ok c -> Format.printf "ticket certified: %d checks@." (Calculus.count_checks c)
   | Error e -> Format.printf "ticket FAILED: %a@." Calculus.pp_error e);
-  (match Lock_intf.certify Mcs_lock.impl ~focus:[ 1; 2 ] () with
+  (match Object_intf.certify Mcs_lock.recipe () with
   | Ok c -> Format.printf "mcs    certified: %d checks@.@." (Calculus.count_checks c)
   | Error e -> Format.printf "mcs FAILED: %a@." Calculus.pp_error e);
 

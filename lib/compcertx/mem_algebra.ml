@@ -44,11 +44,6 @@ let st m l v =
          m)
   | Some (Real _) | Some Empty | None -> None
 
-let block_is_empty m i =
-  match block_at m i with
-  | Some Empty | None -> true
-  | Some (Real _) -> false
-
 let compose m1 m2 =
   let n = max (nb m1) (nb m2) in
   let rec go i acc =
@@ -100,22 +95,3 @@ let pp fmt m =
        ~pp_sep:(fun fmt () -> Format.fprintf fmt ";@ ")
        pp_block)
     m
-
-let of_blocks descrs =
-  List.map
-    (function
-      | `Empty -> Empty
-      | `Real bindings ->
-        let data =
-          List.fold_left (fun d (k, v) -> Imap.add k v d) Imap.empty bindings
-        in
-        let lo, hi =
-          match bindings with
-          | [] -> 0, 1
-          | _ ->
-            let keys = List.map fst bindings in
-            List.fold_left min (List.hd keys) keys,
-            List.fold_left max (List.hd keys) keys + 1
-        in
-        Real { lo; hi; data })
-    descrs

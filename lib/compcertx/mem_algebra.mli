@@ -37,9 +37,6 @@ val ld : t -> loc -> Ccal_core.Value.t option
 val st : t -> loc -> Ccal_core.Value.t -> t option
 (** [st(m,ℓ,v)]: store; [None] without permission. *)
 
-val block_is_empty : t -> int -> bool
-(** Is the indexed block an empty placeholder (or absent)? *)
-
 val compose : t -> t -> t option
 (** [compose m1 m2]: the canonical [m] with [m1 ⊛ m2 ≃ m], if the two
     memories are compatible (no index holds a real block in both). *)
@@ -53,9 +50,3 @@ val compose_many : t list -> t option
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-
-(** {1 Construction helpers for tests} *)
-
-val of_blocks : [ `Real of (int * Ccal_core.Value.t) list | `Empty ] list -> t
-(** Build a memory from block descriptions ([`Real] blocks get bounds
-    covering their bindings). *)

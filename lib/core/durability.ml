@@ -22,8 +22,6 @@ let crash_tag = "d_crash"
 
 let crash_tid = -1
 
-let is_crash i = i = crash_tid
-
 (* Mask arithmetic shared by the disk machine and the certifier: bit [i]
    of [keep] decides whether in-flight write [i] (oldest first) survives
    the crash; bit [i] of [tear] additionally garbles a surviving write. *)

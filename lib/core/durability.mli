@@ -16,8 +16,6 @@ val crash_tid : Event.tid
     thread (ids >= 1) and every flusher ({!Memory.flusher_tid} of a cpu
     >= 1). *)
 
-val is_crash : Event.tid -> bool
-
 val keeps : mask:int -> int -> bool
 (** [keeps ~mask i]: does bit [i] of the mask select in-flight write [i]
     (oldest first)? *)

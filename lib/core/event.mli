@@ -7,7 +7,7 @@
     [i.FAI_t] in the paper is [{src = i; tag = "FAI_t"; args = [b]; ret = t}].
 
     Hardware scheduling transitions are also recorded as events (Sec. 3.1);
-    they use the distinguished tag {!switch_tag}. *)
+    they use the distinguished tag ["switch"], built by {!switch}. *)
 
 type tid = int
 (** Thread / CPU identifier.  The full domain [D] of the paper is a finite
@@ -30,9 +30,6 @@ val obj_of_args : Value.t list -> int option
     one convention shared by the objects' replay functions, the
     rely/guarantee checks, the progress checks and DPOR's dependence
     relation. *)
-
-val switch_tag : string
-(** Tag of hardware/software scheduling events ([c.switch]). *)
 
 val switch : tid -> t
 (** [switch i] is the scheduling event recording that control was

@@ -11,10 +11,6 @@ type shared_result =
   | Stuck of string
   | Race of string
 
-let pp_stuck_kind fmt = function
-  | Invalid_transition -> Format.pp_print_string fmt "invalid-transition"
-  | Data_race -> Format.pp_print_string fmt "data-race"
-
 type shared_sem = Event.tid -> Value.t list -> Log.t -> shared_result
 
 type private_sem =

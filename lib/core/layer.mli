@@ -51,8 +51,6 @@ type shared_result =
           Classified as {!Data_race} so checkers never have to scan
           message strings. *)
 
-val pp_stuck_kind : Format.formatter -> stuck_kind -> unit
-
 type shared_sem = Event.tid -> Value.t list -> Log.t -> shared_result
 (** Semantics of a shared primitive: given the caller, arguments and
     current global log (already extended with any environment events),

@@ -11,7 +11,6 @@ let newest_first l = l.rev_events
 let chronological l = List.rev l.rev_events
 
 let length l = l.len
-let is_empty l = l.len = 0
 
 let latest l = match l.rev_events with [] -> None | e :: _ -> Some e
 

@@ -25,7 +25,6 @@ val chronological : t -> Event.t list
 (** Events in the order they happened. *)
 
 val length : t -> int
-val is_empty : t -> bool
 
 val latest : t -> Event.t option
 

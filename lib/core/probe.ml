@@ -31,7 +31,6 @@ let now_ns () = Monotonic_clock.now ()
 let enabled = Atomic.make false
 let enable () = Atomic.set enabled true
 let disable () = Atomic.set enabled false
-let is_enabled () = Atomic.get enabled
 
 (* ------------------------------------------------------------------ *)
 (* named monotonic counters                                            *)

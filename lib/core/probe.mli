@@ -21,9 +21,8 @@ val now_ns : unit -> int64
 
 val enable : unit -> unit
 val disable : unit -> unit
-
-val is_enabled : unit -> bool
-(** Default [false]: every other entry point is a single atomic read. *)
+(** Off by default: every other entry point is then a single atomic
+    read. *)
 
 (** {1 Counters} *)
 
@@ -35,10 +34,6 @@ val counter : string -> counter
 
 val add : counter -> int -> unit
 val incr : counter -> unit
-
-val add_named : string -> int -> unit
-(** [add] for dynamic names (e.g. per checker × object keys); pays a
-    table lookup, so intern with {!counter} on hot paths. *)
 
 val counters : unit -> (string * int) list
 (** Snapshot of all non-zero counters, sorted by name. *)

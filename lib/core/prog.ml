@@ -10,7 +10,6 @@ and call = {
 
 let ret v = Ret v
 let ret_unit = Ret Value.unit
-let ret_int n = Ret (Value.int n)
 
 let call prim args = Call { prim; args; k = ret }
 

@@ -23,7 +23,6 @@ and call = {
 
 val ret : Value.t -> t
 val ret_unit : t
-val ret_int : int -> t
 
 val call : string -> Value.t list -> t
 (** [call p args] calls [p] and returns its result. *)

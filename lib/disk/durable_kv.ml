@@ -65,7 +65,7 @@ let module_ ?(shards = 2) ?(unsynced = false) () =
          (Hashtable.module_ ~tags:mem_tags ~shards ()))
     ~upper:(Prog.Module.of_bodies bodies)
 
-let underlay ?bound ?crashes () = Wal.underlay ?bound ?crashes ()
+let underlay ?crashes () = Wal.underlay ?crashes ()
 
 (* The abstract state recovery rebuilds: fold the surviving record
    prefix, tombstones deleting.  Sorted by key — a canonical form for

@@ -17,7 +17,7 @@ val module_ : ?shards:int -> ?unsynced:bool -> unit -> Prog.Module.t
 (** [dget]/[dput]/[ddel]/[dsync] stacked over the WAL module unioned
     with the hashtable under private in-memory tags. *)
 
-val underlay : ?bound:int -> ?crashes:bool -> unit -> Layer.t
+val underlay : ?crashes:bool -> unit -> Layer.t
 (** = {!Wal.underlay} ([Llock+disk]). *)
 
 val recovered_map : Wal.op list -> (int * int) list

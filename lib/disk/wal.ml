@@ -90,8 +90,8 @@ let module_ ?(unsynced = false) () =
   Prog.Module.of_bodies
     [ (append_tag, append_body); (sync_tag, sync_body ~unsynced) ]
 
-let underlay ?bound ?crashes () =
-  Lock_intf.layer ?bound ~extra:(Disk.prims ?crashes ()) "Llock+disk"
+let underlay ?crashes () =
+  Lock_intf.layer ~extra:(Disk.prims ?crashes ()) "Llock+disk"
 
 (* ---- the overlay spec and simulation relation ----
 
@@ -119,23 +119,6 @@ let overlay () =
           | [] -> Ok (Value.int (count_appends log))
           | _ -> Error "w_sync: bad arguments");
     ]
-
-let r_wal =
-  Sim_rel.of_events "R_wal" (fun (e : Event.t) ->
-      if not (String.equal e.tag Lock_intf.rel_tag) then []
-      else
-        match e.args with
-        | [ Value.Vint l; Value.Vpair (_, d) ] when l = wal_lock -> (
-          match d with
-          | Value.Vlist [ Value.Vint 1; Value.Vint lsn; Value.Vint key; Value.Vint value ]
-            ->
-            [ Event.make
-                ~args:[ Value.int key; Value.int value ]
-                ~ret:(Value.int lsn) e.src append_tag ]
-          | Value.Vlist [ Value.Vint 2; Value.Vint upto ] ->
-            [ Event.make ~args:[] ~ret:(Value.int upto) e.src sync_tag ]
-          | _ -> [])
-        | _ -> [])
 
 (* ---- recovery ---- *)
 

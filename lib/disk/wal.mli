@@ -12,10 +12,6 @@ open Ccal_verify
 val append_tag : string
 val sync_tag : string
 
-val wal_lock : int
-(** Lock id of the log head — disjoint from the hashtable's meta/bucket
-    range. *)
-
 type op = Crash.op = { lsn : int; key : int; value : int }
 
 val checksum : int -> int -> int -> int
@@ -29,7 +25,7 @@ val module_ : ?unsynced:bool -> unit -> Prog.Module.t
     skips the [d_sync] but still acknowledges — the bug the crash
     certificate catches. *)
 
-val underlay : ?bound:int -> ?crashes:bool -> unit -> Layer.t
+val underlay : ?crashes:bool -> unit -> Layer.t
 (** The lock layer with the disk primitives mixed in ([Llock+disk]);
     [crashes] additionally exports the crash primitive for in-game
     crash exploration. *)
@@ -37,10 +33,6 @@ val underlay : ?bound:int -> ?crashes:bool -> unit -> Layer.t
 val overlay : unit -> Layer.t
 (** The atomic WAL spec [Lwal]: an append is one event returning its
     LSN, a sync one event returning the last appended LSN. *)
-
-val r_wal : Sim_rel.t
-(** Maps the log-head lock release carrying a ghost descriptor to the
-    corresponding atomic overlay event; everything else erases. *)
 
 val recover : Disk.state -> op list
 (** Scan the platter from page 1, truncating at the first invalid

@@ -20,15 +20,6 @@ let initial_entry =
   { flag = Unmapped; page = -1; value = Map_spec.absent; dirty = false;
     pending = -1; owner = -1; readers = [] }
 
-let pp_flag ppf f =
-  Format.pp_print_string ppf
-    (match f with
-    | Unmapped -> "Unmapped"
-    | Reading -> "Reading"
-    | Available -> "Available"
-    | Writeback -> "Writeback"
-    | Exc -> "Exc")
-
 let open_tag = "c_open"
 let fill_tag = "c_fill"
 let fill_exc_tag = "c_fill_exc"

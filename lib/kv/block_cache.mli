@@ -35,9 +35,6 @@ type entry = {
   readers : (int * int) list;  (** per-thread reader refcounts *)
 }
 
-val initial_entry : entry
-val pp_flag : Format.formatter -> flag -> unit
-
 val replay_entry : int -> Log.t -> (entry, string) result
 (** Replay one entry's state machine from its events (chronological,
     first-error-wins): a lookup in one incremental fold over every

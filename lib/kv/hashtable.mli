@@ -18,12 +18,6 @@
 
 open Ccal_core
 
-val meta_lock : int
-(** Lock id of the shard-count lock (0; buckets are 1..N). *)
-
-val bucket_of : int -> int -> int
-(** [bucket_of k shards] — the lock id guarding key [k]. *)
-
 type tags = { get : string; put : string; del : string; resize : string }
 
 val spec_tags : tags

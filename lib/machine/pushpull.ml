@@ -51,9 +51,6 @@ let replay_loc b : (Value.t * ownership) Replay.t =
     | Some st -> Ok st
     | None -> Ok (Value.int 0, Free))
 
-let replay_all : (int * (Value.t * ownership)) list Replay.t =
- fun l -> Result.map Imap.bindings (replay_map l)
-
 let race_free l = Replay.well_formed replay_map l
 
 (* The prims inspect the ownership state of the location {e before}

@@ -21,20 +21,7 @@ val replay_loc :
 (** [Rshared l b]: the current value and ownership of location [b]
     (Fig. 8); [Error] on a racy log. *)
 
-val replay_all :
-  ((int * (Ccal_core.Value.t * ownership)) list) Ccal_core.Replay.t
-(** Replay every location mentioned in the log. *)
-
 val race_free : Ccal_core.Log.t -> bool
 (** No replay of any location gets stuck. *)
-
-val pull_prim : string * Ccal_core.Layer.prim
-(** [pull(b)] — appends [c.pull(b)], returns the location's current value
-    and {e enters the critical state} (the machine stops querying its
-    environment until the matching [push], Sec. 3.2). Stuck on a race. *)
-
-val push_prim : string * Ccal_core.Layer.prim
-(** [push(b, v)] — appends [c.push(b,v)], publishing [v] as the new value
-    of [b], frees the ownership and exits the critical state. *)
 
 val prims : (string * Ccal_core.Layer.prim) list

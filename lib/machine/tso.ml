@@ -269,8 +269,6 @@ let with_drain (env : Env_context.t) =
       let more = env.Env_context.query ~focus (Log.append_all drained log) in
       drained @ more)
 
-let drain_env = with_drain Env_context.empty
-
 (* ------------------------------------------------------------------ *)
 (* whole-log discipline checks                                         *)
 (* ------------------------------------------------------------------ *)
@@ -288,19 +286,6 @@ let cells_mentioned log =
            Some b
          | _ -> None)
        (Log.chronological log))
-
-(* Final memory of a TSO log includes any still-buffered stores drained in
-   program order, matching what an SC run would have written. *)
-let final_memory_tso threads log =
-  let drained =
-    List.fold_left
-      (fun l (t, _) ->
-        match drain_events t l with
-        | Ok commits -> Log.append_all commits l
-        | Error _ -> l)
-      log threads
-  in
-  drained
 
 (* Every buffer replays well-formed (each commit matched its FIFO head)
    and ends empty — the log discipline of a completed TSO game, whose

@@ -64,19 +64,6 @@ val replay_buffer : Event.tid -> (int * int) list Replay.t
     first.  Errors if some commit did not match the FIFO head — the
     store-buffer discipline every well-formed TSO log satisfies. *)
 
-val drain_events :
-  ?src:Event.tid -> Event.tid -> Log.t -> (Event.t list, string) result
-(** The [commit] events draining CPU [t]'s buffer in FIFO order.
-    [?src] (default [t]) is the mover recorded on the commits. *)
-
-val load_value : Event.tid -> int -> Log.t -> (int, string) result
-(** What CPU [t] reads from cell [b]: own-buffer forwarding (youngest
-    matching buffered write) falling back to shared memory. *)
-
-val flush_prim : string * Layer.prim
-(** The buffer-flush scheduler move: commit the oldest pending store of
-    the cpu named by the argument, or block when its buffer is empty. *)
-
 val layer : unit -> Layer.t
 (** The TSO hardware layer [Ltso]: [aload]/[astore]/[faa]/[xchg]/[cas]
     with store-buffer semantics, [mfence], [flush], plus the push/pull
@@ -117,22 +104,6 @@ val with_drain : Env_context.t -> Env_context.t
     log).  This is x86-TSO's progress guarantee — buffers drain
     eventually — without which a buffered spin (e.g. MCS waiting on its
     own forwarded store) never terminates in a certificate game. *)
-
-val drain_env : Env_context.t
-(** [with_drain Env_context.empty]. *)
-
-val buffers_drained :
-  threads:(Event.tid * 'a) list -> Log.t -> bool
-(** Every listed CPU's buffer replays well-formed and ends empty — the
-    log discipline of a completed TSO game. *)
-
-val cells_mentioned : Log.t -> int list
-(** The atomic cells a log touches (sorted, distinct). *)
-
-val final_memory_tso : (Event.tid * 'a) list -> Log.t -> Log.t
-(** The log extended with each listed CPU's pending stores committed —
-    the memory an SC run would have produced, for final-state
-    comparisons. *)
 
 val judge_sc_equivalence :
   ?max_steps:int ->

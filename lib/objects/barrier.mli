@@ -16,14 +16,8 @@
 
 open Ccal_core
 
-val arrive_tag : string
-(** Logged when a thread arrives (the spinlock publication). *)
-
 val pass_tag : string
 (** Logged when a thread passes the barrier. *)
-
-val bar_wait_fn : Ccal_clight.Csyntax.fn
-(** [bar_wait(b, n)]. *)
 
 val c_module : unit -> Prog.Module.t
 

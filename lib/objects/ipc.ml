@@ -74,7 +74,7 @@ let recv_prim =
                 crit = Layer.Keep;
               })) )
 
-let overlay ?bound:_ () =
+let overlay () =
   Layer.make "Lipc"
     [
       send_prim;
@@ -217,64 +217,42 @@ let r_ipc =
 (* Certification                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Only non-blocking cases here: the sleeping paths need a cooperating
-   peer and are exercised by the refinement games and the test-suite's
+(* Channel 5 and rival 9, sending and receiving on it.  Only
+   non-blocking cases here: the sleeping paths need a cooperating peer and
+   are exercised by the refinement games and the test-suite's
    producer/consumer scenarios. *)
-let prim_tests ?(chans = [ 5 ]) () : Calculus.prim_tests =
-  List.concat_map
-    (fun ch ->
-      let ic = Value.int ch in
-      let s v = send_tag, [ ic; Value.int v ] in
-      let r = recv_tag, [ ic ] in
+let recipe =
+  let ch = Value.int 5 in
+  let s v = send_tag, [ ch; Value.int v ] and r = recv_tag, [ ch ] in
+  {
+    Object_intf.underlay = (fun _ placement -> underlay ~placement ());
+    overlay = overlay ();
+    c_module;
+    asm_module = None;
+    rel = r_ipc;
+    prim_tests =
       [
         send_tag,
           [
-            Calculus.case [ ic; Value.int 11 ];
-            Calculus.case ~pre:[ s 1 ] [ ic; Value.int 12 ];
-            Calculus.case ~pre:[ s 1; r ] [ ic; Value.int 13 ];
+            Calculus.case [ ch; Value.int 11 ];
+            Calculus.case ~pre:[ s 1 ] [ ch; Value.int 12 ];
+            Calculus.case ~pre:[ s 1; r ] [ ch; Value.int 13 ];
           ];
         recv_tag,
           [
-            Calculus.case ~pre:[ s 21 ] [ ic ];
-            Calculus.case ~pre:[ s 21; s 22 ] [ ic ];
-            Calculus.case ~pre:[ s 21; s 22; r ] [ ic ];
+            Calculus.case ~pre:[ s 21 ] [ ch ];
+            Calculus.case ~pre:[ s 21; s 22 ] [ ch ];
+            Calculus.case ~pre:[ s 21; s 22; r ] [ ch ];
           ];
-      ])
-    chans
-
-let rival_prog ch =
-  Prog.seq
-    (Prog.call send_tag [ Value.int ch; Value.int 42 ])
-    (Prog.bind (Prog.call recv_tag [ Value.int ch ]) (fun _ ->
-         Prog.call T.exit_tag []))
-
-let env_suite ~placement () : Calculus.env_suite =
- fun i ->
-  let layer = underlay ~placement () in
-  let impl = c_module () in
-  let rivals = List.filter (fun j -> j <> i) [ 9 ] in
-  let rival j =
-    j, Machine.strategy_of_prog layer j (Prog.Module.link impl (rival_prog 5))
-  in
-  Env_context.empty
-  :: List.concat_map
-       (fun per_query ->
-         List.map
-           (fun j ->
-             Env_context.of_strategies
-               (Printf.sprintf "rival%d(r%d)" j per_query)
-               [ rival j ] ~rounds:per_query)
-           rivals)
-       [ 1; 2 ]
-
-let certify ?max_moves ?placement ?(focus = [ 1; 2 ]) () =
-  let rivals = [ 9 ] in
-  let placement =
-    match placement with
-    | Some p -> p
-    | None -> T.default_placement focus rivals
-  in
-  Calculus.fun_rule ?max_moves ~underlay:(underlay ~placement ())
-    ~overlay:(overlay ()) ~impl:(c_module ()) ~rel:r_ipc ~focus
-    ~prim_tests:(prim_tests ())
-    ~envs:(env_suite ~placement ()) ()
+      ];
+    rival =
+      (fun () ->
+        Prog.Module.link (c_module ())
+          (Prog.seq_all
+             [ Prog.call send_tag [ ch; Value.int 42 ]; Prog.call recv_tag [ ch ];
+               Prog.call T.exit_tag [] ]));
+    rivals = [ 9 ];
+    groups = [ 1 ];
+    siblings = false;
+    focus = [ 1; 2 ];
+  }

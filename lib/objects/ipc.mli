@@ -15,9 +15,6 @@
 
 open Ccal_core
 
-val send_tag : string
-val recv_tag : string
-
 val capacity : int
 (** Channel capacity (2: small enough that tests exercise the full/empty
     blocking paths). *)
@@ -26,7 +23,7 @@ val underlay : placement:Thread_sched.placement -> unit -> Layer.t
 (** [mt_layer] over the spinlock interface extended with the silent list
     helpers. *)
 
-val overlay : ?bound:int -> unit -> Layer.t
+val overlay : unit -> Layer.t
 (** [Lipc]: atomic [send]/[recv] plus the no-op [yield]/[texit]. *)
 
 val replay_chan : int -> Value.t list Replay.t
@@ -40,16 +37,6 @@ val c_module : unit -> Prog.Module.t
 
 val r_ipc : Sim_rel.t
 
-val prim_tests : ?chans:int list -> unit -> Calculus.prim_tests
-
-val env_suite : placement:Thread_sched.placement -> unit -> Calculus.env_suite
-(** The silent context, then rival thread 9 (unless focused) sending and
-    receiving on channel 5, answering 1 or 2 rounds per query. *)
-
-val certify :
-  ?max_moves:int ->
-  ?placement:Thread_sched.placement ->
-  ?focus:Event.tid list ->
-  unit ->
-  (Calculus.cert, Calculus.error) result
-(** [Lmt(Lipc_under)[A] ⊢_{R_ipc} M_ipc : Lipc[A]]. *)
+val recipe : Object_intf.t
+(** [Lmt(Lipc_under)[A] ⊢_{R_ipc} M_ipc : Lipc[A]]: channel 5, with rival
+    thread 9 sending and receiving on it. *)

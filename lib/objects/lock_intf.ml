@@ -94,104 +94,8 @@ let handoffs b l =
       else None)
     (Log.chronological l)
 
-(* ---------------- the certification recipe (Sec. 6) ---------------- *)
-
-type impl = {
-  l0 : ?memory:Memory.t -> unit -> Layer.t;
-  c_module : unit -> Prog.Module.t;
-  asm_module : unit -> Prog.Module.t;
-  rel : Sim_rel.t;
-}
-
-let prim_tests ?(locks = [ 0 ]) ?(values = [ 7 ]) () : Calculus.prim_tests =
-  let acq_cases =
-    List.concat_map
-      (fun b ->
-        Calculus.case [ Value.int b ]
-        :: List.map
-             (fun v ->
-               (* re-acquisition after a release observing the published
-                  value *)
-               Calculus.case
-                 ~pre:
-                   [
-                     acq_tag, [ Value.int b ];
-                     rel_tag, [ Value.int b; Value.int v ];
-                   ]
-                 [ Value.int b ])
-             values)
-      locks
-  in
-  let rel_cases =
-    List.concat_map
-      (fun b ->
-        List.map
-          (fun v ->
-            Calculus.case ~pre:[ acq_tag, [ Value.int b ] ]
-              [ Value.int b; Value.int v ])
-          values)
-      locks
-  in
-  [ acq_tag, acq_cases; rel_tag, rel_cases ]
-
-(* Environment participants run real lock rounds of the implementation,
-   so their events carry replay-consistent return values. *)
-let rival_prog b rounds =
-  let rec go k =
-    if k = 0 then Prog.ret_unit
-    else
-      Prog.bind (Prog.call acq_tag [ Value.int b ]) (fun v ->
-          Prog.seq (Prog.call rel_tag [ Value.int b; v ]) (go (k - 1)))
-  in
-  go rounds
-
-let env_suite impl ?(memory = Memory.default) () : Calculus.env_suite =
- fun i ->
-  let layer = impl.l0 ~memory () in
-  let m = impl.c_module () in
-  let rivals = List.filter (fun j -> j <> i) [ 9; 8 ] in
-  let rival j =
-    j, Machine.strategy_of_prog layer j (Prog.Module.link m (rival_prog 0 1))
-  in
-  (* Under TSO every context gains the drain behaviour: the environment
-     commits pending stores at each query point (x86-TSO's progress
-     guarantee that buffers flush eventually).  For MCS this is
-     load-bearing: the focused CPU's own buffered [locked(me) := 1] would
-     otherwise be forwarded to its spin loop forever. *)
-  let adapt env =
-    match memory with
-    | Memory.Sc -> env
-    | Memory.Tso -> Ccal_machine.Tso.with_drain env
-  in
-  List.map adapt
-    (Env_context.empty
-    :: List.concat_map
-         (fun per_query ->
-           match rivals with
-           | [] -> []
-           | [ j ] ->
-             [
-               Env_context.of_strategies
-                 (Printf.sprintf "one-rival(r%d)" per_query)
-                 [ rival j ] ~rounds:per_query;
-             ]
-           | j :: k :: _ ->
-             [
-               Env_context.of_strategies
-                 (Printf.sprintf "one-rival(r%d)" per_query)
-                 [ rival j ] ~rounds:per_query;
-               Env_context.of_strategies
-                 (Printf.sprintf "two-rivals(r%d)" per_query)
-                 [ rival j; rival k ] ~rounds:per_query;
-             ])
-         [ 1; 2 ])
-
-let certify impl ?max_moves ?(memory = Memory.default) ?underlay ?overlay
-    ?(focus = [ 1; 2 ]) ?(use_asm = false) () =
-  Calculus.fun_rule ?max_moves
-    ~underlay:(Option.value underlay ~default:(impl.l0 ~memory ()))
-    ~overlay:(Option.value overlay ~default:(layer "Llock"))
-    ~impl:(if use_asm then impl.asm_module () else impl.c_module ())
-    ~rel:(Ccal_machine.Tso.under_memory memory impl.rel)
-    ~focus ~prim_tests:(prim_tests ())
-    ~envs:(env_suite impl ~memory ()) ()
+(* A rival's round in the lock certificates: its events carry
+   replay-consistent return values. *)
+let round b =
+  Prog.bind (Prog.call acq_tag [ Value.int b ]) (fun v ->
+      Prog.call rel_tag [ Value.int b; v ])

@@ -129,4 +129,12 @@ let r_mcs =
       P.push_tag, `To Lock_intf.rel_tag;
     ]
 
-let impl = { Lock_intf.l0; c_module; asm_module; rel = r_mcs }
+let recipe =
+  {
+    Ticket_lock.recipe with
+    Object_intf.underlay = (fun memory _ -> l0 ~memory ());
+    c_module;
+    asm_module = Some asm_module;
+    rel = r_mcs;
+    rival = (fun () -> Prog.Module.link (c_module ()) (Lock_intf.round 0));
+  }

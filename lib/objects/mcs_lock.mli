@@ -31,6 +31,7 @@ val asm_module : unit -> Prog.Module.t
 val r_mcs : Sim_rel.t
 (** Erase the cell traffic, rename [pull ↦ acq] / [push ↦ rel]. *)
 
-val impl : Lock_intf.impl
-(** [L0], [M_mcs], its assembly and [R_mcs]:
-    [Lock_intf.certify impl] builds [L0[A] ⊢_{R_mcs} M_mcs : Llock[A]]. *)
+val recipe : Object_intf.t
+(** The ticket lock's recipe with [L0], [M_mcs], its assembly and
+    [R_mcs] in place of the ticket lock's own:
+    [Object_intf.certify recipe] builds [L0[A] ⊢_{R_mcs} M_mcs : Llock[A]]. *)

@@ -70,10 +70,8 @@ let rel_q_prim =
             Layer.Stuck
               (Printf.sprintf "thread %d releases qlock %d it does not hold" t l))) )
 
-let overlay ?bound () =
-  let cond =
-    Rg.lock_condition ?bound ~acq_tag:acq_q_tag ~rel_tag:rel_q_tag ()
-  in
+let overlay () =
+  let cond = Rg.lock_condition ~acq_tag:acq_q_tag ~rel_tag:rel_q_tag () in
   Layer.make ~rely:cond ~guar:cond "Lqlock"
     [
       acq_q_prim;
@@ -205,87 +203,33 @@ let r_qlock =
 (* Certification                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let prim_tests ?(locks = [ 3 ]) () : Calculus.prim_tests =
-  List.concat_map
-    (fun l ->
-      let il = Value.int l in
+(* Lock 3, rivals 9 and 8 taking it, and the focused CPU's yielding
+   siblings. *)
+let recipe =
+  let l = Value.int 3 in
+  {
+    Object_intf.underlay = (fun _ placement -> underlay ~placement ());
+    overlay = overlay ();
+    c_module;
+    asm_module = Some asm_module;
+    rel = r_qlock;
+    prim_tests =
       [
         acq_q_tag,
           [
-            Calculus.case [ il ];
-            Calculus.case ~pre:[ acq_q_tag, [ il ]; rel_q_tag, [ il ] ] [ il ];
+            Calculus.case [ l ];
+            Calculus.case ~pre:[ acq_q_tag, [ l ]; rel_q_tag, [ l ] ] [ l ];
           ];
-        rel_q_tag, [ Calculus.case ~pre:[ acq_q_tag, [ il ] ] [ il ] ];
-      ])
-    locks
-
-let rival_prog l =
-  Prog.seq
-    (Prog.call acq_q_tag [ Value.int l ])
-    (Prog.seq
-       (Prog.call rel_q_tag [ Value.int l ])
-       (Prog.call T.exit_tag []))
-
-(* Unfolded lazily through the continuation, so construction terminates. *)
-let yield_forever_prog =
-  let rec loop () = Prog.bind (Prog.call T.yield_tag []) (fun _ -> loop ()) in
-  loop ()
-
-let env_suite ~placement () : Calculus.env_suite =
- fun i ->
-  let layer = underlay ~placement () in
-  let impl = c_module () in
-  let rivals = List.filter (fun j -> j <> i) [ 9; 8 ] in
-  let rival j =
-    j, Machine.strategy_of_prog layer j (Prog.Module.link impl (rival_prog 3))
-  in
-  (* Threads sharing the focused thread's CPU must keep yielding, or the
-     focused thread would never be rescheduled after sleeping. *)
-  let my_cpu = List.assoc_opt i placement in
-  let siblings =
-    List.filter_map
-      (fun (t, c) ->
-        if t <> i && (not (List.mem t rivals)) && Some c = my_cpu then
-          Some (t, Machine.strategy_of_prog layer t yield_forever_prog)
-        else None)
-      placement
-  in
-  (* With siblings on the focused CPU the silent context is not valid —
-     the focused thread may start descheduled and needs their yields. *)
-  (match siblings with
-  | [] -> Env_context.empty
-  | _ -> Env_context.of_strategies "siblings-only" siblings ~rounds:1)
-  :: List.concat_map
-       (fun per_query ->
-         match rivals with
-         | [] -> []
-         | [ j ] ->
-           [
-             Env_context.of_strategies
-               (Printf.sprintf "one-rival(r%d)" per_query)
-               (rival j :: siblings) ~rounds:per_query;
-           ]
-         | j :: k :: _ ->
-           [
-             Env_context.of_strategies
-               (Printf.sprintf "one-rival(r%d)" per_query)
-               (rival j :: siblings) ~rounds:per_query;
-             Env_context.of_strategies
-               (Printf.sprintf "two-rivals(r%d)" per_query)
-               (rival j :: rival k :: siblings)
-               ~rounds:per_query;
-           ])
-       [ 1; 2 ]
-
-let certify ?max_moves ?placement ?(focus = [ 1; 2 ]) ?(use_asm = false) () =
-  let rivals = [ 9; 8 ] in
-  let placement =
-    match placement with
-    | Some p -> p
-    | None -> T.default_placement focus rivals
-  in
-  let impl = if use_asm then asm_module () else c_module () in
-  Calculus.fun_rule ?max_moves ~underlay:(underlay ~placement ())
-    ~overlay:(overlay ()) ~impl ~rel:r_qlock ~focus
-    ~prim_tests:(prim_tests ())
-    ~envs:(env_suite ~placement ()) ()
+        rel_q_tag, [ Calculus.case ~pre:[ acq_q_tag, [ l ] ] [ l ] ];
+      ];
+    rival =
+      (fun () ->
+        Prog.Module.link (c_module ())
+          (Prog.seq_all
+             [ Prog.call acq_q_tag [ l ]; Prog.call rel_q_tag [ l ];
+               Prog.call T.exit_tag [] ]));
+    rivals = [ 9; 8 ];
+    groups = [ 1; 2 ];
+    siblings = true;
+    focus = [ 1; 2 ];
+  }

@@ -18,13 +18,10 @@
 
 open Ccal_core
 
-val acq_q_tag : string
-val rel_q_tag : string
-
 val underlay : placement:Thread_sched.placement -> unit -> Layer.t
 (** The multithreaded spinlock interface: [mt_layer] over [Llock]. *)
 
-val overlay : ?bound:int -> unit -> Layer.t
+val overlay : unit -> Layer.t
 (** [Lqlock]: atomic [acq_q]/[rel_q] (blocking, holder-checked) plus the
     no-op [yield]/[texit] events. *)
 
@@ -44,18 +41,7 @@ val r_qlock : Sim_rel.t
     attempt and all scheduler internals disappear; [yield]/[texit]
     survive. *)
 
-val prim_tests : ?locks:int list -> unit -> Calculus.prim_tests
-
-val env_suite : placement:Thread_sched.placement -> unit -> Calculus.env_suite
-(** Contexts over lock 3: the focused CPU's yielding siblings alone, then
-    with one and two rivals (threads 9 and 8, minus the focused one),
-    each answering 1 or 2 rounds per query. *)
-
-val certify :
-  ?max_moves:int ->
-  ?placement:Thread_sched.placement ->
-  ?focus:Event.tid list ->
-  ?use_asm:bool ->
-  unit ->
-  (Calculus.cert, Calculus.error) result
-(** [Lmt(Llock)[A] ⊢_{R_qlock} M_ql : Lqlock[A]]. *)
+val recipe : Object_intf.t
+(** [Lmt(Llock)[A] ⊢_{R_qlock} M_ql : Lqlock[A]]: lock 3, rivals 9 and 8
+    acquiring and releasing it, alone and together, and the focused CPU's
+    yielding siblings. *)

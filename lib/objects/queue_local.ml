@@ -166,37 +166,41 @@ let fns = [ enq_fn; deq_fn; qlen_fn ]
 let c_module () = Ccal_clight.Csem.module_of_fns fns
 let asm_module () = Ccal_compcertx.Compile.compile_module fns
 
-let prim_tests ?(queues = [ 0 ]) () : Calculus.prim_tests =
-  let iq q = Value.int q in
-  List.concat_map
-    (fun q ->
-      let e v = "enQ", [ iq q; Value.int v ] in
-      let d = "deQ", [ iq q ] in
+(* Call sequences on queue 0 exercising empty, singleton and
+   multi-element queues; a sequential object has no rivals. *)
+let recipe =
+  let q = Value.int 0 in
+  let e v = "enQ", [ q; Value.int v ] and d = "deQ", [ q ] in
+  {
+    Object_intf.underlay = (fun _ _ -> heap_layer ());
+    overlay = abs_layer ();
+    c_module;
+    asm_module = Some asm_module;
+    rel = Sim_rel.id;
+    prim_tests =
       [
         "deQ",
           [
-            Calculus.case [ iq q ];  (* empty *)
-            Calculus.case ~pre:[ e 5 ] [ iq q ];
-            Calculus.case ~pre:[ e 5; e 6; e 7 ] [ iq q ];
-            Calculus.case ~pre:[ e 5; d; e 6 ] [ iq q ];
-            Calculus.case ~pre:[ e 5; e 6; d; d ] [ iq q ];  (* empty again *)
+            Calculus.case [ q ];  (* empty *)
+            Calculus.case ~pre:[ e 5 ] [ q ];
+            Calculus.case ~pre:[ e 5; e 6; e 7 ] [ q ];
+            Calculus.case ~pre:[ e 5; d; e 6 ] [ q ];
+            Calculus.case ~pre:[ e 5; e 6; d; d ] [ q ];  (* empty again *)
           ];
         "enQ",
           [
-            Calculus.case [ iq q; Value.int 1 ];
-            Calculus.case ~pre:[ e 2; d; d ] [ iq q; Value.int 3 ];
+            Calculus.case [ q; Value.int 1 ];
+            Calculus.case ~pre:[ e 2; d; d ] [ q; Value.int 3 ];
           ];
         "qlen",
           [
-            Calculus.case [ iq q ];
-            Calculus.case ~pre:[ e 1; e 2; d ] [ iq q ];
+            Calculus.case [ q ];
+            Calculus.case ~pre:[ e 1; e 2; d ] [ q ];
           ];
-      ])
-    queues
-
-let certify ?max_moves ?(focus = [ 1 ]) ?(use_asm = false) () =
-  let impl = if use_asm then asm_module () else c_module () in
-  Calculus.fun_rule ?max_moves ~underlay:(heap_layer ()) ~overlay:(abs_layer ())
-    ~impl ~rel:Sim_rel.id ~focus ~prim_tests:(prim_tests ())
-    ~envs:(fun _ -> [ Env_context.empty ])
-    ()
+      ];
+    rival = (fun () -> Prog.ret_unit);
+    rivals = [];
+    groups = [];
+    siblings = false;
+    focus = [ 1 ];
+  }

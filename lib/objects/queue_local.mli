@@ -29,10 +29,6 @@ val qlen_fn : Ccal_clight.Csyntax.fn
 val c_module : unit -> Prog.Module.t
 val asm_module : unit -> Prog.Module.t
 
-val prim_tests : ?queues:int list -> unit -> Calculus.prim_tests
-(** Call sequences exercising empty/singleton/multi-element queues. *)
-
-val certify :
-  ?max_moves:int -> ?focus:Event.tid list -> ?use_asm:bool -> unit ->
-  (Calculus.cert, Calculus.error) result
-(** [Lheap[A] ⊢_id M_q : Labsq[A]]. *)
+val recipe : Object_intf.t
+(** [Lheap[A] ⊢_id M_q : Labsq[A]], focused on thread 1 in the silent
+    context only: the queue is sequential. *)

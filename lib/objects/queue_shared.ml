@@ -37,8 +37,7 @@ let q_len_prim =
 
 let helpers = [ q_hd_prim; q_tl_prim; q_snoc_prim; q_len_prim ]
 
-let underlay ?bound () =
-  Lock_intf.layer ?bound ~extra:helpers "Lq"
+let underlay () = Lock_intf.layer ~extra:helpers "Lq"
 
 (* ------------------------------------------------------------------ *)
 (* Atomic overlay                                                      *)
@@ -72,8 +71,8 @@ let enq_prim =
       | Some q -> Result.map (fun _ -> Value.unit) (replay_queue q log)
       | None -> Error "enQ_s: expected queue and value")
 
-let overlay ?bound () =
-  let cond = Lock_intf.condition ?bound () in
+let overlay () =
+  let cond = Lock_intf.condition () in
   Layer.make ~rely:cond ~guar:cond "Lq_high" [ deq_prim; enq_prim ]
 
 (* ------------------------------------------------------------------ *)
@@ -151,81 +150,56 @@ let r_lock =
       in
       Log.append_all (List.rev out) Log.empty)
 
-let prim_tests ?(queues = [ 0 ]) () : Calculus.prim_tests =
-  List.concat_map
-    (fun q ->
-      let iq = Value.int q in
-      let e v = enq_tag, [ iq; Value.int v ] in
-      let d = deq_tag, [ iq ] in
+(* Queue 0, with rivals 9 and 8 together enqueuing and dequeuing on it. *)
+let recipe =
+  let q = Value.int 0 in
+  let e v = enq_tag, [ q; Value.int v ] and d = deq_tag, [ q ] in
+  {
+    Object_intf.underlay = (fun _ _ -> underlay ());
+    overlay = overlay ();
+    c_module;
+    asm_module = Some asm_module;
+    rel = r_lock;
+    prim_tests =
       [
         deq_tag,
           [
-            Calculus.case [ iq ];
-            Calculus.case ~pre:[ e 4 ] [ iq ];
-            Calculus.case ~pre:[ e 4; e 5; d ] [ iq ];
+            Calculus.case [ q ];
+            Calculus.case ~pre:[ e 4 ] [ q ];
+            Calculus.case ~pre:[ e 4; e 5; d ] [ q ];
           ];
         enq_tag,
           [
-            Calculus.case [ iq; Value.int 9 ];
-            Calculus.case ~pre:[ e 1; d; d ] [ iq; Value.int 2 ];
+            Calculus.case [ q; Value.int 9 ];
+            Calculus.case ~pre:[ e 1; d; d ] [ q; Value.int 2 ];
           ];
-      ])
-    queues
-
-let rival_prog q =
-  Prog.seq
-    (Prog.call enq_tag [ Value.int q; Value.int 42 ])
-    (Prog.bind (Prog.call deq_tag [ Value.int q ]) (fun _ -> Prog.ret_unit))
-
-let env_suite () : Calculus.env_suite =
- fun i ->
-  let layer = underlay () in
-  let impl = c_module () in
-  let rivals = List.filter (fun j -> j <> i) [ 9; 8 ] in
-  let rival j =
-    j, Machine.strategy_of_prog layer j (Prog.Module.link impl (rival_prog 0))
-  in
-  Env_context.empty
-  :: List.concat_map
-       (fun per_query ->
-         match rivals with
-         | [] -> []
-         | [ j ] ->
-           [
-             Env_context.of_strategies
-               (Printf.sprintf "one-rival(r%d)" per_query)
-               [ rival j ] ~rounds:per_query;
-           ]
-         | j :: k :: _ ->
-           [
-             Env_context.of_strategies
-               (Printf.sprintf "two-rivals(r%d)" per_query)
-               [ rival j; rival k ] ~rounds:per_query;
-           ])
-       [ 1; 2 ]
-
-let certify ?max_moves ?(focus = [ 1; 2 ]) ?(use_asm = false) () =
-  let impl = if use_asm then asm_module () else c_module () in
-  Calculus.fun_rule ?max_moves ~underlay:(underlay ()) ~overlay:(overlay ())
-    ~impl ~rel:r_lock ~focus ~prim_tests:(prim_tests ())
-    ~envs:(env_suite ()) ()
+      ];
+    rival =
+      (fun () ->
+        Prog.Module.link (c_module ())
+          (Prog.seq (Prog.call enq_tag [ q; Value.int 42 ])
+             (Prog.bind (Prog.call deq_tag [ q ]) (fun _ -> Prog.ret_unit))));
+    rivals = [ 9; 8 ];
+    groups = [ 2 ];
+    siblings = false;
+    focus = [ 1; 2 ];
+  }
 
 (* The Fig. 5 pipeline extended to the queue: ticket lock under the shared
    queue.  The intermediate interface must carry the silent helpers
    through, so the lock certificate is taken against [Lq]-named layers. *)
-let full_stack_certify ?max_moves ?(memory = Memory.default) ?(focus = [ 1; 2 ])
-    () =
-  let l0q =
+let full_stack_certify ?(memory = Memory.default) ?(focus = [ 1; 2 ]) () =
+  let l0q memory _ =
     let base = Ticket_lock.l0 ~memory () in
     Layer.make ~rely:base.Layer.rely ~guar:base.Layer.guar "L0_q"
       (base.Layer.prims @ helpers)
   in
-  match
-    Lock_intf.certify Ticket_lock.impl ?max_moves ~memory ~underlay:l0q
-      ~overlay:(underlay ()) ~focus ()
-  with
+  let lock =
+    { Ticket_lock.recipe with Object_intf.underlay = l0q; overlay = underlay () }
+  in
+  match Object_intf.certify lock ~memory ~focus () with
   | Error _ as e -> e
   | Ok c1 -> (
-    match certify ?max_moves ~focus () with
+    match Object_intf.certify recipe ~focus () with
     | Error _ as e -> e
     | Ok c2 -> Calculus.vcomp c1 c2)

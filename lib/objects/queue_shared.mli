@@ -16,19 +16,16 @@
 
 open Ccal_core
 
-val deq_tag : string
-val enq_tag : string
-
 val helpers : (string * Layer.prim) list
 (** The silent list helpers [q_hd]/[q_tl]/[q_snoc]/[q_len] (the paper's
     critical-section operations such as [deQ_t], Sec. 4.2); also reused by
     the IPC channel's buffer. *)
 
-val underlay : ?bound:int -> unit -> Layer.t
+val underlay : unit -> Layer.t
 (** [Lq]: the atomic lock interface plus the silent list helpers
     [q_hd]/[q_tl]/[q_snoc] used inside the critical section. *)
 
-val overlay : ?bound:int -> unit -> Layer.t
+val overlay : unit -> Layer.t
 (** [Lq_high]: atomic [deQ_s(q)] (returns [-1] on empty) and
     [enQ_s(q,v)], with state replayed from the events themselves. *)
 
@@ -46,20 +43,12 @@ val r_lock : Sim_rel.t
     becomes [deQ_s]/[enQ_s] according to how the published list differs
     from the acquired one; lock events of shared queues disappear. *)
 
-val prim_tests : ?queues:int list -> unit -> Calculus.prim_tests
-
-val env_suite : unit -> Calculus.env_suite
-(** The silent context, then rivals (threads 9 and 8, minus the focused
-    one) enqueuing and dequeuing on queue 0, each answering 1 or 2 rounds
-    per query. *)
-
-val certify :
-  ?max_moves:int -> ?focus:Event.tid list -> ?use_asm:bool -> unit ->
-  (Calculus.cert, Calculus.error) result
-(** [Lq[A] ⊢_{Rlock} M_sq : Lq_high[A]]. *)
+val recipe : Object_intf.t
+(** [Lq[A] ⊢_{Rlock} M_sq : Lq_high[A]]: queue 0, with rivals 9 and 8
+    together enqueuing and dequeuing on it. *)
 
 val full_stack_certify :
-  ?max_moves:int -> ?memory:Memory.t -> ?focus:Event.tid list -> unit ->
+  ?memory:Memory.t -> ?focus:Event.tid list -> unit ->
   (Calculus.cert, Calculus.error) result
 (** The vertical composition of Fig. 5 extended to the queue: ticket lock
     certificate stacked under the shared-queue certificate,

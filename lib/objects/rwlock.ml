@@ -11,7 +11,7 @@ type rw_state =
   | Readers of int
   | Writer of Event.tid
 
-let underlay ?bound () = Lock_intf.layer ?bound "Llock"
+let underlay () = Lock_intf.layer "Llock"
 
 (* ------------------------------------------------------------------ *)
 (* Overlay                                                             *)
@@ -118,8 +118,8 @@ let rel_w_prim =
               { events = [ event_of t args rel_w_tag ]; ret = Value.unit; crit = Layer.Exit }
           | Ok _ -> Layer.Stuck (Printf.sprintf "thread %d rel_w without holding" t))) )
 
-let overlay ?bound () =
-  let cond = Rg.lock_condition ?bound ~acq_tag:acq_w_tag ~rel_tag:rel_w_tag () in
+let overlay () =
+  let cond = Rg.lock_condition ~acq_tag:acq_w_tag ~rel_tag:rel_w_tag () in
   Layer.make ~rely:cond ~guar:cond "Lrwlock"
     [ acq_r_prim; rel_r_prim; acq_w_prim; rel_w_prim ]
 
@@ -232,60 +232,41 @@ let r_rw =
 (* Certification                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let prim_tests ?(locks = [ 4 ]) () : Calculus.prim_tests =
-  List.concat_map
-    (fun l ->
-      let il = Value.int l in
-      let ar = acq_r_tag, [ il ] and rr = rel_r_tag, [ il ] in
-      let aw = acq_w_tag, [ il ] and rw = rel_w_tag, [ il ] in
+(* Lock 4, with rival 9 cycling a read round and a write round on it. *)
+let recipe =
+  let l = Value.int 4 in
+  let ar = acq_r_tag, [ l ] and rr = rel_r_tag, [ l ] in
+  let aw = acq_w_tag, [ l ] and rw = rel_w_tag, [ l ] in
+  {
+    Object_intf.underlay = (fun _ _ -> underlay ());
+    overlay = overlay ();
+    c_module;
+    asm_module = Some asm_module;
+    rel = r_rw;
+    prim_tests =
       [
         acq_r_tag,
-          [ Calculus.case [ il ];
-            Calculus.case ~pre:[ ar ] [ il ];  (* second reader *)
-            Calculus.case ~pre:[ aw; rw ] [ il ] ];
+          [ Calculus.case [ l ];
+            Calculus.case ~pre:[ ar ] [ l ];  (* second reader *)
+            Calculus.case ~pre:[ aw; rw ] [ l ] ];
         rel_r_tag,
-          [ Calculus.case ~pre:[ ar ] [ il ];
-            Calculus.case ~pre:[ ar; ar; rr ] [ il ] ];
+          [ Calculus.case ~pre:[ ar ] [ l ];
+            Calculus.case ~pre:[ ar; ar; rr ] [ l ] ];
         acq_w_tag,
-          [ Calculus.case [ il ];
-            Calculus.case ~pre:[ ar; rr ] [ il ] ];
-        rel_w_tag, [ Calculus.case ~pre:[ aw ] [ il ] ];
-      ])
-    locks
-
-let rival_prog l =
-  Prog.seq_all
-    [
-      Prog.call acq_r_tag [ Value.int l ];
-      Prog.call rel_r_tag [ Value.int l ];
-      Prog.call acq_w_tag [ Value.int l ];
-      Prog.call rel_w_tag [ Value.int l ];
-    ]
-
-let env_suite () : Calculus.env_suite =
- fun i ->
-  let layer = underlay () in
-  let impl = c_module () in
-  let rivals = List.filter (fun j -> j <> i) [ 9 ] in
-  let rival j =
-    j, Machine.strategy_of_prog layer j (Prog.Module.link impl (rival_prog 4))
-  in
-  Env_context.empty
-  :: List.concat_map
-       (fun per_query ->
-         List.map
-           (fun j ->
-             Env_context.of_strategies
-               (Printf.sprintf "rival%d(r%d)" j per_query)
-               [ rival j ] ~rounds:per_query)
-           rivals)
-       [ 1; 2 ]
-
-let certify ?max_moves ?(focus = [ 1; 2 ]) ?(use_asm = false) () =
-  let impl = if use_asm then asm_module () else c_module () in
-  Calculus.fun_rule ?max_moves ~underlay:(underlay ()) ~overlay:(overlay ())
-    ~impl ~rel:r_rw ~focus ~prim_tests:(prim_tests ())
-    ~envs:(env_suite ()) ()
+          [ Calculus.case [ l ];
+            Calculus.case ~pre:[ ar; rr ] [ l ] ];
+        rel_w_tag, [ Calculus.case ~pre:[ aw ] [ l ] ];
+      ];
+    rival =
+      (fun () ->
+        Prog.Module.link (c_module ())
+          (Prog.seq_all
+             (List.map (fun (tag, args) -> Prog.call tag args) [ ar; rr; aw; rw ])));
+    rivals = [ 9 ];
+    groups = [ 1 ];
+    siblings = false;
+    focus = [ 1; 2 ];
+  }
 
 let no_reader_writer_overlap log =
   let events = Log.chronological log in

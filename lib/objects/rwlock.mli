@@ -17,20 +17,15 @@
 
 open Ccal_core
 
-val acq_r_tag : string
-val rel_r_tag : string
-val acq_w_tag : string
-val rel_w_tag : string
-
 type rw_state =
   | Free
   | Readers of int
   | Writer of Event.tid
 
-val underlay : ?bound:int -> unit -> Layer.t
+val underlay : unit -> Layer.t
 (** The atomic spinlock interface (shared with the other objects). *)
 
-val overlay : ?bound:int -> unit -> Layer.t
+val overlay : unit -> Layer.t
 
 val replay_rw : int -> rw_state Replay.t
 (** State of rwlock [l] from overlay events. *)
@@ -45,15 +40,9 @@ val asm_module : unit -> Prog.Module.t
 
 val r_rw : Sim_rel.t
 
-val prim_tests : ?locks:int list -> unit -> Calculus.prim_tests
-
-val env_suite : unit -> Calculus.env_suite
-(** The silent context, then rival thread 9 (unless focused) cycling
-    read and write rounds on lock 4, answering 1 or 2 rounds per query. *)
-
-val certify :
-  ?max_moves:int -> ?focus:Event.tid list -> ?use_asm:bool -> unit ->
-  (Calculus.cert, Calculus.error) result
+val recipe : Object_intf.t
+(** [Llock[A] ⊢_{R_rw} M_rw : Lrwlock[A]]: lock 4, with rival thread 9
+    cycling a read round and a write round on it. *)
 
 val no_reader_writer_overlap : Log.t -> bool
 (** Safety over an overlay log: at no prefix do a writer and anyone else

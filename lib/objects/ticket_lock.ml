@@ -153,4 +153,31 @@ let phi_rel_low i b v =
       (fun _ -> [ Event.make ~args:[ Value.int b ] i inc_n_tag ]);
     ]
 
-let impl = { Lock_intf.l0; c_module; asm_module; rel = r_ticket }
+let recipe =
+  let b = Value.int 0 and v = Value.int 7 in
+  {
+    Object_intf.underlay = (fun memory _ -> l0 ~memory ());
+    overlay = Lock_intf.layer "Llock";
+    c_module;
+    asm_module = Some asm_module;
+    rel = r_ticket;
+    (* [acq] from the free lock and after a release publishing 7; [rel]
+       of 7 by the holder *)
+    prim_tests =
+      [
+        Lock_intf.acq_tag,
+          [
+            Calculus.case [ b ];
+            Calculus.case
+              ~pre:[ Lock_intf.acq_tag, [ b ]; Lock_intf.rel_tag, [ b; v ] ]
+              [ b ];
+          ];
+        Lock_intf.rel_tag,
+          [ Calculus.case ~pre:[ Lock_intf.acq_tag, [ b ] ] [ b; v ] ];
+      ];
+    rival = (fun () -> Prog.Module.link (c_module ()) (Lock_intf.round 0));
+    rivals = [ 9; 8 ];
+    groups = [ 1; 2 ];
+    siblings = false;
+    focus = [ 1; 2 ];
+  }

@@ -13,14 +13,10 @@
     The module exports the full verification pipeline of Fig. 5:
     the C code, its compiled assembly, the simulation relation [R_ticket]
     erasing ticket traffic and renaming [pull]/[push] to [acq]/[rel], the
-    {!impl} the certified-layer builder {!Lock_intf.certify} takes, and
+    {!recipe} the certified-layer builder {!Object_intf.certify} takes, and
     the low-level specification strategies [φ'_acq]/[φ'_rel] of Sec. 2. *)
 
 open Ccal_core
-
-val fai_tag : string
-val get_n_tag : string
-val inc_n_tag : string
 
 type ticket_state = {
   next : int;  (** next ticket to hand out, [t] *)
@@ -61,6 +57,7 @@ val phi_acq_low : Event.tid -> int -> Strategy.t
 val phi_rel_low : Event.tid -> int -> Value.t -> Strategy.t
 (** [φ'_rel[i]]: push the value, then [inc_n]. *)
 
-val impl : Lock_intf.impl
-(** [L0], [M1], [CompCertX(M1)] and [R_ticket]:
-    [Lock_intf.certify impl] builds [L0[A] ⊢_{R_ticket} M1 : Llock[A]]. *)
+val recipe : Object_intf.t
+(** [L0], [M1], [CompCertX(M1)] and [R_ticket], with rival threads 9 and
+    8 running lock rounds, alone and together:
+    [Object_intf.certify recipe] builds [L0[A] ⊢_{R_ticket} M1 : Llock[A]]. *)

@@ -23,9 +23,6 @@ type variant =
 val variant_name : variant -> string
 val variants : variant list
 
-val protected_loc : int
-(** The push/pull location both sides race for (5). *)
-
 val threads : ?fenced:bool -> variant -> (Event.tid * Prog.t) list
 (** The two racing threads (tids 1 and 2). *)
 

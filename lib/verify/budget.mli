@@ -36,8 +36,6 @@ type spent = {
 }
 
 val pp_spent : Format.formatter -> spent -> unit
-val pp_reason :
-  Format.formatter -> [ `Deadline | `Steps | `Cancelled ] -> unit
 
 (** The budgeted-result shape shared by the checkers: either the full
     verdict, or what was established before the budget ran out. *)

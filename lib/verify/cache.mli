@@ -35,14 +35,11 @@ open Ccal_core
 type t
 (** A handle on one cache directory, with session counters. *)
 
-val default_dir : unit -> string
-(** [$CCAL_CACHE_DIR] when set and non-empty; otherwise
-    [$XDG_CACHE_HOME/ccal]; otherwise [$HOME/.cache/ccal]. *)
-
 val create : ?dir:string -> unit -> t
-(** Open (creating directories as needed) the store at [dir] (default
-    {!default_dir}).  Raises [Sys_error] if the directory cannot be
-    created or is not writable. *)
+(** Open (creating directories as needed) the store at [dir] (default:
+    [$CCAL_CACHE_DIR] when set and non-empty; otherwise
+    [$XDG_CACHE_HOME/ccal]; otherwise [$HOME/.cache/ccal]).  Raises
+    [Sys_error] if the directory cannot be created or is not writable. *)
 
 val dir : t -> string
 
@@ -78,8 +75,3 @@ val disk_stats : t -> disk
 
 val clear : t -> int
 (** Delete all cache entries; returns how many were removed. *)
-
-val format_version : int
-(** On-disk format version, part of both the magic header and the
-    filename; bumping it (or {!Fingerprint.version}) orphans every
-    existing entry. *)

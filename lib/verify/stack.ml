@@ -117,7 +117,7 @@ let ipc_client i =
 type lock_impl = {
   lock_name : string;
   lock_fns : Ccal_clight.Csyntax.fn list;
-  lock : Lock_intf.impl;
+  lock : Object_intf.t;
 }
 
 let lock_impl = function
@@ -125,13 +125,13 @@ let lock_impl = function
     {
       lock_name = "ticket";
       lock_fns = [ Ticket_lock.acq_fn; Ticket_lock.rel_fn ];
-      lock = Ticket_lock.impl;
+      lock = Ticket_lock.recipe;
     }
   | `Mcs ->
     {
       lock_name = "mcs";
       lock_fns = [ Mcs_lock.acq_fn; Mcs_lock.rel_fn ];
-      lock = Mcs_lock.impl;
+      lock = Mcs_lock.recipe;
     }
 
 (* ------------------------------------------------------------------ *)
@@ -190,8 +190,9 @@ let adversarial_edge_name =
 let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
   let memory = ctx.Ctx.memory in
   let lk = lock_impl lock in
-  let lock_l0 () = lk.lock.Lock_intf.l0 ~memory () in
-  let lock_certify focus = Lock_intf.certify lk.lock ~memory ~focus () in
+  (* locks sit below the scheduler: no thread placement *)
+  let lock_l0 () = lk.lock.Object_intf.underlay memory [] in
+  let lock_certify focus = Object_intf.certify lk.lock ~memory ~focus () in
   (* The memory mode is part of EVERY edge key — even the edges whose
      underlay is already an atomic interface — so a verdict computed
      under SC is never served for a TSO query (or vice versa). *)
@@ -252,7 +253,7 @@ let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
   let machine () = Ccal_machine.Tso.machine_layer memory in
   let faa_threads = [ 1, faa_round 1; 2, faa_round 2 ] in
   let lock_threads () =
-    let m = lk.lock.Lock_intf.c_module () in
+    let m = lk.lock.Object_intf.c_module () in
     [ 1, lock_client m 1; 2, lock_client m 2 ]
   in
   let lock_key st =
@@ -322,10 +323,10 @@ let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
     edge "Lmt(Llock) |- M_qlock : Lqlock (Fun, Fig. 11)"
       ~key:(fun st ->
         Fingerprint.layer (fp_fns st [ Qlock.acq_q_fn; Qlock.rel_q_fn ]) (Qlock.overlay ()))
-      (measured (fun () -> certified (Qlock.certify ())));
+      (measured (fun () -> certified (Object_intf.certify Qlock.recipe ())));
     (* 8. IPC channel over condition variables *)
     edge "Lmt(spin+cv) |- M_ipc : Lipc (Fun)" ~key:ipc_key
-      (measured (fun () -> certified (Ipc.certify ())));
+      (measured (fun () -> certified (Object_intf.certify Ipc.recipe ())));
     (* 9. IPC producer/consumer soundness including the blocking paths *)
     edge "[[producer|consumer]] refines Lipc (blocking paths)"
       ~key:(fun st ->
@@ -334,7 +335,7 @@ let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
              [ 1, ipc_client 1; 2, ipc_client 2 ]))
       (measured (fun () ->
            let* cert =
-             cert_error (Ipc.certify ~placement:ipc_placement ~focus:[ 1; 2 ] ())
+             cert_error (Object_intf.certify Ipc.recipe ~placement:ipc_placement ())
            in
            soundness cert ipc_client));
     (* 10. reader-writer lock: a synchronization library added on top of
@@ -344,7 +345,7 @@ let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
         Fingerprint.layer
           (fp_fns st [ Rwlock.acq_r_fn; Rwlock.rel_r_fn; Rwlock.acq_w_fn; Rwlock.rel_w_fn ])
           (Rwlock.overlay ()))
-      (measured (fun () -> certified (Rwlock.certify ())));
+      (measured (fun () -> certified (Object_intf.certify Rwlock.recipe ())));
   ]
   @
   if not adversarial then []

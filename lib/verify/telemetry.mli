@@ -30,9 +30,6 @@ type span_stat = {
   domains : int;  (** distinct domains that recorded this span *)
 }
 
-val span_stats : unit -> span_stat list
-(** Per-name aggregates over {!spans}, sorted by total time descending. *)
-
 val pp_stats : Format.formatter -> unit -> unit
 (** The human-readable table: non-zero counters, span aggregates, and
     the cumulative {!Parallel.stats} when any pool ran. *)

@@ -199,12 +199,12 @@ let test_rw_solo_roundtrip () =
   check_bool "unit" true (Value.equal Value.unit (expect_done layer prog))
 
 let test_rw_certify () =
-  match Rwlock.certify () with
+  match Object_intf.certify Rwlock.recipe () with
   | Ok c -> check_bool "checks" true (Calculus.count_checks c >= 16)
   | Error e -> Alcotest.failf "%a" Calculus.pp_error e
 
 let test_rw_certify_asm () =
-  match Rwlock.certify ~focus:[ 1 ] ~use_asm:true () with
+  match Object_intf.certify Rwlock.recipe ~focus:[ 1 ] ~use_asm:true () with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "%a" Calculus.pp_error e
 
@@ -223,7 +223,7 @@ let test_rw_translation () =
     (List.map (fun (e : Event.t) -> e.tag) (Log.chronological t))
 
 let test_rw_refinement () =
-  match Rwlock.certify ~focus:[ 1; 2 ] () with
+  match Object_intf.certify Rwlock.recipe ~focus:[ 1; 2 ] () with
   | Error e -> Alcotest.failf "%a" Calculus.pp_error e
   | Ok cert -> (
     let client i =
@@ -273,13 +273,7 @@ let test_layer_sim_and_wk () =
   | Ok up_sim -> (
     (* a certificate targeting the tight interface *)
     let cert =
-      Calculus.fun_rule
-        ~underlay:(Ticket_lock.l0 ())
-        ~overlay:tight
-        ~impl:(Ticket_lock.c_module ()) ~rel:Ticket_lock.r_ticket
-        ~focus:[ 1; 2 ]
-        ~prim_tests:(Lock_intf.prim_tests ())
-        ~envs:(Lock_intf.env_suite Ticket_lock.impl ()) ()
+      Object_intf.certify { Ticket_lock.recipe with overlay = tight } ()
       |> Result.get_ok
     in
     let low_sim = Calculus.layer_sim_id (Ticket_lock.l0 ()) [ 1; 2 ] in

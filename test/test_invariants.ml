@@ -153,8 +153,98 @@ let test_compose_many_conflict () =
   let m2, _ = M.alloc M.empty 0 2 in
   check_bool "conflict" true (M.compose_many [ m1; m2 ] = None)
 
+(* Golden certificate evidence: every object certificate [ccal verify]
+   builds, and the lock certificates of the stack, pinned by a digest of
+   their evidence lines (each Fun obligation reads "N envs, M moves"),
+   taken recursively through the premises.  A recipe that builds one
+   environment context more or fewer changes a line and fails here. *)
+
+let rec evidence_lines (c : Calculus.cert) =
+  c.Calculus.evidence @ List.concat_map evidence_lines c.Calculus.premises
+
+let golden_certs () =
+  let cert ?memory ?placement ?focus recipe () =
+    Object_intf.certify recipe ?memory ?placement ?focus ()
+  in
+  let tso = Memory.Tso in
+  [
+    "ticket", cert Ticket_lock.recipe;
+    "mcs", cert Mcs_lock.recipe;
+    "local-queue", cert Queue_local.recipe;
+    "shared-queue", cert Queue_shared.recipe;
+    "queue-stack", (fun () -> Queue_shared.full_stack_certify ());
+    "queue-stack tso", (fun () -> Queue_shared.full_stack_certify ~memory:tso ());
+    "qlock", cert Qlock.recipe;
+    "ipc", cert Ipc.recipe;
+    "ipc stack placement", cert Ipc.recipe ~placement:[ 1, 1; 2, 2; 9, 9 ];
+    "rwlock", cert Rwlock.recipe;
+    (* siblings on the focused CPU, and focused threads that are also
+       rivals: the context groups shrink *)
+    "qlock siblings", cert Qlock.recipe ~placement:[ 1, 0; 2, 0; 8, 8; 9, 9 ];
+    "qlock focus 9", cert Qlock.recipe ~focus:[ 9 ];
+    "shared-queue focus 9", cert Queue_shared.recipe ~focus:[ 9 ];
+    "rwlock focus 9", cert Rwlock.recipe ~focus:[ 9 ];
+    "ticket sc 9", cert Ticket_lock.recipe ~focus:[ 9 ];
+    (* the stack's lock certificates *)
+    "ticket sc 1", cert Ticket_lock.recipe ~focus:[ 1 ];
+    "ticket sc 2", cert Ticket_lock.recipe ~focus:[ 2 ];
+    "ticket tso 12", cert Ticket_lock.recipe ~memory:tso;
+    "ticket tso 1", cert Ticket_lock.recipe ~memory:tso ~focus:[ 1 ];
+    "ticket tso 2", cert Ticket_lock.recipe ~memory:tso ~focus:[ 2 ];
+    "mcs sc 1", cert Mcs_lock.recipe ~focus:[ 1 ];
+    "mcs sc 2", cert Mcs_lock.recipe ~focus:[ 2 ];
+    "mcs tso 12", cert Mcs_lock.recipe ~memory:tso;
+    "mcs tso 1", cert Mcs_lock.recipe ~memory:tso ~focus:[ 1 ];
+    "mcs tso 2", cert Mcs_lock.recipe ~memory:tso ~focus:[ 2 ];
+  ]
+
+let golden_evidence =
+  [
+    "ticket", "45d76e51af5277b528a9a68244451115";
+    "mcs", "38bfe8d4bb0653184af894cf78cbfa3e";
+    "local-queue", "4f57fe8be123702da7a14c2bcfaf9d91";
+    "shared-queue", "b566660960ce098f73fdef4fa7e816e8";
+    "queue-stack", "785c4a6e9b45d079a308736180ebc58a";
+    "queue-stack tso", "785c4a6e9b45d079a308736180ebc58a";
+    "qlock", "170118f43d10825e2088e6e2f2bf0736";
+    "ipc", "9b2fe4bc5e05571021cd5ec571a13b36";
+    "ipc stack placement", "9b2fe4bc5e05571021cd5ec571a13b36";
+    "rwlock", "854ab9ef76e2d4b81363b881332bca1a";
+    "qlock siblings", "170118f43d10825e2088e6e2f2bf0736";
+    "qlock focus 9", "485ac7cd3dabab36ba471dde232ac7ff";
+    "shared-queue focus 9", "3aeafd669cda24325207901aa2c241c9";
+    "rwlock focus 9", "dd11b12a557203e2544ddd56d87aa55f";
+    "ticket sc 9", "7ee673a31b86147830994c2762425e90";
+    "ticket sc 1", "05fbb9fe6939239b6035deb45d333d2b";
+    "ticket sc 2", "79b2856feadc3745f1296788010458d3";
+    "ticket tso 12", "45d76e51af5277b528a9a68244451115";
+    "ticket tso 1", "05fbb9fe6939239b6035deb45d333d2b";
+    "ticket tso 2", "79b2856feadc3745f1296788010458d3";
+    "mcs sc 1", "2f04ba8e6c64e779c4a086992500774e";
+    "mcs sc 2", "2610bc89be4e61e25bc5959e3f60974b";
+    "mcs tso 12", "d8e630b10bebafc38b1850fb956f0a05";
+    "mcs tso 1", "927189620d2605846a5031c98a855eaf";
+    "mcs tso 2", "3d4aa9b13a9b0048dada53f5fb8a67e4";
+  ]
+
+let test_golden_evidence () =
+  let digests =
+    List.map
+      (fun (name, certify) ->
+        match certify () with
+        | Error e -> Alcotest.failf "%s: %a" name Calculus.pp_error e
+        | Ok c ->
+          ( name,
+            Digest.to_hex
+              (Digest.string (String.concat "\n" (evidence_lines c))) ))
+      (golden_certs ())
+  in
+  Alcotest.(check (list (pair string string)))
+    "evidence digests" golden_evidence digests
+
 let suite =
   [
+    tc "golden certificate evidence" test_golden_evidence;
     prop_compose_assoc;
     prop_id_unit;
     prop_related_iff_apply;

@@ -108,12 +108,12 @@ let test_ticket_solo_roundtrip () =
   check_int "sees published" 5 (Value.to_int (expect_done layer prog))
 
 let test_ticket_certify_c () =
-  match Lock_intf.certify Ticket_lock.impl ~focus:[ 1; 2 ] () with
+  match Object_intf.certify Ticket_lock.recipe () with
   | Ok cert -> check_bool "fun rule" true (cert.Calculus.rule = Calculus.Fun)
   | Error e -> Alcotest.failf "%a" Calculus.pp_error e
 
 let test_ticket_certify_asm () =
-  match Lock_intf.certify Ticket_lock.impl ~focus:[ 1 ] ~use_asm:true () with
+  match Object_intf.certify Ticket_lock.recipe ~focus:[ 1 ] ~use_asm:true () with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "%a" Calculus.pp_error e
 
@@ -214,12 +214,12 @@ let test_mcs_solo_roundtrip () =
   check_int "sees published" 9 (Value.to_int (expect_done layer prog))
 
 let test_mcs_certify () =
-  match Lock_intf.certify Mcs_lock.impl ~focus:[ 1; 2 ] () with
+  match Object_intf.certify Mcs_lock.recipe () with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "%a" Calculus.pp_error e
 
 let test_mcs_certify_asm () =
-  match Lock_intf.certify Mcs_lock.impl ~focus:[ 1 ] ~use_asm:true () with
+  match Object_intf.certify Mcs_lock.recipe ~focus:[ 1 ] ~use_asm:true () with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "%a" Calculus.pp_error e
 

@@ -152,12 +152,12 @@ let test_get_tid () =
 (* ---- queuing lock ---- *)
 
 let test_qlock_certify () =
-  match Qlock.certify () with
+  match Object_intf.certify Qlock.recipe () with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "%a" Calculus.pp_error e
 
 let test_qlock_certify_asm () =
-  match Qlock.certify ~focus:[ 1 ] ~use_asm:true () with
+  match Object_intf.certify Qlock.recipe ~focus:[ 1 ] ~use_asm:true () with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "%a" Calculus.pp_error e
 
@@ -208,7 +208,9 @@ let prop_qlock_random =
       Replay.well_formed (Qlock.replay_qlock 3) t)
 
 let test_qlock_refinement_shared_cpu () =
-  match Qlock.certify ~placement:[ 1, 0; 2, 0; 8, 8; 9, 9 ] ~focus:[ 1; 2 ] () with
+  match
+    Object_intf.certify Qlock.recipe ~placement:[ 1, 0; 2, 0; 8, 8; 9, 9 ] ()
+  with
   | Error e -> Alcotest.failf "%a" Calculus.pp_error e
   | Ok cert -> (
     let client i =
@@ -259,7 +261,7 @@ let test_cv_broadcast_counts () =
 (* ---- IPC ---- *)
 
 let test_ipc_certify () =
-  match Ipc.certify () with
+  match Object_intf.certify Ipc.recipe () with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "%a" Calculus.pp_error e
 

@@ -224,7 +224,7 @@ let lock_client i =
       Prog.seq (Prog.call "rel" [ vi 0; vi i ]) (Prog.ret (vi i)))
 
 let test_linearizability_jobs_invariant_ok () =
-  match Lock_intf.certify Ticket_lock.impl ~focus:[ 1; 2 ] () with
+  match Object_intf.certify Ticket_lock.recipe () with
   | Error e -> Alcotest.failf "%a" Calculus.pp_error e
   | Ok cert ->
     check_jobs_invariant "linearizability ok" (fun jobs ->
@@ -245,16 +245,14 @@ let broken_rel_no_inc =
   }
 
 let test_refinement_failure_jobs_invariant () =
-  let impl =
+  (* the ticket lock's recipe with only the focused implementation
+     replaced: the rivals keep running the correct lock *)
+  let c_module () =
     Ccal_clight.Csem.module_of_fns [ Ticket_lock.acq_fn; broken_rel_no_inc ]
   in
-  let r =
-    Calculus.fun_rule ~underlay:(Ticket_lock.l0 ())
-      ~overlay:(Lock_intf.layer "Llock") ~impl ~rel:Ticket_lock.r_ticket
-      ~focus:[ 1 ] ~prim_tests:(Lock_intf.prim_tests ())
-      ~envs:(Lock_intf.env_suite Ticket_lock.impl ()) ()
-  in
-  match r with
+  match
+    Object_intf.certify { Ticket_lock.recipe with c_module } ~focus:[ 1 ] ()
+  with
   | Error _ -> () (* caught even earlier; nothing to parallelise *)
   | Ok cert ->
     let client i =

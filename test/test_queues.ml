@@ -44,12 +44,12 @@ let test_abs_layer_spec () =
   check_int "abstract len" 1 (Value.to_int (expect_done (absq ()) prog))
 
 let test_local_certify () =
-  match Queue_local.certify () with
+  match Object_intf.certify Queue_local.recipe () with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "%a" Calculus.pp_error e
 
 let test_local_certify_asm () =
-  match Queue_local.certify ~use_asm:true () with
+  match Object_intf.certify Queue_local.recipe ~use_asm:true () with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "%a" Calculus.pp_error e
 
@@ -161,7 +161,7 @@ let test_rlock_deq_empty () =
   | _ -> Alcotest.fail "expected one event"
 
 let test_shared_certify () =
-  match Queue_shared.certify () with
+  match Object_intf.certify Queue_shared.recipe () with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "%a" Calculus.pp_error e
 

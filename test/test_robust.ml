@@ -210,7 +210,7 @@ let test_oversize_cache_faults_keep_verdict () =
 (* ---- the other budgeted checkers ---- *)
 
 let test_linearizability_budget_exhausts () =
-  match Lock_intf.certify Ticket_lock.impl ~focus:[ 1; 2 ] () with
+  match Object_intf.certify Ticket_lock.recipe () with
   | Error e ->
     Alcotest.failf "certify failed: %s" (Format.asprintf "%a" Calculus.pp_error e)
   | Ok cert -> (

@@ -30,7 +30,7 @@ let test_distinct_logs () =
 (* ---- linearizability ---- *)
 
 let test_linearizability_ticket () =
-  match Lock_intf.certify Ticket_lock.impl ~focus:[ 1; 2 ] () with
+  match Object_intf.certify Ticket_lock.recipe () with
   | Error e -> Alcotest.failf "%a" Calculus.pp_error e
   | Ok cert -> (
     let client i =
@@ -145,12 +145,14 @@ let broken_acq_no_spin =
         ];
   }
 
+(* An object's own recipe with only the focused implementation replaced:
+   the rivals keep running the correct one. *)
+let certify_with (recipe : Object_intf.t) fns =
+  let c_module () = Ccal_clight.Csem.module_of_fns fns in
+  Object_intf.certify { recipe with c_module } ~focus:[ 1 ] ()
+
 let certify_with_acq acq_fn =
-  let impl = Ccal_clight.Csem.module_of_fns [ acq_fn; Ticket_lock.rel_fn ] in
-  Calculus.fun_rule ~underlay:(Ticket_lock.l0 ()) ~overlay:(Lock_intf.layer "Llock")
-    ~impl ~rel:Ticket_lock.r_ticket ~focus:[ 1 ]
-    ~prim_tests:(Lock_intf.prim_tests ())
-    ~envs:(Lock_intf.env_suite Ticket_lock.impl ()) ()
+  certify_with Ticket_lock.recipe [ acq_fn; Ticket_lock.rel_fn ]
 
 let test_inject_no_spin_caught () =
   match certify_with_acq broken_acq_no_spin with
@@ -167,14 +169,7 @@ let broken_rel_no_inc =
   }
 
 let test_inject_missing_inc_caught () =
-  let impl = Ccal_clight.Csem.module_of_fns [ Ticket_lock.acq_fn; broken_rel_no_inc ] in
-  let r =
-    Calculus.fun_rule ~underlay:(Ticket_lock.l0 ()) ~overlay:(Lock_intf.layer "Llock")
-      ~impl ~rel:Ticket_lock.r_ticket ~focus:[ 1 ]
-      ~prim_tests:(Lock_intf.prim_tests ())
-      ~envs:(Lock_intf.env_suite Ticket_lock.impl ()) ()
-  in
-  match r with
+  match certify_with Ticket_lock.recipe [ Ticket_lock.acq_fn; broken_rel_no_inc ] with
   | Error _ -> ()
   | Ok cert -> (
     (* the per-primitive cases may pass (no rival needs the ticket), but the
@@ -229,14 +224,9 @@ let broken_rel_wrong_value =
   }
 
 let test_inject_wrong_publish_caught () =
-  let impl = Ccal_clight.Csem.module_of_fns [ Ticket_lock.acq_fn; broken_rel_wrong_value ] in
-  let r =
-    Calculus.fun_rule ~underlay:(Ticket_lock.l0 ()) ~overlay:(Lock_intf.layer "Llock")
-      ~impl ~rel:Ticket_lock.r_ticket ~focus:[ 1 ]
-      ~prim_tests:(Lock_intf.prim_tests ())
-      ~envs:(Lock_intf.env_suite Ticket_lock.impl ()) ()
-  in
-  match r with
+  match
+    certify_with Ticket_lock.recipe [ Ticket_lock.acq_fn; broken_rel_wrong_value ]
+  with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wrong published value certified"
 
@@ -257,16 +247,9 @@ let broken_deq_outside_lock =
   }
 
 let test_inject_early_release_caught () =
-  let impl =
-    Ccal_clight.Csem.module_of_fns [ broken_deq_outside_lock; Queue_shared.enq_fn ]
-  in
-  let r =
-    Calculus.fun_rule ~underlay:(Queue_shared.underlay ())
-      ~overlay:(Queue_shared.overlay ()) ~impl ~rel:Queue_shared.r_lock
-      ~focus:[ 1 ] ~prim_tests:(Queue_shared.prim_tests ())
-      ~envs:(Queue_shared.env_suite ()) ()
-  in
-  match r with
+  match
+    certify_with Queue_shared.recipe [ broken_deq_outside_lock; Queue_shared.enq_fn ]
+  with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "early release certified"
 
