@@ -14,10 +14,13 @@
      ccal inventory print the layer/object inventory
 
    The game-driving subcommands (stack, kv, pipeline, explore, litmus,
-   crash) share one flag bundle — --jobs, --strategy, --cache/--cache-dir, --stats,
+   crash) share one flag bundle — --jobs, --strategy, --memory, --stats,
    --trace, --budget-ms, --budget-steps, --inject — parsed once into a
    [Ccal_verify.Ctx.t] and threaded through the [*_ctx] checker entry
-   points (DESIGN.md S27). *)
+   points (DESIGN.md S27).  Only stack, kv and crash, whose work is a
+   list of layer edges, also take --cache/--cache-dir: the edge is the
+   one unit the certificate cache stores (DESIGN.md S26), so the other
+   subcommands reject both flags rather than ignore them. *)
 
 open Cmdliner
 open Ccal_core
@@ -163,13 +166,17 @@ let cache_dir_arg =
                  Defaults to $(b,CCAL_CACHE_DIR) or ~/.cache/ccal.")
 
 (* [Some cache] when --cache/--cache-dir asks for one; [Error] (exit 2)
-   when the directory cannot be created. *)
+   when the directory cannot be created.  Only the edge-list subcommands
+   (stack, kv, crash) take these flags. *)
 let make_cache use_cache dir =
   if use_cache || dir <> None then
     match Ccal_verify.Cache.create ?dir () with
     | c -> Ok (Some c)
-    | exception Sys_error msg -> Error msg
+    | exception Sys_error msg -> Error ("cannot open cache: " ^ msg)
   else Ok None
+
+let cache_term =
+  Term.(const (fun use dir -> use, dir) $ cache_flag_arg $ cache_dir_arg)
 
 let pp_cache_summary fmt cache =
   match cache with
@@ -193,7 +200,8 @@ let strategy_of_string = function
 (* ---------------- the shared flag bundle ---------------- *)
 
 (* Everything the game-driving subcommands have in common, parsed once.
-   [strategy = None] means "the command's historical default suite". *)
+   [strategy = None] means "the command's historical default suite";
+   [cache] is set only by the edge-list subcommands ({!with_common}). *)
 type common = {
   jobs : int;
   cache : Ccal_verify.Cache.t option;
@@ -205,8 +213,7 @@ type common = {
   trace : string option;
 }
 
-let common_of jobs strategy memory use_cache cache_dir budget_ms budget_steps
-    inject stats trace =
+let common_of jobs strategy memory budget_ms budget_steps inject stats trace =
   let ( let* ) = Result.bind in
   let* jobs = resolve_jobs jobs in
   let resolve_opt f = function
@@ -219,10 +226,6 @@ let common_of jobs strategy memory use_cache cache_dir budget_ms budget_steps
   in
   let* strategy = strategy_of_string strategy in
   let* memory = memory_of_string memory in
-  let* cache =
-    Result.map_error (Printf.sprintf "cannot open cache: %s")
-      (make_cache use_cache cache_dir)
-  in
   let* faults =
     match inject with
     | None -> Ok Ccal_verify.Fault.none
@@ -231,7 +234,7 @@ let common_of jobs strategy memory use_cache cache_dir budget_ms budget_steps
   Ok
     {
       jobs;
-      cache;
+      cache = None;
       strategy;
       memory;
       budget = Ccal_verify.Budget.make ?ms:budget_ms ?steps:budget_steps ();
@@ -242,8 +245,7 @@ let common_of jobs strategy memory use_cache cache_dir budget_ms budget_steps
 
 let common_term =
   Term.(const common_of $ jobs_arg $ strategy_arg $ memory_arg
-        $ cache_flag_arg $ cache_dir_arg $ budget_ms_arg $ budget_steps_arg
-        $ inject_arg $ stats_arg $ trace_arg)
+        $ budget_ms_arg $ budget_steps_arg $ inject_arg $ stats_arg $ trace_arg)
 
 (* The context a parsed bundle denotes.  The budget is attached last —
    [Ctx.with_budget] starts the token, and the deadline epoch should be
@@ -283,10 +285,19 @@ let run_with_common (c : common) f =
 (* The one funnel every game-driving subcommand (stack, kv, pipeline,
    explore, litmus, crash) goes through: a bundle parse error exits 2,
    otherwise the body gets the parsed bundle and its context under the
-   telemetry/fault/cache plumbing.  Subcommand-specific validation
-   happens inside the body (same exit 2), so the wiring is written once
-   rather than re-pasted per subcommand. *)
-let with_common ?(counts = []) common f =
+   telemetry/fault/cache plumbing.  [cache] is the --cache/--cache-dir
+   pair of an edge-list subcommand; the store is opened only once the
+   bundle parsed.  Subcommand-specific validation happens inside the
+   body (same exit 2), so the wiring is written once rather than
+   re-pasted per subcommand. *)
+let with_common ?(counts = []) ?(cache = false, None) common f =
+  let use_cache, cache_dir = cache in
+  let common =
+    Result.bind common (fun c ->
+        Result.map
+          (fun cache -> { c with cache })
+          (make_cache use_cache cache_dir))
+  in
   match
     List.fold_left
       (fun c n -> Result.bind c (fun c -> Result.map (fun _ -> c) n))
@@ -318,8 +329,8 @@ let write_report report_file pp report =
 (* ---------------- stack ---------------- *)
 
 let stack_cmd =
-  let run common lock seeds livelock report_file =
-    with_common common ~counts:[ resolve_count ~min:0 "--seeds" seeds ]
+  let run common cache lock seeds livelock report_file =
+    with_common common ~cache ~counts:[ resolve_count ~min:0 "--seeds" seeds ]
     @@ fun c ctx ->
     let lock = match lock with "mcs" -> `Mcs | _ -> `Ticket in
     let module V = Ccal_verify in
@@ -364,13 +375,14 @@ let stack_cmd =
   in
   Cmd.v
     (Cmd.info "stack" ~doc:"Certify and link the whole Fig. 1 layer stack")
-    Term.(const run $ common_term $ lock $ seeds $ livelock $ report_file_arg)
+    Term.(const run $ common_term $ cache_term $ lock $ seeds $ livelock
+          $ report_file_arg)
 
 (* ---------------- kv ---------------- *)
 
 let kv_cmd =
-  let run common threads shards entries report_file =
-    with_common common
+  let run common cache threads shards entries report_file =
+    with_common common ~cache
       ~counts:
         [ resolve_count "--threads" threads; resolve_count "--shards" shards;
           resolve_count "--entries" entries ]
@@ -414,7 +426,8 @@ let kv_cmd =
   Cmd.v
     (Cmd.info "kv"
        ~doc:"Certify the kv serving stack (sharded hash table + block cache)")
-    Term.(const run $ common_term $ threads $ shards $ entries $ report_file_arg)
+    Term.(const run $ common_term $ cache_term $ threads $ shards $ entries
+          $ report_file_arg)
 
 (* ---------------- verify ---------------- *)
 
@@ -836,8 +849,8 @@ let litmus_cmd =
 (* ---------------- crash ---------------- *)
 
 let crash_cmd =
-  let run common edge_name nthreads shards crashes report_file =
-    with_common common
+  let run common cache edge_name nthreads shards crashes report_file =
+    with_common common ~cache
       ~counts:
         [ resolve_count "--threads" nthreads; resolve_count "--shards" shards;
           resolve_count ~min:0 "--crashes" crashes ]
@@ -918,8 +931,8 @@ let crash_cmd =
   Cmd.v
     (Cmd.info "crash"
        ~doc:"Certify crash refinement of the WAL and durable-kv edges")
-    Term.(const run $ common_term $ edge_name $ nthreads $ shards $ crashes
-          $ report_file_arg)
+    Term.(const run $ common_term $ cache_term $ edge_name $ nthreads $ shards
+          $ crashes $ report_file_arg)
 
 (* ---------------- inventory ---------------- *)
 

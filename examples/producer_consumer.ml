@@ -15,7 +15,9 @@ open Ccal_objects
 let vi = Value.int
 let chan = 5
 
-let placement = [ 1, 1; 2, 2; 3, 3 ]
+(* Thread 9 is the recipe's rival: placed, so the certificate's rival
+   contexts run it. *)
+let placement = [ 1, 1; 2, 2; 3, 3; 9, 9 ]
 
 let producer first count =
   Prog.seq_all

@@ -41,8 +41,6 @@ let rec value st (v : Value.t) =
 let event st (e : Event.t) =
   value (list value (string (int (int st 0x45) e.src) e.tag) e.args) e.ret
 
-let log st l = int (int st (Log.length l)) (Log.hash l)
-
 (* Fixed probe set for continuations.  Covers the return shapes the
    object bodies actually branch on: unit, the 0/1 integers (ticket
    numbers, queue heads, boolean-as-int flags) and a genuine boolean.

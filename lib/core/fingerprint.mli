@@ -54,7 +54,6 @@ val finish : state -> t
 (** Final avalanche pass. *)
 
 val int : state -> int -> state
-val bool : state -> bool -> state
 val string : state -> string -> state
 val option : (state -> 'a -> state) -> state -> 'a option -> state
 val list : (state -> 'a -> state) -> state -> 'a list -> state
@@ -63,9 +62,6 @@ val list : (state -> 'a -> state) -> state -> 'a list -> state
 
 val value : state -> Value.t -> state
 val event : state -> Event.t -> state
-
-val log : state -> Log.t -> state
-(** Mixes {!Log.hash} and the length. *)
 
 val prog : ?budget:int -> state -> Prog.t -> state
 (** Structural fingerprint of an interaction tree.  [Ret] mixes the

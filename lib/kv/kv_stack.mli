@@ -56,8 +56,9 @@ val verify_ctx :
     {!Ccal_verify.Edges.run}.  Scheduler suites derive from
     [ctx.strategy] per edge game; [ctx.cache] memoizes whole edges under
     the ["kvedge"] kind (a hit's [millis] is the lookup time; failures
-    and exhausted edges always re-run live) as well as the inner DPOR
-    walks and refinement reports; [ctx.budget] is polled between edges,
+    and exhausted edges always re-run live), and only whole edges: the
+    DPOR walks and refinement scans inside an edge always run live;
+    [ctx.budget] is polled between edges,
     and an [Exhausted] report lists the completed edges. *)
 
 (** {1 Whole-machine games} (the explore corpus and the bench) *)

@@ -75,10 +75,20 @@ let env_suite r ~memory ~placement : Calculus.env_suite =
 let certify r ?(memory = Memory.default) ?placement ?focus ?(use_asm = false)
     () =
   let focus = Option.value focus ~default:r.focus in
+  (* A thread left unplaced never runs, so an explicit placement must
+     place every focused and rival thread. *)
   let placement =
     match placement with
-    | Some p -> p
     | None -> Thread_sched.default_placement focus r.rivals
+    | Some p ->
+      List.iter
+        (fun t ->
+          if not (List.mem_assoc t p) then
+            invalid_arg
+              (Printf.sprintf
+                 "Object_intf.certify: placement leaves out thread %d" t))
+        (focus @ r.rivals);
+      p
   in
   let impl =
     match r.asm_module with

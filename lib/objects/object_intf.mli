@@ -38,6 +38,10 @@ type t = {
   focus : Event.tid list;  (** the focused threads unless [certify] names others *)
 }
 
+val env_suite :
+  t -> memory:Memory.t -> placement:Thread_sched.placement -> Calculus.env_suite
+(** The environments {!certify} checks each focused thread against. *)
+
 val certify :
   t ->
   ?memory:Memory.t ->
@@ -49,7 +53,8 @@ val certify :
 (** [underlay[A] ⊢_R M : overlay[A]] via the [Fun] rule, with the C
     semantics by default and the compiled assembly when [use_asm].  The
     placement defaults to {!Thread_sched.default_placement} of the focus
-    and the rivals.
+    and the rivals; an explicit one that leaves out a focused or rival
+    thread raises [Invalid_argument] naming the thread.
 
     The environments of focused thread [i] are the silent context (or
     [siblings-only] when siblings share [i]'s CPU), then, for rounds 1

@@ -95,11 +95,6 @@ let find t ~kind fp =
         Some v
       | exception _ -> invalidate ())
 
-let invalidate t ~kind fp =
-  (try Sys.remove (path t ~kind fp) with Sys_error _ -> ());
-  Atomic.incr t.invalidations;
-  Probe.incr invalidations_c
-
 let store t ~kind fp v =
   match
     let payload = magic ^ Marshal.to_string v [] in

@@ -1,17 +1,18 @@
 (** On-disk content-addressed certificate cache.
 
-    Every verdict the checkers produce is a pure function of its inputs
-    — layer interfaces, implementation, scheduler suite, engine
-    configuration, fuel — so it can be memoized under a
-    {!Ccal_core.Fingerprint} of those inputs (DESIGN "Certificate
-    cache").  The store is one file per verdict, named
+    Every edge verdict is a pure function of its inputs — layer
+    interfaces, implementation, scheduler suite, engine configuration,
+    fuel — so it can be memoized under a {!Ccal_core.Fingerprint} of
+    those inputs (DESIGN "Certificate cache").  The edge is the one unit
+    cached: {!Edges.run} is the only caller of {!find} and {!store}.
+    The store is one file per verdict, named
     [<kind>-<fingerprint>.v<format>] in a cache directory; payloads are
     [Marshal]ed OCaml values behind a magic header.
 
-    Policies, enforced here and at the call sites:
+    Policies, enforced here and in {!Edges.run}:
     {ul
-    {- {e Failures are never cached.}  Checkers only store successful
-       verdicts, so a failing edge always re-runs live and reproduces
+    {- {e Failures are never cached.}  Only successful edges are
+       stored, so a failing edge always re-runs live and reproduces
        its counterexample from the real game, never from disk.}
     {- {e Corruption is a miss.}  A truncated, bad-magic, or
        undeserializable entry is deleted and counted as an
@@ -45,17 +46,13 @@ val dir : t -> string
 
 val find : t -> kind:string -> Fingerprint.t -> 'a option
 (** Look up the entry of that kind and key.  [kind] is a short static
-    tag naming the payload type ("edge", "races", "refine", "dpor",
-    "runall") — it is part of the filename, so a fingerprint collision
-    across payload types cannot type-confuse [Marshal].  Absent entries
-    count a miss; present entries count a hit; corrupt entries are
-    deleted, count an invalidation {e and} a miss, and return [None]. *)
-
-val invalidate : t -> kind:string -> Fingerprint.t -> unit
-(** Drop the entry (if present) and count an invalidation.  Callers use
-    this when an entry deserializes but fails an integrity check — e.g.
-    a stored report whose recorded log hash no longer matches its
-    logs. *)
+    tag naming the payload type — "edge" (the Fig. 1 stack), "kvedge"
+    (the kv stack) or "crash" (the crash certifier), the three kinds
+    {!Edges.run} stores — and part of the filename, so a fingerprint
+    collision across payload types cannot type-confuse [Marshal].
+    Absent entries count a miss; present entries count a hit; corrupt
+    entries are deleted, count an invalidation {e and} a miss, and
+    return [None]. *)
 
 val store : t -> kind:string -> Fingerprint.t -> 'a -> unit
 (** Write the entry atomically (temp file + rename).  Best-effort: an

@@ -106,6 +106,7 @@ val check_ctx :
     apply.  The budget is polled between edges; an [Exhausted] report
     lists the edges that completed, never one only partly checked.  An
     edge's suite is derived lazily, once, for its key and its scan, so
-    no walk runs for an edge the loop never reaches.  Successful edge
+    no walk runs for an edge the loop never reaches; a warm hit still
+    walks the suite live, because its key folds it.  Successful edge
     reports memoize under the ["crash"] cache kind (a hit's [millis] is
     the lookup time); failures always reproduce live. *)

@@ -15,7 +15,7 @@ type t = {
   cache : Cache.t option;
   strategy : Engine.t;  (** suite generator when no [?scheds] is given *)
   memory : Ccal_core.Memory.t;
-      (** memory mode the games run under; enters every cache key, so an
+      (** memory mode the games run under; enters every edge key, so an
           SC verdict is never served for a TSO query *)
   budget : Budget.t;
   token : Budget.token;

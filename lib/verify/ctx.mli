@@ -10,7 +10,9 @@
 
     Nested checkers share the budget by sharing the context: a
     [Stack.verify_all_ctx] call passes its own context to every edge's
-    races/linearizability scan, so one token covers the whole stack. *)
+    races/linearizability scan, so one token covers the whole stack.
+    Only the edge loop ({!Edges.run}) reads [cache]: the checkers below
+    it always run live. *)
 
 module Engine = Ccal_core.Strategy.Engine
 (** The exploration-engine descriptor (DESIGN.md S31), re-exported so
@@ -19,11 +21,11 @@ module Engine = Ccal_core.Strategy.Engine
 
 type t = {
   jobs : int;  (** domains for the pool; 1 = the sequential oracle *)
-  cache : Cache.t option;
+  cache : Cache.t option;  (** the edge store; see {!Edges.run} *)
   strategy : Engine.t;  (** suite generator when no [?scheds] is given *)
   memory : Ccal_core.Memory.t;
       (** memory mode the games run under ([Sc] default, [Tso] for the
-          buffered machine); folded into every cache key *)
+          buffered machine); folded into every edge key *)
   budget : Budget.t;
   token : Budget.token;  (** running token for [budget] *)
   faults : Fault.plan;
@@ -62,7 +64,7 @@ val with_memory : Ccal_core.Memory.t -> t -> t
 (** Select the memory mode ([--memory sc|tso] on the CLI).  Under [Tso]
     the checkers run games on a buffered layer with flusher
     pseudo-threads in the schedule space; the mode is folded into every
-    cache key so verdicts never cross modes. *)
+    edge key so verdicts never cross modes. *)
 
 val with_budget : Budget.t -> t -> t
 (** (Re)starts the token: the deadline epoch is the moment the budget is

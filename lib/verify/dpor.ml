@@ -165,31 +165,6 @@ type node = {
   sleep : (Event.tid * move) list;
 }
 
-(* Cache key of an engine walk: the engine descriptor plus the game
-   identity and every knob that shapes the walk.  The walk has no
-   failure mode (a stuck leaf is just a short prefix), so unlike
-   verdicts its result is stored unconditionally; the replay phase
-   always runs live.  The read tags and the absent private-fuel bound are
-   constants, folded in so the keys stay those of existing stores. *)
-let suite_key ~engine ~independence ~memory ~depth layer threads =
-  let st = Fingerprint.string Fingerprint.empty "engine-suite" in
-  let st =
-    Fingerprint.string st (Engine.to_string { engine with Engine.depth })
-  in
-  let st = Fingerprint.layer st layer in
-  let st = Fingerprint.memory st memory in
-  let st =
-    Fingerprint.list
-      (fun st (i, p) -> Fingerprint.prog (Fingerprint.int st i) p)
-      st threads
-  in
-  let st = Fingerprint.int st depth in
-  let st =
-    Fingerprint.int st (match independence with Exact -> 1 | Commuting_events -> 2)
-  in
-  let st = Fingerprint.list Fingerprint.string st reads in
-  Fingerprint.finish (Fingerprint.option Fingerprint.int st None)
-
 (* Sleep-set DFS over the enabled moves of the whole-machine game, bounded
    to [depth] scheduling choices.  Each surviving branch records its
    choice prefix, later replayed through [Game.run] so leaf outcomes are
@@ -206,9 +181,12 @@ let suite_key ~engine ~independence ~memory ~depth layer threads =
    classes and collects no log integers.
 
    Each leaf is recorded as the DFS reaches it, so the prefixes come out
-   in DFS pre-order. *)
-let prefixes_with_prunes_live ?(independence = Exact)
-    ?(memory = Memory.default) ~sym ~depth layer threads =
+   in DFS pre-order.  This walk is behind every [dpor] suite. *)
+let walk ?(independence = Exact) ?(memory = Memory.default) ~engine ~depth
+    layer threads =
+  if (engine : Engine.t).algo <> Engine.Dpor then
+    invalid_arg ("Dpor.walk: not a DPOR engine: " ^ Engine.to_string engine);
+  let sym = engine.Engine.sym in
   (* Pseudo-threads (TSO flushers, the crash thread of a crash-enabled
      layer) are part of the schedule space: the DFS explores their moves
      like any other thread's.  [Game.config] re-adds the same
@@ -322,29 +300,6 @@ let prefixes_with_prunes_live ?(independence = Exact)
   ( List.rev !recorded,
     { Engine.sleep_prunes = !prunes; sym_prunes = !sym_prunes } )
 
-(* The walk behind every [dpor] suite, memoized in [cache] (kind
-   ["engine"]) under {!suite_key}. *)
-let walk ?(independence = Exact) ?cache
-    ?(memory = Memory.default) ~engine ~depth layer threads =
-  if (engine : Engine.t).algo <> Engine.Dpor then
-    invalid_arg ("Dpor.walk: not a DPOR engine: " ^ Engine.to_string engine);
-  let body () =
-    prefixes_with_prunes_live ~independence ~memory
-      ~sym:engine.Engine.sym ~depth layer threads
-  in
-  match cache with
-  | None -> body ()
-  | Some c -> (
-    let key =
-      suite_key ~engine ~independence ~memory ~depth layer threads
-    in
-    match Cache.find c ~kind:"engine" key with
-    | Some (walked : Event.tid list list * Engine.walk_stats) -> walked
-    | None ->
-      let walked = body () in
-      Cache.store c ~kind:"engine" key walked;
-      walked)
-
 let pp_count fmt n =
   if n = max_int then Format.pp_print_string fmt ">max-int"
   else Format.pp_print_int fmt n
@@ -365,9 +320,8 @@ let pp_stats fmt s =
 
 (* The DFS walk itself stays un-budgeted: it is depth-bounded and cheap
    relative to replay, and keeping it whole means an [Exhausted] explore
-   still reports the complete schedule frontier — exactly what a resumed
-   run needs.  Only the replay phase, which runs full games, charges the
-   step budget. *)
+   still reports the complete schedule frontier.  Only the replay phase,
+   which runs full games, charges the step budget. *)
 
 (* The engine a context implies for the walk: the context's strategy
    when it is [dpor], otherwise the default (a checker driving an
@@ -386,8 +340,8 @@ let explore_ctx ~ctx ?(independence = Exact) ?engine
   in
   let prefixes, walk_stats =
     Probe.span "dpor.prefixes" (fun () ->
-        walk ~independence ?cache:ctx.Ctx.cache ~memory:ctx.Ctx.memory
-          ~engine ~depth layer threads)
+        walk ~independence ~memory:ctx.Ctx.memory ~engine ~depth layer
+          threads)
   in
   (* Each leaf is keyed where it is replayed, so under [jobs > 1] the
      keys are computed on the pool too. *)

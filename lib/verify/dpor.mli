@@ -87,7 +87,6 @@ val subset_traces : (int * Log.t) list -> (int * Log.t) list -> bool
 
 val walk :
   ?independence:independence ->
-  ?cache:Cache.t ->
   ?memory:Memory.t ->
   engine:Engine.t ->
   depth:int ->
@@ -97,9 +96,8 @@ val walk :
 (** The walk only (no replay): the surviving prefixes in DFS pre-order
     plus the prune counters.
     [engine] must be a [dpor] descriptor ([Invalid_argument]
-    otherwise); [engine.depth] is ignored in favour of [depth].
-    [cache] memoizes the result (kind ["engine"]) under a key built from
-    the descriptor, the game identity, and every walk knob. *)
+    otherwise); [engine.depth] is ignored in favour of [depth].  The walk
+    always runs live. *)
 
 val explore_ctx :
   ctx:Ctx.t ->
@@ -114,9 +112,8 @@ val explore_ctx :
     {!Engine.default}; [engine.depth] is ignored in favour of [depth]),
     then replay every surviving prefix.  [independence] defaults to
     {!Exact}.  [ctx.jobs] parallelises the replay phase; prefixes,
-    outcomes, and stats are identical for every jobs count.
-    [ctx.cache] memoizes the walk as {!walk} does; the replay phase
-    always runs live, so failures reproduce from the real game.  Under
+    outcomes, and stats are identical for every jobs count.  Walk and
+    replay always run live, so failures reproduce from the real game.  Under
     [Commuting_events] each leaf log is keyed ({!trace_key}) where it is
     replayed, inside the scan's worker, under the span [dpor.key]; the
     keyed leaves are then deduplicated like {!dedup_traces}.
@@ -130,8 +127,7 @@ val explore_ctx :
     flusher pseudo-threads ({!Ccal_core.Game.flusher_threads}) to its
     root slots, so buffer-flush points are enumerated like any other
     move; flushes of different CPUs commute under [Commuting_events]
-    (different buffers, and the commit's first argument is the cell).
-    The mode is folded into the walk's cache key. *)
+    (different buffers, and the commit's first argument is the cell). *)
 
 val pp_stats : Format.formatter -> stats -> unit
 (** Saturated counts ([max_int]) render as [">max-int"], never as a

@@ -18,25 +18,22 @@ let full_suite ~tids ?(depth = 4) ?(random = 16) () =
   (Sched.round_robin :: exhaustive_scheds ~tids ~depth) @ random_scheds ~count:random
 
 (* One [match] on the closed [algo] variant (DESIGN.md S31): [dpor] is
-   the only walking engine, and [Dpor.walk] owns its suite cache.  The
-   descriptor is not validated here: the oracle runs at any depth the
-   walk accepted, zero included. *)
+   the only walking engine.  The descriptor is not validated here: the
+   oracle runs at any depth the walk accepted, zero included. *)
 let suite ~ctx (engine : Engine.t) layer threads =
   let depth = engine.Engine.depth in
   match engine.Engine.algo with
   | Engine.Dpor ->
     let prefixes, _ =
-      Dpor.walk ?cache:ctx.Ctx.cache ~memory:ctx.Ctx.memory ~engine ~depth
-        layer threads
+      Dpor.walk ~memory:ctx.Ctx.memory ~engine ~depth layer threads
     in
     (* [dpor] and [dpor,sym] share the "dpor" tag: identical prefixes
-       share verdict cache entries, sound because the games are identical. *)
+       share crash edge keys (which fold the suite), sound because the
+       games are identical. *)
     List.map (Sched.of_trace ~tag:"dpor") prefixes
   | Engine.Exhaustive ->
     (* Pseudo-threads (TSO flushers, the crash thread) are schedulable
-       too, so the exhaustive prefix alphabet must include their tids.
-       Never cached: materializing all [|tids|^depth] prefixes is the
-       cost, and a cache entry would be as large as recomputing it. *)
+       too, so the exhaustive prefix alphabet must include their tids. *)
     let effective =
       threads @ Game.pseudo_threads ~memory:ctx.Ctx.memory layer threads
     in
@@ -48,44 +45,10 @@ let suite ~ctx (engine : Engine.t) layer threads =
 let scheds_of_strategy_ctx ~ctx layer threads =
   suite ~ctx (Engine.checked ctx.Ctx.strategy) layer threads
 
-(* Cache key of a [run_all] call: the complete game identity — layer,
-   linked client programs, scheduler suite (by name); the absent fuel
-   bound is folded in as a constant, so existing keys hold.  [jobs] is
-   deliberately absent: outcomes are bit-identical across jobs counts. *)
-let runall_key ~memory layer threads scheds =
-  let st = Fingerprint.string Fingerprint.empty "runall" in
-  let st = Fingerprint.layer st layer in
-  let st = Fingerprint.memory st memory in
-  let st =
-    Fingerprint.list
-      (fun st (i, p) -> Fingerprint.prog (Fingerprint.int st i) p)
-      st threads
-  in
-  let st = Fingerprint.scheds st scheds in
-  Fingerprint.finish (Fingerprint.option Fingerprint.int st None)
-
 let run_all_ctx ~ctx layer threads scheds =
   Ctx.arm ctx @@ fun () ->
-  let body () =
-    Probe.span "explore.run_all" (fun () ->
-        Parallel.games ~ctx layer threads (fun _ o -> o) scheds)
-  in
-  match ctx.Ctx.cache with
-  | None -> body ()
-  | Some c -> (
-    let key = runall_key ~memory:ctx.Ctx.memory layer threads scheds in
-    match Cache.find c ~kind:"runall" key with
-    | Some (outcomes : Game.outcome list) -> Budget.Complete outcomes
-    | None -> (
-      match body () with
-      | Budget.Complete outcomes as r ->
-        (* Only fully clean, fully explored corpora are stored: any
-           non-[All_done] status is a (potential) failure and must always
-           reproduce live, and an exhausted prefix is not the corpus. *)
-        if List.for_all (fun o -> o.Game.status = Game.All_done) outcomes
-        then Cache.store c ~kind:"runall" key outcomes;
-        r
-      | Budget.Exhausted _ as r -> r))
+  Probe.span "explore.run_all" (fun () ->
+      Parallel.games ~ctx layer threads (fun _ o -> o) scheds)
 
 let all_logs outcomes = List.map (fun o -> o.Game.log) outcomes
 

@@ -36,9 +36,8 @@ val scheds_of_strategy_ctx :
   (Event.tid * Prog.t) list ->
   Sched.t list
 (** The suite [ctx.strategy] selects, in the form the checkers consume:
-    [dpor] prefixes from {!Dpor.walk} (memoized in [ctx.cache] under kind
-    ["engine"], one sequential walk), every [exhaustive] prefix over the
-    real and pseudo threads (never cached), or [random] seeded
+    [dpor] prefixes from {!Dpor.walk} (one sequential walk), every
+    [exhaustive] prefix over the real and pseudo threads, or [random] seeded
     schedulers.  Prefix suites become trace schedulers with
     content-bearing names ([tag:[t0,t1,…]]); the [dpor] walk needs the
     layer and threads to be the ones the returned schedulers will
@@ -56,11 +55,8 @@ val run_all_ctx :
   Game.outcome list Budget.outcome
 (** Run the machine under every scheduler.  [ctx.jobs] spreads the runs
     over a {!Parallel} domain pool; the outcome list keeps schedule
-    order.  [ctx.cache] memoizes the whole outcome list, keyed on the
-    game identity (layer, programs, scheduler names) — but only
-    when every outcome is [All_done] {e and} the scan completed: corpora
-    containing failures or cut short by the budget re-run live.
-    [ctx.token] is charged per game step; an [Exhausted] result carries
+    order; the games always run live.  [ctx.token] is charged per game
+    step; an [Exhausted] result carries
     the outcome prefix that was fully evaluated before the budget
     tripped, bit-identical for every jobs count under a step budget. *)
 

@@ -11,7 +11,7 @@
    only moves timings, oversize only moves disk bytes.
 
    The active plan is process-global (like the telemetry switch) so the
-   leaf modules — [Cache.store], the claim loop of [Parallel],
+   leaf modules — the cache's writer, the claim loop of [Parallel],
    [Verify_clock.now_ns] — can consult it without threading a context
    through every call; checkers arm the plan carried by their [Ctx] for
    the duration of one verification. *)
@@ -217,7 +217,7 @@ let skew_ns () =
     Atomic.get skew_offset
   end
 
-(* Corruption payloads for [Cache.store]. *)
+(* Corruption payloads for the cache's writer. *)
 
 let corrupt_payload s =
   (* Truncate to half: the magic header may survive, but the marshaled

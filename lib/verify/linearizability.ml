@@ -10,8 +10,9 @@ type report = {
    implementation threads under each schedule, judged by
    {!Refinement.judge}.  The budget is charged the underlay event count
    of each schedule (a deterministic proxy for its work). *)
-let refine_live ~ctx ?(max_steps = 200_000) ?expect_all_done ~underlay ~impl
+let refine_ctx ~ctx ?(max_steps = 200_000) ?expect_all_done ~underlay ~impl
     ~overlay ~rel ~client ~tids ~scheds () =
+  Ctx.arm ctx @@ fun () ->
   let threads_under =
     List.map (fun i -> i, Prog.Module.link impl (client i)) tids
   in
@@ -34,70 +35,6 @@ let refine_live ~ctx ?(max_steps = 200_000) ?expect_all_done ~underlay ~impl
        (Refinement.judge ~max_steps ?expect_all_done ~overlay ~rel ~client
           ~tids)
        scheds)
-
-(* Cache key of a refinement scan: both machine interfaces, the
-   implementation bodies, the relation (by name), the client workload on
-   the focused threads, the suite identity, and the fuel/strictness
-   knobs.  [jobs] is absent by design. *)
-let refine_key ?max_steps ?expect_all_done ~memory ~underlay ~impl ~overlay
-    ~rel ~client ~tids ~scheds () =
-  let st = Fingerprint.string Fingerprint.empty "refine" in
-  let st = Fingerprint.layer st underlay in
-  let st = Fingerprint.layer st overlay in
-  let st = Fingerprint.memory st memory in
-  let st = Fingerprint.modul st impl in
-  let st = Fingerprint.string st rel.Sim_rel.name in
-  let st =
-    Fingerprint.list
-      (fun st i -> Fingerprint.prog (Fingerprint.int st i) (client i))
-      st tids
-  in
-  let st = Fingerprint.scheds st scheds in
-  let st = Fingerprint.option Fingerprint.int st max_steps in
-  Fingerprint.finish (Fingerprint.option Fingerprint.bool st expect_all_done)
-
-(* The stored verdict: the successful report plus the hash of its logs,
-   re-checked on load so a bit-rotted entry invalidates instead of
-   deserializing into a wrong-but-plausible report. *)
-type stored_report = { report : Refinement.report; log_hash : Fingerprint.t }
-
-let report_hash (r : Refinement.report) =
-  let st = Fingerprint.int Fingerprint.empty r.Refinement.scheds_checked in
-  let st = Fingerprint.list Fingerprint.log st r.Refinement.logs in
-  Fingerprint.finish (Fingerprint.list Fingerprint.log st r.Refinement.translated)
-
-let refine_ctx ~ctx ?max_steps ?expect_all_done ~underlay ~impl ~overlay
-    ~rel ~client ~tids ~scheds () =
-  Ctx.arm ctx @@ fun () ->
-  let live () =
-    refine_live ~ctx ?max_steps ?expect_all_done ~underlay ~impl ~overlay
-      ~rel ~client ~tids ~scheds ()
-  in
-  match ctx.Ctx.cache with
-  | None -> live ()
-  | Some c -> (
-    let key =
-      refine_key ?max_steps ?expect_all_done ~memory:ctx.Ctx.memory ~underlay
-        ~impl ~overlay ~rel ~client ~tids ~scheds ()
-    in
-    let run_and_store () =
-      match live () with
-      | Budget.Complete (Ok report) as ok ->
-        Cache.store c ~kind:"refine" key
-          { report; log_hash = report_hash report };
-        ok
-      (* Refinement failures always re-run live, and an exhausted prefix
-         is not the report — neither is stored. *)
-      | (Budget.Complete (Error _) | Budget.Exhausted _) as r -> r
-    in
-    match Cache.find c ~kind:"refine" key with
-    | Some { report; log_hash }
-      when Fingerprint.equal (report_hash report) log_hash ->
-      Budget.Complete (Ok report)
-    | Some _ ->
-      Cache.invalidate c ~kind:"refine" key;
-      run_and_store ()
-    | None -> run_and_store ())
 
 let refine_cert_ctx ~ctx ?max_steps ?expect_all_done (cert : Calculus.cert)
     ~client ~scheds =

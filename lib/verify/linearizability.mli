@@ -36,12 +36,9 @@ val refine_ctx :
     report (or lowest-indexed failure) is structurally identical for
     every [ctx.jobs] count, and [jobs = 1] (the default) stays on the
     sequential path.  [max_steps] (default 200,000) is the underlay
-    game's fuel and the overlay replay's bound.  [ctx.cache] memoizes successful
-    reports, keyed on both interfaces, the implementation, the relation
-    name, the client workload, and the suite identity; the stored entry
-    records the hash of its logs and is invalidated (and re-run) if it
-    no longer matches.  Failures are never stored — a failing refinement
-    always reproduces live.  [ctx.token] is charged the underlay event
+    game's fuel and the overlay replay's bound.  The scan always runs
+    live; whole edges are memoized one level up, by {!Edges.run}.
+    [ctx.token] is charged the underlay event
     count per schedule; an [Exhausted] outcome carries the ([Ok]-shaped)
     report over the schedules checked before the budget tripped. *)
 

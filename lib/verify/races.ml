@@ -1,11 +1,9 @@
 open Ccal_core
 
-(* What a budget-exhausted scan has established so far — enough to
-   resume without redoing work and to reproduce the eventual verdict
-   bit-identically: the count of schedules fully evaluated (the resume
-   point), the clean-run count, and the non-race failure messages in
-   schedule order.  Racy outcomes never appear here: a race cuts the
-   scan and wins immediately. *)
+(* What a budget-exhausted scan established before the budget tripped:
+   the count of schedules fully evaluated, the clean-run count, and the
+   non-race failure messages in schedule order.  Racy outcomes never
+   appear here: a race cuts the scan and wins immediately. *)
 type partial = { scanned : int; clean : int; others : string list }
 
 type verdict =
@@ -65,103 +63,28 @@ let merge outcomes =
   in
   go 0 [] outcomes
 
-(* Cache key: game identity plus the suite identity.  When the suite is
-   implicit the key uses the strategy descriptor — deliberately, so a
-   warm hit skips even the DPOR walk that would materialize it. *)
-let check_key ?max_steps ~suite ~memory layer threads =
-  let st = Fingerprint.string Fingerprint.empty "races" in
-  let st = Fingerprint.layer st layer in
-  let st = Fingerprint.memory st memory in
-  let st =
-    Fingerprint.list
-      (fun st (i, p) -> Fingerprint.prog (Fingerprint.int st i) p)
-      st threads
-  in
-  let st =
-    match suite with
-    | `Scheds ss -> Fingerprint.scheds (Fingerprint.int st 1) ss
-    | `Strategy s ->
-      Fingerprint.string (Fingerprint.int st 2) (Ctx.Engine.to_string s)
-  in
-  Fingerprint.finish (Fingerprint.option Fingerprint.int st max_steps)
-
-(* A resumed scan replays what the partial already knows as synthetic
-   outcomes before merging the new ones; the merge only counts cleans and
-   collects others in order, so the final verdict — message included — is
-   byte-identical to a from-scratch run. *)
-let synthetic (p : partial) =
-  List.init p.clean (fun _ -> Clean) @ List.map (fun m -> Other m) p.others
-
-let check_ctx ~ctx ?max_steps ?scheds ?resume layer threads =
+let check_ctx ~ctx ?max_steps ?scheds layer threads =
   Ctx.arm ctx @@ fun () ->
-  let run resume =
-    let all_scheds =
-      match scheds with
-      | Some s -> s
-      | None -> Explore.scheds_of_strategy_ctx ~ctx layer threads
-    in
-    let skip, syn =
-      match resume with
-      | None -> (0, [])
-      | Some p -> (p.scanned, synthetic p)
-    in
-    let todo = List.filteri (fun i _ -> i >= skip) all_scheds in
-    match
-      Parallel.games ~ctx ?max_steps
-        ~cut:(function Racy _ -> true | Clean | Other _ -> false)
-        layer threads judge todo
-    with
-    | Budget.Complete outcomes -> merge (syn @ outcomes)
-    | Budget.Exhausted { spent; partial = outcomes } ->
-      let clean0, others0 =
-        match resume with None -> (0, []) | Some p -> (p.clean, p.others)
-      in
-      let partial =
-        {
-          scanned = skip + List.length outcomes;
-          clean =
-            clean0
-            + List.length
-                (List.filter (function Clean -> true | _ -> false) outcomes);
-          others =
-            others0
-            @ List.filter_map
-                (function Other m -> Some m | _ -> None)
-                outcomes;
-        }
-      in
-      Exhausted { spent; partial }
+  let scheds =
+    match scheds with
+    | Some s -> s
+    | None -> Explore.scheds_of_strategy_ctx ~ctx layer threads
   in
-  match ctx.Ctx.cache with
-  | None -> run resume
-  | Some c -> (
-    let suite =
-      match scheds with
-      | Some ss -> `Scheds ss
-      | None -> `Strategy ctx.Ctx.strategy
+  match
+    Parallel.games ~ctx ?max_steps
+      ~cut:(function Racy _ -> true | Clean | Other _ -> false)
+      layer threads judge scheds
+  with
+  | Budget.Complete outcomes -> merge outcomes
+  | Budget.Exhausted { spent; partial = outcomes } ->
+    let partial =
+      {
+        scanned = List.length outcomes;
+        clean =
+          List.length
+            (List.filter (function Clean -> true | _ -> false) outcomes);
+        others =
+          List.filter_map (function Other m -> Some m | _ -> None) outcomes;
+      }
     in
-    let key = check_key ?max_steps ~suite ~memory:ctx.Ctx.memory layer threads in
-    match Cache.find c ~kind:"races" key with
-    | Some (runs : int) -> Race_free { runs }
-    | None -> (
-      (* No full verdict cached: a stashed partial from an earlier
-         exhausted run is the implicit resume point. *)
-      let resume =
-        match resume with
-        | Some _ -> resume
-        | None -> (Cache.find c ~kind:"races.partial" key : partial option)
-      in
-      match run resume with
-      | Race_free { runs } as v ->
-        Cache.store c ~kind:"races" key runs;
-        Cache.invalidate c ~kind:"races.partial" key;
-        v
-      (* Races and other failures are never stored: they must always
-         reproduce live, counterexample log and all.  Their partial is
-         stale once the full scan finished, so it goes too. *)
-      | (Race _ | Other_failure _) as v ->
-        Cache.invalidate c ~kind:"races.partial" key;
-        v
-      | Exhausted { partial; _ } as v ->
-        Cache.store c ~kind:"races.partial" key partial;
-        v))
+    Exhausted { spent; partial }

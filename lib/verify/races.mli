@@ -10,7 +10,7 @@
 open Ccal_core
 
 type partial = {
-  scanned : int;  (** schedules fully evaluated — the resume point *)
+  scanned : int;  (** schedules fully evaluated *)
   clean : int;  (** clean runs among them *)
   others : string list;  (** non-race failure messages, schedule order *)
 }
@@ -23,13 +23,12 @@ type verdict =
   | Race of { sched_name : string; detail : string; log : Log.t }
   | Other_failure of string
   | Exhausted of { spent : Budget.spent; partial : partial }
-      (** the budget ran out mid-scan; [partial] resumes it *)
+      (** the budget ran out mid-scan; [partial] is what it established *)
 
 val check_ctx :
   ctx:Ctx.t ->
   ?max_steps:int ->
   ?scheds:Sched.t list ->
-  ?resume:partial ->
   Layer.t ->
   (Event.tid * Prog.t) list ->
   verdict
@@ -47,17 +46,10 @@ val check_ctx :
     [ctx.strategy] (default DPOR).  [ctx.jobs] spreads the scan over a
     {!Parallel} domain pool; the verdict is bit-identical for every jobs
     count — a reported [Race] is always the lowest-indexed racing
-    schedule.  [ctx.cache] memoizes [Race_free] verdicts only, keyed on
-    the game and suite identity (never jobs): a racing or otherwise
-    failing game always re-runs live, so its counterexample is reproduced
-    from the real machine, never replayed from disk.
+    schedule.  The scan always runs live, so a race's counterexample is
+    reproduced from the real machine, never replayed from disk.
 
     [ctx.token] is charged one step per game move.  When the budget runs
-    out mid-scan the verdict is [Exhausted] carrying a {!partial}; pass
-    it back as [?resume] (the suite itself is regenerated, not stored)
-    to continue where the scan stopped, with a final verdict byte-equal
-    to a from-scratch run.  With [ctx.cache] the partial is also stashed
-    under its own ["races.partial"] kind and picked up automatically on
-    the next identically-keyed call; it is invalidated exactly when the
-    full verdict lands.  Under a pure step budget the partial is
-    bit-identical for every jobs count. *)
+    out mid-scan the verdict is [Exhausted] carrying a {!partial}.  Under
+    a pure step budget the partial is bit-identical for every jobs
+    count. *)

@@ -216,8 +216,8 @@ let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
   (* With an explicit strategy, every game-driving edge derives its
      scheduler suite from the edge's own game (DPOR must walk the game it
      will replay); without one, the seeded default suite is used.  The
-     strategy-carrying context shares this call's token and cache, so the
-     walk stays under the same budget. *)
+     strategy-carrying context shares this call's token, so the walk
+     stays under the same budget. *)
   let scheds_for layer threads =
     match strategy with
     | None -> Sched.default_suite ~seeds

@@ -110,8 +110,7 @@ val verify_all_ctx :
     [checks], [counters]) with the lookup time as [millis] and skips the
     edge's game entirely; a miss runs the edge and stores it on success.
     Failing and exhausted edges are never stored, so failures always
-    reproduce live.  The cache handle is also threaded into the edges'
-    inner checkers ({!Explore.run_all_ctx}, {!Dpor},
-    {!Linearizability.refine_cert_ctx}), which keep their own
-    finer-grained entries.  The adversarial edge has no key and is never
-    cached. *)
+    reproduce live.  The edges' inner checkers ({!Explore}, {!Dpor},
+    {!Linearizability.refine_cert_ctx}) keep no entries of their own: the
+    edge is the one unit cached.  The adversarial edge has no key and is
+    never cached. *)

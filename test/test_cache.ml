@@ -1,7 +1,7 @@
 (* The certificate cache (DESIGN.md S26): fingerprint stability, the
-   on-disk store's hit/miss/corruption behaviour, the never-replay-failures
-   policy, the per-edge invalidation contract of the stack keys, and the
-   warm-run-equals-cold-run acceptance gate. *)
+   on-disk store's hit/miss/corruption behaviour, the one cache level
+   (only whole edges are stored), the per-edge invalidation contract of
+   the stack keys, and the warm-run-equals-cold-run acceptance gate. *)
 open Ccal_core
 open Ccal_objects
 open Util
@@ -98,7 +98,7 @@ let test_kind_separates_payloads () =
       let key = fp_of_string "same-key" in
       V.Cache.store c ~kind:"edge" key 1;
       (* same fingerprint, different payload kind: no type confusion *)
-      check_bool "other kind misses" true (V.Cache.find c ~kind:"races" key = None);
+      check_bool "other kind misses" true (V.Cache.find c ~kind:"kvedge" key = None);
       check_bool "own kind hits" true (V.Cache.find c ~kind:"edge" key = Some 1))
 
 let test_corrupt_entry_recovered () =
@@ -155,8 +155,8 @@ let test_crash_kind_corrupt_rechecks () =
         | V.Budget.Exhausted _ -> Alcotest.fail "unexpected budget exhaustion"
       in
       let cold = report c in
-      (* corrupt every stored entry in place — the crash report and the
-         derived-suite entries alike *)
+      (* corrupt every stored entry in place: the crash edge's report is
+         the only one *)
       let files = entry_files c in
       check_bool "cold run stored entries" true (files <> []);
       List.iter
@@ -180,76 +180,55 @@ let test_crash_kind_corrupt_rechecks () =
       check_bool "warm verdict identical" true (warm = cold);
       check_bool "third run hits" true ((V.Cache.session_stats c3).hits >= 1))
 
-let test_invalidate_and_clear () =
+let test_clear () =
   with_cache (fun c ->
-      let k1 = fp_of_string "k1" and k2 = fp_of_string "k2" in
-      V.Cache.store c ~kind:"edge" k1 1;
-      V.Cache.store c ~kind:"edge" k2 2;
-      V.Cache.invalidate c ~kind:"edge" k1;
-      check_bool "invalidated entry gone" true
-        (V.Cache.find c ~kind:"edge" k1 = (None : int option));
-      check_int "other entry intact" 1 (V.Cache.disk_stats c).entries;
-      check_int "clear reports count" 1 (V.Cache.clear c);
+      V.Cache.store c ~kind:"edge" (fp_of_string "k1") 1;
+      V.Cache.store c ~kind:"kvedge" (fp_of_string "k2") 2;
+      check_int "clear reports count" 2 (V.Cache.clear c);
       check_int "store empty" 0 (V.Cache.disk_stats c).entries)
 
-(* ---- never replay failures ---- *)
+(* ---- one cache level: only whole edges are stored ---- *)
 
-let racy_layer () =
-  Layer.make "Lracy"
-    [ Layer.shared_prim "collide" (fun c _ _ ->
-          Layer.Race (Printf.sprintf "CPU %d collided" c)) ]
+(* The kind of every stored entry, sorted: file names up to their '-'. *)
+let kinds c =
+  List.sort compare
+    (List.map
+       (fun f ->
+         let f = Filename.basename f in
+         String.sub f 0 (String.index f '-'))
+       (entry_files c))
 
-let test_races_failure_never_stored () =
+let test_one_cache_level () =
+  let module D = Ccal_disk in
+  let cold name n expected run =
+    with_cache (fun c ->
+        run (V.Ctx.make ~cache:c ());
+        check_int "no hits on a fresh store" 0 (V.Cache.session_stats c).hits;
+        Alcotest.(check (list string))
+          name (List.init n (Fun.const expected)) (kinds c))
+  in
+  cold "stack: 10 edge entries, nothing else" 10 "edge" (fun ctx ->
+      ignore (V.Stack.verify_all_ctx ~ctx ()));
+  cold "kv --threads 4: 3 kvedge entries, nothing else" 3 "kvedge" (fun ctx ->
+      ignore (Ccal_kv.Kv_stack.verify_ctx ~ctx ~threads:4 ()));
+  cold "crash: 2 crash entries, nothing else" 2 "crash" (fun ctx ->
+      ignore
+        (V.Crash.check_ctx ~ctx
+           [ D.Wal.crash_edge (); D.Durable_kv.crash_edge () ]))
+
+(* ---- the checkers below an edge run live with a store attached ---- *)
+
+(* [run] with a store attached gives what it gives without one, and the
+   store sees no lookup, no store and no file. *)
+let live_with_store name run =
   with_cache (fun c ->
-      let layer = racy_layer () in
-      let threads = [ 1, Prog.call "collide" [] ] in
-      let run () =
-        V.Races.check_ctx ~ctx:(V.Ctx.make ~cache:c ())
-          ~scheds:[ Sched.round_robin ] layer threads
-      in
-      (match run () with
-      | V.Races.Race _ -> ()
-      | _ -> Alcotest.fail "expected a race");
-      check_int "nothing stored" 0 (V.Cache.disk_stats c).entries;
-      (match run () with
-      | V.Races.Race _ -> ()
-      | _ -> Alcotest.fail "expected the race again");
+      let uncached = run V.Ctx.default in
+      let cached = run (V.Ctx.make ~cache:c ()) in
+      check_bool (name ^ ": same result with a store") true (cached = uncached);
       let s = V.Cache.session_stats c in
-      (* two lookups per run: the full verdict and the "races.partial"
-         auto-resume entry — four misses, zero hits, zero stores *)
-      check_int "re-ran live both times" 4 s.misses;
-      check_int "no hits" 0 s.hits)
-
-let test_races_clean_verdict_cached () =
-  with_cache (fun c ->
-      let layer = Ticket_lock.l0 () in
-      let m = Ticket_lock.c_module () in
-      let client i =
-        Prog.bind (Prog.call "acq" [ vi 0 ]) (fun _ ->
-            Prog.call "rel" [ vi 0; vi i ])
-      in
-      let threads =
-        List.map (fun i -> i, Prog.Module.link m (client i)) [ 1; 2 ]
-      in
-      (* trace/random schedulers are single-use: regenerate per run; the
-         suite identity (the names) is what the key sees *)
-      let run () =
-        V.Races.check_ctx ~ctx:(V.Ctx.make ~cache:c ())
-          ~scheds:(Sched.default_suite ~seeds:6) layer threads
-      in
-      let runs_of = function
-        | V.Races.Race_free { runs } -> runs
-        | V.Races.Race { detail; _ } -> Alcotest.failf "false positive: %s" detail
-        | V.Races.Other_failure msg -> Alcotest.fail msg
-        | V.Races.Exhausted _ -> Alcotest.fail "unlimited budget exhausted"
-      in
-      let cold = runs_of (run ()) in
-      check_int "stored once" 1 (V.Cache.session_stats c).stores;
-      let warm = runs_of (run ()) in
-      check_int "same runs from the store" cold warm;
-      check_int "second call hit" 1 (V.Cache.session_stats c).hits)
-
-(* ---- the inner checkers ---- *)
+      check_int (name ^ ": no lookup") 0 (s.hits + s.misses);
+      check_int (name ^ ": no store") 0 s.stores;
+      check_int (name ^ ": no entry on disk") 0 (List.length (entry_files c)))
 
 let lock_threads () =
   let m = Ticket_lock.c_module () in
@@ -259,92 +238,93 @@ let lock_threads () =
   in
   List.map (fun i -> i, Prog.Module.link m (client i)) [ 1; 2 ]
 
-let test_dpor_walk_cached () =
-  with_cache (fun c ->
-      let layer = Ticket_lock.l0 () in
-      let r1 =
-        V.Budget.value
-          (V.Dpor.explore_ctx ~ctx:(V.Ctx.make ~cache:c ()) ~depth:4 layer
-             (lock_threads ()))
-      in
-      check_int "first walk missed" 1 (V.Cache.session_stats c).misses;
-      let r2 =
-        V.Budget.value
-          (V.Dpor.explore_ctx ~ctx:(V.Ctx.make ~cache:c ()) ~depth:4 layer
-             (lock_threads ()))
-      in
-      check_int "second walk hit" 1 (V.Cache.session_stats c).hits;
-      check_bool "same prefixes" true (r1.V.Dpor.prefixes = r2.V.Dpor.prefixes);
-      check_bool "same stats" true (r1.V.Dpor.stats = r2.V.Dpor.stats);
-      (* the replay phase is live either way: outcomes present on the hit *)
-      check_int "outcomes replayed" (List.length r1.V.Dpor.outcomes)
-        (List.length r2.V.Dpor.outcomes))
+let racy_layer () =
+  Layer.make "Lracy"
+    [ Layer.shared_prim "collide" (fun c _ _ ->
+          Layer.Race (Printf.sprintf "CPU %d collided" c)) ]
 
-let test_run_all_cached_only_when_all_done () =
-  with_cache (fun c ->
-      let layer = Ticket_lock.l0 () in
-      let out1 =
-        V.Budget.value
-          (V.Explore.run_all_ctx ~ctx:(V.Ctx.make ~cache:c ()) layer
-             (lock_threads ())
-             (Sched.default_suite ~seeds:3))
-      in
-      check_int "clean corpus stored" 1 (V.Cache.disk_stats c).entries;
-      let out2 =
-        V.Budget.value
-          (V.Explore.run_all_ctx ~ctx:(V.Ctx.make ~cache:c ()) layer
-             (lock_threads ())
-             (Sched.default_suite ~seeds:3))
-      in
-      check_int "served from the store" 1 (V.Cache.session_stats c).hits;
-      check_bool "same statuses" true
-        (List.map (fun (o : Game.outcome) -> o.Game.status) out1
-        = List.map (fun (o : Game.outcome) -> o.Game.status) out2);
-      (* a corpus containing a failure is never stored *)
-      let trap =
-        Layer.make "Ltrap"
-          [ Layer.shared_prim "trap" (fun _ _ _ -> Layer.Stuck "trapped") ]
-      in
-      let before = (V.Cache.disk_stats c).entries in
-      ignore
-        (V.Budget.value
-           (V.Explore.run_all_ctx ~ctx:(V.Ctx.make ~cache:c ()) trap
-              [ 1, Prog.call "trap" [] ]
-              [ Sched.round_robin ]));
-      ignore
-        (V.Budget.value
-           (V.Explore.run_all_ctx ~ctx:(V.Ctx.make ~cache:c ()) trap
-              [ 1, Prog.call "trap" [] ]
-              [ Sched.round_robin ]));
-      check_int "failing corpus not stored" before (V.Cache.disk_stats c).entries)
+let test_races_live () =
+  let races layer threads ctx =
+    match
+      V.Races.check_ctx ~ctx ~scheds:(Sched.default_suite ~seeds:4) layer threads
+    with
+    | V.Races.Race { sched_name; detail; _ } -> `Race (sched_name, detail)
+    | V.Races.Race_free { runs } -> `Race_free runs
+    | V.Races.Other_failure msg -> Alcotest.fail msg
+    | V.Races.Exhausted _ -> Alcotest.fail "unlimited budget exhausted"
+  in
+  live_with_store "racing verdict"
+    (races (racy_layer ()) [ 1, Prog.call "collide" [] ]);
+  live_with_store "race-free verdict" (races (Ticket_lock.l0 ()) (lock_threads ()))
 
-let test_refine_cached () =
-  with_cache (fun c ->
-      let layer = Ticket_lock.l0 () in
-      let m = Ticket_lock.c_module () in
-      let client i =
-        Prog.bind (Prog.call "acq" [ vi 0 ]) (fun v ->
-            Prog.seq (Prog.call "rel" [ vi 0; v ]) (Prog.ret (vi i)))
-      in
-      let run () =
+let test_dpor_live () =
+  live_with_store "DPOR walk and replay" (fun ctx ->
+      let r =
         V.Budget.value
-          (V.Linearizability.refine_ctx ~ctx:(V.Ctx.make ~cache:c ())
-             ~underlay:layer ~impl:m ~overlay:(Lock_intf.layer "Llock")
+          (V.Dpor.explore_ctx ~ctx ~depth:4 (Ticket_lock.l0 ()) (lock_threads ()))
+      in
+      ( r.V.Dpor.prefixes,
+        r.V.Dpor.stats,
+        List.map (fun (o : Game.outcome) -> o.Game.status) r.V.Dpor.outcomes ))
+
+let test_run_all_live () =
+  live_with_store "run_all" (fun ctx ->
+      List.map
+        (fun (o : Game.outcome) -> o.Game.status, o.Game.steps)
+        (V.Budget.value
+           (V.Explore.run_all_ctx ~ctx (Ticket_lock.l0 ()) (lock_threads ())
+              (Sched.default_suite ~seeds:3))))
+
+let test_refine_live () =
+  let client i =
+    Prog.bind (Prog.call "acq" [ vi 0 ]) (fun v ->
+        Prog.seq (Prog.call "rel" [ vi 0; v ]) (Prog.ret (vi i)))
+  in
+  live_with_store "refinement" (fun ctx ->
+      match
+        V.Budget.value
+          (V.Linearizability.refine_ctx ~ctx ~underlay:(Ticket_lock.l0 ())
+             ~impl:(Ticket_lock.c_module ()) ~overlay:(Lock_intf.layer "Llock")
              ~rel:Ticket_lock.r_ticket ~client ~tids:[ 1; 2 ]
              ~scheds:(Sched.default_suite ~seeds:4) ())
+      with
+      | Ok (r : Refinement.report) ->
+        r.Refinement.scheds_checked, List.map Log.length r.Refinement.logs
+      | Error _ -> Alcotest.fail "refinement failed")
+
+(* ---- a budget-cut run stores its completed edges; the rerun resumes ---- *)
+
+let canonical_of = function
+  | V.Budget.Complete (Ok (p : V.Stack.progress)) ->
+    Format.asprintf "%a" V.Stack.pp_report_canonical p.V.Stack.completed
+  | V.Budget.Complete (Error e) -> Alcotest.failf "stack failed: %s" e
+  | V.Budget.Exhausted _ -> Alcotest.fail "unlimited budget exhausted"
+
+let test_budget_cut_run_resumes_at_frontier () =
+  with_cache (fun c ->
+      let ctx = V.Ctx.make ~cache:c ~budget:(V.Budget.make ~steps:100 ()) () in
+      let completed =
+        match V.Stack.verify_all_ctx ~ctx () with
+        | V.Budget.Exhausted { partial = Ok p; _ } ->
+          check_bool "the run stopped at a frontier" true (p.V.Stack.next_edge <> None);
+          List.length p.V.Stack.completed.V.Stack.edges
+        | V.Budget.Exhausted { partial = Error e; _ } -> Alcotest.fail e
+        | V.Budget.Complete _ -> Alcotest.fail "100 steps did not trip"
       in
-      let report = function
-        | Ok (r : Refinement.report) -> r
-        | Error _ -> Alcotest.fail "refinement failed"
+      check_bool "some but not all edges completed" true
+        (completed >= 1 && completed < 10);
+      check_int "each completed edge stored" completed
+        (List.length (entry_files c));
+      let warm = V.Cache.create ~dir:(V.Cache.dir c) () in
+      let resumed =
+        canonical_of (V.Stack.verify_all_ctx ~ctx:(V.Ctx.make ~cache:warm ()) ())
       in
-      let cold = report (run ()) in
-      check_int "stored" 1 (V.Cache.session_stats c).stores;
-      let warm = report (run ()) in
-      check_int "hit" 1 (V.Cache.session_stats c).hits;
-      check_int "same scheds_checked" cold.Refinement.scheds_checked
-        warm.Refinement.scheds_checked;
-      check_bool "same logs" true
-        (List.for_all2 Log.equal cold.Refinement.logs warm.Refinement.logs))
+      let s = V.Cache.session_stats warm in
+      check_int "the completed edges are served from the store" completed s.hits;
+      check_int "the rest run live" (10 - completed) s.misses;
+      check_string "resumed report = uncached report"
+        (canonical_of (V.Stack.verify_all_ctx ~ctx:V.Ctx.default ()))
+        resumed)
 
 (* ---- stack edge keys: the invalidation contract ---- *)
 
@@ -506,12 +486,14 @@ let suite =
     tc "truncated entry is a miss, then gone" test_truncated_entry_recovered;
     tc "corrupt crash-kind entry rechecks live, never stale"
       test_crash_kind_corrupt_rechecks;
-    tc "invalidate and clear" test_invalidate_and_clear;
-    tc "racing verdicts never stored" test_races_failure_never_stored;
-    tc "race-free verdict cached" test_races_clean_verdict_cached;
-    tc "DPOR walk cached, replay live" test_dpor_walk_cached;
-    tc "run_all cached only when all done" test_run_all_cached_only_when_all_done;
-    tc "refinement report cached with log hash" test_refine_cached;
+    tc "clear empties the store" test_clear;
+    tc "a cold run stores whole edges only" test_one_cache_level;
+    tc "race checks run live with a store attached" test_races_live;
+    tc "DPOR explores live with a store attached" test_dpor_live;
+    tc "run_all runs live with a store attached" test_run_all_live;
+    tc "refinement runs live with a store attached" test_refine_live;
+    tc "a budget-cut run resumes at its first unfinished edge"
+      test_budget_cut_run_resumes_at_frontier;
     tc "edge keys deterministic" test_edge_keys_deterministic;
     tc "seeds invalidate exactly the game edges" test_seeds_invalidate_exactly_game_edges;
     tc "strategy invalidates exactly the game edges" test_strategy_invalidates_exactly_game_edges;

@@ -1,7 +1,7 @@
 (* The memory-model test matrix (DESIGN.md S29): the litmus conformance
    suite pinning the x86-TSO outcome tables per mode, the erased-buffering
    projection, the DRF guarantee as a QCheck property, the deliberately
-   unfenced negative controls, and the SC/TSO cache-key separation. *)
+   unfenced negative controls, and the SC/TSO edge-key separation. *)
 open Ccal_core
 open Ccal_objects
 open Util
@@ -308,9 +308,9 @@ let test_fenced_race_free_both_modes () =
         [ Memory.Sc; Memory.Tso ])
     Unfenced.variants
 
-(* ---- the failing schedule replays deterministically: same verdict and
-   schedule name across jobs counts and cache cold/warm, and the failure
-   is never cached ---- *)
+(* ---- failures replay deterministically: the same racing schedule
+   across jobs counts, and the same crash point cold and warm, because a
+   failing edge is never cached ---- *)
 
 let scratch_counter = ref 0
 
@@ -329,9 +329,9 @@ let with_cache f =
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
     (fun () -> f c)
 
-let race_name ?cache ?(jobs = 1) () =
+let race_name ~jobs =
   let ctx =
-    V.Ctx.make ~memory:Memory.Tso ~strategy:(V.Ctx.Engine.dpor ~depth:10) ?cache ~jobs ()
+    V.Ctx.make ~memory:Memory.Tso ~strategy:(V.Ctx.Engine.dpor ~depth:10) ~jobs ()
   in
   match
     V.Races.check_ctx ~ctx (Unfenced.layer Memory.Tso)
@@ -341,26 +341,29 @@ let race_name ?cache ?(jobs = 1) () =
   | v -> Alcotest.failf "expected a race, got %s" (verdict_str v)
 
 let test_race_deterministic_across_jobs () =
-  let s1 = race_name ~jobs:1 () in
-  let s4 = race_name ~jobs:4 () in
+  let s1 = race_name ~jobs:1 in
+  let s4 = race_name ~jobs:4 in
   check_string "same failing schedule at jobs 1 and 4" s1 s4
+
+(* The unsynced WAL edge fails; its crash point, as the failure names
+   it. *)
+let unsynced_failure cache =
+  match
+    V.Crash.check_ctx ~ctx:(V.Ctx.make ~cache ())
+      [ Ccal_disk.Wal.crash_edge ~unsynced:true () ]
+  with
+  | V.Budget.Complete (Error f) -> V.Crash.(f.f_edge, f.f_index, f.f_sched)
+  | _ -> Alcotest.fail "the unsynced WAL edge must fail"
 
 let test_race_never_cached () =
   with_cache (fun cache ->
-      let cold = race_name ~cache () in
-      (* the DPOR walk may cache its schedule frontier (kind "dpor"),
-         but no races verdict is ever stored for a failing check *)
-      let race_entries () =
-        Sys.readdir (V.Cache.dir cache)
-        |> Array.to_list
-        |> List.filter (String.starts_with ~prefix:"races")
-        |> List.length
-      in
-      check_int "no verdict stored for the racing check" 0 (race_entries ());
-      let warm = race_name ~cache () in
-      check_string "cold and warm runs replay the same failure" cold warm)
+      let cold = unsynced_failure cache in
+      check_int "no entry stored for the failing edge" 0
+        (V.Cache.disk_stats cache).entries;
+      let warm = unsynced_failure cache in
+      check_bool "cold and warm runs replay the same failure" true (cold = warm))
 
-(* ---- SC/TSO cache-key separation: the memory mode enters every key ---- *)
+(* ---- SC/TSO edge-key separation: the memory mode enters every key ---- *)
 
 let test_stack_keys_separate_modes () =
   let sc = V.Stack.edge_fingerprints ~memory:Memory.Sc () in
@@ -374,22 +377,22 @@ let test_stack_keys_separate_modes () =
     sc tso
 
 let test_shared_cache_keeps_modes_apart () =
-  (* one cache, both modes: the TSO answer for SB must still contain the
-     TSO-only outcome even when the SC verdict was stored first *)
+  (* one store, both modes: the TSO stack run finds none of the edges
+     the SC run stored, and the SC run still finds all of its own *)
   with_cache (fun cache ->
-      let sb = Option.get (L.find "SB") in
-      let run memory =
-        V.Litmus.run_test ~ctx:(V.Ctx.make ~memory ~cache ()) sb
+      let stack memory =
+        let c = V.Cache.create ~dir:(V.Cache.dir cache) () in
+        match
+          V.Stack.verify_all_ctx ~ctx:(V.Ctx.make ~memory ~cache:c ()) ()
+        with
+        | V.Budget.Complete (Ok _) -> V.Cache.session_stats c
+        | _ -> Alcotest.failf "%s stack failed" (Memory.to_string memory)
       in
-      let sc_cold = run Memory.Sc in
-      let tso = run Memory.Tso in
-      check_bool "tso not polluted by the cached sc verdict" true
-        (V.Litmus.ok tso);
-      check_bool "tso reaches the TSO-only outcome" true
-        (List.mem [ 0; 0 ] tso.V.Litmus.observed);
-      let sc_warm = run Memory.Sc in
-      check_bool "sc warm = sc cold" true
-        (sc_warm.V.Litmus.observed = sc_cold.V.Litmus.observed))
+      check_int "sc stores every edge" 10 (stack Memory.Sc).V.Cache.stores;
+      let tso = stack Memory.Tso in
+      check_int "tso hits nothing the sc run stored" 0 tso.V.Cache.hits;
+      check_int "tso stores its own edges" 10 tso.V.Cache.stores;
+      check_int "sc warm hits every edge" 10 (stack Memory.Sc).V.Cache.hits)
 
 (* ---- flusher pseudo-threads ---- *)
 

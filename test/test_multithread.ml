@@ -265,6 +265,29 @@ let test_ipc_certify () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "%a" Calculus.pp_error e
 
+(* A placement that leaves out the rival thread 9 is rejected, naming
+   it; once 9 is placed, its one-rival context runs it on the empty log. *)
+let test_ipc_placement_places_rivals () =
+  Alcotest.check_raises "rival 9 unplaced"
+    (Invalid_argument "Object_intf.certify: placement leaves out thread 9")
+    (fun () ->
+      ignore
+        (Object_intf.certify Ipc.recipe ~placement:[ 1, 1; 2, 2; 3, 3 ] ()));
+  let placement = [ 1, 1; 2, 2; 3, 3; 9, 9 ] in
+  (match Object_intf.certify Ipc.recipe ~placement () with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "%a" Calculus.pp_error e);
+  let envs = Object_intf.env_suite Ipc.recipe ~memory:Memory.Sc ~placement 1 in
+  match
+    List.find_opt
+      (fun (e : Env_context.t) -> e.Env_context.name = "one-rival(r1)")
+      envs
+  with
+  | None -> Alcotest.fail "no one-rival(r1) context"
+  | Some e ->
+    check_bool "one-rival(r1) answers events on the empty log" true
+      (e.Env_context.query ~focus:[ 1 ] Log.empty <> [])
+
 let test_ipc_overlay_blocks () =
   let layer = Ipc.overlay () in
   let o =
@@ -363,6 +386,7 @@ let suite =
     tc "cv signal no sleeper" test_cv_signal_no_sleeper;
     tc "cv broadcast counts" test_cv_broadcast_counts;
     tc "ipc certify" test_ipc_certify;
+    tc "ipc placement must place the rival" test_ipc_placement_places_rivals;
     tc "ipc overlay blocks" test_ipc_overlay_blocks;
     tc "ipc overlay capacity" test_ipc_overlay_capacity;
     tc "ipc producer/consumer order" test_ipc_producer_consumer_order;

@@ -618,8 +618,8 @@ let test_deadlock_lists_pending_in_thread_order () =
   | [] -> Alcotest.fail "no offers recorded"
 
 let test_budgeted_races_exhausted_jobs_invariant () =
-  (* a step budget that trips mid-scan: the Exhausted partial (resume
-     point, clean count, failure list) and the deterministic spent fields
+  (* a step budget that trips mid-scan: the Exhausted partial (scanned
+     count, clean count, failure list) and the deterministic spent fields
      must be identical for every jobs count; elapsed_ms is wall-clock and
      excluded by construction *)
   let layer = Lock_intf.layer "Llock" in

@@ -176,8 +176,8 @@ let value_gen =
                  1, map Value.list (list_size (int_range 0 4) (self (n - 1))) ]))
 
 (* [Event.hash] hashes the record itself; it must give the value the
-   4-tuple hash gave, or [Log.hash], [Fingerprint.log] and every stored
-   cache key built on them would move. *)
+   4-tuple hash gave, or [Log.hash] and every log set keyed on it would
+   move. *)
 let prop_event_hash_is_tuple_hash =
   qtc ~count:1_000 "Event.hash = hash of the (src, tag, args, ret) tuple"
     (QCheck.make
