@@ -699,7 +699,7 @@ let run_parallel () =
    - overhead: enabling counters + spans must stay under a few percent of
      the uninstrumented run (budget: 5%), medians of 7 runs each;
    - determinism: the counter totals must be bit-identical for jobs=1 and
-     jobs=4 — the capture/commit protocol in [Parallel.budgeted_scan] at
+     jobs=4 — the capture/commit protocol in [Parallel.games] at
      work. *)
 let run_telemetry () =
   let depth = 6 in
@@ -793,8 +793,8 @@ let run_cache () =
      must stay within 5% of the budgets-disabled run — the token polling
      and private-allowance bookkeeping are the only difference;
    - fault determinism: injected worker crashes and clock skew must not
-     change any verdict, on any jobs count (the pool's requeue path and
-     the monotone skewed clock at work);
+     change any verdict, on any jobs count (the game scan's attempt
+     chain and the monotone skewed clock at work);
    - budget determinism: a pure step budget must truncate the scan at the
      same schedule prefix for every jobs count, with graceful degradation
      as the budget grows. *)

@@ -126,7 +126,7 @@ let inject_arg =
                  $(b,crash:0.1,corrupt-cache:0.05,seed:7).  Kinds: crash \
                  (worker domains), corrupt-cache, oversize, skew.  \
                  Verdicts are bit-identical with and without faults — \
-                 this exercises the retry/requeue paths, not the math.")
+                 this exercises the retry paths, not the math.")
 
 (* Run [f] with telemetry enabled when [--stats] or [--trace] asks for it;
    print the table and/or write the trace afterwards, leaving the exit

@@ -9,7 +9,7 @@
 
    Determinism protocol (DESIGN.md S27): only *step* budgets are
    deterministic.  Game moves are charged through {!charge}, and a
-   budgeted scan gives each schedule a private allowance captured at
+   game scan gives each schedule a private allowance captured at
    scan entry, then re-truncates the merged prefix sequentially, so the
    set of schedules actually counted is a pure function of the inputs —
    identical on every jobs count.  Deadline and explicit cancellation
@@ -66,7 +66,7 @@ let pp_spent fmt s =
   Format.fprintf fmt "%a after %.0fms / %d steps" pp_reason s.reason
     s.elapsed_ms s.steps_used
 
-(* The budgeted-result shape [Parallel.games] returns and the checkers
+(* The result shape [Parallel.games] returns under a budget and the checkers
    share; Races defines a richer partial. *)
 type 'a outcome = Complete of 'a | Exhausted of { spent : spent; partial : 'a }
 
@@ -155,7 +155,7 @@ let poll_wall tk =
 
 (* [poll tk] is the full cooperative check, step budget included; used at
    schedule granularity (between games) where the racy step counter is
-   only an early-stop heuristic — the budgeted scan's merge recomputes
+   only an early-stop heuristic — the game scan's merge recomputes
    the deterministic truncation point. *)
 let poll tk =
   (match tk.budget.steps with
@@ -166,12 +166,12 @@ let poll tk =
   || poll_wall tk
 
 (* [settle tk n] overwrites the racy shared counter with the
-   deterministic step total computed by the budgeted scan's merge pass,
+   deterministic step total computed by the game scan's merge pass,
    so both [spent] and the next scan's entry allowance are
    jobs-identical for step budgets. *)
 let settle tk n = Atomic.set tk.used n
 
-(* A budgeted scan truncated its prefix: if no wall-clock dimension
+(* The game scan truncated its prefix: if no wall-clock dimension
    already tripped (or trips right now), the truncation came from the
    deterministic step allowance. *)
 let note_ran_out tk =

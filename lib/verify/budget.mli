@@ -7,7 +7,7 @@
     return {!Exhausted} with a resumable partial result instead of
     hanging.
 
-    Only step budgets are deterministic: a budgeted scan gives each
+    Only step budgets are deterministic: the game scan gives each
     schedule a private allowance captured at scan entry and re-truncates
     the merged prefix sequentially, so the counted schedule set is
     jobs-independent (DESIGN.md S27).  Deadline / cancellation are
@@ -37,7 +37,7 @@ type spent = {
 
 val pp_spent : Format.formatter -> spent -> unit
 
-(** The budgeted-result shape shared by the checkers: either the full
+(** The result shape shared by the checkers under a budget: either the full
     verdict, or what was established before the budget ran out. *)
 type 'a outcome = Complete of 'a | Exhausted of { spent : spent; partial : 'a }
 
@@ -81,11 +81,11 @@ val steps_remaining : token -> int
 
 val settle : token -> int -> unit
 (** Overwrite the shared step counter with the deterministic total
-    computed by a budgeted scan's merge pass, so {!spent} and the next
+    computed by the game scan's merge pass, so {!spent} and the next
     scan's entry allowance are jobs-identical. *)
 
 val note_ran_out : token -> unit
-(** Called by a budgeted scan when it truncates its prefix: records
+(** Called by the game scan when it truncates its prefix: records
     [`Steps] as the trip reason unless a wall-clock dimension already
     tripped (the deterministic truncation never polls the token, so the
     reason would otherwise be lost).  First trip wins. *)

@@ -59,8 +59,6 @@ let make ?(jobs = 1) ?cache ?(strategy = Engine.default)
     faults;
   }
 
-let jobs_opt t = if t.jobs <= 1 then None else Some t.jobs
-
 (* [arm ctx f] runs [f] with the context's fault plan armed; every
    checker entry point wraps its body in this. *)
 let arm t f = Fault.with_plan t.faults f

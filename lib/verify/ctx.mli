@@ -74,10 +74,6 @@ val with_faults : Fault.plan -> t -> t
 
 (** {1 Plumbing} *)
 
-val jobs_opt : t -> int option
-(** [None] when sequential — the shape {!Parallel} and the legacy
-    internals expect. *)
-
 val arm : t -> (unit -> 'a) -> 'a
 (** Run a thunk with the context's fault plan armed ({!Fault.with_plan}).
     Every [*_ctx] checker entry point wraps its body in this. *)

@@ -318,7 +318,7 @@ let pp_stats fmt s =
 (* unified-context entry points (DESIGN.md S27)                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The DFS walk itself stays un-budgeted: it is depth-bounded and cheap
+(* The DFS walk itself is never charged: it is depth-bounded and cheap
    relative to replay, and keeping it whole means an [Exhausted] explore
    still reports the complete schedule frontier.  Only the replay phase,
    which runs full games, charges the step budget. *)

@@ -118,7 +118,7 @@ val explore_ctx :
     replayed, inside the scan's worker, under the span [dpor.key]; the
     keyed leaves are then deduplicated like {!dedup_traces}.
 
-    The walk itself is never budgeted (depth-bounded and cheap); the
+    The walk itself is never charged (depth-bounded and cheap); the
     replay phase charges [ctx.token] per game.  An [Exhausted] result
     still carries the {e complete} prefix frontier with the outcomes of
     the replayed prefixes — [stats.schedules_run] says how far it got.

@@ -45,10 +45,14 @@ let suite ~ctx (engine : Engine.t) layer threads =
 let scheds_of_strategy_ctx ~ctx layer threads =
   suite ~ctx (Engine.checked ctx.Ctx.strategy) layer threads
 
-let run_all_ctx ~ctx layer threads scheds =
+(* The suite played and judged in the [explore.run_all] span. *)
+let judge_all_ctx ~ctx layer threads judge scheds =
   Ctx.arm ctx @@ fun () ->
   Probe.span "explore.run_all" (fun () ->
-      Parallel.games ~ctx layer threads (fun _ o -> o) scheds)
+      Parallel.games ~ctx layer threads judge scheds)
+
+let run_all_ctx ~ctx layer threads scheds =
+  judge_all_ctx ~ctx layer threads (fun _ o -> o) scheds
 
 let all_logs outcomes = List.map (fun o -> o.Game.log) outcomes
 
@@ -60,25 +64,33 @@ type oracle = { runs : int; logs : Log.t list; agree : bool }
    Under [sym] the walk keeps one log per orbit, so inclusion is the
    rule; otherwise both lists are distinct, so inclusion plus equal
    sizes is set equality.  Under [Commuting_events] both are decided up
-   to commuting independent events, by trace key. *)
+   to commuting independent events, by trace key: each exhaustive log is
+   keyed inside the scan, where it is played, as [Dpor.explore_ctx]
+   keys its leaves, and the scan keeps no outcome. *)
 let oracle_ctx ~ctx ~independence ~sym ~depth layer threads
     (dpor : Dpor.result) =
-  (* The distinct logs, and whether they cover a list of logs; events
-     logs are keyed once, and the keys reused by the cover test. *)
-  let classes logs =
+  let keyed l =
     match (independence : Dpor.independence) with
+    | Exact -> 0, l
+    | Commuting_events -> Dpor.trace_key l, l
+  in
+  (* The distinct logs, and whether they cover a list of logs. *)
+  let classes played =
+    match independence with
     | Exact ->
-      let logs = Log.dedup logs in
+      let logs = Log.dedup (List.map snd played) in
       logs, fun a -> Log.subset a logs
     | Commuting_events ->
-      let keyed = List.map (fun l -> Dpor.trace_key l, l) in
-      let classes = Dpor.dedup_traces (keyed logs) in
-      List.map snd classes, fun a -> Dpor.subset_traces (keyed a) classes
+      let classes = Dpor.dedup_traces played in
+      ( List.map snd classes,
+        fun a -> Dpor.subset_traces (List.map keyed a) classes )
   in
   let exhaustive = { Engine.algo = Engine.Exhaustive; depth; sym = false } in
   Probe.span "explore.oracle" (fun () ->
-      run_all_ctx ~ctx layer threads (suite ~ctx exhaustive layer threads)
-      |> Budget.map (fun outs -> List.length outs, classes (all_logs outs)))
+      judge_all_ctx ~ctx layer threads
+        (fun _ o -> keyed o.Game.log)
+        (suite ~ctx exhaustive layer threads)
+      |> Budget.map (fun played -> List.length played, classes played))
   |> Budget.map (fun (runs, (logs, covers)) ->
          let agree =
            Probe.span "explore.agree" (fun () ->

@@ -43,7 +43,7 @@ val scheds_of_strategy_ctx :
     layer and threads to be the ones the returned schedulers will
     drive.  Raises [Invalid_argument] with the named error on an invalid
     descriptor.  Every suite is identical for every jobs count; the walk
-    is never budgeted (see {!Dpor.explore_ctx}). *)
+    is never charged to the budget (see {!Dpor.explore_ctx}). *)
 
 (** {1 Running suites} *)
 

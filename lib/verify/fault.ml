@@ -7,11 +7,11 @@
    (or not) as a pure function of the plan and the site.  The contract,
    pinned by test/test_robust.ml, is that verdicts are bit-identical with
    and without an armed plan on every jobs count: crashes are absorbed by
-   the pool's requeue path, corrupt cache entries degrade to misses, skew
+   the game scan's attempt chain, corrupt cache entries degrade to misses, skew
    only moves timings, oversize only moves disk bytes.
 
    The active plan is process-global (like the telemetry switch) so the
-   leaf modules — the cache's writer, the claim loop of [Parallel],
+   leaf modules — the cache's writer, the attempt chain of [Parallel],
    [Verify_clock.now_ns] — can consult it without threading a context
    through every call; checkers arm the plan carried by their [Ctx] for
    the duration of one verification. *)
@@ -166,7 +166,7 @@ let reset_stats () =
 (* ------------------------------------------------------------------ *)
 
 (* After [max_attempts] consecutive crashes an index runs uninjected, so
-   requeueing always terminates even at crash rates near 1. *)
+   the attempt chain always terminates even at crash rates near 1. *)
 let max_attempts = 8
 
 let crash ~index ~attempt =

@@ -52,10 +52,10 @@ val armed : unit -> bool
     this site under the armed plan, bumping the session {!stats}. *)
 
 val crash : index:int -> attempt:int -> bool
-(** Should the worker evaluating pool index [index] on its
-    [attempt]-th try crash?  The pool requeues the chunk; the sequential
-    path replays the same attempt chain inline, so final evaluations are
-    identical across jobs counts. *)
+(** Should the evaluation of suite index [index] crash on its
+    [attempt]-th try?  {!Parallel.games} retries with the next attempt
+    until one survives, on a worker and inline alike, so final
+    evaluations are identical across jobs counts. *)
 
 val corrupt_store : key:string -> bool
 val oversize_store : key:string -> bool

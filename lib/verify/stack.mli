@@ -29,7 +29,7 @@ type report = {
 }
 
 type progress = { completed : report; next_edge : string option }
-(** How far a (possibly budgeted) stack verification got: the report over
+(** How far a stack verification under a budget got: the report over
     the completed edges, and — when the budget ran out — the first edge
     that did not complete. *)
 
@@ -97,7 +97,7 @@ val verify_all_ctx :
     demonstration that one turns it into an [Exhausted] report.
 
     The edges run through {!Edges.run}.  [ctx.budget] is polled before
-    each edge and inside every budgeted inner checker; an [Exhausted]
+    each edge and inside every inner checker; an [Exhausted]
     outcome carries the {!progress} frontier — the report over completed
     edges plus the name of the first edge that did not complete — and
     the [spent] of the checker that ran out.  Completed edges are never

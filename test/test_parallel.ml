@@ -33,30 +33,20 @@ let seq_scan ~cut f xs =
   in
   go xs
 
-(* the one scan, unbudgeted: its prefix is the sequential early-exit
-   scan's *)
-let unbudgeted_scan ~jobs ~cut f xs =
-  (Parallel.budgeted_scan ~jobs ~token:Budget.no_token ~cut
-     (fun ~stop:_ x -> Some (0, f x))
-     xs)
-    .Parallel.prefix
-
 let prop_unbudgeted_scan_is_seq_scan =
-  qtc "Parallel.budgeted_scan ~token:no_token = sequential early-exit scan"
+  qtc "Parallel.games, unbudgeted = sequential early-exit scan"
     QCheck.(pair (oneofl [ 1; 2; 4; 7 ]) (small_list small_int))
     (fun (jobs, xs) ->
       let cut y = y mod 5 = 0 in
       let f x = x * 3 in
-      unbudgeted_scan ~jobs ~cut f xs = seq_scan ~cut f xs)
+      scan ~jobs ~cut f xs = seq_scan ~cut f xs)
 
 (* the scan with no cut evaluates every job *)
-let scan_all ~jobs f xs = unbudgeted_scan ~jobs ~cut:(fun _ -> false) f xs
-
 let prop_uncut_scan_is_list_map =
-  qtc "Parallel.budgeted_scan with no cut = List.map (any jobs)"
+  qtc "Parallel.games with no cut = List.map (any jobs)"
     QCheck.(pair (oneofl [ 1; 2; 4; 7 ]) (small_list small_int))
     (fun (jobs, xs) ->
-      scan_all ~jobs (fun x -> (x * 2) + 1) xs
+      scan ~jobs (fun x -> (x * 2) + 1) xs
       = List.map (fun x -> (x * 2) + 1) xs)
 
 exception Boom of int
@@ -68,7 +58,7 @@ let test_exception_lowest_index () =
   let f x = if x mod 7 = 3 then raise (Boom x) else x in
   List.iter
     (fun jobs ->
-      match scan_all ~jobs f xs with
+      match scan ~jobs f xs with
       | _ -> Alcotest.fail "expected Boom"
       | exception Boom i ->
         check_int (Printf.sprintf "jobs=%d raises at 3" jobs) 3 i)
@@ -77,13 +67,13 @@ let test_exception_lowest_index () =
 let test_oversubscribed_pool () =
   (* more domains than jobs, and more jobs than domains, both fine *)
   check_bool "jobs > length" true
-    (scan_all ~jobs:16 succ [ 1; 2; 3 ] = [ 2; 3; 4 ]);
+    (scan ~jobs:16 succ [ 1; 2; 3 ] = [ 2; 3; 4 ]);
   let xs = List.init 500 Fun.id in
-  check_bool "length >> jobs" true (scan_all ~jobs:2 succ xs = List.map succ xs)
+  check_bool "length >> jobs" true (scan ~jobs:2 succ xs = List.map succ xs)
 
 let test_stats_monotone () =
   let before = (Parallel.stats ()).Parallel.jobs_run in
-  ignore (scan_all ~jobs:2 succ (List.init 64 Fun.id));
+  ignore (scan ~jobs:2 succ (List.init 64 Fun.id));
   let after = (Parallel.stats ()).Parallel.jobs_run in
   check_bool "jobs_run grew" true (after >= before + 64)
 

@@ -28,8 +28,7 @@ let lock_client i =
 
 let gate_game () =
   (* 4 threads at depth 6: 4^6 = 4096 schedules — large enough to
-     amortize pool startup and chunk calibration, small enough to keep
-     `make check` quick *)
+     amortize pool startup, small enough to keep `make check` quick *)
   let threads = List.init 4 (fun k -> k + 1, lock_client (k + 1)) in
   Lock_intf.layer "Llock", threads, List.map fst threads, 6
 

@@ -137,6 +137,27 @@ let test_crash_faults_keep_verdict () =
         true (v = oracle))
     jobs_grid
 
+(* The suite is uncut (the ticket lock is race-free), so every schedule
+   is played exactly once on every jobs count: the pool's workers must
+   walk the same attempt chains as the sequential scan, crash for
+   crash. *)
+let test_crash_faults_reach_the_pool () =
+  let plan = Fault.make ~seed:3 ~crash:0.5 () in
+  let oracle = fault_free () in
+  check_bool "the suite is uncut" true
+    (match oracle with Races.Race_free _ -> true | _ -> false);
+  let crashes jobs =
+    Fault.reset_stats ();
+    let v = races_check (Ctx.with_faults plan (Ctx.with_jobs jobs Ctx.default)) in
+    check_bool
+      (Printf.sprintf "crash-injected verdict at jobs=%d = fault-free" jobs)
+      true (v = oracle);
+    (Fault.stats ()).Fault.crashes
+  in
+  let sequential = crashes 1 in
+  check_bool "crashes fired at jobs=1" true (sequential > 0);
+  check_int "jobs=4 crashes = jobs=1 crashes" sequential (crashes 4)
+
 let test_skew_faults_keep_verdict () =
   let plan = Fault.make ~seed:5 ~skew:0.5 () in
   let oracle = fault_free () in
@@ -266,6 +287,8 @@ let suite =
       test_step_budget_truncates_deterministically;
     tc "crash injection keeps the verdict (jobs grid)"
       test_crash_faults_keep_verdict;
+    tc "crash injection reaches the pool's workers"
+      test_crash_faults_reach_the_pool;
     tc "clock-skew injection keeps the verdict" test_skew_faults_keep_verdict;
     tc "cache-corruption injection keeps the verdict"
       test_corrupt_cache_faults_keep_verdict;

@@ -1,6 +1,6 @@
 (* Tests for the telemetry subsystem (S25): counters must be
    bit-identical across jobs counts (clean and failing runs alike — the
-   capture/commit protocol of [Parallel.budgeted_scan] at work), spans
+   capture/commit protocol of [Parallel.games] at work), spans
    must nest, the Chrome-trace export must be valid JSON, and everything
    must be inert when disabled.
 
@@ -96,13 +96,12 @@ let test_failing_scan_counters_jobs_invariant () =
       | Races.Race _ -> ()
       | _ -> Alcotest.fail "expected the race verdict")
 
-let test_chunk_calibration_counters_jobs_invariant () =
-  (* cost-calibrated claiming (S24) resizes the batch's chunk after a
-     sequential warm-up prefix; chunk geometry must stay invisible to the
-     committed counters — only the pool.chunk spans (wall-clock trace
-     material) may differ across jobs.  The suite is big enough (243
-     schedules) that the calibrated path, not the fallback chunk size,
-     does the claiming. *)
+let test_chunk_counters_jobs_invariant () =
+  (* workers claim the suite in fixed-size chunks (S24); chunk geometry
+     must stay invisible to the committed counters — only the pool.chunk
+     spans (wall-clock trace material) may differ across jobs.  The
+     suite (243 schedules) splits into many chunks, 15 schedules each
+     at jobs 4. *)
   let layer = Lock_intf.layer "Llock" in
   let threads = List.init 3 (fun k -> k + 1, lock_client (k + 1)) in
   let run jobs =
@@ -111,11 +110,11 @@ let test_chunk_calibration_counters_jobs_invariant () =
     | Races.Race_free { runs } -> check_int "covered the suite" 243 runs
     | _ -> Alcotest.fail "expected race-free"
   in
-  check_counters_jobs_invariant "calibrated races llock" (fun jobs ->
+  check_counters_jobs_invariant "chunked races llock" (fun jobs ->
       run jobs);
   with_telemetry (fun () ->
       run 4;
-      check_bool "calibrated chunks appear as pool.chunk spans" true
+      check_bool "claimed chunks appear as pool.chunk spans" true
         (List.exists
            (fun (s : Telemetry.span_ev) -> s.Telemetry.name = "pool.chunk")
            (Telemetry.spans ())))
@@ -179,11 +178,11 @@ let test_captured_counts_follow_the_cut () =
         (fun jobs ->
           Telemetry.reset ();
           ignore
-            (Parallel.budgeted_scan ~jobs ~token:Budget.no_token
+            (scan ~jobs
                ~cut:(fun y -> y = 5)
-               (fun ~stop:_ x ->
+               (fun x ->
                  Telemetry.incr c;
-                 Some (0, x))
+                 x)
                (List.init 40 Fun.id));
           check_int
             (Printf.sprintf "jobs=%d commits exactly the merged prefix" jobs)
@@ -394,10 +393,8 @@ let test_chrome_trace_round_trips () =
   with_telemetry (fun () ->
       (* record spans on several domains through a parallel scan *)
       ignore
-        (Parallel.budgeted_scan ~jobs:4 ~token:Budget.no_token
-           ~cut:(fun _ -> false)
-           (fun ~stop:_ x ->
-             Some (0, Telemetry.span "work\"quoted\"" (fun () -> x * 2)))
+        (scan ~jobs:4
+           (fun x -> Telemetry.span "work\"quoted\"" (fun () -> x * 2))
            (List.init 16 Fun.id));
       Telemetry.span "top" (fun () -> ());
       let trace = Telemetry.chrome_trace_string () in
@@ -478,8 +475,8 @@ let suite =
       test_races_counters_jobs_invariant;
     tc "failing-scan counters identical across jobs"
       test_failing_scan_counters_jobs_invariant;
-    tc "chunk calibration invisible to counters"
-      test_chunk_calibration_counters_jobs_invariant;
+    tc "chunk claiming invisible to counters"
+      test_chunk_counters_jobs_invariant;
     tc "stack per-edge counters identical across jobs"
       test_stack_edge_counters_jobs_invariant;
     tc "one exhausted run counts one exhaustion"

@@ -29,6 +29,16 @@ let games ?(memory = Memory.default) ?max_steps ?log_switches ?cut layer
          ~ctx:(Ctx.with_memory memory Ctx.default)
          ?max_steps ?log_switches ?cut layer threads judge scheds))
 
+(* The one game scan as an early-exit map over plain inputs: a threadless
+   game under a suite that carries each input as a [Random] seed, judged
+   by [f]. *)
+let scan ~jobs ?cut f xs =
+  Ccal_verify.(
+    Budget.value
+      (Parallel.games ~ctx:(Ctx.make ~jobs ()) ?cut (Layer.make "Lnone" []) []
+         (fun s _ -> match s with Sched.Random k -> f k | _ -> assert false)
+         (List.map (fun k -> Sched.Random k) xs)))
+
 (* Every play of the suite, in suite order. *)
 let behaviors ?memory ?max_steps ?log_switches layer threads scheds =
   games ?memory ?max_steps ?log_switches layer threads (fun _ o -> o) scheds
