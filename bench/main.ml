@@ -927,13 +927,44 @@ let run_kv () = List.concat_map run_kv_mix [ 95; 50 ]
 (* tso — dual-mode certification and litmus conformance (S29)           *)
 (* ------------------------------------------------------------------ *)
 
-(* Two tables for EXPERIMENTS.md:
+(* Three tables for EXPERIMENTS.md:
    - certify rows: the same certificate built under SC and under x86-TSO
      (store buffers, drain environments, flusher moves) — the cost of
      promoting the memory model from an assumption to a checked input;
+   - stack rows: the four layer-stack certificates of perfbench's
+     certify-corpus ({ticket, mcs} x {SC, TSO}, dpor:8) at jobs 1, timed
+     7 times, with the replay events one run folds
+     ([replay.events_folded], deterministic);
    - litmus rows: the conformance suite, timing the reachable-outcome
      enumeration per mode and pinning observed = expected. *)
 let run_tso () =
+  let stack (lock, lock_name) memory =
+    let ctx = V.Ctx.with_memory memory (V.Ctx.make ~jobs:1 ()) in
+    let certify () =
+      match
+        V.Budget.value
+          (V.Stack.verify_all_ctx ~ctx ~lock ~strategy:(V.Ctx.Engine.dpor ~depth:8) ())
+      with
+      | Ok { V.Stack.completed; next_edge = None } -> completed.V.Stack.total_checks
+      | _ -> failwith "tso stack: the stack must certify"
+    in
+    V.Telemetry.reset ();
+    V.Telemetry.enable ();
+    ignore (certify ());
+    let folded = V.Telemetry.get "replay.events_folded" in
+    V.Telemetry.disable ();
+    V.Telemetry.reset ();
+    let checks, t = V.Verify_clock.measure ~repeats:7 certify in
+    row "stack"
+      ~params:
+        [ "lock", S lock_name; "memory", S (Memory.to_string memory); "strategy", S "dpor:8" ]
+      [ "checks", I checks; "events_folded", I folded; "ms", T t ]
+  in
+  let stacks =
+    List.concat_map
+      (fun lock -> List.map (stack lock) [ Memory.Sc; Memory.Tso ])
+      [ `Ticket, "ticket"; `Mcs, "mcs" ]
+  in
   let cert name certify =
     let checks memory =
       let r, t = V.Verify_clock.measure ~repeats:1 (fun () -> certify memory) in
@@ -964,6 +995,7 @@ let run_tso () =
         Object_intf.certify Mcs_lock.recipe ~memory ());
     cert "Queue stack" (fun memory -> Queue_shared.full_stack_certify ~memory ());
   ]
+  @ stacks
   @ List.map litmus Ccal_machine.Litmus.tests
 
 (* ------------------------------------------------------------------ *)

@@ -113,4 +113,4 @@ let run_local ?(max_moves = 10_000) ?(block_retries = 64) ?(check_guar = false)
         in
         loop st' log' own' (moves + 1) silent 0 violation
   in
-  loop (initial layer tid prog) Log.empty [] 0 0 0 None
+  Replay.scoped (fun () -> loop (initial layer tid prog) Log.empty [] 0 0 0 None)

@@ -131,7 +131,7 @@ let replay_multi ?(max_steps = 200_000) ?(allow_blocked_at_end = false) overlay
     in
     drain_all slots
   in
-  consume Log.empty events 0
+  Replay.scoped (fun () -> consume Log.empty events 0)
 
 (* The per-schedule judge of a refinement scan: the underlay play,
    translated and replayed against the overlay.  It touches only its own

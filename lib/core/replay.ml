@@ -106,18 +106,33 @@ let fold (type a) ~(init : a) ~step : a t =
         let i = if i < 0 then victim s 0 else i in
         remember s i n spine (step_newest ~step (Ok init) spine n))
 
-let pure x : 'a t = fun _ -> Ok x
+type route = Key of int | Every | Skip
 
-let map f r : 'b t = fun l -> Result.map f (r l)
+module Imap = Map.Make (Int)
 
-let both ra rb : ('a * 'b) t =
- fun l ->
-  match ra l with
-  | Error _ as e -> e
-  | Ok a -> (
-    match rb l with
-    | Error _ as e -> e
-    | Ok b -> Ok (a, b))
+(* A family's one state: each key's own result, and what a key that no
+   [Key] event has named yet would hold ([Every] events step it too). *)
+type 'a keyed = { unseen : ('a, string) result; keys : ('a, string) result Imap.t }
+
+let family ~route ~init ~step =
+  let step_key r e = Result.bind r (fun s -> step s e) in
+  let all =
+    fold ~init:{ unseen = Ok init; keys = Imap.empty } ~step:(fun st e ->
+        match route e with
+        | Skip -> Ok st
+        | Key k ->
+          let r = Option.value (Imap.find_opt k st.keys) ~default:st.unseen in
+          Ok { st with keys = Imap.add k (step_key r e) st.keys }
+        | Every ->
+          Ok { unseen = step_key st.unseen e; keys = Imap.map (fun r -> step_key r e) st.keys })
+  in
+  fun k l ->
+    Result.bind (all l) (fun st -> Option.value (Imap.find_opt k st.keys) ~default:st.unseen)
+
+let on_objects tags (e : Event.t) =
+  match Event.obj_of_args e.args with
+  | Some k when List.mem e.tag tags -> Key k
+  | _ -> Skip
 
 let run_exn r l =
   match r l with

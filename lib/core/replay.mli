@@ -29,7 +29,9 @@ val fold : init:'a -> step:('a -> Event.t -> ('a, string) result) -> 'a t
     a log that does not extend the remembered one (a DPOR sibling) —
     steps all [n].  Each call adds the events it stepped to the
     [replay.events_folded] counter.  Build a fold once: one built afresh
-    on every call never finds a memo. *)
+    on every call never finds a memo.  A fold with a parameter is built
+    once too: as a {!family} keyed by it, or once per layer when the
+    layer fixes it. *)
 
 val scoped : (unit -> 'a) -> 'a
 (** [scoped f] runs [f] in a fresh memo scope private to the calling
@@ -37,10 +39,29 @@ val scoped : (unit -> 'a) -> 'a
     raises.  Every game play ({!Game.run}) is one scope, so a play's
     replay cost is linear in its length. *)
 
-val pure : 'a -> 'a t
-val map : ('a -> 'b) -> 'a t -> 'b t
-val both : 'a t -> 'b t -> ('a * 'b) t
-(** Replay two shared states from the same log. *)
+type route =
+  | Key of int  (** the event concerns this key alone *)
+  | Every  (** the event concerns every key, including unseen ones *)
+  | Skip  (** the event concerns no key *)
+
+val family :
+  route:(Event.t -> route) ->
+  init:'a ->
+  step:('a -> Event.t -> ('a, string) result) ->
+  int ->
+  'a t
+(** [family ~route ~init ~step k] replays what a per-key
+    [fold ~init ~step] over only the events [route]d to [k] (by [Key k]
+    or [Every]) would, error included.  Partially applied, it is one
+    {!fold} whose state maps each key to its own result: every key keeps
+    its own first error, and all keys share one memo.  This is the form
+    a replay function with a parameter (a CPU, a lock, a channel) takes:
+    build the family once, then look keys up in it. *)
+
+val on_objects : string list -> Event.t -> route
+(** [on_objects tags e] routes an event whose tag is in [tags] to the
+    object its first argument names ({!Event.obj_of_args}); every other
+    event is [Skip]. *)
 
 val run_exn : 'a t -> Log.t -> 'a
 (** Like application, but raises [Failure] on stuck replays; for tests. *)

@@ -42,7 +42,7 @@ let drive ?(max_moves = 10_000) ?(block_retries = 64) tid strat ~env ~init_log =
       | Strategy.Refuse msg ->
         { log; ret = None; moves; blocked = false; refused = Some msg }
   in
-  loop strat init_log 0 0
+  Replay.scoped (fun () -> loop strat init_log 0 0)
 
 let replay_against tid spec ~init_log translated =
   let events = Log.chronological translated in
@@ -119,7 +119,7 @@ let replay_against tid spec ~init_log translated =
       in
       drain log pending events)
   in
-  go spec init_log [] events fuel_empty_moves
+  Replay.scoped (fun () -> go spec init_log [] events fuel_empty_moves)
 
 let check_strategies ?max_moves ?(ret_rel = Value.equal) rel ~tid ~impl ~spec
     ~envs =

@@ -137,20 +137,12 @@ let step (st : entry) (e : Event.t) : (entry, string) result =
   else Ok st
 
 (* Every entry's state, each with its own first error: an ill-formed
-   entry sticks only the primitives that touch it, never the fold. *)
-module Imap = Map.Make (Int)
-
-let replay_entries : (entry, string) result Imap.t Replay.t =
-  Replay.fold ~init:Imap.empty ~step:(fun m (e : Event.t) ->
-      match e.args with
-      | Value.Vint eid :: _ when is_cache_tag e.tag ->
-        let st = Option.value (Imap.find_opt eid m) ~default:(Ok initial_entry) in
-        Ok (Imap.add eid (Result.bind st (fun st -> step st e)) m)
-      | _ -> Ok m)
-
-let replay_entry eid log =
-  Result.bind (replay_entries log) (fun m ->
-      Option.value (Imap.find_opt eid m) ~default:(Ok initial_entry))
+   entry sticks only the primitives that touch it, never the others. *)
+let replay_entry : int -> entry Replay.t =
+  Replay.family ~init:initial_entry ~step ~route:(fun (e : Event.t) ->
+      match Event.obj_of_args e.args with
+      | Some eid when is_cache_tag e.tag -> Replay.Key eid
+      | _ -> Replay.Skip)
 
 let disk_lookup p log =
   let rec go = function

@@ -37,8 +37,8 @@ type entry = {
 
 val replay_entry : int -> Log.t -> (entry, string) result
 (** Replay one entry's state machine from its events (chronological,
-    first-error-wins): a lookup in one incremental fold over every
-    entry, in which each entry keeps its own first error. *)
+    first-error-wins): a key of one {!Replay.family} over every entry,
+    in which each entry keeps its own first error. *)
 
 val disk_lookup : int -> Log.t -> int
 (** Current backing-store value of a page: newest-first early-exit scan

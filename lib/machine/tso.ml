@@ -26,27 +26,27 @@ let replay_memory = Atomic.replay_cell
 
 (* A CPU's store buffer: its buffered stores minus the commits drained
    from it (FIFO).  Buffered stores are identified by [src]; commits by
-   their cpu argument — their [src] is whoever performed the drain. *)
-let replay_buffer t : (int * int) list Replay.t =
-  Replay.fold ~init:[] ~step:(fun buf (e : Event.t) ->
+   their cpu argument — their [src] is whoever performed the drain.  One
+   family holds every CPU's buffer: a commit whose arguments name no cpu
+   sticks them all, any other error only the CPU it names. *)
+let replay_buffer : Event.tid -> (int * int) list Replay.t =
+  Replay.family
+    ~route:(fun (e : Event.t) ->
+      if String.equal e.tag buf_store_tag then Replay.Key e.src
+      else if String.equal e.tag commit_tag then
+        match int3 e.args with Some (_, _, cpu) -> Replay.Key cpu | None -> Replay.Every
+      else Replay.Skip)
+    ~init:[]
+    ~step:(fun buf (e : Event.t) ->
       if String.equal e.tag buf_store_tag then
-        if e.src <> t then Ok buf
-        else begin
-          match int2 e.args with
-          | Some bv -> Ok (buf @ [ bv ])
-          | None -> Error "buf_store: bad arguments"
-        end
-      else if String.equal e.tag commit_tag then begin
-        match int3 e.args with
-        | Some (b, v, cpu) ->
-          if cpu <> t then Ok buf
-          else (
-            match buf with
-            | head :: rest when head = (b, v) -> Ok rest
-            | _ -> Error "commit does not match the oldest buffered store")
-        | None -> Error "commit: bad arguments"
-      end
-      else Ok buf)
+        match int2 e.args with
+        | Some bv -> Ok (buf @ [ bv ])
+        | None -> Error "buf_store: bad arguments"
+      else
+        match int3 e.args, buf with
+        | None, _ -> Error "commit: bad arguments"
+        | Some (b, v, _), head :: rest when head = (b, v) -> Ok rest
+        | Some _, _ -> Error "commit does not match the oldest buffered store")
 
 let commit_event ~src t (b, v) =
   Event.make ~args:[ Value.int b; Value.int v; Value.int t ] src commit_tag

@@ -62,7 +62,9 @@ val replay_memory : int -> int Replay.t
 val replay_buffer : Event.tid -> (int * int) list Replay.t
 (** The pending (cell, value) writes of a CPU's store buffer, oldest
     first.  Errors if some commit did not match the FIFO head — the
-    store-buffer discipline every well-formed TSO log satisfies. *)
+    store-buffer discipline every well-formed TSO log satisfies.  One
+    {!Replay.family} over every CPU: a commit naming no cpu sticks every
+    buffer, any other error only its own CPU's. *)
 
 val layer : unit -> Layer.t
 (** The TSO hardware layer [Ltso]: [aload]/[astore]/[faa]/[xchg]/[cas]

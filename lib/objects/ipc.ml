@@ -19,23 +19,19 @@ let underlay ~placement () =
 (* Atomic overlay                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let replay_chan ch : Value.t list Replay.t =
-  Replay.fold ~init:[] ~step:(fun buf (e : Event.t) ->
-      match Event.obj_of_args e.args with
-      | Some ch' when ch' = ch ->
-        if String.equal e.tag send_tag then
-          match e.args with
-          | [ _; v ] ->
-            if List.length buf >= capacity then
-              Error "invalid log: send to a full channel"
-            else Ok (buf @ [ v ])
-          | _ -> Error "send: bad arguments"
-        else if String.equal e.tag recv_tag then
-          match buf with
-          | [] -> Error "invalid log: recv from an empty channel"
-          | _ :: rest -> Ok rest
-        else Ok buf
-      | Some _ | None -> Ok buf)
+let replay_chan : int -> Value.t list Replay.t =
+  Replay.family ~route:(Replay.on_objects [ send_tag; recv_tag ]) ~init:[]
+    ~step:(fun buf (e : Event.t) ->
+      if String.equal e.tag send_tag then
+        match e.args with
+        | [ _; v ] ->
+          if List.length buf >= capacity then Error "invalid log: send to a full channel"
+          else Ok (buf @ [ v ])
+        | _ -> Error "send: bad arguments"
+      else
+        match buf with
+        | [] -> Error "invalid log: recv from an empty channel"
+        | _ :: rest -> Ok rest)
 
 let send_prim =
   ( send_tag,

@@ -12,25 +12,22 @@ let underlay ~placement () =
 (* Atomic overlay: the thread-local world of Sec. 5.3                  *)
 (* ------------------------------------------------------------------ *)
 
-let replay_qlock l : Event.tid option Replay.t =
-  Replay.fold ~init:None ~step:(fun holder (e : Event.t) ->
-      match Event.obj_of_args e.args with
-      | Some l' when l' = l ->
-        if String.equal e.tag acq_q_tag then
-          match holder with
-          | None -> Ok (Some e.src)
-          | Some h ->
-            Error
-              (Printf.sprintf
-                 "invalid log: thread %d acquires qlock %d held by %d" e.src l h)
-        else if String.equal e.tag rel_q_tag then
-          match holder with
-          | Some h when h = e.src -> Ok None
-          | _ ->
-            Error
-              (Printf.sprintf "invalid log: thread %d releases qlock %d" e.src l)
-        else Ok holder
-      | Some _ | None -> Ok holder)
+let replay_qlock : int -> Event.tid option Replay.t =
+  Replay.family ~route:(Replay.on_objects [ acq_q_tag; rel_q_tag ]) ~init:None
+    ~step:(fun holder (e : Event.t) ->
+      (* [on_objects] routed [e] here by the lock it names *)
+      let l = Option.get (Event.obj_of_args e.args) in
+      if String.equal e.tag acq_q_tag then
+        match holder with
+        | None -> Ok (Some e.src)
+        | Some h ->
+          Error
+            (Printf.sprintf "invalid log: thread %d acquires qlock %d held by %d"
+               e.src l h)
+      else
+        match holder with
+        | Some h when h = e.src -> Ok None
+        | _ -> Error (Printf.sprintf "invalid log: thread %d releases qlock %d" e.src l))
 
 let acq_q_prim =
   ( acq_q_tag,

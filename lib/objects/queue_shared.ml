@@ -43,18 +43,14 @@ let underlay () = Lock_intf.layer ~extra:helpers "Lq"
 (* Atomic overlay                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let replay_queue q : Value.t list Replay.t =
-  Replay.fold ~init:[] ~step:(fun vs (e : Event.t) ->
-      match Event.obj_of_args e.args with
-      | Some q' when q' = q ->
-        if String.equal e.tag enq_tag then
-          match e.args with
-          | [ _; v ] -> Ok (vs @ [ v ])
-          | _ -> Error "enQ_s: bad arguments"
-        else if String.equal e.tag deq_tag then
-          Ok (match vs with [] -> [] | _ :: rest -> rest)
-        else Ok vs
-      | Some _ | None -> Ok vs)
+let replay_queue : int -> Value.t list Replay.t =
+  Replay.family ~route:(Replay.on_objects [ enq_tag; deq_tag ]) ~init:[]
+    ~step:(fun vs (e : Event.t) ->
+      if String.equal e.tag enq_tag then
+        match e.args with
+        | [ _; v ] -> Ok (vs @ [ v ])
+        | _ -> Error "enQ_s: bad arguments"
+      else Ok (match vs with [] -> [] | _ :: rest -> rest))
 
 let deq_prim =
   Layer.event_prim deq_tag (fun _c args log ->

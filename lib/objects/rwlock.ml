@@ -19,36 +19,32 @@ let underlay () = Lock_intf.layer "Llock"
 
 (* Internal replay tracks reader identities so that a stray [rel_r] is an
    invalid log, not a silent no-op. *)
-let replay_readers l : (Event.tid list option * Event.tid option) Replay.t =
+let replay_readers : int -> (Event.tid list option * Event.tid option) Replay.t =
   (* (Some readers, None) or (None, Some writer); (Some [], None) = free *)
-  Replay.fold ~init:(Some [], None) ~step:(fun st (e : Event.t) ->
-      match Event.obj_of_args e.args with
-      | Some l' when l' = l -> (
-        match e.tag, st with
-        | tag, (Some readers, None) when String.equal tag acq_r_tag ->
-          Ok (Some (e.src :: readers), None)
-        | tag, (Some readers, None) when String.equal tag rel_r_tag ->
-          (* a thread may hold several read acquisitions; remove one *)
-          let rec remove_one = function
-            | [] -> None
-            | t :: rest ->
-              if t = e.src then Some rest
-              else Option.map (fun r -> t :: r) (remove_one rest)
-          in
-          (match remove_one readers with
-          | Some readers' -> Ok (Some readers', None)
-          | None -> Error (Printf.sprintf "thread %d rel_r without acq_r" e.src))
-        | tag, (Some [], None) when String.equal tag acq_w_tag ->
-          Ok (None, Some e.src)
-        | tag, (None, Some w) when String.equal tag rel_w_tag && w = e.src ->
-          Ok (Some [], None)
-        | tag, _
-          when List.mem tag [ acq_r_tag; rel_r_tag; acq_w_tag; rel_w_tag ] ->
-          Error
-            (Printf.sprintf "invalid rwlock log: %s by %d in the wrong state"
-               tag e.src)
-        | _ -> Ok st)
-      | Some _ | None -> Ok st)
+  Replay.family
+    ~route:(Replay.on_objects [ acq_r_tag; rel_r_tag; acq_w_tag; rel_w_tag ])
+    ~init:(Some [], None)
+    ~step:(fun st (e : Event.t) ->
+      match e.tag, st with
+      | tag, (Some readers, None) when String.equal tag acq_r_tag ->
+        Ok (Some (e.src :: readers), None)
+      | tag, (Some readers, None) when String.equal tag rel_r_tag ->
+        (* a thread may hold several read acquisitions; remove one *)
+        let rec remove_one = function
+          | [] -> None
+          | t :: rest ->
+            if t = e.src then Some rest
+            else Option.map (fun r -> t :: r) (remove_one rest)
+        in
+        (match remove_one readers with
+        | Some readers' -> Ok (Some readers', None)
+        | None -> Error (Printf.sprintf "thread %d rel_r without acq_r" e.src))
+      | tag, (Some [], None) when String.equal tag acq_w_tag -> Ok (None, Some e.src)
+      | tag, (None, Some w) when String.equal tag rel_w_tag && w = e.src ->
+        Ok (Some [], None)
+      | tag, _ ->
+        Error
+          (Printf.sprintf "invalid rwlock log: %s by %d in the wrong state" tag e.src))
 
 let replay_rw l : rw_state Replay.t =
  fun log ->
@@ -268,8 +264,8 @@ let recipe =
     focus = [ 1; 2 ];
   }
 
+(* A stuck fold stays stuck, so every prefix replays iff the whole log does. *)
 let no_reader_writer_overlap log =
-  let events = Log.chronological log in
   let locks =
     List.sort_uniq Stdlib.compare
       (List.filter_map
@@ -277,15 +273,6 @@ let no_reader_writer_overlap log =
            if List.mem e.tag [ acq_r_tag; rel_r_tag; acq_w_tag; rel_w_tag ] then
              Event.obj_of_args e.args
            else None)
-         events)
+         (Log.newest_first log))
   in
-  List.for_all
-    (fun l ->
-      let rec go prefix = function
-        | [] -> true
-        | e :: rest ->
-          let prefix = Log.append e prefix in
-          Replay.well_formed (replay_rw l) prefix && go prefix rest
-      in
-      go Log.empty events)
-    locks
+  Replay.scoped (fun () -> List.for_all (fun l -> Replay.well_formed (replay_rw l) log) locks)

@@ -100,26 +100,15 @@ let replay_sched placement : state Replay.t =
                   in
                   Ok (set_cpu st cw csw'))))
 
-let is_running placement t log =
-  match replay_sched placement log with
-  | Error _ -> false
-  | Ok st -> (
-    match cpu_of placement t with
-    | None -> false
-    | Some c -> (get_cpu st c).running = Some t)
-
-let sleepers placement chan log =
-  match replay_sched placement log with
-  | Error _ -> []
-  | Ok st -> get_slpq st chan
-
 (* ------------------------------------------------------------------ *)
 (* The multithreaded layer transformer                                  *)
 (* ------------------------------------------------------------------ *)
 
-let turn_checked placement sem =
+(* [sched] is [replay_sched placement], which {!mt_layer} builds once and
+   hands to every primitive of the layer, so they share one memo. *)
+let turn_checked placement sched sem =
  fun t args log ->
-  match replay_sched placement log with
+  match sched log with
   | Error msg -> Layer.Stuck msg
   | Ok st -> (
     match cpu_of placement t with
@@ -127,26 +116,21 @@ let turn_checked placement sem =
     | Some c ->
       if (get_cpu st c).running = Some t then sem t args log else Layer.Block)
 
-let yield_prim placement =
-  ( yield_tag,
+(* yield and texit: the whole effect is the logged event, which [Rsched]
+   reads. *)
+let plain_prim placement sched tag =
+  ( tag,
     Layer.Shared
-      (turn_checked placement (fun t _args _log ->
+      (turn_checked placement sched (fun t _args _log ->
            Layer.Step
-             { events = [ Event.make t yield_tag ]; ret = Value.unit; crit = Layer.Keep })) )
-
-let exit_prim placement =
-  ( exit_tag,
-    Layer.Shared
-      (turn_checked placement (fun t _args _log ->
-           Layer.Step
-             { events = [ Event.make t exit_tag ]; ret = Value.unit; crit = Layer.Keep })) )
+             { events = [ Event.make t tag ]; ret = Value.unit; crit = Layer.Keep })) )
 
 (* sleep(chan, lk, v): one move, two events — release the spinlock
    publishing v, then go to sleep.  Atomicity avoids the lost-wakeup race. *)
-let sleep_prim placement =
+let sleep_prim placement sched =
   ( sleep_tag,
     Layer.Shared
-      (turn_checked placement (fun t args log ->
+      (turn_checked placement sched (fun t args log ->
            match args with
            | [ Value.Vint chan; Value.Vint lk; v ] -> (
              match Lock_intf.replay_lock lk log with
@@ -167,17 +151,17 @@ let sleep_prim placement =
                  (Printf.sprintf "thread %d sleeps without holding lock %d" t lk))
            | _ -> Layer.Stuck "sleep: expected channel, lock and value")) )
 
-let wakeup_prim placement =
+let wakeup_prim placement sched =
   ( wakeup_tag,
     Layer.Shared
-      (turn_checked placement (fun t args log ->
+      (turn_checked placement sched (fun t args log ->
            match Event.obj_of_args args with
            | None -> Layer.Stuck "wakeup: expected a channel"
            | Some chan ->
              let woken =
-               match sleepers placement chan log with
-               | [] -> 0
-               | w :: _ -> w
+               match sched log with
+               | Ok st -> ( match get_slpq st chan with [] -> 0 | w :: _ -> w)
+               | Error _ -> 0
              in
              let ret = Value.int woken in
              Layer.Step
@@ -189,14 +173,14 @@ let wakeup_prim placement =
 
 (* wait(chan): block until no longer sleeping (the waker removed us from
    slpq) and scheduled again; the logged event marks the completion point. *)
-let wait_prim placement =
+let wait_prim placement sched =
   ( wait_tag,
     Layer.Shared
       (fun t args log ->
         match Event.obj_of_args args with
         | None -> Layer.Stuck "wait: expected a channel"
         | Some chan -> (
-          match replay_sched placement log with
+          match sched log with
           | Error msg -> Layer.Stuck msg
           | Ok st ->
             if List.mem t (get_slpq st chan) then Layer.Block
@@ -217,12 +201,13 @@ let get_tid_prim =
   ("get_tid", Layer.Private (fun t _args abs -> Ok (abs, Value.int t)))
 
 let mt_layer placement base =
+  let sched = replay_sched placement in
   let wrapped =
     List.map
       (fun (name, prim) ->
         match prim with
         | Layer.Private _ -> name, prim
-        | Layer.Shared sem -> name, Layer.Shared (turn_checked placement sem))
+        | Layer.Shared sem -> name, Layer.Shared (turn_checked placement sched sem))
       base.Layer.prims
   in
   Layer.make ~rely:base.Layer.rely ~guar:base.Layer.guar
@@ -230,11 +215,11 @@ let mt_layer placement base =
     ("Lmt(" ^ base.Layer.name ^ ")")
     (wrapped
     @ [
-        yield_prim placement;
-        sleep_prim placement;
-        wakeup_prim placement;
-        wait_prim placement;
-        exit_prim placement;
+        plain_prim placement sched yield_tag;
+        sleep_prim placement sched;
+        wakeup_prim placement sched;
+        wait_prim placement sched;
+        plain_prim placement sched exit_tag;
         get_tid_prim;
       ])
 
@@ -256,11 +241,11 @@ let default_placement focus rivals =
 (* ------------------------------------------------------------------ *)
 
 let turn_consistent placement log =
-  let events = Log.chronological log in
+  let sched = replay_sched placement in
   let rec go prefix = function
     | [] -> true
     | (e : Event.t) :: rest -> (
-      match replay_sched placement prefix with
+      match sched prefix with
       | Error _ -> false
       | Ok st -> (
         match cpu_of placement e.src with
@@ -268,7 +253,7 @@ let turn_consistent placement log =
         | Some c ->
           (get_cpu st c).running = Some e.src && go (Log.append e prefix) rest))
   in
-  go Log.empty events
+  Replay.scoped (fun () -> go Log.empty (Log.chronological log))
 
 let judge_linking ?max_steps ~placement layer threads sched
     (outcome : Game.outcome) =

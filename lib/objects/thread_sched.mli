@@ -61,11 +61,10 @@ val replay_sched : placement -> state Replay.t
 (** [Rsched]: scheduling state from the log; stuck on ill-formed logs
     (scheduling events from descheduled or unplaced threads). *)
 
-val is_running : placement -> Event.tid -> Log.t -> bool
-val sleepers : placement -> int -> Log.t -> Event.tid list
-
 val mt_layer : placement -> Layer.t -> Layer.t
-(** The multithreaded interface [L[c][T]] over a base interface. *)
+(** The multithreaded interface [L[c][T]] over a base interface.  It
+    builds [replay_sched placement] once, and every primitive of the
+    layer reads the scheduling state through that one fold. *)
 
 val noop_event_prim : string -> string * Layer.prim
 (** A shared primitive that logs one event of the given tag and returns

@@ -181,7 +181,9 @@ type node = {
    classes and collects no log integers.
 
    Each leaf is recorded as the DFS reaches it, so the prefixes come out
-   in DFS pre-order.  This walk is behind every [dpor] suite. *)
+   in DFS pre-order.  The walk is one replay scope (DESIGN.md S32): a
+   child's log extends its parent's, so the replay folds resume down each
+   path.  This walk is behind every [dpor] suite. *)
 let walk ?(independence = Exact) ?(memory = Memory.default) ~engine ~depth
     layer threads =
   if (engine : Engine.t).algo <> Engine.Dpor then
@@ -288,15 +290,16 @@ let walk ?(independence = Exact) ?(memory = Memory.default) ~engine ~depth
       in
       ignore (List.fold_left visit [] enabled)
   in
-  go
-    {
-      slots = List.map (fun (i, p) -> i, Machine.initial layer i p) threads;
-      log = Log.empty;
-      step = 0;
-      rev_prefix = [];
-      log_ints = Iset.empty;
-      sleep = [];
-    };
+  Replay.scoped (fun () ->
+      go
+        {
+          slots = List.map (fun (i, p) -> i, Machine.initial layer i p) threads;
+          log = Log.empty;
+          step = 0;
+          rev_prefix = [];
+          log_ints = Iset.empty;
+          sleep = [];
+        });
   ( List.rev !recorded,
     { Engine.sleep_prunes = !prunes; sym_prunes = !sym_prunes } )
 

@@ -13,6 +13,18 @@ let texit = Prog.call T.exit_tag []
 
 (* ---- Rsched replay ---- *)
 
+(* Read off [Rsched] for one thread or one channel. *)
+let is_running placement t l =
+  match T.replay_sched placement l, List.assoc_opt t placement with
+  | Ok st, Some c -> (
+    match List.assoc_opt c st.T.cpus with Some cs -> cs.T.running = Some t | None -> false)
+  | _ -> false
+
+let sleepers placement chan l =
+  match T.replay_sched placement l with
+  | Ok st -> Option.value ~default:[] (List.assoc_opt chan st.T.slpq)
+  | Error _ -> []
+
 let test_init_state () =
   let st = T.init_state [ 1, 0; 2, 0; 3, 1 ] in
   (match List.assoc 0 st.T.cpus with
@@ -25,36 +37,36 @@ let test_init_state () =
 let test_yield_rotates () =
   let placement = [ 1, 0; 2, 0 ] in
   let l = log_of [ ev 1 T.yield_tag ] in
-  check_bool "2 now running" true (T.is_running placement 2 l);
-  check_bool "1 descheduled" false (T.is_running placement 1 l);
+  check_bool "2 now running" true (is_running placement 2 l);
+  check_bool "1 descheduled" false (is_running placement 1 l);
   let l2 = Log.append (ev 2 T.yield_tag) l in
-  check_bool "1 again" true (T.is_running placement 1 l2)
+  check_bool "1 again" true (is_running placement 1 l2)
 
 let test_sleep_wakeup_cycle () =
   let placement = [ 1, 0; 2, 0 ] in
   let l = log_of [ ev ~args:[ vi 9 ] 1 T.sleep_tag ] in
-  check_bool "2 running after 1 sleeps" true (T.is_running placement 2 l);
-  Alcotest.(check (list int)) "sleeper" [ 1 ] (T.sleepers placement 9 l);
+  check_bool "2 running after 1 sleeps" true (is_running placement 2 l);
+  Alcotest.(check (list int)) "sleeper" [ 1 ] (sleepers placement 9 l);
   let l2 = Log.append (ev ~args:[ vi 9 ] ~ret:(vi 1) 2 T.wakeup_tag) l in
-  Alcotest.(check (list int)) "woken" [] (T.sleepers placement 9 l2);
+  Alcotest.(check (list int)) "woken" [] (sleepers placement 9 l2);
   (* same cpu: 1 went to the ready queue, 2 still runs *)
-  check_bool "2 still running" true (T.is_running placement 2 l2);
+  check_bool "2 still running" true (is_running placement 2 l2);
   let l3 = Log.append (ev 2 T.yield_tag) l2 in
-  check_bool "1 resumes" true (T.is_running placement 1 l3)
+  check_bool "1 resumes" true (is_running placement 1 l3)
 
 let test_wakeup_idle_cpu () =
   let placement = [ 1, 0; 2, 1 ] in
   let l = log_of [ ev ~args:[ vi 9 ] 1 T.sleep_tag ] in
   (* cpu0 idle now *)
   let l2 = Log.append (ev ~args:[ vi 9 ] ~ret:(vi 1) 2 T.wakeup_tag) l in
-  check_bool "woken directly to running" true (T.is_running placement 1 l2)
+  check_bool "woken directly to running" true (is_running placement 1 l2)
 
 let test_texit_removes () =
   let placement = [ 1, 0; 2, 0 ] in
   let l = log_of [ ev 1 T.exit_tag ] in
-  check_bool "2 running" true (T.is_running placement 2 l);
+  check_bool "2 running" true (is_running placement 2 l);
   let l2 = Log.append (ev 2 T.exit_tag) l in
-  check_bool "nobody" false (T.is_running placement 1 l2 || T.is_running placement 2 l2)
+  check_bool "nobody" false (is_running placement 1 l2 || is_running placement 2 l2)
 
 let test_sched_event_by_descheduled_rejected () =
   let placement = [ 1, 0; 2, 0 ] in

@@ -143,43 +143,66 @@ let test_words_per_move_flat_in_length () =
     true
     (Float.abs (long -. short) <= 0.05 *. Float.min short long)
 
-(* ---- replay work of the crash certifier (DESIGN.md S30, S32) ----
+(* ---- replay work of the certifiers (DESIGN.md S30, S32) ----
 
    Like allocation, the events the replay folds step are a deterministic
-   count: the certify-corpus crash run (threads 3, dpor:10) steps at most
-   the figure recorded when its prefix walk became one replay scope, and
-   the same number at jobs 1 and 4. *)
-let crash_events_folded_bound = 138_549
+   count.  Each certify-corpus certificate steps at most the figure
+   recorded when every replay fold came to be built once and every loop
+   that grows a log came to run in a replay scope, and the same number at
+   jobs 1 and 4. *)
+let events_folded f =
+  Probe.reset ();
+  Probe.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Probe.disable ();
+      Probe.reset ())
+    (fun () ->
+      f ();
+      Probe.get "replay.events_folded")
+
+let check_folded name bound run =
+  let j1 = events_folded (fun () -> run 1) and j4 = events_folded (fun () -> run 4) in
+  Printf.printf "perf-gate: %s folds %d events (bound %d)\n%!" name j1 bound;
+  check_int (name ^ ": events folded at jobs 4 = jobs 1") j1 j4;
+  check_bool (Printf.sprintf "%s: %d events folded <= %d" name j1 bound) true (j1 <= bound)
+
+let crash_events_folded_bound = 122_541
 
 let test_crash_events_folded () =
-  let folded jobs =
-    Probe.reset ();
-    Probe.enable ();
-    Fun.protect
-      ~finally:(fun () ->
-        Probe.disable ();
-        Probe.reset ())
-      (fun () ->
-        let ctx =
-          Ctx.make ~jobs ~strategy:(Ctx.Engine.dpor ~depth:10) ()
-        in
-        (match
-           Crash.check_ctx ~ctx
-             [ Ccal_disk.Wal.crash_edge ~threads:3 ();
-               Ccal_disk.Durable_kv.crash_edge ~threads:3 () ]
-         with
-        | Budget.Complete (Ok _) -> ()
-        | _ -> Alcotest.fail "the crash edges must certify");
-        Probe.get "replay.events_folded")
-  in
-  let j1 = folded 1 and j4 = folded 4 in
-  Printf.printf "perf-gate: crash threads 3 dpor:10 folds %d events (bound %d)\n%!"
-    j1 crash_events_folded_bound;
-  check_int "events folded at jobs 4 = jobs 1" j1 j4;
-  check_bool
-    (Printf.sprintf "%d events folded <= %d" j1 crash_events_folded_bound)
-    true
-    (j1 <= crash_events_folded_bound)
+  check_folded "crash threads 3 dpor:10" crash_events_folded_bound (fun jobs ->
+      let ctx = Ctx.make ~jobs ~strategy:(Ctx.Engine.dpor ~depth:10) () in
+      match
+        Crash.check_ctx ~ctx
+          [ Ccal_disk.Wal.crash_edge ~threads:3 ();
+            Ccal_disk.Durable_kv.crash_edge ~threads:3 () ]
+      with
+      | Budget.Complete (Ok _) -> ()
+      | _ -> Alcotest.fail "the crash edges must certify")
+
+(* Before every fold was built once: 88,183, 251,823, 95,891 and
+   1,016,809 events for the stacks, 189,728 for the litmus suite. *)
+let stack_events_folded_bounds =
+  [ `Ticket, Memory.Sc, "ticket sc", 36_827;
+    `Ticket, Memory.Tso, "ticket tso", 50_093;
+    `Mcs, Memory.Sc, "mcs sc", 40_392;
+    `Mcs, Memory.Tso, "mcs tso", 150_992 ]
+
+let litmus_events_folded_bound = 28_583
+
+let test_stack_events_folded () =
+  List.iter
+    (fun (lock, memory, name, bound) ->
+      check_folded ("stack " ^ name ^ " dpor:8") bound (fun jobs ->
+          let ctx = Ctx.with_memory memory (Ctx.make ~jobs ()) in
+          match Stack.verify_all_ctx ~ctx ~lock ~strategy:(Ctx.Engine.dpor ~depth:8) () with
+          | Budget.Complete (Ok { Stack.next_edge = None; _ }) -> ()
+          | _ -> Alcotest.fail "the stack must certify"))
+    stack_events_folded_bounds;
+  check_folded "litmus both modes" litmus_events_folded_bound (fun jobs ->
+      let ok (sc, tso) = Litmus.ok sc && Litmus.ok tso in
+      if not (List.for_all ok (Litmus.run_both ~ctx:(Ctx.make ~jobs ()) ())) then
+        Alcotest.fail "the litmus suite must conform")
 
 (* ---- recommended_domains is a measurement, not a core count ---- *)
 
@@ -209,4 +232,6 @@ let suite =
       test_words_per_move_flat_in_length;
     tc "crash certifier replay folds within the recorded bound"
       test_crash_events_folded;
+    tc "stack certifier replay folds within the recorded bound"
+      test_stack_events_folded;
   ]

@@ -110,15 +110,6 @@ let test_replay_fold () =
   let bad = log_of [ ev 1 "x" ] in
   check_bool "stuck" false (Replay.well_formed sum bad)
 
-let test_replay_combinators () =
-  let a = Replay.pure 1 and b = Replay.map (fun l -> l) (Replay.pure 2) in
-  (match Replay.both a b Log.empty with
-  | Ok (x, y) ->
-    check_int "both fst" 1 x;
-    check_int "both snd" 2 y
-  | Error _ -> Alcotest.fail "both failed");
-  check_int "map" 4 (Replay.run_exn (Replay.map (fun x -> x * 2) (Replay.pure 2)) Log.empty)
-
 (* Properties *)
 
 let event_gen =
@@ -363,6 +354,264 @@ let test_incremental_fold_cost () =
      | () -> false
      | exception Failure _ -> folded (fun () -> ignore (fold l)) = 50)
 
+(* ---- replay families (DESIGN.md S32) ---- *)
+
+(* The per-call folds the families replaced, kept as the reference: each
+   replays one key (a CPU, a lock, a channel, a queue) and steps the
+   events of every other key as no-ops. *)
+let int_args = List.filter_map (function Value.Vint n -> Some n | _ -> None)
+
+let per_call_buffer t =
+  Replay.fold ~init:[] ~step:(fun buf (e : Event.t) ->
+      if String.equal e.tag Ccal_machine.Tso.buf_store_tag then
+        if e.src <> t then Ok buf
+        else
+          match e.args, int_args e.args with
+          | [ _; _ ], [ b; v ] -> Ok (buf @ [ (b, v) ])
+          | _ -> Error "buf_store: bad arguments"
+      else if String.equal e.tag Ccal_machine.Tso.commit_tag then
+        match e.args, int_args e.args with
+        | [ _; _; _ ], [ b; v; cpu ] ->
+          if cpu <> t then Ok buf
+          else (
+            match buf with
+            | head :: rest when head = (b, v) -> Ok rest
+            | _ -> Error "commit does not match the oldest buffered store")
+        | _ -> Error "commit: bad arguments"
+      else Ok buf)
+
+(* [step] sees only the events of object [k]. *)
+let per_call_object k ~init ~step =
+  Replay.fold ~init ~step:(fun st (e : Event.t) ->
+      match Event.obj_of_args e.args with Some k' when k' = k -> step st e | _ -> Ok st)
+
+let per_call_qlock l =
+  per_call_object l ~init:None ~step:(fun holder (e : Event.t) ->
+      if String.equal e.tag "acq_q" then
+        match holder with
+        | None -> Ok (Some e.src)
+        | Some h ->
+          Error
+            (Printf.sprintf "invalid log: thread %d acquires qlock %d held by %d" e.src l h)
+      else if String.equal e.tag "rel_q" then
+        match holder with
+        | Some h when h = e.src -> Ok None
+        | _ -> Error (Printf.sprintf "invalid log: thread %d releases qlock %d" e.src l)
+      else Ok holder)
+
+let per_call_chan ch =
+  per_call_object ch ~init:[] ~step:(fun buf (e : Event.t) ->
+      if String.equal e.tag "send" then
+        match e.args with
+        | [ _; v ] ->
+          if List.length buf >= 2 then Error "invalid log: send to a full channel"
+          else Ok (buf @ [ v ])
+        | _ -> Error "send: bad arguments"
+      else if String.equal e.tag "recv" then
+        match buf with
+        | [] -> Error "invalid log: recv from an empty channel"
+        | _ :: rest -> Ok rest
+      else Ok buf)
+
+let per_call_queue q =
+  per_call_object q ~init:[] ~step:(fun vs (e : Event.t) ->
+      if String.equal e.tag "enQ_s" then
+        match e.args with [ _; v ] -> Ok (vs @ [ v ]) | _ -> Error "enQ_s: bad arguments"
+      else if String.equal e.tag "deQ_s" then Ok (match vs with [] -> [] | _ :: rest -> rest)
+      else Ok vs)
+
+let per_call_rw l log =
+  let rw_tags = [ "acq_r"; "rel_r"; "acq_w"; "rel_w" ] in
+  let readers =
+    per_call_object l ~init:(Some [], None) ~step:(fun st (e : Event.t) ->
+        let rec remove_one = function
+          | [] -> None
+          | t :: rest -> if t = e.src then Some rest else Option.map (List.cons t) (remove_one rest)
+        in
+        match e.tag, st with
+        | "acq_r", (Some readers, None) -> Ok (Some (e.src :: readers), None)
+        | "rel_r", (Some readers, None) -> (
+          match remove_one readers with
+          | Some readers' -> Ok (Some readers', None)
+          | None -> Error (Printf.sprintf "thread %d rel_r without acq_r" e.src))
+        | "acq_w", (Some [], None) -> Ok (None, Some e.src)
+        | "rel_w", (None, Some w) when w = e.src -> Ok (Some [], None)
+        | tag, _ when List.mem tag rw_tags ->
+          Error (Printf.sprintf "invalid rwlock log: %s by %d in the wrong state" tag e.src)
+        | _ -> Ok st)
+  in
+  match readers log with
+  | Error _ as e -> e
+  | Ok (Some [], None) | Ok (None, None) -> Ok Ccal_objects.Rwlock.Free
+  | Ok (Some readers, None) -> Ok (Ccal_objects.Rwlock.Readers (List.length readers))
+  | Ok (_, Some w) -> Ok (Ccal_objects.Rwlock.Writer w)
+
+(* Every tag a family reads, with its well-formed arity. *)
+let family_tags =
+  [ "buf_store", 2; "commit", 3; "acq_q", 1; "rel_q", 1; "send", 2; "recv", 1;
+    "enQ_s", 2; "deQ_s", 1; "acq_r", 1; "rel_r", 1; "acq_w", 1; "rel_w", 1;
+    "yield", 0; "texit", 0; "sleep", 1; "wakeup", 1; "acq", 1; "x", 1 ]
+
+(* Mostly the family's own tags with well-formed arities over a few
+   objects, values and CPUs, so that buffers fill and drain and locks
+   change hands; sometimes another family's event, sometimes malformed
+   arguments (a commit naming no cpu sticks every CPU). *)
+let family_event_gen own =
+  let open QCheck.Gen in
+  let* tag = frequency [ 6, oneofl own; 1, map fst (oneofl family_tags) ] in
+  let* src = int_range 1 3 and* k = int_range 0 2 and* v = int_range 0 1 and* c = int_range 1 3 in
+  let well_formed = List.filteri (fun i _ -> i < List.assoc tag family_tags) [ vi k; vi v; vi c ] in
+  let* args =
+    frequency
+      [ 9, return well_formed; 1, oneofl [ []; [ Value.list [] ]; [ vi k ]; [ vi k; vi v; vi c; vi c ] ] ]
+  in
+  return (Event.make ~args src tag)
+
+(* [(i, evs, k)]: extend pooled log [i] by [evs] (none = a repeated call;
+   an older log = a DPOR-style sibling) and replay key [k] there. *)
+let family_ops own =
+  QCheck.make
+    ~print:(fun ops -> Printf.sprintf "%d calls" (List.length ops))
+    QCheck.Gen.(
+      list_size (int_range 1 30)
+        (triple small_nat (list_size (int_range 0 4) (family_event_gen own)) (int_range 0 3)))
+
+(* Every call of the family, inside one scope and outside any, answers
+   what the per-call fold of its key does, first error included. *)
+let family_agrees ~family ~per_call ops =
+  let run () =
+    let pool = ref [| Log.empty |] in
+    List.for_all
+      (fun (i, evs, k) ->
+        let l = Log.append_all evs !pool.(i mod Array.length !pool) in
+        pool := Array.append !pool [| l |];
+        family k l = per_call k l)
+      ops
+  in
+  Replay.scoped run && run ()
+
+let prop_family name own ~family ~per_call =
+  qtc ~count:300 (name ^ " family = per-call folds") (family_ops own)
+    (family_agrees ~family ~per_call)
+
+let placement = [ 1, 0; 2, 0; 3, 1 ]
+
+let family_props =
+  [
+    prop_family "TSO store buffers" [ "buf_store"; "commit" ]
+      ~family:Ccal_machine.Tso.replay_buffer ~per_call:per_call_buffer;
+    prop_family "qlock" [ "acq_q"; "rel_q" ] ~family:Ccal_objects.Qlock.replay_qlock
+      ~per_call:per_call_qlock;
+    prop_family "ipc channel" [ "send"; "recv" ] ~family:Ccal_objects.Ipc.replay_chan
+      ~per_call:per_call_chan;
+    prop_family "shared queue" [ "enQ_s"; "deQ_s" ]
+      ~family:Ccal_objects.Queue_shared.replay_queue ~per_call:per_call_queue;
+    prop_family "rwlock" [ "acq_r"; "rel_r"; "acq_w"; "rel_w" ]
+      ~family:Ccal_objects.Rwlock.replay_rw ~per_call:per_call_rw;
+    (* one fold per layer, against one built afresh per call *)
+    prop_family "scheduler" [ "yield"; "texit"; "sleep"; "wakeup" ]
+      ~family:
+        (let sched = Ccal_objects.Thread_sched.replay_sched placement in
+         fun _ -> sched)
+      ~per_call:(fun _ -> Ccal_objects.Thread_sched.replay_sched placement);
+  ]
+
+(* ---- log-growing loops in a replay scope ---- *)
+
+(* The loops of [Simulation.drive] and [Machine.run_local] as they ran
+   before they opened a scope of their own, kept as the reference: here no call finds a memo. *)
+let unscoped_drive ?(max_moves = 10_000) ?(block_retries = 64) tid strat ~env :
+    Simulation.driven =
+  let stop ?ret ?(blocked = false) ?refused log moves =
+    { Simulation.log; ret; moves; blocked; refused }
+  in
+  let rec loop strat log moves retries =
+    if moves > max_moves then stop ~refused:Prog.steps_bound_exceeded log moves
+    else
+      let log = Log.append_all (env.Env_context.query ~focus:[ tid ] log) log in
+      match strat.Strategy.step log with
+      | Strategy.Move (evs, Strategy.Done v) -> stop ~ret:v (Log.append_all evs log) (moves + 1)
+      | Strategy.Move (evs, Strategy.Next strat') ->
+        loop strat' (Log.append_all evs log) (moves + 1) 0
+      | Strategy.Blocked ->
+        if retries >= block_retries then stop ~blocked:true log moves
+        else loop strat log moves (retries + 1)
+      | Strategy.Refuse msg -> stop ~refused:msg log moves
+  in
+  loop strat Log.empty 0 0
+
+(* The outcome, log and move count of [Machine.run_local] without the
+   guarantee check. *)
+let unscoped_run_local ?(max_moves = 10_000) ?(block_retries = 64) layer tid ~env prog =
+  let rec loop (st : Machine.thread_state) log moves retries =
+    if moves > max_moves then Machine.Out_of_fuel, log, moves
+    else
+      let log =
+        if st.crit then log else Log.append_all (env.Env_context.query ~focus:[ tid ] log) log
+      in
+      match Machine.step_move layer tid st log with
+      | Machine.Finished (v, _) -> Machine.Done v, log, moves
+      | Machine.Stuck (_, msg) -> Machine.Stuck_run msg, log, moves
+      | Machine.Blocked_at (st, prim) ->
+        if retries >= block_retries then Machine.No_progress ("blocked on " ^ prim), log, moves
+        else if st.crit then
+          Machine.No_progress ("blocked on " ^ prim ^ " in critical state"), log, moves
+        else loop st log moves (retries + 1)
+      | Machine.Moved (evs, st') -> loop st' (Log.append_all evs log) (moves + 1) 0
+  in
+  loop (Machine.initial layer tid prog) Log.empty 0 0
+
+(* Random TSO programs and IPC programs over two channels: a focused
+   thread 1, and a rival thread 2 as the environment context (under TSO
+   with the environment draining the buffers). *)
+type play_case = { tso : bool; mine : (string * Value.t list) list; rival : (string * Value.t list) list }
+
+let play_case_gen =
+  let open QCheck.Gen in
+  let* tso = bool in
+  let op =
+    let* b = int_range 0 1 and* v = int_range 0 2 in
+    if tso then
+      oneofl
+        [ Ccal_machine.Atomic.astore_tag, [ vi b; vi v ]; Ccal_machine.Atomic.aload_tag, [ vi b ];
+          Ccal_machine.Atomic.faa_tag, [ vi b; vi 1 ]; Ccal_machine.Atomic.mfence_tag, [] ]
+    else oneofl [ "send", [ vi b; vi v ]; "recv", [ vi b ] ]
+  in
+  let* mine = list_size (int_range 0 6) op and* rival = list_size (int_range 0 6) op in
+  return { tso; mine; rival }
+
+let play_cases =
+  QCheck.make
+    ~print:(fun c -> Printf.sprintf "%s, %d and %d calls" (if c.tso then "tso" else "ipc")
+                       (List.length c.mine) (List.length c.rival))
+    play_case_gen
+
+let prop_loops_scoped =
+  qtc ~count:150 "Simulation.drive and Machine.run_local = their unscoped loops"
+    play_cases (fun c ->
+      let layer = if c.tso then Ccal_machine.Tso.layer () else Ccal_objects.Ipc.overlay () in
+      let prog calls =
+        Prog.seq_all (List.map (fun (p, args) -> Prog.call p args) calls @ [ Prog.ret (vi 7) ])
+      in
+      (* a fresh context per run: a strategy context is stateful *)
+      let env () =
+        let rival = Env_context.of_strategies "rival"
+            [ 2, Machine.strategy_of_prog layer 2 (prog c.rival) ] ~rounds:1 in
+        if c.tso then Ccal_machine.Tso.with_drain rival else rival
+      in
+      let d = Simulation.drive ~block_retries:3 1 (Machine.strategy_of_prog layer 1 (prog c.mine))
+          ~env:(env ()) ~init_log:Log.empty in
+      let d' =
+        unscoped_drive ~block_retries:3 1 (Machine.strategy_of_prog layer 1 (prog c.mine))
+          ~env:(env ())
+      in
+      let r = Machine.run_local ~block_retries:3 layer 1 ~env:(env ()) (prog c.mine) in
+      let outcome, log, moves =
+        unscoped_run_local ~block_retries:3 layer 1 ~env:(env ()) (prog c.mine)
+      in
+      Log.equal d.log d'.log && { d with log = d'.log } = d'
+      && Log.equal r.log log && r.outcome = outcome && r.moves = moves)
+
 let suite =
   [
     tc "value equal" test_value_equal;
@@ -374,7 +623,6 @@ let suite =
     tc "log by_thread/count" test_log_by_thread_and_count;
     tc "log map_events" test_log_map_events;
     tc "replay fold" test_replay_fold;
-    tc "replay combinators" test_replay_combinators;
     prop_chronological_reverses;
     prop_append_length;
     prop_filter_keeps_order;
@@ -385,4 +633,6 @@ let suite =
     prop_dedup_collisions;
     prop_incremental_fold_is_chronological;
     tc "incremental fold cost" test_incremental_fold_cost;
+    prop_loops_scoped;
   ]
+  @ family_props
