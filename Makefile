@@ -11,7 +11,7 @@ test:
 # Regression guard: the suite must never silently shrink — a dune or
 # module-wiring mistake can drop a whole test file from the runner while
 # everything still "passes".  Bump the floor when tests are added.
-TEST_COUNT_FLOOR := 522
+TEST_COUNT_FLOOR := 529
 
 check-test-count:
 	@out=$$(dune runtest --force 2>&1); status=$$?; \
@@ -31,9 +31,9 @@ check-test-count:
 # Prog.Module.stack came to link through Prog.Module.link, every object
 # came to be certified by one Object_intf recipe, the edge became the
 # one unit the certificate cache stores, Parallel shrank to the one
-# game scan, and the unused Replay combinators went; lower it when a
-# change shrinks lib/.
-LIB_SIZE_CEILING := 15263
+# game scan, the unused Replay combinators went, and every edge came to
+# report through the one Edges row; lower it when a change shrinks lib/.
+LIB_SIZE_CEILING := 15224
 
 check-lib-size:
 	@lines=$$(cat lib/*/*.ml lib/*/*.mli | wc -l); \
@@ -65,28 +65,32 @@ check-speedup: build
 	cd _build && default/bench/main.exe --only parallel
 
 # The certificate-cache gate (DESIGN.md S26): a warm stack run over a
-# populated store must print a bit-identical canonical report and finish
-# at least 2x faster than the cold run that filled it.  Uses the built
-# binary directly so the wall-clock ratio isn't swamped by dune overhead.
+# populated store must print a bit-identical canonical report and be at
+# least 2x faster than the cold run that filled it.  The times compared
+# are the in-report totals each run prints (the sum of its edges'
+# millis: the body on a miss, the lookup on a hit), not whole-process
+# wall time: on a small host a whole process is mostly start-up, which
+# the cache cannot speed up and which made the wall-clock ratio flaky.
 # A third, untimed run over the warm store with --stats must print
-# "0 misses" and no schedules_run counter: the same claim without the
-# clock, so it holds however slowly the disk flushes.
+# "0 misses" and no schedules_run counter.
 CCAL_BIN := _build/default/bin/ccal_cli.exe
 CACHE_CHECK_DIR := _build/ccal-cache-check
+# $(call at_least_2x,COLD_MS,WARM_MS): succeeds when both parsed and
+# warm * 2 <= cold
+at_least_2x = awk -v c="$(1)" -v w="$(2)" 'BEGIN { exit !(c != "" && w != "" && w * 2 <= c) }'
 
 check-cache: build
 	@rm -rf $(CACHE_CHECK_DIR); \
-	t0=$$(date +%s%N); \
-	$(CCAL_BIN) stack --cache-dir $(CACHE_CHECK_DIR) --report _build/cache-cold.txt --jobs 2 || exit 1; \
-	t1=$$(date +%s%N); \
-	$(CCAL_BIN) stack --cache-dir $(CACHE_CHECK_DIR) --report _build/cache-warm.txt --jobs 2 || exit 1; \
-	t2=$$(date +%s%N); \
+	total='s/^  total: .* in \([0-9.]*\) ms$$/\1/p'; \
+	out=$$($(CCAL_BIN) stack --cache-dir $(CACHE_CHECK_DIR) --report _build/cache-cold.txt --jobs 2) || exit 1; \
+	echo "$$out"; cold=$$(echo "$$out" | sed -n "$$total"); \
+	out=$$($(CCAL_BIN) stack --cache-dir $(CACHE_CHECK_DIR) --report _build/cache-warm.txt --jobs 2) || exit 1; \
+	echo "$$out"; warm=$$(echo "$$out" | sed -n "$$total"); \
 	cmp _build/cache-cold.txt _build/cache-warm.txt || { \
 	  echo "check-cache: REGRESSION - warm report differs from cold"; exit 1; }; \
-	cold=$$(( (t1 - t0) / 1000000 )); warm=$$(( (t2 - t1) / 1000000 )); \
-	echo "check-cache: cold $${cold}ms, warm $${warm}ms"; \
-	if [ $$(( warm * 2 )) -gt $$cold ]; then \
-	  echo "check-cache: REGRESSION - warm run not >= 2x faster"; exit 1; fi; \
+	echo "check-cache: in-report total cold $${cold} ms, warm $${warm} ms"; \
+	$(call at_least_2x,$$cold,$$warm) || { \
+	  echo "check-cache: REGRESSION - warm run not >= 2x faster"; exit 1; }; \
 	echo "check-cache: OK (reports identical, >= 2x speedup)"
 	@out=$$($(CCAL_BIN) stack --cache-dir $(CACHE_CHECK_DIR) --jobs 2 --stats) || exit 1; \
 	echo "$$out" | grep -q '^cache: [0-9]* hits, 0 misses,' || { \
@@ -99,7 +103,8 @@ check-cache: build
 # The kv-stack gate (DESIGN.md S28): all three kv edges (hash table over
 # its shards, block cache over the disk, composed service over the map
 # spec) must certify, and a warm run over a populated store must print a
-# bit-identical canonical report at least 2x faster than the cold run.
+# bit-identical canonical report, with an in-report total at least 2x
+# below the cold run's (as in check-cache).
 # As in check-cache, a third run over the warm store with --stats must
 # print "0 misses" and no schedules_run counter.
 # A jobs 4 run must print the jobs 1 report byte for byte: the replay
@@ -109,17 +114,16 @@ KV_CHECK_DIR := _build/ccal-kv-cache-check
 
 check-kv: build
 	@rm -rf $(KV_CHECK_DIR); \
-	t0=$$(date +%s%N); \
-	$(CCAL_BIN) kv --threads 4 --cache-dir $(KV_CHECK_DIR) --report _build/kv-cold.txt || exit 1; \
-	t1=$$(date +%s%N); \
-	$(CCAL_BIN) kv --threads 4 --cache-dir $(KV_CHECK_DIR) --report _build/kv-warm.txt || exit 1; \
-	t2=$$(date +%s%N); \
+	total='s/^kv stack: .*, \([0-9.]*\) ms$$/\1/p'; \
+	out=$$($(CCAL_BIN) kv --threads 4 --cache-dir $(KV_CHECK_DIR) --report _build/kv-cold.txt) || exit 1; \
+	echo "$$out"; cold=$$(echo "$$out" | sed -n "$$total"); \
+	out=$$($(CCAL_BIN) kv --threads 4 --cache-dir $(KV_CHECK_DIR) --report _build/kv-warm.txt) || exit 1; \
+	echo "$$out"; warm=$$(echo "$$out" | sed -n "$$total"); \
 	cmp _build/kv-cold.txt _build/kv-warm.txt || { \
 	  echo "check-kv: REGRESSION - warm report differs from cold"; exit 1; }; \
-	cold=$$(( (t1 - t0) / 1000000 )); warm=$$(( (t2 - t1) / 1000000 )); \
-	echo "check-kv: cold $${cold}ms, warm $${warm}ms"; \
-	if [ $$(( warm * 2 )) -gt $$cold ]; then \
-	  echo "check-kv: REGRESSION - warm run not >= 2x faster"; exit 1; fi; \
+	echo "check-kv: in-report total cold $${cold} ms, warm $${warm} ms"; \
+	$(call at_least_2x,$$cold,$$warm) || { \
+	  echo "check-kv: REGRESSION - warm run not >= 2x faster"; exit 1; }; \
 	echo "check-kv: OK (3 edges certified, reports identical, >= 2x speedup)"
 	@out=$$($(CCAL_BIN) kv --threads 4 --cache-dir $(KV_CHECK_DIR) --stats) || exit 1; \
 	echo "$$out" | grep -q '^cache: [0-9]* hits, 0 misses,' || { \

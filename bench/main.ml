@@ -753,7 +753,7 @@ let run_cache () =
       (Printf.sprintf "ccal-bench-cache-%d" (Unix.getpid ()))
   in
   let canonical = function
-    | Ok r -> Format.asprintf "%a" V.Stack.pp_report_canonical r
+    | Ok r -> Format.asprintf "%a" (V.Edges.pp ~millis:false V.Stack.layout) r.V.Stack.edges
     | Error e -> "ERROR: " ^ e
   in
   let case = "stack-verify-all-seeds2" in
@@ -1058,12 +1058,11 @@ let run_crash () =
     V.Telemetry.disable ();
     V.Telemetry.reset ();
     let e, t = V.Verify_clock.measure ~repeats:7 check in
+    let n = V.Edges.count e in
     row "crash-corpus"
-      ~params:[ "edge", S e.V.Crash.edge_name; "threads", I 3; "strategy", S "dpor:10" ]
-      [ "schedules", I e.V.Crash.schedules;
-        "crash_points", I e.V.Crash.crash_points;
-        "recoveries", I e.V.Crash.recoveries; "events_folded", I folded;
-        "ms", T t ]
+      ~params:[ "edge", S e.V.Edges.name; "threads", I 3; "strategy", S "dpor:10" ]
+      [ "schedules", I (n "schedules"); "crash_points", I (n "crash_points");
+        "recoveries", I (n "recoveries"); "events_folded", I folded; "ms", T t ]
   in
   let corpus_rows =
     List.map corpus_row
@@ -1072,13 +1071,15 @@ let run_crash () =
   ignore (report 1) (* warm-up *);
   let r1 = report 1 in
   let r4 = report 4 in
-  let canonical r = Format.asprintf "%a" V.Crash.pp_report_canonical r in
+  let canonical r =
+    Format.asprintf "%a" (V.Edges.pp ~millis:false V.Crash.layout) r.V.Crash.edges
+  in
   List.map
-    (fun (e : V.Crash.edge_report) ->
-      row "crash-edge" ~params:[ "edge", S e.V.Crash.edge_name ]
-        [ "schedules", I e.V.Crash.schedules;
-          "crash_points", I e.V.Crash.crash_points;
-          "recoveries", I e.V.Crash.recoveries; "ms", F e.V.Crash.millis ])
+    (fun (e : V.Edges.row) ->
+      let n = V.Edges.count e in
+      row "crash-edge" ~params:[ "edge", S e.V.Edges.name ]
+        [ "schedules", I (n "schedules"); "crash_points", I (n "crash_points");
+          "recoveries", I (n "recoveries"); "ms", F e.V.Edges.millis ])
     r1.V.Crash.edges
   @ row "crash-edge" ~params:[ "jobs", S "1,4" ]
       [ "reports_identical_jobs_1_4", B (canonical r1 = canonical r4) ]

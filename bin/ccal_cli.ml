@@ -326,6 +326,31 @@ let write_report report_file pp report =
     close_out oc;
     Format.printf "canonical report written to %s@." path
 
+(* The one result printer of the edge-list subcommands (stack, kv,
+   crash): the report on stdout, the frontier when the budget ran out,
+   the canonical report to [--report], and the exit code. *)
+let print_edges ~report_file layout ~rows ~frontier ~failed outcome =
+  let module V = Ccal_verify in
+  let print r =
+    Format.printf "%a" (V.Edges.pp ~millis:true layout) (rows r);
+    (* a footer line is left open for the caller *)
+    if layout.V.Edges.title = None then Format.printf "@."
+  in
+  let report r = write_report report_file (V.Edges.pp ~millis:false layout) (rows r) in
+  match outcome with
+  | V.Budget.Complete (Ok r) ->
+    print r;
+    report r;
+    0
+  | V.Budget.Exhausted { spent; partial = Ok r } ->
+    print r;
+    Format.printf "budget exhausted (%a) %s@." V.Budget.pp_spent spent (frontier r);
+    report r;
+    0
+  | V.Budget.Complete (Error e) | V.Budget.Exhausted { partial = Error e; _ } ->
+    failed e;
+    1
+
 (* ---------------- stack ---------------- *)
 
 let stack_cmd =
@@ -334,26 +359,13 @@ let stack_cmd =
     @@ fun c ctx ->
     let lock = match lock with "mcs" -> `Mcs | _ -> `Ticket in
     let module V = Ccal_verify in
-    let report r = write_report report_file V.Stack.pp_report_canonical r in
-    match
-      V.Stack.verify_all_ctx ~ctx ~lock ~seeds ?strategy:c.strategy
-        ~adversarial:livelock ()
-    with
-    | V.Budget.Complete (Ok progress) ->
-      Format.printf "%a@." V.Stack.pp_report progress.V.Stack.completed;
-      report progress.V.Stack.completed;
-      0
-    | V.Budget.Exhausted { spent; partial = Ok progress } ->
-      Format.printf "%a@." V.Stack.pp_report progress.V.Stack.completed;
-      Format.printf "budget exhausted (%a) before edge %S@."
-        V.Budget.pp_spent spent
-        (Option.value progress.V.Stack.next_edge ~default:"?");
-      report progress.V.Stack.completed;
-      0
-    | V.Budget.Complete (Error msg)
-    | V.Budget.Exhausted { partial = Error msg; _ } ->
-      Format.eprintf "stack verification failed: %s@." msg;
-      1
+    print_edges ~report_file V.Stack.layout
+      ~rows:(fun p -> p.V.Stack.completed.V.Stack.edges)
+      ~frontier:(fun p ->
+        Printf.sprintf "before edge %S" (Option.value p.V.Stack.next_edge ~default:"?"))
+      ~failed:(Format.eprintf "stack verification failed: %s@.")
+      (V.Stack.verify_all_ctx ~ctx ~lock ~seeds ?strategy:c.strategy
+         ~adversarial:livelock ())
   in
   let lock =
     Arg.(value & opt string "ticket"
@@ -387,25 +399,12 @@ let kv_cmd =
         [ resolve_count "--threads" threads; resolve_count "--shards" shards;
           resolve_count "--entries" entries ]
     @@ fun _c ctx ->
-    let module V = Ccal_verify in
     let module K = Ccal_kv.Kv_stack in
-    let report r = write_report report_file K.pp_report_canonical r in
-    match K.verify_ctx ~ctx ~threads ~shards ~entries () with
-    | V.Budget.Complete (Ok r) ->
-      Format.printf "%a" K.pp_report r;
-      report r;
-      0
-    | V.Budget.Exhausted { spent; partial = Ok r } ->
-      Format.printf "%a" K.pp_report r;
-      Format.printf "budget exhausted (%a) after %d of 3 edges@."
-        V.Budget.pp_spent spent
-        (List.length r.K.edges);
-      report r;
-      0
-    | V.Budget.Complete (Error msg)
-    | V.Budget.Exhausted { partial = Error msg; _ } ->
-      Format.eprintf "kv verification failed: %s@." msg;
-      1
+    print_edges ~report_file K.layout
+      ~rows:(fun r -> r.K.edges)
+      ~frontier:(fun r -> Printf.sprintf "after %d of 3 edges" (List.length r.K.edges))
+      ~failed:(Format.eprintf "kv verification failed: %s@.")
+      (K.verify_ctx ~ctx ~threads ~shards ~entries ())
   in
   let threads =
     Arg.(value & opt int 3
@@ -881,25 +880,14 @@ let crash_cmd =
     | Error msg ->
       Format.eprintf "%s@." msg;
       2
-    | Ok edges -> (
-      let report r = write_report report_file V.Crash.pp_report_canonical r in
-      match V.Crash.check_ctx ~ctx ~crashes edges with
-      | V.Budget.Complete (Ok r) ->
-        Format.printf "%a" V.Crash.pp_report r;
-        report r;
-        0
-      | V.Budget.Exhausted { spent; partial = Ok r } ->
-        Format.printf "%a" V.Crash.pp_report r;
-        Format.printf "budget exhausted (%a) after %d of %d edges@."
-          V.Budget.pp_spent spent
-          (List.length r.V.Crash.edges)
-          (List.length edges);
-        report r;
-        0
-      | V.Budget.Complete (Error f)
-      | V.Budget.Exhausted { partial = Error f; _ } ->
-        Format.eprintf "%a@." V.Crash.pp_failure f;
-        1)
+    | Ok edges ->
+      print_edges ~report_file V.Crash.layout
+        ~rows:(fun r -> r.V.Crash.edges)
+        ~frontier:(fun r ->
+          Printf.sprintf "after %d of %d edges" (List.length r.V.Crash.edges)
+            (List.length edges))
+        ~failed:(Format.eprintf "%a@." V.Crash.pp_failure)
+        (V.Crash.check_ctx ~ctx ~crashes edges)
   in
   let edge_name =
     Arg.(value & pos 0 string "all"

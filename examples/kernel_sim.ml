@@ -28,8 +28,9 @@ let () =
           ~lock:`Ticket ~seeds:4 ())
    with
   | Ok p ->
-    Format.printf "%a@.@." Ccal_verify.Stack.pp_report
-      p.Ccal_verify.Stack.completed
+    Format.printf "%a@.@."
+      (Ccal_verify.Edges.pp ~millis:true Ccal_verify.Stack.layout)
+      p.Ccal_verify.Stack.completed.Ccal_verify.Stack.edges
   | Error msg ->
     Format.printf "STACK VERIFICATION FAILED: %s@." msg;
     exit 1);

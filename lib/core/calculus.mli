@@ -23,6 +23,9 @@ type judgment = {
 
 type rule_name = Empty | Fun | Vcomp | Hcomp | Wk | Pcomp
 
+val rule_to_string : rule_name -> string
+(** The rule's name as the paper writes it, e.g. ["Vcomp"]. *)
+
 type cert = {
   judgment : judgment;
   rule : rule_name;

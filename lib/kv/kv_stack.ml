@@ -2,41 +2,18 @@ open Ccal_core
 open Ccal_objects
 open Ccal_verify
 
-type edge = {
-  edge_name : string;
-  checks : int;
-  distinct_logs : int;
-  millis : float;
-}
-
-type report = {
-  edges : edge list;
+type report = Edges.report = {
+  edges : Edges.row list;
   total_checks : int;
   total_millis : float;
 }
 
-let report_of edges =
-  {
-    edges;
-    total_checks = List.fold_left (fun n e -> n + e.checks) 0 edges;
-    total_millis = List.fold_left (fun m e -> m +. e.millis) 0. edges;
-  }
-
-let pp_edge ~millis ppf e =
-  Format.fprintf ppf "  %-68s ok  %5d schedules  %3d logs" e.edge_name e.checks
-    e.distinct_logs;
-  if millis then Format.fprintf ppf "  %8.1f ms" e.millis;
-  Format.pp_print_newline ppf ()
-
-let pp_report_gen ~millis ppf r =
-  Format.fprintf ppf "kv stack: %d edges, %d checks" (List.length r.edges)
-    r.total_checks;
-  if millis then Format.fprintf ppf ", %.1f ms" r.total_millis;
-  Format.pp_print_newline ppf ();
-  List.iter (pp_edge ~millis ppf) r.edges
-
-let pp_report ppf r = pp_report_gen ~millis:true ppf r
-let pp_report_canonical ppf r = pp_report_gen ~millis:false ppf r
+let layout =
+  { Edges.title = Some "kv stack"; total = "checks"; label_width = None;
+    name_width = 68; after_name = " ok  "; millis_width = 8;
+    columns =
+      [ { count = "checks"; width = 5; unit = "schedules" };
+        { count = "logs"; width = 3; unit = "logs" } ] }
 
 (* ---- client workloads (programs over the overlay interface) ---- *)
 
@@ -156,32 +133,28 @@ let verify_ctx ~ctx ?(threads = 3) ?(shards = 2) ?(entries = 2) () =
   Ctx.arm ctx @@ fun () ->
   let edge s =
     let run () =
-      let outcome, millis =
-        Verify_clock.timed (fun () ->
-            Linearizability.check_ctx ~ctx ~underlay:s.underlay ~impl:s.impl
-              ~overlay:s.overlay ~rel:s.rel ~client:s.client ~tids:s.tids ())
-      in
-      match Edges.value outcome with
+      match
+        Edges.value
+          (Linearizability.check_ctx ~ctx ~underlay:s.underlay ~impl:s.impl
+             ~overlay:s.overlay ~rel:s.rel ~client:s.client ~tids:s.tids ())
+      with
       | Ok (r : Linearizability.report) ->
         Ok
-          {
-            edge_name = s.name;
-            checks = r.Linearizability.runs;
-            distinct_logs = r.Linearizability.distinct_logs;
-            millis;
-          }
+          ( "Refine",
+            [ "checks", r.Linearizability.runs;
+              "logs", r.Linearizability.distinct_logs ] )
       | Error f -> Error (Format.asprintf "%s: %a" s.name Refinement.pp_failure f)
     in
     {
       Edges.name = s.name;
       key = Some (fun () -> spec_fingerprint ~strategy:ctx.Ctx.strategy s);
+      setup = ignore;
       run;
     }
   in
   Budget.map
-    (Result.map (fun p -> report_of p.Edges.completed))
-    (Edges.run ~ctx ~kind:"kvedge"
-       ~with_millis:(fun e millis -> { e with millis })
+    (Result.map (fun p -> p.Edges.completed))
+    (Edges.run ~ctx ~kind:"kvedge" ~layout
        (List.map edge (edge_specs ~threads ~shards ~entries)))
 
 (* ---- whole-machine games ---- *)

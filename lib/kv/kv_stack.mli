@@ -12,30 +12,26 @@
     Every edge is checked as contextual refinement
     ({!Ccal_verify.Linearizability.check_ctx}), so linearizability,
     budgets, certificate caching, fault plans, telemetry and [?jobs] all
-    apply for free; verdicts are bit-identical across jobs counts. *)
+    apply for free; verdicts are bit-identical across jobs counts.  The
+    edges run through {!Ccal_verify.Edges.run}, so each completed edge is
+    one {!Ccal_verify.Edges.row}, timed and printed by [Edges]. *)
 
 open Ccal_core
 open Ccal_verify
 
-type edge = {
-  edge_name : string;
-  checks : int;  (** schedules discharged (jobs-independent) *)
-  distinct_logs : int;
-  millis : float;
-}
-
-type report = {
-  edges : edge list;
-  total_checks : int;
+type report = Edges.report = {
+  edges : Edges.row list;
+  total_checks : int;  (** the sum of the rows' ["checks"] *)
   total_millis : float;
 }
 
-val pp_report : Format.formatter -> report -> unit
-
-val pp_report_canonical : Format.formatter -> report -> unit
-(** Verdict-stable projection (no timing fields) — bit-identical between
-    cold and warm cached runs and across jobs counts; the [make check-kv]
-    gate compares it byte for byte. *)
+val layout : Edges.layout
+(** The kv report's columns, for {!Edges.pp}: a title line with the
+    totals, then one row per edge with its ["checks"] (the schedules
+    discharged) and ["logs"] (distinct logs) counts.  The canonical text
+    ([~millis:false]) is bit-identical between cold and warm cached runs
+    and across jobs counts; the [make check-kv] gate compares it byte
+    for byte. *)
 
 val fingerprints :
   ?threads:int -> ?shards:int -> ?entries:int ->
@@ -54,7 +50,7 @@ val verify_ctx :
     count, [shards] (default 2) the hash-table bucket count, [entries]
     (default 2) the cache capacity.  The edges run through
     {!Ccal_verify.Edges.run}.  Scheduler suites derive from
-    [ctx.strategy] per edge game; [ctx.cache] memoizes whole edges under
+    [ctx.strategy] per edge game; [ctx.cache] memoizes whole rows under
     the ["kvedge"] kind (a hit's [millis] is the lookup time; failures
     and exhausted edges always re-run live), and only whole edges: the
     DPOR walks and refinement scans inside an edge always run live;

@@ -1,6 +1,9 @@
 open Ccal_core
 
-let format_version = 1
+(* Bumped whenever a cached payload's type changes, since [find]
+   unmarshals it unchecked: version 2 stores one [Edges.row] for every
+   kind. *)
+let format_version = 2
 let magic = Printf.sprintf "CCAL-CACHE:%d:%d\n" format_version Fingerprint.version
 
 (* Mirrored into telemetry so --stats/--trace runs see cache behaviour;

@@ -24,7 +24,7 @@ open Ccal_core
    this module depending on it.  Everything runs through {!Ctx}: the
    schedule scan is {!Parallel.games} (verdicts identical for
    every jobs count, lowest-index failure wins), budgets and faults
-   apply unchanged, and successful edge reports memoize under the
+   apply unchanged, and successful edge rows memoize under the
    ["crash"] cache kind. *)
 
 type op = { lsn : int; key : int; value : int }
@@ -68,43 +68,20 @@ let pp_failure ppf f =
      (keep=0x%x tear=0x%x): %s"
     f.f_edge f.f_sched f.f_index f.f_keep f.f_tear f.f_reason
 
-type edge_report = {
-  edge_name : string;
-  schedules : int;
-  crash_points : int;
-  recoveries : int;
-  distinct_logs : int;
-  millis : float;
-}
-
 type report = {
-  edges : edge_report list;
+  edges : Edges.row list;
   total_recoveries : int;
   total_millis : float;
 }
 
-let report_of edges =
-  {
-    edges;
-    total_recoveries = List.fold_left (fun n e -> n + e.recoveries) 0 edges;
-    total_millis = List.fold_left (fun m e -> m +. e.millis) 0. edges;
-  }
-
-let pp_edge ~millis ppf e =
-  Format.fprintf ppf "  %-44s ok  %4d schedules  %5d crash points  %6d recoveries  %3d logs"
-    e.edge_name e.schedules e.crash_points e.recoveries e.distinct_logs;
-  if millis then Format.fprintf ppf "  %8.1f ms" e.millis;
-  Format.pp_print_newline ppf ()
-
-let pp_report_gen ~millis ppf r =
-  Format.fprintf ppf "crash refinement: %d edges, %d recoveries"
-    (List.length r.edges) r.total_recoveries;
-  if millis then Format.fprintf ppf ", %.1f ms" r.total_millis;
-  Format.pp_print_newline ppf ();
-  List.iter (pp_edge ~millis ppf) r.edges
-
-let pp_report ppf r = pp_report_gen ~millis:true ppf r
-let pp_report_canonical ppf r = pp_report_gen ~millis:false ppf r
+let layout =
+  { Edges.title = Some "crash refinement"; total = "recoveries"; label_width = None;
+    name_width = 44; after_name = " ok  "; millis_width = 8;
+    columns =
+      [ { count = "schedules"; width = 4; unit = "schedules" };
+        { count = "crash_points"; width = 5; unit = "crash points" };
+        { count = "recoveries"; width = 6; unit = "recoveries" };
+        { count = "logs"; width = 3; unit = "logs" } ] }
 
 (* ---- mask enumeration ----
 
@@ -243,14 +220,9 @@ let check_edge_live ~ctx ~bound edge scheds =
       let distinct_logs = List.length (Log.dedup (List.rev logs)) in
       Probe.add Probe.logs_distinct distinct_logs;
       Ok
-        {
-          edge_name = edge.name;
-          schedules;
-          crash_points = points;
-          recoveries;
-          distinct_logs;
-          millis = 0.;
-        }
+        ( "Crash",
+          [ "schedules", schedules; "crash_points", points;
+            "recoveries", recoveries; "logs", distinct_logs ] )
     | { so_failure = Some f; _ } :: _ -> Error f
     | so :: rest ->
       go (schedules + 1) (points + so.so_points) (recoveries + so.so_recoveries)
@@ -284,23 +256,18 @@ let check_ctx ~ctx ?(crashes = 4) edges =
   let edge e =
     (* The suite is a DPOR walk: derived at most once, by the key or the
        scan, whichever needs it first, and only for an edge the loop
-       reaches.  It is built outside the edge's timed window. *)
+       reaches.  It is built in [setup], outside the edge's timed
+       window. *)
     let scheds = lazy (Explore.scheds_of_strategy_ctx ~ctx e.layer e.threads) in
-    let run () =
-      let scheds = Lazy.force scheds in
-      let r, millis =
-        Verify_clock.timed (fun () -> check_edge_live ~ctx ~bound:crashes e scheds)
-      in
-      Result.map (fun er -> { er with millis }) r
-    in
     {
       Edges.name = e.name;
       key = Some (fun () -> edge_key ~ctx ~bound:crashes e (Lazy.force scheds));
-      run;
+      setup = (fun () -> ignore (Lazy.force scheds));
+      run = (fun () -> check_edge_live ~ctx ~bound:crashes e (Lazy.force scheds));
     }
   in
   Budget.map
-    (Result.map (fun p -> report_of p.Edges.completed))
-    (Edges.run ~ctx ~kind:"crash"
-       ~with_millis:(fun e millis -> { e with millis })
-       (List.map edge edges))
+    (Result.map (fun { Edges.completed = r; _ } ->
+         { edges = r.Edges.edges; total_recoveries = r.Edges.total_checks;
+           total_millis = r.Edges.total_millis }))
+    (Edges.run ~ctx ~kind:"crash" ~layout (List.map edge edges))

@@ -8,7 +8,9 @@
     pre-crash history: no invented ops, and no operation acknowledged by
     a completed [sync] lost.  The checker is generic — edges carry the
     store encoding in closures — so object libraries above the verify
-    stack can define edges without a dependency cycle. *)
+    stack can define edges without a dependency cycle.  The edges run
+    through {!Edges.run}, so each certified edge is one {!Edges.row},
+    timed and printed by {!Edges}. *)
 
 open Ccal_core
 
@@ -55,26 +57,19 @@ type failure = {
 
 val pp_failure : Format.formatter -> failure -> unit
 
-type edge_report = {
-  edge_name : string;
-  schedules : int;
-  crash_points : int;
-  recoveries : int;
-  distinct_logs : int;
-  millis : float;
-}
-
 type report = {
-  edges : edge_report list;
-  total_recoveries : int;
+  edges : Edges.row list;
+  total_recoveries : int;  (** the sum of the rows' ["recoveries"] *)
   total_millis : float;
 }
 
-val pp_report : Format.formatter -> report -> unit
-
-val pp_report_canonical : Format.formatter -> report -> unit
-(** Timing-free: bit-identical across jobs counts, cache temperatures
-    and fault plans — what [--report] writes. *)
+val layout : Edges.layout
+(** The crash report's columns, for {!Edges.pp}: a title line with the
+    total recoveries, then one row per edge with its ["schedules"],
+    ["crash_points"], ["recoveries"] and ["logs"] (distinct logs)
+    counts.  The canonical text ([~millis:false]) is bit-identical
+    across jobs counts, cache temperatures and fault plans — what
+    [--report] writes. *)
 
 val masks : bound:int -> int -> (int * int) list
 (** [masks ~bound m]: the (keep, tear) pairs enumerated over [m]
@@ -107,6 +102,7 @@ val check_ctx :
     lists the edges that completed, never one only partly checked.  An
     edge's suite is derived lazily, once, for its key and its scan, so
     no walk runs for an edge the loop never reaches; a warm hit still
-    walks the suite live, because its key folds it.  Successful edge
-    reports memoize under the ["crash"] cache kind (a hit's [millis] is
-    the lookup time); failures always reproduce live. *)
+    walks the suite live, because its key folds it; the suite is derived
+    in the edge's [setup], outside its timed window.  Successful rows
+    memoize under the ["crash"] cache kind (a hit's [millis] is the
+    lookup time); failures always reproduce live. *)

@@ -1,75 +1,18 @@
 open Ccal_core
 open Ccal_objects
 
-type edge = {
-  edge_name : string;
-  kind : [ `Cert of Calculus.rule_name | `Linking | `Soundness | `Adversarial ];
-  checks : int;
-  millis : float;
-  counters : (string * int) list;
-      (* this edge's telemetry counter growth; [] when telemetry is off *)
-}
-
-type report = {
-  edges : edge list;
+type report = Edges.report = {
+  edges : Edges.row list;
   total_checks : int;
   total_millis : float;
 }
 
-type progress = { completed : report; next_edge : string option }
+type progress = Edges.progress = { completed : report; next_edge : string option }
 
-let kind_label = function
-  | `Cert rule ->
-    (match rule with
-    | Calculus.Empty -> "Empty"
-    | Calculus.Fun -> "Fun"
-    | Calculus.Vcomp -> "Vcomp"
-    | Calculus.Hcomp -> "Hcomp"
-    | Calculus.Wk -> "Wk"
-    | Calculus.Pcomp -> "Pcomp")
-  | `Linking -> "Link"
-  | `Soundness -> "Sound"
-  | `Adversarial -> "Adv"
-
-let pp_counters fmt counters =
-  if counters <> [] then
-    Format.fprintf fmt "          %s@."
-      (String.concat ", "
-         (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) counters))
-
-let pp_report fmt r =
-  Format.fprintf fmt "@[<v>";
-  List.iter
-    (fun e ->
-      Format.fprintf fmt "  [%-5s] %-55s %4d checks  %6.1f ms@."
-        (kind_label e.kind) e.edge_name e.checks e.millis;
-      pp_counters fmt e.counters)
-    r.edges;
-  Format.fprintf fmt "  total: %d checks in %.1f ms@]" r.total_checks r.total_millis
-
-(* The verdict-stable projection of the report: everything except the
-   timing fields.  This is the "bit-identical" contract of the
-   certificate cache — a warm run prints exactly this text, byte for
-   byte, for every jobs count (DESIGN "Certificate cache"), so the CI
-   cache leg can [cmp] cold and warm runs. *)
-let pp_report_canonical fmt r =
-  Format.fprintf fmt "@[<v>";
-  List.iter
-    (fun e ->
-      Format.fprintf fmt "  [%-5s] %-55s %4d checks@." (kind_label e.kind)
-        e.edge_name e.checks;
-      pp_counters fmt e.counters)
-    r.edges;
-  Format.fprintf fmt "  total: %d checks@]" r.total_checks
-
-(* Like [Verify_clock.timed], but also the edge's telemetry counter
-   growth — [Probe.counters] snapshots are cheap (a handful of atomics)
-   and empty when telemetry is off, so this adds nothing to the
-   uninstrumented path. *)
-let timed f =
-  let before = Probe.counters () in
-  let r, ms = Verify_clock.timed f in
-  (r, ms, Probe.diff_counters before (Probe.counters ()))
+let layout =
+  { Edges.title = None; total = "checks"; label_width = Some 5; name_width = 55;
+    after_name = " "; columns = [ { count = "checks"; width = 4; unit = "checks" } ];
+    millis_width = 6 }
 
 let vi = Value.int
 
@@ -166,19 +109,15 @@ let ipc_fns =
     Condvar.cv_broadcast_fn ]
 
 (* ------------------------------------------------------------------ *)
-(* Edge bodies: a verdict is an edge [kind] and its [checks]. *)
+(* Edge bodies: a verdict is an edge's kind label and its checks. *)
 
 let cert_error r = Result.map_error (Format.asprintf "%a" Calculus.pp_error) r
+let checks label n = label, [ "checks", n ]
 
-let cert_checks (c : Calculus.cert) = `Cert c.Calculus.rule, Calculus.count_checks c
+let cert_checks (c : Calculus.cert) =
+  checks (Calculus.rule_to_string c.Calculus.rule) (Calculus.count_checks c)
+
 let certified r = Result.map cert_checks (cert_error r)
-
-(* Run a body in the edge's timed window, with its counter growth. *)
-let measured f edge_name () =
-  let r, millis, counters = timed f in
-  Result.map
-    (fun (kind, checks) -> { edge_name; kind; checks; millis; counters })
-    r
 
 let ( let* ) = Result.bind
 
@@ -196,7 +135,7 @@ let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
   (* The memory mode is part of EVERY edge key — even the edges whose
      underlay is already an atomic interface — so a verdict computed
      under SC is never served for a TSO query (or vice versa). *)
-  let edge ?key name run =
+  let edge ?key ?(setup = ignore) name run =
     let base () =
       Fingerprint.memory
         (Fingerprint.string (Fingerprint.string Fingerprint.empty "stack-edge") name)
@@ -205,7 +144,8 @@ let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
     {
       Edges.name;
       key = Option.map (fun fold () -> Fingerprint.finish (fold (base ()))) key;
-      run = run name;
+      setup;
+      run;
     }
   in
   let suite st =
@@ -229,7 +169,7 @@ let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
      edge unfinished. *)
   let linking ?log_switches layer threads judge =
     let rec count n = function
-      | [] -> Ok (`Linking, n)
+      | [] -> Ok (checks "Link" n)
       | Ok () :: rest -> count (n + 1) rest
       | Error e :: _ -> Error e
     in
@@ -244,7 +184,7 @@ let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
       List.map (fun i -> i, Prog.Module.link j.Calculus.impl (client i)) j.Calculus.focus
     in
     Result.map
-      (fun r -> `Soundness, r.Refinement.scheds_checked)
+      (fun r -> checks "Sound" r.Refinement.scheds_checked)
       (Result.map_error (Format.asprintf "%a" Refinement.pp_failure)
          (Edges.value
             (Linearizability.refine_cert_ctx ~ctx cert ~client
@@ -274,70 +214,69 @@ let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
     (* 1. multicore linking over the hardware machine of the mode *)
     edge "Mx86 refines Lx86[D] (Thm 3.1)"
       ~key:(fun st -> suite (fp_threads (Fingerprint.layer st (machine ())) faa_threads))
-      (measured (fun () ->
-           let layer = machine () in
-           linking ~log_switches:true layer faa_threads
-             (Ccal_machine.Mx86.judge_linking layer faa_threads)));
+      (fun () ->
+        let layer = machine () in
+        linking ~log_switches:true layer faa_threads
+          (Ccal_machine.Mx86.judge_linking layer faa_threads));
     (* 2. spinlock certificate *)
     edge
       (Printf.sprintf "L0 |- M_%s : Llock (Fun)" lk.lock_name)
       ~key:lock_key
-      (measured (fun () -> certified (lock_certify [ 1; 2 ])));
+      (fun () -> certified (lock_certify [ 1; 2 ]));
     (* 3. parallel composition of per-thread lock certificates, over the
        compat corpus of logs from contention games *)
     edge "Llock[1] x Llock[2] => Llock[{1,2}] (Pcomp)"
       ~key:(fun st -> suite (fp_threads (lock_key st) (lock_threads ())))
-      (measured (fun () ->
-           let* c1 = cert_error (lock_certify [ 1 ]) in
-           let* c2 = cert_error (lock_certify [ 2 ]) in
-           let layer = lock_l0 () and threads = lock_threads () in
-           let outcomes =
-             Edges.value
-               (Explore.run_all_ctx ~ctx layer threads (scheds_for layer threads))
-           in
-           certified
-             (Calculus.pcomp c1 c2
-                ~compat_logs:(List.map (fun o -> o.Game.log) outcomes))));
+      (fun () ->
+        let* c1 = cert_error (lock_certify [ 1 ]) in
+        let* c2 = cert_error (lock_certify [ 2 ]) in
+        let layer = lock_l0 () and threads = lock_threads () in
+        let outcomes =
+          Edges.value
+            (Explore.run_all_ctx ~ctx layer threads (scheds_for layer threads))
+        in
+        certified
+          (Calculus.pcomp c1 c2
+             ~compat_logs:(List.map (fun o -> o.Game.log) outcomes)));
     (* 4. shared queue over the lock: vertical composition *)
     edge "L0 |- M_lock + M_q : Lq_high (Vcomp, Fig. 5)" ~key:queue_key
-      (measured (fun () ->
-           Result.map cert_checks (Lazy.force stack_cert)));
-    (* 5. queue soundness game; the timing and counters cover the game
-       only *)
+      (fun () -> Result.map cert_checks (Lazy.force stack_cert));
+    (* 5. queue soundness game; the certificate is built in [setup], so
+       the timing and counters cover the game only *)
     edge "[[P + M]]_L0 refines [[P]]_Lq_high (Thm 2.2)"
       ~key:(fun st ->
         suite (fp_threads (queue_key st) [ 1, queue_client 1; 2, queue_client 2 ]))
-      (fun name () ->
+      ~setup:(fun () -> ignore (Lazy.force stack_cert))
+      (fun () ->
         let* cert = Lazy.force stack_cert in
-        measured (fun () -> soundness cert queue_client) name ());
+        soundness cert queue_client);
     (* 6. multithreaded linking over the scheduler *)
     edge "Lbtd[c] = Lhtd[c][Tc] (Thm 5.1)"
       ~key:(fun st ->
         suite (fp_threads (Fingerprint.layer (fp_placement st mt_placement) (mt_layer ())) mt_threads))
-      (measured (fun () ->
-           let layer = mt_layer () in
-           linking layer mt_threads
-             (Thread_sched.judge_linking ~placement:mt_placement layer
-                mt_threads)));
+      (fun () ->
+        let layer = mt_layer () in
+        linking layer mt_threads
+          (Thread_sched.judge_linking ~placement:mt_placement layer mt_threads));
     (* 7. queuing lock *)
     edge "Lmt(Llock) |- M_qlock : Lqlock (Fun, Fig. 11)"
       ~key:(fun st ->
         Fingerprint.layer (fp_fns st [ Qlock.acq_q_fn; Qlock.rel_q_fn ]) (Qlock.overlay ()))
-      (measured (fun () -> certified (Object_intf.certify Qlock.recipe ())));
+      (fun () -> certified (Object_intf.certify Qlock.recipe ()));
     (* 8. IPC channel over condition variables *)
     edge "Lmt(spin+cv) |- M_ipc : Lipc (Fun)" ~key:ipc_key
-      (measured (fun () -> certified (Object_intf.certify Ipc.recipe ())));
+      (fun () -> certified (Object_intf.certify Ipc.recipe ()));
     (* 9. IPC producer/consumer soundness including the blocking paths *)
     edge "[[producer|consumer]] refines Lipc (blocking paths)"
       ~key:(fun st ->
         suite
           (fp_threads (fp_placement (ipc_key st) ipc_placement)
              [ 1, ipc_client 1; 2, ipc_client 2 ]))
-      (measured (fun () ->
-           let* cert =
-             cert_error (Object_intf.certify Ipc.recipe ~placement:ipc_placement ())
-           in
-           soundness cert ipc_client));
+      (fun () ->
+        let* cert =
+          cert_error (Object_intf.certify Ipc.recipe ~placement:ipc_placement ())
+        in
+        soundness cert ipc_client);
     (* 10. reader-writer lock: a synchronization library added on top of
        the existing lock layer without touching it *)
     edge "Llock |- M_rwlock : Lrwlock (Fun, extension)"
@@ -345,7 +284,7 @@ let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
         Fingerprint.layer
           (fp_fns st [ Rwlock.acq_r_fn; Rwlock.rel_r_fn; Rwlock.acq_w_fn; Rwlock.rel_w_fn ])
           (Rwlock.overlay ()))
-      (measured (fun () -> certified (Object_intf.certify Rwlock.recipe ())));
+      (fun () -> certified (Object_intf.certify Rwlock.recipe ()));
   ]
   @
   if not adversarial then []
@@ -362,30 +301,30 @@ let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
          game burns its fuel in milliseconds (S32), so the suite is 3^7
          games, and only their statuses are kept. *)
       edge adversarial_edge_name
-        (measured (fun () ->
-             let layer = Rwlock.underlay () in
-             let spin acq rel =
-               Prog.Module.link (Rwlock.c_module ())
-                 (Prog.seq (Prog.call acq [ vi 4 ]) (Prog.call rel [ vi 4 ]))
-             in
-             let reader = spin "acq_r" "rel_r" in
-             let threads = [ 1, reader; 2, reader; 3, spin "acq_w" "rel_w" ] in
-             let statuses =
-               Edges.value
-                 (Parallel.games ~ctx ~max_steps:200_000 layer threads
-                    (fun _ o -> o.Game.status)
-                    (Explore.exhaustive_scheds ~tids:[ 1; 2; 3 ] ~depth:7))
-             in
-             match
-               List.find_opt
-                 (function Game.Stuck _ | Game.Deadlock _ -> true | _ -> false)
-                 statuses
-             with
-             | Some status ->
-               Error
-                 (Format.asprintf "adversarial rwlock game failed: %a" Game.pp_status
-                    status)
-             | None -> Ok (`Adversarial, List.length statuses)));
+        (fun () ->
+          let layer = Rwlock.underlay () in
+          let spin acq rel =
+            Prog.Module.link (Rwlock.c_module ())
+              (Prog.seq (Prog.call acq [ vi 4 ]) (Prog.call rel [ vi 4 ]))
+          in
+          let reader = spin "acq_r" "rel_r" in
+          let threads = [ 1, reader; 2, reader; 3, spin "acq_w" "rel_w" ] in
+          let statuses =
+            Edges.value
+              (Parallel.games ~ctx ~max_steps:200_000 layer threads
+                 (fun _ o -> o.Game.status)
+                 (Explore.exhaustive_scheds ~tids:[ 1; 2; 3 ] ~depth:7))
+          in
+          match
+            List.find_opt
+              (function Game.Stuck _ | Game.Deadlock _ -> true | _ -> false)
+              statuses
+          with
+          | Some status ->
+            Error
+              (Format.asprintf "adversarial rwlock game failed: %a" Game.pp_status
+                 status)
+          | None -> Ok (checks "Adv" (List.length statuses)));
     ]
 
 let edge_fingerprints ?(lock = `Ticket) ?(seeds = 4) ?strategy
@@ -396,19 +335,7 @@ let edge_fingerprints ?(lock = `Ticket) ?(seeds = 4) ?strategy
        ~ctx:(Ctx.with_memory memory Ctx.default)
        ~lock ~seeds ~strategy ~adversarial:false)
 
-let report_of edges =
-  {
-    edges;
-    total_checks = List.fold_left (fun n e -> n + e.checks) 0 edges;
-    total_millis = List.fold_left (fun t e -> t +. e.millis) 0. edges;
-  }
-
 let verify_all_ctx ~ctx ?(lock = `Ticket) ?(seeds = 4) ?strategy
     ?(adversarial = false) () =
   Ctx.arm ctx @@ fun () ->
-  Budget.map
-    (Result.map (fun { Edges.completed; next_edge } ->
-         { completed = report_of completed; next_edge }))
-    (Edges.run ~ctx ~kind:"edge"
-       ~with_millis:(fun e millis -> { e with millis })
-       (edges ~ctx ~lock ~seeds ~strategy ~adversarial))
+  Edges.run ~ctx ~kind:"edge" ~layout (edges ~ctx ~lock ~seeds ~strategy ~adversarial)

@@ -6,40 +6,31 @@
     (queuing lock, condition variables, IPC).  This module certifies every
     edge of that stack with the layer calculus and checks the two linking
     theorems, returning a machine-readable report — the reproduction of
-    Figure 1 plus the verification pipeline of Figure 5. *)
+    Figure 1 plus the verification pipeline of Figure 5.  The edges run
+    through {!Edges.run}, so each completed edge is one {!Edges.row}
+    (counted under ["checks"]), timed and printed by {!Edges}. *)
 
 open Ccal_core
 
-type edge = {
-  edge_name : string;  (** e.g. ["L0 |- M_ticket : Llock"] *)
-  kind :
-    [ `Cert of Calculus.rule_name | `Linking | `Soundness | `Adversarial ];
-  checks : int;  (** evidence entries / schedules discharged *)
-  millis : float;
-  counters : (string * int) list;
-      (** this edge's telemetry counter growth ({!Telemetry.diff_counters}
-          over the edge's body); [[]] when telemetry is off.  Like
-          [checks], identical for every [jobs] count. *)
-}
-
-type report = {
-  edges : edge list;
-  total_checks : int;
+type report = Edges.report = {
+  edges : Edges.row list;
+  total_checks : int;  (** the sum of the rows' ["checks"] *)
   total_millis : float;
 }
 
-type progress = { completed : report; next_edge : string option }
+type progress = Edges.progress = { completed : report; next_edge : string option }
 (** How far a stack verification under a budget got: the report over
     the completed edges, and — when the budget ran out — the first edge
     that did not complete. *)
 
-val pp_report : Format.formatter -> report -> unit
-
-val pp_report_canonical : Format.formatter -> report -> unit
-(** The verdict-stable projection: like {!pp_report} but without the
-    timing fields.  This text is bit-identical between a cold and a warm
-    cached run, and across every [jobs] count — the CI cache leg and the
-    cache tests compare it byte for byte. *)
+val layout : Edges.layout
+(** The stack's report columns, for {!Edges.pp}: each row is
+    [[label] name  N checks], the label being the calculus rule of a
+    certificate edge ([Fun], [Vcomp], [Pcomp], ...), [Link], [Sound] or
+    [Adv]; a footer line gives the total.  The canonical text
+    ([~millis:false]) is bit-identical between a cold and a warm cached
+    run, and across every [jobs] count — the CI cache leg and the cache
+    tests compare it byte for byte. *)
 
 val edge_fingerprints :
   ?lock:[ `Ticket | `Mcs ] ->
@@ -49,7 +40,7 @@ val edge_fingerprints :
   unit ->
   (string * Fingerprint.t) list
 (** The cache key of every edge {!verify_all_ctx} would check, in order,
-    keyed by [edge_name] — read off the same edge list the check runs,
+    keyed by edge name — read off the same edge list the check runs,
     so a key and its edge body cannot drift apart.  Exposed so tests can
     assert the invalidation contract: changing an input (the lock
     implementation, the seeds, the strategy, the memory mode) must
@@ -106,8 +97,8 @@ val verify_all_ctx :
 
     [ctx.cache] memoizes each edge's verdict on disk under its
     {!edge_fingerprints} key (kind ["edge"]); keys are computed only when
-    a cache is attached.  A hit returns the stored edge (verdict,
-    [checks], [counters]) with the lookup time as [millis] and skips the
+    a cache is attached.  A hit returns the stored row (label, [checks],
+    [counters]) with the lookup time as [millis] and skips the
     edge's game entirely; a miss runs the edge and stores it on success.
     Failing and exhausted edges are never stored, so failures always
     reproduce live.  The edges' inner checkers ({!Explore}, {!Dpor},

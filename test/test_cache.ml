@@ -149,7 +149,7 @@ let test_crash_kind_corrupt_rechecks () =
           V.Crash.check_ctx ~ctx:(V.Ctx.make ~cache ()) [ D.Wal.crash_edge () ]
         with
         | V.Budget.Complete (Ok { V.Crash.edges = [ e ]; _ }) ->
-          { e with V.Crash.millis = 0. }
+          { e with V.Edges.millis = 0. }
         | V.Budget.Complete (Ok _) -> Alcotest.fail "expected one edge report"
         | V.Budget.Complete (Error f) -> Alcotest.failf "%a" V.Crash.pp_failure f
         | V.Budget.Exhausted _ -> Alcotest.fail "unexpected budget exhaustion"
@@ -215,6 +215,26 @@ let test_one_cache_level () =
       ignore
         (V.Crash.check_ctx ~ctx
            [ D.Wal.crash_edge (); D.Durable_kv.crash_edge () ]))
+
+(* A store written by a build one cache format older (its payloads were
+   other record types) must only miss: [Marshal] would read an old
+   payload back unchecked, so such an entry is never even opened — no
+   hit, and no invalidation either. *)
+let test_older_format_never_read () =
+  with_cache (fun c ->
+      ignore (V.Stack.verify_all_ctx ~ctx:(V.Ctx.make ~cache:c ()) ());
+      List.iter
+        (fun f ->
+          let i = String.rindex f 'v' in
+          let v = int_of_string (String.sub f (i + 1) (String.length f - i - 1)) in
+          Sys.rename f (Printf.sprintf "%sv%d" (String.sub f 0 i) (v - 1)))
+        (entry_files c);
+      let old = V.Cache.create ~dir:(V.Cache.dir c) () in
+      ignore (V.Stack.verify_all_ctx ~ctx:(V.Ctx.make ~cache:old ()) ());
+      let s = V.Cache.session_stats old in
+      check_int "no hit on an older format" 0 s.hits;
+      check_int "every edge misses" 10 s.misses;
+      check_int "no older entry opened" 0 s.invalidations)
 
 (* ---- the checkers below an edge run live with a store attached ---- *)
 
@@ -296,7 +316,8 @@ let test_refine_live () =
 
 let canonical_of = function
   | V.Budget.Complete (Ok (p : V.Stack.progress)) ->
-    Format.asprintf "%a" V.Stack.pp_report_canonical p.V.Stack.completed
+    Format.asprintf "%a" (V.Edges.pp ~millis:false V.Stack.layout)
+      p.V.Stack.completed.V.Stack.edges
   | V.Budget.Complete (Error e) -> Alcotest.failf "stack failed: %s" e
   | V.Budget.Exhausted _ -> Alcotest.fail "unlimited budget exhausted"
 
@@ -439,7 +460,7 @@ let test_kv_keys_golden () =
 (* ---- warm stack run: bit-identical report, every jobs count ---- *)
 
 let canonical = function
-  | Ok r -> Format.asprintf "%a" V.Stack.pp_report_canonical r
+  | Ok r -> Format.asprintf "%a" (V.Edges.pp ~millis:false V.Stack.layout) r.V.Stack.edges
   | Error e -> Alcotest.failf "stack failed: %s" e
 
 let test_stack_warm_equals_cold () =
@@ -488,6 +509,7 @@ let suite =
       test_crash_kind_corrupt_rechecks;
     tc "clear empties the store" test_clear;
     tc "a cold run stores whole edges only" test_one_cache_level;
+    tc "an older cache format is never read" test_older_format_never_read;
     tc "race checks run live with a store attached" test_races_live;
     tc "DPOR explores live with a store attached" test_dpor_live;
     tc "run_all runs live with a store attached" test_run_all_live;

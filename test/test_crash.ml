@@ -297,7 +297,7 @@ let test_masks_lattice_and_sample () =
 (* ------------------------------------------------------------------ *)
 
 let canonical = function
-  | Budget.Complete (Ok r) -> Format.asprintf "%a" Crash.pp_report_canonical r
+  | Budget.Complete (Ok r) -> Format.asprintf "%a" (Edges.pp ~millis:false Crash.layout) r.Crash.edges
   | Budget.Complete (Error f) -> Format.asprintf "%a" Crash.pp_failure f
   | Budget.Exhausted _ -> "EXHAUSTED"
 
@@ -308,11 +308,11 @@ let test_certifier_passes () =
   | Budget.Complete (Ok r) ->
     check_int "two edges" 2 (List.length r.Crash.edges);
     List.iter
-      (fun (e : Crash.edge_report) ->
-        check_bool "schedules ran" true (e.Crash.schedules > 0);
-        check_bool "crash points enumerated" true (e.Crash.crash_points > 0);
-        check_bool "recoveries checked" true
-          (e.Crash.recoveries > e.Crash.crash_points))
+      (fun e ->
+        let n = Edges.count e in
+        check_bool "schedules ran" true (n "schedules" > 0);
+        check_bool "crash points enumerated" true (n "crash_points" > 0);
+        check_bool "recoveries checked" true (n "recoveries" > n "crash_points"))
       r.Crash.edges
   | Budget.Complete (Error f) -> Alcotest.failf "%a" Crash.pp_failure f
   | Budget.Exhausted _ -> Alcotest.fail "unexpected budget exhaustion"
@@ -397,7 +397,7 @@ let test_certifier_budget_exhaustion () =
     let ctx = Ctx.make ~budget:(Budget.make ~steps ()) () in
     match Crash.check_ctx ~ctx (edges ()) with
     | Budget.Exhausted { partial = Ok r; _ } ->
-      List.map (fun (e : Crash.edge_report) -> e.Crash.edge_name, e.Crash.schedules)
+      List.map (fun (e : Edges.row) -> e.Edges.name, Edges.count e "schedules")
         r.Crash.edges
     | Budget.Exhausted { partial = Error f; _ } ->
       Alcotest.failf "partial failed: %a" Crash.pp_failure f
@@ -478,11 +478,11 @@ let test_accounting_once_per_point () =
           let e, calls = counted e in
           match Crash.check_ctx ~ctx:(Ctx.make ~jobs ()) [ e ] with
           | Budget.Complete (Ok { Crash.edges = [ r ]; _ }) ->
-            let what = Printf.sprintf "%s jobs %d" r.Crash.edge_name jobs in
+            let what = Printf.sprintf "%s jobs %d" r.Edges.name jobs in
+            let points = Edges.count r "crash_points" in
             Alcotest.(check (list int))
               (what ^ ": inflight, appended, acked per point; recover per mask")
-              [ r.Crash.crash_points; r.Crash.crash_points; r.Crash.crash_points;
-                r.Crash.recoveries ]
+              [ points; points; points; Edges.count r "recoveries" ]
               (calls ())
           | other -> Alcotest.failf "expected one certified edge, got %s" (canonical other))
         [ Wal.crash_edge (); Durable_kv.crash_edge () ])

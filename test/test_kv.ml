@@ -307,7 +307,7 @@ let prop_cache_solo_matches_model =
 (* ------------------------------------------------------------------ *)
 
 let canonical_report = function
-  | Budget.Complete (Ok r) -> Format.asprintf "%a" Kv_stack.pp_report_canonical r
+  | Budget.Complete (Ok r) -> Format.asprintf "%a" (Edges.pp ~millis:false Kv_stack.layout) r.Kv_stack.edges
   | Budget.Complete (Error msg) -> "ERROR: " ^ msg
   | Budget.Exhausted _ -> "EXHAUSTED"
 
@@ -316,7 +316,7 @@ let test_verify_all_edges () =
   | Budget.Complete (Ok r) ->
     check_int "three edges" 3 (List.length r.Kv_stack.edges);
     check_bool "every edge ran schedules" true
-      (List.for_all (fun e -> e.Kv_stack.checks > 0) r.Kv_stack.edges)
+      (List.for_all (fun e -> Edges.count e "checks" > 0) r.Kv_stack.edges)
   | Budget.Complete (Error msg) -> Alcotest.failf "kv stack failed: %s" msg
   | Budget.Exhausted _ -> Alcotest.fail "unexpected budget exhaustion"
 

@@ -22,6 +22,7 @@ let () =
       "cross-cutting-invariants", Test_invariants.suite;
       "telemetry (S25)", Test_telemetry.suite;
       "certificate-cache (S26)", Test_cache.suite;
+      "edge-reports (S26,S27)", Test_reports.suite;
       "robustness (S27)", Test_robust.suite;
       "kv-layer-stack (S28)", Test_kv.suite;
       "memory-model-litmus (S29)", Test_litmus.suite;

@@ -290,7 +290,7 @@ let test_explore_run_all_jobs_invariant () =
 let test_stack_report_jobs_invariant () =
   (* timing fields differ by construction; everything else must not *)
   let strip (r : Stack.report) =
-    List.map (fun (e : Stack.edge) -> e.Stack.edge_name, e.Stack.kind, e.Stack.checks)
+    List.map (fun (e : Edges.row) -> e.Edges.name, e.Edges.label, e.Edges.counts)
       r.Stack.edges,
     r.Stack.total_checks
   in

@@ -130,7 +130,7 @@ let test_stack_edge_counters_jobs_invariant () =
         (Budget.value (Stack.verify_all_ctx ~ctx:(Ctx.make ~jobs ()) ~seeds:2 ()))
     with
     | Ok r ->
-      List.map (fun (e : Stack.edge) -> e.Stack.edge_name, e.Stack.counters) r.Stack.edges
+      List.map (fun (e : Edges.row) -> e.Edges.name, e.Edges.counters) r.Stack.edges
     | Error msg -> Alcotest.failf "stack failed: %s" msg
   in
   with_telemetry (fun () ->
