@@ -1086,8 +1086,8 @@ let run_crash () =
     :: corpus_rows
   @ recover_rows
 
-(* ------------------------------------------------------------------ *)
-(* moves — minor words per play move (S35)                              *)
+(* moves — minor words per play move, and per play (S35, S36)       *)
+(* moves — minor words per play move, and per play (S35, S36)             *)
 (* ------------------------------------------------------------------ *)
 
 (* One row per game of [Moves.games]: exact allocation counts, so a
@@ -1096,9 +1096,9 @@ let run_crash () =
 let run_moves () =
   List.map
     (fun (g : Moves.game) ->
-      let moves, words = g.run () in
+      let count, words = g.run () in
       row "moves" ~params:[ "game", S g.name ]
-        [ "moves", I moves; "minor_words_per_move", F words;
+        [ g.per ^ "s", I count; "minor_words_per_" ^ g.per, F words;
           "recorded", F g.recorded; "before", F g.before ])
     Moves.games
 
@@ -1193,7 +1193,7 @@ let sections =
     "kv", "YCSB-style throughput over the certified kv stack (S28)", run_kv;
     "tso", "dual-mode certification and litmus conformance (S29)", run_tso;
     "crash", "crash-refinement certification and recovery cost (S30)", run_crash;
-    "moves", "minor words per play move (S35)", run_moves;
+    "moves", "minor words per play move, and per play (S35, S36)", run_moves;
   ]
 
 (* [None] runs everything; [--only a,b] runs just those measured

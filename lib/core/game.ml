@@ -9,18 +9,14 @@ type config = {
   stop : (unit -> bool) option;
 }
 
-let config ?(max_steps = 100_000) ?(log_switches = false) ?(check_guar = false)
+let default_max_steps = 100_000
+
+let config ?(max_steps = default_max_steps) ?(log_switches = false) ?(check_guar = false)
     ?(memory = Memory.default) ?stop layer threads sched =
   { layer; threads; sched; max_steps; log_switches; check_guar; memory; stop }
 
-(* Buffer flushes as scheduler moves (DESIGN.md S29): under TSO, every
-   real thread gets a flusher pseudo-thread whose infinite program
-   repeatedly calls the layer's flush primitive for that CPU.  The flush
-   primitive blocks on an empty buffer, so a flusher is runnable exactly
-   while its CPU has pending stores — and a game whose only pending
-   threads are blocked flushers has drained every buffer and is done.
-   Layers without the flush primitive (SC machines, spec layers) get no
-   flushers regardless of the mode. *)
+(* Buffer flushes as scheduler moves (DESIGN.md S29): a flusher is
+   runnable exactly while its CPU has pending stores. *)
 let flusher_threads ~memory layer threads =
   match (memory : Memory.t) with
   | Memory.Sc -> []
@@ -34,13 +30,9 @@ let flusher_threads ~memory layer threads =
           (Memory.flusher_tid cpu, p))
         threads
 
-(* The crash move as a scheduler pseudo-thread (DESIGN.md S30): a layer
-   exporting the crash primitive gets one crash thread whose single move
-   fires it — so "the machine loses power here" is just one more
-   scheduler choice, enumerated by the same DPOR/exhaustive machinery as
-   every other move.  The in-game crash carries the adversarial masks
-   (keep nothing, tear nothing); the certifier enumerates the full mask
-   lattice analytically over log prefixes. *)
+(* The crash move as a scheduler pseudo-thread (DESIGN.md S30): "the
+   machine loses power here" is one more scheduler choice.  The
+   certifier enumerates the full mask lattice analytically. *)
 let crash_threads layer =
   if not (Layer.has_prim Durability.crash_tag layer) then []
   else
@@ -48,35 +40,26 @@ let crash_threads layer =
     [ (Durability.crash_tid,
        Prog.Call { prim = Durability.crash_tag; args; k = (fun _ -> Prog.Ret Value.unit) }) ]
 
-(* The single synthesis point for every pseudo-thread a game runs beside
-   the real domain.  Negative tids are one shared namespace — crash
-   thread at -1, flusher for cpu c at -c-1 with cpus >= 1 — and real
-   tids must be non-negative and distinct; any collision is a
-   construction error caught here rather than a silent mis-scheduled
-   game. *)
+(* Negative tids are one shared namespace — crash thread at -1, flusher
+   for cpu c at -c-1 with cpus >= 1 — so any collision is a construction
+   error caught here rather than a silently mis-scheduled game. *)
 let pseudo_threads ~memory layer threads =
   let pseudo = flusher_threads ~memory layer threads @ crash_threads layer in
+  let fail fmt = Printf.ksprintf invalid_arg ("Game.pseudo_threads: " ^^ fmt) in
   List.iter
     (fun (i, _) ->
       if i < 0 then
-        invalid_arg
-          (Printf.sprintf
-             "Game.pseudo_threads: real thread id %d collides with the pseudo-thread namespace (tids < 0)"
-             i))
+        fail "real thread id %d collides with the pseudo-thread namespace (tids < 0)" i)
     threads;
   let rec distinct what = function
     | [] -> ()
     | (i, _) :: rest ->
-      if List.mem_assoc i rest then
-        invalid_arg (Printf.sprintf "Game.pseudo_threads: duplicate %s id %d" what i);
+      if List.mem_assoc i rest then fail "duplicate %s id %d" what i;
       distinct what rest
   in
   distinct "real thread" threads;
   distinct "pseudo-thread" pseudo;
   pseudo
-
-let effective_threads cfg =
-  cfg.threads @ pseudo_threads ~memory:cfg.memory cfg.layer cfg.threads
 
 type status =
   | All_done
@@ -94,19 +77,6 @@ type outcome = {
   guar_violations : (Event.tid * Log.t) list;
 }
 
-type slot =
-  | Running of Machine.thread_state
-  | Finished of Value.t
-
-(* Telemetry (DESIGN.md S25): every completed game bumps the run and
-   replay-work counters.  [Probe.add] is a single atomic-bool read when
-   telemetry is off, and inside a [Parallel] job the counts go to the
-   job's capture delta, keeping totals jobs-deterministic. *)
-let observe (o : outcome) =
-  Probe.incr Probe.schedules_run;
-  Probe.add Probe.replay_steps (o.steps + o.silent_steps);
-  o
-
 (* All pending threads are blocked.  Flushers block exactly on an empty
    buffer, so a deadlock made only of flushers is a drained, finished
    game; otherwise the flushers are reported out — they are machinery,
@@ -116,153 +86,194 @@ let deadlock_status ids =
   | [] -> All_done
   | real -> Deadlock real
 
+(* What a game depends on only through its layer, its threads and the
+   memory mode (DESIGN.md S36, S37): the played threads — the real ones,
+   then the pseudo-threads, synthesised and validated once — as id and
+   program arrays, and the two pick orders.  Immutable, so one table
+   serves every play of a suite, on any domain. *)
+type table = {
+  layer : Layer.t;
+  played : (Event.tid * Prog.t) list;
+  ids : Event.tid array;
+  progs : Prog.t array;
+  by_tid : int array;  (* thread indices by ascending tid *)
+}
+
+let table ~memory layer threads =
+  let played = threads @ pseudo_threads ~memory layer threads in
+  let ids = Array.of_list (List.map fst played) in
+  let by_tid = Array.init (Array.length ids) Fun.id in
+  Array.sort (fun a b -> Int.compare ids.(a) ids.(b)) by_tid;
+  { layer; played; ids; progs = Array.of_list (List.map snd played); by_tid }
+
+let played t = t.played
+let layer t = t.layer
+
+(* One play's state: its parameters, each thread's state and result and
+   the move it was last found blocked at ([finished] once it returned),
+   the live count and the trace cursor.  The loop below is top-level
+   functions over it, so a play allocates no closure of its own. *)
+type play = {
+  t : table;
+  sched : Sched.t;
+  max_steps : int;
+  log_switches : bool;
+  check_guar : bool;
+  stop : (unit -> bool) option;
+  states : Machine.thread_state array;
+  values : Value.t array;
+  stamps : int array;
+  mutable live : int;
+  mutable cursor : Event.tid list;  (* a trace's; round robin is the empty trace *)
+}
+
+let finished = max_int
+
+(* Offered at move [step]: running and not found blocked at this move.
+   The scheduler (DESIGN.md S36) picks an offered index, allocating
+   nothing per move. *)
+let offered p step k = p.stamps.(k) < step
+
+(* The [r]-th offered thread, taking threads by tid or in thread order. *)
+let rec nth p by_tid step r j =
+  let k = if by_tid then p.t.by_tid.(j) else j in
+  if not (offered p step k) then nth p by_tid step r (j + 1)
+  else if r = 0 then k
+  else nth p by_tid step (r - 1) (j + 1)
+
+(* The index of tid [i] if it is offered, else -1. *)
+let rec slot_of p step i k =
+  if k = Array.length p.t.ids then -1
+  else if Int.equal p.t.ids.(k) i then if offered p step k then k else -1
+  else slot_of p step i (k + 1)
+
+let rec from_trace p step c =
+  match p.cursor with
+  | [] -> nth p true step (step mod c) 0
+  | i :: rest ->
+    p.cursor <- rest;
+    let k = slot_of p step i 0 in
+    if k >= 0 then k else from_trace p step c
+
+(* Tids in thread order whose stamp is below [bound]: the offered ones
+   at move [bound], every running one at [finished]. *)
+let running_ids p bound =
+  let rec go k acc =
+    if k < 0 then acc
+    else go (k - 1) (if p.stamps.(k) < bound then p.t.ids.(k) :: acc else acc)
+  in
+  go (Array.length p.stamps - 1) []
+
+let choose p step log c =
+  match p.sched with
+  | Sched.Round_robin | Sched.Trace _ -> from_trace p step c
+  | Sched.Random seed ->
+    nth p false step (Sched.splitmix ((seed * 1_000_003) + step) mod c) 0
+  | Sched.Custom { pick; _ } ->
+    let k =
+      match pick ~step log ~runnable:(running_ids p step) with
+      | Some i -> slot_of p step i 0
+      | None -> -1
+    in
+    if k >= 0 then k else nth p false step 0 0
+
+(* Pseudo-threads (tids < 0) are machinery, not members of the domain:
+   flushers never finish, but a fired crash thread does, and its unit
+   result must not leak into the observable thread results. *)
+let results p =
+  let rec go k acc =
+    if k < 0 then acc
+    else if p.stamps.(k) = finished && p.t.ids.(k) >= 0 then
+      go (k - 1) ((p.t.ids.(k), p.values.(k)) :: acc)
+    else go (k - 1) acc
+  in
+  go (Array.length p.stamps - 1) []
+
+let finish p log steps silent violations status =
+  let guar_violations = List.rev violations and results = results p in
+  (* Telemetry (S25); in a [Parallel] job the counts go to its delta. *)
+  Probe.incr Probe.schedules_run;
+  Probe.add Probe.replay_steps (steps + silent);
+  { log; results; status; steps; silent_steps = silent; guar_violations }
+
 (* The play loop (Sec. 2): each round the scheduler picks a runnable
    thread, which makes one move, and the move's events are appended to
-   the log.  The thread table is arrays in [threads] order, allocated
-   once per play: the ids, their slots, and the move at which each slot
-   was last found blocked.  A slot is offered when it is running and not
-   blocked at this move; the scheduler (DESIGN.md S36) picks the index
-   of an offered slot, with no list, sort or closure per move. *)
-let run cfg =
-  let threads = effective_threads cfg in
-  let ids = Array.of_list (List.map fst threads) in
-  let slots =
-    Array.of_list
-      (List.map (fun (i, p) -> Running (Machine.initial cfg.layer i p)) threads)
-  in
-  let n = Array.length ids in
-  let blocked = Array.make n (-1) and live = ref n in
-  let in_order = Array.init n Fun.id in
-  let by_tid = Array.copy in_order in
-  Array.sort (fun a b -> Int.compare ids.(a) ids.(b)) by_tid;
-  let offered step k =
-    match slots.(k) with Running _ -> blocked.(k) <> step | Finished _ -> false
-  in
-  (* The [r]-th offered slot, taking slots in [order]. *)
-  let rec nth order step r j =
-    let k = order.(j) in
-    if not (offered step k) then nth order step r (j + 1)
-    else if r = 0 then k
-    else nth order step (r - 1) (j + 1)
-  in
-  (* The slot of tid [i] if it is offered, else -1. *)
-  let rec slot_of step i k =
-    if k = n then -1
-    else if Int.equal ids.(k) i then if offered step k then k else -1
-    else slot_of step i (k + 1)
-  in
-  (* A trace's cursor, local to the play; round robin is the empty trace. *)
-  let cursor = ref (match cfg.sched with Sched.Trace t -> t.choices | _ -> []) in
-  let rec from_trace step c =
-    match !cursor with
-    | [] -> nth by_tid step (step mod c) 0
-    | i :: rest ->
-      cursor := rest;
-      let k = slot_of step i 0 in
-      if k >= 0 then k else from_trace step c
-  in
-  (* Running tids in thread order, minus those found blocked at move
-     [skip] ([min_int]: none are). *)
-  let running_ids skip =
-    let rec go k acc =
-      if k < 0 then acc
-      else
-        match slots.(k) with
-        | Running _ when blocked.(k) <> skip -> go (k - 1) (ids.(k) :: acc)
-        | Running _ | Finished _ -> go (k - 1) acc
-    in
-    go (n - 1) []
-  in
-  let choose step log c =
-    match cfg.sched with
-    | Sched.Round_robin | Sched.Trace _ -> from_trace step c
-    | Sched.Random seed ->
-      nth in_order step (Sched.splitmix ((seed * 1_000_003) + step) mod c) 0
-    | Sched.Biased { favored; ratio; seed } ->
-      let h = Sched.splitmix ((seed * 7_919) + step) in
-      let k = slot_of step favored 0 in
-      if k >= 0 && h mod (ratio + 1) <> 0 then k else nth in_order step (h / 7 mod c) 0
-    | Sched.Custom { pick; _ } ->
-      let k =
-        match pick ~step log ~runnable:(running_ids step) with
-        | Some i -> slot_of step i 0
-        | None -> -1
-      in
-      if k >= 0 then k else nth in_order step 0 0
-  in
-  (* Pseudo-threads (tids < 0) are machinery, not members of the domain:
-     flushers never finish, but a fired crash thread does, and its unit
-     result must not leak into the observable thread results. *)
-  let results () =
-    let rec go k acc =
-      if k < 0 then acc
-      else
-        match slots.(k) with
-        | Finished v when ids.(k) >= 0 -> go (k - 1) ((ids.(k), v) :: acc)
-        | Finished _ | Running _ -> go (k - 1) acc
-    in
-    go (n - 1) []
-  in
-  let finish log steps silent violations status =
-    let guar_violations = List.rev violations in
-    { log; results = results (); status; steps; silent_steps = silent; guar_violations }
-  in
-  let rec loop log steps silent last violations =
-    if steps >= cfg.max_steps then finish log steps silent violations Out_of_fuel
-    else if !live = 0 then finish log steps silent violations All_done
-    else if match cfg.stop with Some s -> s () | None -> false then
-      (* Cooperative cancellation (DESIGN.md S27): the stop closure is
-         polled once per move, before the scheduler is consulted but
-         only when a move remains — a game that already finished all
-         its moves reports [All_done] even on an exactly-spent budget —
-         so a cancelled game carries a meaningful play prefix in
-         [log]. *)
-      finish log steps silent violations Cancelled
-    else attempt log steps silent last violations !live
-  (* Offer the [c] offered threads.  A pick found blocked at this log
-     leaves the offer and the scheduler is asked again; it is offered
-     again at the next move. *)
-  and attempt log steps silent last violations c =
-    if c = 0 then
-      finish log steps silent violations (deadlock_status (running_ids min_int))
-    else
-      let k = choose steps log c in
-      let chosen = ids.(k) in
-      let st = match slots.(k) with Running st -> st | Finished _ -> assert false in
-      let move_log =
-        if cfg.log_switches && last <> k then Log.append (Event.switch chosen) log
-        else log
-      in
-      let result, cost = Machine.step_move_counted cfg.layer chosen st move_log in
-      match result with
-      | Machine.Moved (evs, st') ->
-        slots.(k) <- Running st';
-        moved k move_log evs steps (silent + cost) violations
-      | Machine.Finished (v, _) ->
-        slots.(k) <- Finished v;
-        decr live;
-        moved k move_log [] steps (silent + cost) violations
-      | Machine.Blocked_at (st', _) ->
-        slots.(k) <- Running st';
-        blocked.(k) <- steps;
-        attempt log steps silent last violations (c - 1)
-      | Machine.Stuck (kind, msg) ->
-        finish log steps silent violations (Stuck (chosen, kind, msg))
-  and moved k move_log evs steps silent violations =
-    let log' = Log.append_all evs move_log in
-    let violations =
-      if
-        cfg.check_guar && evs <> []
-        && not (cfg.layer.Layer.guar.Rely_guarantee.holds ids.(k) log')
-      then (ids.(k), log') :: violations
-      else violations
-    in
-    loop log' (steps + 1) silent k violations
-  in
-  observe (Replay.scoped (fun () -> loop Log.empty 0 0 (-1) []))
+   the log. *)
+let rec loop p log steps silent last violations =
+  if steps >= p.max_steps then finish p log steps silent violations Out_of_fuel
+  else if p.live = 0 then finish p log steps silent violations All_done
+  else if match p.stop with Some s -> s () | None -> false then
+    (* Cooperative cancellation (DESIGN.md S27): polled once per move
+       while a move remains, so a game that finished all its moves
+       reports [All_done] even on an exactly-spent budget. *)
+    finish p log steps silent violations Cancelled
+  else attempt p log steps silent last violations p.live
 
-(* Kept as a name for {!run}: the benchmark harness in perfbench/ calls
-   it. *)
+(* Offer the [c] offered threads.  A pick found blocked at this log
+   leaves the offer and the scheduler is asked again; it is offered
+   again at the next move. *)
+and attempt p log steps silent last violations c =
+  if c = 0 then
+    finish p log steps silent violations (deadlock_status (running_ids p finished))
+  else
+    let k = choose p steps log c in
+    let chosen = p.t.ids.(k) in
+    let move_log =
+      if p.log_switches && last <> k then Log.append (Event.switch chosen) log
+      else log
+    in
+    let result, cost = Machine.step_move_counted p.t.layer chosen p.states.(k) move_log in
+    match result with
+    | Machine.Moved (evs, st') ->
+      p.states.(k) <- st';
+      moved p k move_log evs steps (silent + cost) violations
+    | Machine.Finished (v, _) ->
+      p.values.(k) <- v;
+      p.stamps.(k) <- finished;
+      p.live <- p.live - 1;
+      moved p k move_log [] steps (silent + cost) violations
+    | Machine.Blocked_at (st', _) ->
+      p.states.(k) <- st';
+      p.stamps.(k) <- steps;
+      attempt p log steps silent last violations (c - 1)
+    | Machine.Stuck (kind, msg) ->
+      finish p log steps silent violations (Stuck (chosen, kind, msg))
+
+and moved p k move_log evs steps silent violations =
+  let log' = Log.append_all evs move_log in
+  let violations =
+    if
+      p.check_guar && evs <> []
+      && not (p.t.layer.Layer.guar.Rely_guarantee.holds p.t.ids.(k) log')
+    then (p.t.ids.(k), log') :: violations
+    else violations
+  in
+  loop p log' (steps + 1) silent k violations
+
+let unstarted = { Machine.prog = Prog.ret_unit; abs = Abs.empty; crit = false }
+
+(* Every play starts its threads afresh, in thread order, before any
+   move: the table holds programs, never thread states. *)
+let play ?(max_steps = default_max_steps) ?(log_switches = false)
+    ?(check_guar = false) ?stop t sched =
+  let n = Array.length t.ids in
+  let states = Array.make n unstarted in
+  for k = 0 to n - 1 do
+    states.(k) <- Machine.initial t.layer t.ids.(k) t.progs.(k)
+  done;
+  let cursor = match sched with Sched.Trace tr -> tr.choices | _ -> [] in
+  let p =
+    { t; sched; max_steps; log_switches; check_guar; stop; states;
+      values = Array.make n Value.unit; stamps = Array.make n (-1); live = n; cursor }
+  in
+  Replay.scoped (fun () -> loop p Log.empty 0 0 (-1) [])
+
+let run (cfg : config) =
+  play ~max_steps:cfg.max_steps ~log_switches:cfg.log_switches
+    ~check_guar:cfg.check_guar ?stop:cfg.stop
+    (table ~memory:cfg.memory cfg.layer cfg.threads)
+    cfg.sched
+
 let replay = run
 
 let successful o =

@@ -22,9 +22,8 @@ type config = {
           multicore hardware model does (Sec. 3.1) *)
   check_guar : bool;  (** check the layer guarantee after every move *)
   memory : Memory.t;
-      (** memory mode (DESIGN.md S29): under {!Memory.Tso} a buffered
-          layer gets one flusher pseudo-thread per real thread, making
-          buffer drains explicit scheduler moves *)
+      (** memory mode (DESIGN.md S29): under {!Memory.Tso} buffer drains
+          are flusher moves ({!pseudo_threads}) *)
   stop : (unit -> bool) option;
       (** cooperative cancellation: polled once per move; when it turns
           true the game ends with {!Cancelled} and its play prefix *)
@@ -41,43 +40,25 @@ val config :
   Sched.t ->
   config
 
-val flusher_threads :
-  memory:Memory.t ->
-  Layer.t ->
-  (Event.tid * Prog.t) list ->
-  (Event.tid * Prog.t) list
-(** The flusher pseudo-threads a game synthesises for [threads]: one per
-    real thread (id {!Memory.flusher_tid}), each an infinite loop of the
-    layer's flush primitive for its CPU.  Empty under [Sc] and for
-    layers without the flush primitive.  Exposed so the DPOR walk can
-    enumerate flush moves over exactly the threads the replayed game
-    will run.
-
-    A deadlock made only of blocked flushers reports {!All_done}: the
-    flush primitive blocks exactly on an empty buffer, so such a game
-    has drained every buffer and finished every real thread.  Flusher
-    ids never appear in {!Deadlock} lists or [results]. *)
-
-val crash_threads : Layer.t -> (Event.tid * Prog.t) list
-(** The crash pseudo-thread a game synthesises for a crash-enabled layer
-    (DESIGN.md S30): one thread (id {!Durability.crash_tid}) whose
-    single move fires the layer's {!Durability.crash_tag} primitive with
-    the adversarial masks (drop every in-flight write).  Empty for
-    layers without the crash primitive. *)
-
 val pseudo_threads :
   memory:Memory.t ->
   Layer.t ->
   (Event.tid * Prog.t) list ->
   (Event.tid * Prog.t) list
-(** All pseudo-threads the game appends to the real domain:
-    {!flusher_threads} followed by {!crash_threads}.  This is the single
-    synthesis point, shared by {!run} and by the DPOR and exhaustive
-    explorers, so the negative-tid namespace (crash thread at [-1],
-    flusher for cpu [c] at [-c-1]) cannot silently collide.
+(** The pseudo-threads a game appends to the real domain, the single
+    synthesis point, run once per {!table}:
+    {ul
+    {- under [Tso] on a layer with the flush primitive, one flusher per
+       real thread (id {!Memory.flusher_tid}), an infinite loop of the
+       flush primitive for its CPU (DESIGN.md S29).  It blocks exactly
+       on an empty buffer, so a deadlock made only of blocked flushers
+       reports {!All_done};}
+    {- on a layer with the crash primitive, one crash thread (id
+       {!Durability.crash_tid}) whose single move fires it with the
+       adversarial masks, dropping every in-flight write (S30).}}
     Raises [Invalid_argument], naming the tid, on a real thread with a
-    negative id and on a duplicated real or pseudo tid.  Pseudo tids never appear in {!Deadlock}
-    lists or [results]. *)
+    negative id and on a duplicated real or pseudo tid.  Pseudo tids
+    never appear in {!Deadlock} lists or [results]. *)
 
 type status =
   | All_done
@@ -98,13 +79,40 @@ type outcome = {
       (** moves after which the guarantee failed (empty when not checked) *)
 }
 
+type table
+(** What a game depends on only through its layer, threads and memory
+    mode: the played threads and their pick orders.  Immutable, so every
+    play of a suite, on any domain, shares it.  No thread states. *)
+
+val table : memory:Memory.t -> Layer.t -> (Event.tid * Prog.t) list -> table
+(** The table of [threads] over [layer]: calls no [init_abs] and no
+    primitive.  Raises [Invalid_argument] as {!pseudo_threads} does. *)
+
+val played : table -> (Event.tid * Prog.t) list
+(** The threads every play runs: the real threads, then
+    {!pseudo_threads}.  This is the alphabet the DPOR walk and the
+    exhaustive suites range over, so walk, count and replay agree. *)
+
+val layer : table -> Layer.t
+
+val play :
+  ?max_steps:int ->
+  ?log_switches:bool ->
+  ?check_guar:bool ->
+  ?stop:(unit -> bool) ->
+  table ->
+  Sched.t ->
+  outcome
+(** Play one game of the table, with the {!config} defaults.  It starts
+    every played thread ({!Machine.initial}, in order) before its first
+    move.  At each move the scheduler is offered the pending threads in
+    thread order.  A pick whose next shared call blocks leaves the offer
+    and the scheduler is asked again; the blocked thread is offered again
+    at the next move.  With no thread left to offer, the game ends with
+    {!Deadlock} listing every pending real thread in thread order. *)
+
 val run : config -> outcome
-(** Play one game.  At each move the scheduler is offered the pending
-    threads in [threads] order.  A pick whose next shared call blocks at
-    the current log leaves the offer and the scheduler is asked again;
-    the blocked thread is offered again at the next move.  When no
-    thread is left to offer, the game ends with {!Deadlock} listing
-    every pending real thread in [threads] order. *)
+(** One {!play} of the config's {!table}. *)
 
 val replay : config -> outcome
 (** [replay] is {!run}, kept under this name for the benchmark harness

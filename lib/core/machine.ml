@@ -15,32 +15,34 @@ type move_result =
 let apply_crit dc crit =
   match dc with Layer.Enter -> true | Layer.Exit -> false | Layer.Keep -> crit
 
-(* Execute silent steps then at most one shared call; returns the move
-   result together with the number of silent steps taken. *)
+(* Execute silent steps then at most one shared call from [st]; returns
+   the result and the silent steps taken.  Top-level: no closure. *)
+let rec move layer tid st log prog abs crit fuel silent =
+  if fuel <= 0 then Stuck (Layer.Invalid_transition, Prog.steps_bound_exceeded), silent
+  else
+    match prog with
+    | Prog.Ret v -> Finished (v, abs), silent
+    | Prog.Call c -> (
+      match Layer.find_prim c.prim layer with
+      | None ->
+        Stuck (Layer.Invalid_transition,
+               "unknown primitive " ^ c.prim ^ " in layer " ^ layer.Layer.name), silent
+      | Some (Layer.Private sem) -> (
+        match sem tid c.args abs with
+        | Ok (abs', v) -> move layer tid st log (c.k v) abs' crit (fuel - 1) (silent + 1)
+        | Error msg -> Stuck (Layer.Invalid_transition, c.prim ^ ": " ^ msg), silent)
+      | Some (Layer.Shared sem) -> (
+        match sem tid c.args log with
+        | Layer.Step { events; ret; crit = dc } ->
+          Moved (events, { prog = c.k ret; abs; crit = apply_crit dc crit }), silent
+        | Layer.Block ->
+          (* blocked before any silent step: the state is unchanged *)
+          Blocked_at ((if silent = 0 then st else { prog; abs; crit }), c.prim), silent
+        | Layer.Stuck msg -> Stuck (Layer.Invalid_transition, c.prim ^ ": " ^ msg), silent
+        | Layer.Race msg -> Stuck (Layer.Data_race, c.prim ^ ": " ^ msg), silent))
+
 let step_move_counted ?(private_fuel = 100_000) layer tid st log =
-  let rec go prog abs crit fuel silent =
-    if fuel <= 0 then Stuck (Layer.Invalid_transition, Prog.steps_bound_exceeded), silent
-    else
-      match prog with
-      | Prog.Ret v -> Finished (v, abs), silent
-      | Prog.Call c -> (
-        match Layer.find_prim c.prim layer with
-        | None ->
-          Stuck (Layer.Invalid_transition,
-                 "unknown primitive " ^ c.prim ^ " in layer " ^ layer.Layer.name), silent
-        | Some (Layer.Private sem) -> (
-          match sem tid c.args abs with
-          | Ok (abs', v) -> go (c.k v) abs' crit (fuel - 1) (silent + 1)
-          | Error msg -> Stuck (Layer.Invalid_transition, c.prim ^ ": " ^ msg), silent)
-        | Some (Layer.Shared sem) -> (
-          match sem tid c.args log with
-          | Layer.Step { events; ret; crit = dc } ->
-            Moved (events, { prog = c.k ret; abs; crit = apply_crit dc crit }), silent
-          | Layer.Block -> Blocked_at ({ prog; abs; crit }, c.prim), silent
-          | Layer.Stuck msg -> Stuck (Layer.Invalid_transition, c.prim ^ ": " ^ msg), silent
-          | Layer.Race msg -> Stuck (Layer.Data_race, c.prim ^ ": " ^ msg), silent))
-  in
-  go st.prog st.abs st.crit private_fuel 0
+  move layer tid st log st.prog st.abs st.crit private_fuel 0
 
 let step_move ?private_fuel layer tid st log =
   fst (step_move_counted ?private_fuel layer tid st log)

@@ -34,7 +34,8 @@ type move_result =
       (** the program returned without reaching another query point *)
   | Blocked_at of thread_state * string
       (** the named shared primitive is not enabled on this log; the
-          returned state resumes exactly at the blocked call *)
+          returned state resumes exactly at the blocked call (the given
+          state itself when no silent step came before it) *)
   | Stuck of Layer.stuck_kind * string
       (** no valid transition; the kind distinguishes a detected data race
           ([Layer.Data_race]) from ordinary stuckness *)

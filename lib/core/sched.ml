@@ -4,7 +4,6 @@ type t =
   | Round_robin
   | Random of int
   | Trace of { name : string; tagged : bool; choices : Event.tid list }
-  | Biased of { favored : Event.tid; ratio : int; seed : int }
   | Custom of { name : string; pick : pick }
 
 (* SplitMix-style avalanche with constants in OCaml's 63-bit int range. *)
@@ -22,8 +21,6 @@ let random ~seed = Random seed
 let of_trace ?(name = "trace") ?tag choices =
   Trace { name = Option.value tag ~default:name; tagged = Option.is_some tag; choices }
 
-let biased ~favored ~ratio ~seed = Biased { favored; ratio; seed }
-
 let default_suite ~seeds =
   round_robin :: List.init seeds (fun k -> random ~seed:(k + 1))
 
@@ -33,6 +30,4 @@ let name = function
   | Trace { name; tagged = false; _ } -> name
   | Trace { name; tagged = true; choices } ->
     Printf.sprintf "%s:[%s]" name (String.concat "," (List.map string_of_int choices))
-  | Biased { favored; ratio; seed } ->
-    Printf.sprintf "biased(%d x%d seed=%d)" favored ratio seed
   | Custom { name; _ } -> name

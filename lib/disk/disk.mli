@@ -62,7 +62,7 @@ val prims : ?crashes:bool -> unit -> (string * Layer.prim) list
     [Lock_intf.layer ~extra].  [crashes] (default false) additionally
     exports the crash primitive, making any game over the layer
     crashable via the synthesized pseudo-thread
-    ({!Ccal_core.Game.crash_threads}); the certifier instead keeps its
+    ({!Ccal_core.Game.pseudo_threads}); the certifier instead keeps its
     underlay crash-free and enumerates crashes analytically. *)
 
 val layer : ?crashes:bool -> unit -> Layer.t

@@ -21,7 +21,7 @@
     single oldest pending store of a CPU or blocks when its buffer is
     empty, and games configured with [~memory:Tso] give every thread a
     flusher pseudo-thread looping on it
-    ({!Ccal_core.Game.flusher_threads}).  The DPOR explorer therefore
+    ({!Ccal_core.Game.pseudo_threads}).  The DPOR explorer therefore
     enumerates flush points like any other move; flushes of different
     CPUs commute (different buffers, different commit objects), flushes
     of the same cell conflict with same-cell accesses.

@@ -184,17 +184,13 @@ type node = {
    in DFS pre-order.  The walk is one replay scope (DESIGN.md S32): a
    child's log extends its parent's, so the replay folds resume down each
    path.  This walk is behind every [dpor] suite. *)
-let walk ?(independence = Exact) ?(memory = Memory.default) ~engine ~depth
-    layer threads =
+let walk ?(independence = Exact) ~engine ~depth table =
   if (engine : Engine.t).algo <> Engine.Dpor then
     invalid_arg ("Dpor.walk: not a DPOR engine: " ^ Engine.to_string engine);
   let sym = engine.Engine.sym in
-  (* Pseudo-threads (TSO flushers, the crash thread of a crash-enabled
-     layer) are part of the schedule space: the DFS explores their moves
-     like any other thread's.  [Game.config] re-adds the same
-     pseudo-threads internally, so the original [threads] go to replay
-     untouched. *)
-  let threads = threads @ Game.pseudo_threads ~memory layer threads in
+  (* The played threads include the pseudo-threads (TSO flushers, the
+     crash thread): the DFS explores their moves like any other's. *)
+  let layer = Game.layer table and threads = Game.played table in
   let classify slots log =
     List.filter_map
       (fun (i, st) ->
@@ -341,10 +337,10 @@ let explore_ctx ~ctx ?(independence = Exact) ?engine
   let engine =
     match engine with Some e -> e | None -> engine_of_ctx ctx
   in
+  let table = Game.table ~memory:ctx.Ctx.memory layer threads in
   let prefixes, walk_stats =
     Probe.span "dpor.prefixes" (fun () ->
-        walk ~independence ~memory:ctx.Ctx.memory ~engine ~depth layer
-          threads)
+        walk ~independence ~engine ~depth table)
   in
   (* Each leaf is keyed where it is replayed, so under [jobs > 1] the
      keys are computed on the pool too. *)
@@ -360,15 +356,10 @@ let explore_ctx ~ctx ?(independence = Exact) ?engine
           (List.map (Sched.of_trace ~tag:"dpor") prefixes))
   in
   let outcomes, keys = List.split (Budget.value replay) in
-  (* The walk schedules the pseudo-threads too, so the exhaustive count
-     ranges over the same alphabet as the oracle's prefixes; an empty
-     alphabet still has its one empty trace. *)
+  (* The count ranges over the walk's alphabet, the played threads; an
+     empty alphabet still has its one empty trace. *)
   let schedules_considered =
-    pow
-      (max 1
-         (List.length
-            (threads @ Game.pseudo_threads ~memory:ctx.Ctx.memory layer threads)))
-      depth
+    pow (max 1 (List.length (Game.played table))) depth
   in
   let distinct =
     Probe.span "dpor.dedup" (fun () ->

@@ -41,8 +41,8 @@ type independence =
 type stats = {
   schedules_considered : int;
       (** what exhaustive enumeration would run: [|tids|^depth], where
-          [tids] are the real threads plus the pseudo-threads the walk
-          schedules ({!Ccal_core.Game.pseudo_threads}: TSO flushers, the
+          [tids] are the table's played threads the walk schedules
+          ({!Ccal_core.Game.played}: the real threads, TSO flushers, the
           crash thread), as in the oracle's alphabet; saturating at
           [max_int] (rendered as [">max-int"] by {!pp_stats}) *)
   schedules_run : int;  (** branches actually replayed *)
@@ -87,14 +87,13 @@ val subset_traces : (int * Log.t) list -> (int * Log.t) list -> bool
 
 val walk :
   ?independence:independence ->
-  ?memory:Memory.t ->
   engine:Engine.t ->
   depth:int ->
-  Layer.t ->
-  (Event.tid * Prog.t) list ->
+  Game.table ->
   Event.tid list list * Engine.walk_stats
-(** The walk only (no replay): the surviving prefixes in DFS pre-order
-    plus the prune counters.
+(** The walk only (no replay) over the table's played threads
+    ({!Ccal_core.Game.played}, pseudo-threads included): the surviving
+    prefixes in DFS pre-order plus the prune counters.
     [engine] must be a [dpor] descriptor ([Invalid_argument]
     otherwise); [engine.depth] is ignored in favour of [depth].  The walk
     always runs live. *)
@@ -124,7 +123,7 @@ val explore_ctx :
     the replayed prefixes — [stats.schedules_run] says how far it got.
 
     [ctx.memory] selects the memory mode.  Under [Tso] the DFS adds the
-    flusher pseudo-threads ({!Ccal_core.Game.flusher_threads}) to its
+    flusher pseudo-threads ({!Ccal_core.Game.played}) to its
     root slots, so buffer-flush points are enumerated like any other
     move; flushes of different CPUs commute under [Commuting_events]
     (different buffers, and the commit's first argument is the cell). *)

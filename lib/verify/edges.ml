@@ -100,17 +100,20 @@ let run ~ctx ~kind ~layout edges =
     Result.map (fun (label, counts) -> { name = e.name; label; counts; millis; counters }) r
   in
   (* The key is forced, and the lookup timed, outside the edge body, so
-     caching never moves a cold run's timings or counters. *)
+     caching never moves a cold run's timings or counters.  A hit did no
+     work, so it has no counters, and rows are stored without them: a
+     store filled with telemetry on or off answers every later run
+     alike. *)
   let check e =
     match ctx.Ctx.cache, e.key with
     | Some c, Some key -> (
       let key = key () in
       let found, lookup_ms = Verify_clock.timed (fun () -> Cache.find c ~kind key) in
       match found with
-      | Some (r : row) -> Ok { r with millis = lookup_ms }
+      | Some (r : row) -> Ok { r with millis = lookup_ms; counters = [] }
       | None ->
         let r = measure e in
-        Result.iter (Cache.store c ~kind key) r;
+        Result.iter (fun r -> Cache.store c ~kind key { r with counters = [] }) r;
         r)
     | _ -> measure e
   in

@@ -16,7 +16,8 @@ type row = {
   millis : float;  (** the body's wall time; a cache hit's lookup time *)
   counters : (string * int) list;
       (** telemetry counter growth over the body, [[]] with telemetry
-          off; identical for every [jobs] count *)
+          off and on a cache hit (which ran no body); identical for every
+          [jobs] count *)
 }
 
 val count : row -> string -> int
@@ -78,7 +79,8 @@ val run :
     window with a telemetry-counter snapshot around it, for the row's
     [millis] and [counters].  With [ctx.cache], an edge with a key is
     served from the store under [kind] when present — with the lookup
-    time as its [millis] — and its row stored when it succeeds; failures
-    and exhausted edges are never stored.  An [Exhausted] outcome reuses
+    time as its [millis] and no [counters] — and its row stored, without
+    counters, when it succeeds; failures and exhausted edges are never
+    stored.  An [Exhausted] outcome reuses
     the [spent] of the edge that ran out (one exhausted run counts one
     [budget.exhaustions]); its [partial] lists completed edges only. *)

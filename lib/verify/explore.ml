@@ -22,22 +22,17 @@ let full_suite ~tids ?(depth = 4) ?(random = 16) () =
    oracle runs at any depth the walk accepted, zero included. *)
 let suite ~ctx (engine : Engine.t) layer threads =
   let depth = engine.Engine.depth in
+  let table () = Game.table ~memory:ctx.Ctx.memory layer threads in
   match engine.Engine.algo with
   | Engine.Dpor ->
-    let prefixes, _ =
-      Dpor.walk ~memory:ctx.Ctx.memory ~engine ~depth layer threads
-    in
+    let prefixes, _ = Dpor.walk ~engine ~depth (table ()) in
     (* [dpor] and [dpor,sym] share the "dpor" tag: identical prefixes
        share crash edge keys (which fold the suite), sound because the
        games are identical. *)
     List.map (Sched.of_trace ~tag:"dpor") prefixes
   | Engine.Exhaustive ->
-    (* Pseudo-threads (TSO flushers, the crash thread) are schedulable
-       too, so the exhaustive prefix alphabet must include their tids. *)
-    let effective =
-      threads @ Game.pseudo_threads ~memory:ctx.Ctx.memory layer threads
-    in
-    exhaustive_scheds ~tids:(List.map fst effective) ~depth
+    (* The alphabet is the played threads, pseudo-threads included. *)
+    exhaustive_scheds ~tids:(List.map fst (Game.played (table ()))) ~depth
   | Engine.Random ->
     (* [depth] doubles as the suite size for the random engine. *)
     random_scheds ~count:depth

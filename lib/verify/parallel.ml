@@ -266,8 +266,8 @@ type 'b cell =
   | Stopped  (** the game was cancelled by its stop closure *)
   | Raised of exn * Printexc.raw_backtrace
 
-(* Every checker's suite, played and judged (DESIGN.md S37).  The game
-   runs under the context's memory mode with the budget's stop closure;
+(* Every checker's suite, played and judged (DESIGN.md S37) against one
+   game table, under the context's memory mode and the stop closure;
    a [Cancelled] game is a stopped job that no judge sees, and a judged
    job carries its cost (game steps unless the checker says otherwise),
    so the scan keeps no game outcome the judge did not keep.
@@ -295,14 +295,14 @@ let games ~ctx ?max_steps ?log_switches ?(cut = fun _ -> false)
   let token = ctx.Ctx.token in
   let base = Budget.steps_used token in
   let allowance = Budget.steps_remaining token in
+  let table = Game.table ~memory:ctx.Ctx.memory layer threads in
   let arr = Array.of_list scheds in
   let n = Array.length arr in
   let play i =
     let sched = arr.(i) in
     let o =
-      Game.run
-        (Game.config ?max_steps ?log_switches ~memory:ctx.Ctx.memory
-           ?stop:(Budget.game_stop token ~allowance) layer threads sched)
+      Game.play ?max_steps ?log_switches
+        ?stop:(Budget.game_stop token ~allowance) table sched
     in
     match o.Game.status with
     | Game.Cancelled -> None

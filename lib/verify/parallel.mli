@@ -49,9 +49,10 @@ val games :
 (** [games ~ctx ~cost layer threads judge scheds] plays the game of
     [layer] and [threads] under each scheduler of [scheds] and judges
     each finished play: every checker's suite runs here (DESIGN.md S24,
-    S27, S37).  Each game gets the fuel [max_steps] (the
-    {!Ccal_core.Game} default when absent), [ctx.memory] and the
-    budget's stop closure ({!Budget.game_stop}).  A game the stop
+    S27, S37).  It builds the suite's {!Ccal_core.Game.table} once,
+    under [ctx.memory], and plays each scheduler against it.  Each game
+    gets the fuel [max_steps] (the {!Ccal_core.Game} default when
+    absent) and the budget's stop closure ({!Budget.game_stop}).  A game the stop
     closure cancelled is never judged: it ends the scan [Exhausted].
     [cost] (default: the game's steps) charges each judged schedule to
     [ctx.token]; [cut] (default never) ends the scan [Complete] at the

@@ -32,22 +32,11 @@ let of_trace trace =
     in
     next ()
 
-let biased ~favored ~ratio ~seed ~step _ ~runnable =
-  match runnable with
-  | [] -> None
-  | _ ->
-    let h = Sched.splitmix ((seed * 7_919) + step) in
-    if List.mem favored runnable && h mod (ratio + 1) <> 0 then Some favored
-    else
-      let n = List.length runnable in
-      Some (List.nth runnable (h / 7 mod n))
-
 (* A fresh list-based pick for [s]. *)
 let pick : Sched.t -> Sched.pick = function
   | Sched.Round_robin -> round_robin
   | Sched.Random seed -> random seed
   | Sched.Trace { choices; _ } -> of_trace choices
-  | Sched.Biased { favored; ratio; seed } -> biased ~favored ~ratio ~seed
   | Sched.Custom { pick; _ } -> pick
 
 (* [s] run through the oracle: same name, list-based pick. *)

@@ -497,6 +497,59 @@ let test_stack_warm_equals_cold () =
           check_int "no warm misses" 0 w.misses)
         [ 1; 2 ])
 
+(* ---- a hit did no work: it carries no counters ----
+
+   A row is stored without its telemetry counters and a hit reports
+   none, so a warm run prints the same whichever way the store was
+   filled: a store filled under telemetry never lends a later run its
+   stale [schedules_run], and a warm run under telemetry never shows
+   counters for work it did not do. *)
+
+(* The kv stack's canonical report, over [cache] if any, under telemetry when
+   [stats]. *)
+let kv_report ?cache ~stats () =
+  let run () =
+    match Ccal_kv.Kv_stack.verify_ctx ~ctx:(V.Ctx.make ?cache ()) ~threads:4 () with
+    | V.Budget.Complete (Ok r) ->
+      Format.asprintf "%a" (V.Edges.pp ~millis:false Ccal_kv.Kv_stack.layout)
+        r.Ccal_kv.Kv_stack.edges
+    | _ -> Alcotest.fail "kv stack did not certify"
+  in
+  if not stats then run ()
+  else begin
+    V.Telemetry.reset ();
+    V.Telemetry.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        V.Telemetry.disable ();
+        V.Telemetry.reset ())
+      run
+  end
+
+(* The warm report of a store filled with or without telemetry. *)
+let warm_kv_report ~filled_with_stats ~stats =
+  with_cache (fun c ->
+      ignore (kv_report ~cache:c ~stats:filled_with_stats ());
+      kv_report ~cache:(V.Cache.create ~dir:(V.Cache.dir c) ()) ~stats ())
+
+let test_hit_without_stats_has_no_counters () =
+  let uncached = kv_report ~stats:false () in
+  check_string "store filled under telemetry: a plain warm run prints no counters"
+    uncached (warm_kv_report ~filled_with_stats:true ~stats:false)
+
+let test_hit_under_stats_has_no_counters () =
+  let plain = kv_report ~stats:false () in
+  check_bool "an uncached run under telemetry prints counters" true
+    (kv_report ~stats:true () <> plain);
+  List.iter
+    (fun filled_with_stats ->
+      check_string
+        (Printf.sprintf "store filled %s telemetry: a warm run under it prints no counters"
+           (if filled_with_stats then "under" else "without"))
+        plain
+        (warm_kv_report ~filled_with_stats ~stats:true))
+    [ false; true ]
+
 let suite =
   [
     tc "fingerprints are stable" test_fingerprint_stable;
@@ -524,4 +577,8 @@ let suite =
     tc "stack edge keys pinned (mcs, TSO)" test_stack_keys_golden_mcs_tso;
     tc "kv edge keys pinned" test_kv_keys_golden;
     tc "warm stack run equals cold (jobs 1, 2)" test_stack_warm_equals_cold;
+    tc "a hit from a store filled under telemetry has no counters"
+      test_hit_without_stats_has_no_counters;
+    tc "a hit under telemetry has no counters, however the store was filled"
+      test_hit_under_stats_has_no_counters;
   ]

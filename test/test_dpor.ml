@@ -8,7 +8,7 @@
    commuting events (Mazurkiewicz traces).  Every comparison goes through
    [Explore.oracle_ctx], the one the CLI runs.
 
-   Plus: scheduler coverage properties ([Sched.of_trace], [Sched.biased],
+   Plus: scheduler coverage properties ([Sched.of_trace],
    [Sched.splitmix]) and the regression for race classification — a stuck
    message merely *containing* "race" must not be reported as a data race
    now that the verdict rides on [Layer.stuck_kind]. *)
@@ -415,8 +415,8 @@ let test_sym_ticket_4t_depth8 () =
 let walk_digest ?(independence = V.Dpor.Exact) ?(memory = Memory.default)
     ?(sym = false) ~depth layer threads =
   let prefixes, (st : E.walk_stats) =
-    V.Dpor.walk ~independence ~memory ~engine:{ (E.dpor ~depth) with E.sym }
-      ~depth layer threads
+    V.Dpor.walk ~independence ~engine:{ (E.dpor ~depth) with E.sym } ~depth
+      (Game.table ~memory layer threads)
   in
   let trace p = String.concat "," (List.map string_of_int p) in
   Digest.to_hex
@@ -842,21 +842,6 @@ let prop_of_trace_follows_then_round_robin =
       in
       picks = expected)
 
-let prop_biased_picks_runnable =
-  qtc "biased never picks a non-runnable thread"
-    QCheck.(triple (int_range 0 4) (int_range 1 5) small_nat)
-    (fun (favored, ratio, seed) ->
-      List.for_all
-        (fun runnable ->
-          let pick = Sched_oracle.pick (Sched.biased ~favored ~ratio ~seed) in
-          List.for_all
-            (fun step ->
-              match pick ~step Log.empty ~runnable with
-              | Some i -> List.mem i runnable
-              | None -> false)
-            [ 0; 1; 2; 3; 7; 11 ])
-        [ [ 1 ]; [ 2; 3 ]; [ 1; 2; 3; 4 ]; [ 4 ] ])
-
 (* ---- race classification regression ---- *)
 
 let test_stuck_message_mentioning_race_is_not_a_race () =
@@ -974,7 +959,6 @@ let suite =
     tc "splitmix corner cases" test_splitmix_corner_cases;
     prop_splitmix_nonneg;
     prop_of_trace_follows_then_round_robin;
-    prop_biased_picks_runnable;
     tc "stuck message containing 'race' is not a race"
       test_stuck_message_mentioning_race_is_not_a_race;
     tc "structured Layer.Race is reported as a race"

@@ -405,17 +405,17 @@ let test_flusher_tids () =
 let test_flusher_threads_synthesis () =
   let threads = Unfenced.threads Unfenced.Trylock in
   let tso_layer = T.machine_layer Memory.Tso in
-  let fl = Game.flusher_threads ~memory:Memory.Tso tso_layer threads in
+  let fl = Game.pseudo_threads ~memory:Memory.Tso tso_layer threads in
   check_int "one flusher per thread" (List.length threads) (List.length fl);
   List.iter
     (fun (tid, _) -> check_bool "flusher tid negative" true (tid < 0))
     fl;
   check_int "none under SC" 0
     (List.length
-       (Game.flusher_threads ~memory:Memory.Sc tso_layer threads));
+       (Game.pseudo_threads ~memory:Memory.Sc tso_layer threads));
   check_int "none for an unbuffered layer" 0
     (List.length
-       (Game.flusher_threads ~memory:Memory.Tso
+       (Game.pseudo_threads ~memory:Memory.Tso
           (T.machine_layer Memory.Sc) threads))
 
 let suite =

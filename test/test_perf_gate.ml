@@ -113,7 +113,7 @@ let test_verdicts_identical_across_jobs () =
         (check_races ~jobs () = oracle))
     [ 2; 4; 7 ]
 
-(* ---- minor words per play move (DESIGN.md S35) ----
+(* ---- minor words per play move, and per play (DESIGN.md S35, S36) ----
 
    Allocation is deterministic for a given build, so unlike the clock
    this gate holds on every host: each game of [Moves.games] must stay
@@ -124,10 +124,10 @@ let test_words_per_move () =
       let bound = g.recorded *. 1.05 in
       let _, words = g.run () in
       Printf.printf
-        "perf-gate: %s %.1f minor words per move (bound %.1f, before %.1f)\n%!"
-        g.name words bound g.before;
+        "perf-gate: %s %.1f minor words per %s (bound %.1f, before %.1f)\n%!"
+        g.name words g.per bound g.before;
       check_bool
-        (Printf.sprintf "%s: %.1f words per move <= %.1f" g.name words bound)
+        (Printf.sprintf "%s: %.1f words per %s <= %.1f" g.name words g.per bound)
         true (words <= bound))
     Moves.games
 

@@ -67,9 +67,6 @@ let gen_case =
   let* log_switches = bool in
   let* seed = int in
   let* choices = list_size (int_range 0 12) (int_range (-1) 9) in
-  let* favored = int_range 0 8 in
-  let* ratio = int_range 0 6 in
-  let* bseed = int in
   return
     {
       on_ticket;
@@ -77,8 +74,7 @@ let gen_case =
       max_steps;
       log_switches;
       scheds =
-        [ Sched.round_robin; Sched.random ~seed; Sched.of_trace choices;
-          Sched.biased ~favored ~ratio ~seed:bseed ];
+        [ Sched.round_robin; Sched.random ~seed; Sched.of_trace choices ];
     }
 
 let print_case c =
@@ -160,12 +156,6 @@ let test_scheds_fingerprint_golden () =
   check_string "digest" "268bc2d57d0b85ee"
     (Fingerprint.to_hex (Fingerprint.finish (Fingerprint.scheds Fingerprint.empty suite)))
 
-let test_biased_names_carry_the_seed () =
-  let fp s = Fingerprint.finish (Fingerprint.scheds Fingerprint.empty [ s ]) in
-  let biased seed = Sched.biased ~favored:2 ~ratio:10 ~seed in
-  check_string "name" "biased(2 x10 seed=1)" (Sched.name (biased 1));
-  check_bool "two seeds, two keys" false (Fingerprint.equal (fp (biased 1)) (fp (biased 2)))
-
 let test_duplicate_real_tids_rejected () =
   Alcotest.check_raises "duplicate tid"
     (Invalid_argument "Game.pseudo_threads: duplicate real thread id 1") (fun () ->
@@ -181,6 +171,5 @@ let suite =
     tc "generator reaches every ending" test_generator_covers_endings;
     tc "exhaustive suite replays identically" test_exhaustive_suite_replays;
     tc "scheduler names and fingerprint pinned" test_scheds_fingerprint_golden;
-    tc "biased names carry the seed" test_biased_names_carry_the_seed;
     tc "duplicate real tids rejected" test_duplicate_real_tids_rejected;
   ]

@@ -122,17 +122,6 @@ let test_strategy_emit_once () =
   | Strategy.Move ([ e ], Strategy.Done _) -> check_int "src" 4 e.Event.src
   | _ -> Alcotest.fail "expected one move"
 
-(* ---- Sched.biased ---- *)
-
-let test_biased_prefers_favored () =
-  let pick = Sched_oracle.pick (Sched.biased ~favored:2 ~ratio:10 ~seed:1) in
-  let picks =
-    List.init 50 (fun step ->
-        Option.get (pick ~step Log.empty ~runnable:[ 1; 2; 3 ]))
-  in
-  let favored = List.length (List.filter (fun t -> t = 2) picks) in
-  check_bool "favored dominates" true (favored > 30)
-
 (* ---- pretty-printers (smoke: they terminate and are non-empty) ---- *)
 
 let test_pp_smoke () =
@@ -284,7 +273,6 @@ let suite =
     tc "layer union merges init_abs" test_layer_union_merges_init_abs;
     tc "strategy stopped" test_strategy_stopped;
     tc "strategy emit_once" test_strategy_emit_once;
-    tc "biased scheduler" test_biased_prefers_favored;
     tc "pretty-printers smoke" test_pp_smoke;
     tc "csyntax sizes" test_csyntax_sizes;
     tc "qlock translation fast path" test_qlock_translation_fast_path;
