@@ -2,7 +2,7 @@
     (DESIGN.md S25): named monotonic counters and timed spans, domain-safe
     and ~free when disabled.
 
-    This lives in core so the hot paths ({!Game.run}, the machine linking
+    This lives in core so the hot paths ({!Game.play}, the machine linking
     bodies) can be instrumented without a dependency cycle; the stats
     table and Chrome-trace exporters live in [Ccal_verify.Telemetry],
     which re-exports this interface.
@@ -90,10 +90,10 @@ val reset : unit -> unit
 (** {1 The standard counters} *)
 
 val schedules_run : counter
-(** Bumped once per completed {!Game.run}. *)
+(** Bumped once per completed {!Game.play}. *)
 
 val replay_steps : counter
-(** Bumped by each {!Game.run} with its shared + silent step total — the
+(** Bumped by each {!Game.play} with its shared + silent step total — the
     log-replay work the run performed. *)
 
 val events_folded : counter

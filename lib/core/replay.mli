@@ -36,7 +36,7 @@ val fold : init:'a -> step:('a -> Event.t -> ('a, string) result) -> 'a t
 val scoped : (unit -> 'a) -> 'a
 (** [scoped f] runs [f] in a fresh memo scope private to the calling
     domain, dropped (and the enclosing one restored) when [f] returns or
-    raises.  Every game play ({!Game.run}) is one scope, so a play's
+    raises.  Every game play ({!Game.play}) is one scope, so a play's
     replay cost is linear in its length. *)
 
 type route =
