@@ -57,7 +57,7 @@ let ticket4 () =
   let independence = V.Dpor.Commuting_events in
   let table = Game.table ~memory:Memory.Sc layer threads in
   let prefixes, _ =
-    V.Dpor.walk ~independence ~engine:(Strategy.Engine.dpor ~depth:6) ~depth:6
+    V.Dpor.walk ~independence ~engine:(Strategy.Engine.dpor ~depth:6)
       table
   in
   words_per_move (fun () ->

@@ -315,28 +315,21 @@ let report_file_arg =
                  The file is bit-identical between cold and warm cached \
                  runs and across $(b,--jobs) counts — made for $(b,cmp).")
 
-let write_report report_file pp report =
-  match report_file with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    let fmt = Format.formatter_of_out_channel oc in
-    Format.fprintf fmt "%a@." pp report;
-    Format.pp_print_flush fmt ();
-    close_out oc;
-    Format.printf "canonical report written to %s@." path
-
 (* The one result printer of the edge-list subcommands (stack, kv,
    crash): the report on stdout, the frontier when the budget ran out,
    the canonical report to [--report], and the exit code. *)
 let print_edges ~report_file layout ~rows ~frontier ~failed outcome =
   let module V = Ccal_verify in
-  let print r =
-    Format.printf "%a" (V.Edges.pp ~millis:true layout) (rows r);
-    (* a footer line is left open for the caller *)
-    if layout.V.Edges.title = None then Format.printf "@."
+  let print r = Format.printf "%a" (V.Edges.pp ~millis:true layout) (rows r) in
+  let report r =
+    Option.iter
+      (fun path ->
+        Out_channel.with_open_text path (fun oc ->
+            let fmt = Format.formatter_of_out_channel oc in
+            Format.fprintf fmt "%a%!" (V.Edges.pp ~millis:false layout) (rows r));
+        Format.printf "canonical report written to %s@." path)
+      report_file
   in
-  let report r = write_report report_file (V.Edges.pp ~millis:false layout) (rows r) in
   match outcome with
   | V.Budget.Complete (Ok r) ->
     print r;

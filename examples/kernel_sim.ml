@@ -28,7 +28,7 @@ let () =
           ~lock:`Ticket ~seeds:4 ())
    with
   | Ok p ->
-    Format.printf "%a@.@."
+    Format.printf "%a@."
       (Ccal_verify.Edges.pp ~millis:true Ccal_verify.Stack.layout)
       p.Ccal_verify.Stack.completed.Ccal_verify.Stack.edges
   | Error msg ->

@@ -230,6 +230,6 @@ let prog_of_fn ?(fuel = 1_000_000) (fn : Csyntax.fn) =
            (fn.Csyntax.name ^ ": name used as both parameter and local: " ^ x))
   | None -> compile ~fuel fn
 
-let module_of_fns ?fuel fns =
+let module_of_fns fns =
   Prog.Module.of_bodies
-    (List.map (fun (fn : Csyntax.fn) -> fn.Csyntax.name, prog_of_fn ?fuel fn) fns)
+    (List.map (fun (fn : Csyntax.fn) -> fn.Csyntax.name, prog_of_fn fn) fns)

@@ -27,6 +27,6 @@ val prog_of_fn :
     re-entered any number of times (DESIGN.md S35).  A parameter/local
     clash raises {!Semantics_error} when the function is applied. *)
 
-val module_of_fns : ?fuel:int -> Csyntax.fn list -> Ccal_core.Prog.Module.t
+val module_of_fns : Csyntax.fn list -> Ccal_core.Prog.Module.t
 (** The module [M] collecting the given C functions — e.g. the paper's
     [M1 := acq ⊕ rel] (Sec. 2). *)

@@ -28,8 +28,6 @@ let slots_of_fn (fn : Ccal_clight.Csyntax.fn) =
   let map, _ = List.fold_left add (Smap.empty, 0) (fn.params @ fn.locals) in
   map
 
-let slot_of_var fn x = Smap.find_opt x (slots_of_fn fn)
-
 (* Expressions compile to code leaving the result in EAX; intermediates go
    through the operand stack, so nested expressions need no register
    allocator. *)
@@ -113,5 +111,4 @@ let compile_fn (fn : Ccal_clight.Csyntax.fn) =
     body = compile_stmt fn.body @ [ Asm.RetVoid ];
   }
 
-let compile_module ?fuel fns =
-  Asm_sem.module_of_fns ?fuel (List.map compile_fn fns)
+let compile_module fns = Asm_sem.module_of_fns (List.map compile_fn fns)

@@ -17,11 +17,7 @@ val compile_fn : Ccal_clight.Csyntax.fn -> Ccal_machine.Asm.fn
 (** Compile one function.  Raises [Unsupported] on name clashes the
     compiler cannot allocate slots for. *)
 
-val compile_module :
-  ?fuel:int -> Ccal_clight.Csyntax.fn list -> Ccal_core.Prog.Module.t
+val compile_module : Ccal_clight.Csyntax.fn list -> Ccal_core.Prog.Module.t
 (** [CompCertX(M)]: compile every function and return the assembly module
     ready for linking — the paper's
     [CompCertX(M1 ⊕ M2)] in Fig. 5. *)
-
-val slot_of_var : Ccal_clight.Csyntax.fn -> string -> int option
-(** The frame slot the compiler assigns to a variable (for tests). *)

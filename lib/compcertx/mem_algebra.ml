@@ -72,14 +72,6 @@ let related m1 m2 m =
   | Some m' -> equal m m'
   | None -> false
 
-let compose_many ms =
-  List.fold_left
-    (fun acc m ->
-      match acc with
-      | None -> None
-      | Some acc -> compose acc m)
-    (Some empty) ms
-
 let pp fmt m =
   let pp_block fmt = function
     | Empty -> Format.pp_print_string fmt "<empty>"

@@ -44,9 +44,5 @@ val compose : t -> t -> t option
 val related : t -> t -> t -> bool
 (** [related m1 m2 m]: does [m1 ⊛ m2 ≃ m] hold? *)
 
-val compose_many : t list -> t option
-(** N-thread composition, defined by iterating the binary one as at the
-    end of Sec. 5.5. *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

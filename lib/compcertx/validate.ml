@@ -25,16 +25,15 @@ type report = {
 (* Source and compiled code must see the *same* environment events: the
    suite generator is called twice and must be deterministic (all suites in
    this code base are built from pure data). *)
-let validate_fn ?max_moves ~layer ~tids ~arg_cases ~envs (fn : Ccal_clight.Csyntax.fn) =
+let validate_fn ~layer ~tids ~arg_cases ~envs (fn : Ccal_clight.Csyntax.fn) =
   let asm_fn = Compile.compile_fn fn in
-  let max_moves = Option.value ~default:10_000 max_moves in
   let run_case tid args env_c env_a =
     let c_run =
-      Machine.run_local ~max_moves layer tid ~env:env_c
+      Machine.run_local layer tid ~env:env_c
         (Ccal_clight.Csem.prog_of_fn fn args)
     in
     let asm_run =
-      Machine.run_local ~max_moves layer tid ~env:env_a
+      Machine.run_local layer tid ~env:env_a
         (Ccal_machine.Asm_sem.prog_of_fn asm_fn args)
     in
     let fail reason =
@@ -94,7 +93,7 @@ let validate_fn ?max_moves ~layer ~tids ~arg_cases ~envs (fn : Ccal_clight.Csynt
   in
   go 0 cases
 
-let validate_module ?max_moves ~layer ~tids ~arg_cases ~envs fns =
+let validate_module ~layer ~tids ~arg_cases ~envs fns =
   let rec go fns_validated cases_run = function
     | [] -> Ok { fns_validated; cases_run }
     | fn :: rest -> (
@@ -103,7 +102,7 @@ let validate_module ?max_moves ~layer ~tids ~arg_cases ~envs fns =
         | Some cs -> cs
         | None -> [ [] ]
       in
-      match validate_fn ?max_moves ~layer ~tids ~arg_cases:cases ~envs fn with
+      match validate_fn ~layer ~tids ~arg_cases:cases ~envs fn with
       | Ok n -> go (fns_validated + 1) (cases_run + n) rest
       | Error _ as e -> e)
   in

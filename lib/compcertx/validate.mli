@@ -26,25 +26,13 @@ type report = {
   cases_run : int;
 }
 
-val validate_fn :
-  ?max_moves:int ->
-  layer:Ccal_core.Layer.t ->
-  tids:Ccal_core.Event.tid list ->
-  arg_cases:Ccal_core.Value.t list list ->
-  envs:(Ccal_core.Event.tid -> Ccal_core.Env_context.t list) ->
-  Ccal_clight.Csyntax.fn ->
-  (int, failure) result
-(** Validate one function over every thread, argument vector and (paired)
-    environment context; returns the number of cases run. *)
-
 val validate_module :
-  ?max_moves:int ->
   layer:Ccal_core.Layer.t ->
   tids:Ccal_core.Event.tid list ->
   arg_cases:(string * Ccal_core.Value.t list list) list ->
   envs:(Ccal_core.Event.tid -> Ccal_core.Env_context.t list) ->
   Ccal_clight.Csyntax.fn list ->
   (report, failure) result
-(** Validate each function of a module with its own argument cases
-    (functions without an entry are validated on the empty argument
-    vector). *)
+(** Validate each function of a module over every thread, each of its
+    argument vectors and each (paired) environment context (functions
+    without an entry are validated on the empty argument vector). *)

@@ -10,11 +10,7 @@ let get k a = match find k a with Some v -> v | None -> Value.unit
 
 let set k v a = Smap.add k v a
 
-let update k f a = Smap.add k (f (get k a)) a
-
 let fields a = Smap.bindings a
-
-let of_fields kvs = List.fold_left (fun a (k, v) -> set k v a) empty kvs
 
 let equal a b = Smap.equal Value.equal a b
 

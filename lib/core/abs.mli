@@ -18,12 +18,8 @@ val find : string -> t -> Value.t option
 val set : string -> Value.t -> t -> t
 (** [set k v a] is the paper's record update [a{k : v}]. *)
 
-val update : string -> (Value.t -> Value.t) -> t -> t
-
 val fields : t -> (string * Value.t) list
 (** Bindings, sorted by field name. *)
-
-val of_fields : (string * Value.t) list -> t
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

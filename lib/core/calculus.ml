@@ -92,7 +92,7 @@ let empty_rule layer focus =
    sides run the precondition prefix followed by the call under test — the
    implementation side through the module, the specification side over the
    overlay interface. *)
-let check_prim_case ?max_moves ~underlay ~overlay ~impl ~rel ~envs prim case i =
+let check_prim_case ~underlay ~overlay ~impl ~rel ~envs prim case i =
   match Prog.Module.find prim impl with
   | None -> Error (Fun, "module does not implement " ^ prim, None)
   | Some _ ->
@@ -101,7 +101,7 @@ let check_prim_case ?max_moves ~underlay ~overlay ~impl ~rel ~envs prim case i =
     else (
       let calls = calls_of_case prim case in
       match
-        Simulation.check_progs ?max_moves rel ~tid:i ~impl_layer:underlay
+        Simulation.check_progs rel ~tid:i ~impl_layer:underlay
           ~impl:(Prog.Module.link impl calls) ~spec_layer:overlay ~spec:calls
           ~envs:(envs i)
       with
@@ -124,7 +124,7 @@ let obligations_of prim_tests focus =
         cases)
     prim_tests
 
-let fun_rule ?max_moves ~underlay ~overlay ~impl ~rel ~focus ~prim_tests ~envs
+let fun_rule ~underlay ~overlay ~impl ~rel ~focus ~prim_tests ~envs
     () =
   let rec go evidence = function
     | [] ->
@@ -137,7 +137,7 @@ let fun_rule ?max_moves ~underlay ~overlay ~impl ~rel ~focus ~prim_tests ~envs
         }
     | (prim, case, i) :: rest -> (
       match
-        check_prim_case ?max_moves ~underlay ~overlay ~impl ~rel ~envs prim
+        check_prim_case ~underlay ~overlay ~impl ~rel ~envs prim
           case i
       with
       | Ok line -> go (line :: evidence) rest
@@ -221,7 +221,7 @@ let layer_sim_id layer focus =
     sim_evidence = [ "reflexivity" ];
   }
 
-let check_layer_sim ?max_moves ~lower ~upper ~rel ~focus ~prim_tests ~envs () =
+let check_layer_sim ~lower ~upper ~rel ~focus ~prim_tests ~envs () =
   let rec go evidence = function
     | [] ->
       Ok { lower; upper; sim_rel = rel; sim_focus = focus; sim_evidence = List.rev evidence }
@@ -233,7 +233,7 @@ let check_layer_sim ?max_moves ~lower ~upper ~rel ~focus ~prim_tests ~envs () =
       else
         let calls = calls_of_case prim case in
         match
-          Simulation.check_progs ?max_moves rel ~tid:i ~impl_layer:lower
+          Simulation.check_progs rel ~tid:i ~impl_layer:lower
             ~impl:calls ~spec_layer:upper ~spec:calls ~envs:(envs i)
         with
         | Ok report ->

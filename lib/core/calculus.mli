@@ -70,7 +70,6 @@ val empty_rule : Layer.t -> Event.tid list -> cert
 (** [L[A] ⊢_id ∅ : L[A]]. *)
 
 val fun_rule :
-  ?max_moves:int ->
   underlay:Layer.t ->
   overlay:Layer.t ->
   impl:Prog.Module.t ->
@@ -106,7 +105,6 @@ type layer_sim = {
     simulated by its lower counterpart (the "log-lift" pattern, Sec. 2). *)
 
 val check_layer_sim :
-  ?max_moves:int ->
   lower:Layer.t ->
   upper:Layer.t ->
   rel:Sim_rel.t ->

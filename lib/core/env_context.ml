@@ -58,16 +58,13 @@ let of_strategies name parts ~rounds =
   in
   { name; query }
 
-let valid_events ~focus evs =
-  List.for_all (fun (e : Event.t) -> not (List.mem e.src focus)) evs
-
 let checked ~rely e =
   {
     name = e.name ^ "|checked";
     query =
       (fun ~focus log ->
         let evs = e.query ~focus log in
-        if not (valid_events ~focus evs) then
+        if List.exists (fun (e : Event.t) -> List.mem e.src focus) evs then
           raise
             (Invalid_env
                (Printf.sprintf "context %s produced an event from the focused set"

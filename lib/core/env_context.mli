@@ -34,13 +34,11 @@ val of_strategies : string -> (Event.tid * Strategy.t) list -> rounds:int -> t
     paper's "union of the strategies by the scheduler plus those
     participants not in A". *)
 
-val valid_events : focus:Event.tid list -> Event.t list -> bool
-(** All events originate outside the focused set. *)
-
 val checked :
   rely:Rely_guarantee.t -> t -> t
-(** [checked ~rely e] wraps [e] so that any answer extending the log to one
-    violating [rely] (for the event's source) raises [Invalid_env]; this is
+(** [checked ~rely e] wraps [e] so that any answer holding an event of the
+    focused set, or extending the log to one violating [rely] (for the
+    event's source), raises [Invalid_env]; this is
     how experiments restrict attention to valid environment contexts. *)
 
 exception Invalid_env of string

@@ -2,9 +2,7 @@ type t = int
 type state = int
 
 let equal = Int.equal
-let compare = Int.compare
 let to_hex fp = Printf.sprintf "%016x" fp
-let pp fmt fp = Format.pp_print_string fmt (to_hex fp)
 
 (* Bump whenever any combinator below changes meaning, or a cached
    value's type changes under an unchanged key: stale entries written
@@ -38,9 +36,6 @@ let rec value st (v : Value.t) =
   | Vpair (a, b) -> value (value (int st 4) a) b
   | Vlist vs -> list value (int st 5) vs
 
-let event st (e : Event.t) =
-  value (list value (string (int (int st 0x45) e.src) e.tag) e.args) e.ret
-
 (* Fixed probe set for continuations.  Covers the return shapes the
    object bodies actually branch on: unit, the 0/1 integers (ticket
    numbers, queue heads, boolean-as-int flags) and a genuine boolean.
@@ -48,16 +43,18 @@ let event st (e : Event.t) =
    a marker, not an error — rejection is itself structure. *)
 let probes = [ Value.Vunit; Value.Vint 0; Value.Vint 1; Value.Vbool true ]
 
-let prog ?(budget = 2048) st p =
+(* The walk behind [prog], [prog_blind] and [modul]: [emit] mixes the
+   values the program emits, [budget] bounds the nodes visited. *)
+let walk emit budget st p =
   let remaining = ref budget in
   let rec go st (p : Prog.t) =
     if !remaining <= 0 then int st 0x544F (* truncation marker *)
     else begin
       decr remaining;
       match p with
-      | Ret v -> value (int st 0x52) v
+      | Ret v -> emit (int st 0x52) v
       | Call { prim; args; k } ->
-        let st = list value (string (int st 0x43) prim) args in
+        let st = list emit (string (int st 0x43) prim) args in
         List.fold_left
           (fun st pv ->
             match k pv with
@@ -68,6 +65,8 @@ let prog ?(budget = 2048) st p =
   in
   go st p
 
+let prog st p = walk value 2048 st p
+
 (* Tid-blinded program fingerprint: like [prog], but every [Vint]
    occurrence of the thread's own id in the structure the program emits
    (primitive arguments, return values) is replaced by a marker.  Two
@@ -76,7 +75,7 @@ let prog ?(budget = 2048) st p =
    [sym] reduction (DESIGN.md S31).  Probe values fed INTO
    continuations are not blinded: they are ours and identical across
    threads. *)
-let prog_blind ~tid ?(budget = 2048) st p =
+let prog_blind ~tid st p =
   let rec blind (v : Value.t) =
     match v with
     | Vint n when n = tid -> Value.Vint 0x544944 (* "TID" marker *)
@@ -84,33 +83,15 @@ let prog_blind ~tid ?(budget = 2048) st p =
     | Vlist vs -> Value.Vlist (List.map blind vs)
     | Vunit | Vbool _ | Vint _ -> v
   in
-  let bvalue st v = value st (blind v) in
-  let remaining = ref budget in
-  let rec go st (p : Prog.t) =
-    if !remaining <= 0 then int st 0x544F
-    else begin
-      decr remaining;
-      match p with
-      | Ret v -> bvalue (int st 0x52) v
-      | Call { prim; args; k } ->
-        let st = list bvalue (string (int st 0x43) prim) args in
-        List.fold_left
-          (fun st pv ->
-            match k pv with
-            | sub -> go (value (int st 0x4B) pv) sub
-            | exception _ -> int (value (int st 0x58) pv) 0x454B)
-          st probes
-    end
-  in
-  go st p
+  walk (fun st v -> value st (blind v)) 2048 st p
 
 (* Argument vectors for probing module bodies: nullary, one int, two
    ints — the arities the case-study primitives use. *)
 let arg_probes = [ []; [ Value.Vint 0 ]; [ Value.Vint 0; Value.Vint 1 ] ]
 
-let modul ?(budget = 512) st m =
-  (* [budget] is per probed body, so whole-module work is bounded by
-     [budget * |names| * |arg_probes|]. *)
+(* The budget of 512 nodes is per probed body, so whole-module work is
+   bounded by [512 * |names| * |arg_probes|]. *)
+let modul st m =
   List.fold_left
     (fun st name ->
       let st = string (int st 0x4D) name in
@@ -121,7 +102,7 @@ let modul ?(budget = 512) st m =
           (fun st args ->
             let st = list value st args in
             match body args with
-            | p -> prog ~budget st p
+            | p -> walk value 512 st p
             | exception _ -> int st 0x454B)
           st arg_probes)
     st (Prog.Module.names m)

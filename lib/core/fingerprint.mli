@@ -28,12 +28,8 @@ type t
 (** A finished fingerprint. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-
 val to_hex : t -> string
 (** 16-digit lowercase hex rendering — the cache's filename component. *)
-
-val pp : Format.formatter -> t -> unit
 
 val version : int
 (** Fingerprint format version.  Mixed into {!empty}; bump it whenever
@@ -60,21 +56,18 @@ val list : (state -> 'a -> state) -> state -> 'a list -> state
 
 (** {1 Domain values} *)
 
-val value : state -> Value.t -> state
-val event : state -> Event.t -> state
-
-val prog : ?budget:int -> state -> Prog.t -> state
+val prog : state -> Prog.t -> state
 (** Structural fingerprint of an interaction tree.  [Ret] mixes the
     value; [Call] mixes the primitive name and arguments, then probes
     the continuation with a fixed deterministic set of return values
     ([()], [0], [1], [true]) and recurses on each resulting subtree.  A
-    shared node [budget] (default [2048]) bounds the traversal; when it
+    shared budget of 2048 nodes bounds the traversal; when it
     runs out, or a probe raises (e.g. the continuation rejects a probe
     value's type), a distinct marker is mixed instead.  Deterministic as
     long as continuations are pure — which every program built from
     {!Prog.call}/{!Prog.bind} and every ClightX interpretation is. *)
 
-val prog_blind : tid:int -> ?budget:int -> state -> Prog.t -> state
+val prog_blind : tid:int -> state -> Prog.t -> state
 (** Like {!prog}, but every [Vint] equal to [tid] in the structure the
     program {e emits} (call arguments, return values) is replaced by a
     marker before mixing.  Sibling worker programs that differ only in
@@ -82,11 +75,11 @@ val prog_blind : tid:int -> ?budget:int -> state -> Prog.t -> state
     test of the dpor engine's [sym] reduction (DESIGN.md S31).
     Probe values fed into continuations are not blinded. *)
 
-val modul : ?budget:int -> state -> Prog.Module.t -> state
+val modul : state -> Prog.Module.t -> state
 (** Fingerprint of a module: for each primitive name (in
     {!Prog.Module.names} order), probe the body builder with a fixed set
     of argument vectors and fingerprint the resulting programs.
-    [budget] (default [512]) applies per probed body. *)
+    A budget of 512 nodes applies per probed body. *)
 
 val layer : state -> Layer.t -> state
 (** Name, primitive names and kinds (shared/private), and the

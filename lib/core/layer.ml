@@ -75,7 +75,6 @@ let union a b =
             (Abs.fields (b.init_abs i)));
     }
 
-let with_conditions ~rely ~guar l = { l with rely; guar }
 
 let restrict names l =
   { l with prims = List.filter (fun (n, _) -> List.mem n names) l.prims }
@@ -83,13 +82,13 @@ let restrict names l =
 let shared_prim name sem = name, Shared sem
 let private_prim name sem = name, Private sem
 
-let event_prim ?(crit = Keep) name ret =
+let event_prim name ret =
   ( name,
     Shared
       (fun i args log ->
         match ret i args log with
         | Ok v ->
-          Step { events = [ Event.make ~args ~ret:v i name ]; ret = v; crit }
+          Step { events = [ Event.make ~args ~ret:v i name ]; ret = v; crit = Keep }
         | Error msg -> Stuck msg) )
 
 let pure_private name f =

@@ -93,11 +93,6 @@ val union : t -> t -> t
     rely/guarantee of the two operands must be {!Rely_guarantee.same},
     otherwise [Invalid_argument] is raised (the rule's side condition). *)
 
-val with_conditions : rely:Rely_guarantee.t -> guar:Rely_guarantee.t -> t -> t
-(** Replace the rely/guarantee conditions (used when lifting a layer to a
-    stronger interface, e.g. [L'1[i]] acquiring fairness assumptions in
-    Sec. 2). *)
-
 val restrict : string list -> t -> t
 (** Keep only the named primitives (hide the rest), as when a higher layer
     stops exporting the raw ticket-lock primitives. *)
@@ -115,7 +110,7 @@ val private_prim :
   string * prim
 
 val event_prim :
-  ?crit:crit -> string -> (Event.tid -> Value.t list -> Log.t -> (Value.t, string) result) -> string * prim
+  string -> (Event.tid -> Value.t list -> Log.t -> (Value.t, string) result) -> string * prim
 (** [event_prim name ret] is the common shape of an atomic shared
     primitive: append exactly the event [i.name(args)->v] where [v] is
     computed from the log by a replay function, and return [v]. *)

@@ -12,21 +12,6 @@ let chronological l = List.rev l.rev_events
 
 let length l = l.len
 
-let latest l = match l.rev_events with [] -> None | e :: _ -> Some e
-
-let suffix_since earlier later =
-  if earlier.len > later.len then
-    invalid_arg "Log.suffix_since: earlier log is longer than later log"
-  else
-    let rec take acc n evs =
-      if n = 0 then acc
-      else
-        match evs with
-        | [] -> invalid_arg "Log.suffix_since: inconsistent lengths"
-        | e :: rest -> take (e :: acc) (n - 1) rest
-    in
-    take [] (later.len - earlier.len) later.rev_events
-
 let filter p l =
   let evs = List.filter p l.rev_events in
   { rev_events = evs; len = List.length evs }
@@ -35,8 +20,6 @@ let map_events f l =
   let chron = chronological l in
   let mapped = List.concat_map f chron in
   List.fold_left (fun acc e -> append e acc) empty mapped
-
-let by_thread i l = List.filter (fun (e : Event.t) -> e.src = i) (chronological l)
 
 let count p l =
   List.fold_left (fun n e -> if p e then n + 1 else n) 0 l.rev_events

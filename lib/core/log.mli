@@ -26,14 +26,6 @@ val chronological : t -> Event.t list
 
 val length : t -> int
 
-val latest : t -> Event.t option
-
-val suffix_since : t -> t -> Event.t list
-(** [suffix_since earlier later] is the chronological list of events appended
-    to [earlier] to obtain [later]; raises [Invalid_argument] if [earlier] is
-    not a prefix (by length) of [later].  Used by environment-context
-    queries, which return the events added since the last query point. *)
-
 val filter : (Event.t -> bool) -> t -> t
 (** Keep only the events satisfying the predicate (chronological order is
     preserved).  Used by simulation relations that erase low-level events. *)
@@ -43,9 +35,6 @@ val map_events : (Event.t -> Event.t list) -> t -> t
     sequence [f e], preserving order.  This is how the paper's simulation
     relations on logs (e.g. [R1] mapping [i.hold] to [i.acq] and other
     lock-related events to empty ones, Sec. 2) are implemented. *)
-
-val by_thread : Event.tid -> t -> Event.t list
-(** Chronological events produced by one thread. *)
 
 val count : (Event.t -> bool) -> t -> int
 

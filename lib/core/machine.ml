@@ -41,11 +41,10 @@ let rec move layer tid st log prog abs crit fuel silent =
         | Layer.Stuck msg -> Stuck (Layer.Invalid_transition, c.prim ^ ": " ^ msg), silent
         | Layer.Race msg -> Stuck (Layer.Data_race, c.prim ^ ": " ^ msg), silent))
 
-let step_move_counted ?(private_fuel = 100_000) layer tid st log =
-  move layer tid st log st.prog st.abs st.crit private_fuel 0
+let step_move_counted layer tid st log =
+  move layer tid st log st.prog st.abs st.crit 100_000 0
 
-let step_move ?private_fuel layer tid st log =
-  fst (step_move_counted ?private_fuel layer tid st log)
+let step_move layer tid st log = fst (step_move_counted layer tid st log)
 
 let strategy_of_prog layer tid prog =
   let rec of_state st =
@@ -76,8 +75,9 @@ type run_result = {
   guar_violation : Log.t option;
 }
 
-let run_local ?(max_moves = 10_000) ?(block_retries = 64) ?(check_guar = false)
-    layer tid ~env prog =
+let max_moves = 10_000
+
+let run_local ?(block_retries = 64) ?(check_guar = false) layer tid ~env prog =
   let guar = layer.Layer.guar in
   let rec loop st log own moves silent retries violation =
     if moves > max_moves then

@@ -41,19 +41,16 @@ type move_result =
           ([Layer.Data_race]) from ordinary stuckness *)
 
 val step_move :
-  ?private_fuel:int ->
   Layer.t ->
   Event.tid ->
   thread_state ->
   Log.t ->
   move_result
-(** Execute silent steps then at most one shared primitive call.
-    [private_fuel] (default 100_000) bounds silent steps per move so that a
-    diverging private computation is reported as [Stuck] rather than
-    looping. *)
+(** Execute silent steps then at most one shared primitive call.  At
+    most 100,000 silent steps per move, so that a diverging private
+    computation is reported as [Stuck] rather than looping. *)
 
 val step_move_counted :
-  ?private_fuel:int ->
   Layer.t ->
   Event.tid ->
   thread_state ->
@@ -89,7 +86,6 @@ type run_result = {
 }
 
 val run_local :
-  ?max_moves:int ->
   ?block_retries:int ->
   ?check_guar:bool ->
   Layer.t ->
@@ -98,4 +94,7 @@ val run_local :
   Prog.t ->
   run_result
 (** Run a whole program of thread [i] over [L[i]] under environment context
-    [env], starting from the empty log. *)
+    [env], starting from the empty log: at most 10,000 moves, and
+    [block_retries] (default 64) environment queries while blocked.
+    [check_guar] (default false) records the first own move that breaks
+    the layer's guarantee. *)

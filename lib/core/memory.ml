@@ -20,13 +20,6 @@ let equal a b = a = b
 
 let to_string = function Sc -> "sc" | Tso -> "tso"
 
-let of_string = function
-  | "sc" | "SC" -> Some Sc
-  | "tso" | "TSO" -> Some Tso
-  | _ -> None
-
-let pp fmt m = Format.pp_print_string fmt (to_string m)
-
 (* The buffer-flush primitive: [flush cpu] commits the oldest pending
    store of [cpu]'s buffer, or blocks when the buffer is empty.  Only
    TSO layers provide it; its presence is how the game recognises a
@@ -35,4 +28,3 @@ let flush_tag = "flush"
 
 let flusher_tid cpu = -cpu - 1
 let is_flusher i = i < 0
-let cpu_of_flusher i = -i - 1

@@ -19,8 +19,6 @@ val default : t
 
 val equal : t -> t -> bool
 val to_string : t -> string
-val of_string : string -> t option
-val pp : Format.formatter -> t -> unit
 
 val flush_tag : string
 (** The buffer-flush primitive: [flush cpu] commits the oldest pending
@@ -32,4 +30,3 @@ val flusher_tid : Event.tid -> Event.tid
     disjoint from every real thread id. *)
 
 val is_flusher : Event.tid -> bool
-val cpu_of_flusher : Event.tid -> Event.tid

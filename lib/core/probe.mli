@@ -14,9 +14,6 @@
     and committed only for the deterministically merged prefix, so the
     totals under [jobs = 4] equal the sequential oracle's bit for bit. *)
 
-val now_ns : unit -> int64
-(** The monotonic clock (same source as [Ccal_verify.Verify_clock]). *)
-
 (** {1 The switch} *)
 
 val enable : unit -> unit

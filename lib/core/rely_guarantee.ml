@@ -4,7 +4,6 @@ type t = {
 }
 
 let always = { name = "true"; holds = (fun _ _ -> true) }
-let never = { name = "false"; holds = (fun _ _ -> false) }
 
 let make name holds = { name; holds }
 
@@ -17,18 +16,7 @@ let conj a b =
       holds = (fun i l -> a.holds i l && b.holds i l);
     }
 
-let disj a b =
-  if a == never then b
-  else if b == never then a
-  else
-    {
-      name = Printf.sprintf "(%s \\/ %s)" a.name b.name;
-      holds = (fun i l -> a.holds i l || b.holds i l);
-    }
-
 let same a b = String.equal a.name b.name
-
-let holds_for_all inv tids l = List.for_all (fun i -> inv.holds i l) tids
 
 let implies_on g r ~tids ~logs =
   List.for_all

@@ -20,21 +20,13 @@ type t = {
 val always : t
 (** The trivial invariant (every log acceptable). *)
 
-val never : t
-(** The empty invariant (no log acceptable); unit for {!disj}. *)
-
 val make : string -> (Event.tid -> Log.t -> bool) -> t
 
 val conj : t -> t -> t
 (** Conjunction — used by [Pcomp]'s composed rely ([R_A ∩ R_B]). *)
 
-val disj : t -> t -> t
-(** Disjunction — used by [Pcomp]'s composed guarantee ([G_A ∪ G_B]). *)
-
 val same : t -> t -> bool
 (** Name-based syntactic equality, used by the [Hcomp] side conditions. *)
-
-val holds_for_all : t -> Event.tid list -> Log.t -> bool
 
 val implies_on : t -> t -> tids:Event.tid list -> logs:Log.t list -> bool
 (** [implies_on g r ~tids ~logs] checks, on the given corpus, that every

@@ -134,9 +134,4 @@ let on_objects tags (e : Event.t) =
   | Some k when List.mem e.tag tags -> Key k
   | _ -> Skip
 
-let run_exn r l =
-  match r l with
-  | Ok x -> x
-  | Error msg -> failwith ("Replay.run_exn: stuck: " ^ msg)
-
 let well_formed r l = match r l with Ok _ -> true | Error _ -> false

@@ -63,8 +63,5 @@ val on_objects : string list -> Event.t -> route
     object its first argument names ({!Event.obj_of_args}); every other
     event is [Skip]. *)
 
-val run_exn : 'a t -> Log.t -> 'a
-(** Like application, but raises [Failure] on stuck replays; for tests. *)
-
 val well_formed : 'a t -> Log.t -> bool
 (** [well_formed r l] holds iff replaying [l] does not get stuck. *)

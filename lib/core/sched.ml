@@ -18,8 +18,8 @@ let splitmix x =
 let round_robin = Round_robin
 let random ~seed = Random seed
 
-let of_trace ?(name = "trace") ?tag choices =
-  Trace { name = Option.value tag ~default:name; tagged = Option.is_some tag; choices }
+let of_trace ?tag choices =
+  Trace { name = Option.value tag ~default:"trace"; tagged = Option.is_some tag; choices }
 
 let default_suite ~seeds =
   round_robin :: List.init seeds (fun k -> random ~seed:(k + 1))

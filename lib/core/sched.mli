@@ -39,12 +39,12 @@ val random : seed:int -> t
 (** Deterministic pseudo-random scheduler (splitmix-style hash of
     [seed, step]); fair with probability 1, and reproducible. *)
 
-val of_trace : ?name:string -> ?tag:string -> Event.tid list -> t
+val of_trace : ?tag:string -> Event.tid list -> t
 (** Follow the given choice list; entries that are not currently runnable
     are skipped; after the trace is exhausted, behaves like
     {!round_robin}.  The cursor belongs to the play, not to the value.
-    [name] defaults to ["trace"]; a [tag] names the trace
-    [tag:[c1,...,cn]] instead.  Names are cache keys: the DPOR ([dpor])
+    It is named ["trace"]; a [tag] names it [tag:[c1,...,cn]]
+    instead.  Names are cache keys: the DPOR ([dpor])
     and exhaustive ([exh]) tags must never change. *)
 
 val default_suite : seeds:int -> t list

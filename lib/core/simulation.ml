@@ -23,7 +23,9 @@ type driven = {
   refused : string option;
 }
 
-let drive ?(max_moves = 10_000) ?(block_retries = 64) tid strat ~env ~init_log =
+let max_moves = 10_000
+
+let drive ?(block_retries = 64) tid strat ~env ~init_log =
   let rec loop strat log moves retries =
     if moves > max_moves then
       { log; ret = None; moves; blocked = false; refused = Some Prog.steps_bound_exceeded }
@@ -121,12 +123,11 @@ let replay_against tid spec ~init_log translated =
   in
   Replay.scoped (fun () -> go spec init_log [] events fuel_empty_moves)
 
-let check_strategies ?max_moves ?(ret_rel = Value.equal) rel ~tid ~impl ~spec
-    ~envs =
+let check_strategies rel ~tid ~impl ~spec ~envs =
   let rec go envs_checked impl_moves = function
     | [] -> Ok { envs_checked; impl_moves }
     | env :: rest -> (
-      let d = drive ?max_moves tid (impl ()) ~env ~init_log:Log.empty in
+      let d = drive tid (impl ()) ~env ~init_log:Log.empty in
       match d.refused with
       | Some msg ->
         Error { env_name = env.Env_context.name; reason = "impl stuck: " ^ msg; impl_log = d.log; spec_log = Log.empty }
@@ -141,7 +142,7 @@ let check_strategies ?max_moves ?(ret_rel = Value.equal) rel ~tid ~impl ~spec
             Error { env_name = env.Env_context.name; reason; impl_log = d.log; spec_log }
           | Ok spec_ret -> (
             match d.ret, spec_ret with
-            | Some vi, Some vs when ret_rel vi vs ->
+            | Some vi, Some vs when Value.equal vi vs ->
               go (envs_checked + 1) (impl_moves + d.moves) rest
             | Some vi, Some vs ->
               Error
@@ -164,9 +165,8 @@ let check_strategies ?max_moves ?(ret_rel = Value.equal) rel ~tid ~impl ~spec
   in
   go 0 0 envs
 
-let check_progs ?max_moves ?ret_rel rel ~tid ~impl_layer ~impl ~spec_layer ~spec
-    ~envs =
-  check_strategies ?max_moves ?ret_rel rel ~tid
+let check_progs rel ~tid ~impl_layer ~impl ~spec_layer ~spec ~envs =
+  check_strategies rel ~tid
     ~impl:(fun () -> Machine.strategy_of_prog impl_layer tid impl)
     ~spec:(fun () -> Machine.strategy_of_prog spec_layer tid spec)
     ~envs

@@ -42,7 +42,6 @@ type driven = {
 }
 
 val drive :
-  ?max_moves:int ->
   ?block_retries:int ->
   Event.tid ->
   Strategy.t ->
@@ -51,36 +50,22 @@ val drive :
   driven
 (** Drive a strategy to completion, querying the environment before every
     move (the strategy itself decides nothing about the environment; this
-    realizes the alternation of environment and player moves). *)
-
-val replay_against :
-  Event.tid ->
-  Strategy.t ->
-  init_log:Log.t ->
-  Log.t ->
-  (Value.t option, string * Log.t) result
-(** [replay_against i spec ~init_log l] checks that strategy [spec] (for
-    player [i]) can produce exactly the player-[i] events of [l], with the
-    other events injected as environment moves; returns the spec's final
-    value, or the reason and partial overlay log on mismatch. *)
+    realizes the alternation of environment and player moves).  A run
+    longer than 10,000 moves is refused; [block_retries] (default 64)
+    bounds the environment queries a blocked strategy waits through. *)
 
 val check_strategies :
-  ?max_moves:int ->
-  ?ret_rel:(Value.t -> Value.t -> bool) ->
   Sim_rel.t ->
   tid:Event.tid ->
   impl:(unit -> Strategy.t) ->
   spec:(unit -> Strategy.t) ->
   envs:Env_context.t list ->
   (report, failure) result
-(** Check [impl ≤_R spec] over the environment suite.  Strategies are
-    supplied as thunks because driving consumes them (and environment
-    scripts are single-use).  [ret_rel] relates final values (default:
-    equality). *)
+(** Definition 2.1 on strategies: check [impl ≤_R spec] over the
+    environment suite.  Strategies are supplied as thunks because driving
+    consumes them (and environment scripts are single-use). *)
 
 val check_progs :
-  ?max_moves:int ->
-  ?ret_rel:(Value.t -> Value.t -> bool) ->
   Sim_rel.t ->
   tid:Event.tid ->
   impl_layer:Layer.t ->

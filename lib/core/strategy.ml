@@ -18,9 +18,6 @@ let of_moves ?(ret = Value.unit) moves =
   in
   go moves
 
-let emit_once f i =
-  { step = (fun l -> Move (f i l, Done Value.unit)) }
-
 let rec map_events f s =
   {
     step =
@@ -36,17 +33,6 @@ let rec map_events f s =
         | Blocked -> Blocked
         | Refuse msg -> Refuse msg);
   }
-
-let pp_step_result fmt = function
-  | Move (evs, out) ->
-    Format.fprintf fmt "Move([%a], %s)"
-      (Format.pp_print_list
-         ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
-         Event.pp)
-      evs
-      (match out with Done v -> "Done " ^ Value.to_string v | Next _ -> "Next")
-  | Blocked -> Format.pp_print_string fmt "Blocked"
-  | Refuse msg -> Format.fprintf fmt "Refuse(%s)" msg
 
 (* ------------------------------------------------------------------ *)
 (* Exploration engines (DESIGN.md S31)                                 *)
@@ -95,8 +81,8 @@ module Engine = struct
   let default = dpor ~depth:4
 
   (* Canonical descriptor.  This string is cache-identity-bearing: it
-     enters the suite cache key and every verdict key built from an
-     implicit strategy, so its rendering must stay stable. *)
+     enters the stack and kv edge keys, so its rendering must stay
+     stable. *)
   let to_string t =
     Printf.sprintf "%s:%d%s" (algo_name t.algo) t.depth
       (if t.sym then ",sym" else "")
@@ -171,8 +157,8 @@ module Engine = struct
       let* () = validate t in
       Ok t
 
-  (* Prune counters of one engine walk — what the suite cache stores
-     alongside the surviving prefixes. *)
+  (* Prune counters of one engine walk, returned alongside the surviving
+     prefixes. *)
   type walk_stats = {
     sleep_prunes : int;
     sym_prunes : int;

@@ -25,22 +25,13 @@ and outcome =
   | Done of Value.t  (** the strategy terminated with a result *)
   | Next of t
 
-val stopped : Value.t -> t
-(** The idle strategy: emits no further events and stays [Done]
-    (the reflexive "?l', !ε" edge of the paper's automata). *)
-
 val of_moves : ?ret:Value.t -> (Log.t -> Event.t list) list -> t
 (** [of_moves ms] plays each move function once, in order, then terminates
     with [ret] (default unit). *)
 
-val emit_once : (Event.tid -> Log.t -> Event.t list) -> Event.tid -> t
-(** One move computed from the log, then done. *)
-
 val map_events : (Event.t -> Event.t list) -> t -> t
 (** Translate every emitted event (used to relate strategies at two layers
     via a simulation relation). *)
-
-val pp_step_result : Format.formatter -> step_result -> unit
 
 (** {1 Exploration engines}
 
@@ -75,23 +66,14 @@ module Engine : sig
   val exhaustive : depth:int -> t
   val random : count:int -> t
 
-  val validate : t -> (unit, string) result
-  (** [Error] carries the named rejection ([sym] off [Dpor], non-positive
-      depth) the CLI reports verbatim. *)
-
   val checked : t -> t
-  (** Identity on valid descriptors; raises [Invalid_argument] with the
-      {!validate} error otherwise. *)
-
-  val algo_name : algo -> string
-
-  val grammar : string
-  (** The accepted [--strategy] grammar, for error messages. *)
+  (** Identity on valid descriptors ([sym] only on [Dpor], positive
+      depth); raises [Invalid_argument] with the named rejection
+      otherwise. *)
 
   val to_string : t -> string
   (** Canonical descriptor, e.g. ["dpor:8,sym"].  Cache-identity
-      bearing: it enters the suite cache key and every verdict key built
-      from an implicit strategy. *)
+      bearing: it enters the stack and kv edge keys. *)
 
   val of_string : string -> (t, string) result
   (** Parse a [--strategy] argument; rejects unknown engines, malformed
@@ -105,6 +87,6 @@ module Engine : sig
     sleep_prunes : int;  (** branches skipped because asleep *)
     sym_prunes : int;  (** branches pruned by thread symmetry *)
   }
-  (** Prune counters of one DPOR walk — what the suite cache stores
-      alongside the surviving prefixes. *)
+  (** Prune counters of one DPOR walk, returned alongside the surviving
+      prefixes. *)
 end

@@ -57,15 +57,6 @@ let to_int = function
   | Vint n -> n
   | v -> raise (Type_error ("expected int, got " ^ to_string v))
 
-let to_bool = function
-  | Vbool b -> b
-  | Vint n -> n <> 0
-  | _ -> raise (Type_error "expected bool")
-
-let to_pair = function
-  | Vpair (a, b) -> a, b
-  | _ -> raise (Type_error "expected pair")
-
 let to_list = function
   | Vlist vs -> vs
   | _ -> raise (Type_error "expected list")

@@ -25,8 +25,6 @@ val compare : t -> t -> int
 val to_int : t -> int
 (** [to_int v] projects an integer, raising [Type_error] otherwise. *)
 
-val to_bool : t -> bool
-val to_pair : t -> t * t
 val to_list : t -> t list
 
 exception Type_error of string

@@ -39,10 +39,6 @@ let torn_marker = 0x7EA2
 
 let torn v = Value.pair (Value.int torn_marker) v
 
-let is_torn = function
-  | Value.Vpair (Value.Vint m, _) -> m = torn_marker
-  | _ -> false
-
 let durable_page st p = Imap.find_opt p st.durable
 
 let inflight st = st.inflight

@@ -10,12 +10,8 @@
 
 open Ccal_core
 
-val read_tag : string
 val write_tag : string
 val sync_tag : string
-
-val crash_tag : string
-(** = {!Ccal_core.Durability.crash_tag}. *)
 
 type state = private {
   durable : Value.t Map.Make(Int).t;  (** the platter *)
@@ -23,35 +19,20 @@ type state = private {
   crashed : bool;
 }
 
-val initial : state
-val unwritten : Value.t
-(** What a never-written page reads as ([Vint 0]). *)
-
-val torn : Value.t -> Value.t
-(** The platter image of a torn write — recognisable garbage that any
-    checksummed decoder rejects. *)
-
-val is_torn : Value.t -> bool
-
 val durable_page : state -> int -> Value.t option
 val inflight : state -> (int * Value.t) list
-val visible : state -> int -> Value.t
-(** The volatile view: newest in-flight write wins over the platter. *)
-
-val commit_all : state -> state
-(** What [d_sync] does: commit the in-flight set in order. *)
 
 val crash_commit : keep:int -> tear:int -> state -> state
 (** The crash transition: bit [i] of [keep] commits in-flight write [i]
-    (oldest first; torn when bit [i] of [tear] is also set), clear bits
-    drop.  Shared by the in-game crash primitive and the certifier's
-    analytic enumeration. *)
+    (oldest first; when bit [i] of [tear] is also set, as recognisable
+    garbage that any checksummed decoder rejects), clear bits drop.
+    Shared by the in-game crash primitive and the certifier's analytic
+    enumeration. *)
 
 val of_durable : (int * Value.t) list -> state
 (** A fresh (non-crashed, nothing in flight) state over the given
-    platter — what recovery boots from. *)
+    platter. *)
 
-val replay : state Replay.t
 val replay_log : Log.t -> (state, string) result
 
 val changes_disk : Event.t -> bool

@@ -67,19 +67,6 @@ let module_ ?(shards = 2) ?(unsynced = false) () =
 
 let underlay ?crashes () = Wal.underlay ?crashes ()
 
-(* The abstract state recovery rebuilds: fold the surviving record
-   prefix, tombstones deleting.  Sorted by key — a canonical form for
-   comparisons. *)
-let recovered_map ops =
-  let m =
-    List.fold_left
-      (fun m (o : Wal.op) ->
-        if o.value = tombstone then List.remove_assoc o.key m
-        else (o.key, o.value) :: List.remove_assoc o.key m)
-      [] ops
-  in
-  List.sort compare m
-
 (* ---- clients and the crash edge ---- *)
 
 (* Thread 1 also deletes its key after syncing; everyone else puts,

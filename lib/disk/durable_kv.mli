@@ -7,11 +7,6 @@ open Ccal_verify
 
 val get_tag : string
 val put_tag : string
-val del_tag : string
-val sync_tag : string
-
-val tombstone : int
-(** The logged value of a delete ([-1]). *)
 
 val module_ : ?shards:int -> ?unsynced:bool -> unit -> Prog.Module.t
 (** [dget]/[dput]/[ddel]/[dsync] stacked over the WAL module unioned
@@ -19,10 +14,6 @@ val module_ : ?shards:int -> ?unsynced:bool -> unit -> Prog.Module.t
 
 val underlay : ?crashes:bool -> unit -> Layer.t
 (** = {!Wal.underlay} ([Llock+disk]). *)
-
-val recovered_map : Wal.op list -> (int * int) list
-(** Fold a surviving record prefix into the abstract map (tombstones
-    delete), sorted by key. *)
 
 val client : int -> Prog.t
 

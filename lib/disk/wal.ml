@@ -93,33 +93,6 @@ let module_ ?(unsynced = false) () =
 let underlay ?crashes () =
   Lock_intf.layer ~extra:(Disk.prims ?crashes ()) "Llock+disk"
 
-(* ---- the overlay spec and simulation relation ----
-
-   The atomic WAL: an append is one event returning its LSN (the count
-   of preceding appends plus one), a sync one event returning the last
-   appended LSN.  The release of the log-head lock with a ghost
-   descriptor is the linearization point. *)
-
-let count_appends log =
-  List.length
-    (List.filter
-       (fun (e : Event.t) -> String.equal e.tag append_tag)
-       (Log.chronological log))
-
-let overlay () =
-  Layer.make "Lwal"
-    [
-      Layer.event_prim append_tag (fun _ args log ->
-          match args with
-          | [ Value.Vint _; Value.Vint _ ] ->
-            Ok (Value.int (count_appends log + 1))
-          | _ -> Error "w_append: bad arguments");
-      Layer.event_prim sync_tag (fun _ args log ->
-          match args with
-          | [] -> Ok (Value.int (count_appends log))
-          | _ -> Error "w_sync: bad arguments");
-    ]
-
 (* ---- recovery ---- *)
 
 let recover st =
@@ -129,13 +102,6 @@ let recover st =
     | _ -> List.rev acc
   in
   scan 1 []
-
-(* The repaired platter recovery would rewrite: exactly the valid record
-   prefix, nothing in flight, machine back up.  [recover (repaired st) =
-   recover st] is the idempotence half of the QCheck property. *)
-let repaired st =
-  Disk.of_durable
-    (List.map (fun o -> (o.lsn, record o)) (recover st))
 
 (* ---- log accounting for the crash edge ---- *)
 

@@ -14,10 +14,8 @@ val sync_tag : string
 
 type op = Crash.op = { lsn : int; key : int; value : int }
 
-val checksum : int -> int -> int -> int
 val record : op -> Value.t
-val decode : Value.t -> op option
-(** [None] on a torn, checksum-invalid or malformed page. *)
+(** The checksummed page of a record, [[lsn; key; value; checksum]]. *)
 
 val module_ : ?unsynced:bool -> unit -> Prog.Module.t
 (** [w_append]/[w_sync] as programs over [Llock+disk].  [unsynced]
@@ -30,26 +28,10 @@ val underlay : ?crashes:bool -> unit -> Layer.t
     [crashes] additionally exports the crash primitive for in-game
     crash exploration. *)
 
-val overlay : unit -> Layer.t
-(** The atomic WAL spec [Lwal]: an append is one event returning its
-    LSN, a sync one event returning the last appended LSN. *)
-
 val recover : Disk.state -> op list
-(** Scan the platter from page 1, truncating at the first invalid
-    record.  Volatile state is never consulted. *)
-
-val repaired : Disk.state -> Disk.state
-(** The platter recovery would rewrite: exactly the valid prefix.
-    [recover (repaired st) = recover st]. *)
-
-val appended_of_log : Log.t -> op list
-(** The records the log's disk writes appended, in log order. *)
-
-val acked_of_log : Log.t -> int
-(** The highest LSN a completed [w_sync] acknowledged in the log. *)
-
-val recover_prefix : Log.t -> keep:int -> tear:int -> (op list, string) result
-(** Replay the prefix's disk, crash it under the masks, recover. *)
+(** Scan the platter from page 1, truncating at the first torn,
+    checksum-invalid, malformed or out-of-sequence record.  Volatile state
+    is never consulted. *)
 
 val client : int -> Prog.t
 (** The crash-game workload of thread [i]: append, sync, append on

@@ -40,10 +40,6 @@ val replay_entry : int -> Log.t -> (entry, string) result
     first-error-wins): a key of one {!Replay.family} over every entry,
     in which each entry keeps its own first error. *)
 
-val disk_lookup : int -> Log.t -> int
-(** Current backing-store value of a page: newest-first early-exit scan
-    of the [disk_write] events ({!Map_spec.absent} default). *)
-
 (** {1 Layer plumbing} *)
 
 val entry_prims : unit -> (string * Layer.prim) list

@@ -172,7 +172,7 @@ let backing_tags =
   { get = "disk_read"; put = "disk_write"; del = "disk_del";
     resize = "disk_resize" }
 
-let underlay ?bound () = Lock_intf.layer ?bound "Llock"
+let underlay () = Lock_intf.layer "Llock"
 
 let module_ ?(tags = spec_tags) ~shards () =
   Prog.Module.of_bodies

@@ -29,7 +29,7 @@ val backing_tags : tags
     block cache's backing store calls, for stacking the cache on top of
     the table ({!Prog.Module.stack}). *)
 
-val underlay : ?bound:int -> unit -> Layer.t
+val underlay : unit -> Layer.t
 (** The lock layer the table is implemented over. *)
 
 val module_ : ?tags:tags -> shards:int -> unit -> Prog.Module.t

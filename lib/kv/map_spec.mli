@@ -19,19 +19,11 @@ val absent : int
 (** Sentinel returned for a key that is not in the map ([-1]).  Workload
     values must be non-negative. *)
 
-val lookup : int -> Log.t -> int
-(** Current value of a key: newest-first scan with early exit — the
-    first [put]/[del] touching the key decides, and no map is built. *)
-
-val shard_count : default:int -> Log.t -> int
-(** Current shard count: the newest [resize] event's argument, or
-    [default] when none. *)
-
 module Imap : Map.S with type key = int
 
 val replay_map : int Imap.t Replay.t
 (** Whole-map replay (chronological fold) — the reference oracle the
-    tests compare {!lookup} against. *)
+    tests compare the layer's [get] against. *)
 
 val layer : ?shards:int -> unit -> Layer.t
 (** The atomic map layer [Lmap]: [get k], [put k v] (returns the old

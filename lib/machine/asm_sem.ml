@@ -156,6 +156,6 @@ let prog_of_fn ?(fuel = 1_000_000) (fn : Asm.fn) args =
   in
   exec 0 init_frame fuel
 
-let module_of_fns ?fuel fns =
+let module_of_fns fns =
   Prog.Module.of_bodies
-    (List.map (fun (fn : Asm.fn) -> fn.name, prog_of_fn ?fuel fn) fns)
+    (List.map (fun (fn : Asm.fn) -> fn.name, prog_of_fn fn) fns)

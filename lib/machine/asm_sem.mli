@@ -10,11 +10,6 @@
 exception Compile_error of string
 (** Raised when a function is malformed (duplicate or missing labels). *)
 
-val fault_prim : string
-(** Name of the pseudo-primitive called on faults (division by zero,
-    ill-typed operand, [Halt], or exhausted instruction budget).  No layer
-    defines it, so the machine gets stuck with a readable diagnostic —
-    matching the paper's "the machine gets stuck" on invalid transitions. *)
 
 val prog_of_fn :
   ?fuel:int -> Asm.fn -> Ccal_core.Value.t list -> Ccal_core.Prog.t
@@ -22,5 +17,5 @@ val prog_of_fn :
     [fuel] (default 1_000_000) bounds the number of executed instructions
     so that a silent divergence becomes a fault rather than a hang. *)
 
-val module_of_fns : ?fuel:int -> Asm.fn list -> Ccal_core.Prog.Module.t
+val module_of_fns : Asm.fn list -> Ccal_core.Prog.Module.t
 (** The module [M] collecting the given functions. *)

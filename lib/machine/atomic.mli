@@ -30,24 +30,13 @@ val replay_cell : int -> int Ccal_core.Replay.t
 (** Current value of atomic cell [b] (cells start at 0), replayed from
     the RMW operations, atomic stores and commits of the log. *)
 
-val faa : string * Ccal_core.Layer.prim
-(** [faa(b, d)]: atomically add [d] to cell [b]; returns the old value. *)
-
-val xchg : string * Ccal_core.Layer.prim
-(** [xchg(b, v)]: atomically set cell [b] to [v]; returns the old value. *)
-
-val cas : string * Ccal_core.Layer.prim
-(** [cas(b, expected, new)]: if cell [b] equals [expected], set it to
-    [new]; returns the old value either way (callers compare against
-    [expected] to detect success). *)
-
-val aload : string * Ccal_core.Layer.prim
-(** [aload(b)]: atomic read. *)
-
-val astore : string * Ccal_core.Layer.prim
-(** [astore(b, v)]: atomic write; returns unit. *)
-
-val mfence : string * Ccal_core.Layer.prim
-(** [mfence()]: appends an [mfence] event; no state change under SC. *)
-
+(** The primitives, by name:
+    - [faa(b, d)]: atomically add [d] to cell [b]; returns the old value;
+    - [xchg(b, v)]: atomically set cell [b] to [v]; returns the old value;
+    - [cas(b, expected, new)]: if cell [b] equals [expected], set it to
+      [new]; returns the old value either way (callers compare against
+      [expected] to detect success);
+    - [aload(b)]: atomic read;
+    - [astore(b, v)]: atomic write; returns unit;
+    - [mfence()]: appends an [mfence] event; no state change under SC. *)
 val prims : (string * Ccal_core.Layer.prim) list

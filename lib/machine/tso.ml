@@ -212,8 +212,6 @@ let erase_event (e : Event.t) =
 let erase_buffering log =
   Log.append_all (List.concat_map erase_event (Log.chronological log)) Log.empty
 
-let erase_buffering_rel = Sim_rel.of_events "erase-buffering" erase_event
-
 (* Object simulation relations translate implementation events away; the
    buffering machinery must go with them.  [Sim_rel.of_table] keeps
    unknown tags, so TSO certificates compose this in front of the object
@@ -300,9 +298,8 @@ let buffers_drained ~threads log =
    a play of the TSO game — flusher moves included — against the SC game
    under the same scheduler, requiring identical thread results and
    identical final memory on every cell either run mentions. *)
-let judge_sc_equivalence ?(max_steps = 100_000) threads sched
-    (tso : Game.outcome) =
-  let sc = Game.run (Game.config ~max_steps (Mx86.layer ()) threads sched) in
+let judge_sc_equivalence threads sched (tso : Game.outcome) =
+  let sc = Game.run (Game.config ~max_steps:100_000 (Mx86.layer ()) threads sched) in
   match tso.Game.status, sc.Game.status with
   | Game.All_done, Game.All_done ->
     let results_equal =

@@ -52,9 +52,6 @@ val commit_tag : string
 
 val mfence_tag : string
 
-val flush_tag : string
-(** = {!Ccal_core.Memory.flush_tag}. *)
-
 val replay_memory : int -> int Replay.t
 (** Value of cell [b] in shared memory: [commit] events plus the
     SC operations ([faa]/[xchg]/[cas]/[astore] of {!Atomic}). *)
@@ -82,23 +79,12 @@ val erase_buffering : Log.t -> Log.t
     The litmus runner extracts outcomes from erased logs so one outcome
     function serves both modes. *)
 
-val erase_buffering_rel : Sim_rel.t
-(** {!erase_buffering} as a simulation relation. *)
-
-val drop_buffering : Sim_rel.t
-(** Erase [buf_store]/[commit]/[mfence] outright.  Object simulation
-    relations built with {!Sim_rel.of_table} keep unknown tags, so TSO
-    certificates compose this in front of the object relation. *)
-
 val under_memory : Memory.t -> Sim_rel.t -> Sim_rel.t
-(** [under_memory m r] is [r] under [Sc] and [drop_buffering ∘ r] under
-    [Tso] — the uniform way call sites adapt an object relation to the
-    memory mode. *)
-
-val drain_all : Log.t -> Event.t list
-(** Commit everything currently buffered: CPUs in ascending order, each
-    buffer FIFO, commits signed by the CPU's flusher pseudo-thread.
-    Deterministic, so certificate runs replay bit-identically. *)
+(** [under_memory m r] is [r] under [Sc] and under [Tso] [r] after a
+    relation that erases [buf_store]/[commit]/[mfence] outright (object
+    relations built with {!Sim_rel.of_table} keep unknown tags) — the
+    uniform way call sites adapt an object relation to the memory
+    mode. *)
 
 val with_drain : Env_context.t -> Env_context.t
 (** Wrap an environment context so it first commits every pending store
@@ -108,7 +94,6 @@ val with_drain : Env_context.t -> Env_context.t
     own forwarded store) never terminates in a certificate game. *)
 
 val judge_sc_equivalence :
-  ?max_steps:int ->
   (Event.tid * Prog.t) list ->
   Sched.t ->
   Game.outcome ->
@@ -116,8 +101,8 @@ val judge_sc_equivalence :
 (** [judge_sc_equivalence threads sched tso] judges a play [tso] of
     [threads] on the TSO machine ({!layer}, played with [~memory:Tso] so
     flusher moves are in play) against the SC machine ({!Mx86.layer}),
-    which it plays itself under the same scheduler with [max_steps]
-    (default 100,000) fuel: both must complete with identical thread
+    which it plays itself under the same scheduler with 100,000 moves of
+    fuel: both must complete with identical thread
     results, drained buffers and identical final memory on every
     mentioned cell — the executable form of "race-free programs on TSO
     behave as if executing on a sequentially consistent machine".

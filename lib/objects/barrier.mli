@@ -16,9 +16,6 @@
 
 open Ccal_core
 
-val pass_tag : string
-(** Logged when a thread passes the barrier. *)
-
 val c_module : unit -> Prog.Module.t
 
 val underlay : placement:Thread_sched.placement -> unit -> Layer.t

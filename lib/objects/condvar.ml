@@ -52,4 +52,3 @@ let cv_broadcast_fn =
 let fns = [ cv_wait_fn; cv_signal_fn; cv_broadcast_fn ]
 
 let c_module () = Ccal_clight.Csem.module_of_fns fns
-let asm_module () = Ccal_compcertx.Compile.compile_module fns

@@ -27,5 +27,3 @@ val cv_broadcast_fn : Ccal_clight.Csyntax.fn
 (** [cv_broadcast(cv)]: wake all current sleepers; returns how many. *)
 
 val c_module : unit -> Ccal_core.Prog.Module.t
-val asm_module : unit -> Ccal_core.Prog.Module.t
-val fns : Ccal_clight.Csyntax.fn list

@@ -5,6 +5,8 @@ module T = Thread_sched
 let send_tag = "send"
 let recv_tag = "recv"
 
+(* Channel capacity: small enough that tests exercise the full/empty
+   blocking paths. *)
 let capacity = 2
 
 (* Condition-variable channels of channel [ch]: not-full and not-empty. *)

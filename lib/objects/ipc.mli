@@ -15,10 +15,6 @@
 
 open Ccal_core
 
-val capacity : int
-(** Channel capacity (2: small enough that tests exercise the full/empty
-    blocking paths). *)
-
 val underlay : placement:Thread_sched.placement -> unit -> Layer.t
 (** [mt_layer] over the spinlock interface extended with the silent list
     helpers. *)

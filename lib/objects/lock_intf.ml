@@ -75,10 +75,10 @@ let rel_prim =
               (Printf.sprintf "thread %d releases lock %d it does not hold" c b))
         | _ -> Layer.Stuck "rel: expected lock and value arguments") )
 
-let condition ?bound () = Rg.lock_condition ?bound ~acq_tag ~rel_tag ()
+let condition () = Rg.lock_condition ~acq_tag ~rel_tag ()
 
 let layer ?bound ?(extra = []) name =
-  let cond = condition ?bound () in
+  let cond = Rg.lock_condition ?bound ~acq_tag ~rel_tag () in
   Layer.make ~rely:cond ~guar:cond name ([ acq_prim; rel_prim ] @ extra)
 
 let mutual_exclusion l =

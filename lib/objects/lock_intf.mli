@@ -32,12 +32,14 @@ val replay_lock : int -> lock_state Ccal_core.Replay.t
     ill-formed logs (acquisition of a held lock, release by a
     non-holder). *)
 
-val condition : ?bound:int -> unit -> Ccal_core.Rely_guarantee.t
-(** Well-bracketing plus bounded release, over the atomic tags. *)
+val condition : unit -> Ccal_core.Rely_guarantee.t
+(** Well-bracketing plus release within 64 events, over the atomic tags. *)
 
 val layer : ?bound:int -> ?extra:(string * Ccal_core.Layer.prim) list -> string -> Ccal_core.Layer.t
 (** An atomic lock layer with the given name, optionally extended with
-    pass-through primitives (the paper's [f], [g] of Fig. 3). *)
+    pass-through primitives (the paper's [f], [g] of Fig. 3); its rely and
+    guarantee are {!condition} with release within [bound] (default 64)
+    events. *)
 
 val mutual_exclusion : Ccal_core.Log.t -> bool
 (** No two threads hold the same lock simultaneously at any prefix — the

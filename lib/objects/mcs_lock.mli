@@ -26,7 +26,6 @@ val acq_fn : Ccal_clight.Csyntax.fn
 val rel_fn : Ccal_clight.Csyntax.fn
 
 val c_module : unit -> Prog.Module.t
-val asm_module : unit -> Prog.Module.t
 
 val r_mcs : Sim_rel.t
 (** Erase the cell traffic, rename [pull ↦ acq] / [push ↦ rel]. *)

@@ -62,5 +62,5 @@ val certify :
     than [i], plus the siblings: [one-rival(rN)], [two-rivals(rN)].
     Under [Tso] every context is wrapped with
     {!Ccal_machine.Tso.with_drain} — the environment commits pending
-    stores at each query point — and the relation composes
-    {!Ccal_machine.Tso.drop_buffering} in front of [rel]. *)
+    stores at each query point — and the relation is
+    {!Ccal_machine.Tso.under_memory} of [rel]. *)

@@ -32,7 +32,6 @@ val acq_q_fn : Ccal_clight.Csyntax.fn
 val rel_q_fn : Ccal_clight.Csyntax.fn
 
 val c_module : unit -> Prog.Module.t
-val asm_module : unit -> Prog.Module.t
 
 val r_qlock : Sim_rel.t
 (** The stateful relation: a spinlock section ending in [rel(l, self)]

@@ -14,21 +14,16 @@
 
 open Ccal_core
 
-val heap_layer : unit -> Layer.t
-(** [Lheap]: private heap with [lload(a)], [lstore(a,v)] and the bump
-    allocator [lalloc(n)] (addresses from 1000; 0 is the null pointer). *)
-
-val abs_layer : unit -> Layer.t
-(** [Labsq]: abstract queues as logical lists — [enQ(q,v)], [deQ(q)]
-    (returns [-1] on empty), [qlen(q)]. *)
-
 val enq_fn : Ccal_clight.Csyntax.fn
 val deq_fn : Ccal_clight.Csyntax.fn
 val qlen_fn : Ccal_clight.Csyntax.fn
 
 val c_module : unit -> Prog.Module.t
-val asm_module : unit -> Prog.Module.t
 
 val recipe : Object_intf.t
 (** [Lheap[A] ⊢_id M_q : Labsq[A]], focused on thread 1 in the silent
-    context only: the queue is sequential. *)
+    context only: the queue is sequential.  The underlay [Lheap] is a
+    private heap with [lload(a)], [lstore(a,v)] and the bump allocator
+    [lalloc(n)] (addresses from 1000; 0 is the null pointer); the overlay
+    [Labsq] has abstract queues as logical lists — [enQ(q,v)], [deQ(q)]
+    (returns [-1] on empty), [qlen(q)]. *)

@@ -36,7 +36,6 @@ val deq_fn : Ccal_clight.Csyntax.fn
 val enq_fn : Ccal_clight.Csyntax.fn
 
 val c_module : unit -> Prog.Module.t
-val asm_module : unit -> Prog.Module.t
 
 val r_lock : Sim_rel.t
 (** The event-merging relation [Rlock] (Sec. 4.2): [acq(q) … rel(q, l')]

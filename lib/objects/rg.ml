@@ -58,6 +58,3 @@ let lock_condition ?(bound = 64) ~acq_tag ~rel_tag () =
   Rely_guarantee.conj
     (lock_wellformed ~acq_tag ~rel_tag)
     (releases_within ~bound ~acq_tag ~rel_tag)
-
-let held_locks ~acq_tag ~rel_tag i l =
-  Option.value ~default:[] (scan ~acq_tag ~rel_tag i l)

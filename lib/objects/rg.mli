@@ -22,6 +22,3 @@ val releases_within :
 val lock_condition :
   ?bound:int -> acq_tag:string -> rel_tag:string -> unit -> Ccal_core.Rely_guarantee.t
 (** Conjunction of the two conditions above; [bound] defaults to 64. *)
-
-val held_locks : acq_tag:string -> rel_tag:string -> Ccal_core.Event.tid -> Ccal_core.Log.t -> int list
-(** The locks currently held by a thread (for tests and diagnostics). *)

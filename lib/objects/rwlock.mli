@@ -36,7 +36,6 @@ val acq_w_fn : Ccal_clight.Csyntax.fn
 val rel_w_fn : Ccal_clight.Csyntax.fn
 
 val c_module : unit -> Prog.Module.t
-val asm_module : unit -> Prog.Module.t
 
 val r_rw : Sim_rel.t
 

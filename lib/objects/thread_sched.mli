@@ -56,7 +56,6 @@ type state = {
   slpq : (int * Event.tid list) list;  (** per-channel sleeper FIFOs *)
 }
 
-val init_state : placement -> state
 val replay_sched : placement -> state Replay.t
 (** [Rsched]: scheduling state from the log; stuck on ill-formed logs
     (scheduling events from descheduled or unplaced threads). *)

@@ -44,9 +44,6 @@ val rel_fn : Ccal_clight.Csyntax.fn
 val c_module : unit -> Prog.Module.t
 (** [M1] as C semantics. *)
 
-val asm_module : unit -> Prog.Module.t
-(** [CompCertX(M1)]: the compiled assembly semantics. *)
-
 val r_ticket : Sim_rel.t
 (** Erase [FAI_t]/[get_n]/[inc_n], rename [pull ↦ acq] and [push ↦ rel]. *)
 

@@ -1,4 +1,4 @@
-(* Resource budgets and cooperative cancellation for the checkers.
+(* Resource budgets for the checkers.
 
    A {!t} is a static spec (wall-clock ms, game steps — each optional);
    {!start} turns it into a runtime {!token} whose deadline epoch is the
@@ -12,9 +12,9 @@
    game scan gives each schedule a private allowance captured at
    scan entry, then re-truncates the merged prefix sequentially, so the
    set of schedules actually counted is a pure function of the inputs —
-   identical on every jobs count.  Deadline and explicit cancellation
-   are wall-clock events and inherently racy; they can only shrink the
-   prefix further, never change a completed verdict.
+   identical on every jobs count.  A deadline is a wall-clock event and
+   inherently racy; it can only shrink the prefix further, never change
+   a completed verdict.
 
    The shared step counter doubles as an early-stop heuristic for
    in-flight workers: once collectively over budget, remaining games
@@ -54,13 +54,12 @@ let pp fmt b =
 type spent = {
   elapsed_ms : float;
   steps_used : int;
-  reason : [ `Deadline | `Steps | `Cancelled ];
+  reason : [ `Deadline | `Steps ];
 }
 
 let pp_reason fmt = function
   | `Deadline -> Format.pp_print_string fmt "deadline"
   | `Steps -> Format.pp_print_string fmt "steps"
-  | `Cancelled -> Format.pp_print_string fmt "cancelled"
 
 let pp_spent fmt s =
   Format.fprintf fmt "%a after %.0fms / %d steps" pp_reason s.reason
@@ -71,7 +70,6 @@ let pp_spent fmt s =
 type 'a outcome = Complete of 'a | Exhausted of { spent : spent; partial : 'a }
 
 let value = function Complete v -> v | Exhausted { partial; _ } -> partial
-let is_complete = function Complete _ -> true | Exhausted _ -> false
 
 let map f = function
   | Complete v -> Complete (f v)
@@ -89,12 +87,10 @@ type token = {
       (** step counter: charged racily by in-flight workers as an
           early-stop heuristic, then overwritten by [settle] with the
           deterministic total of the merged prefix *)
-  cancelled : bool Atomic.t;
-  tripped : [ `Deadline | `Steps | `Cancelled ] option Atomic.t;
+  tripped : [ `Deadline | `Steps ] option Atomic.t;
 }
 
 let budget_exhaustions = Probe.counter "budget.exhaustions"
-let budget_cancellations = Probe.counter "budget.cancellations"
 
 let start budget =
   let started_ns = Verify_clock.now_ns () in
@@ -106,21 +102,11 @@ let start budget =
         (fun ms -> Int64.add started_ns (Int64.of_float (ms *. 1e6)))
         budget.ms;
     used = Atomic.make 0;
-    cancelled = Atomic.make false;
     tripped = Atomic.make None;
   }
 
 (* The default token on [Ctx.default]: no limits, polling it is cheap. *)
 let no_token = start unlimited
-
-let is_unlimited_token tk =
-  is_unlimited tk.budget && not (Atomic.get tk.cancelled)
-
-let cancel tk =
-  if not (Atomic.get tk.cancelled) then begin
-    Atomic.set tk.cancelled true;
-    Probe.incr budget_cancellations
-  end
 
 let charge tk n = if tk.budget.steps <> None then ignore (Atomic.fetch_and_add tk.used n)
 
@@ -135,23 +121,17 @@ let trip tk reason =
   (* first trip wins; later polls keep reporting the same reason *)
   ignore (Atomic.compare_and_set tk.tripped None (Some reason))
 
-(* [poll_wall tk] checks only the wall-clock-flavoured dimensions —
-   explicit cancellation and deadline — never the shared step
+(* [poll_wall tk] checks only the deadline, never the shared step
    counter.  This is what game stop closures use: step exhaustion inside
    a game would depend on which other games happened to finish first,
-   which differs across jobs counts; deadline and cancellation are
-   inherently wall-clock events and allowed to (DESIGN.md S27). *)
+   which differs across jobs counts; a deadline is inherently a
+   wall-clock event and allowed to (DESIGN.md S27). *)
 let poll_wall tk =
-  if Atomic.get tk.cancelled then begin
-    trip tk `Cancelled;
+  match tk.deadline_ns with
+  | Some d when Verify_clock.now_ns () >= d ->
+    trip tk `Deadline;
     true
-  end
-  else
-    match tk.deadline_ns with
-    | Some d when Verify_clock.now_ns () >= d ->
-      trip tk `Deadline;
-      true
-    | _ -> false
+  | _ -> false
 
 (* [poll tk] is the full cooperative check, step budget included; used at
    schedule granularity (between games) where the racy step counter is
@@ -183,10 +163,7 @@ let spent tk =
   {
     elapsed_ms = Verify_clock.elapsed_ms ~since:tk.started_ns;
     steps_used = Atomic.get tk.used;
-    reason =
-      (match Atomic.get tk.tripped with
-      | Some r -> r
-      | None -> if Atomic.get tk.cancelled then `Cancelled else `Deadline);
+    reason = Option.value (Atomic.get tk.tripped) ~default:`Deadline;
   }
 
 (* Stop closure for [Game.config ?stop]: the private step [allowance]
@@ -194,7 +171,7 @@ let spent tk =
    a local counter; the shared token's wall-clock dimensions are polled
    only every [stride] moves so the per-move overhead stays negligible. *)
 let game_stop tk ~allowance =
-  if allowance = max_int && is_unlimited_token tk then None
+  if allowance = max_int && is_unlimited tk.budget then None
   else begin
     let moves = ref 0 in
     let stride = 256 in

@@ -1,4 +1,4 @@
-(** Resource budgets and cooperative cancellation.
+(** Resource budgets.
 
     A {!t} bounds a verification run along up to two dimensions —
     wall-clock milliseconds and game steps.  {!start} turns the spec into
@@ -10,9 +10,8 @@
     Only step budgets are deterministic: the game scan gives each
     schedule a private allowance captured at scan entry and re-truncates
     the merged prefix sequentially, so the counted schedule set is
-    jobs-independent (DESIGN.md S27).  Deadline / cancellation are
-    wall-clock events; they shrink the prefix but never change a
-    completed verdict. *)
+    jobs-independent (DESIGN.md S27).  A deadline is a wall-clock event;
+    it shrinks the prefix but never changes a completed verdict. *)
 
 type t = {
   ms : float option;  (** wall-clock deadline, ms from {!start} *)
@@ -20,7 +19,6 @@ type t = {
 }
 
 val unlimited : t
-val is_unlimited : t -> bool
 
 val make : ?ms:float -> ?steps:int -> unit -> t
 (** Negative values are clamped to zero (instantly exhausted). *)
@@ -32,7 +30,7 @@ val pp : Format.formatter -> t -> unit
 type spent = {
   elapsed_ms : float;
   steps_used : int;
-  reason : [ `Deadline | `Steps | `Cancelled ];
+  reason : [ `Deadline | `Steps ];
 }
 
 val pp_spent : Format.formatter -> spent -> unit
@@ -42,7 +40,6 @@ val pp_spent : Format.formatter -> spent -> unit
 type 'a outcome = Complete of 'a | Exhausted of { spent : spent; partial : 'a }
 
 val value : 'a outcome -> 'a
-val is_complete : 'a outcome -> bool
 val map : ('a -> 'b) -> 'a outcome -> 'b outcome
 
 (** {1 Tokens} *)
@@ -56,18 +53,14 @@ val no_token : token
 (** A shared unlimited token — the default on [Ctx.default]; polling it
     is two atomic reads and it never trips. *)
 
-val cancel : token -> unit
-(** Explicit cooperative cancellation; every poller sees it at its next
-    check.  Idempotent. *)
-
 val poll : token -> bool
-(** True once any budget dimension is exhausted (or {!cancel} was
-    called).  Cheap enough for schedule granularity. *)
+(** True once any budget dimension is exhausted.  Cheap enough for
+    schedule granularity. *)
 
 val poll_wall : token -> bool
-(** Like {!poll} but ignoring the shared step counter: cancellation and
-    deadline only.  Used inside games, where shared-step exhaustion
-    would be jobs-dependent. *)
+(** Like {!poll} but ignoring the shared step counter: the deadline
+    only.  Used inside games, where shared-step exhaustion would be
+    jobs-dependent. *)
 
 val charge : token -> int -> unit
 (** Add [n] game steps to the shared counter (heuristic early-stop;

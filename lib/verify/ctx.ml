@@ -1,12 +1,6 @@
-(* The unified checker context (DESIGN.md S27).
-
-   PR 2–4 grew the checkers a long tail of optional arguments — [?jobs],
-   [?cache], [?strategy], stats toggles — and later PRs added budget and
-   fault knobs on top.  Rather than widen every signature again, the
-   knobs live in one record threaded uniformly through every checker
-   entry point ([Races.check_ctx], [Linearizability.refine_ctx],
-   [Progress.completes_within_ctx], [Dpor.explore_ctx],
-   [Explore.run_all_ctx], [Stack.verify_all_ctx]). *)
+(* The unified checker context (DESIGN.md S27): the knobs live in one
+   record threaded uniformly through every checker entry point, instead
+   of an optional argument per knob on every signature. *)
 
 module Engine = Ccal_core.Strategy.Engine
 
@@ -47,17 +41,8 @@ let with_budget budget t = { t with budget; token = Budget.start budget }
 let with_faults faults t = { t with faults }
 
 let make ?(jobs = 1) ?cache ?(strategy = Engine.default)
-    ?(memory = Ccal_core.Memory.default) ?budget ?(faults = Fault.none) () =
-  let budget = Option.value budget ~default:Budget.unlimited in
-  {
-    jobs = max 1 jobs;
-    cache;
-    strategy = Engine.checked strategy;
-    memory;
-    budget;
-    token = (if Budget.is_unlimited budget then Budget.no_token else Budget.start budget);
-    faults;
-  }
+    ?(memory = Ccal_core.Memory.default) () =
+  { default with jobs = max 1 jobs; cache; strategy = Engine.checked strategy; memory }
 
 (* [arm ctx f] runs [f] with the context's fault plan armed; every
    checker entry point wraps its body in this. *)

@@ -1,12 +1,11 @@
 (** The unified checker context (DESIGN.md S27).
 
-    One record for every knob the checkers used to take as scattered
-    optional arguments — pool size, certificate cache, exploration
-    engine — plus the budget/cancellation token and the fault plan
-    introduced with it.  Thread a context through the [*_ctx] entry
-    points ([Races.check_ctx], [Linearizability.refine_ctx],
-    [Progress.completes_within_ctx], [Dpor.explore_ctx],
-    [Explore.run_all_ctx], [Stack.verify_all_ctx]).
+    One record for every checker knob — pool size, certificate cache,
+    exploration engine, memory mode, budget token and fault plan.  Thread
+    a context through the [*_ctx] entry points the CLI calls
+    ([Stack.verify_all_ctx], [Kv_stack.verify_ctx], [Crash.check_ctx],
+    [Dpor.explore_ctx], [Explore.oracle_ctx],
+    [Linearizability.refine_cert_ctx]) and the checkers below them.
 
     Nested checkers share the budget by sharing the context: a
     [Stack.verify_all_ctx] call passes its own context to every edge's
@@ -40,15 +39,12 @@ val make :
   ?cache:Cache.t ->
   ?strategy:Engine.t ->
   ?memory:Ccal_core.Memory.t ->
-  ?budget:Budget.t ->
-  ?faults:Fault.plan ->
   unit ->
   t
-(** Build a context in one go; a non-unlimited [budget] starts its token
-    immediately (the deadline epoch is this call).  Raises
-    [Invalid_argument] on an invalid [strategy] descriptor (flag on an
-    engine that does not take it, non-positive depth) — the same named
-    errors {!Engine.validate} reports. *)
+(** {!default} with the given knobs.  Raises [Invalid_argument] on an
+    invalid [strategy] descriptor (flag on an engine that does not take
+    it, non-positive depth) — the same named errors {!Engine.of_string}
+    reports. *)
 
 (** {1 Builders} *)
 
@@ -57,7 +53,7 @@ val with_cache : Cache.t -> t -> t
 
 val with_strategy : Engine.t -> t -> t
 (** Select the exploration engine.  Validates the descriptor
-    ({!Engine.validate}), raising [Invalid_argument] with the named
+    ({!Engine.checked}), raising [Invalid_argument] with the named
     error on misuse — an invalid combination never reaches a checker. *)
 
 val with_memory : Ccal_core.Memory.t -> t -> t

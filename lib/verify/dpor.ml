@@ -184,10 +184,10 @@ type node = {
    in DFS pre-order.  The walk is one replay scope (DESIGN.md S32): a
    child's log extends its parent's, so the replay folds resume down each
    path.  This walk is behind every [dpor] suite. *)
-let walk ?(independence = Exact) ~engine ~depth table =
+let walk ?(independence = Exact) ~engine table =
   if (engine : Engine.t).algo <> Engine.Dpor then
     invalid_arg ("Dpor.walk: not a DPOR engine: " ^ Engine.to_string engine);
-  let sym = engine.Engine.sym in
+  let sym = engine.Engine.sym and depth = engine.Engine.depth in
   (* The played threads include the pseudo-threads (TSO flushers, the
      crash thread): the DFS explores their moves like any other's. *)
   let layer = Game.layer table and threads = Game.played table in
@@ -340,7 +340,7 @@ let explore_ctx ~ctx ?(independence = Exact) ?engine
   let table = Game.table ~memory:ctx.Ctx.memory layer threads in
   let prefixes, walk_stats =
     Probe.span "dpor.prefixes" (fun () ->
-        walk ~independence ~engine ~depth table)
+        walk ~independence ~engine:{ engine with Engine.depth } table)
   in
   (* Each leaf is keyed where it is replayed, so under [jobs > 1] the
      keys are computed on the pool too. *)

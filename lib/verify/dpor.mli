@@ -88,15 +88,13 @@ val subset_traces : (int * Log.t) list -> (int * Log.t) list -> bool
 val walk :
   ?independence:independence ->
   engine:Engine.t ->
-  depth:int ->
   Game.table ->
   Event.tid list list * Engine.walk_stats
 (** The walk only (no replay) over the table's played threads
     ({!Ccal_core.Game.played}, pseudo-threads included): the surviving
-    prefixes in DFS pre-order plus the prune counters.
-    [engine] must be a [dpor] descriptor ([Invalid_argument]
-    otherwise); [engine.depth] is ignored in favour of [depth].  The walk
-    always runs live. *)
+    prefixes in DFS pre-order plus the prune counters, to [engine.depth]
+    scheduling choices.  [engine] must be a [dpor] descriptor
+    ([Invalid_argument] otherwise).  The walk always runs live. *)
 
 val explore_ctx :
   ctx:Ctx.t ->

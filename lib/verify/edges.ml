@@ -80,7 +80,7 @@ let pp ~millis l ppf rows =
              (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) row.counters)))
     rows;
   if l.title = None then
-    Format.fprintf ppf "  total: %d %s%s" r.total_checks l.total (ms " in ")
+    Format.fprintf ppf "  total: %d %s%s@." r.total_checks l.total (ms " in ")
 
 exception Out_of_budget of Budget.spent
 

@@ -40,7 +40,7 @@ type column = { count : string; width : int; unit : string }
 type layout = {
   title : string option;
       (** [Some t]: a first line ["t: N edges, T <total>"]; [None]: a
-          last line ["  total: T <total>"], left open for the caller *)
+          last line ["  total: T <total>"] *)
   total : string;  (** the count summed into [total_checks] *)
   label_width : int option;  (** [Some w]: rows open with ["[label] "] *)
   name_width : int;
@@ -57,7 +57,8 @@ type progress = { completed : report; next_edge : string option }
     budget ran out — the name of the first edge that did not. *)
 
 val pp : millis:bool -> layout -> Format.formatter -> row list -> unit
-(** The report, each row's [counters] on a line under it.  Without
+(** The report, each row's [counters] on a line under it; every line,
+    the last included, ends in a newline.  Without
     [millis] it is the canonical text [--report] writes: bit-identical
     between cold and warm cached runs and across [jobs] counts. *)
 

@@ -12,11 +12,6 @@ let exhaustive_scheds ~tids ~depth =
   in
   List.map (Sched.of_trace ~tag:"exh") (traces depth)
 
-let random_scheds ~count = List.init count (fun k -> Sched.random ~seed:(k + 1))
-
-let full_suite ~tids ?(depth = 4) ?(random = 16) () =
-  (Sched.round_robin :: exhaustive_scheds ~tids ~depth) @ random_scheds ~count:random
-
 (* One [match] on the closed [algo] variant (DESIGN.md S31): [dpor] is
    the only walking engine.  The descriptor is not validated here: the
    oracle runs at any depth the walk accepted, zero included. *)
@@ -25,7 +20,7 @@ let suite ~ctx (engine : Engine.t) layer threads =
   let table () = Game.table ~memory:ctx.Ctx.memory layer threads in
   match engine.Engine.algo with
   | Engine.Dpor ->
-    let prefixes, _ = Dpor.walk ~engine ~depth (table ()) in
+    let prefixes, _ = Dpor.walk ~engine (table ()) in
     (* [dpor] and [dpor,sym] share the "dpor" tag: identical prefixes
        share crash edge keys (which fold the suite), sound because the
        games are identical. *)
@@ -35,7 +30,7 @@ let suite ~ctx (engine : Engine.t) layer threads =
     exhaustive_scheds ~tids:(List.map fst (Game.played (table ()))) ~depth
   | Engine.Random ->
     (* [depth] doubles as the suite size for the random engine. *)
-    random_scheds ~count:depth
+    List.init depth (fun k -> Sched.random ~seed:(k + 1))
 
 let scheds_of_strategy_ctx ~ctx layer threads =
   suite ~ctx (Engine.checked ctx.Ctx.strategy) layer threads
@@ -50,8 +45,6 @@ let run_all_ctx ~ctx layer threads scheds =
   judge_all_ctx ~ctx layer threads (fun _ o -> o) scheds
 
 let all_logs outcomes = List.map (fun o -> o.Game.log) outcomes
-
-let count_distinct_logs outcomes = List.length (Log.dedup (all_logs outcomes))
 
 type oracle = { runs : int; logs : Log.t list; agree : bool }
 

@@ -21,13 +21,6 @@ val exhaustive_scheds : tids:Event.tid list -> depth:int -> Sched.t list
     empty [tids] has the one empty prefix.  Use small depths: the count
     is exponential. *)
 
-val random_scheds : count:int -> Sched.t list
-(** [count] seeded random schedulers (deterministic suite). *)
-
-val full_suite : tids:Event.tid list -> ?depth:int -> ?random:int -> unit -> Sched.t list
-(** Exhaustive prefixes (default depth 4) plus random schedules (default
-    16) plus round-robin. *)
-
 (** {1 Suites from the strategy} *)
 
 val scheds_of_strategy_ctx :
@@ -61,10 +54,6 @@ val run_all_ctx :
     tripped, bit-identical for every jobs count under a step budget. *)
 
 val all_logs : Game.outcome list -> Log.t list
-
-val count_distinct_logs : Game.outcome list -> int
-(** Number of distinct interleavings actually observed (hashed dedup —
-    linear in total events, not quadratic in runs). *)
 
 (** {1 The oracle comparison} *)
 

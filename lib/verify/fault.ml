@@ -27,17 +27,6 @@ type plan = {
 let none = { seed = 0; crash = 0.; corrupt = 0.; skew = 0.; oversize = 0. }
 let is_none p = p.crash = 0. && p.corrupt = 0. && p.skew = 0. && p.oversize = 0.
 
-let make ?(seed = 1) ?(crash = 0.) ?(corrupt = 0.) ?(skew = 0.)
-    ?(oversize = 0.) () =
-  let clamp r = if r < 0. then 0. else if r > 1. then 1. else r in
-  {
-    seed;
-    crash = clamp crash;
-    corrupt = clamp corrupt;
-    skew = clamp skew;
-    oversize = clamp oversize;
-  }
-
 (* --inject SPEC: comma-separated kind:rate pairs plus an optional
    seed:N, e.g. "crash:0.1,corrupt-cache:0.05,skew:0.2,oversize:0.01". *)
 let parse s =

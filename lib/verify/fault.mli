@@ -21,20 +21,11 @@ val none : plan
 
 val is_none : plan -> bool
 
-val make :
-  ?seed:int ->
-  ?crash:float ->
-  ?corrupt:float ->
-  ?skew:float ->
-  ?oversize:float ->
-  unit ->
-  plan
-(** Rates are clamped to [0,1]; [seed] defaults to 1. *)
-
 val parse : string -> (plan, string) result
 (** Parse a [--inject] spec: comma-separated [KIND:RATE] fields with
-    kinds [crash], [corrupt-cache], [skew], [oversize], plus an optional
-    [seed:N] — e.g. ["crash:0.1,corrupt-cache:0.05,seed:7"]. *)
+    kinds [crash], [corrupt-cache], [skew], [oversize], each rate in
+    [0,1], plus an optional [seed:N] (default 1) — e.g.
+    ["crash:0.1,corrupt-cache:0.05,seed:7"]. *)
 
 val pp : Format.formatter -> plan -> unit
 

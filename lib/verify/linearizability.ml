@@ -36,9 +36,8 @@ let refine_ctx ~ctx ?(max_steps = 200_000) ?expect_all_done ~underlay ~impl
           ~tids)
        scheds)
 
-let refine_cert_ctx ~ctx ?max_steps ?expect_all_done (cert : Calculus.cert)
-    ~client ~scheds =
-  refine_ctx ~ctx ?max_steps ?expect_all_done
+let refine_cert_ctx ~ctx (cert : Calculus.cert) ~client ~scheds =
+  refine_ctx ~ctx
     ~underlay:cert.Calculus.judgment.Calculus.underlay
     ~impl:cert.Calculus.judgment.Calculus.impl
     ~overlay:cert.Calculus.judgment.Calculus.overlay
@@ -55,7 +54,7 @@ let summarize (r : Refinement.report) =
     events = List.fold_left (fun n l -> n + Log.length l) 0 logs;
   }
 
-let check_ctx ~ctx ?max_steps ?scheds ~underlay ~impl ~overlay ~rel ~client
+let check_ctx ~ctx ?scheds ~underlay ~impl ~overlay ~rel ~client
     ~tids () =
   Ctx.arm ctx @@ fun () ->
   let scheds =
@@ -71,13 +70,5 @@ let check_ctx ~ctx ?max_steps ?scheds ~underlay ~impl ~overlay ~rel ~client
   in
   Budget.map
     (Result.map summarize)
-    (refine_ctx ~ctx ?max_steps ~underlay ~impl ~overlay ~rel ~client ~tids
+    (refine_ctx ~ctx ~underlay ~impl ~overlay ~rel ~client ~tids
        ~scheds ())
-
-let check_cert_ctx ~ctx ?max_steps ?scheds (cert : Calculus.cert) ~client =
-  check_ctx ~ctx ?max_steps ?scheds
-    ~underlay:cert.Calculus.judgment.Calculus.underlay
-    ~impl:cert.Calculus.judgment.Calculus.impl
-    ~overlay:cert.Calculus.judgment.Calculus.overlay
-    ~rel:cert.Calculus.judgment.Calculus.rel ~client
-    ~tids:cert.Calculus.judgment.Calculus.focus ()

@@ -44,8 +44,6 @@ val refine_ctx :
 
 val refine_cert_ctx :
   ctx:Ctx.t ->
-  ?max_steps:int ->
-  ?expect_all_done:bool ->
   Calculus.cert ->
   client:(Event.tid -> Prog.t) ->
   scheds:Sched.t list ->
@@ -56,7 +54,6 @@ val refine_cert_ctx :
 
 val check_ctx :
   ctx:Ctx.t ->
-  ?max_steps:int ->
   ?scheds:Sched.t list ->
   underlay:Layer.t ->
   impl:Prog.Module.t ->
@@ -71,11 +68,3 @@ val check_ctx :
     client+implementation threads.  [ctx.jobs] parallelises both the
     DPOR walk and the refinement scan; the verdict is identical for
     every jobs count. *)
-
-val check_cert_ctx :
-  ctx:Ctx.t ->
-  ?max_steps:int ->
-  ?scheds:Sched.t list ->
-  Calculus.cert ->
-  client:(Event.tid -> Prog.t) ->
-  (report, Refinement.failure) result Budget.outcome

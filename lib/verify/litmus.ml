@@ -44,8 +44,6 @@ let run_test ~ctx (t : L.test) =
     schedules = List.length result.Dpor.outcomes;
   }
 
-let run_all ?(tests = L.tests) ~ctx () = List.map (run_test ~ctx) tests
-
 let pp_report fmt r =
   let pp_set fmt os =
     Format.fprintf fmt "{%s}"

@@ -27,26 +27,14 @@ val ok : report -> bool
     directions: every allowed outcome reached, every forbidden outcome
     unreachable. *)
 
-val extra : report -> int list list
-(** Observed but not expected (should be empty). *)
-
-val missing : report -> int list list
-(** Expected but not observed (should be empty). *)
-
-val run_test : ctx:Ctx.t -> Ccal_machine.Litmus.test -> report
-(** Explore one test under [ctx.memory].  Cached through [ctx.cache]
-    (the DFS walk key includes the memory mode). *)
-
-val run_all :
-  ?tests:Ccal_machine.Litmus.test list -> ctx:Ctx.t -> unit -> report list
-
 val run_both :
   ?tests:Ccal_machine.Litmus.test list ->
   ctx:Ctx.t ->
   unit ->
   (report * report) list
-(** Each test under [Sc] and [Tso] with the same ctx knobs —
-    [(sc_report, tso_report)] pairs for the per-mode outcome table. *)
+(** Each test (default: the whole corpus) explored under [Sc] and under
+    [Tso] with the same ctx knobs — [(sc_report, tso_report)] pairs for
+    the per-mode outcome table. *)
 
 val pp_report : Format.formatter -> report -> unit
 

@@ -25,14 +25,6 @@ val default_jobs : unit -> (int, string) result
     A value that is not a positive integer is an [Error] naming it.  What
     the CLI uses when no [--jobs] is given. *)
 
-val recommend_domains : (int * float) list -> int
-(** [recommend_domains curve] derives the jobs count to recommend from a
-    measured [(jobs, speedup)] scaling curve: the entry with the highest
-    speedup, ties broken toward fewer domains.  [1] on an empty curve.
-    This is what the benchmark writes into [BENCH_parallel.json]'s
-    [recommended_domains] — a measurement, not
-    [Domain.recommended_domain_count]. *)
-
 (** {1 The game scan} *)
 
 val games :
@@ -98,5 +90,6 @@ val stats : unit -> stats
     utilisation in the scaling benchmarks. *)
 
 val shutdown_all : unit -> unit
-(** Join every pooled domain.  Runs automatically [at_exit]; exposed for
-    tests and long-lived embedders. *)
+(** Join every pooled domain.  Runs automatically [at_exit]; the bench
+    calls it between sections, whose games must not be timed next to
+    the idle domains of an earlier section's pools. *)

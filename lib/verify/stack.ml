@@ -121,9 +121,6 @@ let certified r = Result.map cert_checks (cert_error r)
 
 let ( let* ) = Result.bind
 
-let adversarial_edge_name =
-  "Lrwlock spin suite under adversarial schedules (livelock)"
-
 (* The stack as data: each edge is its name, its key fold and its body,
    written once.  Nothing runs until [Edges.run] reaches the edge. *)
 let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
@@ -300,7 +297,7 @@ let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
          and deadlock still fail the edge; burning all fuel does not.  A
          game burns its fuel in milliseconds (S32), so the suite is 3^7
          games, and only their statuses are kept. *)
-      edge adversarial_edge_name
+      edge "Lrwlock spin suite under adversarial schedules (livelock)"
         (fun () ->
           let layer = Rwlock.underlay () in
           let spin acq rel =

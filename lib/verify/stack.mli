@@ -48,9 +48,6 @@ val edge_fingerprints :
     mode enters {e every} key — an SC verdict is never served for a TSO
     query.  [jobs] takes no part in any key. *)
 
-val adversarial_edge_name : string
-(** Name of the opt-in spinning-rwlock edge, for CLI/report plumbing. *)
-
 val verify_all_ctx :
   ctx:Ctx.t ->
   ?lock:[ `Ticket | `Mcs ] ->
@@ -82,7 +79,8 @@ val verify_all_ctx :
     {- whole-machine soundness games for the lock, queue and IPC layers.}}
 
     [adversarial] (default false) appends the spinning-rwlock livelock
-    edge ({!adversarial_edge_name}): the C spin loops phase-lock with the
+    edge (["Lrwlock spin suite under adversarial schedules (livelock)"]):
+    the C spin loops phase-lock with the
     trace-prefix schedulers and burn their whole fuel allowance, so the
     edge is effectively a hang without a budget and the canonical
     demonstration that one turns it into an [Exhausted] report.

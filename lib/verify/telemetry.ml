@@ -94,8 +94,6 @@ let pp_stats fmt () =
       (float_of_int ps.Parallel.busy_ns /. 1e6);
   Format.fprintf fmt "@]"
 
-let stats_string () = Format.asprintf "%a" pp_stats ()
-
 (* ------------------------------------------------------------------ *)
 (* Chrome trace export                                                 *)
 (* ------------------------------------------------------------------ *)

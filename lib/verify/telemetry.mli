@@ -34,15 +34,11 @@ val pp_stats : Format.formatter -> unit -> unit
 (** The human-readable table: non-zero counters, span aggregates, and
     the cumulative {!Parallel.stats} when any pool ran. *)
 
-val stats_string : unit -> string
-
 (** {1 Chrome trace export} *)
 
-val chrome_trace_string : unit -> string
-(** The recorded spans as Trace Event Format JSON (one complete ["X"]
-    event per span, microsecond timestamps relative to the earliest
-    span, [tid] = recording domain, plus ["M"] metadata events naming
-    each domain's track).  Loadable in [about:tracing] / Perfetto. *)
-
 val write_chrome_trace : string -> unit
-(** Write {!chrome_trace_string} to a file. *)
+(** Write the recorded spans to a file as Trace Event Format JSON (one
+    complete ["X"] event per span, microsecond timestamps relative to
+    the earliest span, [tid] = recording domain, plus ["M"] metadata
+    events naming each domain's track).  Loadable in [about:tracing] /
+    Perfetto. *)

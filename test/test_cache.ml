@@ -323,7 +323,7 @@ let canonical_of = function
 
 let test_budget_cut_run_resumes_at_frontier () =
   with_cache (fun c ->
-      let ctx = V.Ctx.make ~cache:c ~budget:(V.Budget.make ~steps:100 ()) () in
+      let ctx = V.Ctx.with_budget (V.Budget.make ~steps:100 ()) (V.Ctx.make ~cache:c ()) in
       let completed =
         match V.Stack.verify_all_ctx ~ctx () with
         | V.Budget.Exhausted { partial = Ok p; _ } ->

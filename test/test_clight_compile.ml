@@ -306,9 +306,10 @@ let test_validate_with_env_events () =
     [ Env_context.of_script "w" [ [ ev ~args:[ vi 60; vi 9 ] 2 "astore" ] ] ]
   in
   match
-    V.validate_fn ~layer:(hw ()) ~tids:[ 1 ] ~arg_cases:[ [ vi 60 ] ] ~envs f
+    V.validate_module ~layer:(hw ()) ~tids:[ 1 ]
+      ~arg_cases:[ "reader", [ [ vi 60 ] ] ] ~envs [ f ]
   with
-  | Ok n -> check_int "cases" 1 n
+  | Ok r -> check_int "cases" 1 r.V.cases_run
   | Error fl -> Alcotest.failf "failed: %a" V.pp_failure fl
 
 let test_validate_catches_miscompilation () =
@@ -321,10 +322,15 @@ let test_validate_catches_miscompilation () =
   check_bool "differ" false (Value.equal c a)
 
 let test_compile_slot_assignment () =
-  let f = fn "f" [ "a"; "b" ] [ "c" ] (C.return (C.i 0)) in
-  check_bool "slots" true
-    (Cx.slot_of_var f "a" = Some 0 && Cx.slot_of_var f "b" = Some 1
-    && Cx.slot_of_var f "c" = Some 2 && Cx.slot_of_var f "z" = None)
+  (* parameters take slots 0 .. arity-1, locals the next ones; a variable
+     declared nowhere has no slot *)
+  let body x = (Cx.compile_fn (fn "f" [ "a"; "b" ] [ "c" ] (C.return (C.v x)))).Ccal_machine.Asm.body in
+  List.iter
+    (fun (x, slot) ->
+      check_bool (x ^ " slot") true (List.mem Ccal_machine.Asm.(Load (EAX, Imm slot)) (body x)))
+    [ "a", 0; "b", 1; "c", 2 ];
+  check_bool "z has no slot" true
+    (try ignore (body "z"); false with Cx.Unsupported _ -> true)
 
 let test_compile_duplicate_var_rejected () =
   let f = fn "f" [ "a"; "a" ] [] (C.return (C.i 0)) in
@@ -417,8 +423,9 @@ let test_mem_compose_many () =
   let m1, _ = M.alloc M.empty 0 2 in
   let m2 = M.liftnb M.empty 1 in
   let m2, _ = M.alloc m2 0 2 in
-  (* m1 = [real]; m2 = [empty; real] *)
-  match M.compose_many [ m1; m2 ] with
+  (* m1 = [real]; m2 = [empty; real]; n threads compose by iterating the
+     binary composition from the empty memory (end of Sec. 5.5) *)
+  match Option.bind (M.compose M.empty m1) (fun m -> M.compose m m2) with
   | Some m -> check_int "nb (axiom Nb)" 2 (M.nb m)
   | None -> Alcotest.fail "n-way compose failed"
 

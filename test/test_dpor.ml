@@ -415,7 +415,7 @@ let test_sym_ticket_4t_depth8 () =
 let walk_digest ?(independence = V.Dpor.Exact) ?(memory = Memory.default)
     ?(sym = false) ~depth layer threads =
   let prefixes, (st : E.walk_stats) =
-    V.Dpor.walk ~independence ~engine:{ (E.dpor ~depth) with E.sym } ~depth
+    V.Dpor.walk ~independence ~engine:{ (E.dpor ~depth) with E.sym }
       (Game.table ~memory layer threads)
   in
   let trace p = String.concat "," (List.map string_of_int p) in

@@ -132,7 +132,7 @@ let prop_games_is_reference =
       let ctx =
         match c.steps with
         | None -> Ctx.make ~jobs:c.jobs ()
-        | Some steps -> Ctx.make ~jobs:c.jobs ~budget:(Budget.make ~steps ()) ()
+        | Some steps -> Ctx.with_budget (Budget.make ~steps ()) (Ctx.make ~jobs:c.jobs ())
       in
       let got =
         Parallel.games ~ctx ?max_steps:c.max_steps ~cut ~cost layer threads
@@ -143,7 +143,10 @@ let prop_games_is_reference =
           record c.scheds
       in
       let same_verdicts = Budget.value got = want in
-      let same_ending = Budget.is_complete got = not ran_out in
+      let same_ending =
+        (match got with Budget.Complete _ -> true | Budget.Exhausted _ -> false)
+        = not ran_out
+      in
       (* the token is charged only under a step budget *)
       let same_charge =
         c.steps = None || Budget.steps_used ctx.Ctx.token = settled
@@ -172,7 +175,7 @@ let test_linking_shorter_than_one_game () =
   in
   let steps = first_game - 1 in
   let run jobs =
-    let ctx = Ctx.make ~jobs ~budget:(Budget.make ~steps ()) () in
+    let ctx = Ctx.with_budget (Budget.make ~steps ()) (Ctx.make ~jobs ()) in
     match
       Parallel.games ~ctx ~log_switches:true ~cut:Result.is_error layer threads
         (Ccal_machine.Mx86.judge_linking layer threads)
@@ -285,11 +288,13 @@ let wal_threads () =
 (* A guarantee that allows each thread one event: a thread's second
    event is a violation. *)
 let one_shot layer =
-  Layer.with_conditions ~rely:Rely_guarantee.always
-    ~guar:
-      (Rely_guarantee.make "one-shot" (fun i l ->
-           Log.count (fun (e : Event.t) -> e.src = i) l <= 1))
-    layer
+  {
+    layer with
+    Layer.rely = Rely_guarantee.always;
+    guar =
+      Rely_guarantee.make "one-shot" (fun i l ->
+          Log.count (fun (e : Event.t) -> e.src = i) l <= 1);
+  }
 
 (* The stop closure of a play cancelled at its [k]-th poll. *)
 let stop_at k =

@@ -126,7 +126,7 @@ let test_dining_ordered_locking_safe () =
     (fun sched ->
       let o = Game.run (Game.config layer threads sched) in
       check_bool "completes" true (Game.successful o))
-    (Ccal_verify.Explore.full_suite ~tids:[ 1; 2 ] ~depth:4 ~random:8 ())
+    (full_suite ~tids:[ 1; 2 ] ~depth:4 ~random:8)
 
 let test_dining_deadlock_on_ticket_impl () =
   (* the same wrong-order program, now over the concrete ticket-lock
@@ -267,7 +267,7 @@ let test_barrier_reused_generations () =
       check_bool "three generations wellformed" true
         (Barrier.episodes_wellformed ~n:2 7 o.Game.log);
       check_int "six passes" 6
-        (Log.count (fun e -> String.equal e.Event.tag Barrier.pass_tag) o.Game.log))
+        (Log.count (fun e -> String.equal e.Event.tag "bar_pass") o.Game.log))
     (Sched.default_suite ~seeds:6)
 
 let test_barrier_blocks_alone () =

@@ -191,7 +191,7 @@ let test_private_fuel () =
   let layer = counter_layer () in
   let rec spin () = Prog.bind (Prog.call "unstash" []) (fun _ -> spin ()) in
   let st = Machine.initial layer 1 (spin ()) in
-  match Machine.step_move ~private_fuel:100 layer 1 st Log.empty with
+  match Machine.step_move layer 1 st Log.empty with
   | Machine.Stuck (_, msg) -> check_string "fuel msg" Prog.steps_bound_exceeded msg
   | _ -> Alcotest.fail "expected stuck on divergent private loop"
 
@@ -261,7 +261,7 @@ let test_guar_violation_detected () =
   let guar = Rely_guarantee.make "at-most-one-tick" (fun i l ->
       Log.count (fun (e : Event.t) -> e.src = i) l <= 1)
   in
-  let layer = Layer.with_conditions ~rely:Rely_guarantee.always ~guar (counter_layer ()) in
+  let layer = { (counter_layer ()) with Layer.rely = Rely_guarantee.always; guar } in
   let prog = Prog.seq (Prog.call "tick" [ vi 0 ]) (Prog.call "tick" [ vi 0 ]) in
   let r = Machine.run_local layer 1 ~env:Env_context.empty ~check_guar:true prog in
   check_bool "violation found" true (r.Machine.guar_violation <> None)
@@ -306,7 +306,7 @@ let test_game_counter_value () =
   let o = Game.run (Game.config layer threads (Sched.random ~seed:42)) in
   (* the final tick returns 4 regardless of interleaving: the counter is
      replayed from the log *)
-  let last = Option.get (Log.latest o.Game.log) in
+  let last = List.hd (Log.newest_first o.Game.log) in
   check_int "last tick value" 4 (Value.to_int last.Event.ret)
 
 let test_game_interleavings_differ () =

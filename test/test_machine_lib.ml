@@ -57,11 +57,11 @@ let test_cross_thread_push_race () =
 
 let test_replay_loc_ownership () =
   let l = log_of [ ev ~args:[ vi 3 ] 1 "pull" ] in
-  (match Replay.run_exn (Pushpull.replay_loc 3) l with
+  (match Result.get_ok (Pushpull.replay_loc 3 l) with
   | _, Pushpull.Owned 1 -> ()
   | _ -> Alcotest.fail "expected owned by 1");
   let l2 = Log.append (ev ~args:[ vi 3; vi 9 ] 1 "push") l in
-  match Replay.run_exn (Pushpull.replay_loc 3) l2 with
+  match Result.get_ok (Pushpull.replay_loc 3 l2) with
   | v, Pushpull.Free -> check_int "published" 9 (Value.to_int v)
   | _ -> Alcotest.fail "expected free"
 
@@ -248,7 +248,7 @@ let prop_faa_sum_any_interleaving =
              (Sched.random ~seed))
       in
       Game.successful o
-      && Replay.run_exn (Atomic.replay_cell 0) o.Game.log = 6)
+      && Result.get_ok (Atomic.replay_cell 0 o.Game.log) = 6)
 
 let prop_xchg_last_wins =
   qtc ~count:60 "cell value = argument of last xchg" QCheck.(int_range 1 500)
@@ -258,7 +258,7 @@ let prop_xchg_last_wins =
       let o =
         Game.run (Game.config layer [ 1, prog 1; 2, prog 2 ] (Sched.random ~seed))
       in
-      let final = Replay.run_exn (Atomic.replay_cell 4) o.Game.log in
+      let final = Result.get_ok (Atomic.replay_cell 4 o.Game.log) in
       final = 101 || final = 102)
 
 let suite =

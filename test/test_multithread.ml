@@ -26,7 +26,7 @@ let sleepers placement chan l =
   | Error _ -> []
 
 let test_init_state () =
-  let st = T.init_state [ 1, 0; 2, 0; 3, 1 ] in
+  let st = Result.get_ok (T.replay_sched [ 1, 0; 2, 0; 3, 1 ] Log.empty) in
   (match List.assoc 0 st.T.cpus with
   | { T.running = Some 1; rdq = [ 2 ]; pendq = [] } -> ()
   | _ -> Alcotest.fail "cpu0 wrong");
@@ -314,7 +314,8 @@ let test_ipc_overlay_capacity () =
   let layer = Ipc.overlay () in
   let sends =
     Prog.seq_all
-      (List.init (Ipc.capacity + 1) (fun k -> Prog.call "send" [ vi 0; vi k ]))
+      (* one send more than the channel's capacity of 2 *)
+      (List.init 3 (fun k -> Prog.call "send" [ vi 0; vi k ]))
   in
   let o = Game.run (Game.config layer [ 1, sends ] Sched.round_robin) in
   match o.Game.status with

@@ -95,14 +95,14 @@ let mixed_threads () =
   [ 1, Prog.call "trap" []; 2, grab 2; 3, grab 3 ]
 
 let mixed_scheds () =
-  [ Sched.of_trace ~name:"other-first" [ 1 ]; Sched.of_trace ~name:"racy" [ 2; 3 ] ]
+  [ Sched.of_trace ~tag:"other-first" [ 1 ]; Sched.of_trace ~tag:"racy" [ 2; 3 ] ]
 
 let test_race_found_after_other_failure () =
   match
     Races.check_ctx ~ctx:Ctx.default ~scheds:(mixed_scheds ()) (mixed_layer ())
       (mixed_threads ())
   with
-  | Races.Race { sched_name; _ } -> check_string "the later schedule" "racy" sched_name
+  | Races.Race { sched_name; _ } -> check_string "the later schedule" "racy:[2,3]" sched_name
   | Races.Other_failure msg ->
     Alcotest.failf "non-race failure aborted the scan: %s" msg
   | Races.Race_free _ -> Alcotest.fail "race missed"
@@ -112,7 +112,7 @@ let test_other_failures_collected () =
   (* no race anywhere: the first failure is reported, annotated with the
      rest of the evidence *)
   let scheds =
-    [ Sched.of_trace ~name:"trap-a" [ 1 ]; Sched.of_trace ~name:"trap-b" [ 1 ] ]
+    [ Sched.of_trace ~tag:"trap-a" [ 1 ]; Sched.of_trace ~tag:"trap-b" [ 1 ] ]
   in
   let layer = mixed_layer () in
   match
@@ -219,8 +219,8 @@ let test_linearizability_jobs_invariant_ok () =
   | Ok cert ->
     check_jobs_invariant "linearizability ok" (fun jobs ->
         Budget.value
-          (Linearizability.check_cert_ctx ~ctx:(Ctx.make ~jobs ())
-             ~scheds:(Explore.full_suite ~tids:[ 1; 2 ] ~depth:3 ~random:4 ())
+          (check_cert ~ctx:(Ctx.make ~jobs ())
+             ~scheds:(full_suite ~tids:[ 1; 2 ] ~depth:3 ~random:4)
              cert ~client:lock_client))
 
 (* The seeded bug of test_verify_injection: rel forgets inc_n, so a second
@@ -250,10 +250,8 @@ let test_refinement_failure_jobs_invariant () =
           Prog.seq (Prog.call "rel" [ vi 0; vi i ]) (Prog.call "acq" [ vi 0 ]))
     in
     let run jobs =
-      Budget.value
-        (Linearizability.refine_cert_ctx ~ctx:(Ctx.make ~jobs ())
-           ~max_steps:5_000 cert ~client
-           ~scheds:(Sched.default_suite ~seeds:3))
+      refine_cert ~ctx:(Ctx.make ~jobs ()) ~max_steps:5_000 cert ~client
+        ~scheds:(Sched.default_suite ~seeds:3)
     in
     check_jobs_invariant "broken-lock refinement failure" run;
     (match run 4 with
@@ -615,7 +613,7 @@ let test_budgeted_races_exhausted_jobs_invariant () =
   let layer = Lock_intf.layer "Llock" in
   let threads = List.init 3 (fun k -> k + 1, lock_client (k + 1)) in
   check_jobs_invariant "races Exhausted partial" (fun jobs ->
-      let ctx = Ctx.make ~jobs ~budget:(Budget.make ~steps:400 ()) () in
+      let ctx = Ctx.with_budget (Budget.make ~steps:400 ()) (Ctx.make ~jobs ()) in
       match
         Races.check_ctx ~ctx
           ~scheds:(Explore.exhaustive_scheds ~tids:[ 1; 2; 3 ] ~depth:4)

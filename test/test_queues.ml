@@ -6,8 +6,8 @@ open Util
 
 (* ---- local queue ---- *)
 
-let heap = Queue_local.heap_layer
-let absq = Queue_local.abs_layer
+let heap () = Queue_local.recipe.Object_intf.underlay Memory.Sc []
+let absq () = Queue_local.recipe.Object_intf.overlay
 
 let link_local p = Prog.Module.link (Queue_local.c_module ()) p
 

@@ -46,7 +46,7 @@ let stack_rows lock =
       "  [Fun  ] Lmt(spin+cv) |- M_ipc : Lipc (Fun)                        12 checks";
       "  [Sound] [[producer|consumer]] refines Lipc (blocking paths)        5 checks";
       "  [Fun  ] Llock |- M_rwlock : Lrwlock (Fun, extension)              16 checks";
-      "  total: 85 checks";
+      "  total: 85 checks\n";
     ]
 
 let test_stack_golden () =
@@ -59,8 +59,8 @@ let test_stack_golden () =
           ~lock:`Mcs ()))
 
 let test_stack_partial_golden () =
-  let ctx = Ctx.make ~budget:(Budget.make ~steps:100 ()) () in
-  Alcotest.(check string) "stack exhaustive:6, 100 steps" "  total: 0 checks"
+  let ctx = Ctx.with_budget (Budget.make ~steps:100 ()) (Ctx.make ()) in
+  Alcotest.(check string) "stack exhaustive:6, 100 steps" "  total: 0 checks\n"
     (stack_canonical
        (Stack.verify_all_ctx ~ctx ~strategy:(Ctx.Engine.exhaustive ~depth:6) ()))
 
@@ -97,7 +97,7 @@ let test_crash_golden () =
           (crash_edges 3)))
 
 let test_crash_partial_golden () =
-  let ctx = Ctx.make ~budget:(Budget.make ~steps:200 ()) () in
+  let ctx = Ctx.with_budget (Budget.make ~steps:200 ()) (Ctx.make ()) in
   Alcotest.(check string) "crash, 200 steps"
     ("crash refinement: 1 edges, 90 recoveries\n" ^ wal_row)
     (crash_canonical (Crash.check_ctx ~ctx (crash_edges 2)))

@@ -135,25 +135,25 @@ let test_exhaustive_suite_replays () =
   check_int "distinct logs" 6
     (List.length (Log.dedup (List.map (fun (o : Game.outcome) -> o.Game.log) second)))
 
-(* [Fingerprint.scheds] folds scheduler names into cache keys.  The
-   digest below was computed before schedulers became data; a change
-   to any name orphans every cache entry keyed on it. *)
+(* [Fingerprint.scheds] folds scheduler names into cache keys; the
+   digest below pins them: a change to any name orphans every cache
+   entry keyed on it. *)
 let test_scheds_fingerprint_golden () =
   let suite =
     Sched.default_suite ~seeds:3
     @ [ Sched.random ~seed:1_000_000; Sched.of_trace [ 1; 2; 3 ];
-        Sched.of_trace ~name:"other-first" [ 2 ]; Sched.of_trace ~tag:"dpor" [ 1; 2; 1 ];
+        Sched.of_trace ~tag:"other-first" [ 2 ]; Sched.of_trace ~tag:"dpor" [ 1; 2; 1 ];
         Sched.of_trace ~tag:"dpor" []; Sched.of_trace ~tag:"exh" [ -1; 0; 12 ] ]
     @ Explore.exhaustive_scheds ~tids:[ 1; 2; -2 ] ~depth:2
   in
   Alcotest.(check (list string))
     "names"
     [ "round-robin"; "random(seed=1)"; "random(seed=2)"; "random(seed=3)";
-      "random(seed=1000000)"; "trace"; "other-first"; "dpor:[1,2,1]"; "dpor:[]";
+      "random(seed=1000000)"; "trace"; "other-first:[2]"; "dpor:[1,2,1]"; "dpor:[]";
       "exh:[-1,0,12]"; "exh:[1,1]"; "exh:[1,2]"; "exh:[1,-2]"; "exh:[2,1]"; "exh:[2,2]";
       "exh:[2,-2]"; "exh:[-2,1]"; "exh:[-2,2]"; "exh:[-2,-2]" ]
     (List.map Sched.name suite);
-  check_string "digest" "268bc2d57d0b85ee"
+  check_string "digest" "37a053f66d5e19b3"
     (Fingerprint.to_hex (Fingerprint.finish (Fingerprint.scheds Fingerprint.empty suite)))
 
 let test_duplicate_real_tids_rejected () =

@@ -77,7 +77,7 @@ let test_sim_rel_compose_order () =
   let r2 = Sim_rel.of_table "r2" [ "b", `To "c" ] in
   let l = log_of [ ev 1 "a" ] in
   let out = Sim_rel.apply (Sim_rel.compose r1 r2) l in
-  check_string "a->b->c" "c" (Option.get (Log.latest out)).Event.tag
+  check_string "a->b->c" "c" (List.hd (Log.newest_first out)).Event.tag
 
 let envs_for _i = [ Env_context.empty ]
 
@@ -132,16 +132,19 @@ let test_drive_runs_to_done () =
   check_int "one event" 1 (Log.length d.Simulation.log)
 
 let test_replay_against_env_injection () =
+  (* the foreign event the environment injects before thread 1 moves is
+     replayed to the spec as an environment move *)
   let layer = over_layer () in
-  let spec = Machine.strategy_of_prog layer 1 (Prog.call bump2_tag [ vi 0 ]) in
-  let translated =
-    log_of [ ev ~args:[ vi 0 ] ~ret:(vi 2) 2 bump2_tag;
-             ev ~args:[ vi 0 ] ~ret:(vi 2) 1 bump2_tag ]
+  let env =
+    Env_context.of_script "other" [ [ ev ~args:[ vi 0 ] ~ret:(vi 2) 2 bump2_tag ] ]
   in
-  match Simulation.replay_against 1 spec ~init_log:Log.empty translated with
-  | Ok (Some v) -> check_int "spec result" 2 (Value.to_int v)
-  | Ok None -> Alcotest.fail "no result"
-  | Error (msg, _) -> Alcotest.failf "replay failed: %s" msg
+  match
+    Simulation.check_progs Sim_rel.id ~tid:1 ~impl_layer:layer
+      ~impl:(Prog.call bump2_tag [ vi 0 ]) ~spec_layer:layer
+      ~spec:(Prog.call bump2_tag [ vi 0 ]) ~envs:[ env ]
+  with
+  | Ok r -> check_int "one env" 1 r.Simulation.envs_checked
+  | Error f -> Alcotest.failf "replay failed: %a" Simulation.pp_failure f
 
 (* ---- calculus ---- *)
 
@@ -216,10 +219,13 @@ let test_pcomp_overlap_rejected () =
 
 let test_compat_tested_implication () =
   let layer =
-    Layer.with_conditions
-      ~rely:(Rely_guarantee.make "even" (fun i l ->
-          Log.count (fun (e : Event.t) -> e.src = i) l mod 2 = 0))
-      ~guar:Rely_guarantee.never (under_layer ())
+    {
+      (under_layer ()) with
+      Layer.rely =
+        Rely_guarantee.make "even" (fun i l ->
+            Log.count (fun (e : Event.t) -> e.src = i) l mod 2 = 0);
+      guar = Rely_guarantee.make "false" (fun _ _ -> false);
+    }
   in
   (* guarantee [never] vacuously implies anything *)
   match Calculus.compat layer ~a:[ 1 ] ~b:[ 2 ] ~logs:[ log_of [ ev 1 "tick" ] ] with
@@ -228,8 +234,11 @@ let test_compat_tested_implication () =
 
 let test_compat_failure () =
   let layer =
-    Layer.with_conditions
-      ~rely:Rely_guarantee.never ~guar:Rely_guarantee.always (under_layer ())
+    {
+      (under_layer ()) with
+      Layer.rely = Rely_guarantee.make "false" (fun _ _ -> false);
+      guar = Rely_guarantee.always;
+    }
   in
   match Calculus.compat layer ~a:[ 1 ] ~b:[ 2 ] ~logs:[ Log.empty ] with
   | Error _ -> ()
@@ -283,7 +292,7 @@ let suite =
     tc "simulation detects wrong impl" test_simulation_detects_wrong_impl;
     tc "simulation detects wrong ret" test_simulation_detects_wrong_ret;
     tc "drive runs to done" test_drive_runs_to_done;
-    tc "replay_against env injection" test_replay_against_env_injection;
+    tc "spec replay accepts injected env events" test_replay_against_env_injection;
     tc "fun rule" test_fun_rule;
     tc "empty rule" test_empty_rule;
     tc "vcomp name mismatch" test_vcomp_name_mismatch;

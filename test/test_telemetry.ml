@@ -84,8 +84,8 @@ let test_failing_scan_counters_jobs_invariant () =
   let scheds () =
     (* many clean schedules after the racy one: parallel workers will run
        some of them; the counters must not show it *)
-    Sched.of_trace ~name:"other-first" [ 1 ]
-    :: Sched.of_trace ~name:"racy" [ 2; 3 ]
+    Sched.of_trace ~tag:"other-first" [ 1 ]
+    :: Sched.of_trace ~tag:"racy" [ 2; 3 ]
     :: List.init 30 (fun k -> Sched.random ~seed:(k + 1))
   in
   check_counters_jobs_invariant "mixed failing races" (fun jobs ->
@@ -145,7 +145,7 @@ let test_one_exhausted_run_counts_once () =
      raises [budget.exhaustions] by exactly one. *)
   let exhaustions run =
     Telemetry.reset ();
-    (match run (Ctx.make ~budget:(Budget.make ~steps:2000 ()) ()) with
+    (match run (Ctx.with_budget (Budget.make ~steps:2000 ()) (Ctx.make ())) with
     | Budget.Exhausted _ -> ()
     | Budget.Complete _ -> Alcotest.fail "expected exhaustion");
     Option.value ~default:0
@@ -397,7 +397,13 @@ let test_chrome_trace_round_trips () =
            (fun x -> Telemetry.span "work\"quoted\"" (fun () -> x * 2))
            (List.init 16 Fun.id));
       Telemetry.span "top" (fun () -> ());
-      let trace = Telemetry.chrome_trace_string () in
+      let trace =
+        let path = Filename.temp_file "ccal-trace" ".json" in
+        Telemetry.write_chrome_trace path;
+        let s = In_channel.with_open_bin path In_channel.input_all in
+        Sys.remove path;
+        s
+      in
       match parse_json trace with
       | JObj fields -> (
         match List.assoc_opt "traceEvents" fields with
@@ -459,7 +465,7 @@ let test_pp_stats_mentions_counters_and_spans () =
   with_telemetry (fun () ->
       Telemetry.add (Telemetry.counter "test_visible_counter") 3;
       Telemetry.span "test_visible_span" (fun () -> ());
-      let s = Telemetry.stats_string () in
+      let s = Format.asprintf "%a" Telemetry.pp_stats () in
       let has sub =
         let n = String.length s and m = String.length sub in
         let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in

@@ -56,19 +56,35 @@ let judge_all ?memory ?max_steps ?log_switches layer threads judge scheds =
        judge scheds)
 
 (* Thm 2.2 on the one game scan: [Linearizability.refine_ctx] and its
-   certificate form under the default context. *)
-let refine ?max_steps ?expect_all_done ~underlay ~impl ~overlay ~rel ~client
-    ~tids ~scheds () =
+   certificate form, under the default context unless [ctx] is given. *)
+let refine ?(ctx = Ccal_verify.Ctx.default) ?max_steps ?expect_all_done ~underlay
+    ~impl ~overlay ~rel ~client ~tids ~scheds () =
   Ccal_verify.(
     Budget.value
-      (Linearizability.refine_ctx ~ctx:Ctx.default ?max_steps ?expect_all_done
-         ~underlay ~impl ~overlay ~rel ~client ~tids ~scheds ()))
+      (Linearizability.refine_ctx ~ctx ?max_steps ?expect_all_done ~underlay ~impl
+         ~overlay ~rel ~client ~tids ~scheds ()))
 
-let refine_cert ?max_steps cert ~client ~scheds =
-  Ccal_verify.(
-    Budget.value
-      (Linearizability.refine_cert_ctx ~ctx:Ctx.default ?max_steps cert ~client
-         ~scheds))
+let refine_cert ?ctx ?max_steps (cert : Calculus.cert) ~client ~scheds =
+  let j = cert.Calculus.judgment in
+  refine ?ctx ?max_steps ~underlay:j.Calculus.underlay ~impl:j.Calculus.impl
+    ~overlay:j.Calculus.overlay ~rel:j.Calculus.rel ~client
+    ~tids:j.Calculus.focus ~scheds ()
+
+(* The linearizability report of a certificate's components. *)
+let check_cert ~ctx ~scheds (cert : Calculus.cert) ~client =
+  let j = cert.Calculus.judgment in
+  Ccal_verify.Linearizability.check_ctx ~ctx ~scheds ~underlay:j.Calculus.underlay
+    ~impl:j.Calculus.impl ~overlay:j.Calculus.overlay ~rel:j.Calculus.rel ~client
+    ~tids:j.Calculus.focus ()
+
+(* [count] seeded random schedulers. *)
+let random_scheds count = List.init count (fun k -> Sched.random ~seed:(k + 1))
+
+(* Round-robin, every prefix up to [depth], then [random] seeded random
+   schedulers. *)
+let full_suite ~tids ~depth ~random =
+  (Sched.round_robin :: Ccal_verify.Explore.exhaustive_scheds ~tids ~depth)
+  @ random_scheds random
 
 (* Run a single-threaded program over a layer with a silent environment. *)
 let run_solo ?(tid = 1) layer prog =
