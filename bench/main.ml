@@ -207,7 +207,7 @@ let tab2_rows () =
                (List.init (List.length verdicts) (fun i -> i))));
     tab2_row "Queuing lock" 112 [ Qlock.acq_q_fn; Qlock.rel_q_fn ] 4
       (fun () ->
-        Result.map_error (Format.asprintf "%a" Calculus.pp_error)
+        Result.map_error (Format.asprintf "%a" Failure.pp)
           (Object_intf.certify Qlock.recipe ()));
     tab2_row "RW lock (ext)" 0
       [ Rwlock.acq_r_fn; Rwlock.rel_r_fn; Rwlock.acq_w_fn; Rwlock.rel_w_fn ] 4
@@ -576,7 +576,7 @@ let parallel_warmup_schedules = 512
 
 let verdict_name = function
   | V.Races.Race_free { runs } -> Printf.sprintf "race-free(%d)" runs
-  | V.Races.Race { sched_name; _ } -> "race@" ^ sched_name
+  | V.Races.Race f -> "race@" ^ f.Ccal_core.Failure.f_sched
   | V.Races.Other_failure msg -> "other: " ^ msg
   | V.Races.Exhausted { partial; _ } ->
     (* scanned/clean are the jobs-deterministic part; spent.elapsed_ms is
@@ -754,7 +754,7 @@ let run_cache () =
   in
   let canonical = function
     | Ok r -> Format.asprintf "%a" (V.Edges.pp ~millis:false V.Stack.layout) r.V.Stack.edges
-    | Error e -> "ERROR: " ^ e
+    | Error f -> Format.asprintf "ERROR: %a" Ccal_core.Failure.pp f
   in
   let case = "stack-verify-all-seeds2" in
   let timed_run phase =
@@ -1019,7 +1019,7 @@ let run_crash () =
   let report jobs =
     match V.Budget.value (V.Crash.check_ctx ~ctx:(vctx ~jobs ()) (edges ())) with
     | Ok r -> r
-    | Error f -> failwith (Format.asprintf "%a" V.Crash.pp_failure f)
+    | Error f -> failwith (Format.asprintf "%a" Failure.pp f)
   in
   let iterations = 1_000 in
   let recover_row records =
@@ -1048,7 +1048,7 @@ let run_crash () =
       match V.Budget.value (V.Crash.check_ctx ~ctx [ edge ]) with
       | Ok { V.Crash.edges = [ e ]; _ } -> e
       | Ok _ -> failwith "crash corpus: expected one edge report"
-      | Error f -> failwith (Format.asprintf "%a" V.Crash.pp_failure f)
+      | Error f -> failwith (Format.asprintf "%a" Failure.pp f)
     in
     V.Telemetry.reset ();
     V.Telemetry.enable ();

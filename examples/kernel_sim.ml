@@ -31,8 +31,8 @@ let () =
     Format.printf "%a@."
       (Ccal_verify.Edges.pp ~millis:true Ccal_verify.Stack.layout)
       p.Ccal_verify.Stack.completed.Ccal_verify.Stack.edges
-  | Error msg ->
-    Format.printf "STACK VERIFICATION FAILED: %s@." msg;
+  | Error f ->
+    Format.printf "STACK VERIFICATION FAILED: %a@." Failure.pp f;
     exit 1);
 
   (* ---- a small kernel workload over the verified layers ---- *)

@@ -42,7 +42,7 @@ let () =
   | Ok c ->
     Format.printf "channel certified against Lipc: %d checks@.@."
       (Calculus.count_checks c)
-  | Error e -> Format.printf "certification FAILED: %a@." Calculus.pp_error e);
+  | Error e -> Format.printf "certification FAILED: %a@." Failure.pp e);
 
   let layer = Ipc.underlay ~placement () in
   let m = Ipc.c_module () in

@@ -161,14 +161,13 @@ let () =
   (match
      Ccal_compcertx.Validate.validate_module ~layer:l0 ~tids:[ 1 ]
        ~arg_cases:[] ~envs:(fun _ -> [ Env_context.empty ])
-       [ acq_fn; rel_fn ]
+       (List.map (fun fn -> fn, Ccal_compcertx.Compile.compile_fn fn) [ acq_fn; rel_fn ])
    with
   | Ok r ->
     Format.printf "CompCertX validated %d lock functions (%d co-executions)@."
       r.Ccal_compcertx.Validate.fns_validated r.Ccal_compcertx.Validate.cases_run
   | Error f ->
-    Format.printf "compilation validation failed: %a@!"
-      Ccal_compcertx.Validate.pp_failure f);
+    Format.printf "compilation validation failed: %a@!" Failure.pp f);
 
   (* the client program P of Fig. 3 and a concrete interleaved run *)
   let client _i = Prog.call "foo" [] in
@@ -195,4 +194,4 @@ let () =
     Format.printf
       "@.soundness (Thm 2.2): %d schedules of P over L0 all refine [[P]]_L2 -- OK@."
       r.Refinement.scheds_checked
-  | Error f -> Format.printf "@.soundness FAILED: %a@." Refinement.pp_failure f
+  | Error f -> Format.printf "@.soundness FAILED: %a@." Failure.pp f

@@ -55,10 +55,10 @@ let () =
   (* certify both against the same overlay *)
   (match Object_intf.certify Ticket_lock.recipe () with
   | Ok c -> Format.printf "ticket certified: %d checks@." (Calculus.count_checks c)
-  | Error e -> Format.printf "ticket FAILED: %a@." Calculus.pp_error e);
+  | Error e -> Format.printf "ticket FAILED: %a@." Failure.pp e);
   (match Object_intf.certify Mcs_lock.recipe () with
   | Ok c -> Format.printf "mcs    certified: %d checks@.@." (Calculus.count_checks c)
-  | Error e -> Format.printf "mcs FAILED: %a@." Calculus.pp_error e);
+  | Error e -> Format.printf "mcs FAILED: %a@." Failure.pp e);
 
   let a1 =
     contend "ticket" (Ticket_lock.l0 ()) (Ticket_lock.c_module ())
@@ -95,4 +95,4 @@ let () =
     Format.printf
       "  full stack re-verified over the MCS lock: %d checks in %.0f ms@."
       r.Ccal_verify.Stack.total_checks r.Ccal_verify.Stack.total_millis
-  | Error msg -> Format.printf "  stack verification failed: %s@." msg
+  | Error f -> Format.printf "  %a@." Failure.pp f

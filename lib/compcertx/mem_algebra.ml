@@ -71,19 +71,3 @@ let related m1 m2 m =
   match compose m1 m2 with
   | Some m' -> equal m m'
   | None -> false
-
-let pp fmt m =
-  let pp_block fmt = function
-    | Empty -> Format.pp_print_string fmt "<empty>"
-    | Real b ->
-      Format.fprintf fmt "[%d,%d){%a}" b.lo b.hi
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ",")
-           (fun fmt (k, v) -> Format.fprintf fmt "%d=%a" k Value.pp v))
-        (Imap.bindings b.data)
-  in
-  Format.fprintf fmt "@[<hov 1>[%a]@]"
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.fprintf fmt ";@ ")
-       pp_block)
-    m

@@ -45,4 +45,3 @@ val related : t -> t -> t -> bool
 (** [related m1 m2 m]: does [m1 ⊛ m2 ≃ m] hold? *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -9,18 +9,6 @@
     any certificate, which is how Fig. 5's "thread-safe compilation" step
     is discharged (see DESIGN.md, Substitutions). *)
 
-type failure = {
-  fn_name : string;
-  args : Ccal_core.Value.t list;
-  tid : Ccal_core.Event.tid;
-  env_name : string;
-  reason : string;
-  c_log : Ccal_core.Log.t;
-  asm_log : Ccal_core.Log.t;
-}
-
-val pp_failure : Format.formatter -> failure -> unit
-
 type report = {
   fns_validated : int;
   cases_run : int;
@@ -31,8 +19,14 @@ val validate_module :
   tids:Ccal_core.Event.tid list ->
   arg_cases:(string * Ccal_core.Value.t list list) list ->
   envs:(Ccal_core.Event.tid -> Ccal_core.Env_context.t list) ->
-  Ccal_clight.Csyntax.fn list ->
-  (report, failure) result
-(** Validate each function of a module over every thread, each of its
-    argument vectors and each (paired) environment context (functions
-    without an entry are validated on the empty argument vector). *)
+  (Ccal_clight.Csyntax.fn * Ccal_machine.Asm.fn) list ->
+  (report, Ccal_core.Failure.t) result
+(** Validate each (source, assembly) pair of a module — the assembly as
+    its caller compiled it, e.g. with {!Compile.compile_fn} — over every
+    thread, each of the function's argument vectors and each (paired)
+    environment context (functions without an entry are validated on the
+    empty argument vector).  A failure is a {!Ccal_core.Failure.t} whose
+    run is the environment context's name, with the assembly log as
+    [f_lower] and the C log as [f_upper], whose length is the event
+    index; its reason names the function, the arguments and the
+    thread. *)

@@ -13,8 +13,6 @@ val empty : t
 val get : string -> t -> Value.t
 (** [get k a] reads field [k]; unset fields read as [Value.unit]. *)
 
-val find : string -> t -> Value.t option
-
 val set : string -> Value.t -> t -> t
 (** [set k v a] is the paper's record update [a{k : v}]. *)
 
@@ -22,4 +20,3 @@ val fields : t -> (string * Value.t) list
 (** Bindings, sorted by field name. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -72,5 +72,3 @@ let pp fmt l =
   Format.fprintf fmt "@[<hov 1>[%a]@]"
     (Format.pp_print_list ~pp_sep:(fun fmt () -> Format.fprintf fmt ";@ ") Event.pp)
     (chronological l)
-
-let to_string l = Format.asprintf "%a" pp l

@@ -66,4 +66,3 @@ val subset : ?hash:(t -> int) -> t list -> t list -> bool
     Hashed like {!dedup}: linear in the total number of events. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -1,20 +1,8 @@
-type failure = {
-  sched_name : string;
-  reason : string;
-  under_log : Log.t;
-  over_log : Log.t;
-}
-
 type report = {
   scheds_checked : int;
   logs : Log.t list;
   translated : Log.t list;
 }
-
-let pp_failure fmt f =
-  Format.fprintf fmt
-    "@[<v 2>refinement failure under %s: %s@ underlay log: %a@ overlay log: %a@]"
-    f.sched_name f.reason Log.pp f.under_log Log.pp f.over_log
 
 type slot = {
   mutable state : [ `Run of Machine.thread_state | `Done of Value.t ];
@@ -144,14 +132,9 @@ let judge ~max_steps ?(expect_all_done = true) ~overlay ~rel ~client ~tids
   | (Game.Deadlock _ | Game.Stuck _ | Game.Out_of_fuel | Game.Cancelled)
     when expect_all_done ->
     Error
-      {
-        sched_name = Sched.name sched;
-        reason =
-          Format.asprintf "underlay run did not complete: %a" Game.pp_status
-            outcome.Game.status;
-        under_log = outcome.Game.log;
-        over_log = Log.empty;
-      }
+      (Failure.underlay ~sched:(Sched.name sched) outcome.Game.log
+         (Format.asprintf "underlay run did not complete: %a" Game.pp_status
+            outcome.Game.status))
   | _ -> (
     let l = outcome.Game.log in
     let lt = Sim_rel.apply rel l in
@@ -160,7 +143,7 @@ let judge ~max_steps ?(expect_all_done = true) ~overlay ~rel ~client ~tids
         overlay threads_over lt
     with
     | Error (reason, over_log) ->
-      Error { sched_name = Sched.name sched; reason; under_log = l; over_log }
+      Error (Failure.overlay ~sched:(Sched.name sched) ~lower:l over_log reason)
     | Ok over_results -> (
       (* Termination-sensitivity: results must agree thread-by-thread. *)
       let mismatches =
@@ -174,16 +157,11 @@ let judge ~max_steps ?(expect_all_done = true) ~overlay ~rel ~client ~tids
       match mismatches with
       | (i, v) :: _ ->
         Error
-          {
-            sched_name = Sched.name sched;
-            reason =
-              Printf.sprintf
+          (Failure.overlay ~sched:(Sched.name sched) ~lower:l lt
+             (Printf.sprintf
                 "thread %d returned %s at the underlay but %s at the overlay" i
                 (Value.to_string v)
                 (match List.assoc_opt i over_results with
                 | Some v' -> Value.to_string v'
-                | None -> "nothing");
-            under_log = l;
-            over_log = lt;
-          }
+                | None -> "nothing")))
       | [] -> Ok (l, lt)))

@@ -17,21 +17,12 @@
     {!judge} does steps 2 and 3 for one play; the suite is played by
     [Ccal_verify.Parallel.games] through {!Ccal_verify.Linearizability}. *)
 
-type failure = {
-  sched_name : string;
-  reason : string;
-  under_log : Log.t;
-  over_log : Log.t;  (** overlay log reconstructed so far *)
-}
-
 type report = {
   scheds_checked : int;
   logs : Log.t list;  (** underlay logs observed (a corpus reusable for
                           [Calculus.compat] checks) *)
   translated : Log.t list;
 }
-
-val pp_failure : Format.formatter -> failure -> unit
 
 val replay_multi :
   ?max_steps:int ->
@@ -57,7 +48,7 @@ val judge :
   tids:Event.tid list ->
   Sched.t ->
   Game.outcome ->
-  (Log.t * Log.t, failure) result
+  (Log.t * Log.t, Failure.t) result
 (** [judge ~overlay ~rel ~client ~tids sched outcome] judges one play of
     the underlay game of [P ⊕ M]: translate its log by [rel], replay it
     against the overlay machine running [client] on [tids] (at most
@@ -68,4 +59,9 @@ val judge :
     termination-sensitive refinement.  The scan that plays the underlay
     game ({!Ccal_verify.Linearizability}) picks its memory mode; the
     overlay spec is replayed as ever, so under [Tso] the relation must
-    translate the buffering events away. *)
+    translate the buffering events away.
+
+    A failure is a {!Failure.t} naming the schedule: the underlay log,
+    the overlay log replayed so far and its length as the event index —
+    the underlay log's length when the underlay play did not
+    complete. *)

@@ -1,19 +1,7 @@
-type failure = {
-  env_name : string;
-  reason : string;
-  impl_log : Log.t;
-  spec_log : Log.t;
-}
-
 type report = {
   envs_checked : int;
   impl_moves : int;
 }
-
-let pp_failure fmt f =
-  Format.fprintf fmt
-    "@[<v 2>simulation failure under %s: %s@ impl log: %a@ spec log: %a@]"
-    f.env_name f.reason Log.pp f.impl_log Log.pp f.spec_log
 
 type driven = {
   log : Log.t;
@@ -127,41 +115,31 @@ let check_strategies rel ~tid ~impl ~spec ~envs =
   let rec go envs_checked impl_moves = function
     | [] -> Ok { envs_checked; impl_moves }
     | env :: rest -> (
+      let sched = env.Env_context.name in
       let d = drive tid (impl ()) ~env ~init_log:Log.empty in
       match d.refused with
-      | Some msg ->
-        Error { env_name = env.Env_context.name; reason = "impl stuck: " ^ msg; impl_log = d.log; spec_log = Log.empty }
+      | Some msg -> Error (Failure.underlay ~sched d.log ("impl stuck: " ^ msg))
       | None ->
         if d.blocked then
-          Error
-            { env_name = env.Env_context.name; reason = "impl blocked with environment exhausted"; impl_log = d.log; spec_log = Log.empty }
+          Error (Failure.underlay ~sched d.log "impl blocked with environment exhausted")
         else
           let translated = Sim_rel.apply rel d.log in
           (match replay_against tid (spec ()) ~init_log:Log.empty translated with
           | Error (reason, spec_log) ->
-            Error { env_name = env.Env_context.name; reason; impl_log = d.log; spec_log }
+            Error (Failure.overlay ~sched ~lower:d.log spec_log reason)
           | Ok spec_ret -> (
             match d.ret, spec_ret with
             | Some vi, Some vs when Value.equal vi vs ->
               go (envs_checked + 1) (impl_moves + d.moves) rest
             | Some vi, Some vs ->
               Error
-                {
-                  env_name = env.Env_context.name;
-                  reason =
-                    Printf.sprintf "return values unrelated: impl %s, spec %s"
-                      (Value.to_string vi) (Value.to_string vs);
-                  impl_log = d.log;
-                  spec_log = translated;
-                }
+                (Failure.overlay ~sched ~lower:d.log translated
+                   (Printf.sprintf "return values unrelated: impl %s, spec %s"
+                      (Value.to_string vi) (Value.to_string vs)))
             | Some _, None | None, _ ->
               Error
-                {
-                  env_name = env.Env_context.name;
-                  reason = "strategies did not both terminate";
-                  impl_log = d.log;
-                  spec_log = translated;
-                })))
+                (Failure.overlay ~sched ~lower:d.log translated
+                   "strategies did not both terminate"))))
   in
   go 0 0 envs
 

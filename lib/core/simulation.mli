@@ -17,21 +17,16 @@
 
     Passing the check for every environment context in a suite is the
     tested counterpart of the Coq proof obligation discharged by the paper's
-    [Fun] rule (Fig. 9); see DESIGN.md (Substitutions). *)
-
-type failure = {
-  env_name : string;
-  reason : string;
-  impl_log : Log.t;  (** underlay log at the point of failure *)
-  spec_log : Log.t;  (** overlay log reconstructed so far *)
-}
+    [Fun] rule (Fig. 9); see DESIGN.md (Substitutions).  A failure is a
+    {!Failure.t} whose run is the environment context's name: the
+    underlay log, the overlay log reconstructed so far, and its length as
+    the event index (the underlay log's, when the implementation itself
+    got stuck or blocked). *)
 
 type report = {
   envs_checked : int;
   impl_moves : int;  (** total underlay moves across all runs *)
 }
-
-val pp_failure : Format.formatter -> failure -> unit
 
 type driven = {
   log : Log.t;
@@ -60,7 +55,7 @@ val check_strategies :
   impl:(unit -> Strategy.t) ->
   spec:(unit -> Strategy.t) ->
   envs:Env_context.t list ->
-  (report, failure) result
+  (report, Failure.t) result
 (** Definition 2.1 on strategies: check [impl ≤_R spec] over the
     environment suite.  Strategies are supplied as thunks because driving
     consumes them (and environment scripts are single-use). *)
@@ -73,7 +68,7 @@ val check_progs :
   spec_layer:Layer.t ->
   spec:Prog.t ->
   envs:Env_context.t list ->
-  (report, failure) result
+  (report, Failure.t) result
 (** [check_progs] is {!check_strategies} on [⟨impl⟩_{L_u[i]}] and
     [⟨spec⟩_{L_o[i]}] — the judgment the paper writes
     [L_u[i] ⊢_R impl : spec]. *)

@@ -45,7 +45,7 @@ val verify_ctx :
   ?shards:int ->
   ?entries:int ->
   unit ->
-  (report, string) result Budget.outcome
+  (report, Failure.t) result Budget.outcome
 (** Verify all three edges.  [threads] (default 3) is the client thread
     count, [shards] (default 2) the hash-table bucket count, [entries]
     (default 2) the cache capacity.  The edges run through
@@ -55,7 +55,9 @@ val verify_ctx :
     and exhausted edges always re-run live), and only whole edges: the
     DPOR walks and refinement scans inside an edge always run live;
     [ctx.budget] is polled between edges,
-    and an [Exhausted] report lists the completed edges. *)
+    and an [Exhausted] report lists the completed edges.  A failing edge
+    ends the run with its {!Refinement.judge} failure, named with the
+    edge by {!Ccal_verify.Edges.run}. *)
 
 (** {1 Whole-machine games} (the explore corpus and the bench) *)
 

@@ -22,15 +22,19 @@ let judge_linking ?max_steps l threads sched (outcome : Game.outcome) =
   Probe.span "mx86.linking" @@ fun () ->
   match outcome.Game.status with
   | Game.Stuck (i, _, msg) ->
-    Error (Printf.sprintf "Mx86 run stuck at CPU %d: %s" i msg)
+    Error
+      (Failure.underlay ~sched:(Sched.name sched) outcome.Game.log
+         (Printf.sprintf "Mx86 run stuck at CPU %d: %s" i msg))
   | Game.Deadlock _ | Game.Out_of_fuel | Game.Cancelled ->
     Error
-      (Printf.sprintf "Mx86 run did not complete under %s" (Sched.name sched))
+      (Failure.underlay ~sched:(Sched.name sched) outcome.Game.log
+         (Format.asprintf "Mx86 run did not complete: %a" Game.pp_status
+            outcome.Game.status))
   | Game.All_done -> (
     let erased = Sim_rel.apply erase_switches outcome.Game.log in
     match Refinement.replay_multi ?max_steps l threads erased with
     | Ok _ -> Ok ()
-    | Error (reason, _) ->
+    | Error (reason, replayed) ->
       Error
-        (Printf.sprintf "multicore linking failed under %s: %s"
-           (Sched.name sched) reason))
+        (Failure.overlay ~sched:(Sched.name sched) ~lower:outcome.Game.log
+           replayed ("multicore linking failed: " ^ reason)))

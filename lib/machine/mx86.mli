@@ -33,7 +33,7 @@ val judge_linking :
   (Ccal_core.Event.tid * Ccal_core.Prog.t) list ->
   Ccal_core.Sched.t ->
   Ccal_core.Game.outcome ->
-  (unit, string) result
+  (unit, Ccal_core.Failure.t) result
 (** [judge_linking layer threads sched outcome] judges one play of the
     hardware machine [layer] running [threads], recorded with
     [log_switches]: the play must complete, and its log with scheduling
@@ -42,4 +42,6 @@ val judge_linking :
     machine or {!Tso.layer} for the TSO machine, whose plays carry flush
     moves; the client workload must then be commit-free (no plain
     stores), since the erased log is replayed move-for-move against the
-    same layer. *)
+    same layer.  A failure names the schedule: a play that did not
+    complete fails at the end of its log; a replay that diverged carries
+    the erased log replayed so far, its length the event index. *)

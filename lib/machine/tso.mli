@@ -97,7 +97,7 @@ val judge_sc_equivalence :
   (Event.tid * Prog.t) list ->
   Sched.t ->
   Game.outcome ->
-  (unit, string) result
+  (unit, Failure.t) result
 (** [judge_sc_equivalence threads sched tso] judges a play [tso] of
     [threads] on the TSO machine ({!layer}, played with [~memory:Tso] so
     flusher moves are in play) against the SC machine ({!Mx86.layer}),
@@ -107,4 +107,6 @@ val judge_sc_equivalence :
     mentioned cell — the executable form of "race-free programs on TSO
     behave as if executing on a sequentially consistent machine".
     Multicore linking over the TSO machine (Theorem 3.1) is
-    {!Mx86.judge_linking} over {!layer}. *)
+    {!Mx86.judge_linking} over {!layer}.  A failure names the schedule,
+    with the TSO play as [f_lower] and the SC play as [f_upper], whose
+    length is the event index. *)

@@ -49,7 +49,7 @@ val certify :
   ?focus:Event.tid list ->
   ?use_asm:bool ->
   unit ->
-  (Calculus.cert, Calculus.error) result
+  (Calculus.cert, Failure.t) result
 (** [underlay[A] ⊢_R M : overlay[A]] via the [Fun] rule, with the C
     semantics by default and the compiled assembly when [use_asm].  The
     placement defaults to {!Thread_sched.default_placement} of the focus

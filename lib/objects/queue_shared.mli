@@ -48,7 +48,7 @@ val recipe : Object_intf.t
 
 val full_stack_certify :
   ?memory:Memory.t -> ?focus:Event.tid list -> unit ->
-  (Calculus.cert, Calculus.error) result
+  (Calculus.cert, Failure.t) result
 (** The vertical composition of Fig. 5 extended to the queue: ticket lock
     certificate stacked under the shared-queue certificate,
     [L0[A] ⊢_{Rlock ∘ R_ticket} M1 ⊕ M_sq : Lq_high[A]].  [?memory]

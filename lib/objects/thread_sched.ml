@@ -258,19 +258,26 @@ let turn_consistent placement log =
 let judge_linking ?max_steps ~placement layer threads sched
     (outcome : Game.outcome) =
   Probe.span "thread_sched.linking" @@ fun () ->
+  let log = outcome.Game.log in
   match outcome.Game.status with
-  | Game.Stuck (i, _, msg) -> Error (Printf.sprintf "thread %d stuck: %s" i msg)
+  | Game.Stuck (i, _, msg) ->
+    Error
+      (Failure.underlay ~sched:(Sched.name sched) log
+         (Printf.sprintf "thread %d stuck: %s" i msg))
   | Game.Deadlock ids ->
     Error
-      (Printf.sprintf "deadlock among threads %s under %s"
-         (String.concat "," (List.map string_of_int ids))
-         (Sched.name sched))
-  | Game.Out_of_fuel | Game.Cancelled -> Error "out of fuel"
+      (Failure.underlay ~sched:(Sched.name sched) log
+         (Printf.sprintf "deadlock among threads %s"
+            (String.concat "," (List.map string_of_int ids))))
+  | Game.Out_of_fuel | Game.Cancelled ->
+    Error (Failure.underlay ~sched:(Sched.name sched) log "out of fuel")
   | Game.All_done -> (
-    if not (turn_consistent placement outcome.Game.log) then
-      Error (Printf.sprintf "log not turn-consistent under %s" (Sched.name sched))
+    if not (turn_consistent placement log) then
+      Error (Failure.underlay ~sched:(Sched.name sched) log "log not turn-consistent")
     else
-      match Refinement.replay_multi ?max_steps layer threads outcome.Game.log with
+      match Refinement.replay_multi ?max_steps layer threads log with
       | Ok _ -> Ok ()
-      | Error (reason, _) ->
-        Error (Printf.sprintf "log does not replay deterministically: %s" reason))
+      | Error (reason, replayed) ->
+        Error
+          (Failure.overlay ~sched:(Sched.name sched) ~lower:log replayed
+             ("log does not replay deterministically: " ^ reason)))

@@ -87,10 +87,13 @@ val judge_linking :
   (Event.tid * Prog.t) list ->
   Sched.t ->
   Game.outcome ->
-  (unit, string) result
+  (unit, Failure.t) result
 (** The tested analogue of Thm 5.1, judging one play of the
     multithreaded game of [layer] running [threads]: the play must
     complete, and its log must be turn-consistent and replay
     deterministically against the same multithreaded machine under the
     induced schedule (at most [max_steps] replay steps).  The suite is
-    played by [Ccal_verify.Parallel.games]. *)
+    played by [Ccal_verify.Parallel.games].  A failure names the
+    schedule: a play that did not complete or is not turn-consistent
+    fails at the end of its log; a replay that diverged carries the log
+    replayed so far, its length the event index. *)

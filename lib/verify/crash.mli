@@ -42,20 +42,25 @@ type edge = {
           naming convention) *)
 }
 
-type failure = {
+type failure = Failure.t = {
   f_edge : string;
   f_sched : string;
   f_index : int;
-  f_keep : int;
-  f_tear : int;
   f_reason : string;
+  f_lower : Log.t;
+  f_upper : Log.t;
+  f_masks : (int * int) option;
 }
-(** A named crash-refinement failure: the schedule, the crash point (as
-    an event index into the play), and the masks.  Deterministic — the
+(** The one failure record, re-exported so its fields read as
+    [Crash.f_sched].  A crash-refinement failure names the schedule, the
+    crash point as [f_index] (events played before the crash, the length
+    of [f_lower], the play's prefix there) and the (keep, tear)
+    [f_masks]; it prints as
+    ["crash-refinement failure: edge E, schedule S, crash point I
+    (keep=0xK tear=0xT): reason"].  A play that did not complete fails
+    at the end of its log, with no masks.  Deterministic — the
     lowest-indexed schedule's first failing point wins for every jobs
     count and cache temperature. *)
-
-val pp_failure : Format.formatter -> failure -> unit
 
 type report = {
   edges : Edges.row list;
@@ -88,7 +93,8 @@ type sched_outcome = {
 val judge : bound:int -> edge -> Sched.t -> Game.outcome -> sched_outcome
 (** Check one play's crash points in order, up to the first failing
     (point, keep, tear): the accounting runs once per point, [recover]
-    once per mask, all in one replay scope.  An unfinished play fails. *)
+    once per mask, all in one replay scope.  An unfinished play fails.
+    The failure's [f_edge] is left empty: {!check_ctx} names it. *)
 
 val check_ctx :
   ctx:Ctx.t ->

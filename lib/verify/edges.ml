@@ -13,6 +13,8 @@
    - with a cache attached, an edge with a key is looked up under
      [kind] before it runs and stored after it succeeds; failures and
      exhausted edges are never stored, so they always reproduce live;
+   - a failure is the edge's [Failure.t], named here with the edge's
+     name (DESIGN.md S40);
    - a partial report lists completed edges only.
 
    Every checker's rows print through [pp], from its [layout]. *)
@@ -29,11 +31,11 @@ type row = {
 
 let count r name = List.assoc name r.counts
 
-type 'err edge = {
+type edge = {
   name : string;
   key : (unit -> Fingerprint.t) option;
   setup : unit -> unit;
-  run : unit -> (string * (string * int) list, 'err) result;
+  run : unit -> (string * (string * int) list, Failure.t) result;
 }
 
 type column = { count : string; width : int; unit : string }
@@ -120,13 +122,13 @@ let run ~ctx ~kind ~layout edges =
   let progress acc next_edge = Ok { completed = report_of layout (List.rev acc); next_edge } in
   let rec go acc = function
     | [] -> Budget.Complete (progress acc None)
-    | (e : _ edge) :: rest -> (
+    | (e : edge) :: rest -> (
       let stop spent = Budget.Exhausted { spent; partial = progress acc (Some e.name) } in
       if Budget.poll ctx.Ctx.token then stop (Budget.spent ctx.Ctx.token)
       else
         match check e with
         | exception Out_of_budget spent -> stop spent
         | Ok r -> go (r :: acc) rest
-        | Error err -> Budget.Complete (Error err))
+        | Error f -> Budget.Complete (Error { f with Failure.f_edge = e.name }))
   in
   go [] edges

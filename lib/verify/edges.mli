@@ -23,16 +23,17 @@ type row = {
 val count : row -> string -> int
 (** The named count; raises [Not_found] when the row has none. *)
 
-type 'err edge = {
+type edge = {
   name : string;  (** names the frontier when the budget runs out here *)
   key : (unit -> Fingerprint.t) option;
       (** the cache key, forced only when a cache is attached; [None]
           for an edge that always runs live *)
   setup : unit -> unit;
       (** run before [run], outside its timed window; not on a hit *)
-  run : unit -> (string * (string * int) list, 'err) result;
-      (** check the edge: its label and counts.  Raises {!Out_of_budget}
-          when an inner checker ran out (see {!value}) *)
+  run : unit -> (string * (string * int) list, Failure.t) result;
+      (** check the edge: its label and counts, or the failure of the
+          run that broke it.  Raises {!Out_of_budget} when an inner
+          checker ran out (see {!value}) *)
 }
 
 type column = { count : string; width : int; unit : string }
@@ -72,13 +73,14 @@ val run :
   ctx:Ctx.t ->
   kind:string ->
   layout:layout ->
-  'err edge list ->
-  (progress, 'err) result Budget.outcome
+  edge list ->
+  (progress, Failure.t) result Budget.outcome
 (** Check the edges in order, stopping at the first failure or at the
     first edge the budget did not let finish.  [ctx.token] is polled
     before each edge.  An edge runs [setup], then [run] in a timed
     window with a telemetry-counter snapshot around it, for the row's
-    [millis] and [counters].  With [ctx.cache], an edge with a key is
+    [millis] and [counters].  A failing edge's {!Failure.t} gets the
+    edge's name as its [f_edge] here, whatever its checker filled in.  With [ctx.cache], an edge with a key is
     served from the store under [kind] when present — with the lookup
     time as its [millis] and no [counters] — and its row stored, without
     counters, when it succeeds; failures and exhausted edges are never

@@ -26,7 +26,7 @@ let refine_ctx ~ctx ?(max_steps = 200_000) ?expect_all_done ~underlay ~impl
         }
     | Ok (l, lt) :: rest ->
       go (scheds_checked + 1) (l :: logs) (lt :: translated) rest
-    | Error (f : Refinement.failure) :: _ -> Error f
+    | Error (f : Failure.t) :: _ -> Error f
   in
   Budget.map (go 0 [] [])
     (Parallel.games ~ctx ~max_steps ~cut:Result.is_error

@@ -29,7 +29,7 @@ val refine_ctx :
   tids:Event.tid list ->
   scheds:Sched.t list ->
   unit ->
-  (Refinement.report, Refinement.failure) result Budget.outcome
+  (Refinement.report, Failure.t) result Budget.outcome
 (** The refinement check of Thm 2.2: {!Parallel.games} plays the
     underlay game of [client] linked with [impl] on [tids] under each
     scheduler of [scheds], and {!Refinement.judge} judges each play; the
@@ -47,7 +47,7 @@ val refine_cert_ctx :
   Calculus.cert ->
   client:(Event.tid -> Prog.t) ->
   scheds:Sched.t list ->
-  (Refinement.report, Refinement.failure) result Budget.outcome
+  (Refinement.report, Failure.t) result Budget.outcome
 (** {!refine_ctx} with the components of a certificate; the domain is
     the certificate's focused thread set.  Used by the {!Stack}
     soundness edges. *)
@@ -62,7 +62,7 @@ val check_ctx :
   client:(Event.tid -> Prog.t) ->
   tids:Event.tid list ->
   unit ->
-  (report, Refinement.failure) result Budget.outcome
+  (report, Failure.t) result Budget.outcome
 (** When no explicit [scheds] are given, the suite is derived from
     [ctx.strategy] (default DPOR) over the underlay game of the linked
     client+implementation threads.  [ctx.jobs] parallelises both the

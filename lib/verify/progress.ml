@@ -7,22 +7,20 @@ type bound_report = {
 }
 
 (* The per-schedule judge: the completed run's step count or the
-   failure message. *)
+   failure, at the end of the play's log. *)
 let judge ~bound sched outcome =
+  let fail reason =
+    Error (Failure.underlay ~sched:(Sched.name sched) outcome.Game.log reason)
+  in
   match outcome.Game.status with
   | Game.All_done -> Ok outcome.Game.steps
   | Game.Deadlock ids ->
-    Error
-      (Printf.sprintf "deadlock among threads %s under %s"
-         (String.concat "," (List.map string_of_int ids))
-         (Sched.name sched))
-  | Game.Stuck (i, _, msg) ->
-    Error
-      (Printf.sprintf "thread %d stuck under %s: %s" i (Sched.name sched) msg)
+    fail
+      (Printf.sprintf "deadlock among threads %s"
+         (String.concat "," (List.map string_of_int ids)))
+  | Game.Stuck (i, _, msg) -> fail (Printf.sprintf "thread %d stuck: %s" i msg)
   | Game.Out_of_fuel | Game.Cancelled ->
-    Error
-      (Printf.sprintf "run under %s exceeded the progress bound of %d moves"
-         (Sched.name sched) bound)
+    fail (Printf.sprintf "run exceeded the progress bound of %d moves" bound)
 
 let completes_within_ctx ~ctx ?scheds ~bound layer threads =
   Ctx.arm ctx @@ fun () ->
@@ -34,7 +32,7 @@ let completes_within_ctx ~ctx ?scheds ~bound layer threads =
   let rec go runs worst = function
     | [] -> Ok { runs; max_steps_used = worst; bound }
     | Ok steps :: rest -> go (runs + 1) (max worst steps) rest
-    | Error msg :: _ -> Error msg
+    | Error f :: _ -> Error f
   in
   Budget.map (go 0 0)
     (Parallel.games ~ctx ~max_steps:bound ~cut:Result.is_error layer threads

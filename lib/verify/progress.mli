@@ -20,7 +20,7 @@ val completes_within_ctx :
   bound:int ->
   Layer.t ->
   (Event.tid * Prog.t) list ->
-  (bound_report, string) result Budget.outcome
+  (bound_report, Failure.t) result Budget.outcome
 (** Every run under (fair) schedulers finishes — no deadlock, no stuck
     thread — within [bound] moves.  The scheduler suite is [scheds] when
     given, otherwise derived from [ctx.strategy] (default DPOR); the
@@ -31,7 +31,8 @@ val completes_within_ctx :
     per game move; an [Exhausted] outcome carries the report over the
     schedule prefix evaluated before the budget tripped ([Ok]-shaped: a
     failing schedule cuts the scan and completes with [Error]
-    immediately). *)
+    immediately).  A failure names the schedule and fails at the end of
+    its play's log. *)
 
 val fifo_order :
   ticket_tag:string ->

@@ -8,7 +8,7 @@ type partial = { scanned : int; clean : int; others : string list }
 
 type verdict =
   | Race_free of { runs : int }
-  | Race of { sched_name : string; detail : string; log : Log.t }
+  | Race of Failure.t
   | Other_failure of string
   | Exhausted of { spent : Budget.spent; partial : partial }
 
@@ -16,14 +16,14 @@ type verdict =
    own game, so the pool can judge schedules on any domain. *)
 type sched_outcome =
   | Clean
-  | Racy of { sched_name : string; detail : string; log : Log.t }
+  | Racy of Failure.t
   | Other of string
 
 let judge sched outcome =
   Probe.incr Probe.race_checks;
   match outcome.Game.status with
   | Game.Stuck (_, Layer.Data_race, msg) ->
-    Racy { sched_name = Sched.name sched; detail = msg; log = outcome.Game.log }
+    Racy (Failure.underlay ~sched:(Sched.name sched) outcome.Game.log msg)
   | Game.Stuck (i, Layer.Invalid_transition, msg) ->
     Other (Printf.sprintf "thread %d stuck (not a race): %s" i msg)
   | Game.Deadlock ids ->
@@ -35,11 +35,8 @@ let judge sched outcome =
     if Ccal_machine.Pushpull.race_free outcome.Game.log then Clean
     else
       Racy
-        {
-          sched_name = Sched.name sched;
-          detail = "completed log fails push/pull replay";
-          log = outcome.Game.log;
-        }
+        (Failure.underlay ~sched:(Sched.name sched) outcome.Game.log
+           "completed log fails push/pull replay")
 
 (* Deterministic merge.  A race anywhere wins (the lowest-indexed one —
    [Parallel.games] guarantees the outcome list is the sequential
@@ -48,7 +45,7 @@ let judge sched outcome =
    they are collected and reported only when no schedule exposes a race. *)
 let merge outcomes =
   let rec go runs others = function
-    | Racy { sched_name; detail; log } :: _ -> Race { sched_name; detail; log }
+    | Racy f :: _ -> Race f
     | Other msg :: rest -> go runs (msg :: others) rest
     | Clean :: rest -> go (runs + 1) others rest
     | [] -> (

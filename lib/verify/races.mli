@@ -20,7 +20,10 @@ type partial = {
 
 type verdict =
   | Race_free of { runs : int }  (** [runs] counts the clean runs *)
-  | Race of { sched_name : string; detail : string; log : Log.t }
+  | Race of Failure.t
+      (** the racing schedule, its log and the race, at the end of the
+          log: the stuck push/pull, or a completed log that fails
+          push/pull replay *)
   | Other_failure of string
   | Exhausted of { spent : Budget.spent; partial : partial }
       (** the budget ran out mid-scan; [partial] is what it established *)

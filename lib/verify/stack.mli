@@ -55,7 +55,7 @@ val verify_all_ctx :
   ?strategy:Ctx.Engine.t ->
   ?adversarial:bool ->
   unit ->
-  (progress, string) result Budget.outcome
+  (progress, Failure.t) result Budget.outcome
 (** Certify and link the whole stack.  When [strategy] is given, every
     game-driving edge (the linking theorems, the Pcomp compatibility
     corpus and the soundness games) derives its scheduler suite from that
@@ -84,6 +84,11 @@ val verify_all_ctx :
     trace-prefix schedulers and burn their whole fuel allowance, so the
     edge is effectively a hang without a budget and the canonical
     demonstration that one turns it into an [Exhausted] report.
+
+    A failing edge ends the run with its checker's {!Failure.t}, named
+    with the edge by {!Edges.run}: a certificate edge's fails as the
+    {!Calculus} rule did, a linking or soundness edge's names the
+    schedule of the suite whose play broke it.
 
     The edges run through {!Edges.run}.  [ctx.budget] is polled before
     each edge and inside every inner checker; an [Exhausted]

@@ -2,12 +2,15 @@
 """List the exports of lib/ that no caller outside their own module names.
 
 Every `val` declared in lib/*/*.mli (submodule signatures included) is an
-export.  It counts as needed when its name appears as a word, outside
-comments and string literals, in some file of lib/, bin/, examples/ or
-perfbench/ other than its own module's .ml and .mli.  A word
-scan over-approximates the callers (a common name such as `run` is
-taken as used wherever any `run` appears), so what it reports is a
-floor on the unneeded exports, never a false alarm.
+export.  It counts as needed when some file of lib/, bin/, examples/ or
+perfbench/ other than its own module's .ml and .mli uses it, outside
+comments and string literals: the file writes `M.name`, M being the
+export's module or one it is nested in, or the file brings M into scope
+(`open M`, `include M`, `M.( ... )`, or an alias `module X = ... M`) and
+names `name` as a word.  A common name such as `empty` thus counts only
+in a file that names its module.  The scan still over-approximates the
+callers (an opened module's `run` is taken as used wherever any `run`
+appears), so what it reports is a floor on the unneeded exports.
 
     scripts/check_exports.py            # gate: fail on names missing from
                                         # scripts/exports_allowlist.txt,
@@ -68,7 +71,9 @@ def sources():
 
 
 def exports(path, text):
-    """(qualified name, name, optional labels) of each val in an .mli."""
+    """(qualified name, name, optional labels) of each val in an .mli.
+
+    The qualified name is the module path, dot-joined, then the name."""
     mod = os.path.basename(path)[:-4].capitalize()
     stack, out = [mod], []
     vals = re.finditer(
@@ -90,21 +95,44 @@ def exports(path, text):
     return out
 
 
+MODULE_PATH = r"(?:[A-Z][\w']*\s*\.\s*)*"
+
+
+def in_scope(text, mod):
+    """Whether [text] brings module [mod] into scope unqualified."""
+    return re.search(
+        r"\b(?:open!?|include)\s+%(p)s%(m)s\b|\b%(m)s\s*\.\s*\("
+        r"|\bmodule\s+[A-Z][\w']*\s*=\s*%(p)s%(m)s\b"
+        % {"p": MODULE_PATH, "m": re.escape(mod)}, text) is not None
+
+
 def scan():
     files = dict(sources())
     words = {p: set(re.findall(r"[A-Za-z_][\w']*", t)) for p, t in files.items()}
     labels = {p: set(re.findall(r"[~?]([a-z_]\w*)", t)) for p, t in files.items()}
     unused, options = [], []
+
+    def uses(p, mods, name):
+        if name not in words[p]:
+            return False
+        text = files[p]
+        return any(
+            re.search(r"\b%s\s*\.\s*%s\b" % (re.escape(m), re.escape(name)), text)
+            or in_scope(text, m)
+            for m in mods)
+
     for path in sorted(files):
         if not (path.endswith(".mli") and os.path.relpath(path, ROOT).startswith("lib" + os.sep)):
             continue
         own = {path, path[:-1]}
         others = [p for p in files if p not in own]
         for qual, name, opts in exports(path, files[path]):
-            if not any(name in words[p] for p in others):
+            mods = qual.split(".")[:-1]
+            callers = [p for p in others if uses(p, mods, name)]
+            if not callers:
                 unused.append(qual)
             for o in opts:
-                if not any(o in labels[p] and name in words[p] for p in others):
+                if not any(o in labels[p] for p in callers):
                     options.append(qual + " ?" + o)
     return unused, options
 

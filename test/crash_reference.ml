@@ -40,6 +40,7 @@ let check_point (edge : Crash.edge) prefix ~keep ~tear =
 
 (* Points, recoveries and the first failure of one finished play. *)
 let judge ~bound (edge : Crash.edge) sched (o : Game.outcome) =
+  (* The edge is named by [Edges.run], not by the judge. *)
   let points = ref 0 and recoveries = ref 0 and failure = ref None in
   let at_point i prefix =
     incr points;
@@ -53,12 +54,13 @@ let judge ~bound (edge : Crash.edge) sched (o : Game.outcome) =
             failure :=
               Some
                 {
-                  Crash.f_edge = edge.Crash.name;
+                  Crash.f_edge = "";
                   f_sched = Sched.name sched;
                   f_index = i;
-                  f_keep = keep;
-                  f_tear = tear;
                   f_reason = reason;
+                  f_lower = prefix;
+                  f_upper = Log.empty;
+                  f_masks = Some (keep, tear);
                 }
         end)
       (Crash.masks ~bound (edge.Crash.inflight prefix))

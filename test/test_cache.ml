@@ -151,7 +151,7 @@ let test_crash_kind_corrupt_rechecks () =
         | V.Budget.Complete (Ok { V.Crash.edges = [ e ]; _ }) ->
           { e with V.Edges.millis = 0. }
         | V.Budget.Complete (Ok _) -> Alcotest.fail "expected one edge report"
-        | V.Budget.Complete (Error f) -> Alcotest.failf "%a" V.Crash.pp_failure f
+        | V.Budget.Complete (Error f) -> Alcotest.failf "%a" Failure.pp f
         | V.Budget.Exhausted _ -> Alcotest.fail "unexpected budget exhaustion"
       in
       let cold = report c in
@@ -268,7 +268,7 @@ let test_races_live () =
     match
       V.Races.check_ctx ~ctx ~scheds:(Sched.default_suite ~seeds:4) layer threads
     with
-    | V.Races.Race { sched_name; detail; _ } -> `Race (sched_name, detail)
+    | V.Races.Race f -> `Race (f.Failure.f_sched, f.Failure.f_reason)
     | V.Races.Race_free { runs } -> `Race_free runs
     | V.Races.Other_failure msg -> Alcotest.fail msg
     | V.Races.Exhausted _ -> Alcotest.fail "unlimited budget exhausted"
@@ -318,7 +318,7 @@ let canonical_of = function
   | V.Budget.Complete (Ok (p : V.Stack.progress)) ->
     Format.asprintf "%a" (V.Edges.pp ~millis:false V.Stack.layout)
       p.V.Stack.completed.V.Stack.edges
-  | V.Budget.Complete (Error e) -> Alcotest.failf "stack failed: %s" e
+  | V.Budget.Complete (Error f) -> Alcotest.failf "stack failed: %a" Failure.pp f
   | V.Budget.Exhausted _ -> Alcotest.fail "unlimited budget exhausted"
 
 let test_budget_cut_run_resumes_at_frontier () =
@@ -329,7 +329,7 @@ let test_budget_cut_run_resumes_at_frontier () =
         | V.Budget.Exhausted { partial = Ok p; _ } ->
           check_bool "the run stopped at a frontier" true (p.V.Stack.next_edge <> None);
           List.length p.V.Stack.completed.V.Stack.edges
-        | V.Budget.Exhausted { partial = Error e; _ } -> Alcotest.fail e
+        | V.Budget.Exhausted { partial = Error f; _ } -> Alcotest.failf "%a" Failure.pp f
         | V.Budget.Complete _ -> Alcotest.fail "100 steps did not trip"
       in
       check_bool "some but not all edges completed" true
@@ -461,7 +461,7 @@ let test_kv_keys_golden () =
 
 let canonical = function
   | Ok r -> Format.asprintf "%a" (V.Edges.pp ~millis:false V.Stack.layout) r.V.Stack.edges
-  | Error e -> Alcotest.failf "stack failed: %s" e
+  | Error f -> Alcotest.failf "stack failed: %a" Failure.pp f
 
 let test_stack_warm_equals_cold () =
   let dir = fresh_dir () in

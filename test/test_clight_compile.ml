@@ -14,6 +14,9 @@ let hw () = Ccal_machine.Mx86.layer ()
 
 let fn name params locals body = { C.name; params; locals; body }
 
+(* (source, assembly) pairs as Validate takes them. *)
+let compiled fns = List.map (fun f -> f, Cx.compile_fn f) fns
+
 let test_c_return_expr () =
   let f = fn "f" [ "x" ] [] (C.return C.(v "x" + i 1)) in
   check_int "x+1" 8 (Value.to_int (expect_done (hw ()) (Csem.prog_of_fn f [ vi 7 ])))
@@ -289,12 +292,12 @@ let test_validate_module () =
           "void_fn", [ [ vi 52 ] ];
         ]
       ~envs:(fun _ -> [ Env_context.empty ])
-      sample_fns
+      (compiled sample_fns)
   with
   | Ok r ->
     check_int "fns" 6 r.V.fns_validated;
     check_bool "cases" true (r.V.cases_run > 0)
-  | Error f -> Alcotest.failf "validation failed: %a" V.pp_failure f
+  | Error f -> Alcotest.failf "validation failed: %a" Failure.pp f
 
 let test_validate_with_env_events () =
   (* environment events interleave identically on both sides *)
@@ -307,10 +310,10 @@ let test_validate_with_env_events () =
   in
   match
     V.validate_module ~layer:(hw ()) ~tids:[ 1 ]
-      ~arg_cases:[ "reader", [ [ vi 60 ] ] ] ~envs [ f ]
+      ~arg_cases:[ "reader", [ [ vi 60 ] ] ] ~envs (compiled [ f ])
   with
   | Ok r -> check_int "cases" 1 r.V.cases_run
-  | Error fl -> Alcotest.failf "failed: %a" V.pp_failure fl
+  | Error fl -> Alcotest.failf "failed: %a" Failure.pp fl
 
 let test_validate_catches_miscompilation () =
   (* a hand-broken "compiler": compare the source against the compilation

@@ -878,8 +878,8 @@ let test_structured_race_is_still_a_race () =
     V.Races.check_ctx ~ctx:V.Ctx.default ~scheds:[ Sched.round_robin ] layer
       [ 1, Prog.call "collide" [] ]
   with
-  | V.Races.Race { detail; _ } ->
-    check_bool "detail kept" true (String.length detail > 0)
+  | V.Races.Race f ->
+    check_bool "detail kept" true (String.length f.Failure.f_reason > 0)
   | V.Races.Other_failure msg -> Alcotest.failf "race demoted: %s" msg
   | V.Races.Race_free _ -> Alcotest.fail "racy run reported race-free"
   | V.Races.Exhausted _ -> Alcotest.fail "unlimited budget exhausted"
@@ -895,7 +895,7 @@ let test_pushpull_race_detected_end_to_end () =
       layer
       [ 1, grab 1; 2, grab 2 ]
   with
-  | V.Races.Race { detail; _ } ->
+  | V.Races.Race { Failure.f_reason = detail; _ } ->
     check_bool "mentions ownership" true
       (String.length detail > 0
       && String.exists (fun c -> c = '7') detail)

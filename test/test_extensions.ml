@@ -133,7 +133,7 @@ let test_sc_equivalence_locked_program () =
       (Sched.default_suite ~seeds:8)
   with
   | Ok n -> check_int "all schedules equivalent" 9 n
-  | Error msg -> Alcotest.fail msg
+  | Error f -> Alcotest.failf "%a" Failure.pp f
 
 let test_erase_buffering_relation () =
   let l =
@@ -201,12 +201,12 @@ let test_rw_solo_roundtrip () =
 let test_rw_certify () =
   match Object_intf.certify Rwlock.recipe () with
   | Ok c -> check_bool "checks" true (Calculus.count_checks c >= 16)
-  | Error e -> Alcotest.failf "%a" Calculus.pp_error e
+  | Error e -> Alcotest.failf "%a" Failure.pp e
 
 let test_rw_certify_asm () =
   match Object_intf.certify Rwlock.recipe ~focus:[ 1 ] ~use_asm:true () with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "%a" Calculus.pp_error e
+  | Error e -> Alcotest.failf "%a" Failure.pp e
 
 let test_rw_translation () =
   let l4 = Value.int 4 in
@@ -224,7 +224,7 @@ let test_rw_translation () =
 
 let test_rw_refinement () =
   match Object_intf.certify Rwlock.recipe ~focus:[ 1; 2 ] () with
-  | Error e -> Alcotest.failf "%a" Calculus.pp_error e
+  | Error e -> Alcotest.failf "%a" Failure.pp e
   | Ok cert -> (
     let client i =
       if i = 1 then Prog.seq_all [ ar 4; rr 4; ar 4; rr 4; Prog.ret (vi 1) ]
@@ -234,7 +234,7 @@ let test_rw_refinement () =
       refine_cert cert ~client ~scheds:(Sched.default_suite ~seeds:6)
     with
     | Ok _ -> ()
-    | Error f -> Alcotest.failf "%a" Refinement.pp_failure f)
+    | Error f -> Alcotest.failf "%a" Failure.pp f)
 
 let prop_rw_no_overlap =
   qtc ~count:25 "readers and writers never overlap" QCheck.(int_range 1 3_000)
@@ -269,7 +269,7 @@ let test_layer_sim_and_wk () =
     Calculus.check_layer_sim ~lower:tight ~upper:loose ~rel:Sim_rel.id
       ~focus:[ 1; 2 ] ~prim_tests:tests ~envs ()
   with
-  | Error e -> Alcotest.failf "layer_sim failed: %a" Calculus.pp_error e
+  | Error e -> Alcotest.failf "layer_sim failed: %a" Failure.pp e
   | Ok up_sim -> (
     (* a certificate targeting the tight interface *)
     let cert =
@@ -283,7 +283,7 @@ let test_layer_sim_and_wk () =
         (String.equal weakened.Calculus.judgment.Calculus.overlay.Layer.name
            "Llock_loose");
       check_bool "rule is Wk" true (weakened.Calculus.rule = Calculus.Wk)
-    | Error e -> Alcotest.failf "wk failed: %a" Calculus.pp_error e)
+    | Error e -> Alcotest.failf "wk failed: %a" Failure.pp e)
 
 let test_hcomp_independent_objects () =
   (* two independent counter objects over the same interface compose
@@ -351,8 +351,8 @@ let test_hcomp_independent_objects () =
         && Layer.has_prim "stashed_tick" c.Calculus.judgment.Calculus.overlay);
       check_bool "merged module has both" true
         (List.length (Prog.Module.names c.Calculus.judgment.Calculus.impl) = 2)
-    | Error e -> Alcotest.failf "hcomp failed: %a" Calculus.pp_error e)
-  | Error e, _ | _, Error e -> Alcotest.failf "premise failed: %a" Calculus.pp_error e
+    | Error e -> Alcotest.failf "hcomp failed: %a" Failure.pp e)
+  | Error e, _ | _, Error e -> Alcotest.failf "premise failed: %a" Failure.pp e
 
 let suite =
   [

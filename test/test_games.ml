@@ -221,7 +221,7 @@ let test_progress_under_tso () =
     Budget.value
       (Progress.completes_within_ctx ~ctx ~scheds ~bound:10_000 layer threads)
   with
-  | Error msg -> Alcotest.fail msg
+  | Error f -> Alcotest.failf "%a" Failure.pp f
   | Ok r ->
     check_int "runs" (List.length tso_games) r.Progress.runs;
     check_int "longest game"
@@ -246,9 +246,9 @@ let outcome_line (o : Game.outcome) =
   in
   let violations =
     String.concat ","
-      (List.map (fun (i, l) -> Printf.sprintf "%d@%s" i (Log.to_string l)) o.Game.guar_violations)
+      (List.map (fun (i, l) -> Printf.sprintf "%d@%s" i (log_string l)) o.Game.guar_violations)
   in
-  Format.asprintf "%s|%s|%a|%d|%d|%s" (Log.to_string o.Game.log) tid_values
+  Format.asprintf "%s|%s|%a|%d|%d|%s" (log_string o.Game.log) tid_values
     Game.pp_status o.Game.status o.Game.steps o.Game.silent_steps violations
 
 let plays_digest outcomes =

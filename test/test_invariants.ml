@@ -116,7 +116,7 @@ let test_refinement_partial_runs () =
       ~tids:[ 1; 2 ] ~scheds:[ Sched.round_robin ] ()
   with
   | Ok _ -> ()
-  | Error f -> Alcotest.failf "%a" Refinement.pp_failure f
+  | Error f -> Alcotest.failf "%a" Failure.pp f
 
 let test_refinement_strict_rejects_deadlock () =
   let layer = Lock_intf.layer "L" in
@@ -127,7 +127,7 @@ let test_refinement_strict_rejects_deadlock () =
   with
   | Error f ->
     check_bool "mentions incompletion" true
-      (String.length f.Refinement.reason > 0)
+      (String.length f.Failure.f_reason > 0)
   | Ok _ -> Alcotest.fail "self-deadlock accepted under strict mode"
 
 (* module inspection *)
@@ -238,7 +238,7 @@ let test_golden_evidence () =
     List.map
       (fun (name, certify) ->
         match certify () with
-        | Error e -> Alcotest.failf "%s: %a" name Calculus.pp_error e
+        | Error e -> Alcotest.failf "%s: %a" name Failure.pp e
         | Ok c ->
           ( name,
             Digest.to_hex

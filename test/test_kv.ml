@@ -193,7 +193,7 @@ let test_ht_resize_under_contention () =
   | Budget.Complete (Ok r) ->
     check_bool "ran schedules" true (r.Linearizability.runs > 0)
   | Budget.Complete (Error f) ->
-    Alcotest.failf "resize under contention: %a" Refinement.pp_failure f
+    Alcotest.failf "resize under contention: %a" Failure.pp f
   | Budget.Exhausted _ -> Alcotest.fail "unexpected budget exhaustion"
 
 let prop_ht_refines_spec_jobs14 =
@@ -284,7 +284,7 @@ let test_cache_pending_writer_priority () =
   | Budget.Complete (Ok r) ->
     check_bool "ran schedules" true (r.Linearizability.runs > 0)
   | Budget.Complete (Error f) ->
-    Alcotest.failf "pending-writer game: %a" Refinement.pp_failure f
+    Alcotest.failf "pending-writer game: %a" Failure.pp f
   | Budget.Exhausted _ -> Alcotest.fail "unexpected budget exhaustion"
 
 let prop_cache_solo_matches_model =
@@ -314,7 +314,7 @@ let prop_cache_solo_matches_model =
 
 let canonical_report = function
   | Budget.Complete (Ok r) -> Format.asprintf "%a" (Edges.pp ~millis:false Kv_stack.layout) r.Kv_stack.edges
-  | Budget.Complete (Error msg) -> "ERROR: " ^ msg
+  | Budget.Complete (Error f) -> Format.asprintf "ERROR: %a" Failure.pp f
   | Budget.Exhausted _ -> "EXHAUSTED"
 
 let test_verify_all_edges () =
@@ -323,7 +323,7 @@ let test_verify_all_edges () =
     check_int "three edges" 3 (List.length r.Kv_stack.edges);
     check_bool "every edge ran schedules" true
       (List.for_all (fun e -> Edges.count e "checks" > 0) r.Kv_stack.edges)
-  | Budget.Complete (Error msg) -> Alcotest.failf "kv stack failed: %s" msg
+  | Budget.Complete (Error f) -> Alcotest.failf "kv stack failed: %a" Failure.pp f
   | Budget.Exhausted _ -> Alcotest.fail "unexpected budget exhaustion"
 
 let test_verify_jobs_identical () =
@@ -350,8 +350,8 @@ let test_verify_budget_exhaustion () =
   | Budget.Exhausted { partial = Ok r; _ } ->
     check_bool "partial has at most 2 edges" true
       (List.length r.Kv_stack.edges < 3)
-  | Budget.Exhausted { partial = Error msg; _ } ->
-    Alcotest.failf "partial failed: %s" msg
+  | Budget.Exhausted { partial = Error f; _ } ->
+    Alcotest.failf "partial failed: %a" Failure.pp f
   | Budget.Complete _ -> Alcotest.fail "expected exhaustion"
 
 let test_verify_cache_round_trip () =

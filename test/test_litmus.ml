@@ -260,7 +260,7 @@ let qcheck_drf =
           (T.judge_sc_equivalence threads) scheds
       with
       | Ok n -> n > 0
-      | Error e -> QCheck.Test.fail_reportf "not SC-equivalent: %s" e)
+      | Error f -> QCheck.Test.fail_reportf "not SC-equivalent: %a" Failure.pp f)
 
 (* ---- negative controls: the unfenced variants break under TSO ---- *)
 
@@ -268,7 +268,7 @@ let negative_ctx memory = V.Ctx.make ~memory ~strategy:(V.Ctx.Engine.dpor ~depth
 
 let verdict_str = function
   | V.Races.Race_free { runs } -> Printf.sprintf "race-free (%d runs)" runs
-  | V.Races.Race { sched_name; _ } -> "race on " ^ sched_name
+  | V.Races.Race f -> "race on " ^ f.Failure.f_sched
   | V.Races.Other_failure m -> "failure: " ^ m
   | V.Races.Exhausted _ -> "exhausted"
 
@@ -292,15 +292,15 @@ let test_unfenced_races_under_tso () =
   List.iter
     (fun variant ->
       match races Memory.Tso ~fenced:false variant with
-      | V.Races.Race { sched_name; detail; _ } ->
+      | V.Races.Race f ->
         check_bool
           (Unfenced.variant_name variant ^ ": violation names a schedule")
           true
-          (String.length sched_name > 0);
+          (String.length f.Failure.f_sched > 0);
         check_bool
           (Unfenced.variant_name variant ^ ": violation is a data race")
           true
-          (String.length detail > 0)
+          (String.length f.Failure.f_reason > 0)
       | v ->
         Alcotest.failf "%s under TSO: expected a race, got %s"
           (Unfenced.variant_name variant) (verdict_str v))
@@ -350,7 +350,7 @@ let race_name ~jobs =
     V.Races.check_ctx ~ctx (Unfenced.layer Memory.Tso)
       (Unfenced.threads Unfenced.Trylock)
   with
-  | V.Races.Race { sched_name; _ } -> sched_name
+  | V.Races.Race f -> f.Failure.f_sched
   | v -> Alcotest.failf "expected a race, got %s" (verdict_str v)
 
 let test_race_deterministic_across_jobs () =

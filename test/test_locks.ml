@@ -117,12 +117,12 @@ let test_ticket_solo_roundtrip () =
 let test_ticket_certify_c () =
   match Object_intf.certify Ticket_lock.recipe () with
   | Ok cert -> check_bool "fun rule" true (cert.Calculus.rule = Calculus.Fun)
-  | Error e -> Alcotest.failf "%a" Calculus.pp_error e
+  | Error e -> Alcotest.failf "%a" Failure.pp e
 
 let test_ticket_certify_asm () =
   match Object_intf.certify Ticket_lock.recipe ~focus:[ 1 ] ~use_asm:true () with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "%a" Calculus.pp_error e
+  | Error e -> Alcotest.failf "%a" Failure.pp e
 
 let test_ticket_low_strategies () =
   (* the hand-written automata of Sec. 2 simulate the C code (fun-lift,
@@ -137,7 +137,7 @@ let test_ticket_low_strategies () =
       ~envs:[ Env_context.empty ]
   with
   | Ok _ -> ()
-  | Error f -> Alcotest.failf "%a" Simulation.pp_failure f
+  | Error f -> Alcotest.failf "%a" Failure.pp f
 
 let test_ticket_rel_strategy () =
   let layer = Ticket_lock.l0 () in
@@ -165,7 +165,7 @@ let test_ticket_rel_strategy () =
       ~envs:[ Env_context.empty ]
   with
   | Ok _ -> ()
-  | Error f -> Alcotest.failf "%a" Simulation.pp_failure f
+  | Error f -> Alcotest.failf "%a" Failure.pp f
 
 let lock_clients rounds i =
   let rec go k =
@@ -223,12 +223,12 @@ let test_mcs_solo_roundtrip () =
 let test_mcs_certify () =
   match Object_intf.certify Mcs_lock.recipe () with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "%a" Calculus.pp_error e
+  | Error e -> Alcotest.failf "%a" Failure.pp e
 
 let test_mcs_certify_asm () =
   match Object_intf.certify Mcs_lock.recipe ~focus:[ 1 ] ~use_asm:true () with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "%a" Calculus.pp_error e
+  | Error e -> Alcotest.failf "%a" Failure.pp e
 
 let run_mcs_game ?(threads = [ 1; 2; 3 ]) ?(rounds = 2) sched =
   let layer = Mcs_lock.l0 () in
@@ -267,7 +267,7 @@ let test_locks_interchangeable () =
         ~rel:r ~client ~tids:[ 1; 2 ] ~scheds:(Sched.default_suite ~seeds:3) ()
     with
     | Ok _ -> ()
-    | Error f -> Alcotest.failf "%s: %a" name Refinement.pp_failure f
+    | Error f -> Alcotest.failf "%s: %a" name Failure.pp f
   in
   check_impl "ticket" (Ticket_lock.l0 ()) (Ticket_lock.c_module ()) Ticket_lock.r_ticket;
   check_impl "mcs" (Mcs_lock.l0 ()) (Mcs_lock.c_module ()) Mcs_lock.r_mcs

@@ -139,7 +139,7 @@ let test_multicore_linking () =
       (Sched.default_suite ~seeds:6)
   with
   | Ok n -> check_int "all schedules linked" 7 n
-  | Error msg -> Alcotest.fail msg
+  | Error f -> Alcotest.failf "%a" Failure.pp f
 
 let test_erase_switches () =
   let l = log_of [ Event.switch 1; ev 1 "faa"; Event.switch 2 ] in

@@ -126,7 +126,7 @@ let test_multithreaded_linking () =
       (Sched.default_suite ~seeds:5)
   with
   | Ok n -> check_int "schedules" 6 n
-  | Error msg -> Alcotest.fail msg
+  | Error f -> Alcotest.failf "%a" Failure.pp f
 
 let test_sleep_requires_lock () =
   let placement = [ 1, 0 ] in
@@ -166,12 +166,12 @@ let test_get_tid () =
 let test_qlock_certify () =
   match Object_intf.certify Qlock.recipe () with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "%a" Calculus.pp_error e
+  | Error e -> Alcotest.failf "%a" Failure.pp e
 
 let test_qlock_certify_asm () =
   match Object_intf.certify Qlock.recipe ~focus:[ 1 ] ~use_asm:true () with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "%a" Calculus.pp_error e
+  | Error e -> Alcotest.failf "%a" Failure.pp e
 
 let qlock_client l i =
   Prog.seq_all
@@ -223,7 +223,7 @@ let test_qlock_refinement_shared_cpu () =
   match
     Object_intf.certify Qlock.recipe ~placement:[ 1, 0; 2, 0; 8, 8; 9, 9 ] ()
   with
-  | Error e -> Alcotest.failf "%a" Calculus.pp_error e
+  | Error e -> Alcotest.failf "%a" Failure.pp e
   | Ok cert -> (
     let client i =
       Prog.seq_all
@@ -234,7 +234,7 @@ let test_qlock_refinement_shared_cpu () =
       refine_cert cert ~client ~scheds:(Sched.default_suite ~seeds:5)
     with
     | Ok _ -> ()
-    | Error f -> Alcotest.failf "%a" Refinement.pp_failure f)
+    | Error f -> Alcotest.failf "%a" Failure.pp f)
 
 (* ---- condition variables ---- *)
 
@@ -275,7 +275,7 @@ let test_cv_broadcast_counts () =
 let test_ipc_certify () =
   match Object_intf.certify Ipc.recipe () with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "%a" Calculus.pp_error e
+  | Error e -> Alcotest.failf "%a" Failure.pp e
 
 (* A placement that leaves out the rival thread 9 is rejected, naming
    it; once 9 is placed, its one-rival context runs it on the empty log. *)
@@ -288,7 +288,7 @@ let test_ipc_placement_places_rivals () =
   let placement = [ 1, 1; 2, 2; 3, 3; 9, 9 ] in
   (match Object_intf.certify Ipc.recipe ~placement () with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "%a" Calculus.pp_error e);
+  | Error e -> Alcotest.failf "%a" Failure.pp e);
   let envs = Object_intf.env_suite Ipc.recipe ~memory:Memory.Sc ~placement 1 in
   match
     List.find_opt

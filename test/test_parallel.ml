@@ -102,7 +102,7 @@ let test_race_found_after_other_failure () =
     Races.check_ctx ~ctx:Ctx.default ~scheds:(mixed_scheds ()) (mixed_layer ())
       (mixed_threads ())
   with
-  | Races.Race { sched_name; _ } -> check_string "the later schedule" "racy:[2,3]" sched_name
+  | Races.Race f -> check_string "the later schedule" "racy:[2,3]" f.Failure.f_sched
   | Races.Other_failure msg ->
     Alcotest.failf "non-race failure aborted the scan: %s" msg
   | Races.Race_free _ -> Alcotest.fail "race missed"
@@ -215,7 +215,7 @@ let lock_client i =
 
 let test_linearizability_jobs_invariant_ok () =
   match Object_intf.certify Ticket_lock.recipe () with
-  | Error e -> Alcotest.failf "%a" Calculus.pp_error e
+  | Error e -> Alcotest.failf "%a" Failure.pp e
   | Ok cert ->
     check_jobs_invariant "linearizability ok" (fun jobs ->
         Budget.value
@@ -359,7 +359,7 @@ let render_outcome (o : Game.outcome) =
   in
   let violations =
     List.map
-      (fun (i, l) -> Printf.sprintf "%d@%s" i (Log.to_string l))
+      (fun (i, l) -> Printf.sprintf "%d@%s" i (log_string l))
       o.Game.guar_violations
   in
   Format.asprintf "%a | %a | %s | %d | %d | %s" Game.pp_status o.Game.status

@@ -46,12 +46,12 @@ let test_abs_layer_spec () =
 let test_local_certify () =
   match Object_intf.certify Queue_local.recipe () with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "%a" Calculus.pp_error e
+  | Error e -> Alcotest.failf "%a" Failure.pp e
 
 let test_local_certify_asm () =
   match Object_intf.certify Queue_local.recipe ~use_asm:true () with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "%a" Calculus.pp_error e
+  | Error e -> Alcotest.failf "%a" Failure.pp e
 
 (* random op sequences: dll implementation agrees with the logical list *)
 let ops_gen =
@@ -163,7 +163,7 @@ let test_rlock_deq_empty () =
 let test_shared_certify () =
   match Object_intf.certify Queue_shared.recipe () with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "%a" Calculus.pp_error e
+  | Error e -> Alcotest.failf "%a" Failure.pp e
 
 let test_full_stack_certify () =
   match Queue_shared.full_stack_certify () with
@@ -171,11 +171,11 @@ let test_full_stack_certify () =
     check_bool "vcomp at top" true (c.Calculus.rule = Calculus.Vcomp);
     check_bool "relation composed" true
       (String.length c.Calculus.judgment.Calculus.rel.Sim_rel.name > 5)
-  | Error e -> Alcotest.failf "%a" Calculus.pp_error e
+  | Error e -> Alcotest.failf "%a" Failure.pp e
 
 let test_full_stack_soundness () =
   match Queue_shared.full_stack_certify () with
-  | Error e -> Alcotest.failf "%a" Calculus.pp_error e
+  | Error e -> Alcotest.failf "%a" Failure.pp e
   | Ok cert -> (
     let client i =
       Prog.seq_all [ enqs 0 (10 + i); enqs 0 (20 + i); deqs 0; deqs 0 ]
@@ -184,7 +184,7 @@ let test_full_stack_soundness () =
       refine_cert cert ~client ~scheds:(Sched.default_suite ~seeds:4)
     with
     | Ok _ -> ()
-    | Error f -> Alcotest.failf "%a" Refinement.pp_failure f)
+    | Error f -> Alcotest.failf "%a" Failure.pp f)
 
 let prop_shared_queue_conservation =
   qtc ~count:30 "enqueued = dequeued + remaining" QCheck.(int_range 1 5_000)

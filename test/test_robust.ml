@@ -173,7 +173,7 @@ let test_skew_faults_keep_verdict () =
 let crash_report ctx =
   match Crash.check_ctx ~ctx [ Ccal_disk.Wal.crash_edge () ] with
   | Budget.Complete (Ok r) -> Format.asprintf "%a" (Edges.pp ~millis:false Crash.layout) r.Crash.edges
-  | Budget.Complete (Error f) -> Alcotest.failf "%a" Crash.pp_failure f
+  | Budget.Complete (Error f) -> Alcotest.failf "%a" Failure.pp f
   | Budget.Exhausted _ -> Alcotest.fail "unlimited budget exhausted"
 
 let test_corrupt_cache_faults_keep_verdict () =
@@ -205,7 +205,7 @@ let test_oversize_cache_faults_keep_verdict () =
 let test_linearizability_budget_exhausts () =
   match Object_intf.certify Ticket_lock.recipe () with
   | Error e ->
-    Alcotest.failf "certify failed: %s" (Format.asprintf "%a" Calculus.pp_error e)
+    Alcotest.failf "certify failed: %s" (Format.asprintf "%a" Failure.pp e)
   | Ok cert -> (
     let client i =
       Prog.bind (Prog.call "acq" [ vi 0 ]) (fun _ ->
@@ -231,8 +231,8 @@ let test_stack_zero_budget_reports_first_edge () =
     check_int "no edge completed" 0 (List.length p.Stack.completed.Stack.edges);
     check_bool "the frontier names the first edge" true
       (p.Stack.next_edge <> None)
-  | Budget.Exhausted { partial = Error msg; _ } ->
-    Alcotest.failf "partial progress is Ok-shaped: %s" msg
+  | Budget.Exhausted { partial = Error f; _ } ->
+    Alcotest.failf "partial progress is Ok-shaped: %a" Failure.pp f
   | Budget.Complete _ -> Alcotest.fail "zero budget did not trip"
 
 (* The linking edges run on the one budgeted scan: each Thm 3.1 game is
@@ -251,8 +251,8 @@ let test_stack_step_budget_stops_in_linking_edge () =
         true
         (p.Stack.next_edge = Some "Mx86 refines Lx86[D] (Thm 3.1)");
       spent.Budget.steps_used
-    | Budget.Exhausted { partial = Error msg; _ } ->
-      Alcotest.failf "partial progress is Ok-shaped: %s" msg
+    | Budget.Exhausted { partial = Error f; _ } ->
+      Alcotest.failf "partial progress is Ok-shaped: %a" Failure.pp f
     | Budget.Complete _ -> Alcotest.fail "100 steps did not trip"
   in
   check_int "steps used at jobs=4 = jobs=1" (run 1) (run 4)
@@ -278,8 +278,8 @@ let test_stack_livelock_bounded_by_budget () =
     check_bool "the frontier is the adversarial edge" true
       (p.Stack.next_edge
        = Some "Lrwlock spin suite under adversarial schedules (livelock)")
-  | Budget.Exhausted { partial = Error msg; _ } ->
-    Alcotest.failf "partial progress is Ok-shaped: %s" msg
+  | Budget.Exhausted { partial = Error f; _ } ->
+    Alcotest.failf "partial progress is Ok-shaped: %a" Failure.pp f
   | Budget.Complete _ ->
     Alcotest.fail "the livelocking edge completed under a 1.5 s budget?"
 

@@ -89,7 +89,7 @@ let test_simulation_bump_ok () =
       ~envs:(envs_for 1)
   with
   | Ok r -> check_int "one env" 1 r.Simulation.envs_checked
-  | Error f -> Alcotest.failf "unexpected: %a" Simulation.pp_failure f
+  | Error f -> Alcotest.failf "unexpected: %a" Failure.pp f
 
 let test_simulation_detects_wrong_impl () =
   (* a buggy bump2 that ticks only once: the relation leaves a lone tick,
@@ -122,7 +122,7 @@ let test_simulation_detects_wrong_ret () =
   | Ok _ -> Alcotest.fail "wrong return value passed"
   | Error f ->
     check_bool "reason mentions return" true
-      (String.length f.Simulation.reason > 0)
+      (String.length f.Failure.f_reason > 0)
 
 let test_drive_runs_to_done () =
   let layer = under_layer () in
@@ -144,7 +144,7 @@ let test_replay_against_env_injection () =
       ~spec:(Prog.call bump2_tag [ vi 0 ]) ~envs:[ env ]
   with
   | Ok r -> check_int "one env" 1 r.Simulation.envs_checked
-  | Error f -> Alcotest.failf "replay failed: %a" Simulation.pp_failure f
+  | Error f -> Alcotest.failf "replay failed: %a" Failure.pp f
 
 (* ---- calculus ---- *)
 
@@ -162,7 +162,7 @@ let test_fun_rule () =
   | Ok c ->
     check_int "4 obligations" 4 (List.length c.Calculus.evidence);
     check_bool "rule" true (c.Calculus.rule = Calculus.Fun)
-  | Error e -> Alcotest.failf "fun rule failed: %a" Calculus.pp_error e
+  | Error e -> Alcotest.failf "fun rule failed: %a" Failure.pp e
 
 let test_empty_rule () =
   let c = Calculus.empty_rule (under_layer ()) [ 1 ] in
@@ -174,19 +174,22 @@ let test_vcomp_name_mismatch () =
   let c = Calculus.empty_rule (under_layer ()) [ 1 ] in
   let c' = Calculus.empty_rule (over_layer ()) [ 1 ] in
   match Calculus.vcomp c c' with
-  | Error e -> check_bool "vcomp" true (e.Calculus.rule = Calculus.Vcomp)
+  | Error f ->
+    check_bool "a Vcomp failure" true
+      (String.starts_with ~prefix:"Vcomp rule: layers do not stack" f.Failure.f_reason);
+    check_string "a structural failure has no run" "" f.Failure.f_sched
   | Ok _ -> Alcotest.fail "expected layer mismatch"
 
 let test_vcomp_ok () =
   let c = Calculus.empty_rule (under_layer ()) [ 1; 2 ] in
   match fun_cert () with
-  | Error e -> Alcotest.failf "premise failed: %a" Calculus.pp_error e
+  | Error e -> Alcotest.failf "premise failed: %a" Failure.pp e
   | Ok c2 -> (
     match Calculus.vcomp c c2 with
     | Ok c3 ->
       check_bool "overlay is Lbump" true
         (String.equal c3.Calculus.judgment.Calculus.overlay.Layer.name "Lbump")
-    | Error e -> Alcotest.failf "vcomp failed: %a" Calculus.pp_error e)
+    | Error e -> Alcotest.failf "vcomp failed: %a" Failure.pp e)
 
 let test_hcomp_focus_mismatch () =
   let c1 = Calculus.empty_rule (under_layer ()) [ 1 ] in
@@ -207,14 +210,17 @@ let test_pcomp () =
     match Calculus.pcomp c1 c2 ~compat_logs:[ Log.empty ] with
     | Ok c ->
       Alcotest.(check (list int)) "union focus" [ 1; 2 ] (Calculus.focus c)
-    | Error e -> Alcotest.failf "pcomp failed: %a" Calculus.pp_error e)
+    | Error e -> Alcotest.failf "pcomp failed: %a" Failure.pp e)
   | _ -> Alcotest.fail "premises failed"
 
 let test_pcomp_overlap_rejected () =
   let c1 = Calculus.empty_rule (under_layer ()) [ 1; 2 ] in
   let c2 = Calculus.empty_rule (under_layer ()) [ 2; 3 ] in
   match Calculus.pcomp c1 c2 ~compat_logs:[] with
-  | Error e -> check_bool "pcomp" true (e.Calculus.rule = Calculus.Pcomp)
+  | Error f ->
+    check_string "a structural Pcomp failure"
+      "failure: no run: Pcomp rule: focused thread sets are not disjoint"
+      (Format.asprintf "%a" Failure.pp f)
   | Ok _ -> Alcotest.fail "overlapping focus accepted"
 
 let test_compat_tested_implication () =
@@ -230,7 +236,7 @@ let test_compat_tested_implication () =
   (* guarantee [never] vacuously implies anything *)
   match Calculus.compat layer ~a:[ 1 ] ~b:[ 2 ] ~logs:[ log_of [ ev 1 "tick" ] ] with
   | Ok _ -> ()
-  | Error msg -> Alcotest.failf "vacuous compat failed: %s" msg
+  | Error f -> Alcotest.failf "vacuous compat failed: %a" Failure.pp f
 
 let test_compat_failure () =
   let layer =
@@ -240,8 +246,15 @@ let test_compat_failure () =
       guar = Rely_guarantee.always;
     }
   in
-  match Calculus.compat layer ~a:[ 1 ] ~b:[ 2 ] ~logs:[ Log.empty ] with
-  | Error _ -> ()
+  let breaking = log_of [ ev 1 "tick" ] in
+  match Calculus.compat layer ~a:[ 1 ] ~b:[ 2 ] ~logs:[ Log.empty; breaking ] with
+  | Error f ->
+    (* the first corpus log already breaks the implication, for thread 1 *)
+    check_string "names the corpus log"
+      "failure: run corpus log 0, event 0: guarantee true of thread 1 does not \
+       imply rely false"
+      (Format.asprintf "%a" Failure.pp f);
+    check_bool "carries the log" true (Log.equal Log.empty f.Failure.f_lower)
   | Ok _ -> Alcotest.fail "always => never should fail"
 
 let test_count_checks () =
@@ -253,7 +266,7 @@ let test_count_checks () =
 
 let test_refinement_ok () =
   match fun_cert () with
-  | Error e -> Alcotest.failf "premise failed: %a" Calculus.pp_error e
+  | Error e -> Alcotest.failf "premise failed: %a" Failure.pp e
   | Ok cert -> (
     let client _ =
       Prog.seq (Prog.call bump2_tag [ vi 0 ]) (Prog.call bump2_tag [ vi 0 ])
@@ -262,7 +275,7 @@ let test_refinement_ok () =
       refine_cert cert ~client ~scheds:(Sched.default_suite ~seeds:4)
     with
     | Ok r -> check_int "scheds" 5 r.Refinement.scheds_checked
-    | Error f -> Alcotest.failf "refinement failed: %a" Refinement.pp_failure f)
+    | Error f -> Alcotest.failf "refinement failed: %a" Failure.pp f)
 
 let test_refinement_catches_bad_module () =
   let bad = Prog.Module.of_bodies [ bump2_tag, (fun args -> Prog.call "tick" args) ] in

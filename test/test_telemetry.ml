@@ -131,7 +131,7 @@ let test_stack_edge_counters_jobs_invariant () =
     with
     | Ok r ->
       List.map (fun (e : Edges.row) -> e.Edges.name, e.Edges.counters) r.Stack.edges
-    | Error msg -> Alcotest.failf "stack failed: %s" msg
+    | Error f -> Alcotest.failf "stack failed: %a" Failure.pp f
   in
   with_telemetry (fun () ->
       let oracle = edges 1 in
