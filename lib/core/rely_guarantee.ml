@@ -17,8 +17,3 @@ let conj a b =
     }
 
 let same a b = String.equal a.name b.name
-
-let implies_on g r ~tids ~logs =
-  List.for_all
-    (fun l -> List.for_all (fun i -> (not (g.holds i l)) || r.holds i l) tids)
-    logs

@@ -28,11 +28,3 @@ val conj : t -> t -> t
 val same : t -> t -> bool
 (** Name-based syntactic equality, used by the [Hcomp] side conditions. *)
 
-val implies_on : t -> t -> tids:Event.tid list -> logs:Log.t list -> bool
-(** [implies_on g r ~tids ~logs] checks, on the given corpus, that every
-    log satisfying [g] for a thread also satisfies [r] for that thread.
-    This is the tested analogue of the [Compat] side condition
-    "the guarantee of [L[A]] implies the rely of [L[B]]" (Fig. 9): the Coq
-    development proves the inclusion once and for all, we check it on all
-    logs produced while verifying the composed system (see DESIGN.md,
-    Substitutions). *)
