@@ -11,7 +11,7 @@ test:
 # Regression guard: the suite must never silently shrink — a dune or
 # module-wiring mistake can drop a whole test file from the runner while
 # everything still "passes".  Bump the floor when tests are added.
-TEST_COUNT_FLOOR := 533
+TEST_COUNT_FLOOR := 536
 
 check-test-count:
 	@out=$$(dune runtest --force 2>&1); status=$$?; \
@@ -33,9 +33,10 @@ check-test-count:
 # one unit the certificate cache stores, Parallel shrank to the one
 # game scan, the unused Replay combinators went, every edge came to
 # report through the one Edges row, every export and optional
-# argument came to have a caller, and every checker came to fail with
-# the one Failure record; lower it when a change shrinks lib/.
-LIB_SIZE_CEILING := 14657
+# argument came to have a caller, every checker came to fail with
+# the one Failure record, and the engine descriptor became the one name
+# of a scheduler suite; lower it when a change shrinks lib/.
+LIB_SIZE_CEILING := 14626
 
 check-lib-size:
 	@lines=$$(cat lib/*/*.ml lib/*/*.mli | wc -l); \

@@ -22,6 +22,11 @@
    one unit the certificate cache stores (DESIGN.md S26), so the other
    subcommands reject both flags rather than ignore them.
 
+   A scheduler suite has one name, the --strategy engine descriptor
+   (DESIGN.md S41): the --seeds N that stack and pipeline once took is
+   --strategy random:N, round-robin plus N seeded random schedulers.
+   random:0 is rejected, so the round-robin-only suite has no name.
+
    Every failure (stack, kv, crash, pipeline, verify) is one
    [Ccal_core.Failure.t] and prints as its one [Failure.pp] line: the
    edge, the run (schedule or environment) and the event index, which
@@ -46,7 +51,7 @@ let jobs_arg =
                  wall-clock only.")
 
 (* A count flag ([--jobs], [--threads], [--shards], [--entries],
-   [--crashes], [--seeds], [--depth], [--budget-steps]) below [min] is
+   [--crashes], [--depth], [--budget-steps]) below [min] is
    rejected by name, exit 2, before any checker runs: a zero shard count
    divides by zero, a negative count breaks [List.init], zero client
    threads certify vacuously, and a negative depth or budget would
@@ -89,11 +94,14 @@ let trace_arg =
 let strategy_arg =
   Arg.(value & opt string "default"
        & info [ "strategy" ] ~docv:"STRAT"
-           ~doc:"Exploration strategy for the game-driving checks: \
-                 default (seeded suite), dpor[:DEPTH][,sym] (sleep-set \
-                 DPOR, optionally with thread-symmetry reduction), \
-                 exhaustive[:DEPTH] or random[:COUNT].  Invalid \
-                 combinations (e.g. exhaustive,sym) are rejected by name.")
+           ~doc:"Exploration strategy for the game-driving checks, the \
+                 one name of a scheduler suite: default (the command's \
+                 own: random:4 for stack, random:8 for pipeline, dpor:4 \
+                 elsewhere), dpor[:DEPTH][,sym] (sleep-set DPOR, \
+                 optionally with thread-symmetry reduction), \
+                 exhaustive[:DEPTH] or random[:COUNT] (round-robin plus \
+                 COUNT seeded random schedulers).  Invalid combinations \
+                 (e.g. exhaustive,sym, random:0) are rejected by name.")
 
 let budget_ms_arg =
   Arg.(value & opt (some float) None
@@ -194,7 +202,7 @@ let pp_cache_summary fmt cache =
       s.Ccal_verify.Cache.invalidations
       (Ccal_verify.Cache.dir c)
 
-(* [Ok None] = "the command's historical default suite"; anything else
+(* [Ok None] = "the command's own default engine"; anything else
    parses through the one engine grammar ([Engine.of_string]), so every
    game subcommand accepts exactly the same descriptors — including
    [dpor[:DEPTH],sym] — and rejects invalid combinations with the
@@ -206,7 +214,8 @@ let strategy_of_string = function
 (* ---------------- the shared flag bundle ---------------- *)
 
 (* Everything the game-driving subcommands have in common, parsed once.
-   [strategy = None] means "the command's historical default suite";
+   [strategy = None] means "the command's own default engine" (random:4
+   for stack, random:8 for pipeline, the context's dpor:4 elsewhere);
    [cache] is set only by the edge-list subcommands ({!with_common}). *)
 type common = {
   jobs : int;
@@ -357,25 +366,20 @@ let print_edges ~report_file layout ~rows ~frontier outcome =
 (* ---------------- stack ---------------- *)
 
 let stack_cmd =
-  let run common cache lock seeds livelock report_file =
-    with_common common ~cache ~counts:[ resolve_count ~min:0 "--seeds" seeds ]
-    @@ fun c ctx ->
+  let run common cache lock livelock report_file =
+    with_common common ~cache @@ fun c ctx ->
     let lock = match lock with "mcs" -> `Mcs | _ -> `Ticket in
     let module V = Ccal_verify in
     print_edges ~report_file V.Stack.layout
       ~rows:(fun p -> p.V.Stack.completed.V.Stack.edges)
       ~frontier:(fun p ->
         Printf.sprintf "before edge %S" (Option.value p.V.Stack.next_edge ~default:"?"))
-      (V.Stack.verify_all_ctx ~ctx ~lock ~seeds ?strategy:c.strategy
+      (V.Stack.verify_all_ctx ~ctx ~lock ?strategy:c.strategy
          ~adversarial:livelock ())
   in
   let lock =
     Arg.(value & opt string "ticket"
          & info [ "lock" ] ~docv:"IMPL" ~doc:"Spinlock implementation (ticket|mcs).")
-  in
-  let seeds =
-    Arg.(value & opt int 4
-         & info [ "seeds" ] ~docv:"N" ~doc:"Random schedulers per check.")
   in
   let livelock =
     Arg.(value & flag
@@ -389,7 +393,7 @@ let stack_cmd =
   in
   Cmd.v
     (Cmd.info "stack" ~doc:"Certify and link the whole Fig. 1 layer stack")
-    Term.(const run $ common_term $ cache_term $ lock $ seeds $ livelock
+    Term.(const run $ common_term $ cache_term $ lock $ livelock
           $ report_file_arg)
 
 (* ---------------- kv ---------------- *)
@@ -519,10 +523,14 @@ let cache_cmd =
 (* ---------------- pipeline ---------------- *)
 
 let pipeline_cmd =
-  let run common seeds =
-    with_common common ~counts:[ resolve_count ~min:0 "--seeds" seeds ]
-    @@ fun c ctx ->
+  let run common =
+    with_common common @@ fun c ctx ->
     let module V = Ccal_verify in
+    let ctx =
+      V.Ctx.with_strategy
+        (Option.value c.strategy ~default:(V.Ctx.Engine.random ~count:8))
+        ctx
+    in
     (match
        Object_intf.certify Ticket_lock.recipe ~memory:c.memory ()
      with
@@ -533,42 +541,23 @@ let pipeline_cmd =
           Prog.bind (Prog.call "acq" [ vi 0 ]) (fun _ ->
               Prog.seq (Prog.call "rel" [ vi 0; vi i ]) (Prog.ret (vi i)))
         in
-        (* As in [Stack.verify_all_ctx]: an explicit strategy derives the
-           suite from the soundness game itself — the linked
-           client+implementation threads over the certificate's
-           underlay — so DPOR walks the very game it will replay. *)
-        let scheds =
-          match c.strategy with
-          | None -> Sched.default_suite ~seeds
-          | Some _ ->
-            let j = cert.Calculus.judgment in
-            let threads =
-              List.map
-                (fun i -> i, Prog.Module.link j.Calculus.impl (client i))
-                j.Calculus.focus
-            in
-            V.Explore.scheds_of_strategy_ctx ~ctx j.Calculus.underlay threads
-        in
-        match V.Linearizability.refine_cert_ctx ~ctx cert ~client ~scheds with
+        match V.Linearizability.refine_cert_ctx ~ctx cert ~client with
         | V.Budget.Complete (Ok r) ->
           Format.printf "soundness: %d schedules refined -- OK@."
-            r.Refinement.scheds_checked;
+            r.V.Linearizability.runs;
           0
         | V.Budget.Exhausted { spent; partial = Ok r } ->
           Format.printf
             "soundness: %d schedules refined before the budget ran out \
              (%a)@."
-            r.Refinement.scheds_checked V.Budget.pp_spent spent;
+            r.V.Linearizability.runs V.Budget.pp_spent spent;
           0
         | V.Budget.Complete (Error f)
         | V.Budget.Exhausted { partial = Error f; _ } -> failed f))
   in
-  let seeds =
-    Arg.(value & opt int 8 & info [ "seeds" ] ~docv:"N" ~doc:"Random schedulers.")
-  in
   Cmd.v
     (Cmd.info "pipeline" ~doc:"Run the Fig. 5 ticket-lock pipeline end to end")
-    Term.(const run $ common_term $ seeds)
+    Term.(const run $ common_term)
 
 (* ---------------- explore ---------------- *)
 

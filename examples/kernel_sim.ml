@@ -25,7 +25,8 @@ let () =
   (match
      Ccal_verify.Budget.value
        (Ccal_verify.Stack.verify_all_ctx ~ctx:Ccal_verify.Ctx.default
-          ~lock:`Ticket ~seeds:4 ())
+          ~lock:`Ticket
+          ~strategy:(Ccal_verify.Ctx.Engine.random ~count:4) ())
    with
   | Ok p ->
     Format.printf "%a@."

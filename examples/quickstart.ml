@@ -187,11 +187,12 @@ let () =
   match
     Ccal_verify.(
       Budget.value
-        (Linearizability.refine_cert_ctx ~ctx:Ctx.default cert ~client
-           ~scheds:(Sched.default_suite ~seeds:16)))
+        (Linearizability.refine_cert_ctx
+           ~ctx:(Ctx.make ~strategy:(Ctx.Engine.random ~count:16) ())
+           cert ~client))
   with
   | Ok r ->
     Format.printf
       "@.soundness (Thm 2.2): %d schedules of P over L0 all refine [[P]]_L2 -- OK@."
-      r.Refinement.scheds_checked
+      r.Ccal_verify.Linearizability.runs
   | Error f -> Format.printf "@.soundness FAILED: %a@." Failure.pp f

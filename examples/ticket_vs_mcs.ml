@@ -88,7 +88,8 @@ let () =
   match
     Ccal_verify.Budget.value
       (Ccal_verify.Stack.verify_all_ctx ~ctx:Ccal_verify.Ctx.default
-         ~lock:`Mcs ~seeds:2 ())
+         ~lock:`Mcs
+         ~strategy:(Ccal_verify.Ctx.Engine.random ~count:2) ())
   with
   | Ok p ->
     let r = p.Ccal_verify.Stack.completed in

@@ -116,7 +116,7 @@ let layer st (l : Layer.t) =
       int (string st name) (match prim with Layer.Shared _ -> 1 | Layer.Private _ -> 2))
     st l.prims
 
-let scheds st ss = list (fun st s -> string st (Sched.name s)) st ss
+let engine st e = string st (Strategy.Engine.to_string e)
 
 (* The memory mode enters every game-shaped key (DESIGN.md S29): an SC
    verdict must never be served for a TSO query, even for layers whose

@@ -2,9 +2,8 @@
 
     The certificate cache (DESIGN "Certificate cache") keys each stored
     verdict by a fingerprint of everything the verdict depends on: the
-    layer interfaces, the implementation programs, the scheduler suite,
-    the engine configuration (seeds / DPOR depth / independence
-    relation), and the fuel bounds.  Fingerprints are folded through the
+    layer interfaces, the implementation programs, the engine
+    descriptor the scheduler suite derives from, and the fuel bounds.  Fingerprints are folded through the
     same multiply-xor avalanche round as {!Log.hash} ({!Log.mix}), so
     they diffuse identically to the log hashes stored alongside the
     verdicts.
@@ -21,8 +20,8 @@
     fingerprinted by probing their continuations with a small fixed set
     of deterministic values under a node budget; layers ({!layer}) by
     their name, primitive names and kinds, and rely/guarantee names;
-    schedulers ({!scheds}) by their names — which is why every scheduler
-    fed to a cached checker must carry a content-bearing name. *)
+    scheduler suites by the engine descriptor that names them
+    ({!engine}). *)
 
 type t
 (** A finished fingerprint. *)
@@ -89,11 +88,14 @@ val layer : state -> Layer.t -> state
     throughout this codebase, where layers are built by named
     constructor functions). *)
 
-val scheds : state -> Sched.t list -> state
-(** Scheduler suite identity: the ordered list of scheduler names.
-    Anonymous schedulers (the default ["trace"] name of
-    {!Sched.of_trace}) make suites indistinguishable — give them
-    content-bearing names (a [tag]) before fingerprinting. *)
+val engine : state -> Strategy.Engine.t -> state
+(** Scheduler suite identity: the canonical engine descriptor
+    ({!Strategy.Engine.to_string}, e.g. ["dpor:10"]) the suite derives
+    from.  Every edge key folds the descriptor, never the suite it
+    yields, so a warm hit derives no suite.  A descriptor must name one
+    suite: when the suite an engine yields changes, entries stored under
+    the old meaning answer for the old suite until {!version} is
+    bumped. *)
 
 val rel : state -> Sim_rel.t -> state
 (** Simulation-relation identity: the relation name (relations are

@@ -1,9 +1,3 @@
-type report = {
-  scheds_checked : int;
-  logs : Log.t list;
-  translated : Log.t list;
-}
-
 type slot = {
   mutable state : [ `Run of Machine.thread_state | `Done of Value.t ];
   mutable pending : Event.t list;  (** events of the current move not yet matched *)
@@ -164,4 +158,4 @@ let judge ~max_steps ?(expect_all_done = true) ~overlay ~rel ~client ~tids
                 (match List.assoc_opt i over_results with
                 | Some v' -> Value.to_string v'
                 | None -> "nothing")))
-      | [] -> Ok (l, lt)))
+      | [] -> Ok l))

@@ -17,13 +17,6 @@
     {!judge} does steps 2 and 3 for one play; the suite is played by
     [Ccal_verify.Parallel.games] through {!Ccal_verify.Linearizability}. *)
 
-type report = {
-  scheds_checked : int;
-  logs : Log.t list;  (** underlay logs observed (a corpus reusable for
-                          [Calculus.compat] checks) *)
-  translated : Log.t list;
-}
-
 val replay_multi :
   ?max_steps:int ->
   ?allow_blocked_at_end:bool ->
@@ -48,12 +41,12 @@ val judge :
   tids:Event.tid list ->
   Sched.t ->
   Game.outcome ->
-  (Log.t * Log.t, Failure.t) result
+  (Log.t, Failure.t) result
 (** [judge ~overlay ~rel ~client ~tids sched outcome] judges one play of
     the underlay game of [P ⊕ M]: translate its log by [rel], replay it
     against the overlay machine running [client] on [tids] (at most
     [max_steps] replay steps), and compare per-thread results.  [Ok]
-    carries the (underlay, translated) log pair.  When [expect_all_done]
+    carries the underlay log.  When [expect_all_done]
     (default true), an underlay play that deadlocked, got stuck or ran
     out of fuel is itself a failure — the progress half of the
     termination-sensitive refinement.  The scan that plays the underlay

@@ -29,8 +29,9 @@ type t =
   | Custom of { name : string; pick : pick }
 
 val name : t -> string
-(** The scheduler's name, which {!Fingerprint.scheds} folds into cache
-    keys.  A tagged trace's name is formatted here, on demand. *)
+(** The scheduler's name, which a {!Failure.t} prints as the run that
+    broke a check.  A tagged trace's name is formatted here, on
+    demand. *)
 
 val round_robin : t
 (** Fair: cycles through thread ids in increasing order. *)
@@ -44,12 +45,12 @@ val of_trace : ?tag:string -> Event.tid list -> t
     are skipped; after the trace is exhausted, behaves like
     {!round_robin}.  The cursor belongs to the play, not to the value.
     It is named ["trace"]; a [tag] names it [tag:[c1,...,cn]]
-    instead.  Names are cache keys: the DPOR ([dpor])
+    instead.  Names are how a failure names its run: the DPOR ([dpor])
     and exhaustive ([exh]) tags must never change. *)
 
 val default_suite : seeds:int -> t list
-(** Round-robin plus [seeds] random schedulers — the default scheduler
-    suite of the checkers. *)
+(** Round-robin plus [seeds] random schedulers (seeds [1..seeds]) — the
+    suite the [random:N] engine names ({!Strategy.Engine.random}). *)
 
 val splitmix : int -> int
 (** The underlying avalanche hash (exposed for the verification harness's

@@ -45,7 +45,7 @@ module Engine : sig
   type algo =
     | Exhaustive  (** all [|tids|^depth] prefixes — the oracle *)
     | Dpor  (** sleep-set DPOR; one sequential DFS walk — the default *)
-    | Random  (** [depth] seeded random schedulers *)
+    | Random  (** round-robin plus [depth] seeded random schedulers *)
 
   type t = {
     algo : algo;
@@ -65,6 +65,10 @@ module Engine : sig
   val dpor : depth:int -> t
   val exhaustive : depth:int -> t
   val random : count:int -> t
+  (** [random:count]: round-robin plus [count] seeded random schedulers
+      (seeds [1..count]); [count] must be positive, so a
+      round-robin-only suite has no descriptor.  The stack's default is
+      [random ~count:4], the pipeline's [random ~count:8]. *)
 
   val checked : t -> t
   (** Identity on valid descriptors ([sym] only on [Dpor], positive
@@ -73,7 +77,8 @@ module Engine : sig
 
   val to_string : t -> string
   (** Canonical descriptor, e.g. ["dpor:8,sym"].  Cache-identity
-      bearing: it enters the stack and kv edge keys. *)
+      bearing: {!Fingerprint.engine} folds it into every stack, kv and
+      crash edge key. *)
 
   val of_string : string -> (t, string) result
   (** Parse a [--strategy] argument; rejects unknown engines, malformed

@@ -120,7 +120,7 @@ let spec_fingerprint ~strategy s =
   let st =
     List.fold_left (fun st i -> Fingerprint.prog st (s.client i)) st s.tids
   in
-  let st = Fingerprint.string st (Ctx.Engine.to_string strategy) in
+  let st = Fingerprint.engine st strategy in
   Fingerprint.finish st
 
 let fingerprints ?(threads = 3) ?(shards = 2) ?(entries = 2)

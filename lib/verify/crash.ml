@@ -225,11 +225,11 @@ let check_edge_live ~ctx ~bound edge scheds =
   go 0 0 0 [] judged
 
 (* Cache key of a crash edge: the underlay, the client programs, the
-   schedule suite, the mask bound, the fuel, the memory mode, and the
-   variant salt.  The accounting closures are identified by
-   [name]/[key_salt] — the same convention {!Sim_rel} uses for relations.
-   [jobs] is absent by design. *)
-let edge_key ~ctx ~bound edge scheds =
+   engine descriptor the schedule suite derives from, the mask bound,
+   the fuel, the memory mode, and the variant salt.  The accounting
+   closures are identified by [name]/[key_salt] — the same convention
+   {!Sim_rel} uses for relations.  [jobs] is absent by design. *)
+let edge_key ~ctx ~bound edge =
   let st = Fingerprint.string Fingerprint.empty "crash-edge" in
   let st = Fingerprint.string st edge.name in
   let st = Fingerprint.string st edge.key_salt in
@@ -239,7 +239,7 @@ let edge_key ~ctx ~bound edge scheds =
       (fun st (i, p) -> Fingerprint.prog (Fingerprint.int st i) p)
       st edge.threads
   in
-  let st = Fingerprint.scheds st scheds in
+  let st = Fingerprint.engine st ctx.Ctx.strategy in
   let st = Fingerprint.int st bound in
   let st = Fingerprint.int st edge.max_steps in
   let st = Fingerprint.memory st ctx.Ctx.memory in
@@ -248,14 +248,13 @@ let edge_key ~ctx ~bound edge scheds =
 let check_ctx ~ctx ?(crashes = 4) edges =
   Ctx.arm ctx @@ fun () ->
   let edge e =
-    (* The suite is a DPOR walk: derived at most once, by the key or the
-       scan, whichever needs it first, and only for an edge the loop
-       reaches.  It is built in [setup], outside the edge's timed
-       window. *)
+    (* The suite is derived in [setup], outside the edge's timed window,
+       and only for an edge that misses: the key folds the descriptor, so
+       a hit walks nothing. *)
     let scheds = lazy (Explore.scheds_of_strategy_ctx ~ctx e.layer e.threads) in
     {
       Edges.name = e.name;
-      key = Some (fun () -> edge_key ~ctx ~bound:crashes e (Lazy.force scheds));
+      key = Some (fun () -> edge_key ~ctx ~bound:crashes e);
       setup = (fun () -> ignore (Lazy.force scheds));
       run = (fun () -> check_edge_live ~ctx ~bound:crashes e (Lazy.force scheds));
     }

@@ -106,9 +106,8 @@ val check_ctx :
     (default 4).  Runs through {!Ctx}: jobs, budget, faults and cache
     apply.  The budget is polled between edges; an [Exhausted] report
     lists the edges that completed, never one only partly checked.  An
-    edge's suite is derived lazily, once, for its key and its scan, so
-    no walk runs for an edge the loop never reaches; a warm hit still
-    walks the suite live, because its key folds it; the suite is derived
-    in the edge's [setup], outside its timed window.  Successful rows
+    edge's key folds the engine descriptor ({!Fingerprint.engine}), not
+    the suite, so a warm hit walks nothing; a miss derives the suite in
+    the edge's [setup], outside its timed window.  Successful rows
     memoize under the ["crash"] cache kind (a hit's [millis] is the
     lookup time); failures always reproduce live. *)

@@ -21,7 +21,12 @@ module Engine = Ccal_core.Strategy.Engine
 type t = {
   jobs : int;  (** domains for the pool; 1 = the sequential oracle *)
   cache : Cache.t option;  (** the edge store; see {!Edges.run} *)
-  strategy : Engine.t;  (** suite generator when no [?scheds] is given *)
+  strategy : Engine.t;
+      (** the one name of a scheduler suite (DESIGN.md S41): every
+          checker not handed explicit [scheds] derives its suite from
+          this descriptor, and the stack, kv and crash edge keys fold
+          it.  [Stack.verify_all_ctx]'s [?strategy] (default
+          [random:4]) replaces it for a stack run. *)
   memory : Ccal_core.Memory.t;
       (** memory mode the games run under ([Sc] default, [Tso] for the
           buffered machine); folded into every edge key *)

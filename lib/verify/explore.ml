@@ -21,16 +21,16 @@ let suite ~ctx (engine : Engine.t) layer threads =
   match engine.Engine.algo with
   | Engine.Dpor ->
     let prefixes, _ = Dpor.walk ~engine (table ()) in
-    (* [dpor] and [dpor,sym] share the "dpor" tag: identical prefixes
-       share crash edge keys (which fold the suite), sound because the
-       games are identical. *)
+    (* [dpor] and [dpor,sym] share the "dpor" tag: a scheduler's name is
+       its prefix alone.  Edge keys fold the descriptor, not these names,
+       so the two engines never share a key. *)
     List.map (Sched.of_trace ~tag:"dpor") prefixes
   | Engine.Exhaustive ->
     (* The alphabet is the played threads, pseudo-threads included. *)
     exhaustive_scheds ~tids:(List.map fst (Game.played (table ()))) ~depth
   | Engine.Random ->
     (* [depth] doubles as the suite size for the random engine. *)
-    List.init depth (fun k -> Sched.random ~seed:(k + 1))
+    Sched.default_suite ~seeds:depth
 
 let scheds_of_strategy_ctx ~ctx layer threads =
   suite ~ctx (Engine.checked ctx.Ctx.strategy) layer threads

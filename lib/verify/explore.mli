@@ -30,8 +30,9 @@ val scheds_of_strategy_ctx :
   Sched.t list
 (** The suite [ctx.strategy] selects, in the form the checkers consume:
     [dpor] prefixes from {!Dpor.walk} (one sequential walk), every
-    [exhaustive] prefix over the real and pseudo threads, or [random] seeded
-    schedulers.  Prefix suites become trace schedulers with
+    [exhaustive] prefix over the real and pseudo threads, or, for
+    [random:N], round-robin plus [N] seeded random schedulers
+    ({!Sched.default_suite}).  Prefix suites become trace schedulers with
     content-bearing names ([tag:[t0,t1,…]]); the [dpor] walk needs the
     layer and threads to be the ones the returned schedulers will
     drive.  Raises [Invalid_argument] with the named error on an invalid

@@ -12,10 +12,11 @@
 open Ccal_core
 
 type report = {
-  runs : int;
-  distinct_logs : int;
+  runs : int;  (** schedules judged *)
+  distinct_logs : int;  (** distinct underlay logs among them *)
   events : int;  (** total underlay events observed *)
 }
+(** What every refinement check returns: the one refinement report. *)
 
 val refine_ctx :
   ctx:Ctx.t ->
@@ -29,7 +30,7 @@ val refine_ctx :
   tids:Event.tid list ->
   scheds:Sched.t list ->
   unit ->
-  (Refinement.report, Failure.t) result Budget.outcome
+  (report, Failure.t) result Budget.outcome
 (** The refinement check of Thm 2.2: {!Parallel.games} plays the
     underlay game of [client] linked with [impl] on [tids] under each
     scheduler of [scheds], and {!Refinement.judge} judges each play; the
@@ -40,17 +41,8 @@ val refine_ctx :
     live; whole edges are memoized one level up, by {!Edges.run}.
     [ctx.token] is charged the underlay event
     count per schedule; an [Exhausted] outcome carries the ([Ok]-shaped)
-    report over the schedules checked before the budget tripped. *)
-
-val refine_cert_ctx :
-  ctx:Ctx.t ->
-  Calculus.cert ->
-  client:(Event.tid -> Prog.t) ->
-  scheds:Sched.t list ->
-  (Refinement.report, Failure.t) result Budget.outcome
-(** {!refine_ctx} with the components of a certificate; the domain is
-    the certificate's focused thread set.  Used by the {!Stack}
-    soundness edges. *)
+    report over the schedules checked before the budget tripped.  The
+    distinct logs are added to the [logs_distinct] counter. *)
 
 val check_ctx :
   ctx:Ctx.t ->
@@ -63,8 +55,18 @@ val check_ctx :
   tids:Event.tid list ->
   unit ->
   (report, Failure.t) result Budget.outcome
-(** When no explicit [scheds] are given, the suite is derived from
-    [ctx.strategy] (default DPOR) over the underlay game of the linked
-    client+implementation threads.  [ctx.jobs] parallelises both the
-    DPOR walk and the refinement scan; the verdict is identical for
-    every jobs count. *)
+(** {!refine_ctx}; when no explicit [scheds] are given, the suite is
+    derived from [ctx.strategy] over the underlay game of the linked
+    client+implementation threads, the very game it will drive.
+    [ctx.jobs] parallelises the refinement scan; the verdict is
+    identical for every jobs count. *)
+
+val refine_cert_ctx :
+  ctx:Ctx.t ->
+  Calculus.cert ->
+  client:(Event.tid -> Prog.t) ->
+  (report, Failure.t) result Budget.outcome
+(** {!check_ctx} with the components of a certificate: the domain is
+    the certificate's focused thread set, and the suite derives from
+    [ctx.strategy] over the certificate's linked game.  Used by the
+    {!Stack} soundness edges and the [pipeline] subcommand. *)

@@ -85,8 +85,8 @@ let lock_impl = function
    [Csyntax.fp_fn] — the structural hash, so editing one object module
    invalidates exactly the edges whose key folds it in), the layer
    interfaces, the client workloads, and — for the game-driving edges
-   only — the scheduler-suite identity (seeds or strategy).  [jobs] is
-   never part of a key: verdicts are identical across jobs counts. *)
+   only — the engine descriptor that names the scheduler suite.  [jobs]
+   is never part of a key: verdicts are identical across jobs counts. *)
 
 let fp_fns st fns = List.fold_left Ccal_clight.Csyntax.fp_fn st fns
 
@@ -122,7 +122,12 @@ let ( let* ) = Result.bind
 
 (* The stack as data: each edge is its name, its key fold and its body,
    written once.  Nothing runs until [Edges.run] reaches the edge. *)
-let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
+let edges ~ctx ~lock ~strategy ~adversarial =
+  (* Every game-driving edge derives its scheduler suite from [strategy]
+     over the edge's own game (DPOR must walk the game it will replay).
+     The strategy-carrying context shares this call's token, so the walk
+     stays under the same budget. *)
+  let ctx = Ctx.with_strategy strategy ctx in
   let memory = ctx.Ctx.memory in
   let lk = lock_impl lock in
   (* locks sit below the scheduler: no thread placement *)
@@ -144,22 +149,7 @@ let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
       run;
     }
   in
-  let suite st =
-    match strategy with
-    | None -> Fingerprint.string (Fingerprint.int st 1) (Printf.sprintf "seeds:%d" seeds)
-    | Some s -> Fingerprint.string (Fingerprint.int st 2) (Ctx.Engine.to_string s)
-  in
-  (* With an explicit strategy, every game-driving edge derives its
-     scheduler suite from the edge's own game (DPOR must walk the game it
-     will replay); without one, the seeded default suite is used.  The
-     strategy-carrying context shares this call's token, so the walk
-     stays under the same budget. *)
-  let scheds_for layer threads =
-    match strategy with
-    | None -> Sched.default_suite ~seeds
-    | Some s ->
-      Explore.scheds_of_strategy_ctx ~ctx:(Ctx.with_strategy s ctx) layer threads
-  in
+  let suite st = Fingerprint.engine st strategy in
   (* A linking edge: the suite's plays judged one by one; the first
      failure ends the scan, and a scan the budget cut short leaves the
      edge unfinished. *)
@@ -172,18 +162,12 @@ let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
     count 0
       (Edges.value
          (Parallel.games ~ctx ?log_switches ~cut:Result.is_error layer threads
-            judge (scheds_for layer threads)))
+            judge (Explore.scheds_of_strategy_ctx ~ctx layer threads)))
   in
-  let soundness (cert : Calculus.cert) client =
-    let j = cert.Calculus.judgment in
-    let threads =
-      List.map (fun i -> i, Prog.Module.link j.Calculus.impl (client i)) j.Calculus.focus
-    in
+  let soundness cert client =
     Result.map
-      (fun r -> checks "Sound" r.Refinement.scheds_checked)
-      (Edges.value
-         (Linearizability.refine_cert_ctx ~ctx cert ~client
-            ~scheds:(scheds_for j.Calculus.underlay threads)))
+      (fun r -> checks "Sound" r.Linearizability.runs)
+      (Edges.value (Linearizability.refine_cert_ctx ~ctx cert ~client))
   in
   let machine () = Ccal_machine.Tso.machine_layer memory in
   let faa_threads = [ 1, faa_round 1; 2, faa_round 2 ] in
@@ -228,7 +212,8 @@ let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
         let layer = lock_l0 () and threads = lock_threads () in
         let outcomes =
           Edges.value
-            (Explore.run_all_ctx ~ctx layer threads (scheds_for layer threads))
+            (Explore.run_all_ctx ~ctx layer threads
+               (Explore.scheds_of_strategy_ctx ~ctx layer threads))
         in
         certified
           (Calculus.pcomp c1 c2
@@ -320,15 +305,17 @@ let edges ~ctx ~lock ~seeds ~strategy ~adversarial =
           | _ -> Ok (checks "Adv" (List.length judged)));
     ]
 
-let edge_fingerprints ?(lock = `Ticket) ?(seeds = 4) ?strategy
+let default_strategy = Ctx.Engine.random ~count:4
+
+let edge_fingerprints ?(lock = `Ticket) ?(strategy = default_strategy)
     ?(memory = Memory.default) () =
   List.filter_map
     (fun e -> Option.map (fun key -> e.Edges.name, key ()) e.Edges.key)
     (edges
        ~ctx:(Ctx.with_memory memory Ctx.default)
-       ~lock ~seeds ~strategy ~adversarial:false)
+       ~lock ~strategy ~adversarial:false)
 
-let verify_all_ctx ~ctx ?(lock = `Ticket) ?(seeds = 4) ?strategy
+let verify_all_ctx ~ctx ?(lock = `Ticket) ?(strategy = default_strategy)
     ?(adversarial = false) () =
   Ctx.arm ctx @@ fun () ->
-  Edges.run ~ctx ~kind:"edge" ~layout (edges ~ctx ~lock ~seeds ~strategy ~adversarial)
+  Edges.run ~ctx ~kind:"edge" ~layout (edges ~ctx ~lock ~strategy ~adversarial)

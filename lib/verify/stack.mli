@@ -34,7 +34,6 @@ val layout : Edges.layout
 
 val edge_fingerprints :
   ?lock:[ `Ticket | `Mcs ] ->
-  ?seeds:int ->
   ?strategy:Ctx.Engine.t ->
   ?memory:Ccal_core.Memory.t ->
   unit ->
@@ -43,7 +42,7 @@ val edge_fingerprints :
     keyed by edge name — read off the same edge list the check runs,
     so a key and its edge body cannot drift apart.  Exposed so tests can
     assert the invalidation contract: changing an input (the lock
-    implementation, the seeds, the strategy, the memory mode) must
+    implementation, the strategy, the memory mode) must
     change exactly the keys of the edges that depend on it.  The memory
     mode enters {e every} key — an SC verdict is never served for a TSO
     query.  [jobs] takes no part in any key. *)
@@ -51,19 +50,18 @@ val edge_fingerprints :
 val verify_all_ctx :
   ctx:Ctx.t ->
   ?lock:[ `Ticket | `Mcs ] ->
-  ?seeds:int ->
   ?strategy:Ctx.Engine.t ->
   ?adversarial:bool ->
   unit ->
   (progress, Failure.t) result Budget.outcome
-(** Certify and link the whole stack.  When [strategy] is given, every
-    game-driving edge (the linking theorems, the Pcomp compatibility
-    corpus and the soundness games) derives its scheduler suite from that
-    engine over the edge's own game — the dpor engine walks each game and
-    replays only non-redundant prefixes; otherwise the seeded default
-    suite ([seeds], default 4) is used.  ([ctx.strategy] is {e not} used:
-    the stack's historical default is the seeded suite, so the strategy
-    stays an explicit argument.)  [ctx.jobs] spreads every game-driving
+(** Certify and link the whole stack.  Every game-driving edge (the
+    linking theorems, the Pcomp compatibility corpus and the soundness
+    games) derives its scheduler suite from [strategy] over the edge's
+    own game: the dpor engine walks each game and replays only
+    non-redundant prefixes, and the default, [random:4], is round-robin
+    plus four seeded random schedulers.  [strategy] replaces
+    [ctx.strategy] for this call, and its descriptor enters the keys of
+    exactly those five edges.  [ctx.jobs] spreads every game-driving
     edge's schedule scan over a {!Parallel} domain pool; the report
     differs only in the timing fields — failures and check counts are
     identical for every jobs count.  The edges:

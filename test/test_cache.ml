@@ -57,17 +57,21 @@ let test_fingerprint_stable () =
 let test_fingerprint_sensitive () =
   check_bool "different strings" false
     (Fingerprint.equal (fp_of_string "abc") (fp_of_string "abd"));
-  (* suites are identified by scheduler names: seeded suites of different
-     sizes, and exhaustive suites of different depths, must all differ *)
-  let fp_scheds ss = Fingerprint.finish (Fingerprint.scheds Fingerprint.empty ss) in
-  check_bool "seed suites" false
-    (Fingerprint.equal
-       (fp_scheds (Sched.default_suite ~seeds:4))
-       (fp_scheds (Sched.default_suite ~seeds:5)));
-  check_bool "exhaustive depths" false
-    (Fingerprint.equal
-       (fp_scheds (V.Explore.exhaustive_scheds ~tids:[ 1; 2 ] ~depth:2))
-       (fp_scheds (V.Explore.exhaustive_scheds ~tids:[ 1; 2 ] ~depth:3)));
+  (* suites are identified by their engine descriptor: random suites of
+     different sizes, depths of one engine, engines of one depth, and the
+     sym flag must all differ *)
+  let fp_engine s =
+    match V.Ctx.Engine.of_string s with
+    | Ok e -> Fingerprint.finish (Fingerprint.engine Fingerprint.empty e)
+    | Error msg -> Alcotest.fail msg
+  in
+  List.iter
+    (fun (a, b) ->
+      check_bool (a ^ " vs " ^ b) false (Fingerprint.equal (fp_engine a) (fp_engine b)))
+    [ "random:4", "random:5"; "exhaustive:2", "exhaustive:3"; "dpor:9", "dpor:10";
+      "dpor:10", "dpor:10,sym"; "dpor:4", "random:4"; "dpor:4", "exhaustive:4" ];
+  check_bool "one descriptor, one key" true
+    (Fingerprint.equal (fp_engine "default") (fp_engine "dpor:4"));
   (* the C sources are fingerprinted structurally: the two lock
      implementations must not collide *)
   let fp_fn f =
@@ -308,8 +312,9 @@ let test_refine_live () =
              ~rel:Ticket_lock.r_ticket ~client ~tids:[ 1; 2 ]
              ~scheds:(Sched.default_suite ~seeds:4) ())
       with
-      | Ok (r : Refinement.report) ->
-        r.Refinement.scheds_checked, List.map Log.length r.Refinement.logs
+      | Ok (r : V.Linearizability.report) ->
+        r.V.Linearizability.runs, r.V.Linearizability.distinct_logs,
+        r.V.Linearizability.events
       | Error _ -> Alcotest.fail "refinement failed")
 
 (* ---- a budget-cut run stores its completed edges; the rerun resumes ---- *)
@@ -375,9 +380,12 @@ let test_edge_keys_deterministic () =
        (fun (n, fp) (n', fp') -> n = n' && Fingerprint.equal fp fp')
        a b)
 
-let test_seeds_invalidate_exactly_game_edges () =
+let test_suite_size_invalidates_exactly_game_edges () =
   let base = V.Stack.edge_fingerprints () in
-  let changed = changed_edges base (V.Stack.edge_fingerprints ~seeds:5 ()) in
+  let changed =
+    changed_edges base
+      (V.Stack.edge_fingerprints ~strategy:(V.Ctx.Engine.random ~count:5) ())
+  in
   Alcotest.(check (list string))
     "exactly the suite-driven edges" game_driving_edges changed
 
@@ -407,7 +415,7 @@ let test_lock_swap_invalidates_exactly_lock_edges () =
 
 (* ---- golden keys: a refactor that moves a key orphans every cache ---- *)
 
-(* The hex of every stack and kv edge key, pinned.  These must only
+(* The hex of every stack, kv and crash edge key, pinned.  These must only
    change on purpose (a [Fingerprint.version] bump or a real change to an
    edge's inputs); a refactor that reorders a key fold silently turns
    every user's store into misses, and only this test notices. *)
@@ -419,15 +427,15 @@ let check_golden name expected actual =
 let test_stack_keys_golden_ticket_sc () =
   check_golden "ticket/SC edge keys"
     [
-      "Mx86 refines Lx86[D] (Thm 3.1)", "3d7471a66f8d036f";
+      "Mx86 refines Lx86[D] (Thm 3.1)", "2b36505f7fe3476f";
       "L0 |- M_ticket : Llock (Fun)", "2cfa61d4464a6bd2";
-      "Llock[1] x Llock[2] => Llock[{1,2}] (Pcomp)", "3a06e9df2adf52bd";
+      "Llock[1] x Llock[2] => Llock[{1,2}] (Pcomp)", "0a7ad1901b41d27f";
       "L0 |- M_lock + M_q : Lq_high (Vcomp, Fig. 5)", "2f5bddbad2faf624";
-      "[[P + M]]_L0 refines [[P]]_Lq_high (Thm 2.2)", "2e764a6c4b420afb";
-      "Lbtd[c] = Lhtd[c][Tc] (Thm 5.1)", "09c666481c597d8c";
+      "[[P + M]]_L0 refines [[P]]_Lq_high (Thm 2.2)", "22b9478cf373596c";
+      "Lbtd[c] = Lhtd[c][Tc] (Thm 5.1)", "12fb0735aa6b048a";
       "Lmt(Llock) |- M_qlock : Lqlock (Fun, Fig. 11)", "3bb9d8403a5441ce";
       "Lmt(spin+cv) |- M_ipc : Lipc (Fun)", "1f2d61eab412e079";
-      "[[producer|consumer]] refines Lipc (blocking paths)", "214cd368f2abf675";
+      "[[producer|consumer]] refines Lipc (blocking paths)", "08ae199c469bdd28";
       "Llock |- M_rwlock : Lrwlock (Fun, extension)", "03cdb86fa79920d2";
     ]
     (V.Stack.edge_fingerprints ())
@@ -435,15 +443,15 @@ let test_stack_keys_golden_ticket_sc () =
 let test_stack_keys_golden_mcs_tso () =
   check_golden "mcs/TSO edge keys"
     [
-      "Mx86 refines Lx86[D] (Thm 3.1)", "050d421aeb06caa0";
+      "Mx86 refines Lx86[D] (Thm 3.1)", "251cae3bb02228ad";
       "L0 |- M_mcs : Llock (Fun)", "3377fcfcdc1e2b48";
-      "Llock[1] x Llock[2] => Llock[{1,2}] (Pcomp)", "08a1c67a73487a57";
+      "Llock[1] x Llock[2] => Llock[{1,2}] (Pcomp)", "0f540356b4baf98a";
       "L0 |- M_lock + M_q : Lq_high (Vcomp, Fig. 5)", "1b900b27bf737d64";
-      "[[P + M]]_L0 refines [[P]]_Lq_high (Thm 2.2)", "02a80dabc3536ce3";
-      "Lbtd[c] = Lhtd[c][Tc] (Thm 5.1)", "0856873e599fc127";
+      "[[P + M]]_L0 refines [[P]]_Lq_high (Thm 2.2)", "235deccec7c82e68";
+      "Lbtd[c] = Lhtd[c][Tc] (Thm 5.1)", "2f49689fe9f2fd2e";
       "Lmt(Llock) |- M_qlock : Lqlock (Fun, Fig. 11)", "238b85afbd3f5fe0";
       "Lmt(spin+cv) |- M_ipc : Lipc (Fun)", "272cd482bc979687";
-      "[[producer|consumer]] refines Lipc (blocking paths)", "0cdf0cb065db33b9";
+      "[[producer|consumer]] refines Lipc (blocking paths)", "16d204602cad3af9";
       "Llock |- M_rwlock : Lrwlock (Fun, extension)", "2038219344786998";
     ]
     (V.Stack.edge_fingerprints ~lock:`Mcs ~memory:Memory.Tso ())
@@ -456,6 +464,43 @@ let test_kv_keys_golden () =
       "Llock+cache |- M_cache(entries=2) . M_kv(shards=2) : Lmap[get,put]", "356396782bfdd809";
     ]
     (Ccal_kv.Kv_stack.fingerprints ())
+
+(* The key of each crash edge, read off the store a cold run of that
+   edge alone fills (["crash-<key>.v<format>"]). *)
+let crash_keys ?(jobs = 1) ?strategy ~threads () =
+  List.map
+    (fun (e : V.Crash.edge) ->
+      with_cache (fun c ->
+          (match
+             V.Crash.check_ctx ~ctx:(V.Ctx.make ~jobs ~cache:c ?strategy ()) [ e ]
+           with
+          | V.Budget.Complete (Ok _) -> ()
+          | _ -> Alcotest.failf "crash edge %s did not certify" e.V.Crash.name);
+          match entry_files c with
+          | [ f ] -> e.V.Crash.name, String.sub (Filename.basename f) 6 16
+          | fs -> Alcotest.failf "%d entries for one edge" (List.length fs)))
+    [ Ccal_disk.Wal.crash_edge ~threads (); Ccal_disk.Durable_kv.crash_edge ~threads () ]
+
+let test_crash_keys_golden () =
+  let dpor depth = V.Ctx.Engine.dpor ~depth in
+  let check name expected actual =
+    Alcotest.(check (list (pair string string))) name expected actual
+  in
+  check "crash edge keys, default"
+    [ "wal", "244a11e3387e4fba"; "durable-kv", "0dabda0b9114b012" ]
+    (crash_keys ~threads:2 ());
+  let t3 = crash_keys ~strategy:(dpor 10) ~threads:3 () in
+  check "crash edge keys, 3 threads, dpor:10"
+    [ "wal", "30f38ea9f2259314"; "durable-kv", "3b594088fd3b2dbc" ]
+    t3;
+  check "jobs take no part" t3 (crash_keys ~jobs:4 ~strategy:(dpor 10) ~threads:3 ());
+  List.iter
+    (fun (what, strategy) ->
+      List.iter2
+        (fun (n, k) (_, k') -> check_bool (n ^ ": " ^ what) true (k <> k'))
+        t3 (crash_keys ~strategy ~threads:3 ()))
+    [ "dpor:9 moves the key", dpor 9;
+      "dpor:10,sym moves the key", { (dpor 10) with V.Ctx.Engine.sym = true } ]
 
 (* ---- warm stack run: bit-identical report, every jobs count ---- *)
 
@@ -473,7 +518,7 @@ let test_stack_warm_equals_cold () =
              (fun (p : V.Stack.progress) -> p.V.Stack.completed)
              (V.Budget.value
                 (V.Stack.verify_all_ctx ~ctx:(V.Ctx.make ~cache:cold_cache ())
-                   ~seeds:2 ())))
+                   ~strategy:(V.Ctx.Engine.random ~count:2) ())))
       in
       let s = V.Cache.session_stats cold_cache in
       check_int "cold run has no hits" 0 s.hits;
@@ -488,7 +533,7 @@ let test_stack_warm_equals_cold () =
                  (V.Budget.value
                     (V.Stack.verify_all_ctx
                        ~ctx:(V.Ctx.make ~jobs ~cache:warm_cache ())
-                       ~seeds:2 ())))
+                       ~strategy:(V.Ctx.Engine.random ~count:2) ())))
           in
           check_string (Printf.sprintf "warm report identical (j=%d)" jobs)
             cold warm;
@@ -570,12 +615,15 @@ let suite =
     tc "a budget-cut run resumes at its first unfinished edge"
       test_budget_cut_run_resumes_at_frontier;
     tc "edge keys deterministic" test_edge_keys_deterministic;
-    tc "seeds invalidate exactly the game edges" test_seeds_invalidate_exactly_game_edges;
+    tc "suite size invalidates exactly the game edges"
+      test_suite_size_invalidates_exactly_game_edges;
     tc "strategy invalidates exactly the game edges" test_strategy_invalidates_exactly_game_edges;
     tc "lock swap invalidates exactly the lock edges" test_lock_swap_invalidates_exactly_lock_edges;
     tc "stack edge keys pinned (ticket, SC)" test_stack_keys_golden_ticket_sc;
     tc "stack edge keys pinned (mcs, TSO)" test_stack_keys_golden_mcs_tso;
     tc "kv edge keys pinned" test_kv_keys_golden;
+    tc "crash edge keys pinned; they move with the descriptor, not jobs"
+      test_crash_keys_golden;
     tc "warm stack run equals cold (jobs 1, 2)" test_stack_warm_equals_cold;
     tc "a hit from a store filled under telemetry has no counters"
       test_hit_without_stats_has_no_counters;

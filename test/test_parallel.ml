@@ -297,7 +297,8 @@ let test_stack_report_jobs_invariant () =
         Result.map
           (fun (p : Stack.progress) -> p.Stack.completed)
           (Budget.value
-             (Stack.verify_all_ctx ~ctx:(Ctx.make ~jobs ()) ~seeds:2 ()))
+             (Stack.verify_all_ctx ~ctx:(Ctx.make ~jobs ())
+                ~strategy:(Ctx.Engine.random ~count:2) ()))
       with
       | Ok r -> Ok (strip r)
       | Error _ as e -> e)

@@ -59,6 +59,24 @@ let test_stack_golden () =
           ~ctx:(Ctx.with_memory Ccal_core.Memory.Tso Ctx.default)
           ~lock:`Mcs ()))
 
+(* [random:5] is the suite the removed [~seeds:5] named: this is the
+   report the seeded stack printed, byte for byte. *)
+let test_stack_random5_golden () =
+  Alcotest.(check string) "stack, random:5"
+    "  [Link ] Mx86 refines Lx86[D] (Thm 3.1)                             6 checks\n\
+    \  [Fun  ] L0 |- M_ticket : Llock (Fun)                               6 checks\n\
+    \  [Pcomp] Llock[1] x Llock[2] => Llock[{1,2}] (Pcomp)                8 checks\n\
+    \  [Vcomp] L0 |- M_lock + M_q : Lq_high (Vcomp, Fig. 5)              17 checks\n\
+    \  [Sound] [[P + M]]_L0 refines [[P]]_Lq_high (Thm 2.2)               6 checks\n\
+    \  [Link ] Lbtd[c] = Lhtd[c][Tc] (Thm 5.1)                            6 checks\n\
+    \  [Fun  ] Lmt(Llock) |- M_qlock : Lqlock (Fun, Fig. 11)              6 checks\n\
+    \  [Fun  ] Lmt(spin+cv) |- M_ipc : Lipc (Fun)                        12 checks\n\
+    \  [Sound] [[producer|consumer]] refines Lipc (blocking paths)        6 checks\n\
+    \  [Fun  ] Llock |- M_rwlock : Lrwlock (Fun, extension)              16 checks\n\
+    \  total: 89 checks\n"
+    (stack_canonical
+       (Stack.verify_all_ctx ~ctx:Ctx.default ~strategy:(Ctx.Engine.random ~count:5) ()))
+
 let test_stack_partial_golden () =
   let ctx = Ctx.with_budget (Budget.make ~steps:100 ()) (Ctx.make ()) in
   Alcotest.(check string) "stack exhaustive:6, 100 steps" "  total: 0 checks\n"
@@ -171,6 +189,7 @@ let tc name f = Alcotest.test_case name `Quick f
 let suite =
   [
     tc "golden stack reports (SC ticket, TSO mcs)" test_stack_golden;
+    tc "golden stack report under random:5 (the seeded suite's)" test_stack_random5_golden;
     tc "golden partial stack report (exhaustive:6, 100 steps)"
       test_stack_partial_golden;
     tc "golden kv report (4 threads)" test_kv_golden;

@@ -211,22 +211,22 @@ let test_linearizability_budget_exhausts () =
       Prog.bind (Prog.call "acq" [ vi 0 ]) (fun _ ->
           Prog.seq (Prog.call "rel" [ vi 0; vi i ]) (Prog.ret (vi i)))
     in
-    let ctx = fresh_ctx (Budget.make ~steps:1 ()) in
-    match
-      Linearizability.refine_cert_ctx ~ctx cert ~client
-        ~scheds:(Sched.default_suite ~seeds:2)
-    with
+    let ctx =
+      Ctx.with_strategy (Ctx.Engine.random ~count:2)
+        (fresh_ctx (Budget.make ~steps:1 ()))
+    in
+    match Linearizability.refine_cert_ctx ~ctx cert ~client with
     | Budget.Exhausted { spent; partial = Ok r } ->
       check_bool "reason is the step budget" true (spent.Budget.reason = `Steps);
       check_int "no schedule fit the one-step budget" 0
-        r.Refinement.scheds_checked
+        r.Linearizability.runs
     | Budget.Exhausted { partial = Error _; _ } ->
       Alcotest.fail "an exhausted prefix is Ok-shaped by construction"
     | Budget.Complete _ -> Alcotest.fail "one-step budget did not trip")
 
 let test_stack_zero_budget_reports_first_edge () =
   let ctx = fresh_ctx (Budget.make ~steps:0 ()) in
-  match Stack.verify_all_ctx ~ctx ~seeds:1 () with
+  match Stack.verify_all_ctx ~ctx ~strategy:(Ctx.Engine.random ~count:1) () with
   | Budget.Exhausted { partial = Ok p; _ } ->
     check_int "no edge completed" 0 (List.length p.Stack.completed.Stack.edges);
     check_bool "the frontier names the first edge" true
@@ -265,7 +265,8 @@ let test_stack_livelock_bounded_by_budget () =
   let ctx = fresh_ctx (Budget.make ~ms:1500. ()) in
   let outcome, ms =
     Verify_clock.timed (fun () ->
-        Stack.verify_all_ctx ~ctx ~seeds:2 ~adversarial:true ())
+        Stack.verify_all_ctx ~ctx ~strategy:(Ctx.Engine.random ~count:2)
+          ~adversarial:true ())
   in
   check_bool
     (Printf.sprintf "budgeted livelock run returned in %.0f ms (< 5000)" ms)

@@ -1,7 +1,8 @@
 (* Tests for schedules as data (DESIGN.md S36): inside [Game.run] every
    built-in [Sched.t] variant picks exactly as the list-based definition
    kept in [Sched_oracle] does; one schedule value drives any number of
-   games; scheduler names, which are cache keys, are pinned; and a game
+   games; scheduler names, which failures report, are pinned, and the
+   [random:N] engine names round-robin plus seeds [1..N]; and a game
    refuses duplicate thread ids. *)
 open Ccal_core
 open Ccal_objects
@@ -135,10 +136,9 @@ let test_exhaustive_suite_replays () =
   check_int "distinct logs" 6
     (List.length (Log.dedup (List.map (fun (o : Game.outcome) -> o.Game.log) second)))
 
-(* [Fingerprint.scheds] folds scheduler names into cache keys; the
-   digest below pins them: a change to any name orphans every cache
-   entry keyed on it. *)
-let test_scheds_fingerprint_golden () =
+(* A failure names its run by the scheduler's name, so the names are
+   pinned: a change to one makes every recorded failure line stale. *)
+let test_scheds_names_golden () =
   let suite =
     Sched.default_suite ~seeds:3
     @ [ Sched.random ~seed:1_000_000; Sched.of_trace [ 1; 2; 3 ];
@@ -152,9 +152,21 @@ let test_scheds_fingerprint_golden () =
       "random(seed=1000000)"; "trace"; "other-first:[2]"; "dpor:[1,2,1]"; "dpor:[]";
       "exh:[-1,0,12]"; "exh:[1,1]"; "exh:[1,2]"; "exh:[1,-2]"; "exh:[2,1]"; "exh:[2,2]";
       "exh:[2,-2]"; "exh:[-2,1]"; "exh:[-2,2]"; "exh:[-2,-2]" ]
-    (List.map Sched.name suite);
-  check_string "digest" "37a053f66d5e19b3"
-    (Fingerprint.to_hex (Fingerprint.finish (Fingerprint.scheds Fingerprint.empty suite)))
+    (List.map Sched.name suite)
+
+(* [random:N] is the seeded suite the stack and pipeline default to:
+   round-robin, then seeds 1..N, whatever the game. *)
+let test_random_engine_suite () =
+  let threads = [ 1, client (Rounds 1) 1; 2, client (Rounds 1) 2 ] in
+  List.iter
+    (fun n ->
+      let ctx = Ctx.make ~strategy:(Ctx.Engine.random ~count:n) () in
+      Alcotest.(check (list string))
+        (Printf.sprintf "random:%d" n)
+        ("round-robin" :: List.init n (fun k -> Printf.sprintf "random(seed=%d)" (k + 1)))
+        (List.map Sched.name
+           (Explore.scheds_of_strategy_ctx ~ctx (Lazy.force llock) threads)))
+    [ 1; 4; 5 ]
 
 let test_duplicate_real_tids_rejected () =
   Alcotest.check_raises "duplicate tid"
@@ -170,6 +182,7 @@ let suite =
     prop_variants_match_oracle;
     tc "generator reaches every ending" test_generator_covers_endings;
     tc "exhaustive suite replays identically" test_exhaustive_suite_replays;
-    tc "scheduler names and fingerprint pinned" test_scheds_fingerprint_golden;
+    tc "scheduler names pinned" test_scheds_names_golden;
+    tc "random:N is round-robin plus seeds 1..N" test_random_engine_suite;
     tc "duplicate real tids rejected" test_duplicate_real_tids_rejected;
   ]

@@ -274,7 +274,7 @@ let test_refinement_ok () =
     match
       refine_cert cert ~client ~scheds:(Sched.default_suite ~seeds:4)
     with
-    | Ok r -> check_int "scheds" 5 r.Refinement.scheds_checked
+    | Ok r -> check_int "scheds" 5 r.Ccal_verify.Linearizability.runs
     | Error f -> Alcotest.failf "refinement failed: %a" Failure.pp f)
 
 let test_refinement_catches_bad_module () =

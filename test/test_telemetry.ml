@@ -127,7 +127,9 @@ let test_stack_edge_counters_jobs_invariant () =
     match
       Result.map
         (fun (p : Stack.progress) -> p.Stack.completed)
-        (Budget.value (Stack.verify_all_ctx ~ctx:(Ctx.make ~jobs ()) ~seeds:2 ()))
+        (Budget.value
+           (Stack.verify_all_ctx ~ctx:(Ctx.make ~jobs ())
+              ~strategy:(Ctx.Engine.random ~count:2) ()))
     with
     | Ok r ->
       List.map (fun (e : Edges.row) -> e.Edges.name, e.Edges.counters) r.Stack.edges
