@@ -15,7 +15,7 @@
 
    The game-driving subcommands (stack, kv, pipeline, explore, litmus,
    crash) share one flag bundle — --jobs, --strategy, --memory, --stats,
-   --trace, --budget-ms, --budget-steps, --inject — parsed once into a
+   --trace, --budget-ms, --budget-steps — parsed once into a
    [Ccal_verify.Ctx.t] and threaded through the [*_ctx] checker entry
    points (DESIGN.md S27).  Only stack, kv and crash, whose work is a
    list of layer edges, also take --cache/--cache-dir: the edge is the
@@ -133,15 +133,6 @@ let memory_of_string = function
   | "tso" | "TSO" -> Ok Memory.Tso
   | s -> Error (Printf.sprintf "unknown memory model %S (expected sc or tso)" s)
 
-let inject_arg =
-  Arg.(value & opt (some string) None
-       & info [ "inject" ] ~docv:"SPEC"
-           ~doc:"Deterministic fault injection, e.g. \
-                 $(b,crash:0.1,corrupt-cache:0.05,seed:7).  Kinds: crash \
-                 (worker domains), corrupt-cache, oversize, skew.  \
-                 Verdicts are bit-identical with and without faults — \
-                 this exercises the retry paths, not the math.")
-
 (* Run [f] with telemetry enabled when [--stats] or [--trace] asks for it;
    print the table and/or write the trace afterwards, leaving the exit
    code to [f].  Exporting happens even when [f] fails — a failing run is
@@ -223,12 +214,11 @@ type common = {
   strategy : Ccal_verify.Ctx.Engine.t option;
   memory : Memory.t;
   budget : Ccal_verify.Budget.t;
-  faults : Ccal_verify.Fault.plan;
   stats : bool;
   trace : string option;
 }
 
-let common_of jobs strategy memory budget_ms budget_steps inject stats trace =
+let common_of jobs strategy memory budget_ms budget_steps stats trace =
   let ( let* ) = Result.bind in
   let* jobs = resolve_jobs jobs in
   let resolve_opt f = function
@@ -241,11 +231,6 @@ let common_of jobs strategy memory budget_ms budget_steps inject stats trace =
   in
   let* strategy = strategy_of_string strategy in
   let* memory = memory_of_string memory in
-  let* faults =
-    match inject with
-    | None -> Ok Ccal_verify.Fault.none
-    | Some spec -> Ccal_verify.Fault.parse spec
-  in
   Ok
     {
       jobs;
@@ -253,14 +238,13 @@ let common_of jobs strategy memory budget_ms budget_steps inject stats trace =
       strategy;
       memory;
       budget = Ccal_verify.Budget.make ?ms:budget_ms ?steps:budget_steps ();
-      faults;
       stats;
       trace;
     }
 
 let common_term =
   Term.(const common_of $ jobs_arg $ strategy_arg $ memory_arg
-        $ budget_ms_arg $ budget_steps_arg $ inject_arg $ stats_arg $ trace_arg)
+        $ budget_ms_arg $ budget_steps_arg $ stats_arg $ trace_arg)
 
 (* The context a parsed bundle denotes.  The budget is attached last —
    [Ctx.with_budget] starts the token, and the deadline epoch should be
@@ -275,32 +259,20 @@ let ctx_of c =
     match c.strategy with Some s -> V.Ctx.with_strategy s ctx | None -> ctx
   in
   let ctx = V.Ctx.with_memory c.memory ctx in
-  let ctx = V.Ctx.with_faults c.faults ctx in
   V.Ctx.with_budget c.budget ctx
 
-let pp_fault_summary fmt (c : common) =
-  if not (Ccal_verify.Fault.is_none c.faults) then begin
-    let s = Ccal_verify.Fault.stats () in
-    Format.fprintf fmt
-      "faults injected: %d crashes, %d corruptions, %d oversized, %d skew \
-       jumps@."
-      s.Ccal_verify.Fault.crashes s.Ccal_verify.Fault.corruptions
-      s.Ccal_verify.Fault.oversized s.Ccal_verify.Fault.skew_jumps
-  end
-
 (* Run a subcommand body under the bundle's telemetry settings, printing
-   the fault and cache summaries afterwards. *)
+   the cache summary afterwards. *)
 let run_with_common (c : common) f =
   with_telemetry ~stats:c.stats ~trace:c.trace (fun () ->
-      Ccal_verify.Fault.reset_stats ();
       let code = f (ctx_of c) in
-      Format.printf "%a%a" pp_fault_summary c pp_cache_summary c.cache;
+      Format.printf "%a" pp_cache_summary c.cache;
       code)
 
 (* The one funnel every game-driving subcommand (stack, kv, pipeline,
    explore, litmus, crash) goes through: a bundle parse error exits 2,
    otherwise the body gets the parsed bundle and its context under the
-   telemetry/fault/cache plumbing.  [cache] is the --cache/--cache-dir
+   telemetry/cache plumbing.  [cache] is the --cache/--cache-dir
    pair of an edge-list subcommand; the store is opened only once the
    bundle parsed.  Subcommand-specific validation happens inside the
    body (same exit 2), so the wiring is written once rather than

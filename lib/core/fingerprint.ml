@@ -8,7 +8,7 @@ let to_hex fp = Printf.sprintf "%016x" fp
    value's type changes under an unchanged key: stale entries written
    under the old scheme must become unreachable, not wrong (the cache
    unmarshals them at the type the key implies). *)
-let version = 2
+let version = 3
 
 let int st n = Log.mix st n
 let bool st b = int st (if b then 1 else 0)

@@ -130,7 +130,6 @@ let fingerprints ?(threads = 3) ?(shards = 2) ?(entries = 2)
     (edge_specs ~threads ~shards ~entries)
 
 let verify_ctx ~ctx ?(threads = 3) ?(shards = 2) ?(entries = 2) () =
-  Ctx.arm ctx @@ fun () ->
   let edge s =
     let run () =
       Result.map

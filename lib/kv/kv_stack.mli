@@ -11,8 +11,8 @@
 
     Every edge is checked as contextual refinement
     ({!Ccal_verify.Linearizability.check_ctx}), so linearizability,
-    budgets, certificate caching, fault plans, telemetry and [?jobs] all
-    apply for free; verdicts are bit-identical across jobs counts.  The
+    budgets, certificate caching, telemetry and [?jobs] all apply for
+    free; verdicts are bit-identical across jobs counts.  The
     edges run through {!Ccal_verify.Edges.run}, so each completed edge is
     one {!Ccal_verify.Edges.row}, timed and printed by [Edges]. *)
 
@@ -54,8 +54,8 @@ val verify_ctx :
     the ["kvedge"] kind (a hit's [millis] is the lookup time; failures
     and exhausted edges always re-run live), and only whole edges: the
     DPOR walks and refinement scans inside an edge always run live;
-    [ctx.budget] is polled between edges,
-    and an [Exhausted] report lists the completed edges.  A failing edge
+    the budget token [ctx.token] is polled between edges, and an
+    [Exhausted] report lists the completed edges.  A failing edge
     ends the run with its {!Refinement.judge} failure, named with the
     edge by {!Ccal_verify.Edges.run}. *)
 

@@ -37,19 +37,6 @@ let make ?ms ?steps () =
     steps = Option.map (fun v -> if v < 0 then 0 else v) steps;
   }
 
-let pp fmt b =
-  if is_unlimited b then Format.pp_print_string fmt "unlimited"
-  else begin
-    let fields =
-      List.filter_map Fun.id
-        [
-          Option.map (Printf.sprintf "ms:%g") b.ms;
-          Option.map (Printf.sprintf "steps:%d") b.steps;
-        ]
-    in
-    Format.pp_print_string fmt (String.concat "," fields)
-  end
-
 (* What a run consumed, reported inside an [Exhausted] verdict. *)
 type spent = {
   elapsed_ms : float;

@@ -18,12 +18,8 @@ type t = {
   steps : int option;  (** total game-move budget *)
 }
 
-val unlimited : t
-
 val make : ?ms:float -> ?steps:int -> unit -> t
 (** Negative values are clamped to zero (instantly exhausted). *)
-
-val pp : Format.formatter -> t -> unit
 
 (** {1 Outcomes} *)
 

@@ -101,20 +101,6 @@ let find t ~kind fp =
 let store t ~kind fp v =
   match
     let payload = magic ^ Marshal.to_string v [] in
-    (* Fault injection (DESIGN.md S27): a corrupted store truncates the
-       payload so the next [find] invalidates-as-miss and the verdict is
-       recomputed live; an oversized store appends junk that
-       [Marshal.from_string] never reads.  Either way the injected fault
-       can move bytes and timings, never a verdict. *)
-    let payload =
-      if not (Fault.armed ()) then payload
-      else begin
-        let key = kind ^ "-" ^ Fingerprint.to_hex fp in
-        if Fault.corrupt_store ~key then Fault.corrupt_payload payload
-        else if Fault.oversize_store ~key then Fault.oversize_payload payload
-        else payload
-      end
-    in
     let tmp =
       Filename.temp_file ~temp_dir:t.dir tmp_prefix entry_suffix
     in

@@ -23,8 +23,8 @@ open Ccal_core
    of the WAL encoding — so the disk library can define edges without
    this module depending on it.  Everything runs through {!Ctx}: the
    schedule scan is {!Parallel.games} (verdicts identical for
-   every jobs count, lowest-index failure wins), budgets and faults
-   apply unchanged, and successful edge rows memoize under the
+   every jobs count, lowest-index failure wins), budgets apply
+   unchanged, and successful edge rows memoize under the
    ["crash"] cache kind. *)
 
 type op = { lsn : int; key : int; value : int }
@@ -246,7 +246,6 @@ let edge_key ~ctx ~bound edge =
   Fingerprint.finish st
 
 let check_ctx ~ctx ?(crashes = 4) edges =
-  Ctx.arm ctx @@ fun () ->
   let edge e =
     (* The suite is derived in [setup], outside the edge's timed window,
        and only for an edge that misses: the key folds the descriptor, so

@@ -73,8 +73,8 @@ val layout : Edges.layout
     total recoveries, then one row per edge with its ["schedules"],
     ["crash_points"], ["recoveries"] and ["logs"] (distinct logs)
     counts.  The canonical text ([~millis:false]) is bit-identical
-    across jobs counts, cache temperatures and fault plans — what
-    [--report] writes. *)
+    across jobs counts and cache temperatures — what [--report]
+    writes. *)
 
 val masks : bound:int -> int -> (int * int) list
 (** [masks ~bound m]: the (keep, tear) pairs enumerated over [m]
@@ -103,9 +103,9 @@ val check_ctx :
   (report, failure) result Budget.outcome
 (** Certify the edges in order through {!Edges.run}, each over the suite
     derived from [ctx.strategy]; [crashes] bounds full mask enumeration
-    (default 4).  Runs through {!Ctx}: jobs, budget, faults and cache
-    apply.  The budget is polled between edges; an [Exhausted] report
-    lists the edges that completed, never one only partly checked.  An
+    (default 4).  Runs through {!Ctx}: jobs, budget and cache apply.
+    The budget is polled between edges; an [Exhausted] report lists the
+    edges that completed, never one only partly checked.  An
     edge's key folds the engine descriptor ({!Fingerprint.engine}), not
     the suite, so a warm hit walks nothing; a miss derives the suite in
     the edge's [setup], outside its timed window.  Successful rows

@@ -1,8 +1,8 @@
 (** The unified checker context (DESIGN.md S27).
 
     One record for every checker knob — pool size, certificate cache,
-    exploration engine, memory mode, budget token and fault plan.  Thread
-    a context through the [*_ctx] entry points the CLI calls
+    exploration engine, memory mode and budget token.  Thread a context
+    through the [*_ctx] entry points the CLI calls
     ([Stack.verify_all_ctx], [Kv_stack.verify_ctx], [Crash.check_ctx],
     [Dpor.explore_ctx], [Explore.oracle_ctx],
     [Linearizability.refine_cert_ctx]) and the checkers below them.
@@ -30,14 +30,12 @@ type t = {
   memory : Ccal_core.Memory.t;
       (** memory mode the games run under ([Sc] default, [Tso] for the
           buffered machine); folded into every edge key *)
-  budget : Budget.t;
-  token : Budget.token;  (** running token for [budget] *)
-  faults : Fault.plan;
+  token : Budget.token;  (** running budget token; see {!with_budget} *)
 }
 
 val default : t
 (** Sequential, uncached, {!Engine.default} ([dpor:4]), unlimited
-    budget, no faults. *)
+    budget. *)
 
 val make :
   ?jobs:int ->
@@ -70,13 +68,3 @@ val with_memory : Ccal_core.Memory.t -> t -> t
 val with_budget : Budget.t -> t -> t
 (** (Re)starts the token: the deadline epoch is the moment the budget is
     attached, so attach it last, right before running the checker. *)
-
-val with_faults : Fault.plan -> t -> t
-
-(** {1 Plumbing} *)
-
-val arm : t -> (unit -> 'a) -> 'a
-(** Run a thunk with the context's fault plan armed ({!Fault.with_plan}).
-    Every [*_ctx] checker entry point wraps its body in this. *)
-
-val pp : Format.formatter -> t -> unit

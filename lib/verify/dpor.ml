@@ -333,7 +333,6 @@ let engine_of_ctx ctx =
 
 let explore_ctx ~ctx ?(independence = Exact) ?engine
     ~depth layer threads =
-  Ctx.arm ctx @@ fun () ->
   let engine =
     match engine with Some e -> e | None -> engine_of_ctx ctx
   in

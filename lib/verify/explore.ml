@@ -37,7 +37,6 @@ let scheds_of_strategy_ctx ~ctx layer threads =
 
 (* The suite played and judged in the [explore.run_all] span. *)
 let judge_all_ctx ~ctx layer threads judge scheds =
-  Ctx.arm ctx @@ fun () ->
   Probe.span "explore.run_all" (fun () ->
       Parallel.games ~ctx layer threads judge scheds)
 

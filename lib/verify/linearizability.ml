@@ -16,7 +16,6 @@ let linked impl client tids =
    of each schedule (a deterministic proxy for its work). *)
 let refine_ctx ~ctx ?(max_steps = 200_000) ?expect_all_done ~underlay ~impl
     ~overlay ~rel ~client ~tids ~scheds () =
-  Ctx.arm ctx @@ fun () ->
   let rec go logs = function
     | [] ->
       let distinct_logs = List.length (Log.dedup logs) in
@@ -39,7 +38,6 @@ let refine_ctx ~ctx ?(max_steps = 200_000) ?expect_all_done ~underlay ~impl
        scheds)
 
 let check_ctx ~ctx ?scheds ~underlay ~impl ~overlay ~rel ~client ~tids () =
-  Ctx.arm ctx @@ fun () ->
   (* The schedulers drive the underlay game, so derive the suite from
      the same linked threads the scan will run. *)
   let scheds =

@@ -26,8 +26,6 @@
      the mark; the merge walks the cells in index order and evaluates
      inline any index a worker skipped, which is what makes it equal to
      the sequential scan.
-   - Every evaluation, on a worker or inline, goes through one attempt
-     chain for injected crashes, so each jobs count lands on the same one.
    - [~jobs:1] (and empty/singleton suites) bypass the pool entirely:
      no domains, no atomics — the sequential code path is the oracle the
      parallel one is tested against.
@@ -295,13 +293,6 @@ let games ~ctx ?max_steps ?log_switches ?(cut = fun _ -> false)
       let v = judge sched o in
       Some (cost o v, v)
   in
-  (* The one attempt chain (DESIGN.md S27): an injected crash is decided
-     per (index, attempt) before the game runs, so the attempt that
-     finally plays is the same on a worker, in the merge and on the
-     sequential path. *)
-  let rec eval i attempt =
-    if Fault.crash ~index:i ~attempt then eval i (attempt + 1) else play i
-  in
   let finish ~ran_out acc cum =
     Budget.settle token (base + cum);
     let prefix = List.rev acc in
@@ -317,7 +308,7 @@ let games ~ctx ?max_steps ?log_switches ?(cut = fun _ -> false)
       else if cum >= allowance then finish ~ran_out:true acc cum
       else if Budget.poll_wall token then finish ~ran_out:true acc cum
       else begin
-        match eval i 0 with
+        match play i with
         | None -> finish ~ran_out:true acc cum
         | Some (c, v) ->
           Budget.charge token c;
@@ -341,7 +332,7 @@ let games ~ctx ?max_steps ?log_switches ?(cut = fun _ -> false)
       let deltas = Array.make n None in
       let cut_mark = Atomic.make max_int in
       let body i () =
-        match eval i 0 with
+        match play i with
         | Some (c, v) ->
           cells.(i) <- Value (c, v);
           Budget.charge token c;

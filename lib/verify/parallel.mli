@@ -75,8 +75,7 @@ val games :
     cancellation are wall-clock events and may move the truncation
     point, never a completed verdict.  On return the token is
     {!Budget.settle}d with the deterministic total, so stacked scans
-    compose.  An injected worker crash (see {!Fault}) is absorbed by one
-    attempt chain, on a worker and inline alike. *)
+    compose. *)
 
 type stats = {
   batches : int;  (** batches submitted to any pool *)

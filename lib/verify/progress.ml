@@ -23,7 +23,6 @@ let judge ~bound sched outcome =
     fail (Printf.sprintf "run exceeded the progress bound of %d moves" bound)
 
 let completes_within_ctx ~ctx ?scheds ~bound layer threads =
-  Ctx.arm ctx @@ fun () ->
   let scheds =
     match scheds with
     | Some s -> s

@@ -61,7 +61,6 @@ let merge outcomes =
   go 0 [] outcomes
 
 let check_ctx ~ctx ?max_steps ?scheds layer threads =
-  Ctx.arm ctx @@ fun () ->
   let scheds =
     match scheds with
     | Some s -> s

@@ -317,5 +317,4 @@ let edge_fingerprints ?(lock = `Ticket) ?(strategy = default_strategy)
 
 let verify_all_ctx ~ctx ?(lock = `Ticket) ?(strategy = default_strategy)
     ?(adversarial = false) () =
-  Ctx.arm ctx @@ fun () ->
   Edges.run ~ctx ~kind:"edge" ~layout (edges ~ctx ~lock ~strategy ~adversarial)

@@ -88,11 +88,11 @@ val verify_all_ctx :
     {!Calculus} rule did, a linking or soundness edge's names the
     schedule of the suite whose play broke it.
 
-    The edges run through {!Edges.run}.  [ctx.budget] is polled before
-    each edge and inside every inner checker; an [Exhausted]
-    outcome carries the {!progress} frontier — the report over completed
-    edges plus the name of the first edge that did not complete — and
-    the [spent] of the checker that ran out.  Completed edges are never
+    The edges run through {!Edges.run}.  The budget token [ctx.token] is
+    polled before each edge and inside every inner checker; an
+    [Exhausted] outcome carries the {!progress} frontier — the report
+    over completed edges plus the name of the first edge that did not
+    complete — and the [spent] of the checker that ran out.  Completed edges are never
     re-verified on resume when [ctx.cache] is set (their verdicts were
     stored).
 

@@ -4,10 +4,7 @@
    unreliable.  Bechamel ships a CLOCK_MONOTONIC stub with no further
    dependencies, so we use that. *)
 
-(* The skew offset is the clock's fault-injection hook (DESIGN.md S27):
-   it only grows, so skewed time is still monotonic — injected skew can
-   move timings and deadlines, never a verdict. *)
-let now_ns () = Int64.add (Monotonic_clock.now ()) (Fault.skew_ns ())
+let now_ns () = Monotonic_clock.now ()
 
 let ns_to_ms ns = Int64.to_float ns /. 1e6
 

@@ -9,9 +9,7 @@
     differences. *)
 
 val now_ns : unit -> int64
-(** Nanoseconds on the monotonic clock (arbitrary epoch).  Under an
-    armed {!Fault} plan this includes the injected skew offset, which
-    only grows — readings stay monotonic. *)
+(** Nanoseconds on the monotonic clock (arbitrary epoch). *)
 
 val ns_to_ms : int64 -> float
 

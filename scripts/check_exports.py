@@ -99,10 +99,11 @@ MODULE_PATH = r"(?:[A-Z][\w']*\s*\.\s*)*"
 
 
 def in_scope(text, mod):
-    """Whether [text] brings module [mod] into scope unqualified."""
+    """Whether [text] brings module [mod] into scope unqualified.  An
+    open or alias of [M.Sub] scopes only [Sub], not [M]."""
     return re.search(
-        r"\b(?:open!?|include)\s+%(p)s%(m)s\b|\b%(m)s\s*\.\s*\("
-        r"|\bmodule\s+[A-Z][\w']*\s*=\s*%(p)s%(m)s\b"
+        r"\b(?:open!?|include)\s+%(p)s%(m)s\b(?!\s*\.)|\b%(m)s\s*\.\s*\("
+        r"|\bmodule\s+[A-Z][\w']*\s*=\s*%(p)s%(m)s\b(?!\s*\.)"
         % {"p": MODULE_PATH, "m": re.escape(mod)}, text) is not None
 
 

@@ -142,7 +142,7 @@ let test_truncated_entry_recovered () =
       check_int "entry deleted" 0 (V.Cache.disk_stats c).entries)
 
 let test_crash_kind_corrupt_rechecks () =
-  (* Fault.corrupt_cache x the "crash" kind (DESIGN.md S30): a corrupted
+  (* A corrupt entry x the "crash" kind (DESIGN.md S30): a corrupted
      crash-certificate entry must read as a miss and force a live
      recheck — never a stale verdict — and the recheck re-stores the
      same report. *)
@@ -427,41 +427,41 @@ let check_golden name expected actual =
 let test_stack_keys_golden_ticket_sc () =
   check_golden "ticket/SC edge keys"
     [
-      "Mx86 refines Lx86[D] (Thm 3.1)", "2b36505f7fe3476f";
-      "L0 |- M_ticket : Llock (Fun)", "2cfa61d4464a6bd2";
-      "Llock[1] x Llock[2] => Llock[{1,2}] (Pcomp)", "0a7ad1901b41d27f";
-      "L0 |- M_lock + M_q : Lq_high (Vcomp, Fig. 5)", "2f5bddbad2faf624";
-      "[[P + M]]_L0 refines [[P]]_Lq_high (Thm 2.2)", "22b9478cf373596c";
-      "Lbtd[c] = Lhtd[c][Tc] (Thm 5.1)", "12fb0735aa6b048a";
-      "Lmt(Llock) |- M_qlock : Lqlock (Fun, Fig. 11)", "3bb9d8403a5441ce";
-      "Lmt(spin+cv) |- M_ipc : Lipc (Fun)", "1f2d61eab412e079";
-      "[[producer|consumer]] refines Lipc (blocking paths)", "08ae199c469bdd28";
-      "Llock |- M_rwlock : Lrwlock (Fun, extension)", "03cdb86fa79920d2";
+      "Mx86 refines Lx86[D] (Thm 3.1)", "233a1ab9d1b55ae8";
+      "L0 |- M_ticket : Llock (Fun)", "13bd459d68025300";
+      "Llock[1] x Llock[2] => Llock[{1,2}] (Pcomp)", "09e67e66921f9787";
+      "L0 |- M_lock + M_q : Lq_high (Vcomp, Fig. 5)", "2dac559c2600f97c";
+      "[[P + M]]_L0 refines [[P]]_Lq_high (Thm 2.2)", "09ee15199db70db2";
+      "Lbtd[c] = Lhtd[c][Tc] (Thm 5.1)", "25d7ec4808e27a72";
+      "Lmt(Llock) |- M_qlock : Lqlock (Fun, Fig. 11)", "35be6d3bc1238184";
+      "Lmt(spin+cv) |- M_ipc : Lipc (Fun)", "2254917a4ca52f15";
+      "[[producer|consumer]] refines Lipc (blocking paths)", "18907f2d2632b840";
+      "Llock |- M_rwlock : Lrwlock (Fun, extension)", "08f97059ce3d00c6";
     ]
     (V.Stack.edge_fingerprints ())
 
 let test_stack_keys_golden_mcs_tso () =
   check_golden "mcs/TSO edge keys"
     [
-      "Mx86 refines Lx86[D] (Thm 3.1)", "251cae3bb02228ad";
-      "L0 |- M_mcs : Llock (Fun)", "3377fcfcdc1e2b48";
-      "Llock[1] x Llock[2] => Llock[{1,2}] (Pcomp)", "0f540356b4baf98a";
-      "L0 |- M_lock + M_q : Lq_high (Vcomp, Fig. 5)", "1b900b27bf737d64";
-      "[[P + M]]_L0 refines [[P]]_Lq_high (Thm 2.2)", "235deccec7c82e68";
-      "Lbtd[c] = Lhtd[c][Tc] (Thm 5.1)", "2f49689fe9f2fd2e";
-      "Lmt(Llock) |- M_qlock : Lqlock (Fun, Fig. 11)", "238b85afbd3f5fe0";
-      "Lmt(spin+cv) |- M_ipc : Lipc (Fun)", "272cd482bc979687";
-      "[[producer|consumer]] refines Lipc (blocking paths)", "16d204602cad3af9";
-      "Llock |- M_rwlock : Lrwlock (Fun, extension)", "2038219344786998";
+      "Mx86 refines Lx86[D] (Thm 3.1)", "16c1534baed4d4ec";
+      "L0 |- M_mcs : Llock (Fun)", "35bf6f2f71bf925f";
+      "Llock[1] x Llock[2] => Llock[{1,2}] (Pcomp)", "3709a96bc590060d";
+      "L0 |- M_lock + M_q : Lq_high (Vcomp, Fig. 5)", "153d986a038cd8e8";
+      "[[P + M]]_L0 refines [[P]]_Lq_high (Thm 2.2)", "2d45a7591f48a75d";
+      "Lbtd[c] = Lhtd[c][Tc] (Thm 5.1)", "370bc6c92e733301";
+      "Lmt(Llock) |- M_qlock : Lqlock (Fun, Fig. 11)", "183a195d8ce2da1b";
+      "Lmt(spin+cv) |- M_ipc : Lipc (Fun)", "24c0e2d6d23f248f";
+      "[[producer|consumer]] refines Lipc (blocking paths)", "2189eac0f0f024f8";
+      "Llock |- M_rwlock : Lrwlock (Fun, extension)", "211338bb73964d32";
     ]
     (V.Stack.edge_fingerprints ~lock:`Mcs ~memory:Memory.Tso ())
 
 let test_kv_keys_golden () =
   check_golden "kv edge keys"
     [
-      "Llock |- M_kv(shards=2) : Lmap", "248e233da0e867d8";
-      "Lcache_disk |- M_cache(entries=2) : Lmap[get,put]", "2d2c44a702af94b7";
-      "Llock+cache |- M_cache(entries=2) . M_kv(shards=2) : Lmap[get,put]", "356396782bfdd809";
+      "Llock |- M_kv(shards=2) : Lmap", "372b155681926678";
+      "Lcache_disk |- M_cache(entries=2) : Lmap[get,put]", "0872e3bb2b60f8d4";
+      "Llock+cache |- M_cache(entries=2) . M_kv(shards=2) : Lmap[get,put]", "094f144759f75939";
     ]
     (Ccal_kv.Kv_stack.fingerprints ())
 
@@ -487,11 +487,11 @@ let test_crash_keys_golden () =
     Alcotest.(check (list (pair string string))) name expected actual
   in
   check "crash edge keys, default"
-    [ "wal", "244a11e3387e4fba"; "durable-kv", "0dabda0b9114b012" ]
+    [ "wal", "155a123b45a794ea"; "durable-kv", "27fa9d7eba476528" ]
     (crash_keys ~threads:2 ());
   let t3 = crash_keys ~strategy:(dpor 10) ~threads:3 () in
   check "crash edge keys, 3 threads, dpor:10"
-    [ "wal", "30f38ea9f2259314"; "durable-kv", "3b594088fd3b2dbc" ]
+    [ "wal", "32634b8382fe3382"; "durable-kv", "1c6084405c78d07e" ]
     t3;
   check "jobs take no part" t3 (crash_keys ~jobs:4 ~strategy:(dpor 10) ~threads:3 ());
   List.iter

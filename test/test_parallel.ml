@@ -481,7 +481,7 @@ let c_module_fingerprints () =
         (Prog.Module.names m))
     (c_modules ())
 
-let fingerprint_digest = "9cae1a6d83e07a48459886e726883760"
+let fingerprint_digest = "c2ae8c7fc4894ae0fb137df47b10045a"
 
 let test_c_module_fingerprints () =
   check_string "digest of C module fingerprints" fingerprint_digest

@@ -1,13 +1,9 @@
-(* Tests for the robustness layer (S27): step and deadline budgets,
-   partial results, and deterministic fault injection —
-   the [Ctx]-threaded API.
+(* Tests for the robustness layer (S27): step and deadline budgets and
+   partial results — the [Ctx]-threaded API.
 
    The contract under test: a budget never changes a completed verdict
-   (it only truncates how much gets established), a {e step} budget
-   truncates at the same schedule prefix for every jobs count, and an
-   armed fault plan (worker crashes, cache corruption, clock skew,
-   oversized entries) leaves every verdict bit-identical to the
-   fault-free run. *)
+   (it only truncates how much gets established), and a {e step} budget
+   truncates at the same schedule prefix for every jobs count. *)
 open Ccal_core
 open Ccal_objects
 open Ccal_verify
@@ -52,32 +48,15 @@ let test_budget_outcome_helpers () =
     (Budget.value (Budget.Exhausted { spent; partial = 4 }));
   check_int "map reaches the partial" 8
     (Budget.value (Budget.map (( * ) 2) (Budget.Exhausted { spent; partial = 4 })));
-  check_bool "make () is unlimited" true (Budget.make () = Budget.unlimited);
+  check_bool "make () is unlimited" true (Budget.make () = { Budget.ms = None; steps = None });
   check_bool "negative steps clamp to instantly exhausted" true
     (Budget.poll (Budget.start (Budget.make ~steps:(-1) ())));
   check_bool "the shared no_token never trips" false (Budget.poll Budget.no_token)
 
-let test_fault_parse () =
-  (match Fault.parse "crash:0.1,corrupt-cache:0.05,seed:7" with
-  | Ok p ->
-    check_int "seed" 7 p.Fault.seed;
-    check_bool "crash rate" true (p.Fault.crash = 0.1);
-    check_bool "corrupt rate" true (p.Fault.corrupt = 0.05);
-    check_bool "not none" false (Fault.is_none p)
-  | Error msg -> Alcotest.failf "parse failed: %s" msg);
-  check_bool "unknown kind rejected" true
-    (Result.is_error (Fault.parse "explode:0.5"));
-  check_bool "bad rate rejected" true (Result.is_error (Fault.parse "crash:lots"));
-  check_bool "none is none" true (Fault.is_none Fault.none)
-
-(* Faults and budgets are attached by their builders only. *)
+(* A budget is attached by its builder only. *)
 let test_ctx_make_is_unarmed () =
   let ctx = Ctx.make ~jobs:2 () in
-  check_bool "no faults" true (Fault.is_none ctx.Ctx.faults);
-  check_bool "unlimited budget" true (ctx.Ctx.budget = Budget.unlimited);
-  check_bool "with_faults arms the plan" false
-    (Fault.is_none
-       (Ctx.with_faults (Result.get_ok (Fault.parse "crash:0.5,seed:3")) ctx).Ctx.faults)
+  check_bool "unlimited budget" true (ctx.Ctx.token == Budget.no_token)
 
 (* ---- a spent deadline ---- *)
 
@@ -110,95 +89,6 @@ let test_step_budget_truncates_deterministically () =
       check_bool (Printf.sprintf "partial at jobs=%d = sequential" jobs) true
         (partial_at jobs = oracle))
     jobs_grid
-
-(* ---- a temporary edge store ---- *)
-
-let with_cache f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ccal-test-robust-%d-%d" (Unix.getpid ()) (Random.bits ()))
-  in
-  let c = Cache.create ~dir () in
-  Fun.protect
-    ~finally:(fun () ->
-      ignore (Cache.clear c);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    (fun () -> f c)
-
-(* ---- fault injection: verdicts bit-identical to the fault-free run ---- *)
-
-let fault_free () = races_check Ctx.default
-
-let test_crash_faults_keep_verdict () =
-  let plan = Result.get_ok (Fault.parse "crash:0.5,seed:3") in
-  let oracle = fault_free () in
-  List.iter
-    (fun jobs ->
-      let v = races_check (Ctx.with_faults plan (Ctx.with_jobs jobs Ctx.default)) in
-      check_bool
-        (Printf.sprintf "crash-injected verdict at jobs=%d = fault-free" jobs)
-        true (v = oracle))
-    jobs_grid
-
-(* The suite is uncut (the ticket lock is race-free), so every schedule
-   is played exactly once on every jobs count: the pool's workers must
-   walk the same attempt chains as the sequential scan, crash for
-   crash. *)
-let test_crash_faults_reach_the_pool () =
-  let plan = Result.get_ok (Fault.parse "crash:0.5,seed:3") in
-  let oracle = fault_free () in
-  check_bool "the suite is uncut" true
-    (match oracle with Races.Race_free _ -> true | _ -> false);
-  let crashes jobs =
-    Fault.reset_stats ();
-    let v = races_check (Ctx.with_faults plan (Ctx.with_jobs jobs Ctx.default)) in
-    check_bool
-      (Printf.sprintf "crash-injected verdict at jobs=%d = fault-free" jobs)
-      true (v = oracle);
-    (Fault.stats ()).Fault.crashes
-  in
-  let sequential = crashes 1 in
-  check_bool "crashes fired at jobs=1" true (sequential > 0);
-  check_int "jobs=4 crashes = jobs=1 crashes" sequential (crashes 4)
-
-let test_skew_faults_keep_verdict () =
-  let plan = Result.get_ok (Fault.parse "skew:0.5,seed:5") in
-  let oracle = fault_free () in
-  let v = races_check (Ctx.with_faults plan Ctx.default) in
-  check_bool "skewed-clock verdict = fault-free" true (v = oracle)
-
-(* The cache faults strike the one level that stores: the crash edge of
-   the WAL.  Its canonical report must match the fault-free one. *)
-let crash_report ctx =
-  match Crash.check_ctx ~ctx [ Ccal_disk.Wal.crash_edge () ] with
-  | Budget.Complete (Ok r) -> Format.asprintf "%a" (Edges.pp ~millis:false Crash.layout) r.Crash.edges
-  | Budget.Complete (Error f) -> Alcotest.failf "%a" Failure.pp f
-  | Budget.Exhausted _ -> Alcotest.fail "unlimited budget exhausted"
-
-let test_corrupt_cache_faults_keep_verdict () =
-  with_cache (fun c ->
-      let plan = Result.get_ok (Fault.parse "corrupt-cache:1.0,seed:11") in
-      let oracle = crash_report Ctx.default in
-      let ctx = Ctx.with_faults plan (Ctx.with_cache c Ctx.default) in
-      (* first run stores a corrupted entry; the second finds it
-         undeserializable, invalidates and re-runs live *)
-      check_string "cold corrupted run = fault-free" oracle (crash_report ctx);
-      check_string "warm-over-corruption run = fault-free" oracle
-        (crash_report ctx);
-      check_int "the corrupted entry was invalidated" 1
-        (Cache.session_stats c).invalidations)
-
-let test_oversize_cache_faults_keep_verdict () =
-  with_cache (fun c ->
-      let plan = Result.get_ok (Fault.parse "oversize:1.0,seed:13") in
-      let oracle = crash_report Ctx.default in
-      let ctx = Ctx.with_faults plan (Ctx.with_cache c Ctx.default) in
-      check_string "cold oversized run = fault-free" oracle (crash_report ctx);
-      (* oversized payloads still deserialize: the warm run hits *)
-      check_string "warm oversized run = fault-free" oracle (crash_report ctx);
-      check_int "the oversized entry served the warm run" 1
-        (Cache.session_stats c).hits)
 
 (* ---- the other budgeted checkers ---- *)
 
@@ -287,20 +177,10 @@ let test_stack_livelock_bounded_by_budget () =
 let suite =
   [
     tc "budget: outcome helpers and clamping" test_budget_outcome_helpers;
-    tc "fault: --inject spec parsing" test_fault_parse;
-    tc "ctx: make arms no faults and no budget" test_ctx_make_is_unarmed;
+    tc "ctx: make arms no budget" test_ctx_make_is_unarmed;
     tc "a spent deadline preempts the scan" test_deadline_preempts_scan;
     tc "step budget truncates identically on the jobs grid"
       test_step_budget_truncates_deterministically;
-    tc "crash injection keeps the verdict (jobs grid)"
-      test_crash_faults_keep_verdict;
-    tc "crash injection reaches the pool's workers"
-      test_crash_faults_reach_the_pool;
-    tc "clock-skew injection keeps the verdict" test_skew_faults_keep_verdict;
-    tc "cache-corruption injection keeps the verdict"
-      test_corrupt_cache_faults_keep_verdict;
-    tc "oversized-entry injection keeps the verdict"
-      test_oversize_cache_faults_keep_verdict;
     tc "linearizability budget exhausts Ok-shaped"
       test_linearizability_budget_exhausts;
     tc "stack: zero budget reports the first edge"
