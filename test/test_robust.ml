@@ -48,7 +48,8 @@ let test_budget_outcome_helpers () =
     (Budget.value (Budget.Exhausted { spent; partial = 4 }));
   check_int "map reaches the partial" 8
     (Budget.value (Budget.map (( * ) 2) (Budget.Exhausted { spent; partial = 4 })));
-  check_bool "make () is unlimited" true (Budget.make () = { Budget.ms = None; steps = None });
+  check_bool "make () is unlimited" true
+    (Budget.make () = { Budget.ms = None; steps = None });
   check_bool "negative steps clamp to instantly exhausted" true
     (Budget.poll (Budget.start (Budget.make ~steps:(-1) ())));
   check_bool "the shared no_token never trips" false (Budget.poll Budget.no_token)
