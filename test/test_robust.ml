@@ -1,9 +1,10 @@
 (* Tests for the robustness layer (S27): step and deadline budgets and
    partial results — the [Ctx]-threaded API.
 
-   The contract under test: a budget never changes a completed verdict
-   (it only truncates how much gets established), and a {e step} budget
-   truncates at the same schedule prefix for every jobs count. *)
+   The contract under test: budgets, jobs counts and cache state never
+   change a verdict (a budget only truncates how much gets established),
+   and a {e step} budget truncates at the same schedule prefix for every
+   jobs count. *)
 open Ccal_core
 open Ccal_objects
 open Ccal_verify
@@ -90,6 +91,141 @@ let test_step_budget_truncates_deterministically () =
       check_bool (Printf.sprintf "partial at jobs=%d = sequential" jobs) true
         (partial_at jobs = oracle))
     jobs_grid
+
+(* ---- jobs counts never change a verdict ---- *)
+
+let test_verdict_jobs_invariant () =
+  let oracle = races_check Ctx.default in
+  check_bool "the ticket clients are race-free" true
+    (match oracle with Races.Race_free _ -> true | _ -> false);
+  List.iter
+    (fun jobs ->
+      check_bool (Printf.sprintf "verdict at jobs=%d = sequential" jobs) true
+        (races_check (Ctx.with_jobs jobs Ctx.default) = oracle))
+    jobs_grid
+
+(* Nothing in the scan retries a game: every schedule of an uncut suite
+   is played and judged exactly once, on every jobs count. *)
+let test_each_schedule_judged_once () =
+  let layer, threads = game () in
+  let judged jobs =
+    let calls = Atomic.make 0 in
+    let steps =
+      Budget.value
+        (Parallel.games ~ctx:(Ctx.make ~jobs ()) layer threads
+           (fun _ o ->
+             Atomic.incr calls;
+             o.Game.steps)
+           (suite ()))
+    in
+    Atomic.get calls, steps
+  in
+  let calls, steps = judged 1 in
+  check_int "one judgment per schedule at jobs=1" (List.length (suite ())) calls;
+  List.iter
+    (fun jobs ->
+      let calls', steps' = judged jobs in
+      check_int (Printf.sprintf "one judgment per schedule at jobs=%d" jobs)
+        calls calls';
+      check_bool (Printf.sprintf "same plays at jobs=%d" jobs) true
+        (steps' = steps))
+    jobs_grid
+
+(* ---- the clock ---- *)
+
+(* Verifier timings are differences of monotonic readings, taken as they
+   are: successive readings never go backwards. *)
+let test_clock_monotonic () =
+  let readings = List.init 1_000 (fun _ -> Verify_clock.now_ns ()) in
+  check_bool "readings never go backwards" true
+    (List.for_all2 (fun a b -> Int64.compare a b <= 0)
+       (List.filteri (fun i _ -> i < 999) readings)
+       (List.tl readings));
+  let (), ms = Verify_clock.timed ignore in
+  check_bool "a timed no-op takes no negative time" true (ms >= 0.)
+
+(* ---- the token is the one budget of a context ---- *)
+
+let test_ctx_builders_keep_the_token () =
+  let ctx = fresh_ctx (Budget.make ~steps:0 ()) in
+  check_bool "with_budget attaches a running token" true (Budget.poll ctx.Ctx.token);
+  List.iter
+    (fun (what, ctx') ->
+      check_bool (what ^ " keeps the token") true (ctx'.Ctx.token == ctx.Ctx.token))
+    [
+      "with_jobs", Ctx.with_jobs 4 ctx;
+      "with_strategy", Ctx.with_strategy (Ctx.Engine.random ~count:2) ctx;
+      "with_memory", Ctx.with_memory Memory.Tso ctx;
+    ];
+  check_bool "a later with_budget restarts it" false
+    (Budget.poll (Ctx.with_budget (Budget.make ()) ctx).Ctx.token)
+
+(* ---- a temporary edge store ---- *)
+
+let with_cache f =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ccal-test-robust-%d-%d" (Unix.getpid ()) (Random.bits ()))
+  in
+  let c = Cache.create ~dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Cache.clear c);
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () -> f c)
+
+let stack_report ctx =
+  match Stack.verify_all_ctx ~ctx ~strategy:(Ctx.Engine.random ~count:2) () with
+  | Budget.Complete (Ok p) ->
+    Format.asprintf "%a" (Edges.pp ~millis:false Stack.layout)
+      p.Stack.completed.Stack.edges
+  | Budget.Complete (Error f) -> Alcotest.failf "%a" Failure.pp f
+  | Budget.Exhausted _ -> Alcotest.fail "unlimited budget exhausted"
+
+(* A corrupted store is a store of misses: with every entry of a filled
+   store overwritten with junk, a jobs 4 run invalidates all ten,
+   rechecks them live and reports what a clean jobs 1 run reports. *)
+let test_corrupted_store_rechecks_live () =
+  with_cache (fun c ->
+      let clean = stack_report Ctx.default in
+      ignore (stack_report (Ctx.make ~jobs:4 ~cache:c ()));
+      Array.iter
+        (fun f ->
+          let oc = open_out (Filename.concat (Cache.dir c) f) in
+          output_string oc "not a certificate";
+          close_out oc)
+        (Sys.readdir (Cache.dir c));
+      let c' = Cache.create ~dir:(Cache.dir c) () in
+      check_string "report over the corrupted store = clean jobs 1 report" clean
+        (stack_report (Ctx.make ~jobs:4 ~cache:c' ()));
+      let s = Cache.session_stats c' in
+      check_int "no hits" 0 s.hits;
+      check_int "every edge a miss" 10 s.misses;
+      check_int "every entry invalidated" 10 s.invalidations)
+
+(* The store writes a payload as it is: a warm crash run is served whole
+   from it, at every jobs count, and equals the live report. *)
+let crash_report ctx =
+  match Crash.check_ctx ~ctx [ Ccal_disk.Wal.crash_edge () ] with
+  | Budget.Complete (Ok r) ->
+    Format.asprintf "%a" (Edges.pp ~millis:false Crash.layout) r.Crash.edges
+  | Budget.Complete (Error f) -> Alcotest.failf "%a" Failure.pp f
+  | Budget.Exhausted _ -> Alcotest.fail "unlimited budget exhausted"
+
+let test_warm_crash_run_served_whole () =
+  with_cache (fun c ->
+      let live = crash_report Ctx.default in
+      check_string "cold run = live" live (crash_report (Ctx.with_cache c Ctx.default));
+      List.iter
+        (fun jobs ->
+          let c' = Cache.create ~dir:(Cache.dir c) () in
+          check_string (Printf.sprintf "warm run at jobs=%d = live" jobs) live
+            (crash_report (Ctx.make ~jobs ~cache:c' ()));
+          let s = Cache.session_stats c' in
+          check_int "the edge is a hit" 1 s.hits;
+          check_int "no misses" 0 s.misses)
+        [ 1; 4 ])
 
 (* ---- the other budgeted checkers ---- *)
 
@@ -182,6 +318,16 @@ let suite =
     tc "a spent deadline preempts the scan" test_deadline_preempts_scan;
     tc "step budget truncates identically on the jobs grid"
       test_step_budget_truncates_deterministically;
+    tc "jobs counts never change a verdict" test_verdict_jobs_invariant;
+    tc "each schedule is judged once on the jobs grid"
+      test_each_schedule_judged_once;
+    tc "verifier clock readings never go backwards" test_clock_monotonic;
+    tc "ctx: builders keep the token, with_budget restarts it"
+      test_ctx_builders_keep_the_token;
+    tc "a corrupted store rechecks live, report = clean run"
+      test_corrupted_store_rechecks_live;
+    tc "a warm crash run is served whole from the store"
+      test_warm_crash_run_served_whole;
     tc "linearizability budget exhausts Ok-shaped"
       test_linearizability_budget_exhausts;
     tc "stack: zero budget reports the first edge"
